@@ -1,17 +1,6 @@
 type mode = Startup | Drain | Probe_bw | Probe_rtt
 
-(* Max filter over the last [window] round trips. *)
-module Max_filter = struct
-  type t = { mutable samples : (int * float) list; window : int }
-
-  let create ~window = { samples = []; window }
-
-  let update t ~round ~value =
-    let cutoff = round - t.window in
-    t.samples <- (round, value) :: List.filter (fun (r, _) -> r >= cutoff) t.samples
-
-  let get t = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 t.samples
-end
+module Max_filter = Ccsim_util.Windowed_max
 
 let pacing_gain_cycle = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
 let startup_gain = 2.885
@@ -75,8 +64,7 @@ let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
   let cwnd_gain () =
     match !mode with Startup | Drain -> startup_gain | Probe_bw -> 2.0 | Probe_rtt -> 1.0
   in
-  let bdp_bytes () =
-    let bw = Max_filter.get btlbw in
+  let bdp_bytes bw =
     let rtt = if Float.is_finite !min_rtt then !min_rtt else 0.1 in
     bw *. rtt /. 8.0
   in
@@ -84,7 +72,7 @@ let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
     let bw = Max_filter.get btlbw in
     if bw > 0.0 then begin
       cca.pacing_rate <- Float.max (pacing_gain () *. bw) 1000.0;
-      let target = cwnd_gain () *. bdp_bytes () in
+      let target = cwnd_gain () *. bdp_bytes bw in
       cca.cwnd <-
         (match !mode with
         | Probe_rtt -> 4.0 *. fmss
@@ -124,7 +112,7 @@ let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
           if !full_bw_count >= 3 then switch_mode ~now Drain
         end
     | Drain ->
-        if float_of_int info.inflight <= bdp_bytes () then begin
+        if float_of_int info.inflight <= bdp_bytes (Max_filter.get btlbw) then begin
           switch_mode ~now Probe_bw;
           cycle_stamp := now;
           cycle_index := 2 (* start in a neutral phase *)

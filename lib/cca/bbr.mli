@@ -10,6 +10,11 @@
 
     Faithful to v1's defining behaviour for the paper's purposes: it
     largely ignores individual losses, which is what makes it take more
-    than its fair share against Reno/Cubic on FIFO bottlenecks [2]. *)
+    than its fair share against Reno/Cubic on FIFO bottlenecks [2].
+
+    The bandwidth filter is exact over the current and previous ten
+    rounds ({!Ccsim_util.Windowed_max}), not Linux's three-sample
+    approximation, and costs the same per ack however many acks a round
+    brings. *)
 
 val create : ?mss:int -> ?initial_cwnd:float -> unit -> Cca.t

@@ -1,7 +1,8 @@
 (** Fixed-capacity sliding window of floats.
 
-    Nimbus keeps the last N cross-traffic samples for its FFT; windowed
-    max/min filters (BBR's bandwidth filter) also build on this. *)
+    Nimbus keeps the last N cross-traffic samples for its FFT. BBR's
+    bandwidth filter windows by round, not by sample count: see
+    {!Windowed_max}. *)
 
 type t
 

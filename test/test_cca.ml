@@ -293,6 +293,38 @@ let test_bbr_app_limited_samples_do_not_raise_estimate () =
   Alcotest.(check bool) "estimate not dragged down immediately" true
     (cca.Cca.pacing_rate >= 0.5 *. pace_before)
 
+(* Minor words per ack over 30 rounds of about [per_round] acks each. A
+   round ends when the bytes in flight at its start are delivered, so
+   shrinking the bytes each ack covers lengthens the round while the
+   window, and so BBR's state machine, stays the same. Ack records are
+   built before measuring. *)
+let bbr_words_per_ack ~per_round =
+  let cca = Ccsim_cca.Bbr.create () in
+  let inflight = 30 * mss in
+  let newly = inflight / per_round in
+  let n = 30 * per_round in
+  let acks =
+    Array.init (2 * n) (fun i ->
+        ack ~now:(0.01 *. float_of_int (i / per_round)) ~rate:(20e6 +. float_of_int (i mod 97))
+          ~newly ~inflight ())
+  in
+  (* The first half warms up past the filter window and STARTUP. *)
+  let warm = Array.sub acks 0 n and measured = Array.sub acks n n in
+  Array.iter cca.Cca.on_ack warm;
+  let before = Gc.minor_words () in
+  Array.iter cca.Cca.on_ack measured;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The bandwidth filter keeps one slot per round, not one entry per ack,
+   so a wider window (more acks per round) costs no more per ack. *)
+let test_bbr_per_ack_cost_flat_in_window () =
+  let narrow = bbr_words_per_ack ~per_round:10 in
+  let wide = bbr_words_per_ack ~per_round:2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words/ack at 2000 acks/round (%.2f) = at 10 (%.2f)" wide narrow)
+    true
+    (wide <= narrow +. 0.5)
+
 (* --- TFRC ------------------------------------------------------------------------------ *)
 
 let test_tfrc_doubles_before_first_loss () =
@@ -369,6 +401,7 @@ let suite =
     ("bbr: cwnd tracks BDP", `Quick, test_bbr_cwnd_tracks_bdp);
     ("bbr: ignores isolated loss", `Quick, test_bbr_ignores_isolated_loss);
     ("bbr: app-limited filter", `Quick, test_bbr_app_limited_samples_do_not_raise_estimate);
+    ("bbr: per-ack cost flat in the window", `Quick, test_bbr_per_ack_cost_flat_in_window);
     ("tfrc: doubles before first loss", `Quick, test_tfrc_doubles_before_first_loss);
     ("tfrc: equation ballpark", `Quick, test_tfrc_equation_rate_reasonable);
     ("tfrc: monotone in loss rate", `Quick, test_tfrc_higher_loss_means_lower_rate);

@@ -396,11 +396,111 @@ let test_feq_tolerance () =
     (Invalid_argument "Feq.feq: eps must be non-negative") (fun () ->
       ignore (U.Feq.feq ~eps:(-1e-9) 1.0 1.0))
 
+(* --- Windowed_max ------------------------------------------------------------ *)
+
+(* The list filter BBR used before Windowed_max: every sample kept until
+   an update's cutoff passes it, the maximum folded on every read. The
+   slow reference the fixed-size filter must match bit for bit. *)
+module Reference_max = struct
+  type t = { mutable samples : (int * float) list; window : int }
+
+  let create ~window = { samples = []; window }
+
+  let update t ~round ~value =
+    let cutoff = round - t.window in
+    t.samples <- (round, value) :: List.filter (fun (r, _) -> r >= cutoff) t.samples
+
+  let get t = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 t.samples
+end
+
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (Float.is_nan a && Float.is_nan b)
+
+let test_windowed_max_window () =
+  let f = U.Windowed_max.create ~window:2 in
+  Alcotest.(check (float 0.0)) "empty reads 0" 0.0 (U.Windowed_max.get f);
+  U.Windowed_max.update f ~round:0 ~value:5.0;
+  U.Windowed_max.update f ~round:1 ~value:3.0;
+  U.Windowed_max.update f ~round:2 ~value:1.0;
+  Alcotest.(check (float 0.0)) "rounds 0..2 live" 5.0 (U.Windowed_max.get f);
+  U.Windowed_max.update f ~round:3 ~value:2.0;
+  Alcotest.(check (float 0.0)) "round 0 evicted" 3.0 (U.Windowed_max.get f);
+  U.Windowed_max.update f ~round:3 ~value:4.0;
+  U.Windowed_max.update f ~round:3 ~value:0.5;
+  Alcotest.(check (float 0.0)) "one round keeps its maximum" 4.0 (U.Windowed_max.get f);
+  U.Windowed_max.update f ~round:40 ~value:0.25;
+  Alcotest.(check (float 0.0)) "a long gap evicts everything older" 0.25 (U.Windowed_max.get f);
+  U.Windowed_max.update f ~round:41 ~value:(-1.0);
+  Alcotest.(check (float 0.0)) "a negative sample never wins" 0.25 (U.Windowed_max.get f)
+
+let test_windowed_max_invalid () =
+  Alcotest.check_raises "negative window"
+    (Invalid_argument "Windowed_max.create: window must be non-negative") (fun () ->
+      ignore (U.Windowed_max.create ~window:(-1)));
+  let f = U.Windowed_max.create ~window:3 in
+  let bad = Invalid_argument "Windowed_max.update: rounds must be non-negative and non-decreasing" in
+  Alcotest.check_raises "negative round" bad (fun () ->
+      U.Windowed_max.update f ~round:(-1) ~value:1.0);
+  U.Windowed_max.update f ~round:5 ~value:1.0;
+  Alcotest.check_raises "decreasing round" bad (fun () ->
+      U.Windowed_max.update f ~round:4 ~value:1.0);
+  Alcotest.(check (float 0.0)) "a rejected update changes nothing" 1.0 (U.Windowed_max.get f)
+
+(* Fixed space is the point of the filter: with a thousand samples per
+   round over a hundred rounds, updating allocates nothing. Samples are
+   boxed up front so the loop itself allocates nothing. ([get] is not
+   measured: a float returned from a call that is not inlined is boxed
+   by the calling convention, whatever the filter does.) *)
+let test_windowed_max_allocation_free () =
+  let samples = Array.init 100_000 (fun i -> (i / 1000, float_of_int (i mod 7919))) in
+  let f = U.Windowed_max.create ~window:10 in
+  let before = Gc.minor_words () in
+  Array.iter (fun (round, value) -> U.Windowed_max.update f ~round ~value) samples;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "last window's maximum" 7918.0 (U.Windowed_max.get f);
+  Alcotest.(check bool) (Printf.sprintf "allocation-free (%.0f words)" words) true (words < 64.0)
+
 (* --- QCheck properties ------------------------------------------------------------ *)
+
+(* A trace of (round step, sample): steps are mostly 0 (more acks in the
+   same round) or 1, with gaps past the window; samples include the
+   values whose [Float.max] ordering is delicate. *)
+let windowed_max_trace =
+  let open QCheck.Gen in
+  let step = frequency [ (12, return 0); (5, return 1); (1, int_range 2 30) ] in
+  let value =
+    frequency
+      [
+        (20, float_range 0.0 1e9);
+        (2, return 0.0);
+        (2, return (-0.0));
+        (2, float_range (-1e3) 0.0);
+        (1, return nan);
+        (1, return infinity);
+        (1, return neg_infinity);
+      ]
+  in
+  pair (int_range 0 12) (list_size (int_range 0 400) (pair step value))
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"windowed max equals the list reference, bit for bit" ~count:500
+      (make
+         ~print:(fun (w, ops) ->
+           Printf.sprintf "window %d: %s" w
+             (String.concat "; " (List.map (fun (s, v) -> Printf.sprintf "+%d %h" s v) ops)))
+         windowed_max_trace)
+      (fun (window, ops) ->
+        let fast = U.Windowed_max.create ~window and slow = Reference_max.create ~window in
+        let round = ref 0 in
+        List.for_all
+          (fun (step, value) ->
+            round := !round + step;
+            U.Windowed_max.update fast ~round:!round ~value;
+            Reference_max.update slow ~round:!round ~value;
+            same_float (U.Windowed_max.get fast) (Reference_max.get slow))
+          ops);
     (* The refactor contract behind replacing every bare float [=]:
        at eps = 0 Feq.feq IS structural equality — over the full float
        range including nan and the infinities — so fig2/fig3 verdicts
@@ -565,6 +665,9 @@ let suite =
     ("histogram: edges", `Quick, test_histogram_edges);
     ("ring buffer: wraparound", `Quick, test_ring_buffer_wraparound);
     ("ring buffer: stats and clear", `Quick, test_ring_buffer_stats);
+    ("windowed max: window and per-round maximum", `Quick, test_windowed_max_window);
+    ("windowed max: invalid arguments rejected", `Quick, test_windowed_max_invalid);
+    ("windowed max: allocation-free", `Quick, test_windowed_max_allocation_free);
     ("table: renders", `Quick, test_table_renders);
     ("table: arity check", `Quick, test_table_mismatch_rejected);
     ("feq: special values behave like =", `Quick, test_feq_special_values);
