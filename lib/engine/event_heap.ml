@@ -1,175 +1,235 @@
-(* Binary min-heap in structure-of-arrays layout. The previous
-   array-of-entries representation allocated per event: an entry record
-   plus a boxed float key on every [add], and two options plus a tuple
-   on every [pop]/[peek_time]. The parallel arrays keep the float keys
-   unboxed (float array storage), the [pop_exn]/[last_time]/[next_time]
-   protocol returns through an unboxed one-slot float buffer, and the
-   only remaining steady-state allocation is the 2-word cancellation
-   handle [add] hands back. The option-returning [pop]/[peek_time] are
-   kept as thin wrappers for existing callers and tests. *)
+(* Indexed 4-ary min-heap over a slot table.
 
-type id = { mutable cancelled : bool }
+   Two index spaces share one capacity:
+
+   - heap positions [0 .. len-1]: [times] (unboxed float array) and
+     [keys], where key = seq * 2^24 + slot. Comparing keys compares the
+     scheduling sequence numbers (unique, in the high bits), so
+     (time, key) order is the (time, seq) order. Sifts move only these
+     two unboxed arrays: no pointer store, no write barrier.
+   - slots: [payloads] holds each event's payload, written once per
+     {!add} (and by {!reschedule} only when the payload changes), and
+     [meta] packs the slot's generation (high bits) with its heap
+     position while the slot is live, or with the next free slot while
+     it is on the free list.
+
+   A handle is the immediate int generation * 2^24 + slot. Freeing a
+   slot (pop or cancel) bumps its generation, so every handle to the
+   event it held goes stale at once and a later event in the reused
+   slot cannot be cancelled through it. [cancel] unlinks the entry
+   immediately, so the heap holds only live events and [size] is its
+   length. *)
+
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+
+(* [slot_mask] terminates the free list and is never a slot, so the
+   handle [none] (all bits set) is never live. *)
+let max_slots = slot_mask
+let gen_one = 1 lsl slot_bits
+let gen_mask = lnot slot_mask
+
+(* Keys must stay non-negative for int comparison to follow seq. *)
+let max_seq = max_int lsr slot_bits
+
+type id = int
+
+let none = -1
 
 type 'a t = {
-  (* Parallel arrays; slots at [len..] are stale. [payloads] stays [||]
-     until the first add supplies a fill value. *)
-  mutable times : float array;
-  mutable seqs : int array;
-  mutable ids : id array;
-  mutable payloads : 'a array;
+  mutable times : float array;  (* by heap position *)
+  mutable keys : int array;  (* by heap position: seq lsl slot_bits lor slot *)
+  mutable payloads : 'a array;  (* by slot; stays [||] until the first add *)
+  mutable meta : int array;  (* by slot: generation lor (position or next free) *)
   mutable len : int;
+  mutable fresh : int;  (* slots [fresh ..] have never been handed out *)
+  mutable free : int;  (* head of the free-slot list, [slot_mask] when empty *)
   mutable next_seq : int;
-  mutable live : int;
-  (* Unboxed return slot for the time of the last [pop_exn]. *)
-  last_popped : float array;
+  buf : float array;
+      (* [|time of the last pop; time of the entry being sifted|]: unboxed
+         slots, so neither the pop protocol nor the sifts box a float *)
 }
 
 let create () =
   {
     times = [||];
-    seqs = [||];
-    ids = [||];
+    keys = [||];
     payloads = [||];
+    meta = [||];
     len = 0;
+    fresh = 0;
+    free = slot_mask;
     next_seq = 0;
-    live = 0;
-    last_popped = Array.make 1 nan;
+    buf = [| nan; 0.0 |];
   }
 
-(* Heap order: (time, seq) lexicographic; seq breaks same-instant ties
-   in scheduling order, which the TCP model relies on. *)
-let[@inline] before t i j =
+(* Whether heap entry [i] precedes the entry being sifted ([buf.(1)],
+   [key]). Callers never store NaN, so [<=] after [<] means equal. *)
+let[@ccsim.hot] [@inline] entry_before t i key =
+  let ti = t.times.(i) and tm = t.buf.(1) in
+  ti < tm || (ti <= tm && t.keys.(i) < key)
+
+let[@ccsim.hot] [@inline] earlier t i j =
   let ti = t.times.(i) and tj = t.times.(j) in
-  ti < tj || (Float.equal ti tj && t.seqs.(i) < t.seqs.(j))
+  ti < tj || (ti <= tj && t.keys.(i) < t.keys.(j))
 
-let[@inline] swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let id = t.ids.(i) in
-  t.ids.(i) <- t.ids.(j);
-  t.ids.(j) <- id;
-  let pl = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- pl
+(* Store [key] at heap position [pos] and point its slot there. *)
+let[@ccsim.hot] [@inline] set_pos t pos key =
+  let s = key land slot_mask in
+  t.keys.(pos) <- key;
+  t.meta.(s) <- (t.meta.(s) land gen_mask) lor pos
 
-let[@ccsim.hot] rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Seat the entry being sifted at [pos]. *)
+let[@ccsim.hot] [@inline] place t pos key =
+  t.times.(pos) <- t.buf.(1);
+  set_pos t pos key
+
+let[@ccsim.hot] [@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  set_pos t dst t.keys.(src)
+
+(* Hole sifts: the entry being placed lives in [buf.(1)] and [key]
+   while parents (up) or the earliest child (down) shift into the hole. *)
+let[@ccsim.hot] rec sift_up t pos key =
+  if pos = 0 then place t 0 key
+  else begin
+    let parent = (pos - 1) lsr 2 in
+    if entry_before t parent key then place t pos key
+    else begin
+      move t ~src:parent ~dst:pos;
+      sift_up t parent key
     end
   end
 
-let[@ccsim.hot] rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.len && before t l i then l else i in
-  let smallest = if r < t.len && before t r smallest then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
+let[@ccsim.hot] rec sift_down t pos key =
+  let c = (4 * pos) + 1 in
+  if c >= t.len then place t pos key
+  else begin
+    let n = t.len in
+    let m = if c + 1 < n && earlier t (c + 1) c then c + 1 else c in
+    let m = if c + 2 < n && earlier t (c + 2) m then c + 2 else m in
+    let m = if c + 3 < n && earlier t (c + 3) m then c + 3 else m in
+    if entry_before t m key then begin
+      move t ~src:m ~dst:pos;
+      sift_down t m key
+    end
+    else place t pos key
   end
 
-(* Amortized doubling; runs once per capacity step, not per event. *)
-let grow t id payload =
-  (let cap = if t.len = 0 then 16 else 2 * t.len in
-   let times = Array.make cap 0.0 in
-   Array.blit t.times 0 times 0 t.len;
-   let seqs = Array.make cap 0 in
-   Array.blit t.seqs 0 seqs 0 t.len;
-   let ids = Array.make cap id in
-   Array.blit t.ids 0 ids 0 t.len;
-   let payloads = Array.make cap payload in
-   Array.blit t.payloads 0 payloads 0 t.len;
-   t.times <- times;
-   t.seqs <- seqs;
-   t.ids <- ids;
-   t.payloads <- payloads)
+(* Re-seat the entry ([buf.(1)], [key]) at [pos], whose previous
+   occupant left: up if it precedes the parent, else down. *)
+let[@ccsim.hot] resift t pos key =
+  if pos > 0 && not (entry_before t ((pos - 1) lsr 2) key) then sift_up t pos key
+  else sift_down t pos key
+
+(* Amortized doubling; runs once per capacity step, not per event.
+   [len] equals the capacity, so every slot is live. *)
+let grow t payload =
+  (let cap = Array.length t.times in
+   if cap >= max_slots then failwith "Event_heap: too many pending events";
+   let cap' = if cap = 0 then 16 else Int.min max_slots (2 * cap) in
+   let extend a fill =
+     let b = Array.make cap' fill in
+     Array.blit a 0 b 0 cap;
+     b
+   in
+   t.times <- extend t.times 0.0;
+   t.keys <- extend t.keys 0;
+   t.payloads <- extend t.payloads payload;
+   t.meta <- extend t.meta 0)
   [@ccsim.alloc_ok "amortized array doubling: O(log n) growth events over a run, not per-event"]
 
+let seq_exhausted () = failwith "Event_heap: sequence numbers exhausted"
+
+(* A fresh sequence number's key for [slot]. *)
+let[@ccsim.hot] next_key t slot =
+  let seq = t.next_seq in
+  if seq >= max_seq then seq_exhausted ();
+  t.next_seq <- seq + 1;
+  (seq lsl slot_bits) lor slot
+
 let[@ccsim.hot] add t ~time payload =
-  let id =
-    ({ cancelled = false }
-    [@ccsim.alloc_ok "the 2-word cancellation handle is the add API's return value"])
+  if t.len = Array.length t.times then grow t payload;
+  let s =
+    if t.free <> slot_mask then begin
+      let s = t.free in
+      t.free <- t.meta.(s) land slot_mask;
+      s
+    end
+    else begin
+      let s = t.fresh in
+      t.fresh <- s + 1;
+      s
+    end
   in
-  if t.len = Array.length t.times then grow t id payload;
-  let i = t.len in
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
-  t.ids.(i) <- id;
-  t.payloads.(i) <- payload;
-  t.next_seq <- t.next_seq + 1;
-  t.len <- t.len + 1;
-  sift_up t i;
-  t.live <- t.live + 1;
-  id
+  t.payloads.(s) <- payload;
+  let pos = t.len in
+  t.len <- pos + 1;
+  t.buf.(1) <- time;
+  sift_up t pos (next_key t s);
+  (t.meta.(s) land gen_mask) lor s
 
-let cancelled id = id.cancelled
+(* The slot of [id] while its event is pending, else -1. *)
+let[@ccsim.hot] [@inline] live_slot t id =
+  let s = id land slot_mask in
+  if s < t.fresh && t.meta.(s) land gen_mask = id land gen_mask then s else -1
 
-let cancel t id =
-  if not id.cancelled then begin
-    id.cancelled <- true;
-    t.live <- t.live - 1
+let[@ccsim.hot] cancelled t id = live_slot t id < 0
+
+(* Retire slot [s] (its handles go stale) onto the free list. *)
+let[@ccsim.hot] [@inline] release t s =
+  t.meta.(s) <- ((t.meta.(s) land gen_mask) + gen_one) lor t.free;
+  t.free <- s
+
+(* Unlink heap position [pos]: the last entry fills the gap. *)
+let[@ccsim.hot] remove_at t pos =
+  let last = t.len - 1 in
+  t.len <- last;
+  if pos < last then begin
+    t.buf.(1) <- t.times.(last);
+    resift t pos t.keys.(last)
   end
 
-(* Remove the root, restoring heap order. Caller checks len > 0. *)
-let[@ccsim.hot] drop_top t =
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    let n = t.len in
-    t.times.(0) <- t.times.(n);
-    t.seqs.(0) <- t.seqs.(n);
-    t.ids.(0) <- t.ids.(n);
-    t.payloads.(0) <- t.payloads.(n);
-    sift_down t 0
+let[@ccsim.hot] cancel t id =
+  let s = live_slot t id in
+  if s >= 0 then begin
+    let pos = t.meta.(s) land slot_mask in
+    release t s;
+    remove_at t pos
+  end
+
+let[@ccsim.hot] reschedule t id ~time payload =
+  let s = live_slot t id in
+  if s < 0 then add t ~time payload
+  else begin
+    if t.payloads.(s) != payload then t.payloads.(s) <- payload;
+    t.buf.(1) <- time;
+    resift t (t.meta.(s) land slot_mask) (next_key t s);
+    id
   end
 
 exception Empty
 
-let[@ccsim.hot] rec pop_exn t =
+let[@ccsim.hot] pop_exn t =
   if t.len = 0 then raise Empty
   else begin
-    let id = t.ids.(0) in
-    if id.cancelled then begin
-      drop_top t;
-      pop_exn t
-    end
-    else begin
-      t.last_popped.(0) <- t.times.(0);
-      let payload = t.payloads.(0) in
-      id.cancelled <- true;
-      (* fired events count as consumed *)
-      t.live <- t.live - 1;
-      drop_top t;
-      payload
-    end
+    let s = t.keys.(0) land slot_mask in
+    t.buf.(0) <- t.times.(0);
+    release t s;
+    remove_at t 0;
+    t.payloads.(s)
   end
 
-let[@inline] last_time t = t.last_popped.(0)
+let[@inline] last_time t = t.buf.(0)
+let[@ccsim.hot] next_time t = if t.len = 0 then infinity else t.times.(0)
 
-let rec next_time_slow t =
-  if t.len = 0 then infinity
-  else if t.ids.(0).cancelled then begin
-    drop_top t;
-    next_time_slow t
-  end
-  else t.times.(0)
-
-let[@inline] next_time t =
-  if t.len > 0 && not t.ids.(0).cancelled then t.times.(0) else next_time_slow t
-
-(* Compatibility wrappers over the alloc-free protocol. *)
+(* Option-returning wrappers for callers off the hot path. *)
 
 let pop t =
   match pop_exn t with
   | payload -> Some (last_time t, payload)
   | exception Empty -> None
 
-let peek_time t = if t.live = 0 then None else Some (next_time t)
-
-let size t = t.live
-let is_empty t = t.live = 0
+let peek_time t = if t.len = 0 then None else Some t.times.(0)
+let size t = t.len
+let is_empty t = t.len = 0

@@ -1,28 +1,47 @@
-(** Binary min-heap of timed events with O(log n) insert/extract and
-    O(1) lazy cancellation.
+(** Indexed min-heap of timed events: O(log n) {!add}, {!pop_exn},
+    {!cancel} and {!reschedule}, none of which allocates.
 
     Keys are (time, sequence) pairs; the sequence number breaks ties so
     that events scheduled for the same instant fire in scheduling order —
     a property the TCP model relies on (e.g. an ack arriving "at the same
-    time" as a timer must be processed deterministically). *)
+    time" as a timer must be processed deterministically).
+
+    Handles are immediate ints. {!cancel} unlinks the event at once, so
+    the heap holds only pending events: a cancelled timer leaves nothing
+    behind until its deadline. Event times must not be NaN (the caller
+    checks; [Sim] rejects NaN at every entry point). *)
 
 type 'a t
 
-type id
-(** Handle for cancellation. *)
+type id [@@immediate]
+(** Handle to a scheduled event, for {!cancel} and {!reschedule}. It
+    goes stale when the event fires or is cancelled; a stale handle
+    never reaches a later event, even one that reuses its storage. *)
+
+val none : id
+(** A handle that is never pending: {!cancelled} holds, {!cancel} is a
+    no-op and {!reschedule} adds a fresh event. Initialises handle
+    fields. *)
 
 val create : unit -> 'a t
 
 val add : 'a t -> time:float -> 'a -> id
-(** Insert an event; [time] may be any float (caller enforces
+(** Insert an event; [time] may be any float but NaN (caller enforces
     monotonicity policies). *)
 
 val cancel : 'a t -> id -> unit
-(** Mark an event as cancelled. Cancelled events are skipped by
-    {!pop}; cancelling twice or cancelling an already-fired event is a
-    no-op. *)
+(** Remove a pending event. Cancelling twice or cancelling an
+    already-fired event is a no-op. *)
 
-val cancelled : id -> bool
+val reschedule : 'a t -> id -> time:float -> 'a -> id
+(** [reschedule h id ~time x] is [cancel h id; add h ~time x]: the event
+    runs [x] at [time] and takes the next sequence number, so it sits
+    exactly where that pair of calls would put it. When [id] is pending
+    the event is moved in place and [id] is returned; otherwise a fresh
+    event is added and its handle returned. Use the returned handle from
+    then on. *)
+
+val cancelled : 'a t -> id -> bool
 (** Whether the event already fired or was cancelled — i.e. whether a
     {!cancel} on it would be a no-op. Lets the profiler count only
     live cancellations. *)
@@ -30,27 +49,27 @@ val cancelled : id -> bool
 exception Empty
 
 val pop_exn : 'a t -> 'a
-(** Remove and return the earliest non-cancelled event's payload,
-    raising {!Empty} when none is left. Allocation-free: the event's
-    time is read back through {!last_time}. This is the engine loop's
-    path; {!pop} wraps it for option-style callers. *)
+(** Remove and return the earliest event's payload, raising {!Empty}
+    when none is left. Allocation-free: the event's time is read back
+    through {!last_time}. This is the engine loop's path; {!pop} wraps
+    it for option-style callers. *)
 
 val last_time : 'a t -> float
 (** Time of the event most recently removed by {!pop_exn} (or {!pop});
     [nan] before the first removal. *)
 
 val next_time : 'a t -> float
-(** Time of the earliest non-cancelled event, or [infinity] when the
-    heap has none left — the allocation-free {!peek_time}. *)
+(** Time of the earliest event, or [infinity] when the heap is empty —
+    the allocation-free {!peek_time}. *)
 
 val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest non-cancelled event, or [None] when
-    the heap has none left. *)
+(** Remove and return the earliest event, or [None] when the heap is
+    empty. *)
 
 val peek_time : 'a t -> float option
-(** Time of the earliest non-cancelled event without removing it. *)
+(** Time of the earliest event without removing it. *)
 
 val size : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of pending events. *)
 
 val is_empty : 'a t -> bool

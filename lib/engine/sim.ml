@@ -61,8 +61,9 @@ let install_driver t ~interval ~comp f =
   note_tick ();
   ignore (Event_heap.add t.heap ~time:(t.clock.(0) +. interval) tick)
 
+(* [not (interval > 0.0)] so that NaN fails the check too. *)
 let periodic_driver t ~interval ~comp f =
-  if interval <= 0.0 then invalid_arg "Sim.periodic_driver: interval must be positive";
+  if not (interval > 0.0) then invalid_arg "Sim.periodic_driver: interval must be positive";
   install_driver t ~interval ~comp f
 
 let sample_probes t () =
@@ -144,23 +145,46 @@ let note_scheduled t =
   | None -> ()
   | Some p -> Ccsim_obs.Profile.note_scheduled p ~comp:t.component
 
+(* Entry-point guards are written [not (x >= bound)] so one comparison
+   rejects NaN too: an event at NaN would set the clock to NaN, after
+   which no horizon stops the run. The cold raisers name the cause. *)
+let invalid_delay fn delay =
+  invalid_arg (fn ^ if Float.is_nan delay then ": NaN delay" else ": negative delay")
+
+let invalid_time fn time =
+  invalid_arg (fn ^ if Float.is_nan time then ": NaN time" else ": time precedes the clock")
+
 let[@ccsim.hot] schedule_at t ~time f =
-  if time < t.clock.(0) then invalid_arg "Sim.schedule_at: time precedes the clock";
+  if not (time >= t.clock.(0)) then invalid_time "Sim.schedule_at" time;
   note_scheduled t;
   Event_heap.add t.heap ~time f
 
 let[@ccsim.hot] schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
+  if not (delay >= 0.0) then invalid_delay "Sim.schedule" delay;
   note_scheduled t;
   Event_heap.add t.heap ~time:(t.clock.(0) +. delay) f
 
-let[@ccsim.hot] cancel t id =
-  (match t.profile with
+let note_cancelled t id =
+  match t.profile with
   | None -> ()
   | Some p ->
-      if not (Event_heap.cancelled id) then
-        Ccsim_obs.Profile.note_cancelled p ~comp:t.component);
+      if not (Event_heap.cancelled t.heap id) then
+        Ccsim_obs.Profile.note_cancelled p ~comp:t.component
+
+let[@ccsim.hot] cancel t id =
+  note_cancelled t id;
   Event_heap.cancel t.heap id
+
+(* Counted as the cancel plus schedule it replaces, so profiles read the
+   same whichever way a timer is re-armed. *)
+let[@ccsim.hot] reschedule t id ~delay f =
+  if not (delay >= 0.0) then invalid_delay "Sim.reschedule" delay;
+  note_cancelled t id;
+  note_scheduled t;
+  Event_heap.reschedule t.heap id ~time:(t.clock.(0) +. delay) f
+
+let no_event = Event_heap.none
+let is_pending t id = not (Event_heap.cancelled t.heap id)
 
 let[@ccsim.hot] step t =
   match Event_heap.pop_exn t.heap with
@@ -220,8 +244,9 @@ let[@ccsim.hot] rec run_loop t ~horizon =
   end
 
 let run ?until t =
-  t.stopped <- false;
   let horizon = match until with None -> infinity | Some u -> u in
+  if Float.is_nan horizon then invalid_arg "Sim.run: NaN horizon";
+  t.stopped <- false;
   run_loop t ~horizon;
   (match until with
   | Some u when t.clock.(0) < u && not t.stopped -> t.clock.(0) <- u
@@ -249,7 +274,7 @@ let stop t = t.stopped <- true
 let deadline_hit t = t.deadline_hit
 
 let every t ~interval ?start ?(stop_after = infinity) f =
-  if interval <= 0.0 then invalid_arg "Sim.every: interval must be positive";
+  if not (interval > 0.0) then invalid_arg "Sim.every: interval must be positive";
   let first = match start with None -> t.clock.(0) +. interval | Some s -> s in
   let rec tick () =
     if t.clock.(0) <= stop_after then begin
@@ -260,7 +285,7 @@ let every t ~interval ?start ?(stop_after = infinity) f =
   if first <= stop_after then ignore (schedule_at t ~time:first tick)
 
 let after_n t ~n ~interval f =
-  if interval <= 0.0 then invalid_arg "Sim.after_n: interval must be positive";
+  if not (interval > 0.0) then invalid_arg "Sim.after_n: interval must be positive";
   for i = 0 to n - 1 do
     ignore (schedule t ~delay:(float_of_int (i + 1) *. interval) (fun () -> f i))
   done

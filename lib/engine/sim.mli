@@ -6,7 +6,14 @@
 
 type t
 
-type event_id
+type event_id [@@immediate]
+(** Handle to a scheduled event; an immediate int, so keeping one in a
+    mutable field costs a plain store. It goes stale when the event
+    fires or is cancelled. *)
+
+val no_event : event_id
+(** A handle that is never pending, for initialising timer fields:
+    {!cancel} ignores it and {!reschedule} schedules afresh. *)
 
 val create :
   ?profile:Ccsim_obs.Profile.t ->
@@ -78,18 +85,34 @@ val set_component : t -> string -> unit
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule sim ~delay f] runs [f] at [now + delay]. [delay] must be
-    non-negative (raises [Invalid_argument] otherwise). *)
+    non-negative and not NaN (raises [Invalid_argument] otherwise). *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** Absolute-time variant; [time] must not precede [now]. *)
+(** Absolute-time variant; [time] must not precede [now] nor be NaN. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; no-op if already fired or cancelled. *)
 
+val reschedule : t -> event_id -> delay:float -> (unit -> unit) -> event_id
+(** [reschedule sim id ~delay f] is [cancel sim id; schedule sim ~delay f]
+    without the churn: a pending event is moved in place to
+    [now + delay] and runs [f] there, under the next sequence number, so
+    it fires exactly where that pair of calls would have put it among
+    same-instant events. When [id] already fired or was cancelled, [f]
+    is scheduled afresh. Returns the handle to keep ([id] itself when it
+    was pending). The profiler counts the call as the cancel (when [id]
+    was pending) plus the schedule it replaces. A re-armed timer with
+    one long-lived callback thus costs no allocation and leaves no
+    cancelled entry behind. [delay] is checked as in {!schedule}. *)
+
+val is_pending : t -> event_id -> bool
+(** Whether the event is still scheduled (neither fired nor cancelled). *)
+
 val run : ?until:float -> t -> unit
 (** Process events in time order until the heap is empty or the clock
     would pass [until]. With [until], the clock is left at exactly
-    [until] afterwards, and events scheduled at [until] fire. *)
+    [until] afterwards, and events scheduled at [until] fire. A NaN
+    [until] raises [Invalid_argument]. *)
 
 val step : t -> bool
 (** Process a single event; [false] when none remain. *)
@@ -117,13 +140,15 @@ val periodic_driver : t -> interval:float -> comp:string -> (unit -> unit) -> un
     events remain, so drivers never keep an otherwise-drained run
     alive. Use for engines coupled to the sim clock (e.g. the fluid
     stepper) rather than {!every}, which would pin the run at its
-    horizon. [interval] must be positive. *)
+    horizon. [interval] must be positive (NaN is rejected). *)
 
 val every : t -> interval:float -> ?start:float -> ?stop_after:float -> (unit -> unit) -> unit
 (** [every sim ~interval f] runs [f] at [start] (default [now + interval])
     and every [interval] thereafter, until [stop_after] (absolute time,
-    default never) or the end of the run. [interval] must be positive. *)
+    default never) or the end of the run. [interval] must be positive
+    (NaN is rejected). *)
 
 val after_n : t -> n:int -> interval:float -> (int -> unit) -> unit
 (** Run a callback [n] times, [interval] apart, starting one interval from
-    now; the callback receives the 0-based tick index. *)
+    now; the callback receives the 0-based tick index. [interval] must
+    be positive (NaN is rejected). *)

@@ -61,7 +61,10 @@ type t = {
   mutable last_ecn_response : float;
       (* an ECN echo triggers at most one congestion response per RTT *)
   mutable ecn_responses : int;
-  mutable rto_event : Sim.event_id option;
+  mutable rto_event : Sim.event_id;  (* [Sim.no_event] until first armed *)
+  mutable rto_fire : unit -> unit;
+      (* the RTO callback, built once per sender: re-arming moves the one
+         pending event instead of scheduling a fresh closure per ack *)
   pace_next : float array;
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-segment store *)
@@ -198,12 +201,8 @@ let enter_recovery t =
 
 (* --- timers ---------------------------------------------------------------- *)
 
-let cancel_rto t =
-  match t.rto_event with
-  | Some id ->
-      Sim.cancel t.sim id;
-      t.rto_event <- None
-  | None -> ()
+let cancel_rto t = Sim.cancel t.sim t.rto_event
+let rto_armed t = Sim.is_pending t.sim t.rto_event
 
 (* --- transmission ----------------------------------------------------------- *)
 
@@ -248,21 +247,17 @@ let next_lost_segment t =
     !found
   end
 
+(* Re-arming moves the pending RTO event to its new deadline under a
+   fresh sequence number, the (time, seq) position a cancel then schedule
+   would give it, so same-instant order and replays do not depend on how
+   the timer is re-armed; and it leaves no closure, handle or cancelled
+   entry per ack. *)
 let[@ccsim.hot] rec arm_rto t =
-  cancel_rto t;
-  if inflight t > 0 && not t.stopped then begin
-    let delay = Rtt_estimator.rto t.rtt in
-    t.rto_event <-
-      ((Some
-          (Sim.schedule t.sim ~delay (fun () ->
-               Sim.set_component t.sim "tcp";
-               on_rto t)))
-      [@ccsim.alloc_ok
-        "rearming builds one timer handle and closure per ack; a timer wheel would reorder same-instant events and break replay determinism"])
-  end
+  if inflight t > 0 && not t.stopped then
+    t.rto_event <- Sim.reschedule t.sim t.rto_event ~delay:(Rtt_estimator.rto t.rtt) t.rto_fire
+  else cancel_rto t
 
 and on_rto t =
-  t.rto_event <- None;
   if inflight t > 0 && not t.stopped then begin
     t.rto_count <- t.rto_count + 1;
     (match t.m_rtos with Some c -> Obs.Metrics.inc c | None -> ());
@@ -323,7 +318,7 @@ and[@ccsim.hot] try_send t =
           seg.lost <- false;
           t.lost_bytes <- t.lost_bytes - seg.len;
           transmit t seg ~is_retx:true;
-          if Option.is_none t.rto_event then arm_rto t;
+          if not (rto_armed t) then arm_rto t;
           account_limited t Busy;
           try_send t
         end
@@ -361,7 +356,7 @@ and[@ccsim.hot] try_send t =
           t.snd_nxt <- t.snd_nxt + available;
           if not t.unlimited then t.buffered <- t.buffered - available;
           transmit t seg ~is_retx:false;
-          if Option.is_none t.rto_event then arm_rto t;
+          if not (rto_armed t) then arm_rto t;
           account_limited t Busy;
           try_send t
         end
@@ -631,7 +626,8 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
     recover = 0;
     last_ecn_response = neg_infinity;
     ecn_responses = 0;
-    rto_event = None;
+    rto_event = Sim.no_event;
+    rto_fire = ignore;
     pace_next = Array.make 1 0.0;
     pace_pending = false;
     started_at = Sim.now sim;
@@ -659,6 +655,10 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
       obs_recorder = scope.Obs.Scope.recorder;
     }
   in
+  t.rto_fire <-
+    (fun () ->
+      Sim.set_component t.sim "tcp";
+      on_rto t);
   (match scope.Obs.Scope.watchdog with
   | Some w ->
       let component = Printf.sprintf "tcp/flow%d" flow in

@@ -77,6 +77,158 @@ let test_heap_many_random () =
   Array.sort compare sorted;
   Alcotest.(check (array (float 1e-12))) "heap sorts" sorted popped
 
+let test_heap_reschedule_in_place () =
+  let h = Event_heap.create () in
+  let a = Event_heap.add h ~time:1.0 "a" in
+  ignore (Event_heap.add h ~time:2.0 "b");
+  ignore (Event_heap.add h ~time:3.0 "c");
+  let a' = Event_heap.reschedule h a ~time:2.0 "a2" in
+  Alcotest.(check bool) "pending handle kept" true (a' == a);
+  Alcotest.(check int) "no dead entry" 3 (Event_heap.size h);
+  let pop () = match Event_heap.pop h with Some (_, x) -> x | None -> "?" in
+  (* A re-armed event takes a fresh sequence number: it now ties with b
+     at t=2 and fires after it, as cancel-then-add would order it. *)
+  let first = pop () in
+  let second = pop () in
+  let third = pop () in
+  Alcotest.(check (list string)) "order" [ "b"; "a2"; "c" ] [ first; second; third ];
+  Alcotest.(check bool) "fired handle stale" true (Event_heap.cancelled h a)
+
+let test_heap_stale_handle_after_reuse () =
+  let h = Event_heap.create () in
+  let a = Event_heap.add h ~time:1.0 "a" in
+  ignore (Event_heap.pop h);
+  (* [b] takes the storage [a] released; [a]'s handle must not reach it. *)
+  let b = Event_heap.add h ~time:2.0 "b" in
+  Event_heap.cancel h a;
+  Alcotest.(check bool) "stale cancel is a no-op" false (Event_heap.cancelled h b);
+  Alcotest.(check int) "b still pending" 1 (Event_heap.size h);
+  let c = Event_heap.reschedule h a ~time:0.5 "c" in
+  Alcotest.(check bool) "stale reschedule adds afresh" false (c == a);
+  Alcotest.(check int) "two pending" 2 (Event_heap.size h);
+  Alcotest.(check (option (float 0.0))) "c first" (Some 0.5) (Event_heap.peek_time h);
+  Alcotest.(check bool) "none never pending" true (Event_heap.cancelled h Event_heap.none);
+  Event_heap.cancel h Event_heap.none;
+  Alcotest.(check int) "cancel none is a no-op" 2 (Event_heap.size h)
+
+(* --- Event_heap vs the reference binary heap ----------------------------------- *)
+
+module Ref_heap = Ref_event_heap
+
+type heap_op = Add of float | Cancel of int | Reschedule of int * float | Pop
+
+let show_heap_op = function
+  | Add t -> Printf.sprintf "add %g" t
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Reschedule (k, t) -> Printf.sprintf "reschedule #%d %g" k t
+  | Pop -> "pop"
+
+(* Times come mostly from a handful of values so equal-time ties are
+   common, with the infinities mixed in. Handle indices are reduced
+   modulo the handles issued so far, so cancels and reschedules often
+   name events that already fired or were cancelled, whose storage a
+   later add has usually reused. *)
+let heap_trace =
+  let open QCheck.Gen in
+  let time =
+    frequency
+      [
+        (6, oneofl [ 0.0; 0.5; 1.0; 2.0 ]);
+        (1, oneofl [ infinity; neg_infinity ]);
+        (2, map (fun x -> Float.round (x *. 4.0) /. 4.0) (float_range 0.0 3.0));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun t -> Add t) time);
+        (2, map (fun k -> Cancel k) nat);
+        (2, map2 (fun k t -> Reschedule (k, t)) nat time);
+        (3, return Pop);
+      ]
+  in
+  list_size (int_range 0 300) op
+
+(* Run [ops] through the indexed heap and the reference side by side
+   (the reference re-arms by cancel then add); after every step the
+   popped event, size, next time, and every handle's [cancelled] agree. *)
+let heaps_agree ops =
+  let fast = Event_heap.create () and slow = Ref_heap.create () in
+  let slow_none =
+    let id = Ref_heap.add slow ~time:0.0 (-1) in
+    Ref_heap.cancel slow id;
+    id
+  in
+  let handles = ref [| (Event_heap.none, slow_none) |] in
+  let issue pair = handles := Array.append !handles [| pair |] in
+  let payload = ref 0 in
+  let fresh () =
+    incr payload;
+    !payload
+  in
+  let same_time a b = Float.equal a b in
+  let step op =
+    let popped_agree =
+      match op with
+      | Add time ->
+          let p = fresh () in
+          let f = Event_heap.add fast ~time p in
+          issue (f, Ref_heap.add slow ~time p);
+          true
+      | Cancel k ->
+          let f, s = !handles.(k mod Array.length !handles) in
+          Event_heap.cancel fast f;
+          Ref_heap.cancel slow s;
+          true
+      | Reschedule (k, time) ->
+          let i = k mod Array.length !handles in
+          let f, s = !handles.(i) in
+          let was_pending = not (Ref_heap.cancelled s) in
+          let p = fresh () in
+          let f' = Event_heap.reschedule fast f ~time p in
+          Ref_heap.cancel slow s;
+          let s' = Ref_heap.add slow ~time p in
+          if was_pending then begin
+            !handles.(i) <- (f', s');
+            f' == f
+          end
+          else begin
+            issue (f', s');
+            true
+          end
+      | Pop -> (
+          match (Event_heap.pop fast, Ref_heap.pop slow) with
+          | None, None -> true
+          | Some (ta, pa), Some (tb, pb) ->
+              same_time ta tb && pa = pb && same_time (Event_heap.last_time fast) ta
+          | Some _, None | None, Some _ -> false)
+    in
+    popped_agree
+    && Event_heap.size fast = Ref_heap.size slow
+    && Bool.equal (Event_heap.is_empty fast) (Ref_heap.is_empty slow)
+    && same_time (Event_heap.next_time fast) (Ref_heap.next_time slow)
+    && Array.for_all
+         (fun (f, s) -> Bool.equal (Event_heap.cancelled fast f) (Ref_heap.cancelled s))
+         !handles
+  in
+  let rec drain () =
+    match (Event_heap.pop fast, Ref_heap.pop slow) with
+    | None, None -> true
+    | Some (ta, pa), Some (tb, pb) -> same_time ta tb && pa = pb && drain ()
+    | Some _, None | None, Some _ -> false
+  in
+  List.for_all step ops && drain ()
+
+let qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"indexed heap matches the reference binary heap" ~count:500
+      (make
+         ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+         ~shrink:Shrink.list heap_trace)
+      heaps_agree;
+  ]
+
 (* --- Sim ---------------------------------------------------------------------- *)
 
 let test_sim_clock_advances () =
@@ -199,6 +351,98 @@ let test_sim_schedule_cancel_accounting () =
   Alcotest.(check int) "fired event not counted" 1
     (Ccsim_obs.Profile.events_cancelled p)
 
+(* Re-arming by [reschedule] must fire in exactly the order that cancel
+   then schedule gives, same-instant ties included. *)
+let test_sim_reschedule_order () =
+  let run rearm =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let note name () = log := (name, Sim.now sim) :: !log in
+    ignore (Sim.schedule sim ~delay:1.0 (note "a"));
+    let timer = Sim.schedule sim ~delay:0.5 (note "timer") in
+    ignore (Sim.schedule sim ~delay:1.0 (note "c"));
+    ignore
+      (Sim.schedule sim ~delay:0.25 (fun () ->
+           ignore (rearm sim timer (note "timer'"));
+           ignore (Sim.schedule sim ~delay:0.75 (note "b"))));
+    Sim.run sim;
+    List.rev !log
+  in
+  let by_cancel sim id f =
+    Sim.cancel sim id;
+    Sim.schedule sim ~delay:0.75 f
+  in
+  let by_reschedule sim id f = Sim.reschedule sim id ~delay:0.75 f in
+  (* The re-armed timer ties with a, c and b at t=1 and sorts by its new
+     sequence number: after a and c (scheduled before the re-arm), before b. *)
+  let expected = [ ("a", 1.0); ("c", 1.0); ("timer'", 1.0); ("b", 1.0) ] in
+  Alcotest.(check (list (pair string (float 0.0)))) "cancel + schedule" expected (run by_cancel);
+  Alcotest.(check (list (pair string (float 0.0)))) "reschedule" expected (run by_reschedule)
+
+let test_sim_reschedule_accounting () =
+  let p = Ccsim_obs.Profile.create () in
+  let sim = Sim.create ~profile:p () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  let id = Sim.schedule sim ~delay:1.0 f in
+  let id' = Sim.reschedule sim id ~delay:2.0 f in
+  Alcotest.(check bool) "pending handle kept" true (Sim.is_pending sim id');
+  Alcotest.(check int) "no dead entry" 1 (Sim.pending sim);
+  (* Counted as the cancel plus schedule it stands for. *)
+  Alcotest.(check int) "scheduled" 2 (Ccsim_obs.Profile.events_scheduled p);
+  Alcotest.(check int) "cancelled" 1 (Ccsim_obs.Profile.events_cancelled p);
+  Sim.run sim;
+  check_float "fired at the new time" 2.0 (Sim.now sim);
+  Alcotest.(check bool) "fired handle not pending" false (Sim.is_pending sim id');
+  (* A fired handle re-arms afresh and counts no cancellation. *)
+  ignore (Sim.reschedule sim id' ~delay:1.0 f);
+  ignore (Sim.reschedule sim Sim.no_event ~delay:1.0 f);
+  Sim.run sim;
+  Alcotest.(check int) "all fired" 3 !fired;
+  Alcotest.(check int) "scheduled after re-arms" 4 (Ccsim_obs.Profile.events_scheduled p);
+  Alcotest.(check int) "no cancel counted" 1 (Ccsim_obs.Profile.events_cancelled p);
+  Sim.cancel sim Sim.no_event;
+  Alcotest.(check int) "cancel no_event is a no-op" 1 (Ccsim_obs.Profile.events_cancelled p)
+
+(* NaN must not reach the event queue: an event at NaN would set the
+   clock to NaN, and [run ~until] would then never stop at its horizon. *)
+let rejects_nan name msg f =
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim ~delay:1.0 (fun () -> ()));
+  Alcotest.check_raises name (Invalid_argument msg) (fun () -> f sim);
+  Sim.run ~until:5.0 sim;
+  check_float (name ^ ": clock reaches the horizon") 5.0 (Sim.now sim)
+
+let noop () = ()
+
+let test_sim_nan_schedule () =
+  rejects_nan "schedule" "Sim.schedule: NaN delay" (fun sim ->
+      ignore (Sim.schedule sim ~delay:nan noop))
+
+let test_sim_nan_schedule_at () =
+  rejects_nan "schedule_at" "Sim.schedule_at: NaN time" (fun sim ->
+      ignore (Sim.schedule_at sim ~time:nan noop))
+
+let test_sim_nan_reschedule () =
+  rejects_nan "reschedule" "Sim.reschedule: NaN delay" (fun sim ->
+      let id = Sim.schedule sim ~delay:2.0 noop in
+      ignore (Sim.reschedule sim id ~delay:nan noop))
+
+let test_sim_nan_every () =
+  rejects_nan "every" "Sim.every: interval must be positive" (fun sim ->
+      Sim.every sim ~interval:nan noop)
+
+let test_sim_nan_after_n () =
+  rejects_nan "after_n" "Sim.after_n: interval must be positive" (fun sim ->
+      Sim.after_n sim ~n:3 ~interval:nan (fun _ -> ()))
+
+let test_sim_nan_periodic_driver () =
+  rejects_nan "periodic_driver" "Sim.periodic_driver: interval must be positive" (fun sim ->
+      Sim.periodic_driver sim ~interval:nan ~comp:"test" noop)
+
+let test_sim_nan_run_until () =
+  rejects_nan "run" "Sim.run: NaN horizon" (fun sim -> Sim.run ~until:nan sim)
+
 let test_sim_heap_depth_histogram () =
   let m = Ccsim_obs.Metrics.create () in
   Ccsim_obs.Scope.with_scope
@@ -224,6 +468,8 @@ let suite =
     ("heap: cancel idempotent", `Quick, test_heap_cancel_idempotent);
     ("heap: peek skips cancelled", `Quick, test_heap_peek_skips_cancelled);
     ("heap: sorts random load", `Quick, test_heap_many_random);
+    ("heap: reschedule moves in place", `Quick, test_heap_reschedule_in_place);
+    ("heap: stale handle after slot reuse", `Quick, test_heap_stale_handle_after_reuse);
     ("sim: clock advances", `Quick, test_sim_clock_advances);
     ("sim: run until sets clock", `Quick, test_sim_until_sets_clock);
     ("sim: horizon excludes later events", `Quick, test_sim_until_excludes_later_events);
@@ -237,4 +483,14 @@ let suite =
     ("sim: deterministic", `Quick, test_sim_determinism);
     ("sim: schedule/cancel accounting", `Quick, test_sim_schedule_cancel_accounting);
     ("sim: heap-depth histogram from ambient metrics", `Quick, test_sim_heap_depth_histogram);
+    ("sim: reschedule fires as cancel + schedule", `Quick, test_sim_reschedule_order);
+    ("sim: reschedule accounting", `Quick, test_sim_reschedule_accounting);
+    ("sim: NaN rejected by schedule", `Quick, test_sim_nan_schedule);
+    ("sim: NaN rejected by schedule_at", `Quick, test_sim_nan_schedule_at);
+    ("sim: NaN rejected by reschedule", `Quick, test_sim_nan_reschedule);
+    ("sim: NaN rejected by every", `Quick, test_sim_nan_every);
+    ("sim: NaN rejected by after_n", `Quick, test_sim_nan_after_n);
+    ("sim: NaN rejected by periodic_driver", `Quick, test_sim_nan_periodic_driver);
+    ("sim: NaN rejected by run ~until", `Quick, test_sim_nan_run_until);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
