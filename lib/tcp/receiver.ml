@@ -66,23 +66,20 @@ let advertised_window t =
   update_consumed t;
   max 0 (t.buffer_bytes - (t.rcv_nxt - t.consumed))
 
+(* Insert [lo, hi) into sorted, disjoint, non-adjacent ranges in one
+   pass, absorbing every range it overlaps or touches. *)
+let rec insert_range (lo : int) (hi : int) = function
+  | [] -> [ (lo, hi) ]
+  | ((a, b) as r) :: rest ->
+      if b < lo then r :: insert_range lo hi rest
+      else if hi < a then (lo, hi) :: r :: rest
+      else insert_range (min a lo) (max b hi) rest
+
 (* Insert a received range and advance rcv_nxt over any now-contiguous
    buffered ranges. *)
 let integrate t ~seq ~len =
   let lo = seq and hi = seq + len in
   if hi > t.rcv_nxt then begin
-    let ranges = (max lo t.rcv_nxt, hi) :: t.ooo in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) ranges in
-    (* Merge overlapping/adjacent ranges. *)
-    let merged =
-      List.fold_left
-        (fun acc (lo, hi) ->
-          match acc with
-          | (plo, phi) :: rest when lo <= phi -> (plo, max phi hi) :: rest
-          | _ -> (lo, hi) :: acc)
-        [] sorted
-    in
-    let merged = List.rev merged in
     (* Pop leading ranges that extend the contiguous prefix. *)
     let rec advance ranges =
       match ranges with
@@ -91,7 +88,7 @@ let integrate t ~seq ~len =
           advance rest
       | rest -> rest
     in
-    t.ooo <- advance merged
+    t.ooo <- advance (insert_range (max lo t.rcv_nxt) hi t.ooo)
   end
 
 let send_ack t ~echo ~for_retx ~ece =
@@ -138,5 +135,6 @@ let handle_data t (pkt : Packet.t) =
   end
 
 let bytes_received t = t.rcv_nxt
+let out_of_order t = t.ooo
 let acks_sent t = t.acks_sent
 let receive_times t = t.receive_times

@@ -32,6 +32,10 @@ val handle_data : t -> Ccsim_net.Packet.t -> unit
 val bytes_received : t -> int
 (** Contiguous bytes received (the current cumulative ack point). *)
 
+val out_of_order : t -> (int * int) list
+(** Buffered byte ranges [(lo, hi)] above {!bytes_received}, [hi]
+    exclusive: ascending, disjoint and non-adjacent. *)
+
 val acks_sent : t -> int
 val advertised_window : t -> int
 (** Current rwnd in bytes. *)

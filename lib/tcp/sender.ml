@@ -3,18 +3,6 @@ module Packet = Ccsim_net.Packet
 module Cca = Ccsim_cca.Cca
 module Obs = Ccsim_obs
 
-type segment = {
-  seq : int;
-  len : int;
-  mutable sent_at : float;
-  mutable retx_count : int;
-  mutable sacked : bool;
-  mutable lost : bool;  (* marked for retransmission *)
-  mutable in_pipe : bool;  (* counted in the outstanding estimate *)
-  mutable delivered_at_send : int;
-  mutable app_limited_at_send : bool;
-}
-
 type limited = Not_started | App | Rwnd | Cwnd | Pacing | Busy
 
 let limited_equal a b =
@@ -47,14 +35,7 @@ type t = {
   mutable completed : bool;
   mutable stopped : bool;
   mutable rwnd : int;  (* latest advertised receive window *)
-  segments : segment Queue.t;  (* in flight, ascending seq *)
-  mutable pipe_bytes : int;  (* SACK-aware outstanding estimate *)
-  mutable lost_bytes : int;  (* marked lost, not yet retransmitted *)
-  mutable highest_sacked : int;
-  mutable newest_delivered_sent_at : float;
-      (* transmit time of the most recently sent segment known delivered;
-         RACK marks a segment lost only if something sent after it got
-         through *)
+  board : Scoreboard.t;  (* in-flight segments and their loss state *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;  (* recovery ends when snd_una passes this *)
@@ -88,9 +69,6 @@ type t = {
   rate_t0 : float array;  (* one unboxed slot; valid when rate_valid *)
   mutable rate_d0 : int;
   mutable rate_valid : bool;
-  mutable delivered_bytes : int;
-      (* bytes known delivered: cumulative acks plus SACKed ranges, each
-         counted when first learned (as in Linux's tcp_rate sampler) *)
   (* limited-state accounting *)
   mutable limited_state : limited;
   mutable limited_since : float;
@@ -136,47 +114,8 @@ let[@ccsim.hot] account_limited t state =
 
 let app_limited_now t = (not t.unlimited) && t.buffered < t.mss
 
-(* --- scoreboard helpers --------------------------------------------------- *)
-
-let[@ccsim.hot] remove_from_pipe t seg =
-  if seg.in_pipe then begin
-    seg.in_pipe <- false;
-    t.pipe_bytes <- t.pipe_bytes - seg.len
-  end
-
-let[@ccsim.hot] mark_lost t seg =
-  if (not seg.lost) && not seg.sacked then begin
-    seg.lost <- true;
-    t.lost_bytes <- t.lost_bytes + seg.len;
-    remove_from_pipe t seg
-  end
-
-(* A segment is presumed lost once three segments' worth of later data has
-   been selectively acknowledged (RFC 6675's DupThresh in bytes).
-   Retransmissions get a RACK-style time-based rule instead: unsacked,
-   below the SACK frontier, and older than ~1.5 smoothed RTTs — without
-   it, a lost retransmission would linger until the RTO backstop even
-   though acks keep arriving. *)
 let[@ccsim.hot] detect_losses t =
-  let now = Sim.now t.sim in
-  let srtt = Rtt_estimator.srtt t.rtt in
-  let reorder_window = if srtt > 0.0 then 1.5 *. srtt else 0.1 in
-  Queue.iter
-    ((fun seg ->
-      if (not seg.sacked) && not seg.lost then begin
-        if seg.retx_count = 0 && seg.seq + seg.len + (3 * t.mss) <= t.highest_sacked then
-          mark_lost t seg
-        else if
-          seg.sent_at < t.newest_delivered_sent_at && now -. seg.sent_at > reorder_window
-        then
-          (* RACK-style: a segment sent later has been delivered, and this
-             one is older than the reordering window. Covers lost
-             retransmissions and holes past the SACK frontier, which
-             would otherwise wait for the RTO backstop. *)
-          mark_lost t seg
-      end)
-    [@ccsim.alloc_ok "one scoreboard-sweep closure per ack, not per segment"])
-    t.segments
+  Scoreboard.detect_losses t.board ~now:(Sim.now t.sim) ~srtt:(Rtt_estimator.srtt t.rtt)
 
 let enter_recovery t =
   if not t.in_recovery then begin
@@ -192,7 +131,7 @@ let enter_recovery t =
             [
               ("flow", string_of_int t.flow);
               ("inflight", string_of_int (inflight t));
-              ("lost_bytes", string_of_int t.lost_bytes);
+              ("lost_bytes", string_of_int (Scoreboard.lost_bytes t.board));
             ]
           "loss_response"
     | None -> ());
@@ -210,42 +149,19 @@ let[@ccsim.hot] pacing_delay t bytes =
   let rate = t.cca.Cca.pacing_rate in
   if Float.is_finite rate && rate > 0.0 then float_of_int bytes *. 8.0 /. rate else 0.0
 
-let[@ccsim.hot] transmit t (seg : segment) ~is_retx =
-  let now = Sim.now t.sim in
-  seg.sent_at <- now;
-  seg.in_pipe <- true;
-  t.pipe_bytes <- t.pipe_bytes + seg.len;
-  seg.delivered_at_send <- t.snd_una;
-  seg.app_limited_at_send <- app_limited_now t;
-  t.bytes_sent <- t.bytes_sent + seg.len;
+(* The scoreboard has already recorded the transmission. *)
+let[@ccsim.hot] transmit t ~now ~seq ~len ~is_retx =
+  t.bytes_sent <- t.bytes_sent + len;
   if is_retx then begin
-    seg.retx_count <- seg.retx_count + 1;
-    t.bytes_retrans <- t.bytes_retrans + seg.len;
+    t.bytes_retrans <- t.bytes_retrans + len;
     t.segs_retrans <- t.segs_retrans + 1;
     match t.m_retransmits with Some c -> Obs.Metrics.inc c | None -> ()
   end;
-  t.pace_next.(0) <- Float.max now t.pace_next.(0) +. pacing_delay t seg.len;
-  t.cca.Cca.on_send ~now ~bytes:seg.len;
-  (t.path
-     (Packet.data ~flow:t.flow ~seq:seg.seq ~payload_bytes:seg.len ~retx:is_retx ~sent_at:now ())
+  t.pace_next.(0) <- Float.max now t.pace_next.(0) +. pacing_delay t len;
+  t.cca.Cca.on_send ~now ~bytes:len;
+  (t.path (Packet.data ~flow:t.flow ~seq ~payload_bytes:len ~retx:is_retx ~sent_at:now ())
   [@ccsim.alloc_ok
     "packet construction: one record (plus optional-argument wrappers) per transmitted packet"])
-
-let next_lost_segment t =
-  if t.lost_bytes = 0 then None
-  else begin
-    let found = ref None in
-    (try
-       Queue.iter
-         (fun seg ->
-           if seg.lost then begin
-             found := Some seg;
-             raise Exit
-           end)
-         t.segments
-     with Exit -> ());
-    !found
-  end
 
 (* Re-arming moves the pending RTO event to its new deadline under a
    fresh sequence number, the (time, seq) position a cancel then schedule
@@ -281,7 +197,7 @@ and on_rto t =
     t.recover <- t.snd_nxt;
     (* Everything unsacked is presumed lost and will be retransmitted as
        the (collapsed) window allows. *)
-    Queue.iter (fun seg -> if not seg.sacked then mark_lost t seg) t.segments;
+    Scoreboard.mark_all_lost t.board;
     try_send t;
     arm_rto t
   end
@@ -305,61 +221,48 @@ and[@ccsim.hot] try_send t =
   if t.stopped then ()
   else begin
     let now = Sim.now t.sim in
-    let cwnd_room = t.cca.Cca.cwnd -. float_of_int t.pipe_bytes in
+    let cwnd_room = t.cca.Cca.cwnd -. float_of_int (Scoreboard.pipe_bytes t.board) in
     let pace_blocked = now < t.pace_next.(0) in
-    match next_lost_segment t with
-    | Some seg ->
-        if cwnd_room < float_of_int seg.len then account_limited t Cwnd
-        else if pace_blocked then begin
-          account_limited t Pacing;
-          schedule_pace t ~now
-        end
-        else begin
-          seg.lost <- false;
-          t.lost_bytes <- t.lost_bytes - seg.len;
-          transmit t seg ~is_retx:true;
-          if not (rto_armed t) then arm_rto t;
-          account_limited t Busy;
-          try_send t
-        end
-    | None ->
-        let available = if t.unlimited then t.mss else min t.buffered t.mss in
-        let rwnd_room = t.rwnd - inflight t in
-        if available <= 0 then
-          (* No data to send: application-limited even while earlier
-             data is still in flight (Linux's tcp_info semantics). *)
-          account_limited t App
-        else if cwnd_room < float_of_int available then account_limited t Cwnd
-        else if rwnd_room < available then account_limited t Rwnd
-        else if pace_blocked then begin
-          account_limited t Pacing;
-          schedule_pace t ~now
-        end
-        else begin
-          let seg =
-            ({
-               seq = t.snd_nxt;
-               len = available;
-               sent_at = now;
-               retx_count = 0;
-               sacked = false;
-               lost = false;
-               in_pipe = false;
-               delivered_at_send = t.snd_una;
-               app_limited_at_send = false;
-             }
-            [@ccsim.alloc_ok
-              "per-segment bookkeeping record; it lives on the scoreboard until acked"])
-          in
-          (Queue.push seg t.segments
-          [@ccsim.alloc_ok "scoreboard queue cell, one per segment in flight"]);
-          t.snd_nxt <- t.snd_nxt + available;
-          if not t.unlimited then t.buffered <- t.buffered - available;
-          transmit t seg ~is_retx:false;
-          if not (rto_armed t) then arm_rto t;
-          account_limited t Busy;
-          try_send t
-        end
+    let lost = Scoreboard.next_lost_segment t.board in
+    if lost >= 0 then begin
+      let len = Scoreboard.len t.board lost in
+      if cwnd_room < float_of_int len then account_limited t Cwnd
+      else if pace_blocked then begin
+        account_limited t Pacing;
+        schedule_pace t ~now
+      end
+      else begin
+        Scoreboard.retransmit t.board lost ~now;
+        transmit t ~now ~seq:(Scoreboard.seq t.board lost) ~len ~is_retx:true;
+        if not (rto_armed t) then arm_rto t;
+        account_limited t Busy;
+        try_send t
+      end
+    end
+    else begin
+      let available = if t.unlimited then t.mss else min t.buffered t.mss in
+      let rwnd_room = t.rwnd - inflight t in
+      if available <= 0 then
+        (* No data to send: application-limited even while earlier
+           data is still in flight (Linux's tcp_info semantics). *)
+        account_limited t App
+      else if cwnd_room < float_of_int available then account_limited t Cwnd
+      else if rwnd_room < available then account_limited t Rwnd
+      else if pace_blocked then begin
+        account_limited t Pacing;
+        schedule_pace t ~now
+      end
+      else begin
+        let seq = t.snd_nxt in
+        Scoreboard.send t.board ~seq ~len:available ~now;
+        t.snd_nxt <- t.snd_nxt + available;
+        if not t.unlimited then t.buffered <- t.buffered - available;
+        transmit t ~now ~seq ~len:available ~is_retx:false;
+        if not (rto_armed t) then arm_rto t;
+        account_limited t Busy;
+        try_send t
+      end
+    end
   end
 
 (* --- ack processing --------------------------------------------------------- *)
@@ -370,48 +273,6 @@ let check_complete t =
     cancel_rto t;
     account_limited t App;
     t.on_complete t
-  end
-
-let[@ccsim.hot] process_sacks t sacks =
-  List.iter
-    ((fun (lo, hi) ->
-       if hi > t.highest_sacked then t.highest_sacked <- hi;
-       Queue.iter
-         (fun seg ->
-           if (not seg.sacked) && seg.seq >= lo && seg.seq + seg.len <= hi then begin
-             seg.sacked <- true;
-             t.delivered_bytes <- t.delivered_bytes + seg.len;
-             if seg.sent_at > t.newest_delivered_sent_at then
-               t.newest_delivered_sent_at <- seg.sent_at;
-             if seg.lost then begin
-               seg.lost <- false;
-               t.lost_bytes <- t.lost_bytes - seg.len
-             end;
-             remove_from_pipe t seg
-           end)
-         t.segments)
-    [@ccsim.alloc_ok "two sweep closures per sacked ack; acks without SACK blocks skip them"])
-    sacks
-
-(* Retire fully-acked segments from the scoreboard head. Recursion +
-   [Queue.peek]/[Queue.pop] rather than a [ref]-driven loop over
-   [Queue.peek_opt]: the per-ack path must not allocate cells or
-   options just to iterate. *)
-let[@ccsim.hot] rec retire_acked t =
-  if not (Queue.is_empty t.segments) then begin
-    let seg = Queue.peek t.segments in
-    if seg.seq + seg.len <= t.snd_una then begin
-      ignore (Queue.pop t.segments);
-      remove_from_pipe t seg;
-      if not seg.sacked then t.delivered_bytes <- t.delivered_bytes + seg.len;
-      if seg.sent_at > t.newest_delivered_sent_at then
-        t.newest_delivered_sent_at <- seg.sent_at;
-      if seg.lost then begin
-        seg.lost <- false;
-        t.lost_bytes <- t.lost_bytes - seg.len
-      end;
-      retire_acked t
-    end
   end
 
 (* Append one (time, delivered) sample to the delivery-rate ring,
@@ -435,7 +296,7 @@ let[@ccsim.hot] ah_push t ~now =
   let cap = Array.length t.ah_times in
   let slot = (t.ah_head + t.ah_len) mod cap in
   t.ah_times.(slot) <- now;
-  t.ah_delivered.(slot) <- t.delivered_bytes;
+  t.ah_delivered.(slot) <- Scoreboard.delivered_bytes t.board;
   t.ah_len <- t.ah_len + 1
 
 let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
@@ -444,7 +305,7 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
     Sim.set_component t.sim "tcp";
     let now = Sim.now t.sim in
     t.rwnd <- pkt.rwnd;
-    process_sacks t pkt.sacks;
+    Scoreboard.process_sacks t.board pkt.sacks;
     (* ECN: a congestion-experienced echo is a loss-equivalent window
        signal — without a retransmission — rate-limited to once per
        smoothed RTT (RFC 3168 semantics, simplified). *)
@@ -470,7 +331,7 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
       (match rtt_sample with
       | Some r when r > 0.0 -> Rtt_estimator.observe t.rtt r
       | Some _ | None -> ());
-      retire_acked t;
+      Scoreboard.retire_acked t.board ~snd_una:t.snd_una;
       (* Delivery rate: acked bytes over a sliding window of roughly one
          smoothed RTT (floor 20 ms). Windowed averaging is robust to the
          bursty cumulative-ack jumps SACK recovery produces. The baseline
@@ -486,10 +347,12 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
       done;
       if t.rate_valid && now > t.rate_t0.(0) then
         t.last_delivery_rate.(0) <-
-          float_of_int (t.delivered_bytes - t.rate_d0) *. 8.0 /. (now -. t.rate_t0.(0));
+          float_of_int (Scoreboard.delivered_bytes t.board - t.rate_d0)
+          *. 8.0
+          /. (now -. t.rate_t0.(0));
       let app_limited_sample = app_limited_now t && inflight t < t.mss * 4 in
       detect_losses t;
-      if t.lost_bytes > 0 then enter_recovery t;
+      if Scoreboard.lost_bytes t.board > 0 then enter_recovery t;
       if t.in_recovery && t.snd_una >= t.recover then begin
         t.in_recovery <- false;
         ((t.recovery_s <- t.recovery_s +. (now -. t.recovery_since))
@@ -520,11 +383,8 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
       if inflight t > 0 then begin
         t.dupacks <- t.dupacks + 1;
         detect_losses t;
-        if t.dupacks >= 3 && not (Queue.is_empty t.segments) then begin
-          let seg = Queue.peek t.segments in
-          if (not seg.sacked) && seg.retx_count = 0 then mark_lost t seg
-        end;
-        if t.lost_bytes > 0 then enter_recovery t;
+        if t.dupacks >= 3 then Scoreboard.mark_head_lost t.board;
+        if Scoreboard.lost_bytes t.board > 0 then enter_recovery t;
         try_send t
       end
     end
@@ -616,11 +476,7 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
     completed = false;
     stopped = false;
     rwnd = max_int;
-    segments = Queue.create ();
-    pipe_bytes = 0;
-    lost_bytes = 0;
-    highest_sacked = 0;
-    newest_delivered_sent_at = neg_infinity;
+    board = Scoreboard.create ~mss;
     dupacks = 0;
     in_recovery = false;
     recover = 0;
@@ -643,7 +499,6 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
     rate_t0 = Array.make 1 0.0;
     rate_d0 = 0;
     rate_valid = false;
-    delivered_bytes = 0;
     limited_state = Not_started;
     limited_since = Sim.now sim;
     limited_s = Array.make 6 0.0;
@@ -663,10 +518,9 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
   | Some w ->
       let component = Printf.sprintf "tcp/flow%d" flow in
       Obs.Watchdog.register w ~component ~invariant:"inflight_nonnegative" (fun () ->
-          let inflight = inflight t in
-          if inflight < 0 || t.pipe_bytes < 0 then
-            Some
-              (Printf.sprintf "inflight=%d bytes, pipe=%d bytes" inflight t.pipe_bytes)
+          let inflight = inflight t and pipe = Scoreboard.pipe_bytes t.board in
+          if inflight < 0 || pipe < 0 then
+            Some (Printf.sprintf "inflight=%d bytes, pipe=%d bytes" inflight pipe)
           else None)
   | None -> ());
   t

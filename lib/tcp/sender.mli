@@ -1,13 +1,19 @@
-(** TCP sender: segmentation, loss detection/recovery, pacing, and
+(** TCP sender: segmentation, SACK loss recovery, pacing, and
     limited-state accounting.
 
-    The model is NewReno-style: MSS-sized segments, cumulative acks,
-    fast retransmit after three duplicate acks with one retransmission
-    per partial ack during recovery, and an RFC 6298 retransmission
-    timer with exponential backoff (no SACK — see DESIGN.md). The
-    congestion window and optional pacing rate come from the attached
-    {!Ccsim_cca.Cca.t}; BBR-style delivery-rate samples are fed back to
-    it on every ack.
+    MSS-sized segments, cumulative acks carrying up to three SACK
+    blocks, and an RFC 6298 retransmission timer with exponential
+    backoff. In-flight segments live on a {!Scoreboard}, which marks
+    them lost by DupThresh (three MSS sacked above a hole) or a
+    RACK-style time rule (a later-sent segment was delivered and this
+    one is older than 1.5 smoothed RTTs); three duplicate acks mark the
+    oldest segment lost as a fallback, and an RTO marks every unsacked
+    segment lost. Anything marked lost starts recovery, which lasts
+    until the cumulative ack passes the highest sequence sent when it
+    began; lost segments go out oldest first, within the congestion
+    window and pacing, before new data. The congestion window and
+    optional pacing rate come from the attached {!Ccsim_cca.Cca.t};
+    BBR-style delivery-rate samples are fed back to it on every ack.
 
     Applications put bytes in the send buffer with {!write} (or declare
     the flow persistently backlogged with {!set_unlimited}); the sender

@@ -120,6 +120,96 @@ let test_drr_longest_queue_drop () =
   Alcotest.(check bool) "newcomer admitted" true (q.Net.Qdisc.enqueue (data ~flow:1 ~size:1000 ()));
   Alcotest.(check int) "one drop from the hog" 1 q.Net.Qdisc.stats.dropped
 
+(* A NaN weight must be refused up front: its deficit would never cover
+   a packet, and dequeue would spin forever on that flow. Enqueue only,
+   so a regression fails here instead of hanging. *)
+let test_drr_rejects_nan_weight () =
+  let q = Net.Drr.create ~weight_of_flow:(fun _ -> Float.nan) () in
+  Alcotest.check_raises "NaN weight" (Invalid_argument "Drr: flow weight must be positive")
+    (fun () -> ignore (q.Net.Qdisc.enqueue (data ())))
+
+(* A longest-queue drop can empty the queue of the flow being served.
+   When the arrival that forced it is refused too, the qdisc is empty;
+   that flow must still be served when its next packet comes. *)
+let test_drr_serves_flow_emptied_by_drop () =
+  let q = Net.Drr.create ~quantum_bytes:1000 ~limit_bytes:2500 () in
+  ignore (q.Net.Qdisc.enqueue (data ~flow:0 ~seq:1 ()));
+  ignore (q.Net.Qdisc.enqueue (data ~flow:0 ~seq:2 ()));
+  ignore (q.Net.Qdisc.dequeue ());
+  Alcotest.(check bool) "oversized arrival refused" false
+    (q.Net.Qdisc.enqueue (data ~flow:1 ~size:3000 ()));
+  Alcotest.(check int) "empty" 0 (q.Net.Qdisc.backlog_packets ());
+  ignore (q.Net.Qdisc.dequeue ());
+  ignore (q.Net.Qdisc.enqueue (data ~flow:0 ~seq:3 ()));
+  match q.Net.Qdisc.dequeue () with
+  | Some p -> Alcotest.(check int) "served" 3 p.Packet.seq
+  | None -> Alcotest.fail "backlogged flow never served"
+
+(* Drr vs the reference: the same packets into both, under a byte
+   limit a few packets deep so longest-queue drops are frequent and
+   queues often tie in length. Every packet fits the limit: an arrival
+   larger than the whole buffer strands a flow in the reference (see the
+   test above). *)
+type drr_op = Enqueue of int * int | Dequeue
+
+let drr_trace =
+  let open QCheck.Gen in
+  let size = frequency [ (4, return 1000); (1, oneofl [ 500; 1500; 2000 ]) ] in
+  let op =
+    frequency [ (3, map2 (fun flow size -> Enqueue (flow, size)) (int_range 0 5) size); (2, return Dequeue) ]
+  in
+  list_size (int_range 0 300) op
+
+let show_drr_op = function
+  | Enqueue (flow, size) -> Printf.sprintf "enq f%d %dB" flow size
+  | Dequeue -> "deq"
+
+let drr_agrees ops =
+  let weight_of_flow flow = if flow = 2 then 2.0 else if flow = 4 then 0.5 else 1.0 in
+  let fast = Net.Drr.create ~quantum_bytes:1000 ~limit_bytes:5000 ~weight_of_flow ()
+  and slow = Ref_drr.create ~quantum_bytes:1000 ~limit_bytes:5000 ~weight_of_flow () in
+  Net.Qdisc.enable_flow_drop_accounting fast.Net.Qdisc.stats;
+  Net.Qdisc.enable_flow_drop_accounting slow.Net.Qdisc.stats;
+  let seq = ref 0 in
+  let same_packet a b =
+    match (a, b) with
+    | Some (a : Packet.t), Some (b : Packet.t) -> a == b
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let same_state () =
+    let a = fast.Net.Qdisc.stats and b = slow.Net.Qdisc.stats in
+    fast.backlog_bytes () = slow.backlog_bytes ()
+    && fast.backlog_packets () = slow.backlog_packets ()
+    && a.enqueued = b.enqueued && a.dropped = b.dropped && a.dequeued = b.dequeued
+    && a.bytes_dropped = b.bytes_dropped
+    && List.for_all
+         (fun flow -> Net.Qdisc.flow_drops a ~flow = Net.Qdisc.flow_drops b ~flow)
+         [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let step = function
+    | Enqueue (flow, size) ->
+        incr seq;
+        let pkt = data ~flow ~size ~seq:!seq () in
+        Bool.equal (fast.enqueue pkt) (slow.enqueue pkt)
+    | Dequeue -> same_packet (fast.dequeue ()) (slow.dequeue ())
+  in
+  let rec drain () =
+    let a = fast.dequeue () and b = slow.dequeue () in
+    same_packet a b && (Option.is_none a || drain ())
+  in
+  List.for_all (fun op -> step op && same_state ()) ops && drain () && same_state ()
+
+let qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"drr matches the reference drr" ~count:500
+      (make
+         ~print:(fun ops -> String.concat "; " (List.map show_drr_op ops))
+         ~shrink:Shrink.list drr_trace)
+      drr_agrees;
+  ]
+
 (* --- Token bucket ---------------------------------------------------------------- *)
 
 let test_token_bucket_conformance () =
@@ -366,6 +456,8 @@ let suite =
     ("drr: equal byte service", `Quick, test_drr_fair_bytes);
     ("drr: weighted service", `Quick, test_drr_weights);
     ("drr: longest-queue drop", `Quick, test_drr_longest_queue_drop);
+    ("drr: rejects a NaN weight", `Quick, test_drr_rejects_nan_weight);
+    ("drr: serves a flow a drop emptied", `Quick, test_drr_serves_flow_emptied_by_drop);
     ("token bucket: conformance", `Quick, test_token_bucket_conformance);
     ("token bucket: burst cap", `Quick, test_token_bucket_cap);
     ("token bucket: wait time", `Quick, test_token_bucket_wait_time);
@@ -387,3 +479,4 @@ let suite =
     ("topology: base rtt", `Quick, test_topology_rtt);
     ("topology: policer ingress", `Quick, test_topology_policer_ingress);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

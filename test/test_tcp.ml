@@ -340,6 +340,268 @@ let test_udp_jitter_zero_for_cbr_on_idle_link () =
   Sim.run sim;
   Alcotest.(check bool) "near-zero jitter" true (Tcp.Udp.Sink.interarrival_jitter sink < 1e-4)
 
+(* --- Scoreboard vs the reference queue sweep ------------------------------------ *)
+
+module Board = Tcp.Scoreboard
+module Ref_board = Ref_scoreboard
+
+let board_mss = 1000
+
+(* A block is read against the segments sent so far: [Aligned (a, k)]
+   spans k + 1 whole segments from segment a (modulo those ever sent,
+   so often below the cumulative ack); [Raw (a, b)] is a byte range cut
+   anywhere. *)
+type block = Aligned of int * int | Raw of int * int
+
+type board_op =
+  | Send of int  (* payload bytes *)
+  | Tick of float
+  | Retransmit  (* the next lost segment, if any *)
+  | Ack of int  (* to the end of a segment on the board, or a raw offset if negative *)
+  | Sack of block list
+  | Detect of float  (* smoothed RTT *)
+  | Head_lost
+  | Rto
+
+let show_block = function
+  | Aligned (a, k) -> Printf.sprintf "seg%d+%d" a k
+  | Raw (a, b) -> Printf.sprintf "raw%d+%d" a b
+
+let show_board_op = function
+  | Send n -> Printf.sprintf "send %d" n
+  | Tick dt -> Printf.sprintf "tick %g" dt
+  | Retransmit -> "retransmit"
+  | Ack k -> Printf.sprintf "ack %d" k
+  | Sack bs -> "sack [" ^ String.concat "; " (List.map show_block bs) ^ "]"
+  | Detect srtt -> Printf.sprintf "detect srtt=%g" srtt
+  | Head_lost -> "head-lost"
+  | Rto -> "rto"
+
+(* Ticks of zero give equal send times; smoothed RTTs from 0 (the 100 ms
+   default window) to 0.4 s make the RACK window shrink and grow. SACK
+   lists repeat a block, overlap, go stale and cut through segments. *)
+let board_trace =
+  let open QCheck.Gen in
+  let block =
+    frequency
+      [
+        (3, map2 (fun a k -> Aligned (a, k)) nat (int_range 0 4));
+        (1, map2 (fun a b -> Raw (a, b)) nat (int_range 0 (4 * board_mss)));
+      ]
+  in
+  let blocks =
+    frequency
+      [
+        (4, list_size (int_range 1 3) block);
+        (1, map (fun b -> [ b; b ]) block);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun n -> Send n) (frequency [ (4, return board_mss); (1, int_range 1 board_mss) ]));
+        (4, map (fun dt -> Tick dt) (oneofl [ 0.0; 0.001; 0.01; 0.04; 0.1; 0.3 ]));
+        (3, return Retransmit);
+        (2, map (fun k -> Ack k) (int_range (-2 * board_mss) 6));
+        (5, map (fun bs -> Sack bs) blocks);
+        (4, map (fun srtt -> Detect srtt) (oneofl [ 0.0; 0.005; 0.02; 0.05; 0.1; 0.4 ]));
+        (1, return Head_lost);
+        (1, return Rto);
+      ]
+  in
+  list_size (int_range 0 400) op
+
+(* Run [ops] through the indexed scoreboard and the reference side by
+   side, like a sender would: contiguous sends, a monotone clock and a
+   monotone cumulative ack. After every step, every segment's flags, the
+   counters and the next lost segment agree. *)
+let boards_agree ops =
+  let fast = Board.create ~mss:board_mss and slow = Ref_board.create ~mss:board_mss in
+  let now = ref 0.0 and snd_nxt = ref 0 and snd_una = ref 0 in
+  let starts = ref [||] in
+  (* byte offset of every segment ever sent, and one past the last *)
+  let bound i = if i < Array.length !starts then !starts.(i) else !snd_nxt in
+  let block_range = function
+    | Aligned (a, k) ->
+        let n = Array.length !starts in
+        if n = 0 then (0, 0)
+        else
+          let a = a mod n in
+          (bound a, bound (min n (a + k + 1)))
+    | Raw (a, b) ->
+        let lo = a mod (!snd_nxt + 1) in
+        (lo, lo + b)
+  in
+  let step = function
+    | Send len ->
+        starts := Array.append !starts [| !snd_nxt |];
+        Board.send fast ~seq:!snd_nxt ~len ~now:!now;
+        Ref_board.send slow ~seq:!snd_nxt ~len ~now:!now;
+        snd_nxt := !snd_nxt + len
+    | Tick dt -> now := !now +. dt
+    | Retransmit ->
+        let i = Board.next_lost_segment fast in
+        if i >= 0 then begin
+          Board.retransmit fast i ~now:!now;
+          Ref_board.retransmit slow i ~now:!now
+        end
+    | Ack k ->
+        let una =
+          if k >= 0 then bound (min (Board.tail fast) (Board.head fast + k))
+          else min !snd_nxt (!snd_una - k)
+        in
+        if una > !snd_una then begin
+          snd_una := una;
+          Board.retire_acked fast ~snd_una:una;
+          Ref_board.retire_acked slow ~snd_una:una
+        end
+    | Sack blocks ->
+        let sacks = List.map block_range blocks in
+        Board.process_sacks fast sacks;
+        Ref_board.process_sacks slow sacks
+    | Detect srtt ->
+        Board.detect_losses fast ~now:!now ~srtt;
+        Ref_board.detect_losses slow ~now:!now ~srtt
+    | Head_lost ->
+        Board.mark_head_lost fast;
+        Ref_board.mark_head_lost slow
+    | Rto ->
+        Board.mark_all_lost fast;
+        Ref_board.mark_all_lost slow
+  in
+  let agree () =
+    let head = Board.head fast and tail = Board.tail fast in
+    let rec segments_agree i =
+      i >= tail
+      || Board.seq fast i = Ref_board.seq slow i
+         && Board.len fast i = Ref_board.len slow i
+         && Bool.equal (Board.sacked fast i) (Ref_board.sacked slow i)
+         && Bool.equal (Board.lost fast i) (Ref_board.lost slow i)
+         && Bool.equal (Board.in_pipe fast i) (Ref_board.in_pipe slow i)
+         && segments_agree (i + 1)
+    in
+    head = Ref_board.head slow
+    && tail = Ref_board.tail slow
+    && segments_agree head
+    && Board.pipe_bytes fast = Ref_board.pipe_bytes slow
+    && Board.lost_bytes fast = Ref_board.lost_bytes slow
+    && Board.delivered_bytes fast = Ref_board.delivered_bytes slow
+    && Board.highest_sacked fast = Ref_board.highest_sacked slow
+    && Float.equal (Board.newest_delivered_sent_at fast) (Ref_board.newest_delivered_sent_at slow)
+    && Board.next_lost_segment fast = Ref_board.next_lost_segment slow
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      agree ())
+    ops
+
+(* A board holding far more than the initial ring: growth must carry
+   the segments, their SACK skips and the send log across. *)
+let test_scoreboard_grows () =
+  let b = Board.create ~mss:1000 in
+  for i = 0 to 999 do
+    Board.send b ~seq:(i * 1000) ~len:1000 ~now:(float_of_int i *. 0.001)
+  done;
+  Board.process_sacks b [ (1000, 500_000); (600_000, 1_000_000) ];
+  Board.detect_losses b ~now:1.0 ~srtt:0.1;
+  Alcotest.(check int) "sacked bytes" (499_000 + 400_000) (Board.delivered_bytes b);
+  Alcotest.(check int) "DupThresh condemns every hole" ((1 + 100) * 1000)
+    (Board.lost_bytes b);
+  Alcotest.(check int) "the oldest hole goes first" 0 (Board.next_lost_segment b);
+  Alcotest.(check int) "nothing left in the pipe" 0 (Board.pipe_bytes b);
+  Board.retire_acked b ~snd_una:1_000_000;
+  Alcotest.(check int) "all retired" 1000 (Board.head b);
+  Alcotest.(check int) "holes counted once delivered" 1_000_000 (Board.delivered_bytes b)
+
+let test_scoreboard_rejects_bad_segments () =
+  let b = Board.create ~mss:1000 in
+  Board.send b ~seq:0 ~len:1000 ~now:0.0;
+  Alcotest.check_raises "not on the board"
+    (Invalid_argument "Scoreboard.len: segment not on the board") (fun () ->
+      ignore (Board.len b 1));
+  Alcotest.check_raises "not lost"
+    (Invalid_argument "Scoreboard.retransmit: segment not marked lost") (fun () ->
+      Board.retransmit b 0 ~now:0.0)
+
+(* --- Receiver reassembly vs the reference sort-and-merge -------------------------- *)
+
+(* The receiver's previous [integrate]: cons, sort, merge, advance. *)
+let ref_integrate (rcv_nxt, ooo) ~seq ~len =
+  let rcv_nxt = ref rcv_nxt in
+  let lo = seq and hi = seq + len in
+  if hi > !rcv_nxt then begin
+    let ranges = (max lo !rcv_nxt, hi) :: ooo in
+    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) ranges in
+    let merged =
+      List.fold_left
+        (fun acc (lo, hi) ->
+          match acc with
+          | (plo, phi) :: rest when lo <= phi -> (plo, max phi hi) :: rest
+          | _ -> (lo, hi) :: acc)
+        [] sorted
+    in
+    let merged = List.rev merged in
+    let rec advance ranges =
+      match ranges with
+      | (lo, hi) :: rest when lo <= !rcv_nxt ->
+          if hi > !rcv_nxt then rcv_nxt := hi;
+          advance rest
+      | rest -> rest
+    in
+    let ooo = advance merged in
+    (!rcv_nxt, ooo)
+  end
+  else (!rcv_nxt, ooo)
+
+(* Arrivals on a 500-byte grid around the cumulative ack, so adjacent,
+   overlapping, duplicate and below-rcv_nxt ranges are all common, plus
+   ranges cut anywhere. *)
+let reassembly_trace =
+  let open QCheck.Gen in
+  let arrival =
+    frequency
+      [
+        (4, map2 (fun k m -> (500 * k, 500 * m)) (int_range (-3) 12) (int_range 1 4));
+        (1, map2 (fun a n -> (a, n)) (int_range (-2000) 8000) (int_range 1 2500));
+      ]
+  in
+  list_size (int_range 0 200) arrival
+
+let reassembly_agrees arrivals =
+  let sim = Sim.create () in
+  let receiver = Tcp.Receiver.create sim ~flow:0 ~ack_path:ignore () in
+  let state = ref (0, []) in
+  List.for_all
+    (fun (offset, len) ->
+      let seq = max 0 (fst !state + offset) in
+      Tcp.Receiver.handle_data receiver
+        (Net.Packet.data ~flow:0 ~seq ~payload_bytes:len ~sent_at:0.0 ());
+      state := ref_integrate !state ~seq ~len;
+      let rcv_nxt, ooo = !state in
+      Tcp.Receiver.bytes_received receiver = rcv_nxt
+      && List.equal
+           (fun (a, b) (c, d) -> a = c && b = d)
+           (Tcp.Receiver.out_of_order receiver)
+           ooo)
+    arrivals
+
+let qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"scoreboard matches the reference queue sweep" ~count:500
+      (make
+         ~print:(fun ops -> String.concat "; " (List.map show_board_op ops))
+         ~shrink:Shrink.list board_trace)
+      boards_agree;
+    Test.make ~name:"receiver reassembly matches the reference sort-and-merge" ~count:500
+      (make
+         ~print:(fun l -> String.concat "; " (List.map (fun (o, n) -> Printf.sprintf "+%d:%d" o n) l))
+         ~shrink:Shrink.list reassembly_trace)
+      reassembly_agrees;
+  ]
+
+
 let suite =
   [
     ("rtt: first sample", `Quick, test_rtt_first_sample);
@@ -368,4 +630,7 @@ let suite =
     ("receiver: window tracks backlog", `Quick, test_receiver_window_shrinks_with_backlog);
     ("udp: source to sink", `Quick, test_udp_source_sink);
     ("udp: cbr jitter near zero", `Quick, test_udp_jitter_zero_for_cbr_on_idle_link);
+    ("scoreboard: ring growth", `Quick, test_scoreboard_grows);
+    ("scoreboard: rejects bad segments", `Quick, test_scoreboard_rejects_bad_segments);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
