@@ -14,7 +14,7 @@ module Obs = Ccsim_obs
    no per-flow records), no allocation per step beyond the integrator's
    preallocated workspace. A step is four passes over flows plus one
    over links, which is what makes 10^6-flow scenarios run in seconds
-   (see BENCH_fluid.json). *)
+   per simulated second (EXPERIMENTS.md, "Throughput"). *)
 
 type link_id = int
 type flow_id = int

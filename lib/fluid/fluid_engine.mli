@@ -4,7 +4,7 @@
     fluid links, integrated on a fixed step by {!Ccsim_util.Ode}. Flow
     state lives in flat [float array]s (one scalar per flow), so a step
     is a handful of array passes and million-flow populations run in
-    seconds — see [BENCH_fluid.json].
+    seconds per simulated second (EXPERIMENTS.md, "Throughput").
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation

@@ -13,11 +13,11 @@ type series = {
   values : float array;
 }
 
-(* --- a minimal JSON reader (objects, strings, numbers, the rest) ------- *)
+(* --- Ccsim_obs.Json's reader under the names ccbench reads reports by --- *)
 
-exception Parse_error of string
+exception Parse_error = Ccsim_obs.Json.Parse_error
 
-type json =
+type json = Ccsim_obs.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -25,150 +25,7 @@ type json =
   | Obj of (string * json) list
   | Arr of json list
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.equal (String.sub s !pos l) lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-               pos := !pos + 4;
-               (* UTF-8 encode the basic-plane code point. *)
-               if code < 0x80 then Buffer.add_char buf (Char.chr code)
-               else if code < 0x800 then begin
-                 Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          loop ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> Num v
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if (match peek () with Some '}' -> true | _ -> false) then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if (match peek () with Some ']' -> true | _ -> false) then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let json_of_string = parse_json
+let json_of_string = Ccsim_obs.Json.parse
 
 (* --- NDJSON ingestion --------------------------------------------------- *)
 
@@ -190,7 +47,7 @@ let of_string content =
          incr line_no;
          if not (String.equal (String.trim line) "") then begin
            let fields =
-             match parse_json line with
+             match json_of_string line with
              | Obj fields -> fields
              | _ -> raise (Parse_error (Printf.sprintf "line %d: not a JSON object" !line_no))
              | exception Parse_error msg ->

@@ -17,8 +17,9 @@ type series = {
 }
 
 exception Parse_error of string
+(** The same exception as {!Ccsim_obs.Json.Parse_error}. *)
 
-type json =
+type json = Ccsim_obs.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -27,9 +28,8 @@ type json =
   | Arr of json list
 
 val json_of_string : string -> json
-(** Parse one complete JSON value (the reader behind {!of_string}, also
-    handy for validating whole-document exports such as Chrome traces).
-    Raises {!Parse_error}. *)
+(** {!Ccsim_obs.Json.parse}, the reader behind {!of_string}. Raises
+    {!Parse_error}. *)
 
 val of_string : string -> series list
 (** Parse NDJSON content (one [{"series", "labels", "t", "v"}] object

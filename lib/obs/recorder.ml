@@ -65,11 +65,6 @@ let to_ndjson ?extra t =
   Queue.iter (fun e -> event_to_ndjson buf ?extra e) t.buffer;
   Buffer.contents buf
 
-let csv_cell s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let csv_header ?(extra = []) () =
   String.concat "," (List.map fst extra @ [ "at"; "severity"; "class"; "point"; "detail"; "fields" ])
   ^ "\n"
@@ -91,7 +86,7 @@ let to_csv ?(header = true) ?(extra = []) t =
             fields;
           ]
       in
-      Buffer.add_string buf (String.concat "," (List.map csv_cell cells));
+      Buffer.add_string buf (Ccsim_util.Csv.row_to_string cells);
       Buffer.add_char buf '\n')
     t.buffer;
   Buffer.contents buf

@@ -9,7 +9,7 @@
     structured key/value fields.
 
     Memory is bounded: the journal keeps the most recent [capacity]
-    events and counts evictions, exactly like {!Ccsim_net.Trace}. *)
+    events and counts evictions. *)
 
 type severity = Debug | Info | Warn | Error
 

@@ -157,15 +157,11 @@ let to_ndjson ?extra t =
     (all_series t);
   Buffer.contents buf
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let to_csv ?(header = true) ?(extra = []) t =
+  let cell = Ccsim_util.Csv.escape_field in
   let buf = Buffer.create 4096 in
   if header then begin
-    List.iter (fun (k, _) -> Printf.bprintf buf "%s," (csv_escape k)) extra;
+    List.iter (fun (k, _) -> Printf.bprintf buf "%s," (cell k)) extra;
     Buffer.add_string buf "series,labels,t,v\n"
   end;
   List.iter
@@ -174,8 +170,8 @@ let to_csv ?(header = true) ?(extra = []) t =
         String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) s.s_labels)
       in
       for i = 0 to s.len - 1 do
-        List.iter (fun (_, v) -> Printf.bprintf buf "%s," (csv_escape v)) extra;
-        Printf.bprintf buf "%s,%s,%s,%s\n" (csv_escape s.s_name) (csv_escape label_cell)
+        List.iter (fun (_, v) -> Printf.bprintf buf "%s," (cell v)) extra;
+        Printf.bprintf buf "%s,%s,%s,%s\n" (cell s.s_name) (cell label_cell)
           (float_rt s.times.(i))
           (float_rt s.values.(i))
       done)

@@ -82,21 +82,6 @@ let summary t =
     (Array.length t.results) t.pool_jobs oversub t.total_wall_s busy (cache_hits t)
     (failures t) (degraded t) (Table.render table)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(profiles = []) t =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
@@ -111,12 +96,10 @@ let to_json ?(profiles = []) t =
         | None -> ""
       in
       Printf.bprintf buf
-        "    {\"name\": \"%s\", \"digest\": \"%s\", \"ok\": %b, \"cache_hit\": %b, \"attempts\": %d, \"queue_wait_s\": %.6f, \"wall_s\": %.6f, \"timed_out\": %b, \"degraded\": %b, \"error\": %s%s}%s\n"
-        (json_escape r.name) (json_escape r.digest) r.ok r.cache_hit r.attempts
+        "    {\"name\": %s, \"digest\": %s, \"ok\": %b, \"cache_hit\": %b, \"attempts\": %d, \"queue_wait_s\": %.6f, \"wall_s\": %.6f, \"timed_out\": %b, \"degraded\": %b, \"error\": %s%s}%s\n"
+        (Ccsim_obs.Json.str r.name) (Ccsim_obs.Json.str r.digest) r.ok r.cache_hit r.attempts
         r.queue_wait_s r.wall_s r.timed_out r.degraded
-        (match r.error with
-        | None -> "null"
-        | Some e -> Printf.sprintf "\"%s\"" (json_escape e))
+        (match r.error with None -> "null" | Some e -> Ccsim_obs.Json.str e)
         profile_field
         (if i = Array.length t.results - 1 then "" else ","))
     t.results;

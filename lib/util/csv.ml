@@ -16,21 +16,6 @@ let escape_field s =
 
 let row_to_string fields = String.concat "," (List.map escape_field fields)
 
-let to_string ~header rows =
-  let width = List.length header in
-  List.iteri
-    (fun i row ->
-      if List.length row <> width then
-        invalid_arg (Printf.sprintf "Csv.to_string: row %d arity mismatch" i))
-    rows;
-  String.concat "\n" (row_to_string header :: List.map row_to_string rows) ^ "\n"
-
-let write_file ~path ~header rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~header rows))
-
 let parse_line line =
   let n = String.length line in
   let fields = ref [] in
@@ -71,20 +56,3 @@ let parse_line line =
   in
   plain 0;
   List.rev !fields
-
-let of_timeseries series ~names =
-  let a, b = names in
-  let rows =
-    List.map
-      (fun (time, value) -> [ Printf.sprintf "%.6f" time; Printf.sprintf "%.6f" value ])
-      (Timeseries.to_list series)
-  in
-  to_string ~header:[ a; b ] rows
-
-let of_cdf cdf =
-  let rows =
-    List.map
-      (fun (x, f) -> [ Printf.sprintf "%.6f" x; Printf.sprintf "%.6f" f ])
-      (Cdf.points cdf)
-  in
-  to_string ~header:[ "value"; "cumulative_probability" ] rows

@@ -1,7 +1,8 @@
-(** Minimal CSV writing/reading for exporting experiment results.
+(** CSV fields as the timeline and flight-recorder [.csv] exports write
+    them, and a reader for one line.
 
-    Quoting follows RFC 4180: fields containing commas, quotes, or
-    newlines are double-quoted with inner quotes doubled. *)
+    Quoting follows RFC 4180: fields containing commas, quotes, carriage
+    returns or newlines are double-quoted with inner quotes doubled. *)
 
 val escape_field : string -> string
 (** Quote a field if needed. *)
@@ -9,18 +10,6 @@ val escape_field : string -> string
 val row_to_string : string list -> string
 (** One CSV line, without the trailing newline. *)
 
-val to_string : header:string list -> string list list -> string
-(** Full document with header. Raises [Invalid_argument] if any row's
-    arity differs from the header's. *)
-
-val write_file : path:string -> header:string list -> string list list -> unit
-
 val parse_line : string -> string list
 (** Parse one line (handles quoted fields; raises [Invalid_argument] on
     an unterminated quote). *)
-
-val of_timeseries : Timeseries.t -> names:string * string -> string
-(** Two-column CSV ("time,value" by default naming) from a series. *)
-
-val of_cdf : Cdf.t -> string
-(** "value,cumulative_probability" rows from an ECDF's points. *)

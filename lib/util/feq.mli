@@ -1,4 +1,4 @@
-(** Explicit float equality. ccsim-lint (R3) rejects bare structural
+(** Explicit float equality. ccsim-lint (R6) rejects bare structural
     [=] / [<>] on float-typed operands in simulator code; this module
     is the sanctioned replacement, making the tolerance explicit.
 

@@ -5,6 +5,3 @@
 let per_domain_scratch = ref 0
 
 let seed_jitter () = Random.bits () (* lint: allow R2 *)
-
-(* lint: allow R3 *)
-let is_zero x = x = 0.0

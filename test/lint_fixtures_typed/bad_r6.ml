@@ -8,3 +8,10 @@ let same_point (a : point) (b : point) = a = b
 let float_eq (u : float) (v : float) = u = v
 
 let biggest (a : string) (b : string) = max a b
+
+(* Float = and <> without annotations: one operand a float literal,
+   the other pair left polymorphic. *)
+
+let is_idle rate_bps = rate_bps = 0.0
+
+let changed ~prev_s ~next_s = prev_s <> next_s

@@ -2,5 +2,5 @@
    annotation (recovered from the source text, covers lines L/L+1). *)
 
 let scaled (dur_s : float) (rate_bps : float) =
-  (* lint: allow R4 R7 -- fixture: deliberate cross-unit sum *)
+  (* lint: allow R7 -- fixture: deliberate cross-unit sum *)
   dur_s +. rate_bps

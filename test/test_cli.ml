@@ -46,6 +46,32 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+let with_temp_file contents f =
+  let path = Filename.temp_file "ccsim_series" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      f path)
+
+let test_bad_series_files () =
+  (* analyze and explain read a --series file; malformed input is a
+     usage error with a message, not an uncaught exception (125). *)
+  let line = "{\"series\":\"x\",\"labels\":{},\"t\":1.0,\"v\":2.0}\n" in
+  List.iter
+    (fun (what, contents) ->
+      with_temp_file contents (fun path ->
+          List.iter
+            (fun cmd ->
+              check_code (cmd ^ " on " ^ what) (cmd ^ " " ^ Filename.quote path) 2)
+            [ "analyze"; "explain" ]))
+    [
+      ("a non-hex \\u escape", "{\"series\":\"x\\uZZZZ\",\"labels\":{},\"t\":1.0,\"v\":2.0}\n");
+      ("a file cut off mid-line", line ^ String.sub line 0 20);
+    ]
+
 let test_flight_rec_level () =
   (* --flight-rec-level raises the recorder's severity floor: a journal
      captured at `warn` must drop the debug/info event bulk (packet
@@ -79,5 +105,6 @@ let suite =
     Alcotest.test_case "exit 2: usage errors (incl. fault plans)" `Quick test_usage_errors;
     Alcotest.test_case "exit 1: job failure" `Quick test_job_failure;
     Alcotest.test_case "exit 124: unsupported backend" `Quick test_unsupported_backend;
+    Alcotest.test_case "exit 2: malformed series files" `Quick test_bad_series_files;
     Alcotest.test_case "flight recorder: severity floor flag" `Slow test_flight_rec_level;
   ]

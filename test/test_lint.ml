@@ -43,12 +43,6 @@ let test_r2 =
   check_fixture ~name:"bad_r2_nondeterminism.ml"
     ~expected:[ ("R2", 4, 16); ("R2", 6, 15); ("R2", 8, 17); ("R2", 10, 20) ]
 
-let test_r3 =
-  check_fixture ~name:"bad_r3_float_eq.ml" ~expected:[ ("R3", 4, 32); ("R3", 6, 37) ]
-
-let test_r4 =
-  check_fixture ~name:"bad_r4_unit_mixing.ml" ~expected:[ ("R4", 5, 38); ("R4", 7, 49) ]
-
 let test_annotations_silence = check_fixture ~name:"ok_annotated.ml" ~expected:[]
 
 let test_r2_exemption () =
@@ -60,19 +54,8 @@ let test_r2_exemption () =
   Alcotest.(check int) "flagged in lib/engine" 1 (List.length in_engine);
   Alcotest.(check int) "exempt in lib/runner" 0 (List.length in_runner)
 
-let test_messages_name_the_problem () =
-  let msgs_of name = List.map (fun (f : L.finding) -> f.message) (L.scan_file (fixture name)) in
-  (match msgs_of "bad_r1_global_mutable.ml" with
-  | m :: _ ->
-      Alcotest.(check bool) "R1 names the binding" true (contains ~affix:"\"hit_count\"" m)
-  | [] -> Alcotest.fail "no R1 findings");
-  match msgs_of "bad_r4_unit_mixing.ml" with
-  | m :: _ ->
-      Alcotest.(check bool) "R4 names both suffixes" true (contains ~affix:"_s vs _bps" m)
-  | [] -> Alcotest.fail "no R4 findings"
-
 let test_json_shape () =
-  let findings = L.scan_file (fixture "bad_r3_float_eq.ml") in
+  let findings = L.scan_file (fixture "bad_r2_nondeterminism.ml") in
   let json = L.render_json findings in
   let has affix = contains ~affix json in
   Alcotest.(check bool) "is an array" true
@@ -81,8 +64,8 @@ let test_json_shape () =
     (fun field -> Alcotest.(check bool) ("has " ^ field) true (has ("\"" ^ field ^ "\": ")))
     [ "file"; "line"; "col"; "rule"; "stage"; "message" ];
   Alcotest.(check bool) "parse findings say so" true (has "\"stage\": \"parse\"");
-  Alcotest.(check bool) "carries the path" true (has (fixture "bad_r3_float_eq.ml"));
-  Alcotest.(check bool) "carries the rule" true (has "\"rule\": \"R3\"")
+  Alcotest.(check bool) "carries the path" true (has (fixture "bad_r2_nondeterminism.ml"));
+  Alcotest.(check bool) "carries the rule" true (has "\"rule\": \"R2\"")
 
 let test_json_empty () = Alcotest.(check string) "empty array" "[]\n" (L.render_json [])
 
@@ -100,9 +83,9 @@ let test_allowlist_suppresses () =
   Alcotest.(check int) "all R1 findings suppressed" 0 (List.length kept);
   Alcotest.(check int) "entry is live" 0 (List.length stale);
   (* The same entry against another rule's findings is stale. *)
-  let other = L.scan_file (fixture "bad_r3_float_eq.ml") in
+  let other = L.scan_file (fixture "bad_r2_nondeterminism.ml") in
   let kept, stale = L.apply_allowlist [ entry ] other in
-  Alcotest.(check int) "R3 findings survive" 2 (List.length kept);
+  Alcotest.(check int) "R2 findings survive" 4 (List.length kept);
   Alcotest.(check int) "entry reported stale" 1 (List.length stale)
 
 let with_temp_allow contents f =
@@ -139,7 +122,7 @@ let test_repo_tree_is_clean () =
      entries — the same invariant `dune build @lint` gates CI on. *)
   let in_root p = if repo_root = "." then p else Filename.concat repo_root p in
   let findings =
-    L.scan_paths [ in_root "lib"; in_root "bin"; in_root "bench" ]
+    L.scan_paths [ in_root "lib"; in_root "bin" ]
     |> List.map (fun (f : L.finding) ->
            match drop_prefix ~prefix:(repo_root ^ "/") f.file with
            | Some rest -> { f with L.file = rest }
@@ -187,13 +170,19 @@ let test_r5_typed =
   check_typed ~name:"bad_r5.ml"
     ~expected:[ ("R5", 8, 12); ("R5", 10, 32); ("R5", 12, 25) ]
 
+(* Lines 15 and 17 are float = / <> that only the types reveal: the
+   operands carry no annotation. *)
 let test_r6_typed =
   check_typed ~name:"bad_r6.ml"
-    ~expected:[ ("R6", 6, 43); ("R6", 8, 41); ("R6", 10, 40) ]
+    ~expected:[ ("R6", 6, 43); ("R6", 8, 41); ("R6", 10, 40); ("R6", 15, 32); ("R6", 17, 37) ]
 
+(* Lines 5 and 7 mix dimensions directly, line 10 through a let binding;
+   lines 13 and 15 mix scales of one dimension (_s vs _ms, _bps vs
+   _mbps). *)
 let test_r7_typed =
   check_typed ~name:"bad_r7.ml"
-    ~expected:[ ("R7", 5, 55); ("R7", 7, 66); ("R7", 10, 6) ]
+    ~expected:
+      [ ("R7", 5, 55); ("R7", 7, 66); ("R7", 10, 6); ("R7", 13, 54); ("R7", 15, 62) ]
 
 let test_typed_twins_silent () =
   (* Each bad fixture has an ok twin carrying the documented escape
@@ -214,34 +203,32 @@ let test_typed_stage_field () =
         "typed" f.L.stage)
     fs
 
-let test_r7_and_r4_overlap () =
-  (* The suffix heuristic (parse-stage R4) and the dimensional analysis
-     (typed R7) both catch bad_r7's direct mixes at the same sites; only
-     R7 sees through the let binding at 10:6, where the mismatched unit
-     arrives via a propagated inferred dimension rather than a suffix
-     pair. *)
-  let src =
-    if Sys.file_exists "lint_fixtures_typed" then "lint_fixtures_typed/bad_r7.ml"
-    else "test/lint_fixtures_typed/bad_r7.ml"
-  in
-  let parse = summarize (L.scan_file src) in
-  Alcotest.(check (list (triple string int int)))
-    "parse stage sees the suffix mixes" [ ("R4", 5, 55); ("R4", 7, 66) ] parse
+let test_messages_name_the_problem () =
+  let msgs_of findings = List.map (fun (f : L.finding) -> f.message) findings in
+  (match msgs_of (L.scan_file (fixture "bad_r1_global_mutable.ml")) with
+  | m :: _ ->
+      Alcotest.(check bool) "R1 names the binding" true (contains ~affix:"\"hit_count\"" m)
+  | [] -> Alcotest.fail "no R1 findings");
+  let r7 = msgs_of (typed_for "bad_r7.ml") in
+  List.iter
+    (fun pair ->
+      Alcotest.(check bool) ("R7 names " ^ pair) true (List.exists (contains ~affix:pair) r7))
+    [ "_s vs _ms"; "_bps vs _mbps" ]
 
 let test_sarif_shape () =
-  let findings = L.scan_file (fixture "bad_r3_float_eq.ml") @ typed_for "bad_r5.ml" in
+  let findings = L.scan_file (fixture "bad_r2_nondeterminism.ml") @ typed_for "bad_r5.ml" in
   let sarif = L.render_sarif findings in
   let has affix = contains ~affix sarif in
   Alcotest.(check bool) "declares 2.1.0" true (has "\"version\": \"2.1.0\"");
   Alcotest.(check bool) "points at the 2.1.0 schema" true (has "sarif-schema-2.1.0.json");
   Alcotest.(check bool) "driver is ccsim-lint" true (has "\"name\": \"ccsim-lint\"");
-  (* All seven rules are described, findings or not... *)
+  (* Every rule in the catalogue is described, findings or not... *)
   List.iter
     (fun r ->
       Alcotest.(check bool) ("descriptor for " ^ r) true (has ("{\"id\": \"" ^ r ^ "\"")))
-    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7" ];
+    [ "R1"; "R2"; "R5"; "R6"; "R7" ];
   (* ...and each finding becomes a result with a physical location. *)
-  Alcotest.(check bool) "R3 result" true (has "\"ruleId\": \"R3\"");
+  Alcotest.(check bool) "R2 result" true (has "\"ruleId\": \"R2\"");
   Alcotest.(check bool) "R5 result" true (has "\"ruleId\": \"R5\"");
   Alcotest.(check bool) "carries the fixture uri" true
     (has "lint_fixtures_typed/bad_r5.ml");
@@ -262,11 +249,11 @@ let test_repo_tree_typed_clean () =
     if Sys.file_exists "lint_fixtures_typed" then ".." else "_build/default"
   in
   let roots =
-    List.map (Filename.concat build_root) [ "lib"; "bin"; "bench"; "tools" ]
+    List.map (Filename.concat build_root) [ "lib"; "bin"; "tools" ]
   in
   let findings =
     Lint_typed.scan ~source_roots:[ build_root ] ~cmt_roots:roots
-      ~paths:[ "lib"; "bin"; "bench"; "tools" ] ()
+      ~paths:[ "lib"; "bin"; "tools" ] ()
   in
   Alcotest.(check (list string)) "typed stage: no findings"
     [] (List.map L.render_finding findings)
@@ -275,8 +262,6 @@ let suite =
   [
     Alcotest.test_case "R1 fixture: exact findings" `Quick test_r1;
     Alcotest.test_case "R2 fixture: exact findings" `Quick test_r2;
-    Alcotest.test_case "R3 fixture: exact findings" `Quick test_r3;
-    Alcotest.test_case "R4 fixture: exact findings" `Quick test_r4;
     Alcotest.test_case "annotated fixture: silent" `Quick test_annotations_silence;
     Alcotest.test_case "R2: lib/runner is wall-clock exempt" `Quick test_r2_exemption;
     Alcotest.test_case "messages name the problem" `Quick test_messages_name_the_problem;
@@ -293,7 +278,6 @@ let suite =
     Alcotest.test_case "typed twins: silent under escape hatches" `Quick
       test_typed_twins_silent;
     Alcotest.test_case "typed findings carry stage = typed" `Quick test_typed_stage_field;
-    Alcotest.test_case "R4/R7 overlap on suffix-visible mixes" `Quick test_r7_and_r4_overlap;
     Alcotest.test_case "sarif: shape, descriptors, results" `Quick test_sarif_shape;
     Alcotest.test_case "repo tree: typed stage clean" `Quick test_repo_tree_typed_clean;
   ]

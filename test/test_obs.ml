@@ -587,6 +587,43 @@ let test_span_journal () =
         (List.assoc_opt "queue_s" e.Recorder.fields)
   | es -> Alcotest.fail (Printf.sprintf "expected 1 span event, got %d" (List.length es))
 
+(* --- Json: the one reader, fuzzed -------------------------------------------------- *)
+
+(* Inputs built from the characters the reader branches on: structure,
+   quotes and backslashes, "\\u" followed by hex or non-hex letters, and
+   the letters of literals and numbers. Most are malformed; the reader
+   must say so with Parse_error, never with another exception. *)
+let json_soup =
+  let open QCheck.Gen in
+  let one s = map (String.make 1) (oneofl (List.of_seq (String.to_seq s))) in
+  let token =
+    frequency
+      [
+        (6, one "{}[]:,\"\\ ");
+        (3, return "\\u");
+        (4, one "0123456789abcdefABCDEF");
+        (3, one "gGuxzZntrlse-+./");
+        (1, oneofl [ "true"; "null"; "1e5"; "-0.5"; "{\"k\":\"" ]);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 40) token)
+
+let json_properties =
+  let open QCheck in
+  let module Json = Obs.Json in
+  [
+    Test.make ~name:"json: malformed input raises Parse_error, nothing else" ~count:5000
+      (make ~print:(Printf.sprintf "%S") json_soup)
+      (fun s -> match Json.parse s with _ -> true | exception Json.Parse_error _ -> true);
+    Test.make ~name:"json: parse inverts str and obj_of_strings" ~count:1000
+      (pair (string_of_size (Gen.int_range 0 64))
+         (list_of_size (Gen.int_range 0 4) (pair small_string small_string)))
+      (fun (s, kvs) ->
+        Json.parse (Json.str s) = Json.Str s
+        && Json.parse (Json.obj_of_strings kvs)
+           = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs));
+  ]
+
 let suite =
   [
     Alcotest.test_case "metrics: counter basics" `Quick test_counter_basics;
@@ -626,3 +663,4 @@ let suite =
       test_span_seal_and_eviction;
     Alcotest.test_case "span: journals to the flight recorder" `Quick test_span_journal;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) json_properties

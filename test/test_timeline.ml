@@ -418,20 +418,20 @@ let test_chrome_trace_structure () =
        (Scope.v ~timeline:tl ~recorder:r ())
        (fun () -> Scenario.run (congested_scenario 42)));
   let trace = Obs.Chrome_trace.to_string [ ("tl-e2e", Some tl, Some r, None) ] in
-  match Offline.json_of_string trace with
-  | Offline.Arr events ->
+  match Obs.Json.parse trace with
+  | Obs.Json.Arr events ->
       Alcotest.(check bool) "non-empty" true (events <> []);
       let last_ts : (string, float) Hashtbl.t = Hashtbl.create 64 in
       let counters = ref 0 and instants = ref 0 in
       List.iter
         (fun ev ->
           match ev with
-          | Offline.Obj fields ->
+          | Obs.Json.Obj fields ->
               let str k =
-                match List.assoc_opt k fields with Some (Offline.Str s) -> Some s | _ -> None
+                match List.assoc_opt k fields with Some (Obs.Json.Str s) -> Some s | _ -> None
               in
               let num k =
-                match List.assoc_opt k fields with Some (Offline.Num v) -> Some v | _ -> None
+                match List.assoc_opt k fields with Some (Obs.Json.Num v) -> Some v | _ -> None
               in
               let ph =
                 match str "ph" with Some p -> p | None -> Alcotest.fail "event without ph"

@@ -4,7 +4,7 @@
    malformed allowlist), 2 usage/scan errors.
 
    Two stages share one finding stream, one allowlist, and one exit
-   code: the parsetree pass (R1-R4) always runs over the sources; the
+   code: the parsetree pass (R1-R2) always runs over the sources; the
    typed pass (R5-R7) runs when at least one --cmt-root is given and
    covers every compiled unit whose recorded source path falls under a
    scanned PATH. *)
@@ -14,10 +14,11 @@ let usage () =
     "usage: ccsim_lint [--json] [--sarif OUT.json] [--allow FILE] [--cmt-root DIR]... PATH...\n\
      \n\
      Scans every .ml under each PATH for determinism and data-race\n\
-     hazards (rules R1-R4) and, when --cmt-root is given, runs the\n\
-     typed stage (R5 no-alloc-in-hot, R6 no-polymorphic-compare,\n\
-     R7 unit inference) over the .cmt files found there whose source\n\
-     path falls under a PATH. See tools/lint/RULES.md.\n\
+     hazards (parse stage: R1 top-level mutable state, R2\n\
+     nondeterminism) and, when --cmt-root is given, runs the typed\n\
+     stage (R5 no-alloc-in-hot, R6 no-polymorphic-compare, R7 unit\n\
+     inference) over the .cmt files found there whose source path\n\
+     falls under a PATH. See tools/lint/RULES.md.\n\
      \n\
      \  --json           print findings as a JSON array on stdout\n\
      \  --sarif OUT.json also write findings as SARIF 2.1.0 to OUT.json\n\

@@ -15,16 +15,12 @@
        (Unix.gettimeofday / Unix.time / Sys.time / ...) and host-GC
        reads (Gc.stat / quick_stat / counters / ...) outside
        lib/runner and lib/obs, and order-dependent Hashtbl.iter/fold.
-   R3  structural float equality (= / <> applied to float-looking
-       operands), which silently breaks change-point and elasticity
-       thresholds; use Ccsim_util.Feq.feq ~eps instead.
-   R4  unit-suffix mixing: additive or comparison operators whose two
-       operands carry different unit suffixes (_s vs _bps vs _bytes ...).
 
-   The walk is a heuristic parsetree pass (no type information): it
-   errs toward silence on constructs it cannot classify, and every
-   finding can be suppressed by an inline annotation or a reviewed
-   lint.allow entry carrying a justification. *)
+   The walk is a parsetree pass (no type information): both rules key
+   on names, not types, so they need no build. Float equality and unit
+   mixing need types and live in the typed stage (Lint_typed R6/R7).
+   Every finding can be suppressed by an inline annotation or a
+   reviewed lint.allow entry carrying a justification. *)
 
 type finding = {
   file : string;
@@ -103,7 +99,7 @@ let load_allowlist path =
    styles both work).
 
      (* lint: domain-local *)      suppresses R1
-     (* lint: allow R2 R3 *)       suppresses the listed rules *)
+     (* lint: allow R2 R7 *)       suppresses the listed rules *)
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -292,55 +288,6 @@ let gc_read_ident lid =
       Some ("Gc." ^ fn)
   | _ -> None
 
-let float_suffixes =
-  [ "_s"; "_ms"; "_us"; "_bps"; "_kbps"; "_mbps"; "_gbps"; "_hz"; "_frac"; "_pct"; "_ratio"; "_eps" ]
-
-let unit_suffixes =
-  [ "_s"; "_ms"; "_us"; "_bps"; "_kbps"; "_mbps"; "_gbps"; "_bytes"; "_pkts"; "_hz" ]
-
-let suffix_of suffixes name =
-  List.find_opt
-    (fun suf ->
-      let nl = String.length name and sl = String.length suf in
-      nl > sl && String.equal (String.sub name (nl - sl) sl) suf)
-    suffixes
-
-let float_operators = [ "+."; "-."; "*."; "/."; "**" ]
-
-(* Heuristic: does this expression look float-typed? Used by R3 on the
-   operands of = / <>. No typedtree, so only obviously-float shapes
-   count: float literals, float arithmetic, Float.* accessors, deref of
-   and fields/idents with a float-ish unit suffix. *)
-let rec floatish e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | Pexp_ident { txt = Longident.Lident ("infinity" | "neg_infinity" | "nan" | "epsilon_float" | "max_float" | "min_float"); _ } ->
-      true
-  | Pexp_ident { txt = Longident.Ldot (Longident.Lident "Float", _); _ } -> true
-  | Pexp_ident { txt; _ } -> Option.is_some (suffix_of float_suffixes (last_component txt))
-  | Pexp_field (_, { txt; _ }) -> Option.is_some (suffix_of float_suffixes (last_component txt))
-  | Pexp_constraint (inner, { ptyp_desc = Ptyp_constr ({ txt = Longident.Lident "float"; _ }, []); _ }) ->
-      ignore inner;
-      true
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, [ (_, inner) ]) ->
-      floatish inner
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident op; _ }; _ }, _)
-    when List.mem op float_operators ->
-      true
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Ldot (Longident.Lident "Float", fn); _ }; _ }, _)
-    when not (List.mem fn [ "to_int"; "compare"; "equal"; "is_integer"; "is_finite"; "is_nan"; "sign_bit" ]) ->
-      true
-  | _ -> false
-
-let unit_suffix_of_operand e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> suffix_of unit_suffixes (last_component txt)
-  | Pexp_field (_, { txt; _ }) -> suffix_of unit_suffixes (last_component txt)
-  | _ -> None
-
-let additive_or_comparison = [ "+."; "-."; "+"; "-"; "<"; "<="; ">"; ">="; "="; "<>" ]
-
 (* ------------------------------------------------------------------ *)
 (* The per-file scan *)
 
@@ -359,7 +306,7 @@ let check_expr ctx e =
   (* Uses are checked on the bare ident: the iterator visits the callee
      of every application, so applications are covered without double
      counting. *)
-  (match e.pexp_desc with
+  match e.pexp_desc with
   | Pexp_ident { txt; loc } -> (
       (if has_component "Random" txt then
          emit ctx loc "R2"
@@ -389,32 +336,6 @@ let check_expr ctx e =
                "nondeterminism: Hashtbl.%s visits bindings in hash order; iterate a deterministic \
                 key list (or sort, then allowlist with a justification)"
                op)
-      | _ -> ())
-  | _ -> ());
-  match e.pexp_desc with
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); loc; _ }; _ },
-       [ (_, a); (_, b) ]) ->
-      (if floatish a || floatish b then
-         emit ctx loc "R3"
-           (Printf.sprintf
-              "structural float %s: silently breaks detector thresholds on representation \
-               changes; use Ccsim_util.Feq.feq ~eps (eps = 0. preserves exact semantics)"
-              op));
-      (match (unit_suffix_of_operand a, unit_suffix_of_operand b) with
-      | Some sa, Some sb when not (String.equal sa sb) ->
-          emit ctx loc "R4"
-            (Printf.sprintf "unit mismatch: operands of %s carry different unit suffixes (%s vs %s)"
-               op sa sb)
-      | _ -> ())
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt = Longident.Lident op; loc; _ }; _ }, [ (_, a); (_, b) ])
-    when List.mem op additive_or_comparison -> (
-      match (unit_suffix_of_operand a, unit_suffix_of_operand b) with
-      | Some sa, Some sb when not (String.equal sa sb) ->
-          emit ctx loc "R4"
-            (Printf.sprintf "unit mismatch: operands of %s carry different unit suffixes (%s vs %s)"
-               op sa sb)
       | _ -> ())
   | _ -> ()
 
@@ -594,12 +515,6 @@ let rule_catalogue =
     ("R2", "parse", "nondeterminism sources",
      "Global Random, wall-clock or host-GC reads outside lib/runner and lib/obs, and \
       hash-order Hashtbl.iter/fold break bit-determinism.");
-    ("R3", "parse", "structural float equality",
-     "= / <> on float-looking operands silently breaks detector thresholds; use \
-      Ccsim_util.Feq.feq ~eps.");
-    ("R4", "parse", "unit-suffix mixing",
-     "Additive or comparison operators whose operands carry different unit suffixes \
-      (_s vs _bps ...).");
     ("R5", "typed", "allocation in [@ccsim.hot] code",
      "Functions annotated [@ccsim.hot] and everything they contain must not allocate: \
       closures, tuples, records, variants, strings, partial applications, allocating \
@@ -607,10 +522,12 @@ let rule_catalogue =
     ("R6", "typed", "polymorphic comparison at a non-immediate type",
      "Stdlib.(=)/(<>)/compare/min/max/Hashtbl.hash instantiated at a type other than \
       int/bool/char/unit walks memory generically: slow in the DES inner loop and wrong \
-      on floats (nan) and cyclic values. Use the monomorphic comparison of the type.");
+      on floats (nan) and cyclic values. Use the monomorphic comparison of the type \
+      (for floats, Float.equal or Ccsim_util.Feq.feq ~eps).");
     ("R7", "typed", "unit mismatch (dimensional analysis)",
      "Units inferred from name suffixes and propagated through arithmetic disagree \
-      across +/-/comparison. * and / combine dimensions; scale prefixes are ignored.");
+      across +/-/comparison/min/max. * and / combine dimensions. Two suffixed names \
+      of one dimension must also agree in scale (_s vs _ms, _bps vs _mbps).");
   ]
 
 let render_sarif findings =

@@ -1,5 +1,5 @@
 (** ccsim-lint rule engine: the parsetree pass enforcing the
-    determinism and data-race catalogue (R1-R4) over simulator sources,
+    determinism and data-race catalogue (R1-R2) over simulator sources,
     plus the shared finding/allowlist/suppression/rendering machinery
     used by both analysis stages (the typed stage lives in
     {!Lint_typed}). See tools/lint/RULES.md for the rule catalogue and

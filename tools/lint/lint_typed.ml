@@ -17,17 +17,17 @@
        compare / min / max / Hashtbl.hash at a type that is not a known
        immediate (int/bool/char/unit) walks memory generically -- slow
        in the DES inner loop, wrong on nan, and allocation-prone via
-       closure-passing. Supersedes the R3 float heuristic with real
-       types.
-   R7  unit inference: scale-free dimensional analysis over {time,
-       data, packets}. Dimensions seed from name suffixes (_s/_ms/_us
-       -> T, _hz -> 1/T, _bps/_kbps/_mbps/_gbps -> D/T, _bytes -> D,
-       _pkts -> P, _frac/_pct/_ratio -> dimensionless) on idents,
-       fields, params and let-bindings, then propagate: + and - and
-       comparisons require equal dimensions, * and / combine them,
-       literals are transparent. Scale prefixes are deliberately
-       ignored so correct conversions (x_ms /. 1e3 vs y_s) stay silent.
-       Supersedes the R4 suffix heuristic.
+       closure-passing. Float = / <> is the common case.
+   R7  unit inference: dimensional analysis over {time, data,
+       packets}. Dimensions seed from name suffixes (_s/_ms/_us -> T,
+       _hz -> 1/T, _bps/_kbps/_mbps/_gbps -> D/T, _bytes -> D, _pkts ->
+       P, _frac/_pct/_ratio -> dimensionless) on idents, fields, params
+       and let-bindings, then propagate: + and - and comparisons
+       require equal dimensions, * and / combine them, literals are
+       transparent. Inference ignores scale, so correct conversions
+       (x_ms /. 1e3 vs y_s) stay silent; only when both operands of +,
+       -, a comparison or min/max are suffixed names does the check
+       also compare their scales (x_ms < y_s, a_bps +. b_mbps).
 
    Suppression is shared with the parse stage: [@lint.allow R5 R6]
    attributes (read straight off the typedtree), (* lint: allow ... *)
@@ -114,30 +114,34 @@ let dim_to_string d =
     | _ -> num_s ^ "/" ^ String.concat "/" (List.map render den)
   end
 
-(* Longest-suffix-first: _pkts and _bps both end in _s and must win. *)
-let suffix_dims =
+(* Longest-suffix-first: _pkts and _bps both end in _s and must win.
+   The int is the suffix's power-of-ten scale within its dimension
+   (_ms is 10^-3 s); only the scale check reads it. *)
+let suffix_units =
   [
-    ("_ratio", dim_zero);
-    ("_bytes", { dim_zero with dd = 1 });
-    ("_kbps", { dim_zero with dd = 1; dt = -1 });
-    ("_mbps", { dim_zero with dd = 1; dt = -1 });
-    ("_gbps", { dim_zero with dd = 1; dt = -1 });
-    ("_pkts", { dim_zero with dp = 1 });
-    ("_frac", dim_zero);
-    ("_bps", { dim_zero with dd = 1; dt = -1 });
-    ("_pct", dim_zero);
-    ("_ms", { dim_zero with dt = 1 });
-    ("_us", { dim_zero with dt = 1 });
-    ("_hz", { dim_zero with dt = -1 });
-    ("_s", { dim_zero with dt = 1 });
+    ("_ratio", dim_zero, 0);
+    ("_bytes", { dim_zero with dd = 1 }, 0);
+    ("_kbps", { dim_zero with dd = 1; dt = -1 }, 3);
+    ("_mbps", { dim_zero with dd = 1; dt = -1 }, 6);
+    ("_gbps", { dim_zero with dd = 1; dt = -1 }, 9);
+    ("_pkts", { dim_zero with dp = 1 }, 0);
+    ("_frac", dim_zero, 0);
+    ("_bps", { dim_zero with dd = 1; dt = -1 }, 0);
+    ("_pct", dim_zero, -2);
+    ("_ms", { dim_zero with dt = 1 }, -3);
+    ("_us", { dim_zero with dt = 1 }, -6);
+    ("_hz", { dim_zero with dt = -1 }, 0);
+    ("_s", { dim_zero with dt = 1 }, 0);
   ]
 
-let dim_of_name name =
-  List.find_map
-    (fun (suf, d) ->
+let suffix_unit name =
+  List.find_opt
+    (fun (suf, _, _) ->
       let nl = String.length name and sl = String.length suf in
-      if nl > sl && String.equal (String.sub name (nl - sl) sl) suf then Some d else None)
-    suffix_dims
+      nl > sl && String.equal (String.sub name (nl - sl) sl) suf)
+    suffix_units
+
+let dim_of_name name = Option.map (fun (_, d, _) -> d) (suffix_unit name)
 
 (* Three-valued inference lattice. U_const (literals) is transparent in
    addition and the identity in multiplication; U_unknown poisons * and
@@ -238,7 +242,8 @@ let check_r6 ctx e =
                    "polymorphic %s instantiated at %s (not an immediate int/bool/char/unit): \
                     generic compare walks memory, is wrong on nan, and is slow on the hot \
                     path; use the type's monomorphic comparison (String.equal, Float.compare, \
-                    a match, ...)"
+                    a match, ...); for floats, Float.equal or Ccsim_util.Feq.feq ~eps, which \
+                    states the tolerance detector thresholds rely on"
                    name (type_to_string bad))
           | None -> ())
       | _ -> ())
@@ -443,8 +448,17 @@ let rec infer_unit ctx e =
       | _ -> U_unknown)
   | _ -> U_unknown
 
+(* The suffix entry of an operand that is itself a suffixed name (an
+   identifier or a record field), for the scale check. *)
+let named_unit e =
+  match e.exp_desc with
+  | Texp_ident (path, _, _) -> suffix_unit (Path.last path)
+  | Texp_field (_, _, lbl) -> suffix_unit lbl.Types.lbl_name
+  | _ -> None
+
 (* Checking hook: dimension mismatches at additive/comparison/min-max
-   operators, reported with both inferred dimensions. *)
+   operators, reported with both inferred dimensions; between two
+   suffixed names of one dimension, scale mismatches (_s vs _ms). *)
 let check_r7_expr ctx e =
   if ctx.emit_r7 then
     match e.exp_desc with
@@ -456,20 +470,28 @@ let check_r7_expr ctx e =
         in
         match (classify_op p, plain) with
         | Some ((Op_add | Op_cmp | Op_minmax) as cls), [ a; b ] -> (
+            let what =
+              match cls with
+              | Op_add -> "additive operator"
+              | Op_cmp -> "comparison"
+              | _ -> "min/max"
+            in
             match (infer_unit ctx a, infer_unit ctx b) with
             | U_dim da, U_dim db when not (dim_eq da db) ->
-                let what =
-                  match cls with
-                  | Op_add -> "additive operator"
-                  | Op_cmp -> "comparison"
-                  | _ -> "min/max"
-                in
                 emit ctx loc "R7"
                   (Printf.sprintf
                      "unit mismatch: %s %s combines %s with %s (dimensions inferred from \
                       name suffixes and propagated through arithmetic)"
                      what (Path.last p) (dim_to_string da) (dim_to_string db))
-            | _ -> ())
+            | _ -> (
+                match (named_unit a, named_unit b) with
+                | Some (sa, d, ka), Some (sb, _, kb) when ka <> kb ->
+                    emit ctx loc "R7"
+                      (Printf.sprintf
+                         "unit scale mismatch: %s %s combines %s vs %s (both %s, scales \
+                          differ by 10^%d); convert one operand with Ccsim_util.Units first"
+                         what (Path.last p) sa sb (dim_to_string d) (abs (ka - kb)))
+                | _ -> ()))
         | _ -> ())
     | Texp_setfield (_, { loc; _ }, lbl, rhs) -> (
         match dim_of_name lbl.Types.lbl_name with
