@@ -19,17 +19,39 @@ module E = Ccsim_core.Experiments
 module Obs = Ccsim_obs
 module Faults = Ccsim_faults
 
+(* Reject out-of-domain numbers at parse time, so they exit 2 naming the
+   option: downstream they raise an uncaught Invalid_argument
+   (Recorder.create, Span.create, Timeline.create), fail the job
+   (Scenario.make, the population builders), or never finish (an
+   infinite duration). *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ -> Error (`Msg "value must be positive")
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a finite positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let seed_arg =
   let doc = "Deterministic seed for the experiment." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let duration_arg default =
   let doc = "Simulated seconds per scenario." in
-  Arg.(value & opt float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let flows_arg default =
   let doc = "Synthetic population size (flows/candidates to generate)." in
-  Arg.(value & opt int default & info [ "flows" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int default & info [ "flows" ] ~docv:"N" ~doc)
 
 let backend_arg =
   let doc =
@@ -41,8 +63,8 @@ let backend_arg =
 
 (* Reject a backend the experiment does not support before any job is
    built. Exit 124, not the usage-error 2: an unsupported backend is a
-   capability gap, reported like a timeout so sweeps can tell the two
-   apart (see the exit-code table in the README). *)
+   capability gap, not a malformed command line (see the exit-code table
+   in the README). *)
 let validate_backend (e : E.t) = function
   | None -> None
   | Some b ->
@@ -137,7 +159,7 @@ let series_interval_arg =
   let doc = "Timeline sampling interval in simulated seconds." in
   Arg.(
     value
-    & opt float Obs.Timeline.default_interval
+    & opt positive_float Obs.Timeline.default_interval
     & info [ "series-interval" ] ~docv:"SECONDS" ~doc)
 
 let chrome_arg =
@@ -171,18 +193,6 @@ let check_policy_arg =
     Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Obs.Watchdog.policy_to_string p))
   in
   Arg.(value & opt (some policy_conv) None & info [ "check-policy" ] ~docv:"POLICY" ~doc)
-
-(* Reject non-positive values at parse time: Recorder.create /
-   Span.create would raise the same complaint as an uncaught
-   Invalid_argument. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ -> Error (`Msg "value must be positive")
-    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let flight_cap_arg =
   let doc =
@@ -281,155 +291,106 @@ let obs_enabled c =
   c.metrics_path <> None || c.flight_path <> None || c.profile || c.series_path <> None
   || c.chrome_path <> None || c.check || c.spans
 
-(* Per-job instrument handles, harvested after the pool drains. Each job
-   gets its own registry/recorder/profile (registries are not
-   thread-safe; a job runs entirely on one pool domain). *)
-type obs_handle = {
-  job_name : string;
-  j_metrics : Obs.Metrics.t option;
-  j_recorder : Obs.Recorder.t option;
-  j_profile : Obs.Profile.t option;
-  j_timeline : Obs.Timeline.t option;
-  j_watchdog : Obs.Watchdog.t option;
-  j_span : Obs.Span.t option;
-}
-
-let wrap_thunk cfg ~name thunk =
-  if not (obs_enabled cfg) then (thunk, None)
-  else begin
-    let metrics = if cfg.metrics_path <> None then Some (Obs.Metrics.create ()) else None in
-    let recorder =
-      if cfg.flight_path <> None || cfg.chrome_path <> None then
-        Some (Obs.Recorder.create ~capacity:cfg.flight_cap ~level:cfg.flight_level ())
-      else None
-    in
-    let profile = if cfg.profile then Some (Obs.Profile.create ()) else None in
-    let timeline =
-      if cfg.series_path <> None || cfg.chrome_path <> None then
-        Some (Obs.Timeline.create ~interval:cfg.series_interval ())
-      else None
-    in
-    let watchdog =
-      if cfg.check then Some (Obs.Watchdog.create ?policy:cfg.check_policy ()) else None
-    in
-    let span =
-      if cfg.spans then Some (Obs.Span.create ?recorder ~sample:cfg.span_sample ())
-      else None
-    in
-    (match (watchdog, timeline) with
-    | Some w, Some tl -> Obs.Watchdog.watch_timeline w tl
-    | _ -> ());
-    let scope = Obs.Scope.v ?metrics ?recorder ?profile ?timeline ?watchdog ?span () in
-    let thunk () = Obs.Scope.with_scope scope thunk in
-    ( thunk,
-      Some
-        {
-          job_name = name;
-          j_metrics = metrics;
-          j_recorder = recorder;
-          j_profile = profile;
-          j_timeline = timeline;
-          j_watchdog = watchdog;
-          j_span = span;
-        } )
-  end
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+(* The scope a job runs under, holding that job's own instruments
+   (registries are not thread-safe; a job runs entirely on one pool
+   domain). They are harvested after the pool drains. *)
+let job_scope cfg =
+  let metrics = if cfg.metrics_path <> None then Some (Obs.Metrics.create ()) else None in
+  let recorder =
+    if cfg.flight_path <> None || cfg.chrome_path <> None then
+      Some (Obs.Recorder.create ~capacity:cfg.flight_cap ~level:cfg.flight_level ())
+    else None
+  in
+  let profile = if cfg.profile then Some (Obs.Profile.create ()) else None in
+  let timeline =
+    if cfg.series_path <> None || cfg.chrome_path <> None then
+      Some (Obs.Timeline.create ~interval:cfg.series_interval ())
+    else None
+  in
+  let watchdog =
+    if cfg.check then Some (Obs.Watchdog.create ?policy:cfg.check_policy ()) else None
+  in
+  let span =
+    if cfg.spans then Some (Obs.Span.create ?recorder ~sample:cfg.span_sample ()) else None
+  in
+  (match (watchdog, timeline) with
+  | Some w, Some tl -> Obs.Watchdog.watch_timeline w tl
+  | _ -> ());
+  Obs.Scope.v ?metrics ?recorder ?profile ?timeline ?watchdog ?span ()
 
 let write_file path content =
-  mkdir_p (Filename.dirname path);
+  R.Cache.mkdir_p (Filename.dirname path);
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content)
 
-(* Export collected instruments; returns [(job, profile-json)] pairs for
-   the runner report. *)
-let export_obs cfg handles =
-  (match cfg.metrics_path with
-  | Some path ->
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun h ->
-          match h.j_metrics with
-          | Some m -> Buffer.add_string buf (Obs.Metrics.to_ndjson ~extra:[ ("job", h.job_name) ] m)
-          | None -> ())
-        handles;
-      write_file path (Buffer.contents buf)
-  | None -> ());
-  (match cfg.flight_path with
-  | Some path ->
+(* One export file built job by job from the instrument [get] picks out
+   of each job's scope: [render ~csv ~header ~extra x] tags the job's
+   lines with its name, and the CSV header goes on the first job only. *)
+let export_per_job path scopes get render =
+  Option.iter
+    (fun path ->
       let csv = Filename.check_suffix path ".csv" in
       let buf = Buffer.create 4096 in
       List.iteri
-        (fun i h ->
-          match h.j_recorder with
-          | Some r ->
-              let extra = [ ("job", h.job_name) ] in
-              Buffer.add_string buf
-                (if csv then Obs.Recorder.to_csv ~header:(i = 0) ~extra r
-                 else Obs.Recorder.to_ndjson ~extra r)
-          | None -> ())
-        handles;
-      write_file path (Buffer.contents buf)
-  | None -> ());
-  (match cfg.series_path with
-  | Some path ->
-      let csv = Filename.check_suffix path ".csv" in
-      let buf = Buffer.create 4096 in
-      List.iteri
-        (fun i h ->
-          match h.j_timeline with
-          | Some tl ->
-              let extra = [ ("job", h.job_name) ] in
-              Buffer.add_string buf
-                (if csv then Obs.Timeline.to_csv ~header:(i = 0) ~extra tl
-                 else Obs.Timeline.to_ndjson ~extra tl)
-          | None -> ())
-        handles;
-      write_file path (Buffer.contents buf)
-  | None -> ());
-  (match cfg.chrome_path with
-  | Some path ->
-      let jobs =
-        List.map (fun h -> (h.job_name, h.j_timeline, h.j_recorder, h.j_span)) handles
-      in
-      write_file path (Obs.Chrome_trace.to_string jobs)
-  | None -> ());
-  (if cfg.spans then
-     List.iter
-       (fun h ->
-         match h.j_span with
-         | Some sp ->
-             Printf.eprintf "spans %s: sample 1/%d, started %d, completed %d, evicted %d\n%!"
-               h.job_name (Obs.Span.sample sp) (Obs.Span.started sp)
-               (Obs.Span.completed_count sp) (Obs.Span.evicted sp)
-         | None -> ())
-       handles);
-  (if cfg.check then
-     (* Under warn/quarantine the run survives past the first violation,
-        so report every one the watchdog collected, not just the first. *)
-     List.iter
-       (fun h ->
-         match h.j_watchdog with
-         | Some w ->
-             List.iter
-               (fun v -> Printf.eprintf "%s%!" (Obs.Watchdog.report v))
-               (Obs.Watchdog.violations w)
-         | None -> ())
-       handles);
-  (if cfg.profile then
-     List.iter
-       (fun h ->
-         match h.j_profile with
-         | Some p -> Printf.eprintf "profile %s: %s\n%!" h.job_name (Obs.Profile.summary p)
-         | None -> ())
-       handles);
+        (fun i (name, scope) ->
+          Option.iter
+            (fun x ->
+              Buffer.add_string buf (render ~csv ~header:(i = 0) ~extra:[ ("job", name) ] x))
+            (get scope))
+        scopes;
+      write_file path (Buffer.contents buf))
+    path
+
+(* Export the instruments of every [(job, scope)]; returns [(job,
+   profile-json)] pairs for the runner report. *)
+let export_obs cfg scopes =
+  export_per_job cfg.metrics_path scopes
+    (fun s -> s.Obs.Scope.metrics)
+    (fun ~csv:_ ~header:_ ~extra m -> Obs.Metrics.to_ndjson ~extra m);
+  export_per_job cfg.flight_path scopes
+    (fun s -> s.Obs.Scope.recorder)
+    (fun ~csv ~header ~extra r ->
+      if csv then Obs.Recorder.to_csv ~header ~extra r else Obs.Recorder.to_ndjson ~extra r);
+  export_per_job cfg.series_path scopes
+    (fun s -> s.Obs.Scope.timeline)
+    (fun ~csv ~header ~extra tl ->
+      if csv then Obs.Timeline.to_csv ~header ~extra tl else Obs.Timeline.to_ndjson ~extra tl);
+  Option.iter
+    (fun path ->
+      write_file path
+        (Obs.Chrome_trace.to_string
+           (List.map
+              (fun (name, (s : Obs.Scope.t)) -> (name, s.timeline, s.recorder, s.span))
+              scopes)))
+    cfg.chrome_path;
+  List.iter
+    (fun (name, (s : Obs.Scope.t)) ->
+      Option.iter
+        (fun sp ->
+          Printf.eprintf "spans %s: sample 1/%d, started %d, completed %d, evicted %d\n%!" name
+            (Obs.Span.sample sp) (Obs.Span.started sp) (Obs.Span.completed_count sp)
+            (Obs.Span.evicted sp))
+        s.span)
+    scopes;
+  (* Under warn/quarantine the run survives past the first violation, so
+     report every one the watchdog collected, not just the first. *)
+  List.iter
+    (fun (_, (s : Obs.Scope.t)) ->
+      Option.iter
+        (fun w ->
+          List.iter
+            (fun v -> Printf.eprintf "%s%!" (Obs.Watchdog.report v))
+            (Obs.Watchdog.violations w))
+        s.watchdog)
+    scopes;
   List.filter_map
-    (fun h -> Option.map (fun p -> (h.job_name, Obs.Profile.to_json p)) h.j_profile)
-    handles
+    (fun (name, (s : Obs.Scope.t)) ->
+      Option.map
+        (fun p ->
+          Printf.eprintf "profile %s: %s\n%!" name (Obs.Profile.summary p);
+          (name, Obs.Profile.to_json p))
+        s.profile)
+    scopes
 
 (* An armed fault plan changes what the renderer computes, so it joins
    the digest params (fault-free digests are unchanged — old cache
@@ -447,105 +408,99 @@ let arm_faults faults render =
       fun () ->
         Faults.Plan.with_armed (Some { Faults.Plan.plan; seed = fault_seed }) render
 
-let job_of ?backend ?duration ?n ?faults ~seed ~obs (e : E.t) =
+(* Sweep names a job by its effective params, not by its sweep point:
+   experiments ignore the axes that do not apply to them. *)
+let params_name (e : E.t) params =
+  String.concat " " (e.id :: List.map (fun (k, v) -> k ^ "=" ^ v) params)
+
+(* Every job the CLI runs, paired with the scope it runs under when
+   instruments are on. The digest is keyed by the experiment id; [name]
+   only labels the job. *)
+let job_of ?backend ?duration ?n ?faults ?(name = fun (e : E.t) _ -> e.id) ~seed ~obs
+    (e : E.t) =
   let params = E.effective_params e ?backend ?duration ?n ~seed () @ fault_params faults in
   let render = arm_faults faults (fun () -> e.render ?backend ?duration ?n ~seed ()) in
-  let thunk, handle = wrap_thunk obs ~name:e.id render in
-  let job =
-    R.Job.make ~name:e.id ~digest:(R.Job.digest_of_params ~name:e.id params) thunk
+  let scope = if obs_enabled obs then Some (job_scope obs) else None in
+  let thunk =
+    match scope with None -> render | Some s -> fun () -> Obs.Scope.with_scope s render
   in
-  (job, handle)
+  let digest = R.Job.digest_of_params ~name:e.id params in
+  (R.Job.make ~name:(name e params) ~digest thunk, scope)
 
 (* A job whose watchdog tripped under the quarantine policy completed,
    but its numbers ran through a violated invariant: mark the result
    degraded so the telemetry table, JSON report and exit code say so. *)
-let mark_quarantined ~handles results =
-  let quarantined name =
-    List.exists
-      (fun h ->
-        h.job_name = name
-        && match h.j_watchdog with Some w -> Obs.Watchdog.degraded w | None -> false)
-      handles
-  in
-  Array.map
-    (fun (r : R.Job.result) ->
-      if r.ok && quarantined r.name then
-        { r with degraded = true; error = Some "watchdog quarantine: invariant violated" }
-      else r)
-    results
+let mark_quarantined scope (r : R.Job.result) =
+  match scope with
+  | Some { Obs.Scope.watchdog = Some w; _ } when r.ok && Obs.Watchdog.degraded w ->
+      { r with degraded = true; error = Some "watchdog quarantine: invariant violated" }
+  | Some _ | None -> r
 
-(* Run jobs, print their blocks to stdout in submission order (blank
-   line between blocks, as `all` always did), telemetry to stderr so
-   stdout rows stay byte-identical across -j levels and cache states.
+(* Run jobs and report them. [print_block i r] writes each job's rows to
+   stdout in submission order, and stdout carries nothing else, so it
+   stays byte-identical across -j levels and cache states. The telemetry
+   table (when [telemetry]) goes to stderr. The JSON report goes to
+   [report], or to [default_report] in the cache directory when caching.
    Returns the unified exit code (Telemetry.exit_code). *)
-let run_and_report ~jobs ~no_cache ~report ~telemetry_to ~obs ~handles jobs_list =
+let run_jobs ~jobs ~no_cache ~report ~default_report ~telemetry ~print_block ~obs pairs =
   let no_cache = no_cache || obs_enabled obs in
   let cache = if no_cache then None else Some (R.Cache.create ()) in
-  let config = R.Pool.config ~jobs ?cache () in
   let t0 = R.Telemetry.now_s () in
-  let results = R.Pool.run config jobs_list in
-  let results = mark_quarantined ~handles results in
+  let results = R.Pool.run ~jobs ?cache (List.map fst pairs) in
+  let scopes = Array.of_list (List.map snd pairs) in
+  let results = Array.map2 mark_quarantined scopes results in
   let total_wall_s = R.Telemetry.now_s () -. t0 in
-  Array.iteri
-    (fun i (r : R.Job.result) ->
-      if i > 0 then print_newline ();
-      print_string r.output)
-    results;
+  Array.iteri print_block results;
   flush stdout;
   let tele = R.Telemetry.make ~pool_jobs:jobs ~total_wall_s results in
-  (match telemetry_to with
-  | Some oc ->
-      output_string oc (R.Telemetry.summary tele);
-      flush oc
-  | None -> ());
-  let profiles = export_obs obs handles in
+  if telemetry then prerr_string (R.Telemetry.summary tele);
+  flush stderr;
+  let profiles =
+    export_obs obs
+      (List.filter_map
+         (fun ((j : R.Job.t), scope) -> Option.map (fun s -> (j.name, s)) scope)
+         pairs)
+  in
   let report_path =
     match report with
     | Some p -> Some p
-    | None when not no_cache -> Some (Filename.concat (R.Cache.default_dir ()) "last_run.json")
+    | None when not no_cache -> Some (Filename.concat (R.Cache.default_dir ()) default_report)
     | None -> None
   in
   Option.iter (fun path -> R.Telemetry.write_json ~profiles tele ~path) report_path;
   R.Telemetry.exit_code tele
 
+(* `all` and the experiment commands: blocks separated by a blank line. *)
+let print_plain i (r : R.Job.result) =
+  if i > 0 then print_newline ();
+  print_string r.output
+
 let exp_cmd (e : E.t) =
-  let info = Cmd.info e.id ~doc:e.title in
-  match e.kind with
-  | E.Timed default ->
-      let run duration seed backend jobs report obs faults =
-        let backend = validate_backend e backend in
-        let job, handle = job_of ?backend ~duration ?faults ~seed ~obs e in
-        exit
-          (run_and_report ~jobs ~no_cache:true ~report ~telemetry_to:None ~obs
-             ~handles:(Option.to_list handle) [ job ])
-      in
-      Cmd.v info
-        Term.(
-          const run $ duration_arg default $ seed_arg $ backend_arg $ jobs_arg $ report_arg
-          $ obs_cfg_term $ faults_term)
-  | E.Sized default ->
-      let run n seed backend jobs report obs faults =
-        let backend = validate_backend e backend in
-        let job, handle = job_of ?backend ~n ?faults ~seed ~obs e in
-        exit
-          (run_and_report ~jobs ~no_cache:true ~report ~telemetry_to:None ~obs
-             ~handles:(Option.to_list handle) [ job ])
-      in
-      Cmd.v info
-        Term.(
-          const run $ flows_arg default $ seed_arg $ backend_arg $ jobs_arg $ report_arg
-          $ obs_cfg_term $ faults_term)
+  let size =
+    match e.kind with
+    | E.Timed default -> Term.(const (fun d -> (Some d, None)) $ duration_arg default)
+    | E.Sized default -> Term.(const (fun n -> (None, Some n)) $ flows_arg default)
+  in
+  let run (duration, n) seed backend jobs report obs faults =
+    let backend = validate_backend e backend in
+    exit
+      (run_jobs ~jobs ~no_cache:true ~report ~default_report:"last_run.json" ~telemetry:false
+         ~print_block:print_plain ~obs
+         [ job_of ?backend ?duration ?n ?faults ~seed ~obs e ])
+  in
+  Cmd.v (Cmd.info e.id ~doc:e.title)
+    Term.(
+      const run $ size $ seed_arg $ backend_arg $ jobs_arg $ report_arg $ obs_cfg_term
+      $ faults_term)
 
 let all_cmd =
   (* Fault params join the job digests, so caching stays correct with
      --faults: same (plan, seed) hits, anything else misses. *)
   let run seed jobs no_cache report obs faults =
-    let pairs = List.map (job_of ?faults ~seed ~obs) E.all in
-    let jobs_list = List.map fst pairs in
-    let handles = List.filter_map snd pairs in
     exit
-      (run_and_report ~jobs ~no_cache ~report ~telemetry_to:(Some stderr) ~obs ~handles
-         jobs_list)
+      (run_jobs ~jobs ~no_cache ~report ~default_report:"last_run.json" ~telemetry:true
+         ~print_block:print_plain ~obs
+         (List.map (job_of ?faults ~seed ~obs) E.all))
   in
   Cmd.v
     (Cmd.info "all"
@@ -591,14 +546,14 @@ let sweep_cmd =
       "Comma-separated durations axis (seconds). Applies to timed experiments; sized ones \
        (fig2, a2, p1) keep their population and run once per seed."
     in
-    Arg.(value & opt (list float) [] & info [ "durations" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt (list positive_float) [] & info [ "durations" ] ~docv:"SECONDS" ~doc)
   in
   let populations_arg =
     let doc =
       "Comma-separated population-size axis. Applies to sized experiments (fig2, a2, p1); \
        timed ones ignore it and run once per (seed, duration)."
     in
-    Arg.(value & opt (list int) [] & info [ "populations" ] ~docv:"N" ~doc)
+    Arg.(value & opt (list positive_int) [] & info [ "populations" ] ~docv:"N" ~doc)
   in
   let backends_arg =
     let doc =
@@ -609,7 +564,6 @@ let sweep_cmd =
     Arg.(value & opt (list string) [] & info [ "backends" ] ~docv:"BACKENDS" ~doc)
   in
   let run ids seeds durations populations backends jobs no_cache report obs faults =
-    let no_cache = no_cache || obs_enabled obs in
     let ids = if ids = [] then List.map (fun (e : E.t) -> e.id) E.all else ids in
     let experiments =
       List.map
@@ -639,68 +593,33 @@ let sweep_cmd =
           let seed = int_of_string (Option.get (R.Sweep.get point "seed")) in
           let duration = Option.map float_of_string (R.Sweep.get point "duration") in
           let n = Option.map int_of_string (R.Sweep.get point "n") in
+          (* A single-backend experiment runs once whatever the backend
+             axis says; a multi-backend one skips the backends it lacks. *)
           let backend =
-            match R.Sweep.get point "backend" with
-            | Some b when List.length e.backends > 1 ->
-                if List.mem b e.backends then Some b else None
-            | Some _ | None -> None
+            if List.length e.backends > 1 then R.Sweep.get point "backend" else None
           in
-          let skip_unsupported =
-            match R.Sweep.get point "backend" with
-            | Some b -> List.length e.backends > 1 && not (List.mem b e.backends)
-            | None -> false
-          in
-          if skip_unsupported then None
-          else begin
-            let params =
-              E.effective_params e ?backend ?duration ?n ~seed () @ fault_params faults
-            in
-            let digest = R.Job.digest_of_params ~name:e.id params in
-            if Hashtbl.mem seen digest then None
-            else begin
-              Hashtbl.add seen digest ();
-              (* Name from the effective params, not the sweep point:
-                 experiments ignore the axes that do not apply to them. *)
-              let name =
-                String.concat " " (e.id :: List.map (fun (k, v) -> k ^ "=" ^ v) params)
+          match backend with
+          | Some b when not (List.mem b e.backends) -> None
+          | backend ->
+              let ((job : R.Job.t), _) as pair =
+                job_of ?backend ?duration ?n ?faults ~name:params_name ~seed ~obs e
               in
-              let render =
-                arm_faults faults (fun () -> e.render ?backend ?duration ?n ~seed ())
-              in
-              let thunk, handle = wrap_thunk obs ~name render in
-              Some (R.Job.make ~name ~digest thunk, handle)
-            end
-          end)
+              if Hashtbl.mem seen job.digest then None
+              else begin
+                Hashtbl.add seen job.digest ();
+                Some pair
+              end)
         (R.Sweep.points axes)
     in
-    let jobs_list = List.map fst pairs in
-    let handles = List.filter_map snd pairs in
-    Printf.printf "sweep: %d job(s) on %d worker(s)\n\n" (List.length jobs_list) jobs;
-    let cache = if no_cache then None else Some (R.Cache.create ()) in
-    let config = R.Pool.config ~jobs ?cache () in
-    let t0 = R.Telemetry.now_s () in
-    let results = R.Pool.run config jobs_list in
-    let results = mark_quarantined ~handles results in
-    let total_wall_s = R.Telemetry.now_s () -. t0 in
-    Array.iter
-      (fun (r : R.Job.result) ->
-        Printf.printf "== %s\n" r.name;
-        print_string r.output;
-        print_newline ())
-      results;
-    let tele = R.Telemetry.make ~pool_jobs:jobs ~total_wall_s results in
-    print_string (R.Telemetry.summary tele);
-    flush stdout;
-    let profiles = export_obs obs handles in
-    let report_path =
-      match report with
-      | Some p -> Some p
-      | None when not no_cache ->
-          Some (Filename.concat (R.Cache.default_dir ()) "last_sweep.json")
-      | None -> None
+    Printf.eprintf "sweep: %d job(s) on %d worker(s)\n%!" (List.length pairs) jobs;
+    let print_block _ (r : R.Job.result) =
+      Printf.printf "== %s\n" r.name;
+      print_string r.output;
+      print_newline ()
     in
-    Option.iter (fun path -> R.Telemetry.write_json ~profiles tele ~path) report_path;
-    exit (R.Telemetry.exit_code tele)
+    exit
+      (run_jobs ~jobs ~no_cache ~report ~default_report:"last_sweep.json" ~telemetry:true
+         ~print_block ~obs pairs)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -859,23 +778,45 @@ let perf_cmd =
           BENCH_engine.json")
     Term.(const run $ quick_arg $ out_arg $ seed_arg $ iters_arg)
 
-let analyze_cmd =
+(* `analyze` and `explain` read a --series recording over the same
+   window and threshold. An unreadable or malformed file is a usage
+   error (exit 2) with a message, never an uncaught exception. *)
+let series_cmd name ~doc extra render =
   let file_arg =
     let doc = "NDJSON series file produced by a run with --series." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SERIES_FILE" ~doc)
   in
   let warmup_arg =
-    let doc = "Drop samples before this time (seconds) from elasticity classification." in
+    let doc =
+      "Drop samples before this time (seconds) from the analysis (use the scenario's \
+       warmup; fig3 uses 10)."
+    in
     Arg.(value & opt float 0.0 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
   in
   let until_arg =
-    let doc = "Drop samples after this time (seconds) from elasticity classification." in
+    let doc = "Drop samples after this time (seconds) from the analysis." in
     Arg.(value & opt (some float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
   in
   let threshold_arg =
     let doc = "Elasticity p90 classification threshold (fig3's rule uses 0.5)." in
     Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
   in
+  let run file warmup until threshold extra =
+    match Ccsim_measure.Offline.load file with
+    | exception Sys_error msg ->
+        Printf.eprintf "ccsim %s: %s\n" name msg;
+        exit 2
+    | exception Ccsim_measure.Offline.Parse_error msg ->
+        Printf.eprintf "ccsim %s: %s: %s\n" name file msg;
+        exit 2
+    | series ->
+        print_string (render ~warmup ~until ~threshold extra series);
+        exit 0
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ file_arg $ warmup_arg $ until_arg $ threshold_arg $ extra)
+
+let analyze_cmd =
   let shift_threshold_arg =
     let doc =
       "Minimum largest-shift / mean ratio for a change-point verdict of \
@@ -883,69 +824,24 @@ let analyze_cmd =
     in
     Arg.(value & opt float 0.2 & info [ "shift-threshold" ] ~docv:"X" ~doc)
   in
-  let run file warmup until threshold shift_threshold =
-    match Ccsim_measure.Offline.load file with
-    | exception Sys_error msg ->
-        Printf.eprintf "ccsim analyze: %s\n" msg;
-        exit 2
-    | exception Ccsim_measure.Offline.Parse_error msg ->
-        Printf.eprintf "ccsim analyze: %s: %s\n" file msg;
-        exit 2
-    | series ->
-        print_string
-          (Ccsim_measure.Offline.render ~warmup ?hi:until ~threshold ~shift_threshold
-             series);
-        exit 0
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Re-run the change-point and elasticity detectors offline over a --series \
-          recording; on a same-seed recording this reproduces the in-sim verdicts")
-    Term.(
-      const run $ file_arg $ warmup_arg $ until_arg $ threshold_arg $ shift_threshold_arg)
+  series_cmd "analyze"
+    ~doc:
+      "Re-run the change-point and elasticity detectors offline over a --series \
+       recording; on a same-seed recording this reproduces the in-sim verdicts"
+    shift_threshold_arg
+    (fun ~warmup ~until ~threshold shift_threshold series ->
+      Ccsim_measure.Offline.render ~warmup ?hi:until ~threshold ~shift_threshold series)
 
 let explain_cmd =
-  let file_arg =
-    let doc = "NDJSON series file produced by a run with --series." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SERIES_FILE" ~doc)
-  in
-  let warmup_arg =
-    let doc =
-      "Drop samples before this time (seconds) from the analysis window (use the \
-       scenario's warmup; fig3 uses 10)."
-    in
-    Arg.(value & opt float 0.0 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
-  in
-  let until_arg =
-    let doc = "Drop samples after this time (seconds) from the analysis window." in
-    Arg.(value & opt (some float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
-  in
-  let threshold_arg =
-    let doc = "Elasticity p90 classification threshold (fig3's rule uses 0.5)." in
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
-  in
-  let run file warmup until threshold =
-    match Ccsim_measure.Offline.load file with
-    | exception Sys_error msg ->
-        Printf.eprintf "ccsim explain: %s\n" msg;
-        exit 2
-    | exception Ccsim_measure.Offline.Parse_error msg ->
-        Printf.eprintf "ccsim explain: %s: %s\n" file msg;
-        exit 2
-    | series ->
-        print_string
-          (Ccsim_measure.Offline.render_explain ~warmup ?hi:until ~threshold series);
-        exit 0
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Diagnose each flow's contention from a --series recording: dominant send limit \
-          (app/rwnd/cwnd/pacing/recovery), queueing-delay share of RTT, bottleneck \
-          occupancy and drop shares, contended time, and the scenario's cross-traffic \
-          elasticity verdict (same rule as the online Nimbus detector)")
-    Term.(const run $ file_arg $ warmup_arg $ until_arg $ threshold_arg)
+  series_cmd "explain"
+    ~doc:
+      "Diagnose each flow's contention from a --series recording: dominant send limit \
+       (app/rwnd/cwnd/pacing/recovery), queueing-delay share of RTT, bottleneck \
+       occupancy and drop shares, contended time, and the scenario's cross-traffic \
+       elasticity verdict (same rule as the online Nimbus detector)"
+    (Term.const ())
+    (fun ~warmup ~until ~threshold () series ->
+      Ccsim_measure.Offline.render_explain ~warmup ?hi:until ~threshold series)
 
 let main =
   let doc = "reproduce 'How I Learned to Stop Worrying About CCA Contention' (HotNets '23)" in
@@ -955,7 +851,7 @@ let main =
     @ [ all_cmd; sweep_cmd; analyze_cmd; explain_cmd; perf_cmd; list_cmd ])
 
 (* Unified exit codes (README): 0 ok, 1 verdict/job failure, 2 usage
-   error, 124 timeout or unsupported backend. Cmdliner's defaults remap
+   error, 124 unsupported backend. Cmdliner's defaults remap
    inconsistently (unknown options honour ~term_err while conv
    failures hard-code 124), so map the eval outcome ourselves: every
    command-line problem — unknown command, bad flag, malformed value —

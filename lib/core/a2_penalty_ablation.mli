@@ -16,7 +16,5 @@ type row = {
 
 val run : ?n:int -> ?seed:int -> unit -> row list
 val render : row list -> string
-(** Paper-style report rows rendered to a string (what {!print}
-    writes to stdout); the runner caches and reorders these. *)
-
-val print : row list -> unit
+(** Paper-style report rows rendered to a string; the runner caches
+    and reorders these. *)

@@ -67,5 +67,3 @@ let render rows =
         ])
     rows;
   Report.table b table
-
-let print rows = print_string (render rows)

@@ -203,5 +203,3 @@ let render rows =
     \ burst loss, corruption, delay spikes, qdisc resets — a stable verdict must\n\
     \ match the fault-free row of its case)\n";
   Report.table b table
-
-let print rows = print_string (render rows)

@@ -42,4 +42,3 @@ type row = {
 
 val run : ?duration:float -> ?seed:int -> unit -> row list
 val render : row list -> string
-val print : row list -> unit

@@ -73,5 +73,3 @@ let render { report; accuracy } =
         a.precision a.recall a.true_positives a.false_positives a.false_negatives
         a.true_negatives
   | None -> ())
-
-let print output = print_string (render output)

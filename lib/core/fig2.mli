@@ -18,7 +18,5 @@ val run : ?n:int -> ?seed:int -> unit -> output
 (** Default [n] = 9,984 flows, as in the paper. *)
 
 val render : output -> string
-(** Paper-style report rows rendered to a string (what {!print}
-    writes to stdout); the runner caches and reorders these. *)
-
-val print : output -> unit
+(** Paper-style report rows rendered to a string; the runner caches
+    and reorders these. *)

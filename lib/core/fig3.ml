@@ -115,5 +115,3 @@ let render rows =
   Report.line b "Figure 3: elasticity of a Nimbus probe vs five cross-traffic types";
   Printf.bprintf b "(48 Mbit/s bottleneck, 100 ms RTT; elasticity > 0.5 => contending)\n";
   Report.table b table
-
-let print rows = print_string (render rows)

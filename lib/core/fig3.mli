@@ -30,7 +30,5 @@ val run : ?duration:float -> ?seed:int -> unit -> row list
 (** One scenario per cross-traffic type (default 45 s each). *)
 
 val render : row list -> string
-(** Paper-style report rows rendered to a string (what {!print}
-    writes to stdout); the runner caches and reorders these. *)
-
-val print : row list -> unit
+(** Paper-style report rows rendered to a string; the runner caches
+    and reorders these. *)

@@ -279,5 +279,3 @@ let render r =
             Mbit/s foreground vs %.1f Mbit/s fluid background; link contended %.1fs"
            h.coupled_link_mbps h.fg_cubic_mbps h.fg_reno_mbps h.bg_served_mbps
            h.coupled_contended_s)
-
-let print r = print_string (render r)

@@ -47,4 +47,3 @@ val run : ?n:int -> ?seed:int -> ?backend:backend -> unit -> result
 (** [n] is the population size (default 2000). *)
 
 val render : result -> string
-val print : result -> unit

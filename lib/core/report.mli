@@ -2,10 +2,10 @@
     functions.
 
     Experiments render their paper-style rows to a string so the runner
-    subsystem can cache, diff, and reorder whole outputs; each module's
-    [print] is just its [render] written to stdout. The helpers mirror
-    the printing primitives the modules used before ([print_endline],
-    [Printf.printf], {!Ccsim_util.Table.print}) byte for byte. *)
+    subsystem can cache, diff, and reorder whole outputs. The helpers
+    mirror the printing primitives the modules used before
+    ([print_endline], [Printf.printf], {!Ccsim_util.Table.print}) byte
+    for byte. *)
 
 val with_buf : (Buffer.t -> unit) -> string
 (** Run the emitter against a fresh buffer and return its contents. *)

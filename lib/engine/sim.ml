@@ -7,7 +7,6 @@ type t = {
   clock : float array;
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-event store *)
-  mutable stopped : bool;
   profile : Obs.Profile.t option;
   mutable component : string;
       (* label the in-flight event callback charges its execution to;
@@ -25,16 +24,7 @@ type t = {
          [("sim", "2"); ("scenario", "fig3/bbr bulk")] *)
   mutable probes : (Obs.Timeline.series * (unit -> float)) list;  (* newest first *)
   mutable driver_pending : int;  (* scheduled observability driver ticks *)
-  deadline : Obs.Deadline.t option;
-  mutable deadline_hit : bool;
-  mutable deadline_events : int;  (* events since the last deadline poll *)
 }
-
-(* Polling the ambient deadline costs a wall-clock read, so it happens
-   once per this many events; a hit stops the run at the next event
-   boundary. The poll never feeds any simulated quantity, so a run that
-   finishes in time is byte-identical to an undeadlined run. *)
-let deadline_poll_every = 512
 
 (* Periodic observability drivers must never keep the run alive on their
    own: a tick reschedules itself only while a non-driver event remains
@@ -71,20 +61,14 @@ let sample_probes t () =
     (fun (s, probe) -> Obs.Timeline.record s ~time:t.clock.(0) ~value:(probe ()))
     (List.rev t.probes)
 
-let create ?profile ?timeline ?watchdog () =
+let create () =
   let scope = Obs.Scope.ambient () in
-  let profile = match profile with Some _ -> profile | None -> scope.Obs.Scope.profile in
   let heap_hist =
     match scope.Obs.Scope.metrics with
     | Some m -> Some (Obs.Metrics.histogram m "engine_heap_depth")
     | None -> None
   in
-  let timeline =
-    match timeline with Some _ -> timeline | None -> scope.Obs.Scope.timeline
-  in
-  let watchdog =
-    match watchdog with Some _ -> watchdog | None -> scope.Obs.Scope.watchdog
-  in
+  let timeline = scope.Obs.Scope.timeline and watchdog = scope.Obs.Scope.watchdog in
   let tl_tags =
     match timeline with
     | None -> []
@@ -94,8 +78,7 @@ let create ?profile ?timeline ?watchdog () =
     {
       heap = Event_heap.create ();
       clock = Array.make 1 0.0;
-      stopped = false;
-      profile;
+      profile = scope.Obs.Scope.profile;
       heap_hist;
       component = "other";
       timeline;
@@ -104,9 +87,6 @@ let create ?profile ?timeline ?watchdog () =
       tl_tags;
       probes = [];
       driver_pending = 0;
-      deadline = Obs.Deadline.ambient ();
-      deadline_hit = false;
-      deadline_events = 0;
     }
   in
   (match timeline with
@@ -120,8 +100,6 @@ let create ?profile ?timeline ?watchdog () =
   t
 
 let now t = t.clock.(0)
-let profile t = t.profile
-let timeline t = t.timeline
 let watchdog t = t.watchdog
 let set_component t name = t.component <- name
 
@@ -214,42 +192,25 @@ let[@ccsim.hot] step t =
             ~seconds:(Ccsim_obs.Profile.wall_now () -. t0));
       true
 
-let[@ccsim.hot] poll_deadline t =
-  match t.deadline with
-  | None -> ()
-  | Some d ->
-      t.deadline_events <- t.deadline_events + 1;
-      if t.deadline_events >= deadline_poll_every then begin
-        t.deadline_events <- 0;
-        if Obs.Deadline.exceeded d then begin
-          t.deadline_hit <- true;
-          t.stopped <- true
-        end
-      end
-
 (* The inner event loop: peek through the alloc-free [next_time]
-   (infinity sentinel), execute, poll the deadline. Top-level recursion
-   rather than a [while]/[ref] so the hot region allocates nothing. *)
+   (infinity sentinel), step, recurse. Top-level recursion rather than
+   a [while]/[ref] so the hot region allocates nothing. *)
 let[@ccsim.hot] rec run_loop t ~horizon =
-  if not t.stopped then begin
-    let time = Event_heap.next_time t.heap in
-    (* [next_time] = infinity means an empty heap — unless an event is
-       genuinely scheduled at infinity, which [is_empty] distinguishes. *)
-    if time > horizon || Event_heap.is_empty t.heap then ()
-    else begin
-      ignore (step t);
-      poll_deadline t;
-      run_loop t ~horizon
-    end
+  let time = Event_heap.next_time t.heap in
+  (* [next_time] = infinity means an empty heap — unless an event is
+     genuinely scheduled at infinity, which [is_empty] distinguishes. *)
+  if time > horizon || Event_heap.is_empty t.heap then ()
+  else begin
+    ignore (step t);
+    run_loop t ~horizon
   end
 
 let run ?until t =
   let horizon = match until with None -> infinity | Some u -> u in
   if Float.is_nan horizon then invalid_arg "Sim.run: NaN horizon";
-  t.stopped <- false;
   run_loop t ~horizon;
   (match until with
-  | Some u when t.clock.(0) < u && not t.stopped -> t.clock.(0) <- u
+  | Some u when t.clock.(0) < u -> t.clock.(0) <- u
   | Some _ | None -> ());
   (match t.profile with
   | Some p ->
@@ -270,8 +231,6 @@ let run ?until t =
   | None -> ()
 
 let pending t = Event_heap.size t.heap
-let stop t = t.stopped <- true
-let deadline_hit t = t.deadline_hit
 
 let every t ~interval ?start ?(stop_after = infinity) f =
   if not (interval > 0.0) then invalid_arg "Sim.every: interval must be positive";
@@ -283,9 +242,3 @@ let every t ~interval ?start ?(stop_after = infinity) f =
     end
   in
   if first <= stop_after then ignore (schedule_at t ~time:first tick)
-
-let after_n t ~n ~interval f =
-  if not (interval > 0.0) then invalid_arg "Sim.after_n: interval must be positive";
-  for i = 0 to n - 1 do
-    ignore (schedule t ~delay:(float_of_int (i + 1) *. interval) (fun () -> f i))
-  done

@@ -15,16 +15,12 @@ val no_event : event_id
 (** A handle that is never pending, for initialising timer fields:
     {!cancel} ignores it and {!reschedule} schedules afresh. *)
 
-val create :
-  ?profile:Ccsim_obs.Profile.t ->
-  ?timeline:Ccsim_obs.Timeline.t ->
-  ?watchdog:Ccsim_obs.Watchdog.t ->
-  unit ->
-  t
-(** Each instrument is taken explicitly or inherited from the ambient
-    {!Ccsim_obs.Scope} when omitted.
+val create : unit -> t
+(** A fresh simulation at time 0. Its instruments are the ambient
+    {!Ccsim_obs.Scope}'s, read once here; wrap the call in
+    {!Ccsim_obs.Scope.with_scope} to attach them.
 
-    With [profile], every executed event is timed and charged to the
+    With a profile, every executed event is timed and charged to the
     component label its callback declares via {!set_component}; the
     peak heap depth and furthest simulated clock are tracked; scheduled
     and cancelled events are counted per component (attributed to the
@@ -32,16 +28,16 @@ val create :
     accumulate allocation totals (flushed when {!run} returns, see
     {!Ccsim_obs.Profile.gc_flush}).
 
-    With an ambient {!Ccsim_obs.Scope} metrics registry, the event-heap
+    With a metrics registry, the event-heap
     depth is observed per executed event into the shared
     ["engine_heap_depth"] histogram (one instrument per registry, so
     multiple sims in a job aggregate).
 
-    With [timeline], the sim tags its series with a fresh ["sim"] id,
+    With a timeline, the sim tags its series with a fresh ["sim"] id,
     and a periodic driver (at {!Ccsim_obs.Timeline.interval}) samples
     every probe registered via {!add_timeline_probe}.
 
-    With [watchdog], a periodic driver (at
+    With a watchdog, a periodic driver (at
     {!Ccsim_obs.Watchdog.interval}) sweeps the registered invariant
     checks, {!step} verifies clock monotonicity, and {!run} performs a
     final sweep before returning — raising
@@ -55,11 +51,8 @@ val create :
 val now : t -> float
 (** Current virtual time in seconds (0 at creation). *)
 
-val profile : t -> Ccsim_obs.Profile.t option
-(** The attached engine profile, if any. *)
-
-val timeline : t -> Ccsim_obs.Timeline.t option
 val watchdog : t -> Ccsim_obs.Watchdog.t option
+(** The attached invariant watchdog, if any. *)
 
 val add_timeline_tags : t -> (string * string) list -> unit
 (** Prepend labels to every series this sim registers from now on (e.g.
@@ -120,19 +113,6 @@ val step : t -> bool
 val pending : t -> int
 (** Number of live scheduled events. *)
 
-val stop : t -> unit
-(** Make the current {!run} return after the in-progress event completes;
-    pending events remain queued. *)
-
-val deadline_hit : t -> bool
-(** Whether a {!run} was cut short by the ambient
-    {!Ccsim_obs.Deadline} (armed by the runner pool around the job).
-    The deadline is polled at event boundaries every few hundred
-    events; when it fires, the run stops cleanly between events with
-    the clock at the last executed event, so partial metrics and
-    timeline series remain collectable. A run that finishes before its
-    deadline is byte-identical to an undeadlined run. *)
-
 val periodic_driver : t -> interval:float -> comp:string -> (unit -> unit) -> unit
 (** Install a periodic driver tick, like the built-in timeline and
     watchdog drivers: [f] runs every [interval] seconds charged to
@@ -147,8 +127,3 @@ val every : t -> interval:float -> ?start:float -> ?stop_after:float -> (unit ->
     and every [interval] thereafter, until [stop_after] (absolute time,
     default never) or the end of the run. [interval] must be positive
     (NaN is rejected). *)
-
-val after_n : t -> n:int -> interval:float -> (int -> unit) -> unit
-(** Run a callback [n] times, [interval] apart, starting one interval from
-    now; the callback receives the 0-based tick index. [interval] must
-    be positive (NaN is rejected). *)

@@ -15,6 +15,11 @@ val default_dir : unit -> string
 val create : ?dir:string -> unit -> t
 (** Open (creating if needed) the cache directory. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; a no-op when it exists.
+    Every ccsim writer that may target a fresh directory (cache, run
+    report, instrument exports) goes through it. *)
+
 val dir : t -> string
 
 val find : t -> string -> string option

@@ -27,11 +27,9 @@ type result = {
   output : string;
   ok : bool;
   error : string option;
-  attempts : int;
   cache_hit : bool;
   queue_wait_s : float;
   wall_s : float;
-  timed_out : bool;
   degraded : bool;
 }
 

@@ -22,17 +22,15 @@ type result = {
   digest : string;
   output : string;  (** rendered rows; an error row if the job failed *)
   ok : bool;
-  error : string option;  (** exception text / timeout notice *)
-  attempts : int;  (** executions performed; 0 on a cache hit *)
-  cache_hit : bool;
+  error : string option;  (** exception text, or the degraded notice *)
+  cache_hit : bool;  (** served from the cache; the job did not run *)
   queue_wait_s : float;  (** submission-to-start latency *)
   wall_s : float;  (** execution wall-clock (0 on a cache hit) *)
-  timed_out : bool;
   degraded : bool;
-      (** The job hit its cooperative deadline (or tripped a
-          quarantine-policy watchdog) but still produced salvageable
-          partial output: [ok] stays true, the output is kept out of
-          the cache, and reports mark the row degraded. *)
+      (** The job completed ([ok] stays true) but a quarantine-policy
+          watchdog saw an invariant violated on the way, so its numbers
+          are suspect; reports mark the row degraded. The pool never
+          sets it: the CLI does, after the pool drains. *)
 }
 
 val error_row : name:string -> string -> string

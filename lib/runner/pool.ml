@@ -1,146 +1,42 @@
-type config = {
-  jobs : int;
-  retries : int;
-  backoff_base_s : float;
-  backoff_cap_s : float;
-  timeout_s : float option;
-  cache : Cache.t option;
-}
-
-let config ?(jobs = 1) ?(retries = 0) ?(backoff_base_s = 0.05) ?(backoff_cap_s = 1.0) ?timeout_s
-    ?cache () =
-  if backoff_base_s < 0.0 then invalid_arg "Pool.config: backoff_base_s must be non-negative";
-  if backoff_cap_s < backoff_base_s then
-    invalid_arg "Pool.config: backoff_cap_s must be >= backoff_base_s";
-  { jobs; retries; backoff_base_s; backoff_cap_s; timeout_s; cache }
-
-(* Capped exponential backoff before retry [attempt + 1]: base doubles
-   per failed attempt up to the cap, then a jitter factor in [0.5, 1)
-   decorrelates workers. The jitter stream is seeded from the job
-   digest and attempt number, never a global PRNG, so the schedule is a
-   pure function of the job — deterministic under ccsim-lint R2 (sleep
-   durations are timing, not simulated results). *)
-let backoff_delay_s config ~digest ~attempt =
-  if config.backoff_base_s <= 0.0 then 0.0
-  else begin
-    let doublings = min (attempt - 1) 30 in
-    let raw = config.backoff_base_s *. (2.0 ** float_of_int doublings) in
-    let capped = Float.min config.backoff_cap_s raw in
-    (* Value-hashing the (digest, attempt) pair is deliberate: the jitter
-       seed must be a stable function of both, and this path runs once per
-       retry, not per event. *)
-    let rng = Ccsim_util.Rng.create ((Hashtbl.hash (digest, attempt)) [@lint.allow R6]) in
-    capped *. (0.5 +. Ccsim_util.Rng.float rng 0.5)
-  end
-
-let exec_one config ~queue_wait_s (job : Job.t) : Job.result =
-  let cached =
-    match config.cache with None -> None | Some c -> Cache.find c job.digest
+let exec_one ?cache ~queue_wait_s (job : Job.t) : Job.result =
+  let result ~output ~error ~cache_hit ~wall_s =
+    {
+      Job.name = job.name;
+      digest = job.digest;
+      output;
+      ok = Option.is_none error;
+      error;
+      cache_hit;
+      queue_wait_s;
+      wall_s;
+      degraded = false;
+    }
   in
-  match cached with
-  | Some output ->
-      {
-        Job.name = job.name;
-        digest = job.digest;
-        output;
-        ok = true;
-        error = None;
-        attempts = 0;
-        cache_hit = true;
-        queue_wait_s;
-        wall_s = 0.0;
-        timed_out = false;
-        degraded = false;
-      }
-  | None ->
-      let deadline =
-        match config.timeout_s with
-        | Some timeout_s -> Some (Ccsim_obs.Deadline.create ~timeout_s)
-        | None -> None
-      in
-      let deadline_hit () =
-        match deadline with Some d -> Ccsim_obs.Deadline.hit d | None -> false
-      in
+  match Option.bind cache (fun c -> Cache.find c job.digest) with
+  | Some output -> result ~output ~error:None ~cache_hit:true ~wall_s:0.0
+  | None -> (
       let started = Unix.gettimeofday () in
-      let rec attempt k =
-        match job.run () with
-        | output -> (Ok output, k)
-        | exception e ->
-            (* A job cut short by its deadline may surface the stop as
-               an exception; retrying it would just time out again. *)
-            if k <= config.retries && not (deadline_hit ()) then begin
-              Unix.sleepf (backoff_delay_s config ~digest:job.digest ~attempt:k);
-              attempt (k + 1)
-            end
-            else (Error (Printexc.to_string e), k)
-      in
-      let outcome, attempts =
-        match deadline with
-        | None -> attempt 1
-        | Some d -> Ccsim_obs.Deadline.with_deadline d (fun () -> attempt 1)
-      in
+      let outcome = match job.run () with output -> Ok output | exception e -> Error e in
       let wall_s = Unix.gettimeofday () -. started in
-      let hit = deadline_hit () in
-      let timed_out =
-        hit || (match config.timeout_s with Some t -> wall_s > t | None -> false)
-      in
-      let base ~output ~ok ~error ~degraded =
-        {
-          Job.name = job.name;
-          digest = job.digest;
-          output;
-          ok;
-          error;
-          attempts;
-          cache_hit = false;
-          queue_wait_s;
-          wall_s;
-          timed_out;
-          degraded;
-        }
-      in
-      (match (outcome, timed_out) with
-      | Ok output, false ->
-          (match config.cache with
-          | Some c -> Cache.store c ~digest:job.digest output
-          | None -> ());
-          base ~output ~ok:true ~error:None ~degraded:false
-      | Ok output, true when hit ->
-          (* The cooperative deadline fired and the job still returned:
-             its sims stopped at event boundaries and the partial
-             metrics/series were collected. Salvage the output (never
-             cached — it does not correspond to the digest's params)
-             and mark the row degraded. *)
-          let msg =
-            Printf.sprintf "deadline %gs hit; partial results salvaged (ran %.1fs)"
-              (Option.get config.timeout_s) wall_s
-          in
-          base ~output ~ok:true ~error:(Some msg) ~degraded:true
-      | Ok _, true ->
-          let msg =
-            Printf.sprintf "exceeded %gs timeout (ran %.1fs)"
-              (Option.get config.timeout_s) wall_s
-          in
-          base ~output:(Job.error_row ~name:job.name msg) ~ok:false ~error:(Some msg)
-            ~degraded:false
-      | Error msg, _ ->
-          let msg =
-            if attempts > 1 then Printf.sprintf "%s (after %d attempts)" msg attempts
-            else msg
-          in
-          base ~output:(Job.error_row ~name:job.name msg) ~ok:false ~error:(Some msg)
-            ~degraded:false)
+      match outcome with
+      | Ok output ->
+          Option.iter (fun c -> Cache.store c ~digest:job.digest output) cache;
+          result ~output ~error:None ~cache_hit:false ~wall_s
+      | Error e ->
+          let msg = Printexc.to_string e in
+          result ~output:(Job.error_row ~name:job.name msg) ~error:(Some msg) ~cache_hit:false
+            ~wall_s)
 
-let run config jobs_list =
+let run ~jobs:workers ?cache jobs_list =
   let jobs = Array.of_list jobs_list in
   let n = Array.length jobs in
   let results = Array.make n None in
   let submitted = Unix.gettimeofday () in
   let work i =
     let queue_wait_s = Unix.gettimeofday () -. submitted in
-    results.(i) <- Some (exec_one config ~queue_wait_s jobs.(i))
+    results.(i) <- Some (exec_one ?cache ~queue_wait_s jobs.(i))
   in
-  if config.jobs <= 1 || n <= 1 then
+  if workers <= 1 || n <= 1 then
     for i = 0 to n - 1 do
       work i
     done
@@ -156,7 +52,7 @@ let run config jobs_list =
       in
       loop ()
     in
-    let domains = List.init (min config.jobs n) (fun _ -> Domain.spawn worker) in
+    let domains = List.init (min workers n) (fun _ -> Domain.spawn worker) in
     List.iter Domain.join domains
   end;
   Array.map (function Some r -> r | None -> assert false) results

@@ -7,46 +7,12 @@
     drain a shared queue (each scenario owns its seeded Rng, so results
     stay row-for-row identical; only wall-clock changes).
 
-    Crash isolation: a job that raises is retried up to [retries]
-    times, with capped exponential backoff between attempts
-    ([backoff_base_s] doubling up to [backoff_cap_s], jittered by a
-    factor in [0.5, 1) drawn from a SplitMix64 stream seeded by the job
-    digest and attempt number — fully deterministic, no global PRNG).
-    After the retries are exhausted the job yields an error-row result
-    instead of killing the pool.
+    Crash isolation: a job that raises yields an error-row result
+    ({!Job.error_row}) instead of killing the pool, and its siblings run
+    on. With a [cache], a job whose digest is stored is served from it
+    without running, and a job that succeeds is stored; a failure never
+    is. *)
 
-    Timeouts are cooperative: OCaml domains cannot be interrupted, so
-    the pool arms a {!Ccsim_obs.Deadline} around each job. Simulations
-    inside poll it at event boundaries and stop cleanly, letting the
-    job salvage partial metrics/series; such a result keeps [ok = true]
-    but is marked [degraded] (and [timed_out]) and stays out of the
-    cache. A job that ignores the deadline still runs to completion and
-    is reported as a plain timeout failure. *)
-
-type config = {
-  jobs : int;  (** worker domains; <= 1 means inline serial *)
-  retries : int;  (** re-executions after a raise (default 0) *)
-  backoff_base_s : float;  (** first retry delay (default 0.05; 0 disables) *)
-  backoff_cap_s : float;  (** backoff ceiling (default 1.0) *)
-  timeout_s : float option;
-  cache : Cache.t option;
-}
-
-val config :
-  ?jobs:int ->
-  ?retries:int ->
-  ?backoff_base_s:float ->
-  ?backoff_cap_s:float ->
-  ?timeout_s:float ->
-  ?cache:Cache.t ->
-  unit ->
-  config
-(** Raises [Invalid_argument] if [backoff_base_s] is negative or
-    [backoff_cap_s < backoff_base_s]. *)
-
-val backoff_delay_s : config -> digest:string -> attempt:int -> float
-(** The jittered delay slept before retry [attempt + 1] (attempts are
-    1-based); exposed for tests. Deterministic in [(digest, attempt)]. *)
-
-val run : config -> Job.t list -> Job.result array
-(** Results in submission order. *)
+val run : jobs:int -> ?cache:Cache.t -> Job.t list -> Job.result array
+(** [run ~jobs ?cache js] runs [js] on [jobs] worker domains ([<= 1]
+    means inline serial). Results come back in submission order. *)

@@ -26,14 +26,11 @@ let count p t = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 t.result
 let cache_hits = count (fun (r : Job.result) -> r.cache_hit)
 let failures = count (fun (r : Job.result) -> not r.ok)
 let degraded = count (fun (r : Job.result) -> r.degraded)
-let timeouts = count (fun (r : Job.result) -> r.timed_out)
 
 (* Unified CLI exit codes (documented in README): 0 all jobs ok,
-   1 verdict/job failure, 124 timeout (including degraded deadline
-   hits). Usage errors exit 2 via cmdliner; unsupported backends exit
-   124 before any pool run. *)
-let exit_code t =
-  if timeouts t > 0 then 124 else if failures t > 0 then 1 else 0
+   1 verdict/job failure. Usage errors exit 2 via cmdliner; unsupported
+   backends exit 124 before any pool run. *)
+let exit_code t = if failures t > 0 then 1 else 0
 
 (* More worker domains than host cores means the workers time-share: the
    suite still completes, but wall-clock speedup is bounded by the cores,
@@ -50,7 +47,6 @@ let summary t =
           ("job", Table.Left);
           ("status", Table.Left);
           ("cache", Table.Left);
-          ("attempts", Table.Right);
           ("queue s", Table.Right);
           ("wall s", Table.Right);
         ]
@@ -60,12 +56,8 @@ let summary t =
       Table.add_row table
         [
           r.name;
-          (if r.degraded then "degraded"
-           else if r.ok then "ok"
-           else if r.timed_out then "timeout"
-           else "error");
+          (if r.degraded then "degraded" else if r.ok then "ok" else "error");
           (if r.cache_hit then "hit" else "miss");
-          string_of_int r.attempts;
           Table.cell_f ~decimals:3 r.queue_wait_s;
           Table.cell_f ~decimals:3 r.wall_s;
         ])
@@ -85,7 +77,7 @@ let summary t =
 let to_json ?(profiles = []) t =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
-    "{\n  \"schema\": \"ccsim-runner/1\",\n  \"pool_jobs\": %d,\n  \"host_cores\": %d,\n  \"oversubscribed\": %b,\n  \"total_wall_s\": %.6f,\n  \"cache_hits\": %d,\n  \"failures\": %d,\n  \"degraded\": %d,\n  \"jobs\": [\n"
+    "{\n  \"schema\": \"ccsim-runner/2\",\n  \"pool_jobs\": %d,\n  \"host_cores\": %d,\n  \"oversubscribed\": %b,\n  \"total_wall_s\": %.6f,\n  \"cache_hits\": %d,\n  \"failures\": %d,\n  \"degraded\": %d,\n  \"jobs\": [\n"
     t.pool_jobs (host_cores ()) (oversubscribed t) t.total_wall_s (cache_hits t)
     (failures t) (degraded t);
   Array.iteri
@@ -96,9 +88,9 @@ let to_json ?(profiles = []) t =
         | None -> ""
       in
       Printf.bprintf buf
-        "    {\"name\": %s, \"digest\": %s, \"ok\": %b, \"cache_hit\": %b, \"attempts\": %d, \"queue_wait_s\": %.6f, \"wall_s\": %.6f, \"timed_out\": %b, \"degraded\": %b, \"error\": %s%s}%s\n"
-        (Ccsim_obs.Json.str r.name) (Ccsim_obs.Json.str r.digest) r.ok r.cache_hit r.attempts
-        r.queue_wait_s r.wall_s r.timed_out r.degraded
+        "    {\"name\": %s, \"digest\": %s, \"ok\": %b, \"cache_hit\": %b, \"queue_wait_s\": %.6f, \"wall_s\": %.6f, \"degraded\": %b, \"error\": %s%s}%s\n"
+        (Ccsim_obs.Json.str r.name) (Ccsim_obs.Json.str r.digest) r.ok r.cache_hit
+        r.queue_wait_s r.wall_s r.degraded
         (match r.error with None -> "null" | Some e -> Ccsim_obs.Json.str e)
         profile_field
         (if i = Array.length t.results - 1 then "" else ","))
@@ -106,14 +98,8 @@ let to_json ?(profiles = []) t =
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
-let rec mkdir_p dir =
-  if not (String.equal dir "") && not (String.equal dir ".") && not (String.equal dir "/") && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_json ?(profiles = []) t ~path =
-  mkdir_p (Filename.dirname path);
+  Cache.mkdir_p (Filename.dirname path);
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect

@@ -36,23 +36,19 @@ val cache_hits : t -> int
 val failures : t -> int
 
 val degraded : t -> int
-(** Jobs whose cooperative deadline fired but whose partial output was
-    salvaged ([ok] true, kept out of the cache). *)
-
-val timeouts : t -> int
-(** Jobs with [timed_out] set (degraded deadline hits included). *)
+(** Jobs marked {!Job.result.degraded}: completed, but under a
+    quarantine-policy watchdog that saw an invariant violated. *)
 
 val exit_code : t -> int
-(** The unified CLI exit code for this run: 124 if any job timed out
-    (hard or degraded), else 1 if any job failed, else 0. Usage errors
-    (2) and unsupported backends (124) are decided before a pool run
-    exists. *)
+(** The unified CLI exit code for this run: 1 if any job failed, else
+    0. Usage errors (2) and unsupported backends (124) are decided
+    before a pool run exists. *)
 
 val summary : t -> string
 (** Rendered per-job table plus a totals line. *)
 
 val to_json : ?profiles:(string * string) list -> t -> string
-(** Machine-readable report: schema ["ccsim-runner/1"], pool size, host
+(** Machine-readable report: schema ["ccsim-runner/2"], pool size, host
     cores, the {!oversubscribed} flag, total wall-clock, aggregate
     counters, and one record per job. [profiles]
     maps job names to pre-rendered JSON objects (engine-profiler output,

@@ -1,19 +1,29 @@
 (* The ccsim CLI's exit-code contract (README "Fault injection &
-   chaos"): 0 ok, 1 job/verdict failure, 2 usage error, 124 deadline or
-   unsupported backend. Regression-tested against the real binary —
-   cmdliner 1.3.0 hard-codes 124 for option-converter failures, so the
-   CLI maps codes itself and this suite pins the mapping. *)
+   chaos"): 0 ok, 1 job/verdict failure, 2 usage error, 124 unsupported
+   backend. Regression-tested against the real binary — cmdliner 1.3.0
+   hard-codes 124 for option-converter failures, so the CLI maps codes
+   itself and this suite pins the mapping. *)
 
 (* The binary sits next to this test in the build tree
    (_build/default/{test,bin}); resolving via the running executable
    works under both `dune runtest` and `dune exec` from the root. *)
-let binary =
-  Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." "bin/ccsim.exe")
+let in_build rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+let binary = in_build "../bin/ccsim.exe"
 
 let ccsim args = Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote binary) args)
 
 let check_code name args expected =
   Alcotest.(check int) (Printf.sprintf "%s: `ccsim %s`" name args) expected (ccsim args)
+
+(* An out-of-domain number must be refused while parsing, naming the
+   option. Under a deadline, so an input that hangs the run fails the
+   test instead of hanging the suite (timeout exits 124). *)
+let check_rejected args () =
+  Alcotest.(check int)
+    (Printf.sprintf "`ccsim %s` exits 2 within 30 s" args)
+    2
+    (Sys.command
+       (Printf.sprintf "timeout 30 %s %s >/dev/null 2>&1" (Filename.quote binary) args))
 
 let test_ok () =
   check_code "listing runs clean" "list" 0;
@@ -72,6 +82,68 @@ let test_bad_series_files () =
       ("a file cut off mid-line", line ^ String.sub line 0 20);
     ]
 
+(* The exit code and stdout of shell command [cmd]. *)
+let run_capturing cmd =
+  let out = Filename.temp_file "ccsim_stdout" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code = Sys.command (Printf.sprintf "(%s) >%s" cmd (Filename.quote out)) in
+      (code, read_file out))
+
+(* stdout carries only result rows, so a sweep prints the same bytes
+   whatever the worker count; its header line and telemetry table (wall
+   times) go to stderr. *)
+let test_sweep_stdout_parallelism_free () =
+  let stdout_of jobs =
+    let args = Printf.sprintf "sweep e4 --seeds 1,2 --durations 7 --no-cache -j %d" jobs in
+    let code, out =
+      run_capturing (Printf.sprintf "%s %s 2>/dev/null" (Filename.quote binary) args)
+    in
+    Alcotest.(check int) ("`ccsim " ^ args ^ "` succeeds") 0 code;
+    out
+  in
+  let serial = stdout_of 1 in
+  Alcotest.(check bool) "blocks printed" true (contains ~sub:"== e4 " serial);
+  Alcotest.(check string) "-j 1 and -j 2 print identical stdout" serial (stdout_of 2)
+
+(* Every [--flag] token in [text], in order of appearance. *)
+let flags_in text =
+  let n = String.length text in
+  let flag_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' in
+  let rec scan i acc =
+    if i + 2 >= n then List.rev acc
+    else if text.[i] = '-' && text.[i + 1] = '-' && text.[i + 2] >= 'a' && text.[i + 2] <= 'z'
+    then begin
+      let j = ref (i + 2) in
+      while !j < n && flag_char text.[!j] do
+        incr j
+      done;
+      scan !j (String.sub text i (!j - i) :: acc)
+    end
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* README advertises only flags that exist: each one is in some ccsim
+   command's help or in ccsim_lint's usage text. *)
+let test_readme_flags_exist () =
+  let help_flags cmd = flags_in (snd (run_capturing (cmd ^ " 2>&1"))) in
+  let commands =
+    [ "list"; "all"; "sweep"; "perf"; "analyze"; "explain" ]
+    @ List.map (fun (e : Ccsim_core.Experiments.t) -> e.id) Ccsim_core.Experiments.all
+  in
+  let known =
+    help_flags (Filename.quote (in_build "../tools/lint/ccsim_lint.exe") ^ " --help")
+    @ List.concat_map
+        (fun c -> help_flags (Printf.sprintf "%s %s --help=plain" (Filename.quote binary) c))
+        commands
+  in
+  let readme = read_file (in_build "../README.md") in
+  let missing = List.filter (fun f -> not (List.mem f known)) (flags_in readme) in
+  Alcotest.(check (list string)) "README flags missing from every help text" []
+    (List.sort_uniq String.compare missing)
+
 let test_flight_rec_level () =
   (* --flight-rec-level raises the recorder's severity floor: a journal
      captured at `warn` must drop the debug/info event bulk (packet
@@ -106,5 +178,16 @@ let suite =
     Alcotest.test_case "exit 1: job failure" `Quick test_job_failure;
     Alcotest.test_case "exit 124: unsupported backend" `Quick test_unsupported_backend;
     Alcotest.test_case "exit 2: malformed series files" `Quick test_bad_series_files;
+    Alcotest.test_case "exit 2: infinite --duration" `Quick (check_rejected "e4 --duration inf");
+    Alcotest.test_case "exit 2: NaN --duration" `Quick (check_rejected "e4 --duration nan");
+    Alcotest.test_case "exit 2: negative --duration" `Quick (check_rejected "e4 --duration=-1");
+    Alcotest.test_case "exit 2: zero --flows" `Quick (check_rejected "p1 --flows 0");
+    Alcotest.test_case "exit 2: NaN in --durations" `Quick
+      (check_rejected "sweep e4 --durations nan --seeds 1");
+    Alcotest.test_case "exit 2: zero --series-interval" `Quick
+      (check_rejected "e4 --series series.ndjson --series-interval 0");
+    Alcotest.test_case "sweep: stdout identical at -j 1 and -j 2" `Slow
+      test_sweep_stdout_parallelism_free;
+    Alcotest.test_case "README: every advertised flag exists" `Quick test_readme_flags_exist;
     Alcotest.test_case "flight recorder: severity floor flag" `Slow test_flight_rec_level;
   ]

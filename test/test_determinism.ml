@@ -19,7 +19,7 @@ let job_of ~seed (e : E.t) =
 (* (param digest, output digest) per job: everything a run can vary. *)
 let run_digests ~jobs =
   let js = [ job_of ~seed:11 (exp "fig1"); job_of ~seed:11 (exp "e1") ] in
-  R.Pool.run (R.Pool.config ~jobs ()) js
+  R.Pool.run ~jobs js
   |> Array.map (fun (r : R.Job.result) ->
          Alcotest.(check bool) (r.name ^ " ok") true r.ok;
          (r.digest, Digest.to_hex (Digest.string r.output)))

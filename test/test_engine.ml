@@ -280,19 +280,6 @@ let test_sim_schedule_during_run () =
   Alcotest.(check (list string)) "nested scheduling" [ "outer"; "inner" ] (List.rev !order);
   check_float "clock" 1.5 (Sim.now sim)
 
-let test_sim_stop () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  for _ = 1 to 10 do
-    ignore
-      (Sim.schedule sim ~delay:1.0 (fun () ->
-           incr count;
-           if !count = 3 then Sim.stop sim))
-  done;
-  Sim.run sim;
-  Alcotest.(check int) "stopped after third" 3 !count;
-  Alcotest.(check int) "rest pending" 7 (Sim.pending sim)
-
 let test_sim_every () =
   let sim = Sim.create () in
   let ticks = ref [] in
@@ -307,14 +294,6 @@ let test_sim_every_with_start () =
   Sim.every sim ~interval:2.0 ~start:1.0 ~stop_after:7.0 (fun () -> incr ticks);
   Sim.run sim;
   Alcotest.(check int) "ticks at 1,3,5,7" 4 !ticks
-
-let test_sim_after_n () =
-  let sim = Sim.create () in
-  let seen = ref [] in
-  Sim.after_n sim ~n:3 ~interval:0.5 (fun i -> seen := (i, Sim.now sim) :: !seen);
-  Sim.run sim;
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "indexed ticks" [ (0, 0.5); (1, 1.0); (2, 1.5) ] (List.rev !seen)
 
 let test_sim_determinism () =
   (* Two identical simulations must produce identical event interleavings. *)
@@ -334,7 +313,7 @@ let test_sim_determinism () =
 
 let test_sim_schedule_cancel_accounting () =
   let p = Ccsim_obs.Profile.create () in
-  let sim = Sim.create ~profile:p () in
+  let sim = Ccsim_obs.Scope.(with_scope (v ~profile:p ()) Sim.create) in
   let id = Sim.schedule sim ~delay:1.0 (fun () -> ()) in
   ignore (Sim.schedule sim ~delay:2.0 (fun () -> ()));
   Sim.cancel sim id;
@@ -381,7 +360,7 @@ let test_sim_reschedule_order () =
 
 let test_sim_reschedule_accounting () =
   let p = Ccsim_obs.Profile.create () in
-  let sim = Sim.create ~profile:p () in
+  let sim = Ccsim_obs.Scope.(with_scope (v ~profile:p ()) Sim.create) in
   let fired = ref 0 in
   let f () = incr fired in
   let id = Sim.schedule sim ~delay:1.0 f in
@@ -432,10 +411,6 @@ let test_sim_nan_every () =
   rejects_nan "every" "Sim.every: interval must be positive" (fun sim ->
       Sim.every sim ~interval:nan noop)
 
-let test_sim_nan_after_n () =
-  rejects_nan "after_n" "Sim.after_n: interval must be positive" (fun sim ->
-      Sim.after_n sim ~n:3 ~interval:nan (fun _ -> ()))
-
 let test_sim_nan_periodic_driver () =
   rejects_nan "periodic_driver" "Sim.periodic_driver: interval must be positive" (fun sim ->
       Sim.periodic_driver sim ~interval:nan ~comp:"test" noop)
@@ -476,10 +451,8 @@ let suite =
     ("sim: cancel", `Quick, test_sim_cancel);
     ("sim: negative delay rejected", `Quick, test_sim_negative_delay_rejected);
     ("sim: nested scheduling", `Quick, test_sim_schedule_during_run);
-    ("sim: stop", `Quick, test_sim_stop);
     ("sim: every", `Quick, test_sim_every);
     ("sim: every with start", `Quick, test_sim_every_with_start);
-    ("sim: after_n", `Quick, test_sim_after_n);
     ("sim: deterministic", `Quick, test_sim_determinism);
     ("sim: schedule/cancel accounting", `Quick, test_sim_schedule_cancel_accounting);
     ("sim: heap-depth histogram from ambient metrics", `Quick, test_sim_heap_depth_histogram);
@@ -489,7 +462,6 @@ let suite =
     ("sim: NaN rejected by schedule_at", `Quick, test_sim_nan_schedule_at);
     ("sim: NaN rejected by reschedule", `Quick, test_sim_nan_reschedule);
     ("sim: NaN rejected by every", `Quick, test_sim_nan_every);
-    ("sim: NaN rejected by after_n", `Quick, test_sim_nan_after_n);
     ("sim: NaN rejected by periodic_driver", `Quick, test_sim_nan_periodic_driver);
     ("sim: NaN rejected by run ~until", `Quick, test_sim_nan_run_until);
   ]

@@ -12,7 +12,6 @@ let () =
       ("extensions", Test_extensions.suite);
       ("models", Test_models.suite);
       ("features", Test_features.suite);
-      ("parking lot", Test_parking_lot.suite);
       ("runner", Test_runner.suite);
       ("faults", Test_faults.suite);
       ("cli", Test_cli.suite);

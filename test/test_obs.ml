@@ -240,7 +240,7 @@ let test_scope_ambient_restored () =
 
 let test_profiler_attribution () =
   let p = Profile.create () in
-  let sim = Sim.create ~profile:p () in
+  let sim = Scope.(with_scope (v ~profile:p ()) Sim.create) in
   ignore (Sim.schedule sim ~delay:1.0 (fun () -> Sim.set_component sim "link"));
   ignore (Sim.schedule sim ~delay:2.0 (fun () -> Sim.set_component sim "tcp"));
   ignore (Sim.schedule sim ~delay:3.0 (fun () -> ()));
@@ -478,7 +478,7 @@ let test_report_embeds_profile () =
   let job =
     Ccsim_runner.Job.make ~name:"j1" ~digest:"d1" (fun () -> "out\n")
   in
-  let results = Ccsim_runner.Pool.run (Ccsim_runner.Pool.config ~jobs:1 ()) [ job ] in
+  let results = Ccsim_runner.Pool.run ~jobs:1 [ job ] in
   let tele = Ccsim_runner.Telemetry.make ~pool_jobs:1 ~total_wall_s:0.1 results in
   let p = Profile.create () in
   Profile.record p ~comp:"link" ~seconds:0.001;

@@ -256,7 +256,7 @@ let test_profiler_sim_speedup () =
     (contains ~sub:"sim-s" (Profile.summary p));
   (* And via the engine: a run advances the profile's sim clock. *)
   let p2 = Profile.create () in
-  let sim = Sim.create ~profile:p2 () in
+  let sim = Scope.(with_scope (v ~profile:p2 ()) Sim.create) in
   ignore (Sim.schedule sim ~delay:5.0 (fun () -> ()));
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "engine-fed sim seconds" 5.0 (Profile.sim_s p2)
