@@ -37,7 +37,5 @@ let () =
     (fun (time, e) ->
       if time > 6.0 then
         Printf.printf "  %5.1f  %10.2f  %s\n" time e
-          (match Ccsim_measure.Elasticity.classify e with
-          | `Elastic -> "contending"
-          | `Inelastic -> "-"))
+          (if (Ccsim_measure.Elasticity.verdict [| e |]).elastic then "contending" else "-"))
     (U.Timeseries.to_list handle.elasticity)

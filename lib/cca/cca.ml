@@ -24,13 +24,16 @@ type t = {
 
 let initial_window ~mss = 10.0 *. float_of_int mss
 
-let hystart_delay_exceeded ~min_rtt ~rtt =
-  Float.is_finite min_rtt && min_rtt > 0.0 && rtt > min_rtt +. Float.max 0.004 (min_rtt /. 8.0)
-
-let make ~name ?(cwnd = initial_window ~mss:Ccsim_util.Units.mss) ?(pacing_rate = infinity)
-    ?(on_ack = fun _ -> ()) ?(on_loss = fun _ -> ()) ?(on_rto = fun ~now:_ -> ())
-    ?(on_send = fun ~now:_ ~bytes:_ -> ()) () =
-  { name; cwnd; pacing_rate; on_ack; on_loss; on_rto; on_send }
+let make ~name ?(cwnd = initial_window ~mss:Ccsim_util.Units.mss) ?(pacing_rate = infinity) () =
+  {
+    name;
+    cwnd;
+    pacing_rate;
+    on_ack = (fun _ -> ());
+    on_loss = (fun _ -> ());
+    on_rto = (fun ~now:_ -> ());
+    on_send = (fun ~now:_ ~bytes:_ -> ());
+  }
 
 let fixed_window ~cwnd_bytes =
   if cwnd_bytes <= 0 then invalid_arg "Cca.fixed_window: cwnd must be positive";

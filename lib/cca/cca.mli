@@ -49,24 +49,10 @@ type t = {
 val initial_window : mss:int -> float
 (** RFC 6928 initial window: 10 MSS, in bytes. *)
 
-val hystart_delay_exceeded : min_rtt:float -> rtt:float -> bool
-(** HyStart's delay-increase heuristic: true when an RTT sample exceeds
-    the minimum by max(4 ms, min_rtt / 8) — the cue for a slow-start
-    exit before the queue overflows. False until a minimum exists. *)
-
-val make :
-  name:string ->
-  ?cwnd:float ->
-  ?pacing_rate:float ->
-  ?on_ack:(ack_info -> unit) ->
-  ?on_loss:(loss_info -> unit) ->
-  ?on_rto:(now:float -> unit) ->
-  ?on_send:(now:float -> bytes:int -> unit) ->
-  unit ->
-  t
-(** Build a CCA record with no-op defaults — used by tests and by
-    fixed-window pseudo-CCAs. Default cwnd is [initial_window ~mss:1448];
-    default pacing is unpaced. *)
+val make : name:string -> ?cwnd:float -> ?pacing_rate:float -> unit -> t
+(** Build a CCA record with no-op handlers, which an implementation then
+    replaces (fixed-window pseudo-CCAs keep them). Default cwnd is
+    [initial_window ~mss:1448]; default pacing is unpaced. *)
 
 val fixed_window : cwnd_bytes:int -> t
 (** Degenerate CCA that never changes its window; useful as an

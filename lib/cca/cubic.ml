@@ -1,6 +1,5 @@
 (* Internally CUBIC operates on windows in units of MSS, as in the RFC. *)
-let create ?(mss = Ccsim_util.Units.mss) ?(c = 0.4) ?(beta = 0.7) ?initial_cwnd
-    ?(hystart = false) () =
+let create ?(mss = Ccsim_util.Units.mss) ?(c = 0.4) ?(beta = 0.7) ?initial_cwnd () =
   if c <= 0.0 then invalid_arg "Cubic.create: c must be positive";
   if beta <= 0.0 || beta >= 1.0 then invalid_arg "Cubic.create: beta must be in (0,1)";
   let fmss = float_of_int mss in
@@ -24,13 +23,7 @@ let create ?(mss = Ccsim_util.Units.mss) ?(c = 0.4) ?(beta = 0.7) ?initial_cwnd
   in
   let on_ack (info : Cca.ack_info) =
     let acked = float_of_int info.newly_acked in
-    if cca.cwnd < !ssthresh then begin
-      (match info.rtt_sample with
-      | Some rtt when hystart && Cca.hystart_delay_exceeded ~min_rtt:info.min_rtt ~rtt ->
-          ssthresh := cca.cwnd
-      | Some _ | None -> ());
-      if cca.cwnd < !ssthresh then cca.cwnd <- cca.cwnd +. acked
-    end
+    if cca.cwnd < !ssthresh then cca.cwnd <- cca.cwnd +. acked
     else begin
       (match !epoch_start with None -> enter_epoch info.now | Some _ -> ());
       match !epoch_start with

@@ -5,7 +5,5 @@
     The dominant deployed loss-based CCA, and one of the two contenders
     in the paper's Figure 3 bulk-transfer cross traffic. *)
 
-val create :
-  ?mss:int -> ?c:float -> ?beta:float -> ?initial_cwnd:float -> ?hystart:bool -> unit -> Cca.t
-(** Defaults per RFC 8312: [c] = 0.4, [beta] = 0.7. [hystart] (default
-    false) enables the delay-increase slow-start exit. *)
+val create : ?mss:int -> ?c:float -> ?beta:float -> ?initial_cwnd:float -> unit -> Cca.t
+(** Defaults per RFC 8312: [c] = 0.4, [beta] = 0.7. *)

@@ -1,4 +1,4 @@
-let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd ?(hystart = false) () =
+let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
   let fmss = float_of_int mss in
   let initial =
     match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss
@@ -9,15 +9,9 @@ let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd ?(hystart = false) () =
   in
   let on_ack (info : Cca.ack_info) =
     let acked = float_of_int info.newly_acked in
-    if cca.cwnd < !ssthresh then begin
-      (* Slow start: grow by the acked bytes (doubling per RTT), with an
-         optional HyStart delay-increase exit. *)
-      (match info.rtt_sample with
-      | Some rtt when hystart && Cca.hystart_delay_exceeded ~min_rtt:info.min_rtt ~rtt ->
-          ssthresh := cca.cwnd
-      | Some _ | None -> ());
-      if cca.cwnd < !ssthresh then cca.cwnd <- cca.cwnd +. acked
-    end
+    if cca.cwnd < !ssthresh then
+      (* Slow start: grow by the acked bytes (doubling per RTT). *)
+      cca.cwnd <- cca.cwnd +. acked
     else
       (* Congestion avoidance: one MSS per window's worth of acks. *)
       cca.cwnd <- cca.cwnd +. (fmss *. acked /. cca.cwnd)

@@ -7,8 +7,6 @@
     TFRC was designed to coexist with, and the victim in BBR unfairness
     studies [2]). *)
 
-val create : ?mss:int -> ?initial_cwnd:float -> ?hystart:bool -> unit -> Cca.t
+val create : ?mss:int -> ?initial_cwnd:float -> unit -> Cca.t
 (** [mss] defaults to {!Ccsim_util.Units.mss}; [initial_cwnd] (bytes) to
-    the RFC 6928 ten-segment window. [hystart] (default false) enables
-    the delay-increase slow-start exit, avoiding the classic overshoot
-    loss burst at the cost of sometimes leaving slow start early. *)
+    the RFC 6928 ten-segment window. *)

@@ -40,25 +40,23 @@ let probe_run ~amplitude ~duration ~cross =
       ignore (Ccsim_app.Cbr.over_udp sim ~source ~rate_bps:(U.Units.mbps 12.0) ()));
   Sim.run ~until:duration sim;
   let steady = U.Timeseries.between handle.elasticity ~lo:10.0 ~hi:duration in
-  let values = U.Timeseries.values steady in
-  let p90 = if Array.length values = 0 then 0.0 else U.Stats.percentile values 90.0 in
   let goodput =
     float_of_int (Ccsim_tcp.Receiver.bytes_received probe.receiver) *. 8.0 /. duration
   in
-  (p90, goodput)
+  (Ccsim_measure.Elasticity.verdict (U.Timeseries.values steady), goodput)
 
 let run ?(duration = 45.0) ?seed () =
   ignore seed;
   List.map
     (fun amplitude ->
-      let elastic_p90, probe_goodput = probe_run ~amplitude ~duration ~cross:`Reno_bulk in
-      let inelastic_p90, _ = probe_run ~amplitude ~duration ~cross:`Cbr_udp in
+      let elastic, probe_goodput = probe_run ~amplitude ~duration ~cross:`Reno_bulk in
+      let inelastic, _ = probe_run ~amplitude ~duration ~cross:`Cbr_udp in
       {
         amplitude;
-        elastic_p90;
-        inelastic_p90;
-        separation = elastic_p90 -. inelastic_p90;
-        both_classified_correctly = elastic_p90 > 0.5 && inelastic_p90 <= 0.5;
+        elastic_p90 = elastic.p90;
+        inelastic_p90 = inelastic.p90;
+        separation = elastic.p90 -. inelastic.p90;
+        both_classified_correctly = elastic.elastic && not inelastic.elastic;
         probe_goodput_mbps = U.Units.to_mbps probe_goodput;
       })
     [ 0.0625; 0.125; 0.25; 0.375 ]

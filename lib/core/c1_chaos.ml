@@ -130,8 +130,8 @@ let run ?(duration = 45.0) ?(seed = 42) () =
             | [] -> U.Timeseries.values steady (* fully masked: fall back to all samples *)
             | l -> Array.of_list (List.rev l)
           in
-          let p90 = if Array.length values = 0 then 0.0 else U.Stats.percentile values 90.0 in
-          let classified_elastic = p90 > 0.5 in
+          let v = Ccsim_measure.Elasticity.verdict values in
+          let classified_elastic = v.elastic in
           (match !baseline_verdict with
           | None -> baseline_verdict := Some classified_elastic
           | Some _ -> ());
@@ -150,7 +150,7 @@ let run ?(duration = 45.0) ?(seed = 42) () =
             case;
             intensity = intensity_to_string intensity;
             expected_elastic;
-            p90_elasticity = p90;
+            p90_elasticity = v.p90;
             classified_elastic;
             stable = (match !baseline_verdict with Some b -> classified_elastic = b | None -> true);
             probe_goodput_mbps = U.Units.to_mbps probe.goodput_bps;

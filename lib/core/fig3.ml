@@ -60,9 +60,7 @@ let run ?(duration = 45.0) ?(seed = 42) () =
       let steady =
         U.Timeseries.between handle.elasticity ~lo:scenario.warmup ~hi:duration
       in
-      let values = U.Timeseries.values steady in
-      let mean_e = if Array.length values = 0 then 0.0 else U.Stats.mean values in
-      let p90 = if Array.length values = 0 then 0.0 else U.Stats.percentile values 90.0 in
+      let v = Ccsim_measure.Elasticity.verdict (U.Timeseries.values steady) in
       let cross_goodput =
         List.fold_left
           (fun acc (f : Results.flow_result) ->
@@ -72,12 +70,9 @@ let run ?(duration = 45.0) ?(seed = 42) () =
       {
         traffic;
         expected_elastic;
-        mean_elasticity = mean_e;
-        p90_elasticity = p90;
-        (* Contention is intermittent (loss-based cross traffic responds
-           hardest around its backoff episodes), so classification keys
-           on the upper tail of the elasticity series. *)
-        classified_elastic = p90 > 0.5;
+        mean_elasticity = v.mean;
+        p90_elasticity = v.p90;
+        classified_elastic = v.elastic;
         probe_goodput_mbps = U.Units.to_mbps probe.goodput_bps;
         cross_goodput_mbps = U.Units.to_mbps cross_goodput;
         elasticity_series = handle.elasticity;

@@ -57,7 +57,6 @@ type qdisc_spec =
   | Drr of { quantum_bytes : int option; limit_bytes : int option }
   | Red
   | Codel
-  | Prio of { bands : int }
 
 type short_flows_spec = {
   arrival_rate : float;
@@ -107,7 +106,6 @@ let build_qdisc sim = function
   | Drr { quantum_bytes; limit_bytes } -> Net.Drr.create ?quantum_bytes ?limit_bytes ()
   | Red -> Net.Red.create ()
   | Codel -> Net.Codel.create ~now:(fun () -> Sim.now sim) ()
-  | Prio { bands } -> Net.Prio.create ~bands ()
 
 let build_cca sim t spec =
   match spec with

@@ -59,7 +59,6 @@ type qdisc_spec =
   | Drr of { quantum_bytes : int option; limit_bytes : int option }
   | Red
   | Codel
-  | Prio of { bands : int }
 
 type short_flows_spec = {
   arrival_rate : float;  (** flows per second *)

@@ -131,6 +131,15 @@ let check_time clause name v = check clause (v >= 0.0) (name ^ " must be non-neg
 let check_dur clause v = check clause (v > 0.0) "dur must be positive"
 let check_p clause name v = check clause (v >= 0.0 && v <= 1.0) (name ^ " outside [0, 1]")
 
+(* A flap draws holding times until [until], so a mean far below the
+   clock's useful resolution means millions of draws per simulated
+   second: a run that never finishes. *)
+let min_flap_mean_s = 0.001
+
+let check_flap_mean clause name v =
+  check clause (v >= min_flap_mean_s)
+    (Printf.sprintf "%s must be at least %g s" name min_flap_mean_s)
+
 let known_keys clause fields keys =
   List.fold_left
     (fun acc (k, _) ->
@@ -239,8 +248,8 @@ let parse_clause clause =
           let mean_down_s = optional fields "mean-down" ~default:0.5 in
           let* () = check_time clause "from" from_s in
           let* () = check clause (until_s > from_s) "until must exceed from" in
-          let* () = check clause (mean_up_s > 0.0) "mean-up must be positive" in
-          let* () = check clause (mean_down_s > 0.0) "mean-down must be positive" in
+          let* () = check_flap_mean clause "mean-up" mean_up_s in
+          let* () = check_flap_mean clause "mean-down" mean_down_s in
           Ok (Some (Flap { from_s; until_s; mean_up_s; mean_down_s }))
       | other -> Error (Printf.sprintf "%S: unknown fault kind %S" clause other))
 

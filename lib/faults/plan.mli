@@ -26,7 +26,8 @@
     - [delay-spike at dur extra] — added propagation delay
     - [qdisc-reset at] — flush the bottleneck queue
     - [flap from until ?mean-up ?mean-down] — stochastic up/down cycling
-      with exponential holding times (defaults 5 / 0.5)
+      with exponential holding times (defaults 5 / 0.5; each mean at
+      least 0.001)
 
     Plans are inert data; {!Injector.attach} compiles one onto a
     simulation. The ambient {e armed plan} ({!with_armed}/{!armed}) is

@@ -43,7 +43,6 @@ type totals = {
 type t = {
   dt_s : float;
   warmup_s : float;
-  method_ : [ `Euler | `Rk4 ];
   payload_frac : float;
   rng : U.Rng.t;
   mutable now_s : float;
@@ -101,7 +100,7 @@ type t = {
 
 let default_dt_s = 0.01
 
-let create ?(dt_s = default_dt_s) ?(method_ = `Euler) ?(warmup_s = 0.0)
+let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
     ?(payload_frac =
       float_of_int U.Units.mss /. float_of_int (U.Units.mss + U.Units.header_bytes))
     ~seed () =
@@ -122,7 +121,6 @@ let create ?(dt_s = default_dt_s) ?(method_ = `Euler) ?(warmup_s = 0.0)
     {
       dt_s;
       warmup_s;
-      method_;
       payload_frac;
       rng = U.Rng.create seed;
       now_s = 0.0;
@@ -481,9 +479,7 @@ let[@ccsim.hot] step t =
   process_toggles t;
   let ws = Option.get t.ws in
   let f = (deriv t [@ccsim.alloc_ok "one integrator-callback closure per fluid step (dt, default 10 ms), not per event"]) in
-  (match t.method_ with
-  | `Euler -> U.Ode.euler_step ws f ~t_s:t.now_s ~dt_s:t.dt_s t.f_y
-  | `Rk4 -> U.Ode.rk4_step ws f ~t_s:t.now_s ~dt_s:t.dt_s t.f_y);
+  U.Ode.euler_step ws f ~t_s:t.now_s ~dt_s:t.dt_s t.f_y;
   settle t;
   ((t.now_s <- t.now_s +. t.dt_s)
   [@ccsim.alloc_ok "one boxed clock store per fluid step, amortized over every flow it advances"])
@@ -551,23 +547,18 @@ let check_link t l name = if l < 0 || l >= t.nl then invalid_arg (name ^ ": unkn
 let check_flow t i name = if i < 0 || i >= t.n then invalid_arg (name ^ ": unknown flow")
 
 let link_capacity_bps t l = check_link t l "Fluid_engine.link_capacity_bps"; t.l_cap.(l)
-let link_arrival_bps t l = check_link t l "Fluid_engine.link_arrival_bps"; t.l_arr.(l)
 let link_served_bps t l = check_link t l "Fluid_engine.link_served_bps"; t.l_served.(l)
 let link_queue_bytes t l = check_link t l "Fluid_engine.link_queue_bytes"; t.l_q.(l)
-let link_loss_frac t l = check_link t l "Fluid_engine.link_loss_frac"; t.l_loss.(l)
 
 let link_contended_s t l =
   check_link t l "Fluid_engine.link_contended_s";
   t.l_contended_s.(l)
 
-let link_active_flows t l = check_link t l "Fluid_engine.link_active_flows"; t.l_active.(l)
 let link_served_bytes t l = check_link t l "Fluid_engine.link_served_bytes"; t.l_served_b.(l)
 
 let link_residual_bytes t l =
   check_link t l "Fluid_engine.link_residual_bytes";
   t.l_offered_b.(l) -. t.l_dropped_b.(l) -. t.l_served_b.(l) -. t.l_q.(l)
-
-let flow_rate_bps t i = check_flow t i "Fluid_engine.flow_rate_bps"; t.xs.(i)
 
 let flow_goodput_bps t i =
   check_flow t i "Fluid_engine.flow_goodput_bps";

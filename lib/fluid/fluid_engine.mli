@@ -46,7 +46,6 @@ val default_dt_s : float
 
 val create :
   ?dt_s:float ->
-  ?method_:[ `Euler | `Rk4 ] ->
   ?warmup_s:float ->
   ?payload_frac:float ->
   seed:int ->
@@ -99,16 +98,11 @@ val set_packet_signals : t -> link:link_id -> rate_bps:float -> backlog_bytes:in
 
 val link_capacity_bps : t -> link_id -> float
 
-val link_arrival_bps : t -> link_id -> float
-(** Fluid offered load at the last step. *)
-
 val link_served_bps : t -> link_id -> float
 (** Fluid load actually delivered at the last step — the cross-traffic
     rate the packet engine should see in hybrid mode. *)
 
 val link_queue_bytes : t -> link_id -> float
-val link_loss_frac : t -> link_id -> float
-val link_active_flows : t -> link_id -> int
 
 val link_contended_s : t -> link_id -> float
 (** Cumulative time the link was contended: busy (arrival ≥ 95% of
@@ -120,9 +114,6 @@ val link_served_bytes : t -> link_id -> float
 val link_residual_bytes : t -> link_id -> float
 (** [offered - dropped - served - queued] for one link; zero up to float
     noise unless accounting is corrupted. *)
-
-val flow_rate_bps : t -> flow_id -> float
-(** Instantaneous wire sending rate at the last step. *)
 
 val flow_goodput_bps : t -> flow_id -> float
 (** Mean payload goodput over the post-warmup window so far. *)

@@ -29,5 +29,17 @@ val windowed :
     (resampled to [sample_rate]) and emit one elasticity score per half
     window, timestamped at the window's end. *)
 
-val classify : ?threshold:float -> float -> [ `Elastic | `Inelastic ]
-(** Default threshold 0.5, as used for Nimbus's mode switch. *)
+type verdict = {
+  samples : int;
+  mean : float;  (** 0 without samples *)
+  p90 : float;  (** 0 without samples *)
+  elastic : bool;  (** [p90 > threshold] *)
+}
+
+val verdict : ?threshold:float -> float array -> verdict
+(** Figure 3's rule over a run's steady-state elasticity samples:
+    elastic when their 90th percentile exceeds [threshold] (default
+    0.5, as used for Nimbus's mode switch). Contention is intermittent
+    (loss-based cross traffic responds hardest around its backoff
+    episodes), so the rule keys on the upper tail, not the mean. No
+    samples is inelastic. *)

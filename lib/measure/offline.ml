@@ -168,24 +168,21 @@ type elasticity_row = {
   classified_elastic : bool;
 }
 
-(* Mirrors fig3: p90 of the steady-state elasticity samples (inclusive
-   [warmup, hi] window, matching [Timeseries.between]) against the
-   elastic threshold. *)
+(* Fig3's verdict over the steady-state samples (inclusive [warmup, hi]
+   window, matching [Timeseries.between]). *)
 let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) s =
   let values =
     Array.to_list (Array.mapi (fun i t -> (t, s.values.(i))) s.times)
     |> List.filter (fun (t, _) -> t >= warmup && t <= hi)
     |> List.map snd |> Array.of_list
   in
-  let samples = Array.length values in
-  let mean_e = if samples = 0 then 0.0 else U.Stats.mean values in
-  let p90 = if samples = 0 then 0.0 else U.Stats.percentile values 90.0 in
+  let v = Elasticity.verdict ~threshold values in
   {
     el_series = s;
-    samples;
-    mean_elasticity = mean_e;
-    p90_elasticity = p90;
-    classified_elastic = p90 > threshold;
+    samples = v.samples;
+    mean_elasticity = v.mean;
+    p90_elasticity = v.p90;
+    classified_elastic = v.elastic;
   }
 
 (* --- report ------------------------------------------------------------- *)

@@ -3,11 +3,8 @@ module U = Ccsim_util
 
 module Flow_monitor = struct
   type t = {
-    acked : U.Timeseries.t;
     throughput : U.Timeseries.t;
-    cwnd : U.Timeseries.t;
     srtt : U.Timeseries.t;
-    mutable snapshots : Ccsim_tcp.Tcp_info.t list;
     mutable last_acked : int;
     mutable last_time : float;
   }
@@ -65,11 +62,8 @@ module Flow_monitor = struct
       ];
     let t =
       {
-        acked = U.Timeseries.create ();
         throughput = U.Timeseries.create ();
-        cwnd = U.Timeseries.create ();
         srtt = U.Timeseries.create ();
-        snapshots = [];
         last_acked = Ccsim_tcp.Sender.bytes_acked sender;
         last_time = Sim.now sim;
       }
@@ -77,24 +71,18 @@ module Flow_monitor = struct
     Sim.every sim ~interval (fun () ->
         Sim.set_component sim "telemetry";
         let now = Sim.now sim in
-        let info = Ccsim_tcp.Sender.info sender in
-        t.snapshots <- info :: t.snapshots;
-        U.Timeseries.add t.acked ~time:now ~value:(float_of_int info.bytes_acked);
-        U.Timeseries.add t.cwnd ~time:now ~value:info.cwnd_bytes;
-        U.Timeseries.add t.srtt ~time:now ~value:info.srtt;
+        let acked = Ccsim_tcp.Sender.bytes_acked sender in
+        U.Timeseries.add t.srtt ~time:now ~value:(Ccsim_tcp.Sender.srtt sender);
         let dt = now -. t.last_time in
         if dt > 0.0 then
           U.Timeseries.add t.throughput ~time:now
-            ~value:(float_of_int (info.bytes_acked - t.last_acked) *. 8.0 /. dt);
-        t.last_acked <- info.bytes_acked;
+            ~value:(float_of_int (acked - t.last_acked) *. 8.0 /. dt);
+        t.last_acked <- acked;
         t.last_time <- now);
     t
 
   let throughput t = t.throughput
-  let acked_bytes t = t.acked
-  let cwnd t = t.cwnd
   let srtt t = t.srtt
-  let snapshots t = List.rev t.snapshots
 end
 
 module Queue_monitor = struct
@@ -123,25 +111,4 @@ module Queue_monitor = struct
   let max_backlog_bytes t =
     if U.Timeseries.is_empty t.backlog then 0.0
     else Array.fold_left Float.max 0.0 (U.Timeseries.values t.backlog)
-end
-
-module Link_monitor = struct
-  type t = { utilization : U.Timeseries.t }
-
-  let create sim ~link ?(interval = 0.1) () =
-    if interval <= 0.0 then
-      invalid_arg "Telemetry.Link_monitor.create: interval must be positive";
-    let t = { utilization = U.Timeseries.create () } in
-    let last = ref (Ccsim_net.Link.bytes_delivered link) in
-    Sim.every sim ~interval (fun () ->
-        Sim.set_component sim "telemetry";
-        let now = Sim.now sim in
-        let delivered = Ccsim_net.Link.bytes_delivered link in
-        let rate = Ccsim_net.Link.rate_bps link in
-        let used = float_of_int (delivered - !last) *. 8.0 /. interval in
-        last := delivered;
-        U.Timeseries.add t.utilization ~time:now ~value:(Float.min 1.0 (used /. rate)));
-    t
-
-  let utilization t = t.utilization
 end

@@ -10,21 +10,17 @@ module Flow_monitor : sig
     ?interval:float ->
     unit ->
     t
-  (** Samples the sender every [interval] (default 100 ms): cumulative
-      acked bytes, cwnd, srtt. Raises [Invalid_argument] if [interval]
-      is not positive. When the sim carries a timeline, also registers
-      per-flow probes ([flow_goodput_bps], [flow_cwnd_bytes],
-      [flow_srtt_s], [flow_inflight_bytes]) labelled with [label]
-      (default: the sender's flow id). *)
+  (** Samples the sender every [interval] (default 100 ms): goodput and
+      srtt. Raises [Invalid_argument] if [interval] is not positive.
+      When the sim carries a timeline, also registers per-flow probes
+      ([flow_goodput_bps], [flow_cwnd_bytes], [flow_srtt_s],
+      [flow_inflight_bytes]) labelled with [label] (default: the
+      sender's flow id). *)
 
   val throughput : t -> Ccsim_util.Timeseries.t
   (** Per-interval goodput in bit/s, derived from acked-byte deltas. *)
 
-  val acked_bytes : t -> Ccsim_util.Timeseries.t
-  val cwnd : t -> Ccsim_util.Timeseries.t
   val srtt : t -> Ccsim_util.Timeseries.t
-  val snapshots : t -> Ccsim_tcp.Tcp_info.t list
-  (** Full TCPInfo snapshots, oldest first. *)
 end
 
 module Queue_monitor : sig
@@ -39,16 +35,4 @@ module Queue_monitor : sig
   val backlog_bytes : t -> Ccsim_util.Timeseries.t
   val mean_backlog_bytes : t -> float
   val max_backlog_bytes : t -> float
-end
-
-module Link_monitor : sig
-  type t
-
-  val create : Ccsim_engine.Sim.t -> link:Ccsim_net.Link.t -> ?interval:float -> unit -> t
-  (** Samples delivered bytes every [interval] (default 100 ms). Raises
-      [Invalid_argument] if [interval] is not positive. *)
-
-  val utilization : t -> Ccsim_util.Timeseries.t
-  (** Per-interval utilization in [0, 1] relative to the link's current
-      rate. *)
 end

@@ -1,10 +1,7 @@
 let default_limit_bytes = 150 * (Ccsim_util.Units.mss + Ccsim_util.Units.header_bytes)
 
-let create ?(limit_bytes = default_limit_bytes) ?limit_packets () =
+let create ?(limit_bytes = default_limit_bytes) () =
   if limit_bytes <= 0 then invalid_arg "Fifo.create: limit_bytes must be positive";
-  (match limit_packets with
-  | Some p when p <= 0 -> invalid_arg "Fifo.create: limit_packets must be positive"
-  | Some _ | None -> ());
   let queue : Packet.t Queue.t = Queue.create () in
   let bytes = ref 0 in
   (* Shared-buffer occupancy held by a fluid aggregate (hybrid mode);
@@ -18,19 +15,10 @@ let create ?(limit_bytes = default_limit_bytes) ?limit_packets () =
           if !bytes < 0 then Some (Printf.sprintf "negative backlog: %d bytes" !bytes)
           else if !bytes > limit_bytes then
             Some (Printf.sprintf "backlog %d bytes exceeds the %d-byte limit" !bytes limit_bytes)
-          else
-            match limit_packets with
-            | Some p when Queue.length queue > p ->
-                Some
-                  (Printf.sprintf "backlog %d packets exceeds the %d-packet limit"
-                     (Queue.length queue) p)
-            | Some _ | None -> None)
+          else None)
   | None -> ());
   let[@ccsim.hot] enqueue (pkt : Packet.t) =
-    let over_packets =
-      match limit_packets with Some p -> Queue.length queue >= p | None -> false
-    in
-    if over_packets || !bytes + !cross + pkt.size_bytes > limit_bytes then begin
+    if !bytes + !cross + pkt.size_bytes > limit_bytes then begin
       Qdisc.drop stats pkt;
       false
     end

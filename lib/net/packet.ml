@@ -13,10 +13,7 @@ type t = {
   retx : bool;
   rwnd : int;
   sacks : (int * int) list;
-  ece : bool;
-  prio : int;
   sampled : bool;
-  mutable ecn_ce : bool;
 }
 
 (* Atomic so scenarios running on sibling domains (Ccsim_runner pools)
@@ -36,7 +33,7 @@ let sampled_uid uid =
   | Some s -> Ccsim_obs.Span.hit s ~uid
 
 let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_bytes) ?(retx = false)
-    ?(prio = 0) ~sent_at () =
+    ~sent_at () =
   if payload_bytes <= 0 then invalid_arg "Packet.data: payload must be positive";
   let uid = fresh_uid () in
   {
@@ -52,14 +49,11 @@ let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_byte
     retx;
     rwnd = max_int;
     sacks = [];
-    ece = false;
-    prio;
     sampled = sampled_uid uid;
-    ecn_ce = false;
   }
 
 let ack ~flow ~ack ?(size_bytes = 64) ?(echo = 0.0) ?(for_retx = false) ?(rwnd = max_int)
-    ?(sacks = []) ?(ece = false) ?(prio = 0) ~sent_at () =
+    ?(sacks = []) ~sent_at () =
   let uid = fresh_uid () in
   {
     uid;
@@ -74,18 +68,8 @@ let ack ~flow ~ack ?(size_bytes = 64) ?(echo = 0.0) ?(for_retx = false) ?(rwnd =
     retx = for_retx;
     rwnd;
     sacks;
-    ece;
-    prio;
     sampled = sampled_uid uid;
-    ecn_ce = false;
   }
 
 let end_seq t = t.seq + t.payload_bytes
 let is_data t = match t.kind with Data -> true | Ack -> false
-
-let pp ppf t =
-  match t.kind with
-  | Data ->
-      Format.fprintf ppf "data(flow=%d seq=%d..%d %dB%s)" t.flow t.seq (end_seq t) t.size_bytes
-        (if t.retx then " retx" else "")
-  | Ack -> Format.fprintf ppf "ack(flow=%d ack=%d)" t.flow t.ack

@@ -21,13 +21,10 @@ type t = {
   sacks : (int * int) list;
       (** acks: up to three selectively-acknowledged [lo, hi) byte ranges
           above the cumulative ack point *)
-  ece : bool;  (** acks: congestion-experienced echo (ECN) *)
-  prio : int;  (** priority band for {!Prio} qdiscs; 0 = highest *)
   sampled : bool;
       (** in the ambient {!Ccsim_obs.Span} store's 1-in-N lifecycle
           sample (decided at construction; always [false] when spans
           are off). Tracing only — never influences behaviour. *)
-  mutable ecn_ce : bool;  (** congestion-experienced mark *)
 }
 
 val data :
@@ -36,7 +33,6 @@ val data :
   payload_bytes:int ->
   ?header_bytes:int ->
   ?retx:bool ->
-  ?prio:int ->
   sent_at:float ->
   unit ->
   t
@@ -51,8 +47,6 @@ val ack :
   ?for_retx:bool ->
   ?rwnd:int ->
   ?sacks:(int * int) list ->
-  ?ece:bool ->
-  ?prio:int ->
   sent_at:float ->
   unit ->
   t
@@ -63,4 +57,3 @@ val end_seq : t -> int
 (** [seq + payload_bytes]. *)
 
 val is_data : t -> bool
-val pp : Format.formatter -> t -> unit

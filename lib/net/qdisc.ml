@@ -3,7 +3,6 @@ type stats = {
   mutable dropped : int;
   mutable dequeued : int;
   mutable bytes_dropped : int;
-  mutable ecn_marked : int;
   mutable flow_dropped : (int, int ref) Hashtbl.t option;
       (* per-flow drop shares; [None] (the default) keeps [drop] a pure
          pair of field bumps. Enabled by the owning link when the
@@ -28,7 +27,6 @@ let make_stats () =
     dropped = 0;
     dequeued = 0;
     bytes_dropped = 0;
-    ecn_marked = 0;
     flow_dropped = None;
   }
 
@@ -71,9 +69,3 @@ let flush t =
 let loss_rate t =
   let arrivals = t.stats.enqueued + t.stats.dropped in
   if arrivals = 0 then 0.0 else float_of_int t.stats.dropped /. float_of_int arrivals
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%s: enq=%d deq=%d drop=%d (%.2f%%) marked=%d" t.name t.stats.enqueued
-    t.stats.dequeued t.stats.dropped
-    (100.0 *. loss_rate t)
-    t.stats.ecn_marked

@@ -1,9 +1,8 @@
 (** Queue-discipline interface.
 
     A qdisc buffers packets between arrival at a link and transmission.
-    Implementations (FIFO, DRR fair queueing, RED, CoDel, strict
-    priority) are records of closures so links can hold any discipline
-    without functor plumbing.
+    Implementations (FIFO, DRR fair queueing, RED, CoDel) are records of
+    closures so links can hold any discipline without functor plumbing.
 
     Invariant every implementation must satisfy: [dequeue] returns
     [Some _] exactly when [backlog_packets () > 0]. Rate-limiting
@@ -16,7 +15,6 @@ type stats = {
   mutable dropped : int;
   mutable dequeued : int;
   mutable bytes_dropped : int;
-  mutable ecn_marked : int;
   mutable flow_dropped : (int, int ref) Hashtbl.t option;
       (** per-flow drop counts; [None] (default) until
           {!enable_flow_drop_accounting} — the zero-instrumentation
@@ -33,9 +31,8 @@ type t = {
       (** Bytes of the shared buffer held by a fluid cross-traffic
           aggregate (hybrid mode). Admission-relevant disciplines (FIFO
           byte limit, RED average) include it in their occupancy
-          signal; schedulers that only order packets
-          ({!Drr}/{!Prio}/{!Codel}) ignore it
-          ({!ignore_cross_backlog}). Never affects
+          signal; schedulers that only order packets ({!Drr}/{!Codel})
+          ignore it ({!ignore_cross_backlog}). Never affects
           [backlog_bytes]/[backlog_packets], which count real packets
           only — conservation invariants stay exact. *)
   stats : stats;
@@ -68,5 +65,3 @@ val flush : t -> int
 
 val loss_rate : t -> float
 (** Drops / arrivals seen so far (0 when nothing arrived). *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 (** Observability decorator for queue disciplines.
 
-    {!instrument} wraps any {!Qdisc.t} — FIFO, DRR, RED, CoDel, strict
-    priority — with metrics and flight-recorder hooks, without touching
-    the implementations: per-discipline enqueue/dequeue/drop counters
+    {!instrument} wraps any {!Qdisc.t} — FIFO, DRR, RED, CoDel — with
+    metrics and flight-recorder hooks, without touching the
+    implementations: per-discipline enqueue/dequeue/drop counters
     ([qdisc_enqueued_total] etc., labeled [{qdisc=<name>}]), a backlog
     gauge, a log-scale sojourn-time histogram, and a ["qdisc"]-class
     drop event per dropped packet. Instruments are shared across wrapped

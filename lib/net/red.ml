@@ -1,7 +1,7 @@
 let full_packet = Ccsim_util.Units.mss + Ccsim_util.Units.header_bytes
 
 let create ?(min_th_bytes = 30 * full_packet) ?(max_th_bytes = 90 * full_packet) ?(max_p = 0.1)
-    ?(weight = 0.002) ?(limit_bytes = Fifo.default_limit_bytes) ?(ecn = false) () =
+    ?(weight = 0.002) ?(limit_bytes = Fifo.default_limit_bytes) () =
   if min_th_bytes >= max_th_bytes then invalid_arg "Red.create: requires min_th < max_th";
   if max_p <= 0.0 || max_p > 1.0 then invalid_arg "Red.create: max_p must be in (0,1]";
   if weight <= 0.0 || weight > 1.0 then invalid_arg "Red.create: weight must be in (0,1]";
@@ -23,30 +23,20 @@ let create ?(min_th_bytes = 30 * full_packet) ?(max_th_bytes = 90 * full_packet)
     stats.enqueued <- stats.enqueued + 1;
     true
   in
-  let congest (pkt : Packet.t) =
-    if ecn then begin
-      pkt.ecn_ce <- true;
-      stats.ecn_marked <- stats.ecn_marked + 1;
-      admit pkt
-    end
-    else begin
-      Qdisc.drop stats pkt;
-      false
-    end
+  let drop (pkt : Packet.t) =
+    Qdisc.drop stats pkt;
+    false
   in
   let enqueue (pkt : Packet.t) =
     avg := ((1.0 -. weight) *. !avg) +. (weight *. float_of_int (!bytes + !cross));
-    if !bytes + !cross + pkt.size_bytes > limit_bytes then begin
-      Qdisc.drop stats pkt;
-      false
-    end
+    if !bytes + !cross + pkt.size_bytes > limit_bytes then drop pkt
     else if !avg < float_of_int min_th_bytes then begin
       count_since_drop := -1;
       admit pkt
     end
     else if !avg >= float_of_int max_th_bytes then begin
       count_since_drop := 0;
-      congest pkt
+      drop pkt
     end
     else begin
       incr count_since_drop;
@@ -60,7 +50,7 @@ let create ?(min_th_bytes = 30 * full_packet) ?(max_th_bytes = 90 * full_packet)
       in
       if Ccsim_util.Rng.bernoulli rng ~p:pa then begin
         count_since_drop := 0;
-        congest pkt
+        drop pkt
       end
       else admit pkt
     end

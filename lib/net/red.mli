@@ -1,9 +1,8 @@
 (** Random Early Detection (Floyd & Jacobson 1993).
 
-    Probabilistically drops (or ECN-marks) arrivals as the EWMA of queue
-    length grows between [min_th] and [max_th]; drops everything above
-    [max_th]. Included as the classic AQM baseline for the isolation
-    experiments. *)
+    Probabilistically drops arrivals as the EWMA of queue length grows
+    between [min_th] and [max_th]; drops everything above [max_th].
+    Included as the classic AQM baseline for the isolation experiments. *)
 
 val create :
   ?min_th_bytes:int ->
@@ -11,8 +10,7 @@ val create :
   ?max_p:float ->
   ?weight:float ->
   ?limit_bytes:int ->
-  ?ecn:bool ->
   unit ->
   Qdisc.t
 (** Defaults: min 30 packets, max 90 packets (full-size), [max_p] 0.1,
-    EWMA [weight] 0.002, hard limit as {!Fifo.create}, drop (not mark). *)
+    EWMA [weight] 0.002, hard limit as {!Fifo.create}. *)

@@ -16,9 +16,9 @@ type t = {
 }
 
 let dumbbell sim ~rate_bps ~delay_s ?qdisc ?(edge_delay = fun _ -> 0.001)
-    ?edge_rate_bps ?(ingress = fun _ -> No_ingress) ?rev_rate_bps () =
-  let edge_rate = match edge_rate_bps with Some r -> r | None -> 100.0 *. rate_bps in
-  let rev_rate = match rev_rate_bps with Some r -> r | None -> 100.0 *. rate_bps in
+    ?(ingress = fun _ -> No_ingress) () =
+  (* Edge and reverse links run at 100x the bottleneck: uncongested. *)
+  let edge_rate = 100.0 *. rate_bps in
   let fwd_dispatch = Dispatch.create () in
   let rev_dispatch = Dispatch.create () in
   let bottleneck =
@@ -63,7 +63,7 @@ let dumbbell sim ~rate_bps ~delay_s ?qdisc ?(edge_delay = fun _ -> 0.001)
         let link =
           Link.create sim
             ~name:(Printf.sprintf "rev:%d" flow)
-            ~rate_bps:rev_rate ~delay_s:delay
+            ~rate_bps:edge_rate ~delay_s:delay
             ~qdisc:(Fifo.create ~limit_bytes:100_000_000 ())
             ~sink:(Dispatch.as_sink rev_dispatch) ()
         in

@@ -26,9 +26,7 @@ val dumbbell :
   delay_s:float ->
   ?qdisc:Qdisc.t ->
   ?edge_delay:(int -> float) ->
-  ?edge_rate_bps:float ->
   ?ingress:(int -> ingress) ->
-  ?rev_rate_bps:float ->
   unit ->
   t
 (** [dumbbell sim ~rate_bps ~delay_s ()] builds a shared bottleneck of the
@@ -37,13 +35,12 @@ val dumbbell :
     - [qdisc]: bottleneck queue (default drop-tail FIFO).
     - [edge_delay flow]: extra one-way propagation on a flow's edge link
       (default 1 ms), providing RTT diversity.
-    - [edge_rate_bps]: edge link speed (default 100x bottleneck, i.e.
-      uncongested).
     - [ingress flow]: shaping/policing applied to the flow's traffic
       before the bottleneck.
-    - [rev_rate_bps]: reverse-path speed for acks (default 100x
-      bottleneck; the reverse path has its own links and never contends
-      with forward data).
+
+    Edge links and the reverse path for acks run at 100x the bottleneck
+    rate, so they never congest; the reverse path has its own links and
+    never contends with forward data.
 
     Edge links and ingress elements are created lazily, one per flow id,
     on first use of [fwd_entry]/[rev_entry]. *)

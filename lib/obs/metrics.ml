@@ -140,11 +140,6 @@ let find_counter t ?(labels = []) name =
   | Some (Counter c) -> Some c
   | Some _ | None -> None
 
-let find_gauge t ?(labels = []) name =
-  match Hashtbl.find_opt t.table { name; labels = normalize_labels labels } with
-  | Some (Gauge g) -> Some g
-  | Some _ | None -> None
-
 let find_histogram t ?(labels = []) name =
   match Hashtbl.find_opt t.table { name; labels = normalize_labels labels } with
   | Some (Histogram h) -> Some h

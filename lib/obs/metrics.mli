@@ -61,7 +61,6 @@ val size : t -> int
 (** Number of registered instruments. *)
 
 val find_counter : t -> ?labels:labels -> string -> counter option
-val find_gauge : t -> ?labels:labels -> string -> gauge option
 val find_histogram : t -> ?labels:labels -> string -> histogram option
 
 val to_ndjson : ?extra:(string * string) list -> t -> string

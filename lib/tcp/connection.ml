@@ -4,13 +4,13 @@ module Dispatch = Ccsim_net.Dispatch
 type t = { sender : Sender.t; receiver : Receiver.t; flow : int }
 
 let establish (topo : Topology.t) ~flow ~cca ?mss ?rcv_buffer_bytes ?consume_rate_bps
-    ?delayed_ack ?(on_complete = fun _ -> ()) () =
+    ?(on_complete = fun _ -> ()) () =
   let sender =
     Sender.create topo.sim ~flow ~cca ~path:(topo.fwd_entry ~flow) ?mss ~on_complete ()
   in
   let receiver =
     Receiver.create topo.sim ~flow ~ack_path:(topo.rev_entry ~flow)
-      ?buffer_bytes:rcv_buffer_bytes ?consume_rate_bps ?delayed_ack ()
+      ?buffer_bytes:rcv_buffer_bytes ?consume_rate_bps ()
   in
   Dispatch.register topo.fwd_dispatch ~flow (Receiver.handle_data receiver);
   Dispatch.register topo.rev_dispatch ~flow (Sender.handle_ack sender);

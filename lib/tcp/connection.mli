@@ -13,7 +13,6 @@ val establish :
   ?mss:int ->
   ?rcv_buffer_bytes:int ->
   ?consume_rate_bps:float ->
-  ?delayed_ack:bool ->
   ?on_complete:(Sender.t -> unit) ->
   unit ->
   t

@@ -7,22 +7,16 @@ type t = {
   ack_path : Packet.t -> unit;
   buffer_bytes : int;
   consume_rate_bps : float;
-  delayed_ack : bool;
   mutable rcv_nxt : int;
   mutable ooo : (int * int) list;  (* disjoint buffered ranges, sorted *)
   mutable consumed : int;  (* bytes the app has drained *)
   mutable consumed_updated : float;
   mutable acks_sent : int;
-  mutable unacked_segments : int;  (* in-order segments since the last ack *)
-  mutable delack_timer : Sim.event_id option;
-  mutable pending_echo : float;  (* sent_at of the newest unacked segment *)
-  mutable pending_retx : bool;
-  receive_times : Ccsim_util.Timeseries.t;
   m_acks : Ccsim_obs.Metrics.counter option;
 }
 
 let create sim ~flow ~ack_path ?(buffer_bytes = 4 * 1024 * 1024) ?(consume_rate_bps = infinity)
-    ?(delayed_ack = false) () =
+    () =
   if buffer_bytes <= 0 then invalid_arg "Receiver.create: buffer must be positive";
   {
     sim;
@@ -30,17 +24,11 @@ let create sim ~flow ~ack_path ?(buffer_bytes = 4 * 1024 * 1024) ?(consume_rate_
     ack_path;
     buffer_bytes;
     consume_rate_bps;
-    delayed_ack;
     rcv_nxt = 0;
     ooo = [];
     consumed = 0;
     consumed_updated = Sim.now sim;
     acks_sent = 0;
-    unacked_segments = 0;
-    delack_timer = None;
-    pending_echo = 0.0;
-    pending_retx = false;
-    receive_times = Ccsim_util.Timeseries.create ();
     m_acks =
       Option.map
         (fun m ->
@@ -91,50 +79,22 @@ let integrate t ~seq ~len =
     t.ooo <- advance (insert_range (max lo t.rcv_nxt) hi t.ooo)
   end
 
-let send_ack t ~echo ~for_retx ~ece =
+let send_ack t ~echo ~for_retx =
   let rwnd = advertised_window t in
   (* Advertise up to three buffered out-of-order ranges (SACK blocks). *)
   let sacks = List.filteri (fun i _ -> i < 3) t.ooo in
   t.acks_sent <- t.acks_sent + 1;
   (match t.m_acks with Some c -> Ccsim_obs.Metrics.inc c | None -> ());
-  t.unacked_segments <- 0;
-  (match t.delack_timer with
-  | Some id ->
-      Sim.cancel t.sim id;
-      t.delack_timer <- None
-  | None -> ());
   t.ack_path
-    (Packet.ack ~flow:t.flow ~ack:t.rcv_nxt ~echo ~for_retx ~rwnd ~sacks ~ece
+    (Packet.ack ~flow:t.flow ~ack:t.rcv_nxt ~echo ~for_retx ~rwnd ~sacks
        ~sent_at:(Sim.now t.sim) ())
 
 let handle_data t (pkt : Packet.t) =
   if Packet.is_data pkt then begin
-    let before = t.rcv_nxt in
     integrate t ~seq:pkt.seq ~len:pkt.payload_bytes;
-    Ccsim_util.Timeseries.add t.receive_times ~time:(Sim.now t.sim)
-      ~value:(float_of_int t.rcv_nxt);
-    let in_order = t.rcv_nxt > before && (match t.ooo with [] -> true | _ :: _ -> false) in
-    if (not t.delayed_ack) || (not in_order) || pkt.ecn_ce then
-      (* Immediate ack: per-packet mode, out-of-order data (dupack/SACK
-         must not be delayed), or congestion signal. *)
-      send_ack t ~echo:pkt.sent_at ~for_retx:pkt.retx ~ece:pkt.ecn_ce
-    else begin
-      t.unacked_segments <- t.unacked_segments + 1;
-      t.pending_echo <- pkt.sent_at;
-      t.pending_retx <- pkt.retx;
-      if t.unacked_segments >= 2 then send_ack t ~echo:pkt.sent_at ~for_retx:pkt.retx ~ece:false
-      else if Option.is_none t.delack_timer then
-        t.delack_timer <-
-          Some
-            (Sim.schedule t.sim ~delay:0.04 (fun () ->
-                 Sim.set_component t.sim "tcp";
-                 t.delack_timer <- None;
-                 if t.unacked_segments > 0 then
-                   send_ack t ~echo:t.pending_echo ~for_retx:t.pending_retx ~ece:false))
-    end
+    send_ack t ~echo:pkt.sent_at ~for_retx:pkt.retx
   end
 
 let bytes_received t = t.rcv_nxt
 let out_of_order t = t.ooo
 let acks_sent t = t.acks_sent
-let receive_times t = t.receive_times

@@ -15,16 +15,12 @@ val create :
   ack_path:(Ccsim_net.Packet.t -> unit) ->
   ?buffer_bytes:int ->
   ?consume_rate_bps:float ->
-  ?delayed_ack:bool ->
   unit ->
   t
 (** [ack_path] is where acks are injected (e.g. [Topology.rev_entry]).
     [buffer_bytes] defaults to 4 MiB; [consume_rate_bps] to [infinity]
     (the application drains instantly, so the flow is never
-    receiver-limited). With [delayed_ack] (default false, per-packet
-    acking), in-order segments are acknowledged every second packet or
-    after 40 ms, whichever first; out-of-order data is acked
-    immediately (RFC 5681 requirements). *)
+    receiver-limited). *)
 
 val handle_data : t -> Ccsim_net.Packet.t -> unit
 (** Deliver a data packet (register this with the forward dispatch). *)
@@ -39,7 +35,3 @@ val out_of_order : t -> (int * int) list
 val acks_sent : t -> int
 val advertised_window : t -> int
 (** Current rwnd in bytes. *)
-
-val receive_times : t -> Ccsim_util.Timeseries.t
-(** (arrival time, cumulative contiguous bytes) — one point per data
-    packet, used for goodput and jitter analysis. *)

@@ -39,9 +39,6 @@ type t = {
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;  (* recovery ends when snd_una passes this *)
-  mutable last_ecn_response : float;
-      (* an ECN echo triggers at most one congestion response per RTT *)
-  mutable ecn_responses : int;
   mutable rto_event : Sim.event_id;  (* [Sim.no_event] until first armed *)
   mutable rto_fire : unit -> unit;
       (* the RTO callback, built once per sender: re-arming moves the one
@@ -88,12 +85,10 @@ type t = {
 let flow t = t.flow
 let cca t = t.cca
 let bytes_acked t = t.snd_una
-let ecn_responses t = t.ecn_responses
 let bytes_sent t = t.bytes_sent
 let bytes_retrans t = t.bytes_retrans
 let segs_retrans t = t.segs_retrans
 let inflight t = t.snd_nxt - t.snd_una
-let send_buffer t = if t.unlimited then max_int else t.buffered
 let srtt t = Rtt_estimator.srtt t.rtt
 let min_rtt t = Rtt_estimator.min_rtt t.rtt
 
@@ -306,18 +301,6 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
     let now = Sim.now t.sim in
     t.rwnd <- pkt.rwnd;
     Scoreboard.process_sacks t.board pkt.sacks;
-    (* ECN: a congestion-experienced echo is a loss-equivalent window
-       signal — without a retransmission — rate-limited to once per
-       smoothed RTT (RFC 3168 semantics, simplified). *)
-    (if pkt.ece then
-       let srtt = Float.max 0.01 (Rtt_estimator.srtt t.rtt) in
-       if now -. t.last_ecn_response > srtt then begin
-         t.last_ecn_response <- now;
-         t.ecn_responses <- t.ecn_responses + 1;
-         t.cca.Cca.on_loss
-           ({ Cca.now; inflight = inflight t; mss = t.mss }
-           [@ccsim.alloc_ok "one loss_info record per ECN response, rate-limited to once per RTT"])
-       end);
     if pkt.ack > t.snd_una then begin
       let newly_acked = pkt.ack - t.snd_una in
       t.snd_una <- pkt.ack;
@@ -480,8 +463,6 @@ let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fu
     dupacks = 0;
     in_recovery = false;
     recover = 0;
-    last_ecn_response = neg_infinity;
-    ecn_responses = 0;
     rto_event = Sim.no_event;
     rto_fire = ignore;
     pace_next = Array.make 1 0.0;

@@ -51,18 +51,11 @@ val handle_ack : t -> Ccsim_net.Packet.t -> unit
 (** Deliver an ack packet (register this with the reverse dispatch). *)
 
 val bytes_acked : t -> int
-val ecn_responses : t -> int
-(** Number of once-per-RTT congestion responses triggered by ECN echoes
-    (requires an ECN-marking qdisc such as {!Ccsim_net.Red.create}
-    [~ecn:true]). *)
 
 val bytes_sent : t -> int
 val bytes_retrans : t -> int
 val segs_retrans : t -> int
 val inflight : t -> int
-val send_buffer : t -> int
-(** Unsent application bytes currently buffered ([max_int]-ish when
-    unlimited). *)
 
 val cca : t -> Ccsim_cca.Cca.t
 val srtt : t -> float

@@ -23,9 +23,3 @@ let throughput_bps ~prev ~cur =
 let fraction_of_lifetime value t = if t.elapsed_s <= 0.0 then 0.0 else value /. t.elapsed_s
 let app_limited_fraction t = fraction_of_lifetime t.app_limited_s t
 let rwnd_limited_fraction t = fraction_of_lifetime t.rwnd_limited_s t
-
-let pp ppf t =
-  Format.fprintf ppf
-    "t=%.3f acked=%d sent=%d retx=%d cwnd=%.0f srtt=%.4f app_lim=%.2fs rwnd_lim=%.2fs" t.at
-    t.bytes_acked t.bytes_sent t.segs_retrans t.cwnd_bytes t.srtt t.app_limited_s
-    t.rwnd_limited_s

@@ -34,4 +34,3 @@ val app_limited_fraction : t -> float
 (** Fraction of the connection's lifetime spent app-limited. *)
 
 val rwnd_limited_fraction : t -> float
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,6 @@ let rank t x =
   loop 0 n
 
 let eval t x = float_of_int (rank t x) /. float_of_int (count t)
-let fraction_below = eval
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Cdf.quantile: q out of [0,1]";
@@ -51,19 +50,3 @@ let sample_points t ~n =
   List.init n (fun i ->
       let q = float_of_int i /. float_of_int (n - 1) in
       (quantile t q, q))
-
-let pp_ascii ?(width = 60) ?(height = 10) ppf t =
-  let lo = min_value t and hi = max_value t in
-  let span = if hi > lo then hi -. lo else 1.0 in
-  for row = height downto 1 do
-    let level = float_of_int row /. float_of_int height in
-    Format.pp_print_string ppf (if row = height then "1.0 |" else if row = height / 2 then "0.5 |" else "    |");
-    for col = 0 to width - 1 do
-      let x = lo +. (span *. float_of_int col /. float_of_int (width - 1)) in
-      let f = eval t x in
-      Format.pp_print_char ppf (if f >= level then '#' else ' ')
-    done;
-    Format.pp_print_newline ppf ()
-  done;
-  Format.fprintf ppf "    +%s@." (String.make width '-');
-  Format.fprintf ppf "     %-10.4g%*.4g@." lo (width - 10) hi

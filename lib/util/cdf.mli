@@ -26,9 +26,3 @@ val points : t -> (float * float) list
 val sample_points : t -> n:int -> (float * float) list
 (** [n] evenly spaced quantile points [(quantile q, q)] for compact
     reporting; [n >= 2]. *)
-
-val fraction_below : t -> float -> float
-(** Alias of {!eval}, reads better at call sites that report fractions. *)
-
-val pp_ascii : ?width:int -> ?height:int -> Format.formatter -> t -> unit
-(** Crude ASCII rendering of the CDF curve, for terminal reports. *)

@@ -68,12 +68,6 @@ let harm_lower_is_better ~solo ~contended =
   if contended <= 0.0 then invalid_arg "Fairness.harm_lower_is_better: contended must be positive";
   clamp01 ((contended -. solo) /. contended)
 
-let throughput_shares xs =
-  let sum = Array.fold_left ( +. ) 0.0 xs in
-  let n = Array.length xs in
-  if sum <= 0.0 then Array.make n (if n = 0 then 0.0 else 1.0 /. float_of_int n)
-  else Array.map (fun x -> x /. sum) xs
-
 let starvation_episodes ~throughput ~fair_share ~threshold =
   let cut = threshold *. fair_share in
   Array.fold_left (fun acc x -> if x < cut then acc + 1 else acc) 0 throughput

@@ -30,10 +30,6 @@ val harm_lower_is_better : solo:float -> contended:float -> float
     (contended − solo) / contended, clamped to [0, 1]. Raises
     [Invalid_argument] if [contended <= 0]. *)
 
-val throughput_shares : float array -> float array
-(** Normalize allocations to fractions of their sum (uniform shares when
-    the sum is zero). *)
-
 val starvation_episodes :
   throughput:float array -> fair_share:float -> threshold:float -> int
 (** Count of samples in which throughput fell below [threshold] *

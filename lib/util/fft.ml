@@ -67,8 +67,6 @@ let magnitude_spectrum signal =
   let n = Array.length spectrum in
   Array.init ((n / 2) + 1) (fun k -> Complex.norm spectrum.(k))
 
-let bin_frequency ~n ~sample_rate k = float_of_int k *. sample_rate /. float_of_int n
-
 let frequency_bin ~n ~sample_rate freq =
   int_of_float (Float.round (freq *. float_of_int n /. sample_rate))
 
@@ -82,16 +80,6 @@ let magnitude_at signal ~sample_rate ~freq =
   in
   let best = List.fold_left (fun acc i -> Float.max acc mags.(i)) 0.0 candidates in
   best /. (float_of_int n /. 2.0)
-
-let hann_window signal =
-  let n = Array.length signal in
-  if n <= 1 then Array.copy signal
-  else
-    Array.mapi
-      (fun i x ->
-        let w = 0.5 *. (1.0 -. cos (2.0 *. Float.pi *. float_of_int i /. float_of_int (n - 1))) in
-        x *. w)
-      signal
 
 let mean_removed signal =
   let n = Array.length signal in

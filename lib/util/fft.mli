@@ -19,10 +19,6 @@ val magnitude_spectrum : float array -> float array
     k in [0, n/2], i.e. the one-sided spectrum. Length must be a power of
     two. *)
 
-val bin_frequency : n:int -> sample_rate:float -> int -> float
-(** [bin_frequency ~n ~sample_rate k] is the physical frequency of bin
-    [k] for an [n]-point transform. *)
-
 val frequency_bin : n:int -> sample_rate:float -> float -> int
 (** Nearest bin index for a physical frequency. *)
 
@@ -36,9 +32,6 @@ val is_power_of_two : int -> bool
 
 val next_power_of_two : int -> int
 (** Smallest power of two >= the argument (argument must be positive). *)
-
-val hann_window : float array -> float array
-(** Apply a Hann window (reduces leakage for non-bin-aligned tones). *)
 
 val mean_removed : float array -> float array
 (** Subtract the mean (removes the DC component before analysis). *)

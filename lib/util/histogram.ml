@@ -39,9 +39,6 @@ let bin_edges t i =
   let width = (t.hi -. t.lo) /. bins in
   (t.lo +. (float_of_int i *. width), t.lo +. (float_of_int (i + 1) *. width))
 
-let fraction_in t i =
-  if t.total = 0 then 0.0 else float_of_int (bin_count t i) /. float_of_int t.total
-
 let mode_bin t =
   if t.total = 0 then invalid_arg "Histogram.mode_bin: empty histogram";
   let best = ref 0 in
@@ -49,14 +46,3 @@ let mode_bin t =
     if t.counts.(i) > t.counts.(!best) then best := i
   done;
   !best
-
-let pp ppf t =
-  let max_count = Array.fold_left max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      let lo, hi = bin_edges t i in
-      let width = 40 * c / max_count in
-      Format.fprintf ppf "[%10.4g, %10.4g) %6d %s@." lo hi c (String.make width '#'))
-    t.counts;
-  if t.underflow > 0 then Format.fprintf ppf "underflow: %d@." t.underflow;
-  if t.overflow > 0 then Format.fprintf ppf "overflow: %d@." t.overflow

@@ -1,5 +1,4 @@
-(** Fixed-bin histograms, for jitter/delay distributions (experiment E7)
-    and quick terminal visualisation of any sample set. *)
+(** Fixed-bin histograms, for jitter/delay distributions (experiment E7). *)
 
 type t
 
@@ -21,12 +20,6 @@ val overflow : t -> int
 val bin_edges : t -> int -> float * float
 (** Lower and upper edge of bin [i]. *)
 
-val fraction_in : t -> int -> float
-(** Fraction of all samples falling in bin [i]; 0 if no samples. *)
-
 val mode_bin : t -> int
 (** Index of the fullest bin (smallest index on ties). Raises
     [Invalid_argument] when no samples have been added. *)
-
-val pp : Format.formatter -> t -> unit
-(** Horizontal-bar rendering. *)

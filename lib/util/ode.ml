@@ -1,67 +1,16 @@
 type deriv = t_s:float -> y:float array -> dy:float array -> unit
 
-type workspace = {
-  k1 : float array;
-  k2 : float array;
-  k3 : float array;
-  k4 : float array;
-  ytmp : float array;
-}
+(* The derivative array the step writes into. *)
+type workspace = float array
 
 let workspace n =
   if n < 1 then invalid_arg "Ode.workspace: dimension must be positive";
-  {
-    k1 = Array.make n 0.0;
-    k2 = Array.make n 0.0;
-    k3 = Array.make n 0.0;
-    k4 = Array.make n 0.0;
-    ytmp = Array.make n 0.0;
-  }
+  Array.make n 0.0
 
-let dim ws = Array.length ws.k1
-
-let check ws ~dt_s y name =
-  if dt_s <= 0.0 then invalid_arg (name ^ ": dt must be positive");
-  if Array.length y <> dim ws then invalid_arg (name ^ ": state dimension mismatch")
-
-let euler_step ws f ~t_s ~dt_s y =
-  check ws ~dt_s y "Ode.euler_step";
-  f ~t_s ~y ~dy:ws.k1;
+let euler_step dy f ~t_s ~dt_s y =
+  if dt_s <= 0.0 then invalid_arg "Ode.euler_step: dt must be positive";
+  if Array.length y <> Array.length dy then invalid_arg "Ode.euler_step: state dimension mismatch";
+  f ~t_s ~y ~dy;
   for i = 0 to Array.length y - 1 do
-    y.(i) <- y.(i) +. (dt_s *. ws.k1.(i))
+    y.(i) <- y.(i) +. (dt_s *. dy.(i))
   done
-
-let rk4_step ws f ~t_s ~dt_s y =
-  check ws ~dt_s y "Ode.rk4_step";
-  let n = Array.length y in
-  let half = 0.5 *. dt_s in
-  f ~t_s ~y ~dy:ws.k1;
-  for i = 0 to n - 1 do
-    ws.ytmp.(i) <- y.(i) +. (half *. ws.k1.(i))
-  done;
-  f ~t_s:(t_s +. half) ~y:ws.ytmp ~dy:ws.k2;
-  for i = 0 to n - 1 do
-    ws.ytmp.(i) <- y.(i) +. (half *. ws.k2.(i))
-  done;
-  f ~t_s:(t_s +. half) ~y:ws.ytmp ~dy:ws.k3;
-  for i = 0 to n - 1 do
-    ws.ytmp.(i) <- y.(i) +. (dt_s *. ws.k3.(i))
-  done;
-  f ~t_s:(t_s +. dt_s) ~y:ws.ytmp ~dy:ws.k4;
-  let sixth = dt_s /. 6.0 in
-  for i = 0 to n - 1 do
-    y.(i) <-
-      y.(i) +. (sixth *. (ws.k1.(i) +. (2.0 *. (ws.k2.(i) +. ws.k3.(i))) +. ws.k4.(i)))
-  done
-
-let integrate ws method_ f ~t0_s ~t1_s ~dt_s y =
-  if dt_s <= 0.0 then invalid_arg "Ode.integrate: dt must be positive";
-  let step =
-    match method_ with `Euler -> euler_step ws f | `Rk4 -> rk4_step ws f
-  in
-  let t = ref t0_s in
-  while !t < t1_s do
-    step ~t_s:!t ~dt_s y;
-    t := !t +. dt_s
-  done;
-  !t

@@ -1,8 +1,8 @@
-(** Fixed-step ODE integration over [float array] state.
+(** Fixed-step forward-Euler integration over [float array] state.
 
     The fluid-model engine integrates one large state vector (per-flow
     windows/rates plus per-link queue levels) on a fixed step; this
-    module isolates the integrators so they are testable against
+    module isolates the integrator so it is testable against
     closed-form solutions independent of any network model.
 
     A derivative function receives the current time and state and
@@ -14,33 +14,12 @@ type deriv = t_s:float -> y:float array -> dy:float array -> unit
     into [dy]. [y] must not be mutated by the derivative function. *)
 
 type workspace
-(** Preallocated scratch arrays for one state dimension. *)
+(** Preallocated derivative array for one state dimension. *)
 
 val workspace : int -> workspace
 (** [workspace dim] allocates scratch space for [dim]-component state.
     Raises [Invalid_argument] if [dim < 1]. *)
 
-val dim : workspace -> int
-
 val euler_step : workspace -> deriv -> t_s:float -> dt_s:float -> float array -> unit
 (** One forward-Euler step: [y <- y + dt * f(t, y)]. [y] must have the
-    workspace dimension; [dt_s] must be positive. O(dt) local error. *)
-
-val rk4_step : workspace -> deriv -> t_s:float -> dt_s:float -> float array -> unit
-(** One classical Runge–Kutta step (four derivative evaluations,
-    O(dt^5) local error). Same contract as {!euler_step}. *)
-
-val integrate :
-  workspace ->
-  [ `Euler | `Rk4 ] ->
-  deriv ->
-  t0_s:float ->
-  t1_s:float ->
-  dt_s:float ->
-  float array ->
-  float
-(** [integrate ws method_ f ~t0_s ~t1_s ~dt_s y] steps [y] from [t0_s]
-    to (at least) [t1_s] in fixed [dt_s] increments, returning the time
-    actually reached (the first multiple of [dt_s] past [t0_s] that is
-    [>= t1_s]; the caller keeps step bookkeeping trivial by choosing
-    horizons aligned to the step). *)
+    workspace dimension; [dt_s] must be positive. O(dt) global error. *)

@@ -84,11 +84,6 @@ let summarize xs =
     max = sorted.(Array.length sorted - 1);
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 module Online = struct
   type t = {
     mutable n : int;

@@ -43,8 +43,6 @@ type summary = {
 val summarize : float array -> summary
 (** Full summary in one pass over a sorted copy. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Online mean/variance accumulator (Welford). *)
 module Online : sig
   type t

@@ -89,27 +89,10 @@ let ewma t ~alpha =
   done;
   out
 
-let window_mean t ~half_width ~time =
-  let sum = ref 0.0 and n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if Float.abs (t.times.(i) -. time) <= half_width then begin
-      sum := !sum +. t.values.(i);
-      incr n
-    end
-  done;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
 let between t ~lo ~hi =
   let out = create () in
   for i = 0 to t.len - 1 do
     if t.times.(i) >= lo && t.times.(i) <= hi then add out ~time:t.times.(i) ~value:t.values.(i)
-  done;
-  out
-
-let map_values t ~f =
-  let out = create () in
-  for i = 0 to t.len - 1 do
-    add out ~time:t.times.(i) ~value:(f t.values.(i))
   done;
   out
 

@@ -43,14 +43,8 @@ val ewma : t -> alpha:float -> t
 (** Exponentially weighted moving average with smoothing factor
     [alpha] in (0, 1]: y_i = alpha * x_i + (1 - alpha) * y_(i-1). *)
 
-val window_mean : t -> half_width:float -> time:float -> float
-(** Mean of values with timestamps within [time +- half_width]; 0 if the
-    window is empty. *)
-
 val between : t -> lo:float -> hi:float -> t
 (** Sub-series with times in [\[lo, hi\]]. *)
-
-val map_values : t -> f:(float -> float) -> t
 
 val mean_value : t -> float
 (** Mean of the values. Raises [Invalid_argument] when empty. *)

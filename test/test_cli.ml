@@ -190,4 +190,7 @@ let suite =
       test_sweep_stdout_parallelism_free;
     Alcotest.test_case "README: every advertised flag exists" `Quick test_readme_flags_exist;
     Alcotest.test_case "flight recorder: severity floor flag" `Slow test_flight_rec_level;
+    Alcotest.test_case "exit 2: flap holding times below 1 ms" `Quick
+      (check_rejected
+         "e4 --duration 10 --faults \"flap from=0 until=20 mean-up=1e-300 mean-down=1e-300\"");
   ]

@@ -65,6 +65,9 @@ let test_plan_errors () =
   expect_error "loss at=1 dur=2 p=abc";
   expect_error "outage at=1 dur=2 bogus=3";
   expect_error "flap from=10 until=5";
+  (* Holding-time means below the 1 ms floor would never finish a run. *)
+  expect_error "flap from=0 until=20 mean-up=1e-300 mean-down=1e-300";
+  expect_error "flap from=0 until=20 mean-up=1e-9 mean-down=1e-9";
   expect_error "capacity at=1 factor=0"
 
 let test_ambient_arming () =

@@ -37,9 +37,8 @@ let test_model_names () =
 
 (* ---- engine basics ---- *)
 
-let simple_engine ?(models = [ Fl.Fluid_model.Reno ]) ?dt_s ?method_ ~capacity_mbps ~seed ()
-    =
-  let engine = Fl.Fluid_engine.create ?dt_s ?method_ ~warmup_s:2.0 ~seed () in
+let simple_engine ?(models = [ Fl.Fluid_model.Reno ]) ?dt_s ~capacity_mbps ~seed () =
+  let engine = Fl.Fluid_engine.create ?dt_s ~warmup_s:2.0 ~seed () in
   let capacity_bps = U.Units.mbps capacity_mbps in
   let buffer_bytes = 2 * U.Units.bdp_bytes ~rate_bps:capacity_bps ~rtt_s:0.04 in
   let link = Fl.Fluid_engine.add_link engine ~capacity_bps ~buffer_bytes in
@@ -111,19 +110,6 @@ let test_determinism_same_seed () =
     (fun a b ->
       Alcotest.(check bool) "per-flow goodput bit-identical" true (feq ~eps:0.0 a b))
     goodputs_a goodputs_b
-
-let test_rk4_method_runs () =
-  let engine, link, _ =
-    simple_engine ~method_:`Rk4
-      ~models:[ Fl.Fluid_model.Reno; Fl.Fluid_model.Cubic ]
-      ~capacity_mbps:20.0 ~seed:3 ()
-  in
-  Fl.Fluid_engine.run engine ~until_s:5.0;
-  let cap = Fl.Fluid_engine.link_capacity_bps engine link in
-  let served = Fl.Fluid_engine.link_served_bytes engine link *. 8.0 /. 5.0 in
-  Alcotest.(check bool) "RK4 integration keeps the link busy" true (served >= 0.5 *. cap);
-  Alcotest.(check bool) "RK4 conserves bytes" true
-    (Float.abs (Fl.Fluid_engine.residual_bytes engine) <= 1024.0)
 
 let test_sealed_after_step () =
   let engine, link, _ = simple_engine ~capacity_mbps:10.0 ~seed:2 () in
@@ -364,7 +350,6 @@ let suite =
     Alcotest.test_case "engine: one flow fills a link" `Quick test_single_flow_fills_link;
     Alcotest.test_case "engine: byte conservation is exact" `Quick test_conservation_exact;
     Alcotest.test_case "engine: same seed, identical results" `Quick test_determinism_same_seed;
-    Alcotest.test_case "engine: RK4 integration works" `Quick test_rk4_method_runs;
     Alcotest.test_case "engine: population seals on first step" `Quick test_sealed_after_step;
     Alcotest.test_case "xval: 4-flow dumbbell fluid vs packet" `Slow test_cross_validation_4flow;
     Alcotest.test_case "watchdog: injected skew trips conservation" `Quick

@@ -11,7 +11,6 @@ let () =
       ("scenarios", Test_scenarios.suite);
       ("extensions", Test_extensions.suite);
       ("models", Test_models.suite);
-      ("features", Test_features.suite);
       ("runner", Test_runner.suite);
       ("faults", Test_faults.suite);
       ("cli", Test_cli.suite);

@@ -88,7 +88,7 @@ let test_elasticity_responsive_cross_traffic () =
   in
   let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
   Alcotest.(check bool) "elastic cross scores high" true (e > 0.5);
-  Alcotest.(check bool) "classified elastic" true (M.Elasticity.classify e = `Elastic)
+  Alcotest.(check bool) "classified elastic" true (M.Elasticity.verdict [| e |]).elastic
 
 let test_elasticity_flat_cross_traffic () =
   let n = 512 and sample_rate = 100.0 and freq = 5.0 in
@@ -97,14 +97,19 @@ let test_elasticity_flat_cross_traffic () =
   let cross = Array.init n (fun _ -> 12e6 +. U.Rng.normal rng ~mean:0.0 ~stddev:1e5) in
   let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
   Alcotest.(check bool) "inelastic cross scores low" true (e < 0.2);
-  Alcotest.(check bool) "classified inelastic" true (M.Elasticity.classify e = `Inelastic)
+  Alcotest.(check bool) "classified inelastic" false (M.Elasticity.verdict [| e |]).elastic
 
 let test_elasticity_length_checks () =
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Elasticity.score: signal length mismatch") (fun () ->
       ignore
         (M.Elasticity.score ~sample_rate:100.0 ~pulse_freq:5.0 ~cross:(Array.make 512 0.0)
-           ~own:(Array.make 256 0.0)))
+           ~own:(Array.make 256 0.0)));
+  (* A run without steady-state samples has no evidence of contention. *)
+  let v = M.Elasticity.verdict [||] in
+  Alcotest.(check int) "no samples" 0 v.samples;
+  Alcotest.(check (float 0.0)) "p90 of nothing" 0.0 v.p90;
+  Alcotest.(check bool) "no samples is inelastic" false v.elastic
 
 let test_elasticity_windowed () =
   let sample_rate = 100.0 and freq = 5.0 in
@@ -166,7 +171,6 @@ let test_monitor_interval_validation () =
   let topo = Ccsim_net.Topology.dumbbell sim ~rate_bps:10e6 ~delay_s:0.01 () in
   let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Cubic.create ()) () in
   let qdisc = Ccsim_net.Fifo.create () in
-  let link = Ccsim_net.Link.create sim ~rate_bps:1e6 ~delay_s:0.0 ~sink:(fun _ -> ()) () in
   Alcotest.check_raises "flow monitor, zero"
     (Invalid_argument "Telemetry.Flow_monitor.create: interval must be positive") (fun () ->
       ignore (M.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~interval:0.0 ()));
@@ -175,10 +179,7 @@ let test_monitor_interval_validation () =
       ignore (M.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~interval:(-0.1) ()));
   Alcotest.check_raises "queue monitor, zero"
     (Invalid_argument "Telemetry.Queue_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Queue_monitor.create sim ~qdisc ~interval:0.0 ()));
-  Alcotest.check_raises "link monitor, negative"
-    (Invalid_argument "Telemetry.Link_monitor.create: interval must be positive") (fun () ->
-      ignore (M.Telemetry.Link_monitor.create sim ~link ~interval:(-1.0) ()))
+      ignore (M.Telemetry.Queue_monitor.create sim ~qdisc ~interval:0.0 ()))
 
 (* --- Ndt ------------------------------------------------------------------------------- *)
 

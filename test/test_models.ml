@@ -1,5 +1,4 @@
-(* Tests for the later-added models: LEDBAT, the RCS share tree, and
-   end-to-end ECN. *)
+(* Tests for the later-added models: LEDBAT and the RCS share tree. *)
 
 module Sim = Ccsim_engine.Sim
 module Net = Ccsim_net
@@ -140,45 +139,6 @@ let test_rcs_total_demand () =
   in
   check_close "sum" 1e-9 3.0 (Rcs.total_demand tree)
 
-(* --- ECN end-to-end ------------------------------------------------------------------- *)
-
-let test_ecn_marks_trigger_backoff_without_retx () =
-  let sim = Sim.create () in
-  let qdisc =
-    Net.Red.create ~min_th_bytes:(10 * 1500) ~max_th_bytes:(40 * 1500) ~max_p:0.3 ~weight:0.05
-      ~ecn:true ()
-  in
-  let topo = Net.Topology.dumbbell sim ~rate_bps:(U.Units.mbps 20.0) ~delay_s:0.02 ~qdisc () in
-  let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Cubic.create ()) () in
-  Ccsim_tcp.Sender.set_unlimited conn.sender;
-  Sim.run ~until:30.0 sim;
-  Alcotest.(check bool) "RED marked packets" true (qdisc.Net.Qdisc.stats.ecn_marked > 0);
-  Alcotest.(check bool) "sender responded to ECN" true
-    (Ccsim_tcp.Sender.ecn_responses conn.sender > 0);
-  (* ECN backoff happens without the loss/retransmit cycle. *)
-  Alcotest.(check bool) "far fewer retransmits than ECN responses" true
-    (Ccsim_tcp.Sender.segs_retrans conn.sender < Ccsim_tcp.Sender.ecn_responses conn.sender);
-  let goodput = Ccsim_tcp.Connection.goodput_bps conn ~over:30.0 in
-  Alcotest.(check bool) "link still well used" true (goodput > U.Units.mbps 14.0)
-
-let test_ecn_response_rate_limited () =
-  (* Two ECE acks within one RTT must trigger only one window cut. *)
-  let sim = Sim.create () in
-  let topo = Net.Topology.dumbbell sim ~rate_bps:(U.Units.mbps 50.0) ~delay_s:0.02 () in
-  let cca = Ccsim_cca.Reno.create () in
-  let conn = Ccsim_tcp.Connection.establish topo ~flow:0 ~cca () in
-  Ccsim_tcp.Sender.write conn.sender 200_000;
-  Sim.run ~until:2.0 sim;
-  let before = Ccsim_tcp.Sender.ecn_responses conn.sender in
-  let ack n =
-    Net.Packet.ack ~flow:0 ~ack:n ~ece:true ~sent_at:(Sim.now sim) ()
-  in
-  let acked = Ccsim_tcp.Sender.bytes_acked conn.sender in
-  Ccsim_tcp.Sender.handle_ack conn.sender (ack acked);
-  Ccsim_tcp.Sender.handle_ack conn.sender (ack acked);
-  Alcotest.(check int) "one response for back-to-back ECE" (before + 1)
-    (Ccsim_tcp.Sender.ecn_responses conn.sender)
-
 (* --- QCheck properties for the allocation model ---------------------------------- *)
 
 let qcheck_tests =
@@ -241,6 +201,4 @@ let suite =
     ("rcs: nested slack redistribution", `Quick, test_rcs_nested_redistribution);
     ("rcs: validation", `Quick, test_rcs_validation);
     ("rcs: total demand", `Quick, test_rcs_total_demand);
-    ("ecn: marks cut the window without retransmits", `Quick, test_ecn_marks_trigger_backoff_without_retx);
-    ("ecn: response rate-limited per RTT", `Quick, test_ecn_response_rate_limited);
   ]

@@ -46,12 +46,6 @@ let test_fifo_drop_tail () =
   Alcotest.(check int) "drop counted" 1 q.Net.Qdisc.stats.dropped;
   check_float "loss rate" (1.0 /. 3.0) (Net.Qdisc.loss_rate q)
 
-let test_fifo_packet_limit () =
-  let q = Net.Fifo.create ~limit_bytes:1_000_000 ~limit_packets:2 () in
-  ignore (q.Net.Qdisc.enqueue (data ()));
-  ignore (q.Net.Qdisc.enqueue (data ()));
-  Alcotest.(check bool) "packet limit" false (q.Net.Qdisc.enqueue (data ()))
-
 (* --- Drr --------------------------------------------------------------------- *)
 
 let test_drr_round_robin () =
@@ -283,7 +277,7 @@ let test_policer_drops_excess () =
   Alcotest.(check int) "burst passes" 2 !passed;
   Alcotest.(check int) "rest dropped" 8 (Net.Policer.dropped policer)
 
-(* --- Red / Codel / Prio ----------------------------------------------------------------- *)
+(* --- Red / Codel ------------------------------------------------------------------------ *)
 
 let test_red_accepts_below_min_th () =
   let q = Net.Red.create ~min_th_bytes:10_000 ~max_th_bytes:30_000 ~limit_bytes:100_000 () in
@@ -300,17 +294,6 @@ let test_red_drops_under_pressure () =
   done;
   Alcotest.(check bool) "probabilistic drops occurred" true (q.Net.Qdisc.stats.dropped > 0);
   Alcotest.(check bool) "but not everything" true (q.Net.Qdisc.stats.enqueued > 0)
-
-let test_red_ecn_marks () =
-  let q =
-    Net.Red.create ~min_th_bytes:1_000 ~max_th_bytes:5_000 ~max_p:1.0 ~weight:1.0 ~ecn:true
-      ~limit_bytes:50_000 ()
-  in
-  for i = 0 to 49 do
-    ignore (q.Net.Qdisc.enqueue (data ~seq:i ()))
-  done;
-  Alcotest.(check bool) "marked instead of dropped" true (q.Net.Qdisc.stats.ecn_marked > 0);
-  Alcotest.(check int) "no drops below hard limit" 0 q.Net.Qdisc.stats.dropped
 
 let test_codel_passes_when_fast () =
   let now = ref 0.0 in
@@ -335,18 +318,6 @@ let test_codel_drops_standing_queue () =
   done;
   Alcotest.(check bool) "codel dropped from standing queue" true
     (q.Net.Qdisc.stats.dropped > dropped_before)
-
-let test_prio_strict_order () =
-  let q = Net.Prio.create ~bands:3 () in
-  let mk prio seq = Packet.data ~flow:0 ~seq ~payload_bytes:100 ~prio ~sent_at:0.0 () in
-  ignore (q.Net.Qdisc.enqueue (mk 2 1));
-  ignore (q.Net.Qdisc.enqueue (mk 0 2));
-  ignore (q.Net.Qdisc.enqueue (mk 1 3));
-  let pop () = match q.Net.Qdisc.dequeue () with Some p -> p.Packet.seq | None -> -1 in
-  let a = pop () in
-  let b = pop () in
-  let c = pop () in
-  Alcotest.(check (list int)) "priority order" [ 2; 3; 1 ] [ a; b; c ]
 
 (* --- Link -------------------------------------------------------------------------- *)
 
@@ -451,7 +422,6 @@ let suite =
     ("packet: sizes and kinds", `Quick, test_packet_sizes);
     ("fifo: order and backlog", `Quick, test_fifo_order_and_backlog);
     ("fifo: drop tail", `Quick, test_fifo_drop_tail);
-    ("fifo: packet limit", `Quick, test_fifo_packet_limit);
     ("drr: round robin", `Quick, test_drr_round_robin);
     ("drr: equal byte service", `Quick, test_drr_fair_bytes);
     ("drr: weighted service", `Quick, test_drr_weights);
@@ -466,10 +436,8 @@ let suite =
     ("policer: drops excess", `Quick, test_policer_drops_excess);
     ("red: below min threshold", `Quick, test_red_accepts_below_min_th);
     ("red: drops under pressure", `Quick, test_red_drops_under_pressure);
-    ("red: ecn marking", `Quick, test_red_ecn_marks);
     ("codel: fast queue untouched", `Quick, test_codel_passes_when_fast);
     ("codel: standing queue dropped", `Quick, test_codel_drops_standing_queue);
-    ("prio: strict ordering", `Quick, test_prio_strict_order);
     ("link: serialization + propagation", `Quick, test_link_serialization_and_delay);
     ("link: utilization accounting", `Quick, test_link_utilization);
     ("link: mid-run rate change", `Quick, test_link_rate_change);
