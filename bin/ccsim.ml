@@ -75,6 +75,17 @@ let validate_backend (e : E.t) = function
         exit 124
       end
 
+(* A timed experiment measures after its warmup. A duration at or below
+   it would fail every job (Scenario.make raises) or, for a1, score no
+   samples at all, so it is refused before any job starts, exit 2. *)
+let check_duration ~cmd ~option (e : E.t) d =
+  match e.kind with
+  | E.Timed { warmup_s; _ } when d <= warmup_s ->
+      Printf.eprintf "ccsim %s: %s %g does not exceed %s's %g s warmup\n" cmd option d e.id
+        warmup_s;
+      exit 2
+  | E.Timed _ | E.Sized _ -> ()
+
 let jobs_arg =
   let doc = "Worker domains; 1 runs serially (bit-identical to the pre-runner CLI)." in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -478,11 +489,13 @@ let print_plain i (r : R.Job.result) =
 let exp_cmd (e : E.t) =
   let size =
     match e.kind with
-    | E.Timed default -> Term.(const (fun d -> (Some d, None)) $ duration_arg default)
+    | E.Timed { default_s; _ } ->
+        Term.(const (fun d -> (Some d, None)) $ duration_arg default_s)
     | E.Sized default -> Term.(const (fun n -> (None, Some n)) $ flows_arg default)
   in
   let run (duration, n) seed backend jobs report obs faults =
     let backend = validate_backend e backend in
+    Option.iter (check_duration ~cmd:e.id ~option:"--duration" e) duration;
     exit
       (run_jobs ~jobs ~no_cache:true ~report ~default_report:"last_run.json" ~telemetry:false
          ~print_block:print_plain ~obs
@@ -515,7 +528,7 @@ let list_cmd =
       (fun (e : E.t) ->
         let default =
           match e.kind with
-          | E.Timed d -> Printf.sprintf "duration %gs" d
+          | E.Timed { default_s; _ } -> Printf.sprintf "duration %gs" default_s
           | E.Sized n -> Printf.sprintf "population %d" n
         in
         Printf.printf "%-6s %-18s %-13s %-7s %s\n" e.id
@@ -575,6 +588,9 @@ let sweep_cmd =
               exit 2)
         ids
     in
+    List.iter
+      (fun e -> List.iter (check_duration ~cmd:"sweep" ~option:"--durations" e) durations)
+      experiments;
     let axes =
       [ R.Sweep.axis "exp" ids; R.Sweep.ints "seed" seeds ]
       @ (if durations = [] then [] else [ R.Sweep.floats "duration" durations ])
@@ -632,7 +648,8 @@ let sweep_cmd =
 
 (* A fixed matrix of engine-stressing scenarios, one per execution
    regime: pure packet dumbbell (e4), a heavier packet ablation slice
-   (a4), the pure-fluid ODE stepper, and the hybrid coupling. Each row
+   (a4), the pure-fluid ODE stepper, the hybrid coupling, and Nimbus
+   probes with their spectral estimation epochs (fig3). Each row
    runs in-process under a fresh profile + metrics scope and lands in
    BENCH_engine.json; CI gates the quick variant's shape and trends the
    full variant against the checked-in baseline. *)
@@ -648,7 +665,8 @@ let perf_matrix ~quick =
   let t q f = Some (if quick then q else f) in
   let n q f = Some (if quick then q else f) in
   [
-    (* Durations must clear each scenario's warmup (e4: 5s, a4: 15s). *)
+    (* Durations must clear each scenario's warmup (e4: 5s, a4: 15s,
+       fig3: 10s). *)
     { row_name = "packet-dumbbell"; row_exp = "e4"; row_backend = None;
       row_duration = t 8.0 15.0; row_n = None };
     { row_name = "packet-sweep-slice"; row_exp = "a4"; row_backend = None;
@@ -657,6 +675,8 @@ let perf_matrix ~quick =
       row_duration = None; row_n = n 2000 10_000 };
     { row_name = "hybrid-population"; row_exp = "p1"; row_backend = Some "hybrid";
       row_duration = None; row_n = n 150 300 };
+    { row_name = "nimbus-probe"; row_exp = "fig3"; row_backend = None;
+      row_duration = t 12.0 20.0; row_n = None };
   ]
 
 let perf_run_row ~seed row =

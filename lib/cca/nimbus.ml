@@ -8,11 +8,16 @@ type handle = {
   capacity_estimate : unit -> float;
 }
 
-let create sim ?(mss = U.Units.mss) ?(pulse_freq_hz = 5.0) ?(pulse_amplitude = 0.25)
-    ?(sample_rate_hz = 100.0) ?(fft_size = 512) ?(mode_switching = true) ?known_capacity_bps
-    ?(elastic_threshold = 0.5) () =
-  if not (U.Fft.is_power_of_two fft_size) then
-    invalid_arg "Nimbus.create: fft_size must be a power of two";
+(* Estimator settings: 5 Hz pulses sampled at 100 Hz, a 512-sample
+   (5.12 s) spectral window, and the mode switch's elasticity threshold
+   (enter competitive above it, leave below half of it). *)
+let pulse_freq_hz = 5.0
+let sample_rate_hz = 100.0
+let fft_size = 512
+let elastic_threshold = 0.5
+
+let create sim ?(mss = U.Units.mss) ?(pulse_amplitude = 0.25) ?(mode_switching = true)
+    ?known_capacity_bps () =
   if pulse_amplitude <= 0.0 || pulse_amplitude >= 1.0 then
     invalid_arg "Nimbus.create: pulse_amplitude must be in (0,1)";
   let fmss = float_of_int mss in
@@ -44,7 +49,7 @@ let create sim ?(mss = U.Units.mss) ?(pulse_freq_hz = 5.0) ?(pulse_amplitude = 0
   let rin_history = Array.make history_len 0.0 in
   let tick_count = ref 0 in
   (* --- elasticity estimation --- *)
-  (* Raw-signal rings: longer than the FFT window by the maximum
+  (* Raw-signal rings: longer than the spectral window by the maximum
      candidate alignment delay (see compute_elasticity). *)
   let max_delay_samples = 64 in
   let ring_len = fft_size + max_delay_samples in
@@ -52,6 +57,15 @@ let create sim ?(mss = U.Units.mss) ?(pulse_freq_hz = 5.0) ?(pulse_amplitude = 0
   let rin_ring = U.Ring_buffer.create ~capacity:ring_len in
   let rout_ring = U.Ring_buffer.create ~capacity:ring_len in
   let dq_ring = U.Ring_buffer.create ~capacity:ring_len in
+  (* Estimation scratch, filled in place every epoch: the rings' windows,
+     one candidate alignment's z, the own-rate window, and the plan for
+     the three spectral bins read from each. *)
+  let plan = U.Fft.plan fft_size in
+  let rin_w = Array.make ring_len 0.0 in
+  let rout_w = Array.make ring_len 0.0 in
+  let dq_w = Array.make ring_len 0.0 in
+  let z_d = Array.make fft_size 0.0 in
+  let own_w = Array.make fft_size 0.0 in
   let elasticity_series = U.Timeseries.create () in
   let cross_series = U.Timeseries.create () in
   let latest_elasticity = ref 0.0 in
@@ -110,22 +124,21 @@ let create sim ?(mss = U.Units.mss) ?(pulse_freq_hz = 5.0) ?(pulse_amplitude = 0
   let compute_elasticity now =
     if U.Ring_buffer.is_full rout_ring && U.Ring_buffer.is_full dq_ring then begin
       (match m_epochs with Some c -> Ccsim_obs.Metrics.inc c | None -> ());
-      let rin_a = U.Ring_buffer.to_array rin_ring in
-      let rout_a = U.Ring_buffer.to_array rout_ring in
-      let dq_a = U.Ring_buffer.to_array dq_ring in
+      U.Ring_buffer.blit rin_ring rin_w;
+      U.Ring_buffer.blit rout_ring rout_w;
+      U.Ring_buffer.blit dq_ring dq_w;
       let capacity = mu () in
       let offset = ring_len - fft_size in
-      let z_d = Array.make fft_size 0.0 in
       let best = ref infinity in
       let d = ref 0 in
       while !d <= max_delay_samples do
         for i = 0 to fft_size - 1 do
-          let rout_i = rout_a.(offset + i) in
-          let rin_i = rin_a.(offset + i - !d) in
+          let rout_i = rout_w.(offset + i) in
+          let rin_i = rin_w.(offset + i - !d) in
           (* The mixing identity behind z is only valid while the
              bottleneck queue is non-empty; on an unsaturated link there
              is no cross pressure to measure, so z reads zero. *)
-          let saturated = dq_a.(offset + i) > 0.002 in
+          let saturated = dq_w.(offset + i) > 0.002 in
           z_d.(i) <-
             (if not saturated then 0.0
              else if rout_i > 0.02 *. capacity then
@@ -133,17 +146,13 @@ let create sim ?(mss = U.Units.mss) ?(pulse_freq_hz = 5.0) ?(pulse_amplitude = 0
              else if i > 0 then z_d.(i - 1)
              else 0.0)
         done;
-        let mag =
-          U.Fft.magnitude_at (U.Fft.mean_removed z_d) ~sample_rate:sample_rate_hz
-            ~freq:pulse_freq_hz
-        in
+        let mag = U.Fft.magnitude_at plan z_d ~sample_rate:sample_rate_hz ~freq:pulse_freq_hz in
         if mag < !best then best := mag;
         incr d
       done;
-      let own_window = Array.sub rin_a offset fft_size in
+      Array.blit rin_w offset own_w 0 fft_size;
       let own_mag =
-        U.Fft.magnitude_at (U.Fft.mean_removed own_window) ~sample_rate:sample_rate_hz
-          ~freq:pulse_freq_hz
+        U.Fft.magnitude_at plan own_w ~sample_rate:sample_rate_hz ~freq:pulse_freq_hz
       in
       (* Normalize by the larger of the measured self-pulse and half the
          configured pulse size, so a squashed own-signal cannot inflate

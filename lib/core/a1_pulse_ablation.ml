@@ -13,6 +13,9 @@ type row = {
 let rate_bps = U.Units.mbps 48.0
 let rtt_s = 0.1
 
+(* Elasticity samples before this still carry the probe's start-up. *)
+let warmup_s = 10.0
+
 (* This ablation drives Nimbus below the Scenario API so the pulse
    amplitude can vary. *)
 let probe_run ~amplitude ~duration ~cross =
@@ -39,11 +42,12 @@ let probe_run ~amplitude ~duration ~cross =
       Ccsim_net.Dispatch.register topo.fwd_dispatch ~flow:1 (Ccsim_tcp.Udp.Sink.handle sink);
       ignore (Ccsim_app.Cbr.over_udp sim ~source ~rate_bps:(U.Units.mbps 12.0) ()));
   Sim.run ~until:duration sim;
-  let steady = U.Timeseries.between handle.elasticity ~lo:10.0 ~hi:duration in
+  let steady = U.Timeseries.between handle.elasticity ~lo:warmup_s ~hi:duration in
   let goodput =
     float_of_int (Ccsim_tcp.Receiver.bytes_received probe.receiver) *. 8.0 /. duration
   in
   (Ccsim_measure.Elasticity.verdict (U.Timeseries.values steady), goodput)
+
 
 let run ?(duration = 45.0) ?seed () =
   ignore seed;

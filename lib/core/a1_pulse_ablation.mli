@@ -17,6 +17,10 @@ type row = {
   probe_goodput_mbps : float;  (** vs the Reno cross traffic *)
 }
 
+val warmup_s : float
+(** Simulated seconds every scenario runs before it is measured; a
+    duration must exceed it. *)
+
 val run : ?duration:float -> ?seed:int -> unit -> row list
 val render : row list -> string
 (** Paper-style report rows rendered to a string; the runner caches

@@ -13,6 +13,8 @@ type row = {
 let rate_bps = U.Units.mbps 48.0
 let pkt = U.Units.mss + U.Units.header_bytes
 
+let warmup_s = 10.0
+
 let run ?(duration = 40.0) ?(seed = 42) () =
   let bdp = U.Units.bdp_bytes ~rate_bps ~rtt_s:0.05 in
   List.map
@@ -24,7 +26,7 @@ let run ?(duration = 40.0) ?(seed = 42) () =
           ~rate_bps ~delay_s:0.025
           ~qdisc:
             (Scenario.Drr { quantum_bytes = Some quantum_bytes; limit_bytes = Some (4 * bdp) })
-          ~duration ~warmup:10.0 ~seed
+          ~duration ~warmup:warmup_s ~seed
           [
             Scenario.flow "bbr" ~cca:Scenario.Bbr ~app:Scenario.Bulk;
             Scenario.flow "reno" ~cca:Scenario.Reno ~app:Scenario.Bulk;

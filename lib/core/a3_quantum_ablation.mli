@@ -18,6 +18,10 @@ type row = {
   utilization : float;
 }
 
+val warmup_s : float
+(** Simulated seconds every scenario runs before it is measured; a
+    duration must exceed it. *)
+
 val run : ?duration:float -> ?seed:int -> unit -> row list
 val render : row list -> string
 (** Paper-style report rows rendered to a string; the runner caches

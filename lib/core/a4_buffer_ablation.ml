@@ -11,6 +11,8 @@ type row = {
 let rate_bps = U.Units.mbps 48.0
 let rtt_s = 0.05
 
+let warmup_s = 15.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   let bdp = U.Units.bdp_bytes ~rate_bps ~rtt_s in
   List.map
@@ -23,7 +25,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
           ~name:(Printf.sprintf "a4/buf=%gbdp" buffer_bdp)
           ~rate_bps ~delay_s:(rtt_s /. 2.0)
           ~qdisc:(Scenario.Fifo { limit_bytes = Some limit })
-          ~duration ~warmup:15.0 ~seed
+          ~duration ~warmup:warmup_s ~seed
           [
             Scenario.flow "bbr" ~cca:Scenario.Bbr ~app:Scenario.Bulk;
             Scenario.flow "reno" ~cca:Scenario.Reno ~app:Scenario.Bulk;

@@ -77,6 +77,8 @@ let cases : (string * bool * Scenario.flow_spec list) list =
     ("CBR UDP", false, [ Scenario.flow "cross" ~app:(Scenario.Cbr_udp { rate_bps = U.Units.mbps 12.0 }) ]);
   ]
 
+let warmup_s = 10.0
+
 let run ?(duration = 45.0) ?(seed = 42) () =
   List.concat_map
     (fun (case, expected_elastic, cross_flows) ->
@@ -87,7 +89,7 @@ let run ?(duration = 45.0) ?(seed = 42) () =
           let scenario =
             Scenario.make
               ~name:(Printf.sprintf "c1/%s/%s" case (intensity_to_string intensity))
-              ~rate_bps ~delay_s:(rtt_s /. 2.0) ~duration ~warmup:10.0 ~seed
+              ~rate_bps ~delay_s:(rtt_s /. 2.0) ~duration ~warmup:warmup_s ~seed
               ~qdisc:(Scenario.Fifo { limit_bytes = Some (2 * bdp) })
               (probe_spec :: cross_flows)
           in

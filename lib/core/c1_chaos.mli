@@ -40,5 +40,9 @@ type row = {
   qdisc_flushed : int;
 }
 
+val warmup_s : float
+(** Simulated seconds every scenario runs before it is measured; a
+    duration must exceed it. *)
+
 val run : ?duration:float -> ?seed:int -> unit -> row list
 val render : row list -> string

@@ -29,6 +29,8 @@ let qdiscs =
     ("drr-fq", Scenario.Drr { quantum_bytes = None; limit_bytes = Some (4 * bdp) });
   ]
 
+let warmup_s = 10.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   List.concat_map
     (fun (pair, cca_a, cca_b) ->
@@ -37,7 +39,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
           let scenario =
             Scenario.make
               ~name:(Printf.sprintf "e1/%s/%s" pair qdisc_name)
-              ~rate_bps:(U.Units.mbps 48.0) ~delay_s:0.025 ~qdisc ~duration ~warmup:10.0 ~seed
+              ~rate_bps:(U.Units.mbps 48.0) ~delay_s:0.025 ~qdisc ~duration ~warmup:warmup_s ~seed
               [
                 Scenario.flow "a" ~cca:cca_a ~app:Scenario.Bulk;
                 Scenario.flow "b" ~cca:cca_b ~app:Scenario.Bulk;

@@ -10,6 +10,8 @@ type row = {
 
 let plan_rate_bps = U.Units.mbps 20.0
 
+let warmup_s = 5.0
+
 let run ?(duration = 30.0) ?(seed = 42) () =
   let burst = 50 * (U.Units.mss + U.Units.header_bytes) in
   let managements =
@@ -27,7 +29,7 @@ let run ?(duration = 30.0) ?(seed = 42) () =
           let scenario =
             Scenario.make
               ~name:(Printf.sprintf "e2/%s/%s" cca_name mgmt_name)
-              ~rate_bps:(U.Units.mbps 100.0) ~delay_s:0.02 ~duration ~warmup:5.0 ~seed
+              ~rate_bps:(U.Units.mbps 100.0) ~delay_s:0.02 ~duration ~warmup:warmup_s ~seed
               [ Scenario.flow "flow" ~cca ~app:Scenario.Bulk ~ingress ]
           in
           let result = Scenario.run scenario in

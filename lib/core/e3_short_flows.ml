@@ -9,6 +9,8 @@ type row = {
   fct_p99_s : float;
 }
 
+let warmup_s = 5.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   let sizes = [ 10_000.0; 30_000.0; 100_000.0; 300_000.0; 1_000_000.0 ] in
   List.map
@@ -16,7 +18,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
       let scenario =
         Scenario.make
           ~name:(Printf.sprintf "e3/mean=%.0fkB" (mean_size_bytes /. 1e3))
-          ~rate_bps:(U.Units.mbps 50.0) ~delay_s:0.02 ~duration ~warmup:5.0 ~seed
+          ~rate_bps:(U.Units.mbps 50.0) ~delay_s:0.02 ~duration ~warmup:warmup_s ~seed
           ~short_flows:{ Scenario.arrival_rate = 10.0; mean_size_bytes; sf_stop = Some (duration -. 5.0) }
           []
       in

@@ -12,6 +12,8 @@ type row = {
 
 let capacity_bps = U.Units.mbps 50.0
 
+let warmup_s = 5.0
+
 let run ?(duration = 30.0) ?(seed = 42) () =
   let rates_mbps = [ 5.0; 10.0; 15.0; 20.0; 25.0; 30.0; 35.0 ] in
   List.map
@@ -20,7 +22,7 @@ let run ?(duration = 30.0) ?(seed = 42) () =
       let scenario =
         Scenario.make
           ~name:(Printf.sprintf "e4/%gMbps-each" rate)
-          ~rate_bps:capacity_bps ~delay_s:0.02 ~duration ~warmup:5.0 ~seed
+          ~rate_bps:capacity_bps ~delay_s:0.02 ~duration ~warmup:warmup_s ~seed
           [
             Scenario.flow "a" ~cca:Scenario.Cubic ~app:(Scenario.Cbr_tcp { rate_bps });
             Scenario.flow "b" ~cca:Scenario.Bbr ~app:(Scenario.Cbr_tcp { rate_bps });

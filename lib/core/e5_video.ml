@@ -10,6 +10,8 @@ type row = {
   utilization : float;
 }
 
+let warmup_s = 15.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   let capacities = [ 10.0; 20.0; 40.0; 80.0 ] in
   List.concat_map
@@ -26,7 +28,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
           let scenario =
             Scenario.make
               ~name:(Printf.sprintf "e5/%gM%s" capacity (if with_bulk then "+bulk" else ""))
-              ~rate_bps:(U.Units.mbps capacity) ~delay_s:0.02 ~duration ~warmup:15.0 ~seed flows
+              ~rate_bps:(U.Units.mbps capacity) ~delay_s:0.02 ~duration ~warmup:warmup_s ~seed flows
           in
           let result = Scenario.run scenario in
           let video = Results.find result "video" in

@@ -18,8 +18,9 @@ let rtt_s = 0.08
 
 let window_s = 2.0
 
+let warmup_s = 20.0
+
 let run ?(duration = 120.0) ?(seed = 42) () =
-  let warmup = 20.0 in
   let qdiscs =
     [
       ("fifo", Scenario.Fifo { limit_bytes = Some (8 * (U.Units.mss + U.Units.header_bytes)) });
@@ -39,19 +40,19 @@ let run ?(duration = 120.0) ?(seed = 42) () =
           let scenario =
             Scenario.make
               ~name:(Printf.sprintf "e6/n=%d/%s" n_flows qdisc_name)
-              ~rate_bps ~delay_s:(rtt_s /. 2.0) ~qdisc ~duration ~warmup ~seed
+              ~rate_bps ~delay_s:(rtt_s /. 2.0) ~qdisc ~duration ~warmup:warmup_s ~seed
               ~monitor_interval:0.5 flows
           in
           let result = Scenario.run scenario in
           let goodputs = Results.goodputs result in
           let fair_share = rate_bps /. float_of_int n_flows in
           (* Windowed throughput per flow over the measurement period. *)
-          let windows = int_of_float ((duration -. warmup) /. window_s) in
+          let windows = int_of_float ((duration -. warmup_s) /. window_s) in
           let per_window =
             List.map
               (fun (f : Results.flow_result) ->
                 Array.init windows (fun w ->
-                    let lo = warmup +. (float_of_int w *. window_s) in
+                    let lo = warmup_s +. (float_of_int w *. window_s) in
                     let hi = lo +. window_s in
                     let ts = U.Timeseries.between f.throughput ~lo ~hi in
                     if U.Timeseries.is_empty ts then 0.0 else U.Timeseries.mean_value ts))

@@ -10,6 +10,8 @@ type row = {
 
 let pkt = U.Units.mss + U.Units.header_bytes
 
+let warmup_s = 5.0
+
 let run ?(duration = 30.0) ?(seed = 42) () =
   let capacity = U.Units.mbps 20.0 in
   let qdiscs =
@@ -43,7 +45,7 @@ let run ?(duration = 30.0) ?(seed = 42) () =
             Scenario.make
               ~name:(Printf.sprintf "e7/%s/burst=%d" qdisc_name
                        (match burst with None -> 0 | Some b -> b))
-              ~rate_bps:capacity ~delay_s:0.01 ~qdisc ~duration ~warmup:5.0 ~seed flows
+              ~rate_bps:capacity ~delay_s:0.01 ~qdisc ~duration ~warmup:warmup_s ~seed flows
           in
           let result = Scenario.run scenario in
           let cbr = Results.find result "cbr" in

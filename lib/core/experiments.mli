@@ -8,7 +8,10 @@
     this table instead of hard-coding the experiment modules. *)
 
 type kind =
-  | Timed of float  (** default simulated seconds per scenario *)
+  | Timed of { default_s : float; warmup_s : float }
+      (** Default simulated seconds per scenario, and the warmup its
+          scenarios skip before measuring: a duration must exceed
+          [warmup_s] (the CLI refuses one that does not, exit 2). *)
   | Sized of int  (** default synthetic population size (fig2, a2) *)
 
 type t = {

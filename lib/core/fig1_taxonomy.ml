@@ -13,10 +13,12 @@ type row = {
 
 let capacity = U.Units.mbps 40.0
 
+let warmup_s = 10.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   let mk ~name ~qdisc ~ingress_a ~ingress_reno ~apps =
     let app_a, app_reno = apps in
-    Scenario.make ~name ~rate_bps:capacity ~delay_s:0.02 ~qdisc ~duration ~warmup:10.0 ~seed
+    Scenario.make ~name ~rate_bps:capacity ~delay_s:0.02 ~qdisc ~duration ~warmup:warmup_s ~seed
       [
         Scenario.flow "aggressive" ~cca:Scenario.Cubic ~app:app_a ~ingress:ingress_a;
         Scenario.flow "reno" ~cca:Scenario.Reno ~app:app_reno ~ingress:ingress_reno;

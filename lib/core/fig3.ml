@@ -39,13 +39,15 @@ let cross_cases ~seed :
       None );
   ]
 
+let warmup_s = 10.0
+
 let run ?(duration = 45.0) ?(seed = 42) () =
   List.map
     (fun (traffic, expected_elastic, cross_flows, short_flows) ->
       let bdp = U.Units.bdp_bytes ~rate_bps ~rtt_s in
       let scenario =
         Scenario.make ~name:("fig3/" ^ traffic) ~rate_bps ~delay_s:(rtt_s /. 2.0) ~duration
-          ~warmup:10.0 ~seed ?short_flows
+          ~warmup:warmup_s ~seed ?short_flows
           ~qdisc:(Scenario.Fifo { limit_bytes = Some (2 * bdp) })
           (probe_spec :: cross_flows)
       in

@@ -26,6 +26,10 @@ val rate_bps : float
 val rtt_s : float
 (** 100 ms. *)
 
+val warmup_s : float
+(** Simulated seconds every scenario runs before it is measured; a
+    duration must exceed it. *)
+
 val run : ?duration:float -> ?seed:int -> unit -> row list
 (** One scenario per cross-traffic type (default 45 s each). *)
 

@@ -13,6 +13,8 @@ type row = {
 let mean_rate_bps = U.Units.mbps 20.0
 let rtt_s = 0.06
 
+let warmup_s = 10.0
+
 let run ?(duration = 60.0) ?(seed = 42) () =
   let ccas =
     [
@@ -30,7 +32,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
           ~name:("x1/" ^ name)
           ~rate_bps:mean_rate_bps ~delay_s:(rtt_s /. 2.0)
           ~rate_variation:(Scenario.Ou_wander { volatility = 0.2 })
-          ~duration ~warmup:10.0 ~seed
+          ~duration ~warmup:warmup_s ~seed
           [ Scenario.flow "flow" ~cca ~app:Scenario.Bulk ]
       in
       let result = Scenario.run scenario in

@@ -16,10 +16,12 @@ let rate_bps = U.Units.mbps 48.0
 let ccas =
   [ ("reno", Scenario.Reno); ("cubic", Scenario.Cubic); ("bbr", Scenario.Bbr) ]
 
+let warmup_s = 10.0
+
 let run ?(duration = 40.0) ?(seed = 42) () =
   let solo_result (name, cca) =
     let scenario =
-      Scenario.make ~name:("x2/solo/" ^ name) ~rate_bps ~delay_s:0.025 ~duration ~warmup:10.0
+      Scenario.make ~name:("x2/solo/" ^ name) ~rate_bps ~delay_s:0.025 ~duration ~warmup:warmup_s
         ~seed
         [ Scenario.flow "victim" ~cca ~app:Scenario.Bulk ]
     in
@@ -37,7 +39,7 @@ let run ?(duration = 40.0) ?(seed = 42) () =
             let scenario =
               Scenario.make
                 ~name:(Printf.sprintf "x2/%s-vs-%s" victim_name contender_name)
-                ~rate_bps ~delay_s:0.025 ~duration ~warmup:10.0 ~seed
+                ~rate_bps ~delay_s:0.025 ~duration ~warmup:warmup_s ~seed
                 [
                   Scenario.flow "victim" ~cca:victim_cca ~app:Scenario.Bulk;
                   Scenario.flow "contender" ~cca:contender_cca ~app:Scenario.Bulk;

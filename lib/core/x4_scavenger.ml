@@ -11,6 +11,8 @@ type row = {
 
 let rate_bps = U.Units.mbps 30.0
 
+let warmup_s = 25.0
+
 let run ?(duration = 90.0) ?(seed = 42) () =
   let cases =
     [ ("none", None); ("cubic", Some Scenario.Cubic); ("ledbat", Some Scenario.Ledbat) ]
@@ -25,7 +27,7 @@ let run ?(duration = 90.0) ?(seed = 42) () =
         | Some cca -> [ Scenario.flow "update" ~cca ~app:Scenario.Bulk ~start:20.0 ])
       in
       let scenario =
-        Scenario.make ~name:("x4/" ^ name) ~rate_bps ~delay_s:0.015 ~duration ~warmup:25.0
+        Scenario.make ~name:("x4/" ^ name) ~rate_bps ~delay_s:0.015 ~duration ~warmup:warmup_s
           ~seed flows
       in
       let result = Scenario.run scenario in

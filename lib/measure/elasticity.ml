@@ -1,19 +1,21 @@
 module U = Ccsim_util
 
+let score_with plan ~sample_rate ~pulse_freq ~cross ~own =
+  let cross_mag = U.Fft.magnitude_at plan cross ~sample_rate ~freq:pulse_freq in
+  let own_mag = U.Fft.magnitude_at plan own ~sample_rate ~freq:pulse_freq in
+  cross_mag /. Float.max own_mag 1e-6
+
 let score ~sample_rate ~pulse_freq ~cross ~own =
   let n = Array.length cross in
   if Array.length own <> n then invalid_arg "Elasticity.score: signal length mismatch";
   if not (U.Fft.is_power_of_two n) then
     invalid_arg "Elasticity.score: length must be a power of two";
-  let cross_mag =
-    U.Fft.magnitude_at (U.Fft.mean_removed cross) ~sample_rate ~freq:pulse_freq
-  in
-  let own_mag = U.Fft.magnitude_at (U.Fft.mean_removed own) ~sample_rate ~freq:pulse_freq in
-  cross_mag /. Float.max own_mag 1e-6
+  score_with (U.Fft.plan n) ~sample_rate ~pulse_freq ~cross ~own
 
 let windowed ~sample_rate ~pulse_freq ~window ~cross ~own =
   if not (U.Fft.is_power_of_two window) then
     invalid_arg "Elasticity.windowed: window must be a power of two";
+  let plan = U.Fft.plan window in
   let interval = 1.0 /. sample_rate in
   let cross_r = U.Timeseries.resample cross ~interval in
   let own_r = U.Timeseries.resample own ~interval in
@@ -26,7 +28,7 @@ let windowed ~sample_rate ~pulse_freq ~window ~cross ~own =
   while !pos <= n do
     let lo = !pos - window in
     let c = Array.sub cross_v lo window and o = Array.sub own_v lo window in
-    let e = score ~sample_rate ~pulse_freq ~cross:c ~own:o in
+    let e = score_with plan ~sample_rate ~pulse_freq ~cross:c ~own:o in
     U.Timeseries.add out ~time:times.(!pos - 1) ~value:e;
     pos := !pos + step
   done;

@@ -1,11 +1,13 @@
 (** Offline elasticity estimation (Nimbus, §3.2).
 
     Computes the elasticity metric of recorded cross-traffic-estimate
-    and own-send-rate signals: the one-sided FFT magnitude of the
-    (mean-removed) cross-traffic estimate at the probe's pulse
-    frequency, normalised by the corresponding magnitude of the sender's
-    own rate signal. Elastic (buffer-filling) cross traffic mirrors the
-    pulses and scores near or above 1; inelastic traffic scores near 0.
+    and own-send-rate signals: the one-sided spectral magnitude of the
+    (mean-removed) cross-traffic estimate at the probe's pulse frequency
+    (the largest of the nearest bin and its two neighbours,
+    {!Ccsim_util.Fft.magnitude_at}), normalised by the corresponding
+    magnitude of the sender's own rate signal. Elastic (buffer-filling)
+    cross traffic mirrors the pulses and scores near or above 1;
+    inelastic traffic scores near 0.
 
     The online estimator embedded in {!Ccsim_cca.Nimbus} uses the same
     construction over a sliding window; this module exists to score

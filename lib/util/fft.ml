@@ -1,21 +1,27 @@
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let next_power_of_two n =
-  if n <= 0 then invalid_arg "Fft.next_power_of_two: argument must be positive";
-  let rec loop p = if p >= n then p else loop (2 * p) in
-  loop 1
+type plan = {
+  n : int;
+  stages : int;  (* log2 n *)
+  perm : int array;  (* bit-reversal order: slot i takes input perm.(i) *)
+  tw_re : float array;  (* stage with half-length h: twiddle k at h - 1 + k *)
+  tw_im : float array;
+  re : float array;
+  im : float array;
+  acc : float array;  (* one slot: the running sum, then the running max *)
+}
 
-(* Iterative in-place Cooley-Tukey with bit-reversal permutation.
-   [sign] is -1 for the forward transform and +1 for the inverse. *)
-let fft_in_place a sign =
-  let n = Array.length a in
-  (* Bit-reversal permutation. *)
+let plan n =
+  if not (is_power_of_two n) then invalid_arg "Fft.plan: size must be a power of two";
+  (* The swap loop of an iterative in-place Cooley-Tukey, run once on
+     the indices. *)
+  let perm = Array.init n Fun.id in
   let j = ref 0 in
   for i = 0 to n - 2 do
     if i < !j then begin
-      let tmp = a.(i) in
-      a.(i) <- a.(!j);
-      a.(!j) <- tmp
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(!j);
+      perm.(!j) <- tmp
     end;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
@@ -24,67 +30,82 @@ let fft_in_place a sign =
     done;
     j := !j lor !m
   done;
-  (* Butterfly passes. *)
-  let len = ref 2 in
-  while !len <= n do
-    let ang = float_of_int sign *. 2.0 *. Float.pi /. float_of_int !len in
-    let wlen = Complex.{ re = cos ang; im = sin ang } in
-    let i = ref 0 in
-    while !i < n do
-      let w = ref Complex.one in
-      for k = 0 to (!len / 2) - 1 do
-        let u = a.(!i + k) in
-        let v = Complex.mul a.(!i + k + (!len / 2)) !w in
-        a.(!i + k) <- Complex.add u v;
-        a.(!i + k + (!len / 2)) <- Complex.sub u v;
-        w := Complex.mul !w wlen
-      done;
-      i := !i + !len
+  (* Each stage's twiddles by the recurrence w(k+1) = w(k) * wlen from
+     w(0) = 1, with Complex.mul's operations in its order: computing
+     cos/sin per k would round differently. *)
+  let tw_re = Array.make (n - 1) 0.0 and tw_im = Array.make (n - 1) 0.0 in
+  let stages = ref 0 in
+  let half = ref 1 in
+  while 2 * !half <= n do
+    let len = 2 * !half in
+    let ang = -1.0 *. 2.0 *. Float.pi /. float_of_int len in
+    let wl_re = cos ang and wl_im = sin ang in
+    let w_re = ref 1.0 and w_im = ref 0.0 in
+    for k = 0 to !half - 1 do
+      tw_re.(!half - 1 + k) <- !w_re;
+      tw_im.(!half - 1 + k) <- !w_im;
+      let re = (!w_re *. wl_re) -. (!w_im *. wl_im) in
+      w_im := (!w_re *. wl_im) +. (!w_im *. wl_re);
+      w_re := re
     done;
-    len := !len * 2
-  done
+    incr stages;
+    half := len
+  done;
+  {
+    n;
+    stages = !stages;
+    perm;
+    tw_re;
+    tw_im;
+    re = Array.make n 0.0;
+    im = Array.make n 0.0;
+    acc = [| 0.0 |];
+  }
 
-let transform input =
-  let n = Array.length input in
-  if not (is_power_of_two n) then invalid_arg "Fft.transform: length must be a power of two";
-  let a = Array.copy input in
-  fft_in_place a (-1);
-  a
-
-let inverse input =
-  let n = Array.length input in
-  if not (is_power_of_two n) then invalid_arg "Fft.inverse: length must be a power of two";
-  let a = Array.copy input in
-  fft_in_place a 1;
-  let scale = 1.0 /. float_of_int n in
-  Array.map (fun c -> Complex.{ re = c.re *. scale; im = c.im *. scale }) a
-
-let real_transform signal =
-  transform (Array.map (fun x -> Complex.{ re = x; im = 0.0 }) signal)
-
-let magnitude_spectrum signal =
-  let spectrum = real_transform signal in
-  let n = Array.length spectrum in
-  Array.init ((n / 2) + 1) (fun k -> Complex.norm spectrum.(k))
-
-let frequency_bin ~n ~sample_rate freq =
-  int_of_float (Float.round (freq *. float_of_int n /. sample_rate))
-
-let magnitude_at signal ~sample_rate ~freq =
-  let n = Array.length signal in
-  let mags = magnitude_spectrum signal in
-  let k = frequency_bin ~n ~sample_rate freq in
-  let k = max 0 (min (Array.length mags - 1) k) in
-  let candidates =
-    List.filter (fun i -> i >= 0 && i < Array.length mags) [ k - 1; k; k + 1 ]
-  in
-  let best = List.fold_left (fun acc i -> Float.max acc mags.(i)) 0.0 candidates in
-  best /. (float_of_int n /. 2.0)
-
-let mean_removed signal =
-  let n = Array.length signal in
-  if n = 0 then [||]
-  else begin
-    let m = Array.fold_left ( +. ) 0.0 signal /. float_of_int n in
-    Array.map (fun x -> x -. m) signal
-  end
+let[@ccsim.hot] magnitude_at p s ~sample_rate ~freq =
+  let n = p.n and re = p.re and im = p.im and acc = p.acc in
+  if Array.length s <> n then invalid_arg "Fft.magnitude_at: signal length must match the plan";
+  (* Centre the signal (left-to-right sum over n) and load it in
+     bit-reversed order with zero imaginary parts. *)
+  acc.(0) <- 0.0;
+  for i = 0 to n - 1 do
+    acc.(0) <- acc.(0) +. s.(i)
+  done;
+  let mean = acc.(0) /. float_of_int n in
+  for i = 0 to n - 1 do
+    re.(i) <- s.(p.perm.(i)) -. mean;
+    im.(i) <- 0.0
+  done;
+  (* Bins k-1, k, k+1 of the one-sided spectrum [0, n/2]. *)
+  let k = int_of_float (Float.round (freq *. float_of_int n /. sample_rate)) in
+  let k = Int.max 0 (Int.min (n / 2) k) in
+  let lo = Int.max 0 (k - 1) and hi = Int.min (n / 2) (k + 1) in
+  (* Radix-2 decimation-in-time stages, pruned: at half-length h only
+     the butterflies at offsets b mod h (b a wanted bin) feed a wanted
+     bin, in every block. Bins lo..lo+h-1 cover those offsets once each;
+     a skipped butterfly writes only slots no kept butterfly reads. *)
+  for stage = 0 to p.stages - 1 do
+    let half = 1 lsl stage in
+    for b = lo to Int.min hi (lo + half - 1) do
+      let off = b land (half - 1) in
+      let w_re = p.tw_re.(half - 1 + off) and w_im = p.tw_im.(half - 1 + off) in
+      for block = 0 to (n lsr (stage + 1)) - 1 do
+        let i = (block lsl (stage + 1)) + off in
+        let j = i + half in
+        (* v = a.(j) * w; a.(i) <- a.(i) + v; a.(j) <- a.(i) - v, with
+           Complex.mul, add and sub's operations in their order. *)
+        let v_re = (re.(j) *. w_re) -. (im.(j) *. w_im) in
+        let v_im = (re.(j) *. w_im) +. (im.(j) *. w_re) in
+        let u_re = re.(i) and u_im = im.(i) in
+        re.(i) <- u_re +. v_re;
+        im.(i) <- u_im +. v_im;
+        re.(j) <- u_re -. v_re;
+        im.(j) <- u_im -. v_im
+      done
+    done
+  done;
+  acc.(0) <- 0.0;
+  for b = lo to hi do
+    acc.(0) <- Float.max acc.(0) (Float.hypot re.(b) im.(b))
+  done;
+  acc.(0) /. (float_of_int n /. 2.0)

@@ -1,37 +1,35 @@
-(** Radix-2 Cooley–Tukey fast Fourier transform.
+(** The spectral magnitude of a real signal near one frequency.
 
-    The Nimbus elasticity detector needs the spectral magnitude of the
-    cross-traffic estimate at the probe's pulse frequency; this module
-    provides exactly that, with no external dependencies. *)
+    The Nimbus elasticity detector reads its cross-traffic estimate's
+    spectrum at the probe's pulse frequency: three bins of a radix-2
+    decimation-in-time FFT. This module computes exactly those bins,
+    with no external dependencies and without allocating.
 
-val transform : Complex.t array -> Complex.t array
-(** In-order FFT of an array whose length must be a power of two (raises
-    [Invalid_argument] otherwise). Input is not modified. *)
+    {b Bit identity.} [magnitude_at] returns the same bits as a full
+    boxed [Complex.t] transform of the mean-removed signal followed by
+    the three-bin read below (test/ref_fft.ml keeps that transform as the
+    oracle): the same left-to-right mean, bit-reversal order and stages,
+    twiddles by the same recurrence, each butterfly doing
+    [Complex.mul]/[add]/[sub]'s float operations in their order, and
+    [Float.hypot] as the norm. It skips only the butterflies that feed no
+    bin it reads. *)
 
-val inverse : Complex.t array -> Complex.t array
-(** Inverse FFT (normalized by 1/n). *)
+type plan
+(** Scratch arrays and per-stage twiddles for one transform size. A
+    plan is mutable scratch: it belongs to one owner (one Nimbus probe,
+    one scoring call) and is never shared between domains. *)
 
-val real_transform : float array -> Complex.t array
-(** FFT of a real-valued signal (zero imaginary parts). *)
+val plan : int -> plan
+(** [plan n] for a power-of-two [n]; raises [Invalid_argument]
+    otherwise. *)
 
-val magnitude_spectrum : float array -> float array
-(** [magnitude_spectrum signal] is the per-bin magnitude |X_k| for
-    k in [0, n/2], i.e. the one-sided spectrum. Length must be a power of
-    two. *)
-
-val frequency_bin : n:int -> sample_rate:float -> float -> int
-(** Nearest bin index for a physical frequency. *)
-
-val magnitude_at : float array -> sample_rate:float -> freq:float -> float
-(** One-sided magnitude near frequency [freq]: the maximum magnitude over
-    the bin holding [freq] and its two neighbours (tolerates spectral
-    leakage when the pulse frequency falls between bins), normalized by
-    n/2 so a pure sinusoid of amplitude A reports ~A. *)
+val magnitude_at : plan -> float array -> sample_rate:float -> freq:float -> float
+(** [magnitude_at p s ~sample_rate ~freq] removes [s]'s mean and returns
+    the largest one-sided magnitude over the bin nearest [freq] and its
+    two neighbours (tolerating leakage when [freq] falls between bins),
+    clamped to bins [0, n/2] and normalized by n/2, so a pure sinusoid of
+    amplitude A reports ~A. [s] must have the plan's length (raises
+    [Invalid_argument] otherwise); it is not modified. Allocates nothing
+    but its boxed result. *)
 
 val is_power_of_two : int -> bool
-
-val next_power_of_two : int -> int
-(** Smallest power of two >= the argument (argument must be positive). *)
-
-val mean_removed : float array -> float array
-(** Subtract the mean (removes the DC component before analysis). *)

@@ -35,7 +35,11 @@ let oldest t =
   if t.len = 0 then invalid_arg "Ring_buffer.oldest: empty buffer";
   get t 0
 
-let to_array t = Array.init t.len (get t)
+let blit t dst =
+  if Array.length dst < t.len then invalid_arg "Ring_buffer.blit: destination too short";
+  let first = Int.min t.len (capacity t - t.head) in
+  Array.blit t.data t.head dst 0 first;
+  Array.blit t.data 0 dst first (t.len - first)
 
 let fold t ~init ~f =
   let acc = ref init in

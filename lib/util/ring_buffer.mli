@@ -1,8 +1,8 @@
 (** Fixed-capacity sliding window of floats.
 
-    Nimbus keeps the last N cross-traffic samples for its FFT. BBR's
-    bandwidth filter windows by round, not by sample count: see
-    {!Windowed_max}. *)
+    Nimbus keeps the last N samples of its rate signals for its
+    spectral estimate. BBR's bandwidth filter windows by round, not by
+    sample count: see {!Windowed_max}. *)
 
 type t
 
@@ -26,8 +26,10 @@ val newest : t -> float
 val oldest : t -> float
 (** Raises [Invalid_argument] when empty. *)
 
-val to_array : t -> float array
-(** Oldest-to-newest snapshot. *)
+val blit : t -> float array -> unit
+(** [blit t dst] copies the retained elements, oldest first, into the
+    first [length t] slots of [dst] without allocating; raises
+    [Invalid_argument] if [dst] is shorter. *)
 
 val fold : t -> init:'a -> f:('a -> float -> 'a) -> 'a
 val max_value : t -> float

@@ -37,11 +37,6 @@ let test_usage_errors () =
   check_code "fault plan with bad field" "e4 --faults \"outage at=1\"" 2;
   check_code "unknown sweep experiment" "sweep nope --seeds 1,2" 2
 
-let test_job_failure () =
-  (* duration <= warmup makes Scenario.make raise: the job fails, the
-     run completes, and the CLI reports a job failure. *)
-  check_code "invalid scenario" "fig1 --duration 2" 1
-
 let test_unsupported_backend () =
   check_code "packet-only experiment on fluid backend" "e1 --backend fluid" 124
 
@@ -65,6 +60,37 @@ let with_temp_file contents f =
       output_string oc contents;
       close_out oc;
       f path)
+
+(* A duration at or below the experiment's warmup leaves nothing to
+   measure. It used to fail every job (exit 1), or for a1 exit 0 with a
+   table built from no samples; it is refused before any job starts,
+   exit 2, naming the option and the warmup. *)
+let test_duration_within_warmup () =
+  List.iter
+    (fun (args, option) ->
+      let err = Filename.temp_file "ccsim_cli" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "timeout 30 %s %s >/dev/null 2>%s" (Filename.quote binary) args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (Printf.sprintf "`ccsim %s` exits 2" args) 2 code;
+          let msg = read_file err in
+          Alcotest.(check bool)
+            (Printf.sprintf "`ccsim %s` names %s and the warmup: %S" args option msg)
+            true
+            (contains ~sub:option msg && contains ~sub:"warmup" msg)))
+    [
+      ("fig3 --duration 10", "--duration");
+      ("fig1 --duration 2", "--duration");
+      ("e6 --duration 15", "--duration");
+      ("c1 --duration 8", "--duration");
+      ("a1 --duration 5", "--duration");
+      ("sweep e4 --seeds 1 --durations 3", "--durations");
+    ]
 
 let test_bad_series_files () =
   (* analyze and explain read a --series file; malformed input is a
@@ -175,7 +201,7 @@ let suite =
   [
     Alcotest.test_case "exit 0: success paths" `Quick test_ok;
     Alcotest.test_case "exit 2: usage errors (incl. fault plans)" `Quick test_usage_errors;
-    Alcotest.test_case "exit 1: job failure" `Quick test_job_failure;
+    Alcotest.test_case "exit 2: duration at or below warmup" `Quick test_duration_within_warmup;
     Alcotest.test_case "exit 124: unsupported backend" `Quick test_unsupported_backend;
     Alcotest.test_case "exit 2: malformed series files" `Quick test_bad_series_files;
     Alcotest.test_case "exit 2: infinite --duration" `Quick (check_rejected "e4 --duration inf");

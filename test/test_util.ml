@@ -236,7 +236,7 @@ let test_timeseries_time_weighted_mean () =
 let test_fft_roundtrip () =
   let rng = U.Rng.create 30 in
   let signal = Array.init 64 (fun _ -> Complex.{ re = U.Rng.float rng 2.0 -. 1.0; im = 0.0 }) in
-  let back = U.Fft.inverse (U.Fft.transform signal) in
+  let back = Ref_fft.inverse (Ref_fft.transform signal) in
   Array.iteri
     (fun i c ->
       check_close "roundtrip re" 1e-9 signal.(i).Complex.re c.Complex.re;
@@ -249,16 +249,17 @@ let test_fft_pure_tone () =
     Array.init n (fun i ->
         3.0 *. sin (2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate))
   in
-  let mag = U.Fft.magnitude_at signal ~sample_rate ~freq in
+  let plan = U.Fft.plan n in
+  let mag = U.Fft.magnitude_at plan signal ~sample_rate ~freq in
   check_close "tone amplitude recovered" 0.05 3.0 mag;
-  let off = U.Fft.magnitude_at signal ~sample_rate ~freq:30.0 in
+  let off = U.Fft.magnitude_at plan signal ~sample_rate ~freq:30.0 in
   Alcotest.(check bool) "off-tone magnitude small" true (off < 0.1)
 
 let test_fft_parseval () =
   let rng = U.Rng.create 31 in
   let n = 128 in
   let signal = Array.init n (fun _ -> U.Rng.float rng 2.0 -. 1.0) in
-  let spectrum = U.Fft.real_transform signal in
+  let spectrum = Ref_fft.real_transform signal in
   let time_energy = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 signal in
   let freq_energy =
     Array.fold_left (fun acc c -> acc +. (Complex.norm2 c)) 0.0 spectrum /. float_of_int n
@@ -269,11 +270,14 @@ let test_fft_power_of_two () =
   Alcotest.(check bool) "1 is power" true (U.Fft.is_power_of_two 1);
   Alcotest.(check bool) "512 is power" true (U.Fft.is_power_of_two 512);
   Alcotest.(check bool) "100 is not" false (U.Fft.is_power_of_two 100);
-  Alcotest.(check int) "next pow2" 128 (U.Fft.next_power_of_two 65)
+  Alcotest.(check int) "next pow2" 128 (Ref_fft.next_power_of_two 65);
+  Alcotest.check_raises "plan size"
+    (Invalid_argument "Fft.plan: size must be a power of two") (fun () ->
+      ignore (U.Fft.plan 100))
 
 let test_fft_mean_removed () =
   let signal = [| 5.0; 7.0; 9.0; 7.0 |] in
-  let centered = U.Fft.mean_removed signal in
+  let centered = Ref_fft.mean_removed signal in
   check_close "zero mean" 1e-12 0.0 (U.Stats.mean centered)
 
 (* --- Fairness ----------------------------------------------------------------- *)
@@ -342,13 +346,22 @@ let test_histogram_edges () =
 
 (* --- Ring buffer --------------------------------------------------------------- *)
 
+(* The retained elements, oldest first, through [blit]. *)
+let ring_contents rb =
+  let a = Array.make (U.Ring_buffer.length rb) 0.0 in
+  U.Ring_buffer.blit rb a;
+  a
+
 let test_ring_buffer_wraparound () =
   let rb = U.Ring_buffer.create ~capacity:3 in
   List.iter (U.Ring_buffer.push rb) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   Alcotest.(check int) "length capped" 3 (U.Ring_buffer.length rb);
   check_float "oldest" 3.0 (U.Ring_buffer.oldest rb);
   check_float "newest" 5.0 (U.Ring_buffer.newest rb);
-  Alcotest.(check (array (float 1e-9))) "snapshot" [| 3.0; 4.0; 5.0 |] (U.Ring_buffer.to_array rb)
+  Alcotest.(check (array (float 1e-9))) "snapshot" [| 3.0; 4.0; 5.0 |] (ring_contents rb);
+  Alcotest.check_raises "short destination"
+    (Invalid_argument "Ring_buffer.blit: destination too short") (fun () ->
+      U.Ring_buffer.blit rb (Array.make 2 0.0))
 
 let test_ring_buffer_stats () =
   let rb = U.Ring_buffer.create ~capacity:4 in
@@ -482,6 +495,45 @@ let windowed_max_trace =
   in
   pair (int_range 0 12) (list_size (int_range 0 400) (pair step value))
 
+(* A power-of-two signal of 1 to 1024 samples, a frequency and a sample
+   rate. One case in four mixes in infinities and NaN; the rest stay
+   finite but include zeros of both signs, +-1e9 and subnormals. The
+   frequency lands on bin 0, on Nyquist, above it, below zero, between
+   bins, or on a non-finite value. *)
+let fft_case =
+  let open QCheck.Gen in
+  let finite =
+    frequency
+      [
+        (30, float_range (-5.0) 5.0);
+        (1, return 0.0);
+        (1, return (-0.0));
+        (1, return 1e9);
+        (1, return (-1e9));
+        (1, return 5e-324);
+        (1, return (-2.5e-320));
+      ]
+  in
+  let special = oneofl [ infinity; neg_infinity; nan ] in
+  let mixed = frequency [ (60, finite); (1, special) ] in
+  let* n = map (fun k -> 1 lsl k) (int_range 0 10) in
+  let* value = frequency [ (3, return finite); (1, return mixed) ] in
+  let* signal = array_size (return n) value in
+  let* sample_rate = frequency [ (3, return 100.0); (1, float_range 1.0 1e3) ] in
+  let nyquist = sample_rate /. 2.0 in
+  let+ freq =
+    frequency
+      [
+        (1, return 0.0);
+        (1, return nyquist);
+        (1, float_range nyquist (10.0 *. sample_rate));
+        (1, float_range (-1e3) 0.0);
+        (6, float_range 0.0 nyquist);
+        (1, oneofl [ nan; infinity; neg_infinity ]);
+      ]
+  in
+  (signal, freq, sample_rate)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -549,15 +601,34 @@ let qcheck_tests =
           let skip = max 0 (n - 10) in
           List.filteri (fun i _ -> i >= skip) xs
         in
-        U.Ring_buffer.to_array rb = Array.of_list expected);
+        ring_contents rb = Array.of_list expected);
     Test.make ~name:"fft roundtrip preserves real signals" ~count:50
       (list_of_size (Gen.return 32) (float_range (-5.0) 5.0))
       (fun xs ->
         let signal = Array.of_list xs in
-        let back = U.Fft.inverse (U.Fft.real_transform signal) in
+        let back = Ref_fft.inverse (Ref_fft.real_transform signal) in
         Array.for_all2
           (fun x c -> Float.abs (x -. c.Complex.re) < 1e-9)
           signal back);
+    (* The pruned kernel's contract: the same bits as the full boxed
+       transform of the mean-removed signal, NaN matching NaN. The plan
+       first scores the reversed signal, so state left in its scratch
+       would show. *)
+    Test.make ~name:"fft kernel matches the boxed transform bit for bit" ~count:2000
+      (make
+         ~print:(fun (s, freq, sample_rate) ->
+           Printf.sprintf "n %d, freq %h, sample rate %h: [%s]" (Array.length s) freq
+             sample_rate
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") s))))
+         fft_case)
+      (fun (s, freq, sample_rate) ->
+        let n = Array.length s in
+        let plan = U.Fft.plan n in
+        let reversed = Array.init n (fun i -> s.(n - 1 - i)) in
+        ignore (U.Fft.magnitude_at plan reversed ~sample_rate ~freq);
+        same_float
+          (U.Fft.magnitude_at plan s ~sample_rate ~freq)
+          (Ref_fft.magnitude_at (Ref_fft.mean_removed s) ~sample_rate ~freq));
   ]
 
 (* --- Ode ------------------------------------------------------------------ *)
