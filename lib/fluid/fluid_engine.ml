@@ -2,19 +2,27 @@ module U = Ccsim_util
 module Obs = Ccsim_obs
 
 (* Struct-of-arrays fluid population. Flow state is one scalar per flow
-   (window in packets, or pacing rate for BBR — see Fluid_model),
-   integrated by Ccsim_util.Ode on a fixed step. Links hold a fluid
-   queue updated explicitly (operator splitting: the queue is advanced
-   from the step's arrival/service balance, not by the integrator) so
-   byte conservation  offered = dropped + served + Δqueue  holds exactly
-   by construction each step — that identity is what the watchdog
-   checks, and what the corruption-injection test breaks.
+   (window in packets, or pacing rate for BBR; the models are below),
+   advanced by forward Euler on a fixed step. Links hold a fluid queue
+   updated explicitly (operator splitting: the queue is advanced from
+   the step's arrival/service balance, not by the integrator) so byte
+   conservation  offered = dropped + served + Δqueue  holds exactly by
+   construction each step — that identity is what the watchdog checks,
+   and what the corruption-injection test breaks.
 
    Hot-path layout: flat [float array]/[int array] only (unboxed loads,
-   no per-flow records), no allocation per step beyond the integrator's
-   preallocated workspace. A step is four passes over flows plus one
-   over links, which is what makes 10^6-flow scenarios run in seconds
-   per simulated second (EXPERIMENTS.md, "Throughput"). *)
+   no per-flow records), in flow-id order. At seal a stable counting
+   sort builds a CSR index: link l's flows are [by_link.(l_off.(l))] to
+   [by_link.(l_off.(l + 1) - 1)], in flow-id order. A step is one pass
+   over the flows for on/off toggles, then one link-major pass
+   ([advance]) that finishes each link — arrival sum, loss and service
+   ratio, every flow's derivative, Euler update, clamp and new rate,
+   queue settle, byte accounting, goodput — while its flows are still
+   in cache, allocating nothing (EXPERIMENTS.md, "Throughput"). A flow
+   interacts only through its own link and each link sums its flows in
+   flow-id order, so every float is bit for bit what the old four-pass
+   step (derivative, Euler update, settle, goodput) computed;
+   test/ref_fluid_engine.ml keeps that step as the oracle. *)
 
 type link_id = int
 type flow_id = int
@@ -55,14 +63,14 @@ type t = {
   mutable l_pkt_rate : float array;  (* packet cross traffic, bit/s (hybrid) *)
   mutable l_pkt_backlog : float array;  (* packet queue share, bytes (hybrid) *)
   mutable l_arr : float array;  (* last fluid arrival, bit/s *)
-  mutable l_loss : float array;  (* last loss probability *)
-  mutable l_sr : float array;  (* last service ratio *)
   mutable l_served : float array;  (* last served rate, bit/s *)
   mutable l_active : int array;  (* active flows *)
   mutable l_contended_s : float array;
   mutable l_offered_b : float array;  (* cumulative byte accounting *)
   mutable l_served_b : float array;
   mutable l_dropped_b : float array;
+  mutable l_off : int array;  (* CSR offsets, nl + 1 entries *)
+  mutable by_link : int array;  (* flow ids grouped by link, flow-id order within *)
   (* flows (SoA) *)
   mutable n : int;
   mutable f_model : int array;
@@ -75,8 +83,7 @@ type t = {
   mutable f_active : bool array;
   mutable f_toggle : float array;  (* next toggle time, s *)
   mutable f_good_b : float array;  (* delivered payload bytes after warmup *)
-  mutable xs : float array;  (* scratch: per-flow instantaneous rate *)
-  mutable ws : U.Ode.workspace option;
+  mutable xs : float array;  (* scratch: post-step rate, by CSR position *)
   (* running totals (kept incrementally so invariant checks are O(1)) *)
   totals_b : float array;
       (* engine-wide byte totals in unboxed slots (offered, served,
@@ -100,12 +107,18 @@ type t = {
 
 let default_dt_s = 0.01
 
+let positive_finite x = Float.is_finite x && x > 0.0
+
 let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
     ?(payload_frac =
       float_of_int U.Units.mss /. float_of_int (U.Units.mss + U.Units.header_bytes))
     ~seed () =
-  if dt_s <= 0.0 then invalid_arg "Fluid_engine.create: dt must be positive";
-  if warmup_s < 0.0 then invalid_arg "Fluid_engine.create: negative warmup";
+  if not (positive_finite dt_s) then
+    invalid_arg "Fluid_engine.create: dt_s must be finite and positive";
+  if not (Float.is_finite warmup_s && warmup_s >= 0.0) then
+    invalid_arg "Fluid_engine.create: warmup_s must be finite and non-negative";
+  if not (payload_frac > 0.0 && payload_frac <= 1.0) then
+    invalid_arg "Fluid_engine.create: payload_frac must be in (0, 1]";
   let scope = Obs.Scope.ambient () in
   let series name =
     Option.map
@@ -132,14 +145,14 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       l_pkt_rate = [||];
       l_pkt_backlog = [||];
       l_arr = [||];
-      l_loss = [||];
-      l_sr = [||];
       l_served = [||];
       l_active = [||];
       l_contended_s = [||];
       l_offered_b = [||];
       l_served_b = [||];
       l_dropped_b = [||];
+      l_off = [||];
+      by_link = [||];
       n = 0;
       f_model = [||];
       f_link = [||];
@@ -152,7 +165,6 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       f_toggle = [||];
       f_good_b = [||];
       xs = [||];
-      ws = None;
       totals_b = Array.make 4 0.0;
       profile = scope.Obs.Scope.profile;
       watchdog = scope.Obs.Scope.watchdog;
@@ -171,14 +183,15 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       (* Engine-wide byte conservation: what the flows offered must be
          exactly the losses plus the served bytes plus what still sits
          in the fluid queues. The tolerance covers float summation
-         noise across millions of link-steps, nothing more. *)
+         noise across millions of link-steps, nothing more; a NaN
+         residue is a violation too. *)
       Obs.Watchdog.register w ~component:"fluid" ~invariant:"byte_conservation" (fun () ->
           let residue =
             t.totals_b.(ti_offered) -. t.totals_b.(ti_dropped)
             -. t.totals_b.(ti_served) -. t.totals_b.(ti_q)
           in
           let tol = Float.max 1024.0 (1e-6 *. t.totals_b.(ti_offered)) in
-          if Float.abs residue > tol then
+          if not (Float.abs residue <= tol) then
             Some
               (Printf.sprintf
                  "offered=%.0f dropped=%.0f served=%.0f queued=%.0f: residue %.1f bytes \
@@ -194,9 +207,74 @@ let now_s t = t.now_s
 let flows t = t.n
 let links t = t.nl
 
+(* --- flow models ------------------------------------------------------------ *)
+
+(* Per-flow fluid (rate-ODE) models of the simulator's main CCAs,
+   following the control-theoretic competition model of Scherrer et al.
+   (arXiv:2510.22773) in the Misra–Gong–Towsley window-ODE tradition:
+
+   - Loss-based flows (Reno, CUBIC) evolve a window [w] in packets:
+       dw/dt = alpha / R  -  (1 - beta) * w * lambda
+     where [R] is the instantaneous RTT, [lambda = p * w / R] the loss
+     event rate seen by the flow (loss probability [p] times packet
+     rate), and (alpha, beta) the additive-increase / multiplicative-
+     decrease pair. Reno is AIMD(1, 1/2); CUBIC is represented by its
+     TCP-friendly AIMD equivalent (alpha = 0.53, beta = 0.7), which
+     matches its steady-state throughput on the paths we model.
+
+   - BBR evolves its sending rate [x] (bit/s) directly: it paces toward
+     a probe gain times its delivered rate, capped by the inflight
+     limit of two estimated BDPs, converging on one RTT timescale:
+       target = deliv * min(probe_gain, cwnd_gain * R_min / R)
+       dx/dt  = (target - x) / max(R, 1 ms)
+     where [deliv = x * service_ratio] is the share the link actually
+     delivered. The min reproduces BBR's two regimes: probing while the
+     queue is short, inflight-capped (standing queue ~1 BDP) once RTT
+     inflation makes the cap bind.
+
+   All models are deterministic given the link signals; every
+   stochastic input (demand, on/off activity) draws from the engine's
+   seeded SplitMix64 stream. The equations live in the kernel's
+   compilation unit and are [@inline]: dune's dev profile compiles with
+   -opaque, so every float passed to or returned from another module
+   is boxed. *)
+
+let bbr = Fluid_model.index Fluid_model.Bbr
+let cubic = Fluid_model.index Fluid_model.Cubic
+
+(* CUBIC's TCP-friendly AIMD equivalent: beta 0.7 and the matching
+   additive increase 3*(1-b)/(1+b). *)
+let cubic_beta = 0.7
+let cubic_alpha = 3.0 *. (1.0 -. cubic_beta) /. (1.0 +. cubic_beta)
+let bbr_probe_gain = 1.25
+let bbr_cwnd_gain = 2.0
+
+(* Initial state on (re)activation: IW10 for the window models, ten
+   packets per base RTT for BBR's pacing rate. *)
+let[@inline] initial_state ~tag ~rtt_s =
+  if tag = bbr then 10.0 *. Fluid_model.pkt_bits /. Float.max 1e-4 rtt_s else 10.0
+
+(* Instantaneous wire sending rate in bit/s. *)
+let[@inline] rate_bps ~tag ~w ~rtt_s =
+  if tag = bbr then w else w *. Fluid_model.pkt_bits /. Float.max 1e-4 rtt_s
+
+(* dw/dt (window models: packets/s; BBR: bit/s per second). *)
+let[@inline] deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac ~service_ratio =
+  let r = Float.max 1e-3 rtt_s in
+  if tag = bbr then begin
+    let deliv = w *. service_ratio in
+    let gain = Float.min bbr_probe_gain (bbr_cwnd_gain *. rtt_min_s /. r) in
+    ((gain *. deliv) -. w) /. r
+  end
+  else begin
+    let alpha = if tag = cubic then cubic_alpha else 1.0 in
+    let beta = if tag = cubic then cubic_beta else 0.5 in
+    (alpha -. ((1.0 -. beta) *. loss_frac *. w *. w)) /. r
+  end
+
 (* --- build phase ---------------------------------------------------------- *)
 
-let grow_f arr n default = if Array.length arr > n then arr else
+let grow arr n default = if Array.length arr > n then arr else
   let next = Array.make (Int.max 16 (2 * Int.max n (Array.length arr))) default in
   Array.blit arr 0 next 0 (Array.length arr);
   next
@@ -205,11 +283,12 @@ let ensure_open t name = if t.built then invalid_arg (name ^ ": population is se
 
 let add_link t ~capacity_bps ~buffer_bytes =
   ensure_open t "Fluid_engine.add_link";
-  if capacity_bps <= 0.0 then invalid_arg "Fluid_engine.add_link: capacity must be positive";
+  if not (positive_finite capacity_bps) then
+    invalid_arg "Fluid_engine.add_link: capacity_bps must be finite and positive";
   if buffer_bytes <= 0 then invalid_arg "Fluid_engine.add_link: buffer must be positive";
   let l = t.nl in
-  t.l_cap <- grow_f t.l_cap l 0.0;
-  t.l_buf <- grow_f t.l_buf l 0.0;
+  t.l_cap <- grow t.l_cap l 0.0;
+  t.l_buf <- grow t.l_buf l 0.0;
   t.l_cap.(l) <- capacity_bps;
   t.l_buf.(l) <- float_of_int buffer_bytes;
   t.nl <- l + 1;
@@ -219,24 +298,20 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
     ?(start_active = true) () =
   ensure_open t "Fluid_engine.add_flow";
   if link < 0 || link >= t.nl then invalid_arg "Fluid_engine.add_flow: unknown link";
-  if rtt_base_s <= 0.0 then invalid_arg "Fluid_engine.add_flow: rtt must be positive";
+  if not (positive_finite rtt_base_s) then
+    invalid_arg "Fluid_engine.add_flow: rtt_base_s must be finite and positive";
+  if not (cap_bps > 0.0) then invalid_arg "Fluid_engine.add_flow: cap_bps must be positive";
   let i = t.n in
-  t.f_model <- (if Array.length t.f_model > i then t.f_model else begin
-    let next = Array.make (Int.max 16 (2 * Int.max i (Array.length t.f_model))) 0 in
-    Array.blit t.f_model 0 next 0 (Array.length t.f_model); next end);
-  t.f_link <- (if Array.length t.f_link > i then t.f_link else begin
-    let next = Array.make (Int.max 16 (2 * Int.max i (Array.length t.f_link))) 0 in
-    Array.blit t.f_link 0 next 0 (Array.length t.f_link); next end);
-  t.f_y <- grow_f t.f_y i 0.0;
-  t.f_rtt_base <- grow_f t.f_rtt_base i 0.0;
-  t.f_cap <- grow_f t.f_cap i 0.0;
-  t.f_on <- grow_f t.f_on i 0.0;
-  t.f_off <- grow_f t.f_off i 0.0;
-  t.f_toggle <- grow_f t.f_toggle i 0.0;
-  t.f_good_b <- grow_f t.f_good_b i 0.0;
-  t.f_active <- (if Array.length t.f_active > i then t.f_active else begin
-    let next = Array.make (Int.max 16 (2 * Int.max i (Array.length t.f_active))) false in
-    Array.blit t.f_active 0 next 0 (Array.length t.f_active); next end);
+  t.f_model <- grow t.f_model i 0;
+  t.f_link <- grow t.f_link i 0;
+  t.f_y <- grow t.f_y i 0.0;
+  t.f_rtt_base <- grow t.f_rtt_base i 0.0;
+  t.f_cap <- grow t.f_cap i 0.0;
+  t.f_on <- grow t.f_on i 0.0;
+  t.f_off <- grow t.f_off i 0.0;
+  t.f_toggle <- grow t.f_toggle i 0.0;
+  t.f_good_b <- grow t.f_good_b i 0.0;
+  t.f_active <- grow t.f_active i false;
   let tag = Fluid_model.index model in
   t.f_model.(i) <- tag;
   t.f_link.(i) <- link;
@@ -249,65 +324,70 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
       t.f_toggle.(i) <- infinity;
       t.f_active.(i) <- true
   | Some (on_s, off_s) ->
-      if on_s <= 0.0 || off_s <= 0.0 then
-        invalid_arg "Fluid_engine.add_flow: on/off means must be positive";
+      if not (positive_finite on_s && positive_finite off_s) then
+        invalid_arg "Fluid_engine.add_flow: on_off_s means must be finite and positive";
       t.f_on.(i) <- on_s;
       t.f_off.(i) <- off_s;
       t.f_active.(i) <- start_active;
       let mean = if start_active then on_s else off_s in
       t.f_toggle.(i) <- U.Rng.exponential t.rng ~mean);
-  t.f_y.(i) <- (if t.f_active.(i) then Fluid_model.initial_state ~tag ~rtt_s:rtt_base_s else 0.0);
+  t.f_y.(i) <- (if t.f_active.(i) then initial_state ~tag ~rtt_s:rtt_base_s else 0.0);
   t.f_good_b.(i) <- 0.0;
   t.n <- i + 1;
   i
 
-(* Arrays are always at least length 1 so an empty population still
-   matches the ODE workspace dimension. *)
-let trim arr n default =
-  let len = Int.max 1 n in
-  if Array.length arr = len then arr
-  else begin
-    let next = Array.make len default in
-    Array.blit arr 0 next 0 (Int.min n (Array.length arr));
-    next
-  end
+let trim arr n = if Array.length arr = n then arr else Array.sub arr 0 n
 
 let seal t =
   if not t.built then begin
     t.built <- true;
-    t.f_model <- trim t.f_model t.n 0;
-    t.f_link <- trim t.f_link t.n 0;
-    t.f_y <- trim t.f_y t.n 0.0;
-    t.f_rtt_base <- trim t.f_rtt_base t.n 0.0;
-    t.f_cap <- trim t.f_cap t.n 0.0;
-    t.f_on <- trim t.f_on t.n 0.0;
-    t.f_off <- trim t.f_off t.n 0.0;
-    t.f_toggle <- trim t.f_toggle t.n 0.0;
-    t.f_good_b <- trim t.f_good_b t.n 0.0;
-    t.f_active <- trim t.f_active t.n false;
-    t.xs <- Array.make (Int.max 1 t.n) 0.0;
-    t.l_cap <- trim t.l_cap t.nl 0.0;
-    t.l_buf <- trim t.l_buf t.nl 0.0;
-    let zeros () = Array.make (Int.max 1 t.nl) 0.0 in
+    let n = t.n and nl = t.nl in
+    t.f_model <- trim t.f_model n;
+    t.f_link <- trim t.f_link n;
+    t.f_y <- trim t.f_y n;
+    t.f_rtt_base <- trim t.f_rtt_base n;
+    t.f_cap <- trim t.f_cap n;
+    t.f_on <- trim t.f_on n;
+    t.f_off <- trim t.f_off n;
+    t.f_toggle <- trim t.f_toggle n;
+    t.f_good_b <- trim t.f_good_b n;
+    t.f_active <- trim t.f_active n;
+    t.xs <- Array.make n 0.0;
+    t.l_cap <- trim t.l_cap nl;
+    t.l_buf <- trim t.l_buf nl;
+    let zeros () = Array.make nl 0.0 in
     t.l_q <- zeros ();
     t.l_pkt_rate <- zeros ();
     t.l_pkt_backlog <- zeros ();
     t.l_arr <- zeros ();
-    t.l_loss <- zeros ();
-    t.l_sr <- zeros ();
     t.l_served <- zeros ();
     t.l_contended_s <- zeros ();
     t.l_offered_b <- zeros ();
     t.l_served_b <- zeros ();
     t.l_dropped_b <- zeros ();
-    t.l_active <- Array.make (Int.max 1 t.nl) 0;
-    for i = 0 to t.n - 1 do
-      if t.f_active.(i) then begin
-        let l = t.f_link.(i) in
-        t.l_active.(l) <- t.l_active.(l) + 1
-      end
+    t.l_active <- Array.make nl 0;
+    (* CSR index by a stable counting sort, with no scratch array:
+       count link l's flows into l_off.(l + 1), turn that slot into
+       link l's start, then place the flows in flow-id order, moving
+       it up to link l's end, which is link l + 1's start. *)
+    t.l_off <- Array.make (nl + 1) 0;
+    for i = 0 to n - 1 do
+      let l = t.f_link.(i) in
+      t.l_off.(l + 1) <- t.l_off.(l + 1) + 1;
+      if t.f_active.(i) then t.l_active.(l) <- t.l_active.(l) + 1
     done;
-    t.ws <- Some (U.Ode.workspace (Int.max 1 t.n))
+    let start = ref 0 in
+    for l = 0 to nl - 1 do
+      let count = t.l_off.(l + 1) in
+      t.l_off.(l + 1) <- !start;
+      start := !start + count
+    done;
+    t.by_link <- Array.make n 0;
+    for i = 0 to n - 1 do
+      let l = t.f_link.(i) in
+      t.by_link.(t.l_off.(l + 1)) <- i;
+      t.l_off.(l + 1) <- t.l_off.(l + 1) + 1
+    done
   end
 
 (* --- hybrid coupling inputs ----------------------------------------------- *)
@@ -315,12 +395,13 @@ let seal t =
 let set_packet_signals t ~link ~rate_bps ~backlog_bytes =
   seal t;
   if link < 0 || link >= t.nl then invalid_arg "Fluid_engine.set_packet_signals: unknown link";
+  if Float.is_nan rate_bps then invalid_arg "Fluid_engine.set_packet_signals: NaN rate_bps";
   t.l_pkt_rate.(link) <- Float.max 0.0 rate_bps;
   t.l_pkt_backlog.(link) <- float_of_int (Int.max 0 backlog_bytes)
 
 (* --- stepping ------------------------------------------------------------- *)
 
-let loss_of ~q ~buf =
+let[@inline] loss_of ~q ~buf =
   if buf <= 0.0 then 0.0
   else begin
     let frac = q /. buf in
@@ -330,9 +411,6 @@ let loss_of ~q ~buf =
       loss_p_max *. z *. z
     end
   end
-
-let queue_delay_s t l =
-  (t.l_q.(l) +. t.l_pkt_backlog.(l)) *. 8.0 /. t.l_cap.(l)
 
 let process_toggles t =
   for i = 0 to t.n - 1 do
@@ -346,101 +424,76 @@ let process_toggles t =
       end
       else begin
         t.f_active.(i) <- true;
-        t.f_y.(i) <-
-          Fluid_model.initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
+        t.f_y.(i) <- initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
         t.l_active.(l) <- t.l_active.(l) + 1;
         t.f_toggle.(i) <- t.now_s +. U.Rng.exponential t.rng ~mean:t.f_on.(i)
       end
     end
   done
 
-(* Derivative of the flow-state vector: two flow passes around one link
-   pass. The fluid queues are frozen during the step (operator
-   splitting); their balance is applied in [settle]. *)
-let[@ccsim.hot] deriv t ~t_s:_ ~y ~dy =
-  for l = 0 to t.nl - 1 do
-    t.l_arr.(l) <- 0.0
-  done;
-  for i = 0 to t.n - 1 do
-    if t.f_active.(i) then begin
-      let l = t.f_link.(i) in
-      let rtt_s = t.f_rtt_base.(i) +. queue_delay_s t l in
-      let x =
-        Float.min (Fluid_model.rate_bps ~tag:t.f_model.(i) ~w:y.(i) ~rtt_s) t.f_cap.(i)
-      in
-      t.xs.(i) <- x;
-      t.l_arr.(l) <- t.l_arr.(l) +. x
-    end
-    else begin
-      t.xs.(i) <- 0.0;
-      dy.(i) <- 0.0
-    end
-  done;
-  for l = 0 to t.nl - 1 do
-    t.l_loss.(l) <- loss_of ~q:t.l_q.(l) ~buf:t.l_buf.(l);
-    let s = Float.max 0.0 (t.l_cap.(l) -. t.l_pkt_rate.(l)) in
-    let a = t.l_arr.(l) in
-    t.l_sr.(l) <- (if a <= s || a <= 0.0 then 1.0 else s /. a)
-  done;
-  for i = 0 to t.n - 1 do
-    if t.f_active.(i) then begin
-      let l = t.f_link.(i) in
-      let rtt_s = t.f_rtt_base.(i) +. queue_delay_s t l in
-      dy.(i) <-
-        Fluid_model.deriv ~tag:t.f_model.(i) ~w:y.(i) ~rtt_s
-          ~rtt_min_s:t.f_rtt_base.(i) ~loss_frac:t.l_loss.(l)
-          ~service_ratio:t.l_sr.(l)
-    end
-  done
-
-(* After the integrator: clamp states, advance the fluid queues from the
-   step's arrival/service balance, and account bytes exactly. *)
-let[@ccsim.hot] settle t =
+(* One Euler step of every flow, link by link. The fluid queue is frozen
+   while the link's flows advance (operator splitting), so its queueing
+   delay is computed once; the loss probability and service ratio come
+   from the arrival of the pre-step states, and [l_arr] ends holding the
+   arrival of the post-step states, which the settle and the goodput
+   credit use. Inactive flows hold y = +0.0, so skipping their Euler
+   update is exact. *)
+let[@ccsim.hot] advance t =
   let dt = t.dt_s in
-  let bbr = Fluid_model.index Fluid_model.Bbr in
-  (* clamp + recompute rates and per-link arrival from the final state *)
+  let credit = t.now_s +. dt > t.warmup_s in
   for l = 0 to t.nl - 1 do
-    t.l_arr.(l) <- 0.0
-  done;
-  for i = 0 to t.n - 1 do
-    if t.f_active.(i) then begin
-      let l = t.f_link.(i) in
-      let rtt_s = t.f_rtt_base.(i) +. queue_delay_s t l in
-      (if t.f_model.(i) = bbr then begin
-         let hi = Float.min (1.3 *. t.f_cap.(i)) (2.0 *. t.l_cap.(l)) in
-         t.f_y.(i) <- Float.min (Float.max 1e3 t.f_y.(i)) hi
-       end
-       else begin
-         let bdp_pkts = t.l_cap.(l) *. rtt_s /. Fluid_model.pkt_bits in
-         let buf_pkts = t.l_buf.(l) /. float_of_int Fluid_model.pkt_bytes in
-         let hi = Float.max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)) in
-         t.f_y.(i) <- Float.min (Float.max 0.1 t.f_y.(i)) hi
-       end);
-      let x =
-        Float.min (Fluid_model.rate_bps ~tag:t.f_model.(i) ~w:t.f_y.(i) ~rtt_s) t.f_cap.(i)
-      in
-      t.xs.(i) <- x;
-      t.l_arr.(l) <- t.l_arr.(l) +. x
-    end
-    else t.xs.(i) <- 0.0
-  done;
-  (* queue balance + exact byte accounting per link *)
-  for l = 0 to t.nl - 1 do
-    let q = t.l_q.(l) in
-    let buf = t.l_buf.(l) in
-    let a = t.l_arr.(l) in
+    let first = t.l_off.(l) and last = t.l_off.(l + 1) - 1 in
+    let cap = t.l_cap.(l) and buf = t.l_buf.(l) and q = t.l_q.(l) in
+    let queue_delay_s = (q +. t.l_pkt_backlog.(l)) *. 8.0 /. cap in
+    t.l_arr.(l) <- 0.0;
+    for k = first to last do
+      let i = t.by_link.(k) in
+      if t.f_active.(i) then begin
+        let rtt_s = t.f_rtt_base.(i) +. queue_delay_s in
+        t.l_arr.(l) <-
+          t.l_arr.(l) +. Float.min (rate_bps ~tag:t.f_model.(i) ~w:t.f_y.(i) ~rtt_s) t.f_cap.(i)
+      end
+    done;
     let p = loss_of ~q ~buf in
+    let s = Float.max 0.0 (cap -. t.l_pkt_rate.(l)) in
+    let a = t.l_arr.(l) in
+    let service_ratio = if a <= s || a <= 0.0 then 1.0 else s /. a in
+    t.l_arr.(l) <- 0.0;
+    for k = first to last do
+      let i = t.by_link.(k) in
+      if t.f_active.(i) then begin
+        let tag = t.f_model.(i) and rtt_min_s = t.f_rtt_base.(i) and w = t.f_y.(i) in
+        let rtt_s = rtt_min_s +. queue_delay_s in
+        let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
+        let w = w +. (dt *. dw) in
+        let w =
+          if tag = bbr then begin
+            let hi = Float.min (1.3 *. t.f_cap.(i)) (2.0 *. cap) in
+            Float.min (Float.max 1e3 w) hi
+          end
+          else begin
+            let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
+            let buf_pkts = buf /. float_of_int Fluid_model.pkt_bytes in
+            let hi = Float.max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)) in
+            Float.min (Float.max 0.1 w) hi
+          end
+        in
+        t.f_y.(i) <- w;
+        let x = Float.min (rate_bps ~tag ~w ~rtt_s) t.f_cap.(i) in
+        t.xs.(k) <- x;
+        t.l_arr.(l) <- t.l_arr.(l) +. x
+      end
+    done;
+    (* queue balance + exact byte accounting *)
+    let a = t.l_arr.(l) in
     let inq = a *. (1.0 -. p) in
-    let s = Float.max 0.0 (t.l_cap.(l) -. t.l_pkt_rate.(l)) in
     let avail = inq +. (q *. 8.0 /. dt) in
     let served = Float.min s avail in
     let q1 = q +. ((inq -. served) *. dt /. 8.0) in
     let overflow = Float.max 0.0 (q1 -. buf) in
     let q1 = q1 -. overflow in
     t.l_q.(l) <- q1;
-    t.l_loss.(l) <- p;
     t.l_served.(l) <- served;
-    t.l_sr.(l) <- (if a <= 0.0 then 1.0 else Float.min 1.0 (served /. a));
     let offered_b = a *. dt /. 8.0 in
     let dropped_b = (p *. a *. dt /. 8.0) +. overflow in
     let served_b = served *. dt /. 8.0 in
@@ -452,35 +505,29 @@ let[@ccsim.hot] settle t =
     t.totals_b.(ti_served) <- t.totals_b.(ti_served) +. served_b;
     t.totals_b.(ti_q) <- t.totals_b.(ti_q) +. (q1 -. q);
     (* contention: a busy link with at least two active flows where the
-       queue signal (loss or >=5 ms of queueing) is doing the
-       allocating — the paper's prerequisites, in fluid terms. *)
+       queue signal (loss or >=5 ms of queueing, read after the settle)
+       is doing the allocating — the paper's prerequisites, in fluid
+       terms. *)
     if
       s > 0.0
       && a >= 0.95 *. s
       && t.l_active.(l) >= 2
-      && (p > 0.0 || queue_delay_s t l >= 0.005)
-    then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt
-  done;
-  (* per-flow delivered payload over the measurement window *)
-  if t.now_s +. dt > t.warmup_s then
-    for i = 0 to t.n - 1 do
-      if t.f_active.(i) then begin
-        let l = t.f_link.(i) in
-        let a = t.l_arr.(l) in
-        if a > 0.0 then
+      && (p > 0.0 || (q1 +. t.l_pkt_backlog.(l)) *. 8.0 /. cap >= 0.005)
+    then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt;
+    (* per-flow delivered payload over the measurement window *)
+    if credit && a > 0.0 then
+      for k = first to last do
+        let i = t.by_link.(k) in
+        if t.f_active.(i) then
           t.f_good_b.(i) <-
-            t.f_good_b.(i)
-            +. (t.xs.(i) /. a *. t.l_served.(l) *. t.payload_frac *. dt /. 8.0)
-      end
-    done
+            t.f_good_b.(i) +. (t.xs.(k) /. a *. served *. t.payload_frac *. dt /. 8.0)
+      done
+  done
 
 let[@ccsim.hot] step t =
   seal t;
   process_toggles t;
-  let ws = Option.get t.ws in
-  let f = (deriv t [@ccsim.alloc_ok "one integrator-callback closure per fluid step (dt, default 10 ms), not per event"]) in
-  U.Ode.euler_step ws f ~t_s:t.now_s ~dt_s:t.dt_s t.f_y;
-  settle t;
+  advance t;
   ((t.now_s <- t.now_s +. t.dt_s)
   [@ccsim.alloc_ok "one boxed clock store per fluid step, amortized over every flow it advances"])
 
@@ -582,7 +629,7 @@ let register_link_invariant t ~component w l =
   Obs.Watchdog.register w ~component ~invariant:"fluid_byte_conservation" (fun () ->
       let residue = link_residual_bytes t l in
       let tol = Float.max 64.0 (1e-6 *. t.l_offered_b.(l)) in
-      if Float.abs residue > tol then
+      if not (Float.abs residue <= tol) then
         Some
           (Printf.sprintf
              "link %d: offered=%.0f dropped=%.0f served=%.0f queued=%.0f: residue %.1f \

@@ -1,10 +1,19 @@
 (** Struct-of-arrays fluid population engine.
 
-    Holds a population of fluid flows ({!Fluid_model} rate ODEs) sharing
-    fluid links, integrated on a fixed step by {!Ccsim_util.Ode}. Flow
-    state lives in flat [float array]s (one scalar per flow), so a step
-    is a handful of array passes and million-flow populations run in
-    seconds per simulated second (EXPERIMENTS.md, "Throughput").
+    Holds a population of fluid flows (rate ODEs for the {!Fluid_model}
+    CCAs) sharing fluid links, advanced by forward Euler on a fixed
+    step. Flow state lives in flat [float array]s (one scalar per flow)
+    in flow-id order; at seal, a stable counting sort builds a CSR
+    index of each link's flow ids. A step is one pass over the flows
+    for on/off toggles, then one link-major kernel that finishes a link
+    (arrival, loss and service ratio, each flow's derivative, Euler
+    update, clamp and rate, queue settle, byte accounting, goodput)
+    before moving to the next, allocating nothing; million-flow
+    populations run in seconds per simulated second (EXPERIMENTS.md,
+    "Throughput"). Toggles draw from the RNG in flow-id order and each
+    link sums its flows in flow-id order, so every result is bit for
+    bit that of the earlier four-pass step, which the test suite keeps
+    as its oracle.
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation
@@ -55,9 +64,14 @@ val create :
     {!Ccsim_obs.Scope} at creation, mirroring [Sim.create]. [warmup_s]
     excludes the start of the run from goodput accounting.
     [payload_frac] converts wire bytes to payload bytes (default
-    MSS/(MSS+headers), matching the packet engine's framing). *)
+    MSS/(MSS+headers), matching the packet engine's framing). Raises
+    [Invalid_argument] unless [dt_s] is finite and positive, [warmup_s]
+    finite and non-negative, and [payload_frac] in (0, 1]. *)
 
 val add_link : t -> capacity_bps:float -> buffer_bytes:int -> link_id
+(** Raises [Invalid_argument] unless [capacity_bps] is finite and
+    positive and [buffer_bytes] positive. *)
+
 val add_flow :
   t ->
   link:link_id ->
@@ -72,7 +86,8 @@ val add_flow :
     shaper); default unbounded (bulk). [on_off_s = (on_mean, off_mean)]
     makes the flow toggle with exponentially distributed periods drawn
     from the engine's seeded stream; window state resets on each
-    activation. *)
+    activation. Raises [Invalid_argument] unless [rtt_base_s] and both
+    on/off means are finite and positive and [cap_bps] is positive. *)
 
 val step : t -> unit
 (** Advance one [dt_s]: process on/off toggles, integrate the flow
@@ -94,7 +109,8 @@ val links : t -> int
 val set_packet_signals : t -> link:link_id -> rate_bps:float -> backlog_bytes:int -> unit
 (** Current packet-level cross traffic on a fluid link: delivered rate
     (subtracted from the capacity the fluid share can use) and queue
-    backlog (added to the fluid queueing delay). *)
+    backlog (added to the fluid queueing delay). A negative rate or
+    backlog counts as 0; a NaN rate raises [Invalid_argument]. *)
 
 val link_capacity_bps : t -> link_id -> float
 

@@ -1,29 +1,5 @@
-(* Per-flow fluid (rate-ODE) models of the simulator's main CCAs,
-   following the control-theoretic competition model of Scherrer et al.
-   (arXiv:2510.22773) in the Misra–Gong–Towsley window-ODE tradition:
-
-   - Loss-based flows (Reno, CUBIC) evolve a window [w] in packets:
-       dw/dt = alpha / R  -  (1 - beta) * w * lambda
-     where [R] is the instantaneous RTT, [lambda = p * w / R] the loss
-     event rate seen by the flow (loss probability [p] times packet
-     rate), and (alpha, beta) the additive-increase / multiplicative-
-     decrease pair. Reno is AIMD(1, 1/2); CUBIC is represented by its
-     TCP-friendly AIMD equivalent (alpha = 0.53, beta = 0.7), which
-     matches its steady-state throughput on the paths we model.
-
-   - BBR evolves its sending rate [x] (bit/s) directly: it paces toward
-     a probe gain times its delivered rate, capped by the inflight
-     limit of two estimated BDPs, converging on one RTT timescale:
-       target = deliv * min(probe_gain, cwnd_gain * R_min / R)
-       dx/dt  = (target - x) / max(R, 1 ms)
-     where [deliv = x * service_ratio] is the share the link actually
-     delivered. The min reproduces BBR's two regimes: probing while the
-     queue is short, inflight-capped (standing queue ~1 BDP) once RTT
-     inflation makes the cap bind.
-
-   All models are deterministic given the link signals; every
-   stochastic input (demand, on/off activity) lives in the engine and
-   draws from a seeded SplitMix64 stream. *)
+(* The CCAs the fluid engine models. Their rate-ODE equations live in
+   fluid_engine.ml, beside the step kernel that integrates them. *)
 
 type t = Reno | Cubic | Bbr
 
@@ -48,34 +24,3 @@ let of_name = function
    engine's payload fraction. *)
 let pkt_bytes = Ccsim_util.Units.mss + Ccsim_util.Units.header_bytes
 let pkt_bits = Ccsim_util.Units.bits_of_bytes pkt_bytes
-
-(* CUBIC's TCP-friendly AIMD equivalent: beta 0.7 and the matching
-   additive increase 3*(1-b)/(1+b). *)
-let cubic_beta = 0.7
-let cubic_alpha = 3.0 *. (1.0 -. cubic_beta) /. (1.0 +. cubic_beta)
-let bbr_probe_gain = 1.25
-let bbr_cwnd_gain = 2.0
-
-(* Initial state on (re)activation: IW10 for the window models, ten
-   packets per base RTT for BBR's pacing rate. *)
-let initial_state ~tag ~rtt_s =
-  if tag = index Bbr then 10.0 *. pkt_bits /. Float.max 1e-4 rtt_s else 10.0
-
-(* Instantaneous wire sending rate in bit/s. *)
-let rate_bps ~tag ~w ~rtt_s =
-  if tag = index Bbr then w else w *. pkt_bits /. Float.max 1e-4 rtt_s
-
-(* dw/dt (window models: packets/s; BBR: bit/s per second). *)
-let deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac ~service_ratio =
-  let r = Float.max 1e-3 rtt_s in
-  if tag = index Bbr then begin
-    let deliv = w *. service_ratio in
-    let gain = Float.min bbr_probe_gain (bbr_cwnd_gain *. rtt_min_s /. r) in
-    ((gain *. deliv) -. w) /. r
-  end
-  else begin
-    let alpha, beta =
-      if tag = index Cubic then (cubic_alpha, cubic_beta) else (1.0, 0.5)
-    in
-    (alpha -. ((1.0 -. beta) *. loss_frac *. w *. w)) /. r
-  end

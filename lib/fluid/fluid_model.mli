@@ -1,11 +1,12 @@
-(** Per-flow fluid (rate-ODE) CCA models.
+(** The CCAs the fluid engine models, as dense tags.
 
     Each model maps a scalar state — a congestion window in packets for
     the loss-based CCAs, a pacing rate in bit/s for BBR — plus the link
     signals (RTT, fluid loss probability, delivered service ratio) to a
-    time derivative. The engine integrates one such scalar per flow;
-    everything here is branch-light arithmetic on unboxed floats so a
-    million-flow population steps in a few flow-passes per tick.
+    time derivative. The equations themselves live in
+    [Fluid_engine]'s step kernel, in its compilation unit, so that no
+    float crosses a module boundary on the per-flow path (dune's dev
+    profile compiles with [-opaque], which boxes every such float).
 
     Model fidelity targets steady-state throughput shares (the quantity
     the cross-validation test compares against the packet engine), not
@@ -31,22 +32,3 @@ val pkt_bytes : int
     rates. *)
 
 val pkt_bits : float
-
-val initial_state : tag:int -> rtt_s:float -> float
-(** State on activation: IW10 for window models, 10 packets per base
-    RTT (as a rate) for BBR. *)
-
-val rate_bps : tag:int -> w:float -> rtt_s:float -> float
-(** Instantaneous wire sending rate of a flow with state [w]. *)
-
-val deriv :
-  tag:int ->
-  w:float ->
-  rtt_s:float ->
-  rtt_min_s:float ->
-  loss_frac:float ->
-  service_ratio:float ->
-  float
-(** State derivative given the flow's current RTT, its base (minimum)
-    RTT, the link's fluid loss probability, and the fraction of offered
-    load the link is currently delivering. *)

@@ -127,6 +127,67 @@ let test_sealed_after_step () =
        false
      with Invalid_argument _ -> true)
 
+(* Out-of-domain build inputs raise, naming the function and argument.
+   A NaN passes an [x <= 0.0] check; let in, it makes a run step
+   nothing or end with NaN byte totals. *)
+let test_non_finite_rejected () =
+  let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ())) in
+  let create = "Fluid_engine.create: " in
+  List.iter
+    (fun dt_s ->
+      raises (Printf.sprintf "dt_s %g" dt_s) (create ^ "dt_s must be finite and positive")
+        (fun () -> Fl.Fluid_engine.create ~dt_s ~seed:1 ()))
+    [ nan; infinity; 0.0; -0.01 ];
+  List.iter
+    (fun warmup_s ->
+      raises (Printf.sprintf "warmup_s %g" warmup_s)
+        (create ^ "warmup_s must be finite and non-negative") (fun () ->
+          Fl.Fluid_engine.create ~warmup_s ~seed:1 ()))
+    [ nan; infinity; -1.0 ];
+  List.iter
+    (fun payload_frac ->
+      raises (Printf.sprintf "payload_frac %g" payload_frac)
+        (create ^ "payload_frac must be in (0, 1]") (fun () ->
+          Fl.Fluid_engine.create ~payload_frac ~seed:1 ()))
+    [ nan; 0.0; 1.5; infinity ];
+  let engine = Fl.Fluid_engine.create ~seed:1 () in
+  List.iter
+    (fun capacity_bps ->
+      raises (Printf.sprintf "capacity_bps %g" capacity_bps)
+        "Fluid_engine.add_link: capacity_bps must be finite and positive" (fun () ->
+          Fl.Fluid_engine.add_link engine ~capacity_bps ~buffer_bytes:10_000))
+    [ nan; infinity; 0.0 ];
+  let link = Fl.Fluid_engine.add_link engine ~capacity_bps:1e7 ~buffer_bytes:10_000 in
+  let add ?cap_bps ?on_off_s ?(rtt_base_s = 0.04) () =
+    Fl.Fluid_engine.add_flow engine ~link ~model:Fl.Fluid_model.Reno ~rtt_base_s ?cap_bps
+      ?on_off_s ()
+  in
+  List.iter
+    (fun rtt_base_s ->
+      raises (Printf.sprintf "rtt_base_s %g" rtt_base_s)
+        "Fluid_engine.add_flow: rtt_base_s must be finite and positive" (fun () ->
+          add ~rtt_base_s ()))
+    [ nan; infinity; 0.0 ];
+  List.iter
+    (fun cap_bps ->
+      raises (Printf.sprintf "cap_bps %g" cap_bps) "Fluid_engine.add_flow: cap_bps must be positive"
+        (fun () -> add ~cap_bps ()))
+    [ nan; -1e6; 0.0 ];
+  List.iter
+    (fun (on_s, off_s) ->
+      raises (Printf.sprintf "on_off_s (%g, %g)" on_s off_s)
+        "Fluid_engine.add_flow: on_off_s means must be finite and positive" (fun () ->
+          add ~on_off_s:(on_s, off_s) ()))
+    [ (nan, 1.0); (1.0, nan); (infinity, 1.0); (1.0, 0.0) ];
+  Alcotest.(check int) "rejected flows were not added" 0 (Fl.Fluid_engine.flows engine);
+  ignore (add ~cap_bps:infinity ());
+  raises "NaN packet rate" "Fluid_engine.set_packet_signals: NaN rate_bps" (fun () ->
+      Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:nan ~backlog_bytes:0);
+  Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:(-1e6) ~backlog_bytes:0;
+  Fl.Fluid_engine.run engine ~until_s:1.0;
+  Alcotest.(check bool) "a negative packet rate clamps to 0: the bulk flow fills the link" true
+    (Fl.Fluid_engine.link_served_bps engine link >= 0.9e7)
+
 (* ---- fluid vs packet cross-validation (ISSUE-6 acceptance) ----
 
    Four identical Reno bulk flows on a 40 Mbit/s dumbbell, both
@@ -216,6 +277,27 @@ let test_watchdog_trips_on_skew () =
   | Some v ->
       Alcotest.(check string) "component" "fluid" v.Obs.Watchdog.component;
       Alcotest.(check string) "invariant" "byte_conservation" v.Obs.Watchdog.invariant
+
+(* A NaN residue is a violation: [abs residue > tol] is false for NaN,
+   so both conservation checks test [not (abs residue <= tol)]. *)
+let test_watchdog_trips_on_nan () =
+  let w = Obs.Watchdog.create () in
+  let scope = Obs.Scope.v ~watchdog:w () in
+  Obs.Scope.with_scope scope @@ fun () ->
+  let engine, link, _ = simple_engine ~capacity_mbps:10.0 ~seed:4 () in
+  Fl.Fluid_engine.run engine ~until_s:1.0;
+  let per_link = Obs.Watchdog.create () in
+  Fl.Fluid_engine.register_link_invariant engine ~component:"fluid/link" per_link link;
+  Fl.Fluid_engine.inject_accounting_skew engine ~link ~bytes:nan;
+  let trips w =
+    try
+      Obs.Watchdog.check_now w ~now:(Fl.Fluid_engine.now_s engine);
+      None
+    with Obs.Watchdog.Violation v -> Some v.Obs.Watchdog.invariant
+  in
+  Alcotest.(check (option string)) "engine-wide check" (Some "byte_conservation") (trips w);
+  Alcotest.(check (option string)) "per-link check" (Some "fluid_byte_conservation")
+    (trips per_link)
 
 (* ---- hybrid coupling ---- *)
 
@@ -344,6 +426,188 @@ let test_p1_fluid_small () =
   Alcotest.(check bool) "render mentions prevalence" true
     (contains ~sub:"in contention" rendered)
 
+(* ---- the link-major kernel against the four-pass step ---- *)
+
+type ref_flow = {
+  link : int;
+  model : Fl.Fluid_model.t;
+  rtt_base_s : float;
+  cap_bps : float;
+  on_off_s : (float * float) option;
+  start_active : bool;
+}
+
+type ref_case = {
+  seed : int;
+  dt_s : float;
+  warmup_s : float;
+  links : (float * int) array;  (* capacity, buffer *)
+  ref_flows : ref_flow array;  (* in the order they are added *)
+  steps : int;
+  signals : (int * int * float * int) list;  (* before step k: link, rate, backlog *)
+}
+
+let show_ref_case c =
+  let flow f =
+    Printf.sprintf "{link %d %s rtt %h cap %h %s%s}" f.link (Fl.Fluid_model.name f.model)
+      f.rtt_base_s f.cap_bps
+      (match f.on_off_s with
+      | None -> "always on"
+      | Some (on_s, off_s) -> Printf.sprintf "on/off %h/%h" on_s off_s)
+      (if f.start_active then "" else " starts off")
+  in
+  Printf.sprintf "seed %d, dt %h, warmup %h, %d steps\nlinks: %s\nflows: %s\nsignals: %s" c.seed
+    c.dt_s c.warmup_s c.steps
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (cap, buf) -> Printf.sprintf "%h/%d" cap buf) c.links)))
+    (String.concat "; " (Array.to_list (Array.map flow c.ref_flows)))
+    (String.concat "; "
+       (List.map
+          (fun (k, l, rate, backlog) -> Printf.sprintf "@%d link %d %h/%d" k l rate backlog)
+          c.signals))
+
+(* About a third of the links stay empty, and one occupied link always
+   gets three to six always-on flows; the rest of the flows land on
+   random occupied links, and the whole list is shuffled so flow ids
+   do not follow link order. *)
+let ref_case_gen =
+  let open QCheck.Gen in
+  let* nl = int_range 1 40 in
+  let* links = array_repeat nl (pair (float_range 1e6 1e9) (int_range 3_000 3_000_000)) in
+  let* empty = array_repeat nl (map (fun u -> u < 0.3) (float_bound_exclusive 1.0)) in
+  let occupied = List.filter (fun l -> not empty.(l)) (List.init nl Fun.id) in
+  let occupied = if occupied = [] then [ 0 ] else occupied in
+  let* crowded = oneofl occupied in
+  let flow ~link ~always_on =
+    let* model = oneofl Fl.Fluid_model.[ Reno; Cubic; Bbr ] in
+    let* rtt_base_s = float_range 0.002 0.3 in
+    let* cap_bps = frequency [ (1, return infinity); (3, float_range 1e5 5e8) ] in
+    let* on_off_s =
+      if always_on then return None else opt (pair (float_range 0.02 2.0) (float_range 0.02 2.0))
+    in
+    let* start_active = bool in
+    return { link; model; rtt_base_s; cap_bps; on_off_s; start_active }
+  in
+  let* n = int_range 0 300 in
+  let* n_crowd = int_range 3 6 in
+  let n_crowd = Int.min n n_crowd in
+  let* crowd = list_repeat n_crowd (flow ~link:crowded ~always_on:true) in
+  let* rest =
+    list_repeat (n - n_crowd)
+      (let* link = oneofl occupied in
+       flow ~link ~always_on:false)
+  in
+  let ref_flows = Array.of_list (crowd @ rest) in
+  let* () = shuffle_a ref_flows in
+  let* steps = int_range 1 200 in
+  let* dt_s = oneofl [ 0.005; 0.01; 0.02 ] in
+  let* mid_warmup = bool in
+  let warmup_s = if mid_warmup then float_of_int (steps / 2) *. dt_s else 0.0 in
+  let* seed = int_bound 1_000_000 in
+  let rate = frequency [ (1, float_range (-1e7) 0.0); (6, float_range 0.0 1.2e9); (1, return infinity) ] in
+  let* signals =
+    list_size (int_range 0 20)
+      (quad (int_bound (steps - 1)) (int_bound (nl - 1)) rate (int_range (-1_000) 3_000_000))
+  in
+  return { seed; dt_s; warmup_s; links; ref_flows; steps; signals }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Build the case on both engines and step them side by side; after
+   every step the totals, every link accessor and every flow's goodput
+   agree bit for bit. *)
+let kernel_matches_reference c =
+  let module E = Fl.Fluid_engine in
+  let module R = Ref_fluid_engine in
+  let dt_s = c.dt_s and warmup_s = c.warmup_s and seed = c.seed in
+  let fast = E.create ~dt_s ~warmup_s ~seed () and slow = R.create ~dt_s ~warmup_s ~seed () in
+  Array.iter
+    (fun (capacity_bps, buffer_bytes) ->
+      ignore (E.add_link fast ~capacity_bps ~buffer_bytes);
+      ignore (R.add_link slow ~capacity_bps ~buffer_bytes))
+    c.links;
+  Array.iter
+    (fun f ->
+      let { link; model; rtt_base_s; cap_bps; on_off_s; start_active } = f in
+      ignore (E.add_flow fast ~link ~model ~rtt_base_s ~cap_bps ?on_off_s ~start_active ());
+      ignore (R.add_flow slow ~link ~model ~rtt_base_s ~cap_bps ?on_off_s ~start_active ()))
+    c.ref_flows;
+  let agree () =
+    let tf = E.totals fast and ts = R.totals slow in
+    same_bits tf.E.offered_bytes ts.E.offered_bytes
+    && same_bits tf.E.served_bytes ts.E.served_bytes
+    && same_bits tf.E.dropped_bytes ts.E.dropped_bytes
+    && same_bits tf.E.queued_bytes ts.E.queued_bytes
+    && same_bits (E.residual_bytes fast) (R.residual_bytes slow)
+    && List.for_all
+         (fun l ->
+           same_bits (E.link_capacity_bps fast l) (R.link_capacity_bps slow l)
+           && same_bits (E.link_served_bps fast l) (R.link_served_bps slow l)
+           && same_bits (E.link_queue_bytes fast l) (R.link_queue_bytes slow l)
+           && same_bits (E.link_contended_s fast l) (R.link_contended_s slow l)
+           && same_bits (E.link_served_bytes fast l) (R.link_served_bytes slow l)
+           && same_bits (E.link_residual_bytes fast l) (R.link_residual_bytes slow l))
+         (List.init (Array.length c.links) Fun.id)
+    && List.for_all
+         (fun i -> same_bits (E.flow_goodput_bps fast i) (R.flow_goodput_bps slow i))
+         (List.init (Array.length c.ref_flows) Fun.id)
+  in
+  let rec go k =
+    k = c.steps
+    || begin
+         List.iter
+           (fun (at, link, rate_bps, backlog_bytes) ->
+             if at = k then begin
+               E.set_packet_signals fast ~link ~rate_bps ~backlog_bytes;
+               R.set_packet_signals slow ~link ~rate_bps ~backlog_bytes
+             end)
+           c.signals;
+         E.step fast;
+         R.step slow;
+         agree () && go (k + 1)
+       end
+  in
+  go 0
+
+let qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"fluid kernel matches the four-pass step bit for bit" ~count:500
+      (make ~print:show_ref_case ref_case_gen)
+      kernel_matches_reference;
+  ]
+
+(* The step allocates a constant few words (the boxed clock store), not
+   words per flow: always-on populations, so no toggle draws a boxed
+   exponential. *)
+let test_step_allocation () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  List.iter
+    (fun flows ->
+      let engine = Fl.Fluid_engine.create ~seed:3 () in
+      let link = ref 0 in
+      for i = 0 to flows - 1 do
+        if i mod 2 = 0 then
+          link := Fl.Fluid_engine.add_link engine ~capacity_bps:(U.Units.mbps 50.0)
+              ~buffer_bytes:200_000;
+        ignore
+          (Fl.Fluid_engine.add_flow engine ~link:!link ~model:(Fl.Fluid_model.of_index (i mod 3))
+             ~rtt_base_s:(0.02 +. (0.001 *. float_of_int (i mod 50))) ())
+      done;
+      Fl.Fluid_engine.step engine;
+      let words0 = words () in
+      for _ = 1 to 50 do
+        Fl.Fluid_engine.step engine
+      done;
+      let per_step = (words () -. words0) /. 50.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d flows: under 64 words per step (%.1f)" flows per_step)
+        true (per_step < 64.0))
+    [ 2_000; 20_000 ]
+
 let suite =
   [
     Alcotest.test_case "model: name/index roundtrips" `Quick test_model_names;
@@ -364,4 +628,10 @@ let suite =
       test_link_cross_rate_validation;
     Alcotest.test_case "net: fifo admission sees cross backlog" `Quick test_fifo_cross_backlog;
     Alcotest.test_case "p1: small fluid population runs" `Quick test_p1_fluid_small;
+    Alcotest.test_case "engine: non-finite inputs rejected" `Quick test_non_finite_rejected;
+    Alcotest.test_case "watchdog: NaN residue trips conservation" `Quick
+      test_watchdog_trips_on_nan;
+    Alcotest.test_case "fluid: step allocation flat in the population" `Quick
+      test_step_allocation;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

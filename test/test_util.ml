@@ -631,56 +631,9 @@ let qcheck_tests =
           (Ref_fft.magnitude_at (Ref_fft.mean_removed s) ~sample_rate ~freq));
   ]
 
-(* --- Ode ------------------------------------------------------------------ *)
-
-(* dy/dt = -y from y0 = 1 has the closed form e^{-t}: Euler must land
-   within its O(dt) global error. *)
-let decay ~t_s:_ ~y ~dy =
-  for i = 0 to Array.length y - 1 do
-    dy.(i) <- -.y.(i)
-  done
-
-(* Step [y] from t = 0 to [t1_s] in [n] Euler steps of [t1_s / n]. *)
-let euler_steps f ~t1_s ~n y =
-  let ws = U.Ode.workspace (Array.length y) in
-  let dt_s = t1_s /. float_of_int n in
-  for k = 0 to n - 1 do
-    U.Ode.euler_step ws f ~t_s:(float_of_int k *. dt_s) ~dt_s y
-  done
-
-let test_ode_euler_decay () =
-  let y = [| 1.0; 2.0 |] in
-  euler_steps decay ~t1_s:1.0 ~n:1000 y;
-  check_close "euler e^-1" 1e-3 (Float.exp (-1.0)) y.(0);
-  check_close "euler scales linearly" 1e-3 (2.0 *. Float.exp (-1.0)) y.(1)
-
-let test_ode_time_dependent () =
-  (* dy/dt = 2t integrates to t^2, but Euler evaluates each step at its
-     start: 30 steps of 0.1 sum 2 * 0.1 * (0 + 0.1 + ... + 2.9) = 8.7.
-     Exercises the t_s argument. *)
-  let f ~t_s ~y:_ ~dy = dy.(0) <- 2.0 *. t_s in
-  let y = [| 0.0 |] in
-  euler_steps f ~t1_s:3.0 ~n:30 y;
-  check_close "Euler sum at 3" 1e-9 8.7 y.(0)
-
-let test_ode_invalid_args () =
-  let ws = U.Ode.workspace 2 in
-  Alcotest.check_raises "dim mismatch"
-    (Invalid_argument "Ode.euler_step: state dimension mismatch") (fun () ->
-      U.Ode.euler_step ws decay ~t_s:0.0 ~dt_s:0.1 [| 1.0 |]);
-  Alcotest.check_raises "non-positive dt"
-    (Invalid_argument "Ode.euler_step: dt must be positive") (fun () ->
-      U.Ode.euler_step ws decay ~t_s:0.0 ~dt_s:0.0 [| 1.0; 2.0 |]);
-  Alcotest.check_raises "zero dimension"
-    (Invalid_argument "Ode.workspace: dimension must be positive") (fun () ->
-      ignore (U.Ode.workspace 0))
-
 let suite =
   [
     ("units: conversions", `Quick, test_units_conversions);
-    ("ode: euler matches exponential decay", `Quick, test_ode_euler_decay);
-    ("ode: time-dependent derivative", `Quick, test_ode_time_dependent);
-    ("ode: invalid arguments rejected", `Quick, test_ode_invalid_args);
     ("units: serialization time", `Quick, test_units_transmit_time);
     ("units: bdp", `Quick, test_units_bdp);
     ("rng: determinism", `Quick, test_rng_determinism);
