@@ -33,13 +33,57 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_float =
+(* A float converter accepting the values [ok] holds for. *)
+let float_where ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0.0 -> Ok x
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a finite positive number, got %S" s))
+    | Some x when ok x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_float =
+  float_where ~expected:"a finite positive number" (fun x -> Float.is_finite x && x > 0.0)
+
+(* A NaN warmup or threshold compares false against every sample, so it
+   would silently empty or flip every verdict. *)
+let finite_float = float_where ~expected:"a finite number" Float.is_finite
+
+(* A sampling interval finer than a millisecond stalls the run: the
+   timeline driver fires so often that the clock barely advances (1e-300
+   never finishes), as with the flap floor of the fault plans. *)
+let sampling_interval =
+  float_where ~expected:"a finite interval of at least 0.001 s" (fun x ->
+      Float.is_finite x && x >= 0.001)
+
+let nonempty_list conv =
+  let list = Arg.list conv in
+  let parse s =
+    match Arg.conv_parser list s with
+    | Ok [] -> Error (`Msg "expected at least one value")
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer list)
+
+(* An output file is written after the jobs ran (missing parents are
+   created), so a path that cannot be written would throw their results
+   away: refuse it while parsing. *)
+let out_file =
+  let parse path =
+    let rec parent_ok dir =
+      if Sys.file_exists dir then Sys.is_directory dir
+      else
+        let up = Filename.dirname dir in
+        String.equal up dir || parent_ok up
+    in
+    if String.equal path "" then Error (`Msg "expected a file path")
+    else if Sys.file_exists path && Sys.is_directory path then
+      Error (`Msg (Printf.sprintf "%S is a directory" path))
+    else if not (parent_ok (Filename.dirname path)) then
+      Error (`Msg (Printf.sprintf "cannot write %S: its parent is not a directory" path))
+    else Ok path
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 let seed_arg =
   let doc = "Deterministic seed for the experiment." in
@@ -88,7 +132,7 @@ let check_duration ~cmd ~option (e : E.t) d =
 
 let jobs_arg =
   let doc = "Worker domains; 1 runs serially (bit-identical to the pre-runner CLI)." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* --- fault injection ------------------------------------------------------- *)
 
@@ -131,7 +175,7 @@ let no_cache_arg =
 
 let report_arg =
   let doc = "Write the machine-readable JSON run report to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "report" ] ~docv:"FILE" ~doc)
 
 (* --- observability flags --------------------------------------------------- *)
 
@@ -140,14 +184,14 @@ let metrics_arg =
     "Collect the metrics registry (counters, gauges, histograms) of every job and write \
      it to $(docv) as NDJSON, one instrument per line, each line tagged with its job."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let flight_arg =
   let doc =
     "Record a structured flight journal (packet events, qdisc drops, CCA decisions) per \
      job and write it to $(docv); a .csv extension selects CSV, anything else NDJSON."
   in
-  Arg.(value & opt (some string) None & info [ "flight-rec" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "flight-rec" ] ~docv:"FILE" ~doc)
 
 let profile_arg =
   let doc =
@@ -164,13 +208,13 @@ let series_arg =
      extension selects CSV, anything else NDJSON (one point per line, analyzable offline \
      with `ccsim analyze`)."
   in
-  Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "series" ] ~docv:"FILE" ~doc)
 
 let series_interval_arg =
-  let doc = "Timeline sampling interval in simulated seconds." in
+  let doc = "Timeline sampling interval in simulated seconds (at least 0.001)." in
   Arg.(
     value
-    & opt positive_float Obs.Timeline.default_interval
+    & opt sampling_interval Obs.Timeline.default_interval
     & info [ "series-interval" ] ~docv:"SECONDS" ~doc)
 
 let chrome_arg =
@@ -179,7 +223,7 @@ let chrome_arg =
      merged with flight-recorder events — loadable in Perfetto (ui.perfetto.dev) or \
      chrome://tracing."
   in
-  Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc)
 
 let check_arg =
   let doc =
@@ -285,11 +329,11 @@ let obs_cfg_term =
       series_path;
       series_interval;
       chrome_path;
-      check = check || check_policy <> None;
+      check = check || Option.is_some check_policy;
       check_policy;
       flight_cap;
       flight_level;
-      spans = spans || span_sample <> None;
+      spans = spans || Option.is_some span_sample;
       span_sample = Option.value span_sample ~default:default_span_sample;
     }
   in
@@ -299,22 +343,22 @@ let obs_cfg_term =
     $ spans_arg $ span_sample_arg)
 
 let obs_enabled c =
-  c.metrics_path <> None || c.flight_path <> None || c.profile || c.series_path <> None
-  || c.chrome_path <> None || c.check || c.spans
+  Option.is_some c.metrics_path || Option.is_some c.flight_path || c.profile
+  || Option.is_some c.series_path || Option.is_some c.chrome_path || c.check || c.spans
 
 (* The scope a job runs under, holding that job's own instruments
    (registries are not thread-safe; a job runs entirely on one pool
    domain). They are harvested after the pool drains. *)
 let job_scope cfg =
-  let metrics = if cfg.metrics_path <> None then Some (Obs.Metrics.create ()) else None in
+  let metrics = if Option.is_some cfg.metrics_path then Some (Obs.Metrics.create ()) else None in
   let recorder =
-    if cfg.flight_path <> None || cfg.chrome_path <> None then
+    if Option.is_some cfg.flight_path || Option.is_some cfg.chrome_path then
       Some (Obs.Recorder.create ~capacity:cfg.flight_cap ~level:cfg.flight_level ())
     else None
   in
   let profile = if cfg.profile then Some (Obs.Profile.create ()) else None in
   let timeline =
-    if cfg.series_path <> None || cfg.chrome_path <> None then
+    if Option.is_some cfg.series_path || Option.is_some cfg.chrome_path then
       Some (Obs.Timeline.create ~interval:cfg.series_interval ())
     else None
   in
@@ -552,7 +596,7 @@ let sweep_cmd =
   in
   let seeds_arg =
     let doc = "Comma-separated seeds axis." in
-    Arg.(value & opt (list int) [ 42 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+    Arg.(value & opt (nonempty_list int) [ 42 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
   in
   let durations_arg =
     let doc =
@@ -577,7 +621,7 @@ let sweep_cmd =
     Arg.(value & opt (list string) [] & info [ "backends" ] ~docv:"BACKENDS" ~doc)
   in
   let run ids seeds durations populations backends jobs no_cache report obs faults =
-    let ids = if ids = [] then List.map (fun (e : E.t) -> e.id) E.all else ids in
+    let ids = match ids with [] -> List.map (fun (e : E.t) -> e.id) E.all | _ :: _ -> ids in
     let experiments =
       List.map
         (fun id ->
@@ -593,9 +637,9 @@ let sweep_cmd =
       experiments;
     let axes =
       [ R.Sweep.axis "exp" ids; R.Sweep.ints "seed" seeds ]
-      @ (if durations = [] then [] else [ R.Sweep.floats "duration" durations ])
-      @ (if populations = [] then [] else [ R.Sweep.ints "n" populations ])
-      @ if backends = [] then [] else [ R.Sweep.axis "backend" backends ]
+      @ (match durations with [] -> [] | _ :: _ -> [ R.Sweep.floats "duration" durations ])
+      @ (match populations with [] -> [] | _ :: _ -> [ R.Sweep.ints "n" populations ])
+      @ match backends with [] -> [] | _ :: _ -> [ R.Sweep.axis "backend" backends ]
     in
     (* Each experiment reads only the axes that apply to it (duration
        for timed, population for sized, backend for multi-backend);
@@ -605,7 +649,7 @@ let sweep_cmd =
       List.filter_map
         (fun point ->
           let id = Option.get (R.Sweep.get point "exp") in
-          let e = List.find (fun (e : E.t) -> e.id = id) experiments in
+          let e = List.find (fun (e : E.t) -> String.equal e.id id) experiments in
           let seed = int_of_string (Option.get (R.Sweep.get point "seed")) in
           let duration = Option.map float_of_string (R.Sweep.get point "duration") in
           let n = Option.map int_of_string (R.Sweep.get point "n") in
@@ -737,7 +781,7 @@ let perf_cmd =
   in
   let out_arg =
     let doc = "Write the engine benchmark report (schema ccsim-engine/2) to $(docv)." in
-    Arg.(value & opt string "BENCH_engine.json" & info [ "out" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt out_file "BENCH_engine.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let iters_arg =
     let doc =
@@ -811,17 +855,22 @@ let series_cmd name ~doc extra render =
       "Drop samples before this time (seconds) from the analysis (use the scenario's \
        warmup; fig3 uses 10)."
     in
-    Arg.(value & opt float 0.0 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt finite_float 0.0 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
   in
   let until_arg =
-    let doc = "Drop samples after this time (seconds) from the analysis." in
-    Arg.(value & opt (some float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
+    let doc = "Drop samples after this time (seconds) from the analysis; must exceed --warmup." in
+    Arg.(value & opt (some finite_float) None & info [ "until" ] ~docv:"SECONDS" ~doc)
   in
   let threshold_arg =
     let doc = "Elasticity p90 classification threshold (fig3's rule uses 0.5)." in
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
+    Arg.(value & opt finite_float 0.5 & info [ "threshold" ] ~docv:"X" ~doc)
   in
   let run file warmup until threshold extra =
+    (match until with
+    | Some u when u <= warmup ->
+        Printf.eprintf "ccsim %s: --until %g does not exceed --warmup %g\n" name u warmup;
+        exit 2
+    | Some _ | None -> ());
     match Ccsim_measure.Offline.load file with
     | exception Sys_error msg ->
         Printf.eprintf "ccsim %s: %s\n" name msg;
@@ -842,7 +891,7 @@ let analyze_cmd =
       "Minimum largest-shift / mean ratio for a change-point verdict of \
        contention-consistent (fig2's rule uses 0.2)."
     in
-    Arg.(value & opt float 0.2 & info [ "shift-threshold" ] ~docv:"X" ~doc)
+    Arg.(value & opt finite_float 0.2 & info [ "shift-threshold" ] ~docv:"X" ~doc)
   in
   series_cmd "analyze"
     ~doc:

@@ -34,7 +34,7 @@ let simulated_ndt ~id ~label ~flows ~gt =
 let () =
   (* Part 1: the paper-scale synthetic population. *)
   let rng = U.Rng.create 7 in
-  let records = M.Ndt.generate ~rng ~n:3000 () in
+  let records = M.Ndt.generate ~rng ~n:3000 in
   let report = M.Mlab_analysis.analyze records in
   Format.printf "Synthetic population: %a@.@." M.Mlab_analysis.pp_report report;
   (* Part 2: records from simulated speedtests. *)

@@ -12,23 +12,20 @@ val over_tcp :
   Ccsim_engine.Sim.t ->
   sender:Ccsim_tcp.Sender.t ->
   rate_bps:float ->
-  ?tick:float ->
-  ?start:float ->
-  ?stop:float ->
   unit ->
   t
-(** Default [tick] 10 ms. Writing begins at [start] (default now) and
-    ends at [stop] (default: never). *)
+(** Writes every 10 ms, from one tick after now until the end of the
+    run. *)
 
 val over_udp :
   Ccsim_engine.Sim.t ->
   source:Ccsim_tcp.Udp.Source.t ->
   rate_bps:float ->
   ?packet_bytes:int ->
-  ?start:float ->
   ?stop:float ->
   unit ->
   t
-(** Evenly spaced datagrams of [packet_bytes] (default MSS) payload. *)
+(** Evenly spaced datagrams of [packet_bytes] (default MSS) payload,
+    from one interval after now until [stop] (default: never). *)
 
 val bytes_offered : t -> int

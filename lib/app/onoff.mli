@@ -12,11 +12,10 @@ val start :
   rate_bps:float ->
   ?mean_on:float ->
   ?mean_off:float ->
-  ?tick:float ->
-  ?stop:float ->
   unit ->
   t
-(** Defaults: mean ON 0.5 s, mean OFF 0.5 s, tick 10 ms. *)
+(** Defaults: mean ON 0.5 s, mean OFF 0.5 s. Offers its rate in 10 ms
+    ticks until the end of the run. *)
 
 val bytes_offered : t -> int
 val on_fraction : t -> float

@@ -1,8 +1,6 @@
 module Sim = Ccsim_engine.Sim
 
 type flow_record = {
-  id : int;
-  size_bytes : int;
   started : float;
   mutable finished : float option;
   mutable retransmits : int;
@@ -15,12 +13,13 @@ type t = {
   mutable spawned : int;
 }
 
-let start sim topo ~rng ~arrival_rate ?(mean_size_bytes = 30_000.0) ?(pareto_shape = 1.2)
-    ?(max_size_bytes = 10_000_000) ?(first_flow_id = 1000)
-    ?(cca = fun () -> Ccsim_cca.Reno.create ()) ?(stop = infinity) () =
+let pareto_shape = 1.2
+let max_size_bytes = 10_000_000
+
+let start sim topo ~rng ~arrival_rate ?(mean_size_bytes = 30_000.0) ?(stop = infinity) () =
   if arrival_rate <= 0.0 then invalid_arg "Poisson_flows.start: arrival rate must be positive";
   let t = { sim; flows = []; spawned = 0 } in
-  let next_id = ref first_flow_id in
+  let next_id = ref 1000 in
   (* Choose the Pareto scale so that the (truncated) mean is roughly the
      requested mean: for shape a > 1, mean = scale * a / (a - 1). *)
   let scale = mean_size_bytes *. (pareto_shape -. 1.0) /. pareto_shape in
@@ -37,8 +36,6 @@ let start sim topo ~rng ~arrival_rate ?(mean_size_bytes = 30_000.0) ?(pareto_sha
     let size = max 100 size in
     let record =
       {
-        id;
-        size_bytes = size;
         started = Sim.now sim;
         finished = None;
         retransmits = 0;
@@ -61,7 +58,9 @@ let start sim topo ~rng ~arrival_rate ?(mean_size_bytes = 30_000.0) ?(pareto_sha
              | Some c -> Ccsim_tcp.Connection.teardown topo c
              | None -> ()))
     in
-    let c = Ccsim_tcp.Connection.establish topo ~flow:id ~cca:(cca ()) ~on_complete () in
+    let c =
+      Ccsim_tcp.Connection.establish topo ~flow:id ~cca:(Ccsim_cca.Reno.create ()) ~on_complete ()
+    in
     conn := Some c;
     Ccsim_tcp.Sender.write c.sender size;
     Ccsim_tcp.Sender.close c.sender

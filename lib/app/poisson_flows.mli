@@ -8,8 +8,6 @@
     left the initial window. *)
 
 type flow_record = {
-  id : int;
-  size_bytes : int;
   started : float;
   mutable finished : float option;
   mutable retransmits : int;
@@ -24,18 +22,14 @@ val start :
   rng:Ccsim_util.Rng.t ->
   arrival_rate:float ->
   ?mean_size_bytes:float ->
-  ?pareto_shape:float ->
-  ?max_size_bytes:int ->
-  ?first_flow_id:int ->
-  ?cca:(unit -> Ccsim_cca.Cca.t) ->
   ?stop:float ->
   unit ->
   t
-(** [arrival_rate] in flows/second. Sizes are bounded-Pareto with the
-    given mean-ish [scale] (default 30 kB mean target, shape 1.2, cap
-    10 MB). Flow ids count up from [first_flow_id] (default 1000) — keep
-    them disjoint from other flows on the topology. [cca] defaults to
-    NewReno. *)
+(** [arrival_rate] in flows/second, until [stop] (default: never).
+    Sizes are bounded-Pareto with shape 1.2 and a 10 MB cap, scaled
+    toward [mean_size_bytes] (default 30 kB). Every flow runs NewReno.
+    Flow ids count up from 1000, so keep the topology's other flows
+    below that. *)
 
 val flows : t -> flow_record list
 (** All spawned flows, oldest first. *)

@@ -1,9 +1,6 @@
 module Sim = Ccsim_engine.Sim
 
 type result = {
-  flow : int;
-  started : float;
-  duration : float;
   snapshots : Ccsim_tcp.Tcp_info.t array;
   mean_throughput_bps : float;
 }
@@ -26,9 +23,6 @@ let start sim ~sender ?(duration = 10.0) ?(interval = 0.1) ?(on_finish = fun _ -
          let acked = Ccsim_tcp.Sender.bytes_acked sender in
          let result =
            {
-             flow = Ccsim_tcp.Sender.flow sender;
-             started;
-             duration;
              snapshots = snaps;
              mean_throughput_bps = float_of_int acked *. 8.0 /. duration;
            }

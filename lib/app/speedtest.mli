@@ -4,9 +4,6 @@
     analysis pipeline can also be run against *simulated* ground truth. *)
 
 type result = {
-  flow : int;
-  started : float;
-  duration : float;
   snapshots : Ccsim_tcp.Tcp_info.t array;  (** one per [interval] *)
   mean_throughput_bps : float;
 }

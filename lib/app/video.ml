@@ -3,42 +3,37 @@ module Sim = Ccsim_engine.Sim
 let default_ladder_bps =
   [| 1.0e6; 2.5e6; 5.0e6; 8.0e6; 16.0e6; 25.0e6 |]
 
+let chunk_duration = 2.0
+
+(* Below this much buffer the client panics down to the lowest rung. *)
+let low_buffer_s = 5.0
+
+(* Pick the largest rung at most [safety] x estimated throughput. *)
+let safety = 0.8
+
 type state = Downloading of { target_bytes : int; started : float; rate : float } | Waiting
 
 type t = {
   sim : Sim.t;
   sender : Ccsim_tcp.Sender.t;
   ladder : float array;
-  chunk_duration : float;
   max_buffer_s : float;
-  low_buffer_s : float;
-  safety : float;
-  stop : float;
   mutable state : state;
   mutable buffer_s : float;  (* seconds of video buffered *)
   mutable playing : bool;
   mutable last_tick : float;
   mutable tput_estimate : float;  (* EWMA of per-chunk throughput, bit/s *)
   mutable chunks : int;
-  mutable switches : int;
-  mutable last_rate : float;
   mutable rebuffer_s : float;
   mutable bitrate_sum : float;
-  bitrate_series : Ccsim_util.Timeseries.t;
 }
 
-type stats = {
-  chunks_downloaded : int;
-  mean_bitrate_bps : float;
-  rebuffer_s : float;
-  switches : int;
-  bitrate_series : Ccsim_util.Timeseries.t;
-}
+type stats = { chunks_downloaded : int; mean_bitrate_bps : float; rebuffer_s : float }
 
 let choose_rate t =
-  if t.buffer_s < t.low_buffer_s then t.ladder.(0)
+  if t.buffer_s < low_buffer_s then t.ladder.(0)
   else begin
-    let cap = t.safety *. t.tput_estimate in
+    let cap = safety *. t.tput_estimate in
     let best = ref t.ladder.(0) in
     Array.iter (fun r -> if r <= cap && r > !best then best := r) t.ladder;
     !best
@@ -46,17 +41,12 @@ let choose_rate t =
 
 let request_chunk t =
   let now = Sim.now t.sim in
-  if now < t.stop then begin
-    let rate = choose_rate t in
-    if t.chunks > 0 && not (Float.equal rate t.last_rate) then t.switches <- t.switches + 1;
-    t.last_rate <- rate;
-    t.bitrate_sum <- t.bitrate_sum +. rate;
-    Ccsim_util.Timeseries.add t.bitrate_series ~time:now ~value:rate;
-    let bytes = int_of_float (rate *. t.chunk_duration /. 8.0) in
-    let target = Ccsim_tcp.Sender.bytes_acked t.sender + bytes in
-    t.state <- Downloading { target_bytes = target; started = now; rate };
-    Ccsim_tcp.Sender.write t.sender bytes
-  end
+  let rate = choose_rate t in
+  t.bitrate_sum <- t.bitrate_sum +. rate;
+  let bytes = int_of_float (rate *. chunk_duration /. 8.0) in
+  let target = Ccsim_tcp.Sender.bytes_acked t.sender + bytes in
+  t.state <- Downloading { target_bytes = target; started = now; rate };
+  Ccsim_tcp.Sender.write t.sender bytes
 
 let tick t =
   let now = Sim.now t.sim in
@@ -71,19 +61,18 @@ let tick t =
   | Downloading { target_bytes; started; rate } ->
       if Ccsim_tcp.Sender.bytes_acked t.sender >= target_bytes then begin
         t.chunks <- t.chunks + 1;
-        t.buffer_s <- t.buffer_s +. t.chunk_duration;
+        t.buffer_s <- t.buffer_s +. chunk_duration;
         let elapsed = Float.max 1e-3 (now -. started) in
-        let chunk_tput = rate *. t.chunk_duration /. elapsed in
+        let chunk_tput = rate *. chunk_duration /. elapsed in
         t.tput_estimate <-
           (if t.tput_estimate <= 0.0 then chunk_tput
            else (0.3 *. chunk_tput) +. (0.7 *. t.tput_estimate));
-        if (not t.playing) && t.buffer_s >= 2.0 *. t.chunk_duration then t.playing <- true;
+        if (not t.playing) && t.buffer_s >= 2.0 *. chunk_duration then t.playing <- true;
         t.state <- Waiting
       end
-  | Waiting -> if t.buffer_s +. t.chunk_duration <= t.max_buffer_s then request_chunk t
+  | Waiting -> if t.buffer_s +. chunk_duration <= t.max_buffer_s then request_chunk t
 
-let start sim ~sender ?(ladder_bps = default_ladder_bps) ?(chunk_duration = 2.0)
-    ?(max_buffer_s = 30.0) ?(low_buffer_s = 5.0) ?(safety = 0.8) ?(stop = infinity) () =
+let start sim ~sender ?(ladder_bps = default_ladder_bps) ?(max_buffer_s = 30.0) () =
   if Array.length ladder_bps = 0 then invalid_arg "Video.start: empty ladder";
   let ladder = Array.copy ladder_bps in
   Array.sort Float.compare ladder;
@@ -92,26 +81,19 @@ let start sim ~sender ?(ladder_bps = default_ladder_bps) ?(chunk_duration = 2.0)
       sim;
       sender;
       ladder;
-      chunk_duration;
       max_buffer_s;
-      low_buffer_s;
-      safety;
-      stop;
       state = Waiting;
       buffer_s = 0.0;
       playing = false;
       last_tick = Sim.now sim;
       tput_estimate = 0.0;
       chunks = 0;
-      switches = 0;
-      last_rate = 0.0;
       rebuffer_s = 0.0;
       bitrate_sum = 0.0;
-      bitrate_series = Ccsim_util.Timeseries.create ();
     }
   in
   request_chunk t;
-  Sim.every sim ~interval:0.01 ~stop_after:stop (fun () -> tick t);
+  Sim.every sim ~interval:0.01 (fun () -> tick t);
   t
 
 let stats t =
@@ -119,6 +101,4 @@ let stats t =
     chunks_downloaded = t.chunks;
     mean_bitrate_bps = (if t.chunks = 0 then 0.0 else t.bitrate_sum /. float_of_int (max 1 t.chunks));
     rebuffer_s = t.rebuffer_s;
-    switches = t.switches;
-    bitrate_series = t.bitrate_series;
   }

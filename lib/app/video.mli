@@ -15,30 +15,22 @@ type stats = {
   chunks_downloaded : int;
   mean_bitrate_bps : float;  (** mean of the chosen ladder rates *)
   rebuffer_s : float;  (** total stall time after startup *)
-  switches : int;  (** number of bitrate changes *)
-  bitrate_series : Ccsim_util.Timeseries.t;  (** (request time, chosen bps) *)
 }
 
 type t
-
-val default_ladder_bps : float array
-(** 1, 2.5, 5, 8, 16 and 25 Mbit/s — topping out at the cloud-gaming-like
-    rates §2.2 cites (20–30 Mbit/s). *)
 
 val start :
   Ccsim_engine.Sim.t ->
   sender:Ccsim_tcp.Sender.t ->
   ?ladder_bps:float array ->
-  ?chunk_duration:float ->
   ?max_buffer_s:float ->
-  ?low_buffer_s:float ->
-  ?safety:float ->
-  ?stop:float ->
   unit ->
   t
-(** Defaults: 2 s chunks, 30 s max buffer, 5 s panic threshold, safety
-    factor 0.8 (pick the largest rung at most [safety] x estimated
-    throughput). The client polls download completion at 10 ms
-    granularity. *)
+(** Defaults: a ladder of 1, 2.5, 5, 8, 16 and 25 Mbit/s (topping out at
+    the cloud-gaming-like rates §2.2 cites, 20–30 Mbit/s) and a 30 s
+    max buffer. Fixed: 2 s chunks, a 5 s panic threshold (below it the
+    lowest rung), and a safety factor of 0.8 (the largest rung at most
+    0.8 x estimated throughput). The client polls download completion
+    at 10 ms granularity and streams until the end of the run. *)
 
 val stats : t -> stats

@@ -1,8 +1,9 @@
-let create ?(mss = Ccsim_util.Units.mss) ?(a = 1.0) ?(b = 0.5) ?initial_cwnd () =
+let create ?(a = 1.0) ?(b = 0.5) () =
   if a <= 0.0 then invalid_arg "Aimd.create: a must be positive";
   if b <= 0.0 || b >= 1.0 then invalid_arg "Aimd.create: b must be in (0,1)";
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial = match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss in
+  let initial = Cca.initial_window ~mss in
   let ssthresh = ref infinity in
   let cca = Cca.make ~name:(Printf.sprintf "aimd(%.2g,%.2g)" a b) ~cwnd:initial () in
   let on_ack (info : Cca.ack_info) =

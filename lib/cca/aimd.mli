@@ -5,5 +5,7 @@
     rule; more aggressive parameterizations model the proprietary
     "custom algorithms" trend §2.1 describes. *)
 
-val create : ?mss:int -> ?a:float -> ?b:float -> ?initial_cwnd:float -> unit -> Cca.t
-(** Defaults: [a] = 1.0, [b] = 0.5. Requires [a > 0] and [0 < b < 1]. *)
+val create : ?a:float -> ?b:float -> unit -> Cca.t
+(** Defaults: [a] = 1.0, [b] = 0.5. Requires [a > 0] and [0 < b < 1].
+    The window starts at the RFC 6928
+    ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

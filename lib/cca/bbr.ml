@@ -13,9 +13,10 @@ let mode_label = function
   | Probe_bw -> "probe_bw"
   | Probe_rtt -> "probe_rtt"
 
-let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
+let create () =
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial = match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss in
+  let initial = Cca.initial_window ~mss in
   let cca = Cca.make ~name:"bbr" ~cwnd:initial () in
   let scope = Ccsim_obs.Scope.ambient () in
   let m_switches =

@@ -17,4 +17,6 @@
     approximation, and costs the same per ack however many acks a round
     brings. *)
 
-val create : ?mss:int -> ?initial_cwnd:float -> unit -> Cca.t
+val create : unit -> Cca.t
+(** The window starts at the RFC 6928
+    ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

@@ -1,7 +1,8 @@
-let create ?(mss = Ccsim_util.Units.mss) ?(delta = 0.5) ?initial_cwnd () =
+let create ?(delta = 0.5) () =
   if delta <= 0.0 then invalid_arg "Copa.create: delta must be positive";
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial = match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss in
+  let initial = Cca.initial_window ~mss in
   let cca = Cca.make ~name:"copa" ~cwnd:initial () in
   let slow_start = ref true in
   let on_ack (info : Cca.ack_info) =

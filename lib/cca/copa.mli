@@ -8,5 +8,7 @@
     in DESIGN.md), since the paper invokes Copa only as a mode-switching
     delay-based design. *)
 
-val create : ?mss:int -> ?delta:float -> ?initial_cwnd:float -> unit -> Cca.t
-(** [delta] defaults to 0.5 (steady state of ~2 packets queued). *)
+val create : ?delta:float -> unit -> Cca.t
+(** [delta] defaults to 0.5 (steady state of ~2 packets queued).
+    The window starts at the RFC 6928
+    ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

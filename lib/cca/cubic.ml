@@ -1,9 +1,9 @@
 (* Internally CUBIC operates on windows in units of MSS, as in the RFC. *)
-let create ?(mss = Ccsim_util.Units.mss) ?(c = 0.4) ?(beta = 0.7) ?initial_cwnd () =
-  if c <= 0.0 then invalid_arg "Cubic.create: c must be positive";
-  if beta <= 0.0 || beta >= 1.0 then invalid_arg "Cubic.create: beta must be in (0,1)";
+let create () =
+  let c = 0.4 and beta = 0.7 in
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial = match initial_cwnd with Some w -> w | None -> Cca.initial_window ~mss in
+  let initial = Cca.initial_window ~mss in
   let cca = Cca.make ~name:"cubic" ~cwnd:initial () in
   let ssthresh = ref infinity in
   let w_max = ref 0.0 in

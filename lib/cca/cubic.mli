@@ -5,5 +5,6 @@
     The dominant deployed loss-based CCA, and one of the two contenders
     in the paper's Figure 3 bulk-transfer cross traffic. *)
 
-val create : ?mss:int -> ?c:float -> ?beta:float -> ?initial_cwnd:float -> unit -> Cca.t
-(** Defaults per RFC 8312: [c] = 0.4, [beta] = 0.7. *)
+val create : unit -> Cca.t
+(** RFC 8312's constants: C = 0.4, β = 0.7. The window starts at the RFC 6928
+    ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

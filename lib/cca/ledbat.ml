@@ -1,7 +1,7 @@
-let create ?(mss = Ccsim_util.Units.mss) ?(target_delay = 0.025) ?(gain = 1.0) ?initial_cwnd ()
-    =
+let create ?(target_delay = 0.025) ?initial_cwnd () =
   if target_delay <= 0.0 then invalid_arg "Ledbat.create: target delay must be positive";
-  if gain <= 0.0 then invalid_arg "Ledbat.create: gain must be positive";
+  let gain = 1.0 in
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
   let initial = match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss in
   let cca = Cca.make ~name:"ledbat" ~cwnd:initial () in

@@ -11,6 +11,7 @@
     that scavenges capacity without contending, removing even the
     residual access-link contention case. *)
 
-val create : ?mss:int -> ?target_delay:float -> ?gain:float -> ?initial_cwnd:float -> unit -> Cca.t
-(** Defaults: [target_delay] 25 ms, [gain] 1.0 (at most one MSS per RTT
-    of growth). *)
+val create : ?target_delay:float -> ?initial_cwnd:float -> unit -> Cca.t
+(** Defaults: [target_delay] 25 ms; [initial_cwnd] (bytes) the RFC 6928
+    ten-segment window. The gain is 1 (at most one MSS per RTT of
+    growth). *)

@@ -16,10 +16,11 @@ let sample_rate_hz = 100.0
 let fft_size = 512
 let elastic_threshold = 0.5
 
-let create sim ?(mss = U.Units.mss) ?(pulse_amplitude = 0.25) ?(mode_switching = true)
+let create sim ?(pulse_amplitude = 0.25) ?(mode_switching = true)
     ?known_capacity_bps () =
   if pulse_amplitude <= 0.0 || pulse_amplitude >= 1.0 then
     invalid_arg "Nimbus.create: pulse_amplitude must be in (0,1)";
+  let mss = U.Units.mss in
   let fmss = float_of_int mss in
   let cca =
     Cca.make ~name:"nimbus" ~cwnd:(Cca.initial_window ~mss)

@@ -41,7 +41,6 @@ type handle = {
 
 val create :
   Ccsim_engine.Sim.t ->
-  ?mss:int ->
   ?pulse_amplitude:float ->
   ?mode_switching:bool ->
   ?known_capacity_bps:float ->

@@ -1,8 +1,7 @@
-let create ?(mss = Ccsim_util.Units.mss) ?initial_cwnd () =
+let create () =
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial =
-    match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss
-  in
+  let initial = Cca.initial_window ~mss in
   let ssthresh = ref infinity in
   let cca =
     Cca.make ~name:"reno" ~cwnd:initial ()

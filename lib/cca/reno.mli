@@ -7,6 +7,6 @@
     TFRC was designed to coexist with, and the victim in BBR unfairness
     studies [2]). *)
 
-val create : ?mss:int -> ?initial_cwnd:float -> unit -> Cca.t
-(** [mss] defaults to {!Ccsim_util.Units.mss}; [initial_cwnd] (bytes) to
-    the RFC 6928 ten-segment window. *)
+val create : unit -> Cca.t
+(** Segments are {!Ccsim_util.Units.mss} bytes; the window starts at the
+    RFC 6928 ten-segment initial window. *)

@@ -1,8 +1,8 @@
 (* Weights for the last eight loss intervals (RFC 5348 §5.4). *)
 let interval_weights = [| 1.0; 1.0; 1.0; 1.0; 0.8; 0.6; 0.4; 0.2 |]
 
-let create ?(mss = Ccsim_util.Units.mss) () =
-  let fmss = float_of_int mss in
+let create () =
+  let fmss = float_of_int Ccsim_util.Units.mss in
   let cca = Cca.make ~name:"tfrc" ~cwnd:1e12 ~pacing_rate:(Ccsim_util.Units.mbps 1.0) () in
   (* Completed loss intervals (packets between consecutive loss events),
      most recent first; [current] counts packets since the last event. *)

@@ -7,4 +7,5 @@
     Loss-event rate comes from the weighted average of the last eight
     loss intervals, as in the RFC. *)
 
-val create : ?mss:int -> unit -> Cca.t
+val create : unit -> Cca.t
+(** The throughput equation uses {!Ccsim_util.Units.mss}-byte segments. *)

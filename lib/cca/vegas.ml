@@ -1,7 +1,8 @@
-let create ?(mss = Ccsim_util.Units.mss) ?(alpha = 2.0) ?(beta = 4.0) ?initial_cwnd () =
-  if alpha > beta then invalid_arg "Vegas.create: requires alpha <= beta";
+let create () =
+  let alpha = 2.0 and beta = 4.0 in
+  let mss = Ccsim_util.Units.mss in
   let fmss = float_of_int mss in
-  let initial = match initial_cwnd with Some c -> c | None -> Cca.initial_window ~mss in
+  let initial = Cca.initial_window ~mss in
   let cca = Cca.make ~name:"vegas" ~cwnd:initial () in
   let ssthresh = ref infinity in
   (* Explicit phase flag: a delay-based decrease may push cwnd below

@@ -7,6 +7,6 @@
     loss. Included as the delay-based baseline that loses to loss-based
     cross traffic, motivating mode-switching designs (Copa, Nimbus). *)
 
-val create : ?mss:int -> ?alpha:float -> ?beta:float -> ?initial_cwnd:float -> unit -> Cca.t
-(** Defaults: [alpha] = 2 packets, [beta] = 4 packets. Requires
-    [alpha <= beta]. *)
+val create : unit -> Cca.t
+(** [alpha] = 2 packets, [beta] = 4 packets. The window starts at the RFC 6928
+    ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

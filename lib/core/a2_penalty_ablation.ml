@@ -11,7 +11,7 @@ type row = {
 
 let run ?(n = 3000) ?(seed = 42) () =
   let rng = U.Rng.create seed in
-  let records = M.Ndt.generate ~rng ~n () in
+  let records = M.Ndt.generate ~rng ~n in
   List.map
     (fun penalty_scale ->
       let report = M.Mlab_analysis.analyze ~penalty_scale records in

@@ -55,7 +55,6 @@ type row = {
   fired : int;
   wire_lost : int;
   wire_corrupted : int;
-  qdisc_flushed : int;
 }
 
 let rate_bps = U.Units.mbps 48.0
@@ -143,10 +142,10 @@ let run ?(duration = 45.0) ?(seed = 42) () =
                 if String.equal f.label "probe" then acc else acc +. f.goodput_bps)
               0.0 result.flows
           in
-          let fired, wire_lost, wire_corrupted, qdisc_flushed =
+          let fired, wire_lost, wire_corrupted =
             match result.faults with
-            | None -> (0, 0, 0, 0)
-            | Some f -> (f.fired, f.wire_lost, f.wire_corrupted, f.qdisc_flushed)
+            | None -> (0, 0, 0)
+            | Some f -> (f.fired, f.wire_lost, f.wire_corrupted)
           in
           {
             case;
@@ -160,7 +159,6 @@ let run ?(duration = 45.0) ?(seed = 42) () =
             fired;
             wire_lost;
             wire_corrupted;
-            qdisc_flushed;
           })
         intensities)
     cases

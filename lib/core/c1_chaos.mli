@@ -19,8 +19,6 @@
 type intensity = None_ | Mild | Moderate | Severe
 
 val intensities : intensity list
-val intensity_to_string : intensity -> string
-
 val plan_string : duration:float -> intensity -> string option
 (** The canonical plan armed at the given intensity ([None] for
     [None_]), with event times scaled to [duration]. *)
@@ -37,7 +35,6 @@ type row = {
   fired : int;
   wire_lost : int;
   wire_corrupted : int;
-  qdisc_flushed : int;
 }
 
 val warmup_s : float

@@ -15,7 +15,6 @@ type row = {
   mean_srtt_ms : float;
 }
 
-val plan_rate_bps : float
 val warmup_s : float
 (** Simulated seconds every scenario runs before it is measured; a
     duration must exceed it. *)

@@ -16,7 +16,6 @@ type row = {
   jain : float;
 }
 
-val capacity_bps : float
 val warmup_s : float
 (** Simulated seconds every scenario runs before it is measured; a
     duration must exceed it. *)

@@ -3,7 +3,6 @@ module U = Ccsim_util
 type row = {
   n_flows : int;
   qdisc : string;
-  bdp_packets : float;
   jain_long : float;
   jain_short_p10 : float;
   starved_windows : float;
@@ -63,24 +62,19 @@ let run ?(duration = 120.0) ?(seed = 42) () =
                 U.Fairness.jain_index
                   (Array.of_list (List.map (fun a -> a.(w)) per_window)))
           in
-          let starved = ref 0 and total = ref 0 in
-          List.iter
-            (fun a ->
-              Array.iter
-                (fun v ->
-                  incr total;
-                  if v < 0.1 *. fair_share then incr starved)
-                a)
-            per_window;
+          let starved =
+            List.fold_left
+              (fun acc throughput ->
+                acc + U.Fairness.starvation_episodes ~throughput ~fair_share ~threshold:0.1)
+              0 per_window
+          and total = windows * List.length per_window in
           {
             n_flows;
             qdisc = qdisc_name;
-            bdp_packets =
-              U.Units.bdp_packets ~rate_bps ~rtt_s ~mss:(U.Units.mss + U.Units.header_bytes);
             jain_long = result.jain_index;
             jain_short_p10 = U.Stats.percentile jains 10.0;
             starved_windows =
-              (if !total = 0 then 0.0 else float_of_int !starved /. float_of_int !total);
+              (if total = 0 then 0.0 else float_of_int starved /. float_of_int total);
             min_flow_mbps = U.Units.to_mbps (Array.fold_left Float.min infinity goodputs);
             max_flow_mbps = U.Units.to_mbps (Array.fold_left Float.max 0.0 goodputs);
           })

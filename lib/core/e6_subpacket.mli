@@ -12,7 +12,6 @@
 type row = {
   n_flows : int;
   qdisc : string;
-  bdp_packets : float;
   jain_long : float;  (** over the whole measurement window *)
   jain_short_p10 : float;  (** 10th percentile of per-2s-window Jain *)
   starved_windows : float;

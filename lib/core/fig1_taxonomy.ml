@@ -2,9 +2,6 @@ module U = Ccsim_util
 
 type row = {
   condition : string;
-  shares_segment : bool;
-  saturated : bool;
-  same_queue : bool;
   aggressive_mbps : float;
   reno_mbps : float;
   ratio : float;
@@ -37,18 +34,12 @@ let run ?(duration = 60.0) ?(seed = 42) () =
          shared segment never binds — each flow's bottleneck is its own
          ingress. *)
       ( "isolated ingress bottlenecks",
-        false,
-        true,
-        true,
         mk ~name:"fig1/isolated" ~qdisc:fifo
           ~ingress_a:(shape (U.Units.mbps 15.0))
           ~ingress_reno:(shape (U.Units.mbps 15.0))
           ~apps:bulk );
       (* (ii) violated: both flows app-limited well below capacity. *)
       ( "shared but unsaturated",
-        true,
-        false,
-        true,
         mk ~name:"fig1/unsaturated" ~qdisc:fifo ~ingress_a:Ccsim_net.Topology.No_ingress
           ~ingress_reno:Ccsim_net.Topology.No_ingress
           ~apps:
@@ -56,30 +47,21 @@ let run ?(duration = 60.0) ?(seed = 42) () =
               Scenario.Cbr_tcp { rate_bps = U.Units.mbps 12.0 } ) );
       (* (iii) violated: saturated shared segment, but per-flow queues. *)
       ( "saturated, fair-queued",
-        true,
-        true,
-        false,
         mk ~name:"fig1/fq" ~qdisc:drr ~ingress_a:Ccsim_net.Topology.No_ingress
           ~ingress_reno:Ccsim_net.Topology.No_ingress ~apps:bulk );
       (* All three hold: the only case where CCA dynamics can rule. *)
       ( "saturated, shared FIFO queue",
-        true,
-        true,
-        true,
         mk ~name:"fig1/contended" ~qdisc:fifo ~ingress_a:Ccsim_net.Topology.No_ingress
           ~ingress_reno:Ccsim_net.Topology.No_ingress ~apps:bulk );
     ]
   in
   List.map
-    (fun (condition, shares_segment, saturated, same_queue, scenario) ->
+    (fun (condition, scenario) ->
       let result = Scenario.run scenario in
       let aggressive = Results.find result "aggressive" and reno = Results.find result "reno" in
       let ratio = aggressive.goodput_bps /. Float.max 1.0 reno.goodput_bps in
       {
         condition;
-        shares_segment;
-        saturated;
-        same_queue;
         aggressive_mbps = U.Units.to_mbps aggressive.goodput_bps;
         reno_mbps = U.Units.to_mbps reno.goodput_bps;
         ratio;

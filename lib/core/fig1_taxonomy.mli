@@ -11,9 +11,6 @@
 
 type row = {
   condition : string;
-  shares_segment : bool;
-  saturated : bool;
-  same_queue : bool;
   aggressive_mbps : float;
   reno_mbps : float;
   ratio : float;  (** aggressive / reno *)

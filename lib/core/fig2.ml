@@ -8,7 +8,7 @@ type output = {
 
 let run ?(n = 9984) ?(seed = 42) () =
   let rng = U.Rng.create seed in
-  let records = M.Ndt.generate ~rng ~n () in
+  let records = M.Ndt.generate ~rng ~n in
   (* Mirror each contention candidate's throughput trace into the
      ambient timeline (exact values, one series per flow), so `ccsim
      analyze` can rerun the change-point detector offline over a

@@ -8,7 +8,6 @@ type row = {
   classified_elastic : bool;
   probe_goodput_mbps : float;
   cross_goodput_mbps : float;
-  elasticity_series : U.Timeseries.t;
 }
 
 let rate_bps = U.Units.mbps 48.0
@@ -77,7 +76,6 @@ let run ?(duration = 45.0) ?(seed = 42) () =
         classified_elastic = v.elastic;
         probe_goodput_mbps = U.Units.to_mbps probe.goodput_bps;
         cross_goodput_mbps = U.Units.to_mbps cross_goodput;
-        elasticity_series = handle.elasticity;
       })
     (cross_cases ~seed)
 

@@ -17,14 +17,7 @@ type row = {
   classified_elastic : bool;  (** p90 > 0.5 *)
   probe_goodput_mbps : float;
   cross_goodput_mbps : float;
-  elasticity_series : Ccsim_util.Timeseries.t;
 }
-
-val rate_bps : float
-(** 48 Mbit/s, as in the paper. *)
-
-val rtt_s : float
-(** 100 ms. *)
 
 val warmup_s : float
 (** Simulated seconds every scenario runs before it is measured; a

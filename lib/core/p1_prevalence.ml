@@ -50,7 +50,6 @@ let contended_threshold_s = 0.5
 
 type tier_row = {
   tier : string;
-  plan_mbps : float;
   users : int;
   flows : int;
   contended : int;  (** users past {!contended_threshold_s} *)
@@ -147,10 +146,9 @@ let summarize backend ~n ~seed engine users hybrid =
   let totals = Fl.Fluid_engine.totals engine in
   let tier_rows =
     List.mapi
-      (fun ti (tier, plan_mbps, _) ->
+      (fun ti (tier, _, _) ->
         {
           tier;
-          plan_mbps;
           users = t_users.(ti);
           flows = t_flows.(ti);
           contended = t_contended.(ti);

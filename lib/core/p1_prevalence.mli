@@ -12,12 +12,8 @@ type backend = Fluid | Hybrid
 
 val backend_of_string : string -> backend option
 
-val contended_threshold_s : float
-(** Contended seconds past which a user counts as "in contention". *)
-
 type tier_row = {
   tier : string;
-  plan_mbps : float;
   users : int;
   flows : int;
   contended : int;

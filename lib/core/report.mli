@@ -4,8 +4,8 @@
     Experiments render their paper-style rows to a string so the runner
     subsystem can cache, diff, and reorder whole outputs. The helpers
     mirror the printing primitives the modules used before
-    ([print_endline], [Printf.printf], {!Ccsim_util.Table.print}) byte
-    for byte. *)
+    ([print_endline], [Printf.printf], printing a
+    {!Ccsim_util.Table.render}ed table) byte for byte. *)
 
 val with_buf : (Buffer.t -> unit) -> string
 (** Run the emitter against a fresh buffer and return its contents. *)

@@ -1,15 +1,11 @@
 type flow_result = {
   label : string;
-  flow : int;
-  kind : [ `Tcp | `Udp ];
   goodput_bps : float;
   offered_bps : float;
   bytes_acked : int;
   retransmits : int;
   mean_srtt_s : float;
-  min_rtt_s : float;
   throughput : Ccsim_util.Timeseries.t;
-  info : Ccsim_tcp.Tcp_info.t option;
   nimbus : Ccsim_cca.Nimbus.handle option;
   video : Ccsim_app.Video.stats option;
   speedtest : Ccsim_app.Speedtest.result option;
@@ -19,14 +15,12 @@ type flow_result = {
 type t = {
   scenario_name : string;
   duration : float;
-  warmup : float;
   flows : flow_result list;
   jain_index : float;
   utilization : float;
   bottleneck_drops : int;
   bottleneck_loss_rate : float;
   mean_queue_bytes : float;
-  max_queue_bytes : float;
   short_flow_stats : short_flow_stats option;
   faults : Ccsim_faults.Injector.summary option;
 }

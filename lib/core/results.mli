@@ -2,8 +2,6 @@
 
 type flow_result = {
   label : string;
-  flow : int;
-  kind : [ `Tcp | `Udp ];
   goodput_bps : float;
       (** receiver-side goodput over the measurement window (after
           warmup, from the flow's start) *)
@@ -13,9 +11,7 @@ type flow_result = {
   bytes_acked : int;
   retransmits : int;
   mean_srtt_s : float;  (** mean of sampled srtt; 0 for UDP *)
-  min_rtt_s : float;
   throughput : Ccsim_util.Timeseries.t;  (** per-interval goodput, bit/s *)
-  info : Ccsim_tcp.Tcp_info.t option;  (** final TCPInfo (TCP only) *)
   nimbus : Ccsim_cca.Nimbus.handle option;
   video : Ccsim_app.Video.stats option;
   speedtest : Ccsim_app.Speedtest.result option;
@@ -25,14 +21,12 @@ type flow_result = {
 type t = {
   scenario_name : string;
   duration : float;
-  warmup : float;
   flows : flow_result list;
   jain_index : float;  (** over the TCP+UDP goodputs of labelled flows *)
   utilization : float;  (** bottleneck, whole run *)
   bottleneck_drops : int;
   bottleneck_loss_rate : float;
   mean_queue_bytes : float;
-  max_queue_bytes : float;
   short_flow_stats : short_flow_stats option;
   faults : Ccsim_faults.Injector.summary option;
       (** Injector lifecycle/wire counters when a fault plan was armed

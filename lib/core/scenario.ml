@@ -16,7 +16,6 @@ type cca_spec =
   | Ledbat
   | Aimd of { a : float; b : float }
   | Nimbus of { mode_switching : bool; known_capacity_bps : float option }
-  | Custom of (Sim.t -> Cca.Cca.t)
 
 type app_spec =
   | Bulk
@@ -31,26 +30,11 @@ type flow_spec = {
   cca : cca_spec;
   app : app_spec;
   start : float;
-  stop : float option;
-  extra_delay_s : float;
-  rcv_buffer_bytes : int option;
-  consume_rate_bps : float option;
   ingress : Net.Topology.ingress;
 }
 
-let flow ?(cca = Reno) ?(app = Bulk) ?(start = 0.0) ?stop ?(extra_delay_s = 0.001)
-    ?rcv_buffer_bytes ?consume_rate_bps ?(ingress = Net.Topology.No_ingress) label =
-  {
-    label;
-    cca;
-    app;
-    start;
-    stop;
-    extra_delay_s;
-    rcv_buffer_bytes;
-    consume_rate_bps;
-    ingress;
-  }
+let flow ?(cca = Reno) ?(app = Bulk) ?(start = 0.0) ?(ingress = Net.Topology.No_ingress) label =
+  { label; cca; app; start; ingress }
 
 type qdisc_spec =
   | Fifo of { limit_bytes : int option }
@@ -123,13 +107,11 @@ let build_cca sim t spec =
       in
       ignore t;
       (cca, Some handle)
-  | Custom f -> (f sim, None)
 
 (* Per-flow runtime state gathered while the simulation runs. *)
 type live = {
   spec : flow_spec;
   flow_id : int;
-  kind : [ `Tcp | `Udp ];
   sender : Tcp.Sender.t option;
   receiver : Tcp.Receiver.t option;
   udp_sink : Tcp.Udp.Sink.t option;
@@ -155,12 +137,8 @@ let run t =
   let ingress_of flow =
     if flow < Array.length specs then specs.(flow).ingress else Net.Topology.No_ingress
   in
-  let edge_delay flow =
-    if flow < Array.length specs then specs.(flow).extra_delay_s else 0.001
-  in
   let topo =
-    Net.Topology.dumbbell sim ~rate_bps:t.rate_bps ~delay_s:t.delay_s ~qdisc ~edge_delay
-      ~ingress:ingress_of ()
+    Net.Topology.dumbbell sim ~rate_bps:t.rate_bps ~delay_s:t.delay_s ~qdisc ~ingress:ingress_of ()
   in
   let queue_monitor = Measure.Telemetry.Queue_monitor.create sim ~qdisc () in
   (match t.rate_variation with
@@ -194,7 +172,6 @@ let run t =
           {
             spec;
             flow_id;
-            kind = `Udp;
             sender = None;
             receiver = None;
             udp_sink = Some sink;
@@ -211,18 +188,11 @@ let run t =
         in
         ignore
           (Sim.schedule_at sim ~time:spec.start (fun () ->
-               live.cbr <-
-                 Some
-                   (App.Cbr.over_udp sim ~source ~rate_bps
-                      ?stop:(match spec.stop with Some s -> Some s | None -> None)
-                      ())));
+               live.cbr <- Some (App.Cbr.over_udp sim ~source ~rate_bps ())));
         live
     | Bulk | Cbr_tcp _ | Onoff _ | Video _ | Speedtest _ ->
         let cca, nimbus = build_cca sim t spec.cca in
-        let conn =
-          Tcp.Connection.establish topo ~flow:flow_id ~cca
-            ?rcv_buffer_bytes:spec.rcv_buffer_bytes ?consume_rate_bps:spec.consume_rate_bps ()
-        in
+        let conn = Tcp.Connection.establish topo ~flow:flow_id ~cca () in
         let monitor =
           Measure.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~label:spec.label
             ~interval:t.monitor_interval ()
@@ -231,7 +201,6 @@ let run t =
           {
             spec;
             flow_id;
-            kind = `Tcp;
             sender = Some conn.sender;
             receiver = Some conn.receiver;
             udp_sink = None;
@@ -249,23 +218,16 @@ let run t =
         ignore
           (Sim.schedule_at sim ~time:spec.start (fun () ->
                match spec.app with
-               | Bulk ->
-                   ignore (App.Bulk.start sim ~sender:conn.sender ?stop_at:spec.stop ())
+               | Bulk -> ignore (App.Bulk.start sim ~sender:conn.sender ())
                | Cbr_tcp { rate_bps } ->
-                   live.cbr <-
-                     Some (App.Cbr.over_tcp sim ~sender:conn.sender ~rate_bps ?stop:spec.stop ())
+                   live.cbr <- Some (App.Cbr.over_tcp sim ~sender:conn.sender ~rate_bps ())
                | Onoff { rate_bps; mean_on; mean_off } ->
                    live.onoff <-
                      Some
                        (App.Onoff.start sim ~sender:conn.sender ~rng:(U.Rng.split rng) ~rate_bps
-                          ~mean_on ~mean_off
-                          ?stop:(match spec.stop with Some s -> Some s | None -> None)
-                          ())
+                          ~mean_on ~mean_off ())
                | Video { ladder_bps } ->
-                   live.video <-
-                     Some
-                       (App.Video.start sim ~sender:conn.sender ?ladder_bps:ladder_bps
-                          ?stop:spec.stop ())
+                   live.video <- Some (App.Video.start sim ~sender:conn.sender ?ladder_bps ())
                | Speedtest { duration } ->
                    live.speedtest <- Some (App.Speedtest.start sim ~sender:conn.sender ~duration ())
                | Cbr_udp _ -> assert false));
@@ -336,8 +298,7 @@ let run t =
   (* --- collect results --- *)
   let window_of live =
     let start = Float.max t.warmup live.spec.start in
-    let stop = match live.spec.stop with Some s -> Float.min s t.duration | None -> t.duration in
-    Float.max 1e-9 (stop -. start)
+    Float.max 1e-9 (t.duration -. start)
   in
   let flow_results =
     List.map
@@ -362,7 +323,6 @@ let run t =
           if offered_now = 0 then goodput
           else float_of_int (offered_now - live.offered_at_window_start) *. 8.0 /. window
         in
-        let info = Option.map Tcp.Sender.info live.sender in
         let throughput =
           match live.monitor with
           | Some m -> Measure.Telemetry.Flow_monitor.throughput m
@@ -391,22 +351,13 @@ let run t =
         in
         {
           Results.label = live.spec.label;
-          flow = live.flow_id;
-          kind = live.kind;
           goodput_bps = goodput;
           offered_bps = offered;
           bytes_acked =
             (match live.sender with Some s -> Tcp.Sender.bytes_acked s | None -> received);
           retransmits = (match live.sender with Some s -> Tcp.Sender.segs_retrans s | None -> 0);
           mean_srtt_s = mean_srtt;
-          min_rtt_s =
-            (match live.sender with
-            | Some s ->
-                let m = Tcp.Sender.min_rtt s in
-                if Float.is_finite m then m else 0.0
-            | None -> 0.0);
           throughput;
-          info;
           nimbus = live.nimbus;
           video = Option.map App.Video.stats live.video;
           speedtest = Option.bind live.speedtest App.Speedtest.result;
@@ -440,14 +391,12 @@ let run t =
   {
     Results.scenario_name = t.name;
     duration = t.duration;
-    warmup = t.warmup;
     flows = flow_results;
     jain_index = (if Array.length goodputs = 0 then 1.0 else U.Fairness.jain_index goodputs);
     utilization = Net.Link.utilization topo.bottleneck ~now:t.duration;
     bottleneck_drops = qdisc.Net.Qdisc.stats.dropped;
     bottleneck_loss_rate = Net.Qdisc.loss_rate qdisc;
     mean_queue_bytes = Measure.Telemetry.Queue_monitor.mean_backlog_bytes queue_monitor;
-    max_queue_bytes = Measure.Telemetry.Queue_monitor.max_backlog_bytes queue_monitor;
     short_flow_stats;
     faults = Option.map Ccsim_faults.Injector.summary injector;
   }

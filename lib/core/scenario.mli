@@ -19,10 +19,9 @@ type cca_spec =
   | Ledbat  (** scavenger background transport (software updates) *)
   | Aimd of { a : float; b : float }
   | Nimbus of { mode_switching : bool; known_capacity_bps : float option }
-  | Custom of (Ccsim_engine.Sim.t -> Ccsim_cca.Cca.t)
 
 type app_spec =
-  | Bulk  (** persistently backlogged from [start] to [stop] *)
+  | Bulk  (** persistently backlogged from [start] to the end of the run *)
   | Cbr_tcp of { rate_bps : float }
   | Cbr_udp of { rate_bps : float }  (** open loop; [cca] is ignored *)
   | Onoff of { rate_bps : float; mean_on : float; mean_off : float }
@@ -34,10 +33,6 @@ type flow_spec = {
   cca : cca_spec;
   app : app_spec;
   start : float;
-  stop : float option;  (** close the sender at this time *)
-  extra_delay_s : float;  (** additional one-way edge propagation *)
-  rcv_buffer_bytes : int option;
-  consume_rate_bps : float option;  (** receiver-app drain rate *)
   ingress : Ccsim_net.Topology.ingress;  (** per-flow ISP shaping/policing *)
 }
 
@@ -45,14 +40,13 @@ val flow :
   ?cca:cca_spec ->
   ?app:app_spec ->
   ?start:float ->
-  ?stop:float ->
-  ?extra_delay_s:float ->
-  ?rcv_buffer_bytes:int ->
-  ?consume_rate_bps:float ->
   ?ingress:Ccsim_net.Topology.ingress ->
   string ->
   flow_spec
-(** Defaults: Reno bulk starting at 0, 1 ms extra delay, no shaping. *)
+(** Defaults: Reno bulk starting at 0, no shaping. Every flow runs to
+    the end of the scenario over {!Ccsim_net.Topology.dumbbell}'s 1 ms
+    edge link, with the receiver's default buffer, and is measured from
+    max(warmup, [start]) to the scenario's duration. *)
 
 type qdisc_spec =
   | Fifo of { limit_bytes : int option }

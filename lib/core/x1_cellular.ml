@@ -3,7 +3,6 @@ module U = Ccsim_util
 type row = {
   cca : string;
   goodput_mbps : float;
-  mean_capacity_mbps : float;
   capacity_used : float;
   mean_srtt_ms : float;
   queueing_ms : float;
@@ -44,7 +43,6 @@ let run ?(duration = 60.0) ?(seed = 42) () =
       {
         cca = name;
         goodput_mbps = U.Units.to_mbps f.goodput_bps;
-        mean_capacity_mbps = U.Units.to_mbps mean_capacity;
         capacity_used = f.goodput_bps /. mean_capacity;
         mean_srtt_ms = 1e3 *. f.mean_srtt_s;
         queueing_ms = 1e3 *. Float.max 0.0 (f.mean_srtt_s -. (rtt_s +. 0.002));

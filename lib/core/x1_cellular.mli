@@ -13,7 +13,6 @@
 type row = {
   cca : string;
   goodput_mbps : float;
-  mean_capacity_mbps : float;
   capacity_used : float;  (** goodput / time-averaged capacity *)
   mean_srtt_ms : float;
   queueing_ms : float;  (** mean srtt − propagation RTT *)

@@ -13,7 +13,6 @@ type t = {
   sim : Sim.t;
   link : Link.t;
   plan : Plan.t;
-  seed : int;
   base_rate_bps : float;
   flap_rng : Rng.t;
   recorder : Ccsim_obs.Recorder.t option;
@@ -29,7 +28,6 @@ type summary = {
   cleared : int;
   wire_lost : int;
   wire_corrupted : int;
-  wire_duplicated : int;
   wire_reordered : int;
   qdisc_flushed : int;
 }
@@ -200,7 +198,6 @@ let attach sim ~link ~plan ~seed () =
       sim;
       link;
       plan;
-      seed;
       base_rate_bps = Link.rate_bps link;
       flap_rng;
       recorder = scope.recorder;
@@ -224,9 +221,6 @@ let summary t =
     cleared = t.cleared;
     wire_lost = Link.wire_lost_packets t.link;
     wire_corrupted = Link.wire_corrupted_packets t.link;
-    wire_duplicated = Link.wire_duplicated_packets t.link;
     wire_reordered = Link.wire_reordered_packets t.link;
     qdisc_flushed = t.qdisc_flushed;
   }
-
-let seed t = t.seed

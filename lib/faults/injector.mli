@@ -29,7 +29,6 @@ type summary = {
   cleared : int;  (** restore actions that ran *)
   wire_lost : int;  (** packets lost to the armed loss models *)
   wire_corrupted : int;  (** packets checksum-discarded *)
-  wire_duplicated : int;  (** ghost copies delivered *)
   wire_reordered : int;  (** deliveries stretched for reordering *)
   qdisc_flushed : int;  (** packets dropped by qdisc-reset events *)
 }
@@ -44,4 +43,3 @@ val attach :
 val summary : t -> summary
 (** Read after [Sim.run]; counters are cumulative for the run. *)
 
-val seed : t -> int

@@ -82,8 +82,6 @@ let attach sim engine ~couplings =
     t.couplings;
   t
 
-let engine t = t.engine
-
 let catch_up t ~until_s =
   let dt = Fluid_engine.dt_s t.engine in
   while Fluid_engine.now_s t.engine < until_s -. (0.5 *. dt) do

@@ -30,8 +30,6 @@ val attach :
     fluid engine must not have been stepped yet (raises
     [Invalid_argument]). Fluid links not listed evolve packet-free. *)
 
-val engine : t -> Fluid_engine.t
-
 val catch_up : t -> until_s:float -> unit
 (** Step the coupled system until fluid time reaches [until_s] (packet
     signals frozen at their last values — the DES is drained), then

@@ -205,7 +205,6 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
 let dt_s t = t.dt_s
 let now_s t = t.now_s
 let flows t = t.n
-let links t = t.nl
 
 (* --- flow models ------------------------------------------------------------ *)
 

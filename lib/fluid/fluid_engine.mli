@@ -44,15 +44,6 @@ type totals = {
 
 type t
 
-val loss_theta : float
-(** Queue fill fraction where the fluid loss ramp starts (0.80). *)
-
-val loss_p_max : float
-(** Loss probability at a full buffer (0.25, quadratic ramp). *)
-
-val default_dt_s : float
-(** 10 ms. *)
-
 val create :
   ?dt_s:float ->
   ?warmup_s:float ->
@@ -61,7 +52,8 @@ val create :
   unit ->
   t
 (** Instruments (timeline, watchdog) are taken from the ambient
-    {!Ccsim_obs.Scope} at creation, mirroring [Sim.create]. [warmup_s]
+    {!Ccsim_obs.Scope} at creation, mirroring [Sim.create]. [dt_s]
+    defaults to 10 ms. [warmup_s]
     excludes the start of the run from goodput accounting.
     [payload_frac] converts wire bytes to payload bytes (default
     MSS/(MSS+headers), matching the packet engine's framing). Raises
@@ -104,7 +96,6 @@ val run : t -> until_s:float -> unit
 val dt_s : t -> float
 val now_s : t -> float
 val flows : t -> int
-val links : t -> int
 
 val set_packet_signals : t -> link:link_id -> rate_bps:float -> backlog_bytes:int -> unit
 (** Current packet-level cross traffic on a fluid link: delivered rate

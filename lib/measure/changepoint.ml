@@ -63,37 +63,6 @@ let pelt ?penalty signal =
     unwind n []
   end
 
-let binary_segmentation ?penalty ?(max_changes = max_int) signal =
-  let n = Array.length signal in
-  if n < 2 then []
-  else begin
-    let beta = match penalty with Some p -> p | None -> default_penalty signal in
-    let prefix, prefix_sq = prefix_sums signal in
-    let cost = segment_cost ~prefix ~prefix_sq in
-    let changes = ref [] in
-    let rec split lo hi budget =
-      if budget > 0 && hi - lo >= 2 then begin
-        let whole = cost lo hi in
-        let best_gain = ref 0.0 and best_k = ref (-1) in
-        for k = lo + 1 to hi - 1 do
-          let gain = whole -. cost lo k -. cost k hi in
-          if gain > !best_gain then begin
-            best_gain := gain;
-            best_k := k
-          end
-        done;
-        if !best_gain > beta && !best_k > 0 then begin
-          changes := !best_k :: !changes;
-          let remaining = budget - 1 in
-          split lo !best_k remaining;
-          split !best_k hi remaining
-        end
-      end
-    in
-    split 0 n max_changes;
-    List.sort_uniq compare !changes
-  end
-
 let segment_means signal changes =
   let n = Array.length signal in
   if n = 0 then []
@@ -115,3 +84,16 @@ let largest_shift signal changes =
     | [ _ ] | [] -> acc
   in
   max_jump 0.0 means
+
+type verdict = { change_points : int list; largest_shift : float; contention_consistent : bool }
+
+let verdict ?penalty ~shift_threshold ~mean signal =
+  let change_points = pelt ?penalty signal in
+  let largest_shift = largest_shift signal change_points in
+  {
+    change_points;
+    largest_shift;
+    contention_consistent =
+      (match change_points with [] -> false | _ :: _ -> true)
+      && largest_shift /. Float.max 1e-9 mean >= shift_threshold;
+  }

@@ -1,11 +1,11 @@
 (** Offline change-point detection for piecewise-constant signals.
 
-    Implements the two standard exact/greedy methods from Truong et
-    al.'s review [60], which the paper cites for its M-Lab throughput
-    analysis: PELT (exact minimisation of penalised least-squares
-    segmentation cost, Killick et al. 2012) and binary segmentation.
-    The cost of a segment is its sum of squared deviations from the
-    segment mean (the L2 / piecewise-constant-mean model). *)
+    Implements PELT (exact minimisation of penalised least-squares
+    segmentation cost, Killick et al. 2012), an exact method from
+    Truong et al.'s review [60], which the paper cites for its M-Lab
+    throughput analysis. The cost of a segment is its sum of squared
+    deviations from the segment mean (the L2 / piecewise-constant-mean
+    model). *)
 
 val segment_cost : prefix:float array -> prefix_sq:float array -> int -> int -> float
 (** [segment_cost ~prefix ~prefix_sq i j] is the L2 cost of the
@@ -21,10 +21,6 @@ val pelt : ?penalty:float -> float array -> int list
     {!default_penalty}. Empty and singleton signals yield no change
     points. *)
 
-val binary_segmentation : ?penalty:float -> ?max_changes:int -> float array -> int list
-(** Greedy top-down splitting; stops when the best split improves the
-    cost by less than [penalty] or when [max_changes] is reached. *)
-
 val default_penalty : float array -> float
 (** BIC-style penalty: 2 sigma^2 log n, with sigma^2 estimated robustly
     from the median absolute successive difference (so level shifts do
@@ -38,3 +34,16 @@ val segment_means : float array -> int list -> (int * int * float) list
 val largest_shift : float array -> int list -> float
 (** Largest absolute difference between adjacent segment means; 0 when
     there are no change points. *)
+
+type verdict = {
+  change_points : int list;  (** {!pelt}'s change points *)
+  largest_shift : float;  (** {!largest_shift} over them *)
+  contention_consistent : bool;
+}
+
+val verdict : ?penalty:float -> shift_threshold:float -> mean:float -> float array -> verdict
+(** Figure 2's contention rule, shared by the M-Lab pipeline and the
+    offline [analyze] reader: run {!pelt} (with [penalty], default
+    {!default_penalty}), take the largest level shift, and call the flow
+    contention-consistent when it has at least one change point and the
+    shift is at least [shift_threshold] x max(1e-9, [mean]). *)

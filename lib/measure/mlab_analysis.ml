@@ -54,15 +54,16 @@ let analyze_record ?(shift_threshold = 0.2) ?limited_threshold ?penalty_scale (r
           (fun scale -> scale *. Changepoint.default_penalty r.throughput_mbps)
           penalty_scale
       in
-      let changes = Changepoint.pelt ?penalty r.throughput_mbps in
-      let shift = Changepoint.largest_shift r.throughput_mbps changes in
-      let mean = Float.max 1e-9 r.mean_throughput_mbps in
+      let v =
+        Changepoint.verdict ?penalty ~shift_threshold ~mean:r.mean_throughput_mbps
+          r.throughput_mbps
+      in
       {
         record = r;
         category;
-        change_points = changes;
-        largest_shift_mbps = shift;
-        contention_consistent = (match changes with [] -> false | _ :: _ -> true) && shift /. mean >= shift_threshold;
+        change_points = v.change_points;
+        largest_shift_mbps = v.largest_shift;
+        contention_consistent = v.contention_consistent;
       }
 
 let analyze ?shift_threshold ?limited_threshold ?penalty_scale records =

@@ -33,7 +33,9 @@ type mixture = {
   clean_bulk : float;
 }
 
-let default_mixture =
+(* Weights chosen to echo the measurement literature (§2.2: Araújo et
+   al. found <40% of traffic neither app- nor host- nor receiver-limited). *)
+let mixture =
   { app_limited = 0.45; rwnd_limited = 0.15; cellular = 0.20; contended = 0.05; clean_bulk = 0.15 }
 
 let duration = 10.0
@@ -117,12 +119,11 @@ let gen_clean_bulk rng id =
   let levels = Array.make trace_len capacity in
   make rng id Fixed Gt_clean_bulk (trace_of_levels rng levels) 0.0 0.0
 
-let generate ~rng ~n ?(mixture = default_mixture) () =
+let generate ~rng ~n =
   let total =
     mixture.app_limited +. mixture.rwnd_limited +. mixture.cellular +. mixture.contended
     +. mixture.clean_bulk
   in
-  if total <= 0.0 then invalid_arg "Ndt.generate: mixture weights must sum to a positive value";
   List.init n (fun id ->
       let u = U.Rng.float rng total in
       if u < mixture.app_limited then gen_app_limited rng id
@@ -134,7 +135,10 @@ let generate ~rng ~n ?(mixture = default_mixture) () =
       then gen_contended rng id
       else gen_clean_bulk rng id)
 
-let of_speedtest ~id ~access ?(skip_s = 2.0) snapshots =
+(* Drop the first 2 s of snapshots: the slow-start ramp. *)
+let skip_s = 2.0
+
+let of_speedtest ~id ~access snapshots =
   let snapshots =
     match Array.length snapshots with
     | 0 -> snapshots

@@ -35,29 +35,18 @@ type record = {
   ground_truth : ground_truth option;  (** [None] for real/simulated data *)
 }
 
-type mixture = {
-  app_limited : float;
-  rwnd_limited : float;
-  cellular : float;
-  contended : float;
-  clean_bulk : float;
-}
-
-val default_mixture : mixture
-(** Weights chosen to echo the measurement literature (§2.2: Araújo et
+val generate : rng:Ccsim_util.Rng.t -> n:int -> record list
+(** [n] labelled records with 10 s / 100 ms throughput traces, drawn from
+    a mixture chosen to echo the measurement literature (§2.2: Araújo et
     al. found <40% of traffic neither app- nor host- nor
     receiver-limited): 45% app-limited, 15% rwnd-limited, 20% cellular,
     5% contended, 15% clean bulk. *)
 
-val generate : rng:Ccsim_util.Rng.t -> n:int -> ?mixture:mixture -> unit -> record list
-(** [n] labelled records with 10 s / 100 ms throughput traces. *)
-
-val of_speedtest :
-  id:int -> access:access -> ?skip_s:float -> Ccsim_tcp.Tcp_info.t array -> record option
+val of_speedtest : id:int -> access:access -> Ccsim_tcp.Tcp_info.t array -> record option
 (** Convert a simulated {!Ccsim_app.Speedtest} snapshot sequence into an
     NDT record ([None] if fewer than two snapshots survive). Ground
-    truth is [None]; attach your own from the scenario. [skip_s]
-    (default 2 s) drops the initial snapshots so the slow-start ramp is
+    truth is [None]; attach your own from the scenario. The first 2 s
+    of snapshots are dropped so the slow-start ramp is
     not mistaken for a contention-induced level shift. *)
 
 val with_ground_truth : record -> ground_truth -> record

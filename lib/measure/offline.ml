@@ -143,25 +143,22 @@ type changepoint_row = {
   contention_consistent : bool;
 }
 
-(* Mirrors [Mlab_analysis.analyze_record]'s Candidate branch exactly:
-   PELT over the per-interval throughput, contention-consistent when the
-   largest level shift is at least [shift_threshold] of the mean. *)
+(* Fig2's rule ([Changepoint.verdict], as in [Mlab_analysis.analyze_record])
+   over the per-interval throughput, against the series' own mean. *)
 let changepoint_of ?(shift_threshold = 0.2) s =
-  let changes = Changepoint.pelt s.values in
-  let shift = Changepoint.largest_shift s.values changes in
   let mean = if Array.length s.values = 0 then 0.0 else U.Stats.mean s.values in
+  let v = Changepoint.verdict ~shift_threshold ~mean s.values in
   {
     cp_series = s;
-    change_points = changes;
-    largest_shift = shift;
+    change_points = v.change_points;
+    largest_shift = v.largest_shift;
     mean;
-    contention_consistent = (match changes with [] -> false | _ :: _ -> true) && shift /. Float.max 1e-9 mean >= shift_threshold;
+    contention_consistent = v.contention_consistent;
   }
 
 (* --- elasticity classification (fig3's rule, offline) ------------------- *)
 
 type elasticity_row = {
-  el_series : series;
   samples : int;
   mean_elasticity : float;
   p90_elasticity : float;
@@ -178,7 +175,6 @@ let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) s =
   in
   let v = Elasticity.verdict ~threshold values in
   {
-    el_series = s;
     samples = v.samples;
     mean_elasticity = v.mean;
     p90_elasticity = v.p90;
@@ -197,7 +193,6 @@ type explain_row = {
   ex_scenario : string;
   ex_flow : string;
   ex_goodput_bps : float;
-  ex_limits : (string * float) list;
   ex_dominant : string;
   ex_dominant_s : float;
   ex_queue_delay_share : float;
@@ -384,7 +379,6 @@ let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
                ex_scenario = g.ga_scenario;
                ex_flow = f.fa_flow;
                ex_goodput_bps = goodput;
-               ex_limits = limits;
                ex_dominant = dominant;
                ex_dominant_s = (if has_limits then dominant_s else 0.0);
                ex_queue_delay_share = qdelay;

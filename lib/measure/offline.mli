@@ -57,13 +57,10 @@ type changepoint_row = {
 }
 
 val changepoint_of : ?shift_threshold:float -> series -> changepoint_row
-(** The Fig 2 Candidate rule over one series' values:
-    [Changepoint.pelt], largest level shift, and
-    [contention_consistent] when the shift is at least
-    [shift_threshold] (default 0.2) of the mean. *)
+(** The Fig 2 Candidate rule ({!Changepoint.verdict}) over one series'
+    values, against their mean; [shift_threshold] defaults to 0.2. *)
 
 type elasticity_row = {
-  el_series : series;
   samples : int;
   mean_elasticity : float;
   p90_elasticity : float;
@@ -81,9 +78,6 @@ type explain_row = {
   ex_scenario : string;  (** ["scenario"] label, [""] when absent *)
   ex_flow : string;  (** ["flow"] label *)
   ex_goodput_bps : float;  (** mean of [flow_goodput_bps] over the window *)
-  ex_limits : (string * float) list;
-      (** cumulative seconds per send limit, in fixed order
-          app/rwnd/cwnd/pacing/recovery (0 when a limit series is absent) *)
   ex_dominant : string;  (** limit with the most seconds, ["-"] for non-TCP flows *)
   ex_dominant_s : float;
   ex_queue_delay_share : float;

@@ -17,7 +17,6 @@ let node ~name ?(weight = 1.0) children =
   if (match children with [] -> true | _ :: _ -> false) then invalid_arg "Rcs.node: needs at least one child";
   Node { name; weight; children }
 
-let name = function Leaf { name; _ } | Node { name; _ } -> name
 let weight = function Leaf { weight; _ } | Node { weight; _ } -> weight
 
 let rec total_demand = function

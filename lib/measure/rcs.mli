@@ -25,7 +25,6 @@ val node : name:string -> ?weight:float -> t list -> t
 val weighted : float -> t -> t
 (** Override a node's or leaf's weight (must be positive). *)
 
-val name : t -> string
 val total_demand : t -> float
 
 val allocate : capacity_bps:float -> t -> (string * float) list

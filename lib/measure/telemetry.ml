@@ -103,8 +103,6 @@ module Queue_monitor = struct
           ~value:(float_of_int (qdisc.Ccsim_net.Qdisc.backlog_bytes ())));
     t
 
-  let backlog_bytes t = t.backlog
-
   let mean_backlog_bytes t =
     if U.Timeseries.is_empty t.backlog then 0.0 else U.Timeseries.mean_value t.backlog
 

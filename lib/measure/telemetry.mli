@@ -32,7 +32,6 @@ module Queue_monitor : sig
       carries a timeline, also registers [queue_backlog_bytes] and
       [queue_drops_total] probes labelled with the qdisc name. *)
 
-  val backlog_bytes : t -> Ccsim_util.Timeseries.t
   val mean_backlog_bytes : t -> float
   val max_backlog_bytes : t -> float
 end

@@ -1,6 +1,7 @@
 type entry = { pkt : Packet.t; arrived : float }
 
-let create ~now ?(target = 0.005) ?(interval = 0.1) ?(limit_bytes = Fifo.default_limit_bytes) () =
+let create ~now ?(target = 0.005) ?(interval = 0.1) () =
+  let limit_bytes = Fifo.default_limit_bytes in
   if target <= 0.0 || interval <= 0.0 then invalid_arg "Codel.create: times must be positive";
   let queue : entry Queue.t = Queue.create () in
   let bytes = ref 0 in

@@ -10,7 +10,7 @@ val create :
   now:(unit -> float) ->
   ?target:float ->
   ?interval:float ->
-  ?limit_bytes:int ->
   unit ->
   Qdisc.t
-(** Defaults: [target] 5 ms, [interval] 100 ms. *)
+(** Defaults: [target] 5 ms, [interval] 100 ms. The queue holds at most
+    {!Fifo.default_limit_bytes}. *)

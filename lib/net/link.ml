@@ -292,7 +292,6 @@ let span_note_wire_drop t (pkt : Packet.t) =
       Obs.Span.note_dropped s ~hop:t.name
         ~at:(Ccsim_engine.Sim.now t.sim)
         ~uid:pkt.Packet.uid ~flow:pkt.Packet.flow ~seq:pkt.Packet.seq
-        ~bytes:pkt.Packet.size_bytes
         ~kind:(if Packet.is_data pkt then "data" else "ack")
   | Some _ | None -> ()
 
@@ -533,7 +532,6 @@ let wire_duplicated_packets t = match t.imp with Some i -> i.wire_duplicated_pkt
 let wire_reordered_packets t = match t.imp with Some i -> i.wire_reordered_pkts | None -> 0
 
 let as_sink t pkt = send t pkt
-let name t = t.name
 let rate_bps t = t.rate_bps
 
 let flow_busy_seconds t ~flow =
@@ -554,8 +552,6 @@ let set_cross_rate_bps t rate =
   t.cross_bps <- rate
 
 let cross_rate_bps t = t.cross_bps
-let delay_s t = t.delay_s
 let qdisc t = t.qdisc
-let busy_seconds t = t.busy_seconds.(0)
 let utilization t ~now = if now <= 0.0 then 0.0 else t.busy_seconds.(0) /. now
 let bytes_delivered t = t.bytes_delivered

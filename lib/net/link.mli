@@ -44,8 +44,6 @@ val create :
     non-negative. [name] (default ["link"]) is the hop label carried by
     lifecycle spans and flow-attribution probes. *)
 
-val name : t -> string
-
 val send : t -> Packet.t -> unit
 (** Offer a packet (may be dropped by the qdisc). *)
 
@@ -65,14 +63,11 @@ val set_cross_rate_bps : t -> float -> unit
 val cross_rate_bps : t -> float
 (** Current fluid cross-traffic rate (0 outside hybrid mode). *)
 
-val delay_s : t -> float
 val qdisc : t -> Qdisc.t
 
-val busy_seconds : t -> float
-(** Cumulative time the link has spent serializing packets. *)
-
 val flow_busy_seconds : t -> flow:int -> float
-(** [flow]'s share of {!busy_seconds} — its bottleneck occupancy.
+(** [flow]'s share of the link's serialization time — its bottleneck
+    occupancy.
     Accounted only when the ambient scope carries a timeline or metrics
     at {!create} time; 0 otherwise. *)
 
@@ -81,7 +76,7 @@ val flow_drops : t -> flow:int -> int
     Accounted under the same condition as {!flow_busy_seconds}. *)
 
 val utilization : t -> now:float -> float
-(** [busy_seconds / now]; 0 at time 0. *)
+(** Cumulative serialization time over [now]; 0 at time 0. *)
 
 val bytes_delivered : t -> int
 

@@ -52,14 +52,14 @@ let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_byte
     sampled = sampled_uid uid;
   }
 
-let ack ~flow ~ack ?(size_bytes = 64) ?(echo = 0.0) ?(for_retx = false) ?(rwnd = max_int)
+let ack ~flow ~ack ?(echo = 0.0) ?(for_retx = false) ?(rwnd = max_int)
     ?(sacks = []) ~sent_at () =
   let uid = fresh_uid () in
   {
     uid;
     flow;
     kind = Ack;
-    size_bytes;
+    size_bytes = 64;
     seq = 0;
     payload_bytes = 0;
     ack;

@@ -42,7 +42,6 @@ val data :
 val ack :
   flow:int ->
   ack:int ->
-  ?size_bytes:int ->
   ?echo:float ->
   ?for_retx:bool ->
   ?rwnd:int ->
@@ -50,7 +49,7 @@ val ack :
   sent_at:float ->
   unit ->
   t
-(** Pure ack (default 64 bytes on the wire). [for_retx] echoes whether the
+(** Pure ack, 64 bytes on the wire. [for_retx] echoes whether the
     acked segment was a retransmission. *)
 
 val end_seq : t -> int

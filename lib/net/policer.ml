@@ -5,7 +5,6 @@ type t = {
   bucket : Token_bucket.t;
   sink : Packet.t -> unit;
   mutable dropped : int;
-  mutable forwarded : int;
   m_conforming : Obs.Metrics.counter option;
   m_dropped : Obs.Metrics.counter option;
   obs_recorder : Obs.Recorder.t option;
@@ -21,7 +20,6 @@ let create sim ~rate_bps ~burst_bytes ~sink () =
     bucket = Token_bucket.create ~rate_bps ~burst_bytes ~now:(Ccsim_engine.Sim.now sim);
     sink;
     dropped = 0;
-    forwarded = 0;
     m_conforming = counter "policer_conforming_total";
     m_dropped = counter "policer_dropped_total";
     obs_recorder = scope.Obs.Scope.recorder;
@@ -30,7 +28,6 @@ let create sim ~rate_bps ~burst_bytes ~sink () =
 let input t (pkt : Packet.t) =
   let now = Ccsim_engine.Sim.now t.sim in
   if Token_bucket.try_consume t.bucket ~now ~bytes:pkt.size_bytes then begin
-    t.forwarded <- t.forwarded + 1;
     (match t.m_conforming with Some c -> Obs.Metrics.inc c | None -> ());
     t.sink pkt
   end
@@ -48,5 +45,4 @@ let input t (pkt : Packet.t) =
   end
 
 let dropped t = t.dropped
-let forwarded t = t.forwarded
 let as_sink t pkt = input t pkt

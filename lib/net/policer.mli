@@ -11,5 +11,4 @@ val create :
 
 val input : t -> Packet.t -> unit
 val dropped : t -> int
-val forwarded : t -> int
 val as_sink : t -> Packet.t -> unit

@@ -10,14 +10,14 @@ let span_enqueue span ~hop ~now (pkt : Packet.t) =
   match span with
   | Some s when pkt.Packet.sampled ->
       Obs.Span.note_enqueue s ~hop ~at:(now ()) ~uid:pkt.uid ~flow:pkt.flow ~seq:pkt.seq
-        ~bytes:pkt.size_bytes ~kind:(pkt_kind pkt)
+        ~kind:(pkt_kind pkt)
   | Some _ | None -> ()
 
 let span_tail_drop span ~hop ~now (pkt : Packet.t) =
   match span with
   | Some s when pkt.Packet.sampled ->
       Obs.Span.note_dropped s ~hop ~at:(now ()) ~uid:pkt.uid ~flow:pkt.flow ~seq:pkt.seq
-        ~bytes:pkt.size_bytes ~kind:(pkt_kind pkt)
+        ~kind:(pkt_kind pkt)
   | Some _ | None -> ()
 
 let span_dequeue span ~hop ~now (pkt : Packet.t) =

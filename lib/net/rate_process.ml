@@ -22,11 +22,10 @@ let markov sim ~link ~rng ~states_bps ?(mean_dwell_s = 2.0) () =
   jump ();
   t
 
-let ornstein_uhlenbeck sim ~link ~rng ~mean_bps ?(volatility = 0.15) ?(reversion = 0.3)
-    ?floor_bps ?(tick = 0.1) () =
+let ornstein_uhlenbeck sim ~link ~rng ~mean_bps ?(volatility = 0.15) () =
   if mean_bps <= 0.0 then invalid_arg "Rate_process.ou: mean must be positive";
-  if tick <= 0.0 then invalid_arg "Rate_process.ou: tick must be positive";
-  let floor = match floor_bps with Some f -> f | None -> 0.05 *. mean_bps in
+  let reversion = 0.3 and tick = 0.1 in
+  let floor = 0.05 *. mean_bps in
   let t = { series = U.Timeseries.create (); sim } in
   let rate = ref mean_bps in
   Link.set_rate link !rate;

@@ -27,16 +27,13 @@ val ornstein_uhlenbeck :
   rng:Ccsim_util.Rng.t ->
   mean_bps:float ->
   ?volatility:float ->
-  ?reversion:float ->
-  ?floor_bps:float ->
-  ?tick:float ->
   unit ->
   t
-(** Mean-reverting continuous wander: each [tick] (default 100 ms) the
-    rate moves toward [mean_bps] with pull [reversion] (default 0.3/s)
-    plus Gaussian noise of standard deviation [volatility] x mean per
-    sqrt-second (default 0.15), floored at [floor_bps] (default 5% of
-    the mean). Models fast fading on a cellular link. *)
+(** Mean-reverting continuous wander: every 100 ms the rate moves
+    toward [mean_bps] with a pull of 0.3/s plus Gaussian noise of
+    standard deviation [volatility] x mean per sqrt-second (default
+    0.15), floored at 5% of the mean. Models fast fading on a cellular
+    link. *)
 
 val rate_series : t -> Ccsim_util.Timeseries.t
 (** The (time, rate) trajectory applied so far. *)

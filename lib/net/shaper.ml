@@ -8,7 +8,6 @@ type t = {
   sink : Packet.t -> unit;
   mutable backlog : int;
   mutable dropped : int;
-  mutable forwarded : int;
   mutable release_pending : bool;
   m_conforming : Obs.Metrics.counter option;
   m_dropped : Obs.Metrics.counter option;
@@ -29,7 +28,6 @@ let create sim ~rate_bps ~burst_bytes ?(limit_bytes = Fifo.default_limit_bytes) 
     sink;
     backlog = 0;
     dropped = 0;
-    forwarded = 0;
     release_pending = false;
     m_conforming = counter "shaper_conforming_total";
     m_dropped = counter "shaper_dropped_total";
@@ -48,7 +46,6 @@ let note_drop t (pkt : Packet.t) =
   | None -> ()
 
 let forward t pkt =
-  t.forwarded <- t.forwarded + 1;
   (match t.m_conforming with Some c -> Obs.Metrics.inc c | None -> ());
   t.sink pkt
 
@@ -99,7 +96,5 @@ let input t (pkt : Packet.t) =
     drain t
   end
 
-let backlog_bytes t = t.backlog
 let dropped t = t.dropped
-let forwarded t = t.forwarded
 let as_sink t pkt = input t pkt

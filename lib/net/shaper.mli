@@ -20,9 +20,7 @@ val create :
 val input : t -> Packet.t -> unit
 (** Offer a packet to the shaper. *)
 
-val backlog_bytes : t -> int
 val dropped : t -> int
-val forwarded : t -> int
 
 val as_sink : t -> Packet.t -> unit
 (** Convenience partial application of {!input} for path wiring. *)

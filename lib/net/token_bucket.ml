@@ -10,7 +10,6 @@ let create ~rate_bps ~burst_bytes ~now =
   if burst_bytes <= 0 then invalid_arg "Token_bucket.create: burst must be positive";
   { rate_bps; burst_bytes; tokens = float_of_int burst_bytes; updated = now }
 
-let rate_bps t = t.rate_bps
 let burst_bytes t = t.burst_bytes
 
 let refill t ~now =

@@ -8,11 +8,7 @@ type t
 val create : rate_bps:float -> burst_bytes:int -> now:float -> t
 (** Bucket starts full. [rate_bps] and [burst_bytes] must be positive. *)
 
-val rate_bps : t -> float
 val burst_bytes : t -> int
-
-val refill : t -> now:float -> unit
-(** Accrue tokens for the elapsed time. [now] must not move backwards. *)
 
 val try_consume : t -> now:float -> bytes:int -> bool
 (** Refill, then consume [bytes] tokens if available; [false] leaves the

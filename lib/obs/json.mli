@@ -8,9 +8,6 @@
     traces. Not a general JSON library: [\u] escapes decode to UTF-8
     one basic-plane code point at a time (no surrogate pairing). *)
 
-val escape : string -> string
-(** Escape for inclusion inside a double-quoted JSON string. *)
-
 val str : string -> string
 (** Quoted, escaped JSON string literal. *)
 

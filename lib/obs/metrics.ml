@@ -140,8 +140,8 @@ let find_counter t ?(labels = []) name =
   | Some (Counter c) -> Some c
   | Some _ | None -> None
 
-let find_histogram t ?(labels = []) name =
-  match Hashtbl.find_opt t.table { name; labels = normalize_labels labels } with
+let find_histogram t name =
+  match Hashtbl.find_opt t.table { name; labels = [] } with
   | Some (Histogram h) -> Some h
   | Some _ | None -> None
 

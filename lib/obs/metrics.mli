@@ -44,9 +44,6 @@ val observe : histogram -> float -> unit
 val observations : histogram -> int
 val sum : histogram -> float
 
-val bucket_lower_bound : int -> float
-(** Inclusive lower bound of bucket [i]. *)
-
 val bucket_upper_bound : int -> float
 (** Exclusive upper bound of bucket [i] (for export consumers). *)
 
@@ -61,7 +58,8 @@ val size : t -> int
 (** Number of registered instruments. *)
 
 val find_counter : t -> ?labels:labels -> string -> counter option
-val find_histogram : t -> ?labels:labels -> string -> histogram option
+val find_histogram : t -> string -> histogram option
+(** The unlabelled histogram named [name], if registered. *)
 
 val to_ndjson : ?extra:(string * string) list -> t -> string
 (** One JSON object per line, in registration order. [extra] key/value

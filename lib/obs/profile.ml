@@ -182,7 +182,6 @@ let note_pkt_dropped t = t.pkts_dropped <- t.pkts_dropped + 1
 let events_executed t = t.events_executed
 let events_scheduled t = t.events_scheduled
 let events_cancelled t = t.events_cancelled
-let busy_s t = t.busy_s
 let max_heap_depth t = t.max_heap_depth
 let sim_s t = t.sim_s
 
@@ -200,9 +199,6 @@ let packets_per_sec t =
   if t.busy_s > 0.0 then float_of_int t.pkts_delivered /. t.busy_s else 0.0
 
 let minor_words t = t.gc_minor_words
-let promoted_words t = t.gc_promoted_words
-let major_words t = t.gc_major_words
-let compactions t = t.gc_compactions
 let gc_samples t = t.gc_samples
 
 let minor_words_per_event t =

@@ -82,13 +82,11 @@ val events_executed : t -> int
 val events_scheduled : t -> int
 val events_cancelled : t -> int
 
-val busy_s : t -> float
-(** Cumulative wall-clock spent executing event callbacks. *)
-
 val max_heap_depth : t -> int
 
 val events_per_sec : t -> float
-(** [events_executed / busy_s]; 0 before any event ran. *)
+(** Events per wall-clock second spent executing event callbacks (the
+    busy time, [busy_s] in {!to_json}); 0 before any event ran. *)
 
 val sim_s : t -> float
 (** Furthest simulated clock reached. *)
@@ -109,9 +107,6 @@ val packets_per_sec : t -> float
 val minor_words : t -> float
 (** Minor-heap words allocated across the sampled windows. *)
 
-val promoted_words : t -> float
-val major_words : t -> float
-val compactions : t -> int
 val gc_samples : t -> int
 
 val minor_words_per_event : t -> float

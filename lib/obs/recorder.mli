@@ -45,7 +45,6 @@ val count : t -> int
 
 val retained : t -> int
 val evicted : t -> int
-val filter : t -> f:(event -> bool) -> event list
 val by_kind : t -> string -> event list
 
 val severity_to_string : severity -> string

@@ -20,7 +20,6 @@ type record = {
   uid : int;
   flow : int;
   seq : int;
-  bytes : int;
   kind : string;
   hop : string;
   t_enq : float;
@@ -108,7 +107,7 @@ let finish t (r : record) ~at outcome =
   end;
   journal t r ~at
 
-let note_enqueue t ~hop ~at ~uid ~flow ~seq ~bytes ~kind =
+let note_enqueue t ~hop ~at ~uid ~flow ~seq ~kind =
   let key = (uid, hop) in
   if not (Hashtbl.mem t.open_tbl key) then begin
     let r =
@@ -116,7 +115,6 @@ let note_enqueue t ~hop ~at ~uid ~flow ~seq ~bytes ~kind =
         uid;
         flow;
         seq;
-        bytes;
         kind;
         hop;
         t_enq = at;
@@ -147,7 +145,7 @@ let note_delivered t ~hop ~at ~uid =
       finish t r ~at Delivered
   | None -> ()  (* duplicate delivery of an already-closed span *)
 
-let note_dropped t ~hop ~at ~uid ~flow ~seq ~bytes ~kind =
+let note_dropped t ~hop ~at ~uid ~flow ~seq ~kind =
   match Hashtbl.find_opt t.open_tbl (uid, hop) with
   | Some r -> finish t r ~at Dropped
   | None ->
@@ -158,7 +156,6 @@ let note_dropped t ~hop ~at ~uid ~flow ~seq ~bytes ~kind =
           uid;
           flow;
           seq;
-          bytes;
           kind;
           hop;
           t_enq = at;

@@ -19,7 +19,6 @@ type record = {
   uid : int;
   flow : int;
   seq : int;
-  bytes : int;
   kind : string;
   hop : string;  (** link name the packet was crossing *)
   t_enq : float;
@@ -31,12 +30,10 @@ type record = {
 
 type t
 
-val default_capacity : int
-(** 65,536 completed records. *)
-
 val create : ?capacity:int -> ?recorder:Recorder.t -> sample:int -> unit -> t
 (** [create ~sample ()] records one in [sample] packets ([sample >= 1];
-    [1] records every packet). When [recorder] is given, every completed
+    [1] records every packet), retaining up to [capacity] (default
+    65,536) completed records. When [recorder] is given, every completed
     span is also journaled as a class-["span"] flight-recorder event
     carrying the phase delays. *)
 
@@ -46,7 +43,7 @@ val hit : t -> uid:int -> bool
 (** Whether the packet with [uid] is in the sample ([uid mod sample = 0]). *)
 
 val note_enqueue :
-  t -> hop:string -> at:float -> uid:int -> flow:int -> seq:int -> bytes:int ->
+  t -> hop:string -> at:float -> uid:int -> flow:int -> seq:int ->
   kind:string -> unit
 (** Open a record: the sampled packet was accepted into [hop]'s queue. *)
 
@@ -59,7 +56,7 @@ val note_delivered : t -> hop:string -> at:float -> uid:int -> unit
     injection) of an already-closed span are ignored. *)
 
 val note_dropped :
-  t -> hop:string -> at:float -> uid:int -> flow:int -> seq:int -> bytes:int ->
+  t -> hop:string -> at:float -> uid:int -> flow:int -> seq:int ->
   kind:string -> unit
 (** Close the open record as {!Dropped}; for tail drops (no open
     record — the packet never entered the queue) a zero-length dropped

@@ -28,11 +28,10 @@ type labels = (string * string) list
 val default_interval : float
 (** 0.1 s. *)
 
-val default_capacity : int
-(** 4096 points per series before decimation. *)
-
 val create : ?interval:float -> ?capacity:int -> unit -> t
-(** Raises [Invalid_argument] if [interval <= 0] or [capacity < 2]. *)
+(** [capacity] (default 4096) is the points per series kept before
+    decimation. Raises [Invalid_argument] if [interval <= 0] or
+    [capacity < 2]. *)
 
 val interval : t -> float
 (** The sampling interval engine drivers should use. *)

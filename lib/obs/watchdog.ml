@@ -43,7 +43,6 @@ let create ?(interval = default_interval) ?(policy = Abort) () =
   { interval; policy; checks = []; tripped = None; noted = []; checks_run = 0 }
 
 let interval t = t.interval
-let policy t = t.policy
 let checks t = List.length t.checks
 let checks_run t = t.checks_run
 let violation t = t.tripped

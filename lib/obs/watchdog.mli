@@ -39,15 +39,11 @@ val policy_of_string : string -> policy option
 
 type t
 
-val default_interval : float
-(** 0.25 s between check sweeps. *)
-
 val create : ?interval:float -> ?policy:policy -> unit -> t
-(** Default policy [Abort]. Raises [Invalid_argument] if
-    [interval <= 0]. *)
+(** Defaults: 0.25 s between check sweeps, policy [Abort]. Raises
+    [Invalid_argument] if [interval <= 0]. *)
 
 val interval : t -> float
-val policy : t -> policy
 
 val register : t -> component:string -> invariant:string -> (unit -> string option) -> unit
 (** Add a check. The closure runs on every sweep; return [Some detail]

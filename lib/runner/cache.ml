@@ -16,7 +16,6 @@ let create ?dir () =
   mkdir_p dir;
   { dir }
 
-let dir t = t.dir
 let path t digest = Filename.concat t.dir (digest ^ ".out")
 
 let find t digest =

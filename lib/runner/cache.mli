@@ -20,8 +20,6 @@ val mkdir_p : string -> unit
     Every ccsim writer that may target a fresh directory (cache, run
     report, instrument exports) goes through it. *)
 
-val dir : t -> string
-
 val find : t -> string -> string option
 (** Cached output for a digest, if present. *)
 

@@ -32,13 +32,6 @@ val oversubscribed : t -> bool
     and comparing against [pool_jobs] would be misleading. Flagged in
     {!summary} and {!to_json}. *)
 
-val cache_hits : t -> int
-val failures : t -> int
-
-val degraded : t -> int
-(** Jobs marked {!Job.result.degraded}: completed, but under a
-    quarantine-policy watchdog that saw an invariant violated. *)
-
 val exit_code : t -> int
 (** The unified CLI exit code for this run: 1 if any job failed, else
     0. Usage errors (2) and unsupported backends (124) are decided

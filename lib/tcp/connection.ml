@@ -3,10 +3,10 @@ module Dispatch = Ccsim_net.Dispatch
 
 type t = { sender : Sender.t; receiver : Receiver.t; flow : int }
 
-let establish (topo : Topology.t) ~flow ~cca ?mss ?rcv_buffer_bytes ?consume_rate_bps
+let establish (topo : Topology.t) ~flow ~cca ?rcv_buffer_bytes ?consume_rate_bps
     ?(on_complete = fun _ -> ()) () =
   let sender =
-    Sender.create topo.sim ~flow ~cca ~path:(topo.fwd_entry ~flow) ?mss ~on_complete ()
+    Sender.create topo.sim ~flow ~cca ~path:(topo.fwd_entry ~flow) ~on_complete ()
   in
   let receiver =
     Receiver.create topo.sim ~flow ~ack_path:(topo.rev_entry ~flow)

@@ -10,7 +10,6 @@ val establish :
   Ccsim_net.Topology.t ->
   flow:int ->
   cca:Ccsim_cca.Cca.t ->
-  ?mss:int ->
   ?rcv_buffer_bytes:int ->
   ?consume_rate_bps:float ->
   ?on_complete:(Sender.t -> unit) ->

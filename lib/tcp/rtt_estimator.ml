@@ -1,6 +1,5 @@
 type t = {
   min_rto : float;
-  max_rto : float;
   mutable srtt : float;
   mutable rttvar : float;
   mutable min_rtt : float;
@@ -8,11 +7,12 @@ type t = {
   mutable samples : int;
 }
 
-let create ?(min_rto = 0.2) ?(max_rto = 60.0) () =
+let max_rto = 60.0
+
+let create ?(min_rto = 0.2) () =
   if min_rto <= 0.0 || max_rto < min_rto then invalid_arg "Rtt_estimator.create: bad bounds";
   {
     min_rto;
-    max_rto;
     srtt = 0.0;
     rttvar = 0.0;
     min_rtt = infinity;
@@ -42,7 +42,6 @@ let rto t =
   let base = if t.samples = 0 then 1.0 else t.srtt +. Float.max 0.001 (4.0 *. t.rttvar) in
   (* Backoff multiplies the floored RTO (as deployed stacks do), so each
      timeout genuinely doubles the wait even when the floor binds. *)
-  Float.min t.max_rto (Float.max t.min_rto base *. t.backoff_factor)
+  Float.min max_rto (Float.max t.min_rto base *. t.backoff_factor)
 
 let backoff t = t.backoff_factor <- Float.min (t.backoff_factor *. 2.0) 64.0
-let samples t = t.samples

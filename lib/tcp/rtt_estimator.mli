@@ -3,9 +3,10 @@
 
 type t
 
-val create : ?min_rto:float -> ?max_rto:float -> unit -> t
+val create : ?min_rto:float -> unit -> t
 (** Defaults: [min_rto] 0.2 s (Linux-like rather than RFC's 1 s, so
-    short simulations aren't dominated by the floor), [max_rto] 60 s. *)
+    short simulations aren't dominated by the floor). The RTO is capped
+    at 60 s. *)
 
 val observe : t -> float -> unit
 (** Feed an RTT sample in seconds (must be positive). Resets any RTO
@@ -23,6 +24,4 @@ val rto : t -> float
     1 s (RFC 6298 initial value), clamped to the configured bounds. *)
 
 val backoff : t -> unit
-(** Double the RTO (up to [max_rto]) after a timeout fires. *)
-
-val samples : t -> int
+(** Double the RTO (up to the 60 s cap) after a timeout fires. *)

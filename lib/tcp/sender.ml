@@ -426,7 +426,8 @@ let info t =
     elapsed_s = now -. t.started_at;
   }
 
-let create sim ~flow ~cca ~path ?(mss = Ccsim_util.Units.mss) ?(on_complete = fun _ -> ()) () =
+let create sim ~flow ~cca ~path ?(on_complete = fun _ -> ()) () =
+  let mss = Ccsim_util.Units.mss in
   let scope = Obs.Scope.ambient () in
   let counter name =
     Option.map

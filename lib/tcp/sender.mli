@@ -28,12 +28,12 @@ val create :
   flow:int ->
   cca:Ccsim_cca.Cca.t ->
   path:(Ccsim_net.Packet.t -> unit) ->
-  ?mss:int ->
   ?on_complete:(t -> unit) ->
   unit ->
   t
 (** [path] is the flow's data injection point (e.g.
-    [Topology.fwd_entry]). [on_complete] fires when {!close} was called
+    [Topology.fwd_entry]). Segments carry {!Ccsim_util.Units.mss}
+    payload bytes. [on_complete] fires when {!close} was called
     and every written byte has been cumulatively acknowledged. *)
 
 val flow : t -> int

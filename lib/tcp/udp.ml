@@ -6,29 +6,23 @@ module Source = struct
     sim : Sim.t;
     flow : int;
     path : Packet.t -> unit;
-    mss : int;
     mutable next_seq : int;
-    mutable bytes_sent : int;
   }
 
-  let create sim ~flow ~path ?(mss = Ccsim_util.Units.mss) () =
-    { sim; flow; path; mss; next_seq = 0; bytes_sent = 0 }
+  let create sim ~flow ~path () = { sim; flow; path; next_seq = 0 }
 
   let send t ~bytes =
     if bytes <= 0 then invalid_arg "Udp.Source.send: bytes must be positive";
     let remaining = ref bytes in
     while !remaining > 0 do
-      let len = min t.mss !remaining in
+      let len = min Ccsim_util.Units.mss !remaining in
       remaining := !remaining - len;
-      t.bytes_sent <- t.bytes_sent + len;
       let pkt =
         Packet.data ~flow:t.flow ~seq:t.next_seq ~payload_bytes:len ~sent_at:(Sim.now t.sim) ()
       in
       t.next_seq <- t.next_seq + len;
       t.path pkt
     done
-
-  let bytes_sent t = t.bytes_sent
 end
 
 module Sink = struct

@@ -7,13 +7,11 @@ module Source : sig
   type t
 
   val create :
-    Ccsim_engine.Sim.t -> flow:int -> path:(Ccsim_net.Packet.t -> unit) -> ?mss:int -> unit -> t
+    Ccsim_engine.Sim.t -> flow:int -> path:(Ccsim_net.Packet.t -> unit) -> unit -> t
 
   val send : t -> bytes:int -> unit
   (** Emit one datagram of [bytes] payload (split into MSS-sized packets
       if larger). *)
-
-  val bytes_sent : t -> int
 end
 
 module Sink : sig

@@ -55,9 +55,6 @@ let max_min_with_weights ~capacity ~demands ~weights =
   done;
   alloc
 
-let max_min_allocation ~capacity ~demands =
-  max_min_with_weights ~capacity ~demands ~weights:(Array.make (Array.length demands) 1.0)
-
 let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
 
 let harm ~solo ~contended =

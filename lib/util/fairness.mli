@@ -10,12 +10,6 @@ val jain_index : float array -> float
     one flow takes everything. Raises [Invalid_argument] on an empty array
     or any negative allocation; returns 1.0 when all allocations are 0. *)
 
-val max_min_allocation : capacity:float -> demands:float array -> float array
-(** Progressive-filling max-min fair allocation of [capacity] among flows
-    with the given demands (a demand of [infinity] means persistently
-    backlogged). Raises [Invalid_argument] on negative capacity or
-    demands. *)
-
 val max_min_with_weights :
   capacity:float -> demands:float array -> weights:float array -> float array
 (** Weighted max-min (what WFQ/DRR with per-flow quanta enforces). *)
@@ -33,5 +27,5 @@ val harm_lower_is_better : solo:float -> contended:float -> float
 val starvation_episodes :
   throughput:float array -> fair_share:float -> threshold:float -> int
 (** Count of samples in which throughput fell below [threshold] *
-    [fair_share]; the sub-packet-regime experiment (E6) uses this to count
-    starvation à la Chen et al. *)
+    [fair_share]. The sub-packet-regime experiment (E6) counts its
+    starved windows (à la Chen et al.) with it, at a threshold of 0.1. *)

@@ -15,5 +15,3 @@ let feq ~eps a b =
   (* The exact-equality fast path stays polymorphic [=] on purpose:
      [Float.equal] would make [feq nan nan] true, changing semantics. *)
   (a = b) [@lint.allow R6] || Float.abs (a -. b) <= eps
-
-let fne ~eps a b = not (feq ~eps a b)

@@ -10,6 +10,3 @@ val feq : eps:float -> float -> float -> bool
 (** [feq ~eps a b] is [true] iff [a] and [b] are within [eps] of each
     other (or structurally equal, covering infinite operands). Raises
     [Invalid_argument] if [eps] is negative or NaN. *)
-
-val fne : eps:float -> float -> float -> bool
-(** [fne ~eps a b] is [not (feq ~eps a b)]. *)

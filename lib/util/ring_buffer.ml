@@ -31,37 +31,8 @@ let newest t =
   if t.len = 0 then invalid_arg "Ring_buffer.newest: empty buffer";
   get t (t.len - 1)
 
-let oldest t =
-  if t.len = 0 then invalid_arg "Ring_buffer.oldest: empty buffer";
-  get t 0
-
 let blit t dst =
   if Array.length dst < t.len then invalid_arg "Ring_buffer.blit: destination too short";
   let first = Int.min t.len (capacity t - t.head) in
   Array.blit t.data t.head dst 0 first;
   Array.blit t.data 0 dst first (t.len - first)
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (get t i)
-  done;
-  !acc
-
-let nonempty name t = if t.len = 0 then invalid_arg (name ^ ": empty buffer")
-
-let max_value t =
-  nonempty "Ring_buffer.max_value" t;
-  fold t ~init:neg_infinity ~f:Float.max
-
-let min_value t =
-  nonempty "Ring_buffer.min_value" t;
-  fold t ~init:infinity ~f:Float.min
-
-let mean t =
-  nonempty "Ring_buffer.mean" t;
-  fold t ~init:0.0 ~f:( +. ) /. float_of_int t.len
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0

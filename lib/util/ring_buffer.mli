@@ -13,32 +13,12 @@ val push : t -> float -> unit
 (** Append, evicting the oldest element when full. *)
 
 val length : t -> int
-val capacity : t -> int
 val is_full : t -> bool
 
-val get : t -> int -> float
-(** [get t i] is the i-th oldest retained element; raises
-    [Invalid_argument] out of range. *)
-
 val newest : t -> float
-(** Raises [Invalid_argument] when empty. *)
-
-val oldest : t -> float
 (** Raises [Invalid_argument] when empty. *)
 
 val blit : t -> float array -> unit
 (** [blit t dst] copies the retained elements, oldest first, into the
     first [length t] slots of [dst] without allocating; raises
     [Invalid_argument] if [dst] is shorter. *)
-
-val fold : t -> init:'a -> f:('a -> float -> 'a) -> 'a
-val max_value : t -> float
-(** Raises [Invalid_argument] when empty. *)
-
-val min_value : t -> float
-(** Raises [Invalid_argument] when empty. *)
-
-val mean : t -> float
-(** Raises [Invalid_argument] when empty. *)
-
-val clear : t -> unit

@@ -14,8 +14,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = { state = bits64 t }
-let copy t = { state = t.state }
-
 (* 53 random bits mapped to [0, 1). *)
 let unit_float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
@@ -53,11 +51,6 @@ let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
 
-let pareto t ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.pareto: parameters must be positive";
-  let u = 1.0 -. unit_float t in
-  scale /. (u ** (1.0 /. shape))
-
 let bounded_pareto t ~shape ~scale ~cap =
   if not (scale < cap) then invalid_arg "Rng.bounded_pareto: requires scale < cap";
   (* Inverse-transform on the truncated CDF. *)
@@ -69,49 +62,6 @@ let normal t ~mean ~stddev =
   let u1 = 1.0 -. unit_float t and u2 = unit_float t in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
-
-let lognormal t ~mu ~sigma = exp (normal t ~mean:mu ~stddev:sigma)
-
-let poisson t ~mean =
-  if mean < 0.0 then invalid_arg "Rng.poisson: mean must be non-negative";
-  if Feq.feq ~eps:0.0 mean 0.0 then 0
-  else if mean < 30.0 then begin
-    let l = exp (-.mean) in
-    let rec loop k p =
-      let p = p *. unit_float t in
-      if p > l then loop (k + 1) p else k
-    in
-    loop 0 1.0
-  end
-  else
-    (* Normal approximation with continuity correction. *)
-    let x = normal t ~mean ~stddev:(sqrt mean) in
-    max 0 (int_of_float (Float.round x))
-
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if Feq.feq ~eps:0.0 p 1.0 then 0
-  else
-    let u = 1.0 -. unit_float t in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
-let zipf t ~n ~s =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  let cdf = Array.make n 0.0 in
-  let total = ref 0.0 in
-  for k = 1 to n do
-    total := !total +. (1.0 /. (float_of_int k ** s));
-    cdf.(k - 1) <- !total
-  done;
-  let target = unit_float t *. !total in
-  (* Binary search for the first rank whose cumulative mass covers target. *)
-  let rec search lo hi =
-    if lo >= hi then lo + 1
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) < target then search (mid + 1) hi else search lo mid
-  in
-  search 0 (n - 1)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -16,9 +16,6 @@ val split : t -> t
     [rng]. Use one split stream per stochastic component so that adding a
     component does not perturb the draws seen by others. *)
 
-val copy : t -> t
-(** [copy rng] duplicates the current state without advancing it. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -40,30 +37,11 @@ val uniform : t -> lo:float -> hi:float -> float
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. Requires [mean > 0]. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto distributed: scale is the minimum value, shape the tail index.
-    Heavy-tailed flow sizes use shape ~1.2 (Internet-like mice/elephants). *)
-
 val bounded_pareto : t -> shape:float -> scale:float -> cap:float -> float
 (** Pareto truncated at [cap] by resampling the CDF (exact, not clipping). *)
 
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian via Box–Muller. *)
-
-val lognormal : t -> mu:float -> sigma:float -> float
-(** Log-normal with underlying normal parameters [mu], [sigma]. *)
-
-val poisson : t -> mean:float -> int
-(** Poisson-distributed count (Knuth's method below mean 30, normal
-    approximation above). Requires [mean >= 0]. *)
-
-val geometric : t -> p:float -> int
-(** Number of failures before first success, [p] in (0,1]. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [\[1, n\]] with exponent [s], by inverse
-    transform on the precomputed CDF (O(log n) per draw after O(n) setup
-    amortized per call — fine for our dataset-generation use). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -54,7 +54,3 @@ let render t =
   List.iter (function Rule -> emit_rule () | Cells cells -> emit_cells cells) rows;
   emit_rule ();
   Buffer.contents buf
-
-let print t =
-  print_string (render t);
-  flush stdout

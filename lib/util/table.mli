@@ -24,5 +24,3 @@ val cell_pct : float -> string
 (** Format a fraction as a percentage with one decimal ("42.0%"). *)
 
 val render : t -> string
-val print : t -> unit
-(** [render] followed by [print_string] and a flush. *)

@@ -28,7 +28,6 @@ let length t = t.len
 let is_empty t = t.len = 0
 let times t = Array.sub t.times 0 t.len
 let values t = Array.sub t.values 0 t.len
-let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
 let to_list t =
   List.init t.len (fun i -> (t.times.(i), t.values.(i)))
@@ -49,19 +48,6 @@ let value_at t time =
   if i < 0 then invalid_arg "Timeseries.value_at: time precedes first point";
   t.values.(i)
 
-let resample t ~interval =
-  if interval <= 0.0 then invalid_arg "Timeseries.resample: interval must be positive";
-  let out = create () in
-  if t.len > 0 then begin
-    let t0 = t.times.(0) and t_end = t.times.(t.len - 1) in
-    let n = int_of_float (Float.floor ((t_end -. t0) /. interval)) in
-    for i = 0 to n do
-      let time = t0 +. (float_of_int i *. interval) in
-      add out ~time ~value:(value_at t time)
-    done
-  end;
-  out
-
 let rate_of_cumulative t ~interval =
   if interval <= 0.0 then invalid_arg "Timeseries.rate_of_cumulative: interval must be positive";
   let out = create () in
@@ -76,17 +62,6 @@ let rate_of_cumulative t ~interval =
       add out ~time ~value:((now -. before) /. interval)
     done
   end;
-  out
-
-let ewma t ~alpha =
-  if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Timeseries.ewma: alpha must be in (0,1]";
-  let out = create () in
-  let acc = ref nan in
-  for i = 0 to t.len - 1 do
-    let x = t.values.(i) in
-    acc := if Float.is_nan !acc then x else (alpha *. x) +. ((1.0 -. alpha) *. !acc);
-    add out ~time:t.times.(i) ~value:!acc
-  done;
   out
 
 let between t ~lo ~hi =

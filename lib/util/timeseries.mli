@@ -2,9 +2,8 @@
 
     Telemetry from the simulator (per-flow throughput, queue occupancy,
     Nimbus cross-traffic estimates) is collected as append-only (time,
-    value) series and post-processed with the helpers here: resampling to
-    a fixed grid, converting cumulative byte counters into rates, EWMA
-    smoothing, windowed aggregation. *)
+    value) series and post-processed with the helpers here: converting
+    cumulative byte counters into rates, windowed selection, means. *)
 
 type t
 
@@ -20,9 +19,6 @@ val is_empty : t -> bool
 val times : t -> float array
 val values : t -> float array
 
-val last : t -> (float * float) option
-(** Most recent (time, value), if any. *)
-
 val to_list : t -> (float * float) list
 
 val value_at : t -> float -> float
@@ -30,18 +26,10 @@ val value_at : t -> float -> float
     [time] (zero-order hold). Raises [Invalid_argument] if [time] precedes
     the first point or the series is empty. *)
 
-val resample : t -> interval:float -> t
-(** Zero-order-hold resampling onto a fixed grid starting at the first
-    point's time. *)
-
 val rate_of_cumulative : t -> interval:float -> t
 (** Interpret values as a cumulative counter (e.g. bytes acked) and
     produce a per-interval rate series: point at time [t_i] holds
     [(c(t_i) - c(t_i - interval)) / interval]. *)
-
-val ewma : t -> alpha:float -> t
-(** Exponentially weighted moving average with smoothing factor
-    [alpha] in (0, 1]: y_i = alpha * x_i + (1 - alpha) * y_(i-1). *)
 
 val between : t -> lo:float -> hi:float -> t
 (** Sub-series with times in [\[lo, hi\]]. *)

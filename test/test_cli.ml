@@ -197,6 +197,40 @@ let test_flight_rec_level () =
         (String.length filtered < String.length full);
       check_code "bad level is a usage error" "e4 --flight-rec-level loud" 2)
 
+(* An output file is written only after the jobs ran, so a path that
+   cannot be written used to throw their results away with an uncaught
+   Sys_error (exit 125). *)
+let test_unwritable_outputs () =
+  List.iter
+    (fun args -> check_rejected args ())
+    [
+      "e4 --duration 6 --report /dev/null/x.json";
+      "e4 --duration 6 --metrics /dev/null/x.ndjson";
+      "e4 --duration 6 --flight-rec /dev/null/x.ndjson";
+      "e4 --duration 6 --series /dev/null/x.ndjson";
+      "e4 --duration 6 --chrome-trace /dev/null/x.json";
+      "perf --quick --out /dev/null/x.json";
+    ]
+
+(* A NaN window or threshold compares false against every sample: it
+   used to exit 0 with every row "0 samples, inelastic". *)
+let test_analyze_window_and_thresholds () =
+  with_temp_file "{\"series\":\"x\",\"labels\":{},\"t\":1.0,\"v\":2.0}\n" (fun path ->
+      let path = Filename.quote path in
+      List.iter
+        (fun args -> check_rejected (Printf.sprintf args path) ())
+        [
+          "analyze %s --warmup nan --until 20";
+          "analyze %s --threshold nan";
+          "analyze %s --shift-threshold nan";
+          "explain %s --until inf";
+          "analyze %s --warmup 10 --until 5";
+        ])
+
+let test_nonpositive_jobs () =
+  check_rejected "e4 --duration 6 -j 0" ();
+  check_rejected "sweep e4 --durations 6 --seeds 1 --jobs=-3" ()
+
 let suite =
   [
     Alcotest.test_case "exit 0: success paths" `Quick test_ok;
@@ -219,4 +253,12 @@ let suite =
     Alcotest.test_case "exit 2: flap holding times below 1 ms" `Quick
       (check_rejected
          "e4 --duration 10 --faults \"flap from=0 until=20 mean-up=1e-300 mean-down=1e-300\"");
+    Alcotest.test_case "exit 2: series interval below 1 ms" `Quick
+      (check_rejected "e4 --duration 10 --series-interval 1e-300 --series s.ndjson");
+    Alcotest.test_case "exit 2: empty --seeds" `Quick
+      (check_rejected "sweep e4 --durations 6 --seeds ''");
+    Alcotest.test_case "exit 2: unwritable output paths" `Quick test_unwritable_outputs;
+    Alcotest.test_case "exit 2: non-finite analyze window and thresholds" `Quick
+      test_analyze_window_and_thresholds;
+    Alcotest.test_case "exit 2: non-positive --jobs" `Quick test_nonpositive_jobs;
   ]

@@ -258,6 +258,19 @@ let test_repo_tree_typed_clean () =
   Alcotest.(check (list string)) "typed stage: no findings"
     [] (List.map L.render_finding findings)
 
+let test_missing_cmt_reported () =
+  (* A source the typed stage cannot load (no .cmt under the roots, as
+     for an executable's main module under dune's default alias) must
+     stop the scan, not pass unchecked. *)
+  match
+    Lint_typed.scan ~source_roots:[ typed_source_root ] ~cmt_roots:[ "no-such-cmt-root" ]
+      ~paths:[ "test/lint_fixtures_typed" ] ()
+  with
+  | _ -> Alcotest.fail "sources without a .cmt were skipped silently"
+  | exception L.Scan_error msg ->
+      Alcotest.(check bool) "names the source" true
+        (contains ~affix:"test/lint_fixtures_typed/bad_r6.ml" msg)
+
 let suite =
   [
     Alcotest.test_case "R1 fixture: exact findings" `Quick test_r1;
@@ -280,4 +293,6 @@ let suite =
     Alcotest.test_case "typed findings carry stage = typed" `Quick test_typed_stage_field;
     Alcotest.test_case "sarif: shape, descriptors, results" `Quick test_sarif_shape;
     Alcotest.test_case "repo tree: typed stage clean" `Quick test_repo_tree_typed_clean;
+    Alcotest.test_case "typed stage: a source without .cmt is reported" `Quick
+      test_missing_cmt_reported;
   ]

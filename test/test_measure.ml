@@ -1,5 +1,5 @@
-(* Tests for the measurement layer: change-point detection, elasticity
-   scoring, telemetry, the NDT model, and the M-Lab pipeline. *)
+(* Tests for the measurement layer: change-point detection, the elasticity
+   verdict, telemetry, the NDT model, and the M-Lab pipeline. *)
 
 module M = Ccsim_measure
 module U = Ccsim_util
@@ -41,16 +41,6 @@ let test_pelt_short_signals () =
   Alcotest.(check (list int)) "empty" [] (M.Changepoint.pelt [||]);
   Alcotest.(check (list int)) "singleton" [] (M.Changepoint.pelt [| 1.0 |])
 
-let test_binseg_agrees_on_clean_step () =
-  let signal = step_signal [ (1.0, 50); (5.0, 50) ] in
-  Alcotest.(check (list int)) "binseg finds the step" [ 50 ]
-    (M.Changepoint.binary_segmentation signal)
-
-let test_binseg_max_changes () =
-  let signal = step_signal ~noise:0.1 [ (1.0, 30); (5.0, 30); (1.0, 30); (5.0, 30) ] in
-  let changes = M.Changepoint.binary_segmentation ~max_changes:1 signal in
-  Alcotest.(check int) "budget respected" 1 (List.length changes)
-
 let test_segment_means () =
   let signal = step_signal [ (2.0, 10); (8.0, 10) ] in
   match M.Changepoint.segment_means signal [ 10 ] with
@@ -75,64 +65,12 @@ let test_cost_function () =
 
 (* --- Elasticity ---------------------------------------------------------------------- *)
 
-let tone ~n ~sample_rate ~freq ~amp ~phase =
-  Array.init n (fun i ->
-      amp *. sin ((2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate) +. phase))
-
-let test_elasticity_responsive_cross_traffic () =
-  let n = 512 and sample_rate = 100.0 and freq = 5.0 in
-  let own = tone ~n ~sample_rate ~freq ~amp:5e6 ~phase:0.0 in
-  (* Cross traffic mirrors the pulse (opposite phase): elastic. *)
-  let cross =
-    Array.map (fun x -> 20e6 -. x) (tone ~n ~sample_rate ~freq ~amp:4e6 ~phase:0.3)
-  in
-  let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
-  Alcotest.(check bool) "elastic cross scores high" true (e > 0.5);
-  Alcotest.(check bool) "classified elastic" true (M.Elasticity.verdict [| e |]).elastic
-
-let test_elasticity_flat_cross_traffic () =
-  let n = 512 and sample_rate = 100.0 and freq = 5.0 in
-  let rng = U.Rng.create 6 in
-  let own = tone ~n ~sample_rate ~freq ~amp:5e6 ~phase:0.0 in
-  let cross = Array.init n (fun _ -> 12e6 +. U.Rng.normal rng ~mean:0.0 ~stddev:1e5) in
-  let e = M.Elasticity.score ~sample_rate ~pulse_freq:freq ~cross ~own in
-  Alcotest.(check bool) "inelastic cross scores low" true (e < 0.2);
-  Alcotest.(check bool) "classified inelastic" false (M.Elasticity.verdict [| e |]).elastic
-
 let test_elasticity_length_checks () =
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Elasticity.score: signal length mismatch") (fun () ->
-      ignore
-        (M.Elasticity.score ~sample_rate:100.0 ~pulse_freq:5.0 ~cross:(Array.make 512 0.0)
-           ~own:(Array.make 256 0.0)));
   (* A run without steady-state samples has no evidence of contention. *)
   let v = M.Elasticity.verdict [||] in
   Alcotest.(check int) "no samples" 0 v.samples;
   Alcotest.(check (float 0.0)) "p90 of nothing" 0.0 v.p90;
   Alcotest.(check bool) "no samples is inelastic" false v.elastic
-
-let test_elasticity_windowed () =
-  let sample_rate = 100.0 and freq = 5.0 in
-  let mk n f =
-    let ts = U.Timeseries.create () in
-    for i = 0 to n - 1 do
-      U.Timeseries.add ts ~time:(float_of_int i /. sample_rate) ~value:(f i)
-    done;
-    ts
-  in
-  let n = 2048 in
-  let own = mk n (fun i -> 5e6 *. sin (2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate)) in
-  (* First half: flat cross; second half: mirroring cross. *)
-  let cross =
-    mk n (fun i ->
-        if i < n / 2 then 10e6
-        else 10e6 +. (4e6 *. sin (2.0 *. Float.pi *. freq *. float_of_int i /. sample_rate)))
-  in
-  let series = M.Elasticity.windowed ~sample_rate ~pulse_freq:freq ~window:512 ~cross ~own in
-  Alcotest.(check bool) "several windows" true (U.Timeseries.length series >= 4);
-  let values = U.Timeseries.values series in
-  Alcotest.(check bool) "elasticity rises in the second half" true
-    (values.(Array.length values - 1) > values.(0) +. 0.3)
 
 (* --- Telemetry ------------------------------------------------------------------------ *)
 
@@ -185,7 +123,7 @@ let test_monitor_interval_validation () =
 
 let test_ndt_generate_count_and_mixture () =
   let rng = U.Rng.create 9 in
-  let records = M.Ndt.generate ~rng ~n:2000 () in
+  let records = M.Ndt.generate ~rng ~n:2000 in
   Alcotest.(check int) "count" 2000 (List.length records);
   let count p = List.length (List.filter p records) in
   let app =
@@ -198,7 +136,7 @@ let test_ndt_generate_count_and_mixture () =
 
 let test_ndt_traces_well_formed () =
   let rng = U.Rng.create 10 in
-  let records = M.Ndt.generate ~rng ~n:200 () in
+  let records = M.Ndt.generate ~rng ~n:200 in
   List.iter
     (fun (r : M.Ndt.record) ->
       Alcotest.(check int) "100 samples" 100 (Array.length r.throughput_mbps);
@@ -213,7 +151,7 @@ let test_ndt_traces_well_formed () =
 
 let test_ndt_contended_have_shifts () =
   let rng = U.Rng.create 11 in
-  let records = M.Ndt.generate ~rng ~n:2000 () in
+  let records = M.Ndt.generate ~rng ~n:2000 in
   let contended =
     List.filter
       (fun (r : M.Ndt.record) ->
@@ -260,7 +198,7 @@ let test_ndt_of_speedtest_too_short () =
 
 let test_mlab_categorize () =
   let rng = U.Rng.create 12 in
-  let records = M.Ndt.generate ~rng ~n:500 () in
+  let records = M.Ndt.generate ~rng ~n:500 in
   List.iter
     (fun (r : M.Ndt.record) ->
       let category = M.Mlab_analysis.categorize r in
@@ -283,7 +221,7 @@ let test_mlab_categorize () =
 
 let test_mlab_report_sums () =
   let rng = U.Rng.create 13 in
-  let records = M.Ndt.generate ~rng ~n:1000 () in
+  let records = M.Ndt.generate ~rng ~n:1000 in
   let report = M.Mlab_analysis.analyze records in
   Alcotest.(check int) "categories partition the population" report.total
     (report.n_app_limited + report.n_rwnd_limited + report.n_cellular + report.n_candidates);
@@ -292,7 +230,7 @@ let test_mlab_report_sums () =
 
 let test_mlab_detector_accuracy () =
   let rng = U.Rng.create 14 in
-  let records = M.Ndt.generate ~rng ~n:3000 () in
+  let records = M.Ndt.generate ~rng ~n:3000 in
   let report = M.Mlab_analysis.analyze records in
   match M.Mlab_analysis.score_against_ground_truth report with
   | None -> Alcotest.fail "labelled data must yield accuracy"
@@ -326,15 +264,10 @@ let suite =
     ("pelt: constant signal", `Quick, test_pelt_constant_signal);
     ("pelt: multiple steps", `Quick, test_pelt_multiple_steps);
     ("pelt: degenerate inputs", `Quick, test_pelt_short_signals);
-    ("binseg: clean step", `Quick, test_binseg_agrees_on_clean_step);
-    ("binseg: change budget", `Quick, test_binseg_max_changes);
     ("changepoint: segment means", `Quick, test_segment_means);
     ("changepoint: largest shift", `Quick, test_largest_shift);
     ("changepoint: L2 cost", `Quick, test_cost_function);
-    ("elasticity: responsive cross traffic", `Quick, test_elasticity_responsive_cross_traffic);
-    ("elasticity: flat cross traffic", `Quick, test_elasticity_flat_cross_traffic);
     ("elasticity: validation", `Quick, test_elasticity_length_checks);
-    ("elasticity: windowed series", `Quick, test_elasticity_windowed);
     ("telemetry: flow monitor", `Quick, test_flow_monitor_throughput);
     ("telemetry: queue monitor", `Quick, test_queue_monitor);
     ("telemetry: monitors reject non-positive intervals", `Quick,

@@ -511,8 +511,7 @@ let test_span_sampling () =
 
 let test_span_lifecycle () =
   let sp = Span.create ~sample:1 () in
-  Span.note_enqueue sp ~hop:"bottleneck" ~at:1.0 ~uid:0 ~flow:7 ~seq:3 ~bytes:1500
-    ~kind:"data";
+  Span.note_enqueue sp ~hop:"bottleneck" ~at:1.0 ~uid:0 ~flow:7 ~seq:3 ~kind:"data";
   Span.note_dequeue sp ~hop:"bottleneck" ~at:1.25 ~uid:0;
   Span.note_tx sp ~hop:"bottleneck" ~at:1.5 ~uid:0;
   Span.note_delivered sp ~hop:"bottleneck" ~at:2.0 ~uid:0;
@@ -535,10 +534,10 @@ let test_span_lifecycle () =
 let test_span_drops () =
   let sp = Span.create ~sample:1 () in
   (* Wire drop of an open record closes it as Dropped. *)
-  Span.note_enqueue sp ~hop:"l" ~at:1.0 ~uid:0 ~flow:1 ~seq:0 ~bytes:100 ~kind:"data";
-  Span.note_dropped sp ~hop:"l" ~at:1.5 ~uid:0 ~flow:1 ~seq:0 ~bytes:100 ~kind:"data";
+  Span.note_enqueue sp ~hop:"l" ~at:1.0 ~uid:0 ~flow:1 ~seq:0 ~kind:"data";
+  Span.note_dropped sp ~hop:"l" ~at:1.5 ~uid:0 ~flow:1 ~seq:0 ~kind:"data";
   (* Tail drop with no open record synthesizes a zero-length span. *)
-  Span.note_dropped sp ~hop:"l" ~at:2.0 ~uid:1 ~flow:1 ~seq:1 ~bytes:100 ~kind:"data";
+  Span.note_dropped sp ~hop:"l" ~at:2.0 ~uid:1 ~flow:1 ~seq:1 ~kind:"data";
   Alcotest.(check int) "both completed" 2 (Span.completed_count sp);
   Alcotest.(check int) "both started" 2 (Span.started sp);
   List.iter
@@ -551,8 +550,8 @@ let test_span_drops () =
 let test_span_seal_and_eviction () =
   let sp = Span.create ~capacity:2 ~sample:1 () in
   (* Two still-open records seal as Incomplete in (uid, hop) order. *)
-  Span.note_enqueue sp ~hop:"b" ~at:1.0 ~uid:2 ~flow:1 ~seq:0 ~bytes:10 ~kind:"data";
-  Span.note_enqueue sp ~hop:"a" ~at:1.0 ~uid:1 ~flow:1 ~seq:1 ~bytes:10 ~kind:"ack";
+  Span.note_enqueue sp ~hop:"b" ~at:1.0 ~uid:2 ~flow:1 ~seq:0 ~kind:"data";
+  Span.note_enqueue sp ~hop:"a" ~at:1.0 ~uid:1 ~flow:1 ~seq:1 ~kind:"ack";
   Span.seal sp ~now:5.0;
   Alcotest.(check int) "sealed to completed" 2 (Span.completed_count sp);
   (match Span.completed sp with
@@ -563,7 +562,7 @@ let test_span_seal_and_eviction () =
         (Span.outcome_to_string r1.Span.outcome)
   | _ -> Alcotest.fail "expected 2 sealed records");
   (* Capacity 2: a third completion evicts the oldest. *)
-  Span.note_enqueue sp ~hop:"c" ~at:6.0 ~uid:3 ~flow:2 ~seq:0 ~bytes:10 ~kind:"data";
+  Span.note_enqueue sp ~hop:"c" ~at:6.0 ~uid:3 ~flow:2 ~seq:0 ~kind:"data";
   Span.note_delivered sp ~hop:"c" ~at:6.5 ~uid:3;
   Alcotest.(check int) "capacity bound" 2 (Span.completed_count sp);
   Alcotest.(check int) "eviction counted" 1 (Span.evicted sp);
@@ -572,8 +571,7 @@ let test_span_seal_and_eviction () =
 let test_span_journal () =
   let r = Recorder.create () in
   let sp = Span.create ~recorder:r ~sample:1 () in
-  Span.note_enqueue sp ~hop:"bottleneck" ~at:1.0 ~uid:0 ~flow:4 ~seq:9 ~bytes:1500
-    ~kind:"data";
+  Span.note_enqueue sp ~hop:"bottleneck" ~at:1.0 ~uid:0 ~flow:4 ~seq:9 ~kind:"data";
   Span.note_dequeue sp ~hop:"bottleneck" ~at:1.25 ~uid:0;
   Span.note_tx sp ~hop:"bottleneck" ~at:1.5 ~uid:0;
   Span.note_delivered sp ~hop:"bottleneck" ~at:2.0 ~uid:0;

@@ -164,6 +164,49 @@ let test_results_lookup_missing () =
   let r = run_pair ~duration:15.0 Scenario.Reno Scenario.Reno in
   Alcotest.check_raises "unknown label" Not_found (fun () -> ignore (Results.find r "nope"))
 
+(* The Mathis et al. law: a Reno flow whose only losses are i.i.d. with
+   probability p converges to goodput (MSS/RTT) * sqrt(3/2) / sqrt(p).
+   A 4xBDP FIFO at 1 Gbit/s keeps congestion loss out, so the fault
+   plan's wire loss is the only loss. Tolerance and grid: EXPERIMENTS.md,
+   "Mathis-law oracle". Above p = 0.01 timeouts dominate and a correct
+   Reno falls outside the band. *)
+let test_reno_mathis_law () =
+  let rate_bps = 1e9 in
+  List.iter
+    (fun (p, rtt_s, seed) ->
+      let bdp_bytes = int_of_float (rate_bps *. rtt_s /. 8.0) in
+      let scenario =
+        (* The dumbbell's edge links add 1 ms each way. *)
+        Scenario.make ~name:"mathis" ~rate_bps ~delay_s:((rtt_s /. 2.0) -. 0.001)
+          ~qdisc:(Scenario.Fifo { limit_bytes = Some (4 * bdp_bytes) })
+          ~duration:60.0 ~warmup:5.0 ~seed
+          [ Scenario.flow "reno" ~cca:Scenario.Reno ~app:Scenario.Bulk ]
+      in
+      let plan =
+        match Ccsim_faults.Plan.parse (Printf.sprintf "loss at=0 dur=61 p=%g" p) with
+        | Ok plan -> plan
+        | Error msg -> Alcotest.fail msg
+      in
+      let r =
+        Ccsim_faults.Plan.with_armed (Some { Ccsim_faults.Plan.plan; seed }) (fun () ->
+            Scenario.run scenario)
+      in
+      let f = Results.find r "reno" in
+      let mss_bits = 8.0 *. float_of_int U.Units.mss in
+      let predicted = mss_bits /. f.mean_srtt_s *. sqrt 1.5 /. sqrt p in
+      let ratio = f.goodput_bps /. predicted in
+      Alcotest.(check bool)
+        (Printf.sprintf "p=%g rtt=%gms seed=%d: goodput/Mathis %.3f in [0.8, 1.25]" p
+           (1e3 *. rtt_s) seed ratio)
+        true
+        (ratio >= 0.8 && ratio <= 1.25))
+    (List.concat_map
+       (fun p ->
+         List.concat_map
+           (fun rtt_s -> List.map (fun seed -> (p, rtt_s, seed)) [ 42; 7 ])
+           [ 0.02; 0.05; 0.1 ])
+       [ 0.002; 0.005; 0.01 ])
+
 let suite =
   [
     ("reno/reno: fair and efficient", `Slow, test_reno_pair_fair_and_efficient);
@@ -179,4 +222,5 @@ let suite =
     ("scenario: background short flows", `Quick, test_short_flows_background);
     ("scenario: nimbus handle exposed", `Quick, test_nimbus_handle_exposed);
     ("results: missing label raises", `Quick, test_results_lookup_missing);
+    ("reno: Mathis law under i.i.d. loss", `Quick, test_reno_mathis_law);
   ]

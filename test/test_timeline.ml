@@ -471,8 +471,7 @@ let test_chrome_trace_golden () =
   Recorder.record r ~at:2.0 ~kind:"qdisc" ~point:"bottleneck" ~fields:[ ("uid", "5") ]
     "drop";
   let sp = Obs.Span.create ~sample:1 () in
-  Obs.Span.note_enqueue sp ~hop:"bottleneck" ~at:1.5 ~uid:0 ~flow:1 ~seq:2 ~bytes:1500
-    ~kind:"data";
+  Obs.Span.note_enqueue sp ~hop:"bottleneck" ~at:1.5 ~uid:0 ~flow:1 ~seq:2 ~kind:"data";
   Obs.Span.note_dequeue sp ~hop:"bottleneck" ~at:1.75 ~uid:0;
   Obs.Span.note_tx sp ~hop:"bottleneck" ~at:2.0 ~uid:0;
   Obs.Span.note_delivered sp ~hop:"bottleneck" ~at:2.5 ~uid:0;

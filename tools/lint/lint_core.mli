@@ -43,6 +43,9 @@ val scan_file : string -> finding list
 (** Scan one [.ml] file; wall-clock exemption is derived from its path
     (lib/runner and lib/obs may read the host clock). *)
 
+val ml_files_under : string -> string list
+(** Every [.ml] under a file or directory, in sorted path order. *)
+
 val scan_paths : string list -> finding list
 (** Scan every [.ml] under the given files/directories, sorted. *)
 

@@ -717,6 +717,7 @@ let read_file path =
 let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
   let cmts = List.concat_map cmt_files_under cmt_roots in
   let seen = Hashtbl.create 16 in
+  let scanned = Hashtbl.create 64 in
   let findings = ref [] in
   List.iter
     (fun cmt_path ->
@@ -728,6 +729,7 @@ let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
         }
         when source_matches ~paths src && not (Hashtbl.mem seen src) ->
           Hashtbl.replace seen src ();
+          Hashtbl.replace scanned (strip_parents src) ();
           let file = Lint_core.normalize src in
           let fs = scan_structure ~file str in
           let fs =
@@ -747,4 +749,26 @@ let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
       | _ -> ()
       | exception _ -> ())
     cmts;
+  (* A source with no .cmt would otherwise pass unchecked: dune's default
+     alias writes none for an executable's main module. *)
+  let missing =
+    List.concat_map
+      (fun root ->
+        List.concat_map
+          (fun p ->
+            let path = if String.equal root "." then p else Filename.concat root p in
+            if Sys.file_exists path then Lint_core.ml_files_under path else [])
+          paths)
+      source_roots
+    |> List.map strip_parents
+    |> List.sort_uniq String.compare
+    |> List.filter (fun src -> not (Hashtbl.mem scanned src))
+  in
+  (match missing with
+  | [] -> ()
+  | _ :: _ ->
+      raise
+        (Lint_core.Scan_error
+           (Printf.sprintf "no .cmt under the cmt roots for %s (run `dune build @check` first)"
+              (String.concat ", " missing))));
   List.sort_uniq Lint_core.compare_finding !findings

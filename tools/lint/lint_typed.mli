@@ -19,4 +19,8 @@ val scan :
     segments ignored on both sides), scan each once, and apply
     comment-form suppressions from the source text when it can be found
     relative to a [source_roots] entry (default [["."]]). Unreadable
-    cmt files are skipped silently; the result is sorted and deduped. *)
+    cmt files are skipped silently; the result is sorted and deduped.
+    Raises [Lint_core.Scan_error] naming every [.ml] under [paths]
+    (resolved against [source_roots]) that has no [.cmt]: dune's default
+    alias writes none for an executable's main module, and [dune build
+    @check] does. *)
