@@ -179,7 +179,7 @@ let[@ccsim.hot] step t =
       t.clock.(0) <- time;
       (match t.heap_hist with
       | None -> ()
-      | Some h -> Obs.Metrics.observe h (float_of_int (Event_heap.size t.heap + 1)));
+      | Some h -> Obs.Metrics.observe_int h (Event_heap.size t.heap + 1));
       (match t.profile with
       | None -> f ()
       | Some p ->

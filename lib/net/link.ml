@@ -5,6 +5,9 @@ module Obs = Ccsim_obs
    per-packet paths below reduce to a [match] on [None]. *)
 type obs = {
   recorder : Obs.Recorder.t option;
+  debug_rec : Obs.Recorder.t option;
+      (* the recorder when it admits Debug: the per-packet delivery and
+         wire-fault records are built only then *)
   tx_bytes : Obs.Metrics.counter option;
   tx_packets : Obs.Metrics.counter option;
   busy_seconds_g : Obs.Metrics.gauge option;
@@ -15,6 +18,7 @@ type obs = {
 let no_obs =
   {
     recorder = None;
+    debug_rec = None;
     tx_bytes = None;
     tx_packets = None;
     busy_seconds_g = None;
@@ -113,7 +117,7 @@ type t = {
          packets-per-wall-second metric; a single field store per
          packet when profiling, a [match] on [None] otherwise *)
   span : Obs.Span.t option;
-  flow_busy : (int, float ref) Hashtbl.t option;
+  flow_busy : Ccsim_util.Int_table.t option;
       (* per-flow serialization seconds (bottleneck occupancy shares);
          allocated only when the ambient scope carries a timeline or
          metrics, one table probe per transmission otherwise nothing *)
@@ -141,7 +145,7 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
         (* Flow attribution rides the same scope slots the per-flow
            timeline probes and metrics export read from. *)
         Qdisc.enable_flow_drop_accounting qdisc.Qdisc.stats;
-        Some (Hashtbl.create 16)
+        Some (Ccsim_util.Int_table.create ())
   in
   let obs =
     match scope.Obs.Scope.metrics with
@@ -149,8 +153,13 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
     | m ->
         let counter name = Option.map (fun m -> Obs.Metrics.counter m name) m in
         let gauge name = Option.map (fun m -> Obs.Metrics.gauge m name) m in
+        let recorder = scope.Obs.Scope.recorder in
         {
-          recorder = scope.Obs.Scope.recorder;
+          recorder;
+          debug_rec =
+            (match recorder with
+            | Some r when Obs.Recorder.admits r Obs.Recorder.Debug -> Some r
+            | Some _ | None -> None);
           tx_bytes = counter "link_tx_bytes_total";
           tx_packets = counter "link_tx_packets_total";
           busy_seconds_g = gauge "link_busy_seconds_total";
@@ -235,27 +244,28 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
   | _ -> ());
   t
 
-let note_delivery t (pkt : Packet.t) =
+let[@ccsim.hot] note_delivery t (pkt : Packet.t) =
   (match t.obs.tx_bytes with Some c -> Obs.Metrics.add c pkt.size_bytes | None -> ());
   (match t.obs.tx_packets with Some c -> Obs.Metrics.inc c | None -> ());
   (match t.obs.busy_seconds_g with Some g -> Obs.Metrics.set g t.busy_seconds.(0) | None -> ());
-  match t.obs.recorder with
+  match t.obs.debug_rec with
   | Some r ->
-      Obs.Recorder.record r
-        ~at:(Ccsim_engine.Sim.now t.sim)
-        ~severity:Obs.Recorder.Debug ~kind:"packet" ~point:"link"
-        ~fields:
-          [
-            ("flow", string_of_int pkt.flow);
-            ("seq", string_of_int pkt.seq);
-            ("bytes", string_of_int pkt.size_bytes);
-            ("ack", if Packet.is_data pkt then "0" else "1");
-          ]
-        "delivered"
+      (Obs.Recorder.record r
+         ~at:(Ccsim_engine.Sim.now t.sim)
+         ~severity:Obs.Recorder.Debug ~kind:"packet" ~point:"link"
+         ~fields:
+           [
+             ("flow", string_of_int pkt.flow);
+             ("seq", string_of_int pkt.seq);
+             ("bytes", string_of_int pkt.size_bytes);
+             ("ack", if Packet.is_data pkt then "0" else "1");
+           ]
+         "delivered"
+      [@ccsim.alloc_ok "cold branch: taken only when the journal's level admits Debug"])
   | None -> ()
 
 let note_fault t ~what (pkt : Packet.t) =
-  match t.obs.recorder with
+  match t.obs.debug_rec with
   | Some r ->
       Obs.Recorder.record r
         ~at:(Ccsim_engine.Sim.now t.sim)
@@ -330,13 +340,9 @@ let[@ccsim.hot] rec transmit_next t =
             ~rate_bps:effective_bps
         in
         t.busy_seconds.(0) <- t.busy_seconds.(0) +. tx_time;
-        ((match t.flow_busy with
-         | Some tbl -> (
-             match Hashtbl.find_opt tbl pkt.Packet.flow with
-             | Some r -> r := !r +. tx_time
-             | None -> Hashtbl.add tbl pkt.Packet.flow (ref tx_time))
-         | None -> ())
-        [@ccsim.alloc_ok "per-flow busy tracking only allocates when that observability is on"]);
+        (match t.flow_busy with
+        | Some tbl -> Ccsim_util.Int_table.add_to tbl pkt.Packet.flow tx_time
+        | None -> ());
         (match t.wd with
         | Some wd ->
             wd.tx_started_pkts <- wd.tx_started_pkts + 1;
@@ -537,7 +543,7 @@ let rate_bps t = t.rate_bps
 let flow_busy_seconds t ~flow =
   match t.flow_busy with
   | None -> 0.0
-  | Some tbl -> ( match Hashtbl.find_opt tbl flow with Some r -> !r | None -> 0.0)
+  | Some tbl -> Ccsim_util.Int_table.find tbl flow ~default:0.0
 
 let flow_drops t ~flow = Qdisc.flow_drops t.qdisc.Qdisc.stats ~flow
 

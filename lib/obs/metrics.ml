@@ -12,7 +12,9 @@ type histogram = {
   buckets : int array;
   mutable zero : int;  (* observations <= 0 *)
   mutable observations : int;
-  mutable sum : float;
+  sum : float array;
+      (* one unboxed slot: a mutable float field in this mixed record
+         would box on every observation *)
 }
 
 let bucket_count = 64
@@ -69,7 +71,9 @@ let histogram t ?(labels = []) name =
   | Some _ ->
       invalid_arg (Printf.sprintf "Metrics.histogram: %S is registered as another kind" name)
   | None ->
-      let h = { buckets = Array.make bucket_count 0; zero = 0; observations = 0; sum = 0.0 } in
+      let h =
+        { buckets = Array.make bucket_count 0; zero = 0; observations = 0; sum = Array.make 1 0.0 }
+      in
       register t key (Histogram h);
       h
 
@@ -77,24 +81,36 @@ let inc c = c.count <- c.count + 1
 let add c n = c.count <- c.count + n
 let value c = c.count
 let set g v = g.value <- v
+let set_int g n = g.value <- float_of_int n
 let gauge_value g = g.value
 
-let bucket_index x =
-  let _, e = Float.frexp x in
-  let i = e + exponent_offset in
-  if i < 0 then 0 else if i >= bucket_count then bucket_count - 1 else i
+(* [frexp]'s exponent read straight from the IEEE 754 bits, with no
+   tuple and no boxed mantissa. A normal float with biased exponent b
+   lies in [2^(b-1023), 2^(b-1022)), so frexp gives e = b - 1022.
+   Subnormals have b = 0 and frexp exponents from -1073 to -1022, all
+   below bucket 0 after the offset. Zeros, infinities and NaN get e = 0
+   from frexp. *)
+let[@ccsim.hot] bucket_index x =
+  let b = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) land 0x7ff in
+  if b = 0x7ff || (b = 0 && Float.equal x 0.0) then exponent_offset
+  else if b = 0 then 0
+  else
+    let i = b - 1022 + exponent_offset in
+    if i < 0 then 0 else if i >= bucket_count then bucket_count - 1 else i
 
-let observe h x =
+let[@ccsim.hot] observe h x =
   h.observations <- h.observations + 1;
-  h.sum <- h.sum +. x;
+  h.sum.(0) <- h.sum.(0) +. x;
   if x <= 0.0 then h.zero <- h.zero + 1
   else begin
     let i = bucket_index x in
     h.buckets.(i) <- h.buckets.(i) + 1
   end
 
+let[@ccsim.hot] observe_int h n = observe h (float_of_int n)
+
 let observations h = h.observations
-let sum h = h.sum
+let sum h = h.sum.(0)
 
 (* Bucket [i] holds values in [2^(i - offset - 1), 2^(i - offset)): the
    inverse of [bucket_index], where frexp maps [2^(e-1), 2^e) to e. *)
@@ -168,7 +184,7 @@ let line_to buf ?(extra = []) key instr =
   | Gauge g -> Printf.bprintf buf ",\"value\":%s" (float_lit g.value)
   | Histogram h ->
       Printf.bprintf buf ",\"count\":%d,\"sum\":%s,\"zero\":%d" h.observations
-        (float_lit h.sum) h.zero;
+        (float_lit h.sum.(0)) h.zero;
       Printf.bprintf buf ",\"p50\":%s,\"p95\":%s,\"p99\":%s"
         (float_lit (quantile h 0.50))
         (float_lit (quantile h 0.95))

@@ -8,9 +8,9 @@
     [{qdisc=fifo}] counter). Label order is irrelevant.
 
     Mutation is allocation-free: a counter increment is a single field
-    store. Registries are not thread-safe — use one registry per
-    concurrently running job (as the CLI does) rather than sharing one
-    across pool domains. *)
+    store, and an observation neither hashes nor boxes. Registries are
+    not thread-safe — use one registry per concurrently running job (as
+    the CLI does) rather than sharing one across pool domains. *)
 
 type t
 (** A registry. *)
@@ -38,9 +38,19 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
+
+val set_int : gauge -> int -> unit
+(** [set_int g n] is [set g (float_of_int n)] without boxing the float
+    at the call site. *)
+
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
+
+val observe_int : histogram -> int -> unit
+(** [observe_int h n] is [observe h (float_of_int n)] without boxing
+    the float at the call site (heap depths, byte counts). *)
+
 val observations : histogram -> int
 val sum : histogram -> float
 

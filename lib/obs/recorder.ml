@@ -30,8 +30,10 @@ let create ?(capacity = default_capacity) ?(level = Debug) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   { capacity; level; buffer = Queue.create (); total = 0 }
 
+let admits t severity = severity_rank severity >= severity_rank t.level
+
 let record t ~at ?(severity = Info) ~kind ~point ?(fields = []) detail =
-  if severity_rank severity >= severity_rank t.level then begin
+  if admits t severity then begin
     Queue.push { at; severity; kind; point; detail; fields } t.buffer;
     t.total <- t.total + 1;
     if Queue.length t.buffer > t.capacity then ignore (Queue.pop t.buffer)

@@ -32,6 +32,11 @@ val create : ?capacity:int -> ?level:severity -> unit -> t
     {!default_capacity}); events below [level] (default [Debug], i.e.
     keep everything) are discarded at record time without counting. *)
 
+val admits : t -> severity -> bool
+(** Whether {!record} keeps an event of this severity. A per-packet
+    site resolves it once, when it is created, and then builds no
+    record the level would drop. *)
+
 val record :
   t -> at:float -> ?severity:severity -> kind:string -> point:string ->
   ?fields:(string * string) list -> string -> unit

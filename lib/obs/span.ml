@@ -32,7 +32,7 @@ type record = {
 type t = {
   sample : int;  (* record 1-in-[sample] packets by uid *)
   capacity : int;
-  recorder : Recorder.t option;
+  recorder : Recorder.t option;  (* [None] unless it admits Debug *)
   open_tbl : ((int * string), record) Hashtbl.t;  (* (uid, hop) -> open record *)
   completed : record Queue.t;
   mutable completed_n : int;
@@ -45,6 +45,11 @@ let default_capacity = 65_536
 let create ?(capacity = default_capacity) ?recorder ~sample () =
   if sample < 1 then invalid_arg "Span.create: sample must be >= 1";
   if capacity < 1 then invalid_arg "Span.create: capacity must be >= 1";
+  let recorder =
+    match recorder with
+    | Some r when Recorder.admits r Recorder.Debug -> Some r
+    | Some _ | None -> None
+  in
   {
     sample;
     capacity;

@@ -33,9 +33,10 @@ type t
 val create : ?capacity:int -> ?recorder:Recorder.t -> sample:int -> unit -> t
 (** [create ~sample ()] records one in [sample] packets ([sample >= 1];
     [1] records every packet), retaining up to [capacity] (default
-    65,536) completed records. When [recorder] is given, every completed
-    span is also journaled as a class-["span"] flight-recorder event
-    carrying the phase delays. *)
+    65,536) completed records. When [recorder] is given and admits
+    [Debug], every completed span is also journaled as a debug-level
+    class-["span"] flight-recorder event carrying the phase delays;
+    under a higher level no journal record is built. *)
 
 val sample : t -> int
 

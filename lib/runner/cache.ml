@@ -1,4 +1,9 @@
-type t = { dir : string }
+type t = {
+  dir : string;
+  code : string;
+      (* the running executable's digest: a rebuilt binary keys its
+         entries afresh and never reads rows an older one stored *)
+}
 
 let default_dir () =
   match Sys.getenv_opt "CCSIM_CACHE_DIR" with
@@ -14,9 +19,9 @@ let rec mkdir_p dir =
 let create ?dir () =
   let dir = match dir with Some d -> d | None -> default_dir () in
   mkdir_p dir;
-  { dir }
+  { dir; code = Digest.to_hex (Digest.file Sys.executable_name) }
 
-let path t digest = Filename.concat t.dir (digest ^ ".out")
+let path t digest = Filename.concat t.dir (digest ^ "-" ^ t.code ^ ".out")
 
 let find t digest =
   let file = path t digest in

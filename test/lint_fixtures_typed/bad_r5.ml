@@ -10,3 +10,5 @@ let[@ccsim.hot] sum_pairs acc xs =
 let[@ccsim.hot] make_pair a b = (a, b)
 
 let[@ccsim.hot] wrap x = Some x
+
+let[@ccsim.hot] exponent x = snd (Float.frexp x)

@@ -472,6 +472,62 @@ let test_instrumentation_does_not_change_results () =
       Alcotest.(check int) ("acked " ^ a.label) a.bytes_acked b.bytes_acked)
     plain.Results.flows instrumented.Results.flows
 
+(* --- allocation budget of the instrumented packet path --------------------- *)
+
+(* Words allocated per executed event on a small congested dumbbell
+   (three Reno flows through a 20 Mbit/s drop-tail FIFO), built under
+   [scope]. The window is 4 simulated seconds after a 2 s warmup, so
+   the instruments' tables have grown and the windows are open. Events
+   are counted by stepping the engine directly. *)
+let dumbbell_words_per_event scope =
+  let sim =
+    Scope.with_scope scope (fun () ->
+        let sim = Sim.create () in
+        let topo =
+          Ccsim_net.Topology.dumbbell sim ~rate_bps:(Ccsim_util.Units.mbps 20.0) ~delay_s:0.01
+            ~qdisc:(Ccsim_net.Fifo.create ~limit_bytes:30_000 ())
+            ()
+        in
+        for flow = 0 to 2 do
+          let c = Ccsim_tcp.Connection.establish topo ~flow ~cca:(Ccsim_cca.Reno.create ()) () in
+          Ccsim_tcp.Sender.set_unlimited c.Ccsim_tcp.Connection.sender
+        done;
+        sim)
+  in
+  let rec steps n ~until = if Sim.now sim >= until || not (Sim.step sim) then n else steps (n + 1) ~until in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  ignore (steps 0 ~until:2.0);
+  let words0 = words () in
+  let events = steps 0 ~until:6.0 in
+  ((words () -. words0) /. float_of_int events, events)
+
+(* What the recorder at Info and the metrics registry add per executed
+   event. Neither builds a per-packet record or hashes a key: at Info
+   the link's Debug delivery records are never built, and the metrics
+   path observes, sets gauges and keys its tables without boxing or
+   hashing. What metrics still pays is floats boxed at cross-module
+   calls (enqueue times, sojourn samples, the busy gauge). *)
+let test_instrumented_packet_allocation () =
+  let bare, events = dumbbell_words_per_event (Scope.v ()) in
+  let at_info, info_events =
+    dumbbell_words_per_event (Scope.v ~recorder:(Recorder.create ~level:Recorder.Info ()) ())
+  in
+  let metered, metered_events = dumbbell_words_per_event (Scope.v ~metrics:(Metrics.create ()) ()) in
+  Alcotest.(check bool) "the window ran" true (events > 10_000);
+  Alcotest.(check int) "the recorder moves no event" events info_events;
+  Alcotest.(check int) "metrics move no event" events metered_events;
+  Alcotest.(check bool)
+    (Printf.sprintf "recorder at Info: under 2 extra words per event (%.2f)" (at_info -. bare))
+    true
+    (at_info -. bare < 2.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "metrics: under 12 extra words per event (%.2f)" (metered -. bare))
+    true
+    (metered -. bare < 12.0)
+
 (* --- runner report embedding ---------------------------------------------- *)
 
 let test_report_embeds_profile () =
@@ -606,6 +662,50 @@ let json_soup =
   in
   map (String.concat "") (list_size (int_range 0 40) token)
 
+(* Floats of every class: random bit patterns (NaN payloads and both
+   signs included), signed zeros, subnormals, the smallest normal,
+   powers of two across the whole exponent range and their
+   neighbours, infinities and NaN. *)
+let float_classes =
+  let open QCheck.Gen in
+  let bits =
+    map2
+      (fun hi lo -> Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)))
+      (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF)
+  in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  let subnormal = map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 ((1 lsl 52) - 1)) in
+  let power = map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023) in
+  let neighbour = map2 (fun up p -> if up then Float.succ p else Float.pred p) bool power in
+  frequency
+    [
+      (4, bits);
+      (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; Float.nan; -.Float.nan ]);
+      (2, signed subnormal);
+      (1, signed (oneofl [ Float.min_float; Float.pred Float.min_float; Float.max_float ]));
+      (3, signed power);
+      (3, signed neighbour);
+      (2, float_range 1e-12 1e7);
+    ]
+
+(* A histogram holding one observation reports its bucket's upper
+   bound as the 1-quantile, so the property reads which bucket
+   [observe] chose. Non-positive values, -inf included, go to the zero
+   bucket before any bucket is computed. *)
+let metrics_properties =
+  let open QCheck in
+  [
+    Test.make ~name:"metrics: exponent-bit bucket equals the frexp bucket" ~count:20_000
+      (make ~print:(Printf.sprintf "%h") float_classes)
+      (fun x ->
+        let h = Metrics.histogram (Metrics.create ()) "x" in
+        Metrics.observe h x;
+        let expected =
+          if x <= 0.0 then 0.0 else Metrics.bucket_upper_bound (Ref_log_bucket.bucket_index x)
+        in
+        Float.equal (Metrics.quantile h 1.0) expected);
+  ]
+
 let json_properties =
   let open QCheck in
   let module Json = Obs.Json in
@@ -660,5 +760,7 @@ let suite =
     Alcotest.test_case "span: seal order and capacity eviction" `Quick
       test_span_seal_and_eviction;
     Alcotest.test_case "span: journals to the flight recorder" `Quick test_span_journal;
+    Alcotest.test_case "obs: instrumented packet path allocation budget" `Quick
+      test_instrumented_packet_allocation;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) json_properties
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) (json_properties @ metrics_properties)

@@ -157,12 +157,62 @@ let test_registry_complete () =
   Alcotest.(check (option string)) "sized default applied" (Some "9984")
     (List.assoc_opt "n" params)
 
+(* Entries are keyed by code identity too. An entry this test binary
+   stores under e4's job digest is never read by the ccsim binary, and
+   ccsim's own entry under that digest does not displace it here. Each
+   binary still hits its own entry. *)
+let test_cache_keyed_by_code_identity () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ccsim_cache_identity_%d_%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6))
+  in
+  let cache = R.Cache.create ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      R.Cache.clear cache;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let e4 = exp "e4" in
+  let digest = R.Job.digest_of_params ~name:e4.id (E.effective_params e4 ~duration:6.0 ~seed:42 ()) in
+  let planted = "rows stored by another binary\n" in
+  R.Cache.store cache ~digest planted;
+  let ccsim = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ccsim.exe" in
+  let read path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let run () =
+    let out = Filename.concat dir "stdout.txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "CCSIM_CACHE_DIR=%s %s sweep e4 --seeds 42 --durations 6 > %s 2>/dev/null"
+           (Filename.quote dir)
+           (Filename.quote ccsim) (Filename.quote out))
+    in
+    Alcotest.(check int) "ccsim sweep exits 0" 0 code;
+    let rows = read out in
+    Sys.remove out;
+    (rows, read (Filename.concat dir "last_sweep.json"))
+  in
+  let rows1, report1 = run () in
+  let rows2, report2 = run () in
+  Alcotest.(check bool) "ccsim never reads another binary's entry" false (contains ~sub:planted rows1);
+  Alcotest.(check bool) "so its first run misses" true (contains ~sub:"\"cache_hits\": 0," report1);
+  Alcotest.(check bool) "and its second run hits its own entry" true
+    (contains ~sub:"\"cache_hits\": 1," report2);
+  Alcotest.(check string) "with the same rows" rows1 rows2;
+  Alcotest.(check (option string)) "this binary still hits its own entry" (Some planted)
+    (R.Cache.find cache digest)
+
 let suite =
   [
     ("pool: -j 4 rows identical to -j 1 (fig1, e1)", `Slow, test_parallel_matches_serial);
     ("pool: raising job yields error row, pool survives", `Quick, test_raising_job_isolated);
     ("cache: second run hits without re-executing", `Quick, test_cache_hit_skips_execution);
     ("cache: failures are not cached", `Quick, test_failures_not_cached);
+    ("cache: keyed by the executable's code identity", `Quick, test_cache_keyed_by_code_identity);
     ("job: digest is canonical and parameter-sensitive", `Quick, test_digest_stability);
     ("sweep: cross product order and labels", `Quick, test_sweep_points);
     ("telemetry: exit codes 0/1", `Quick, test_telemetry_exit_codes);

@@ -379,6 +379,13 @@ let test_windowed_max_allocation_free () =
   Alcotest.(check (float 0.0)) "last window's maximum" 7918.0 (U.Windowed_max.get f);
   Alcotest.(check bool) (Printf.sprintf "allocation-free (%.0f words)" words) true (words < 64.0)
 
+let test_int_table_reserved_key () =
+  let t = U.Int_table.create () in
+  Alcotest.check_raises "min_int refused"
+    (Invalid_argument "Int_table: min_int is the reserved free-slot key") (fun () ->
+      U.Int_table.replace t min_int 1.0);
+  Alcotest.(check int) "nothing bound" 0 (U.Int_table.length t)
+
 (* --- QCheck properties ------------------------------------------------------------ *)
 
 (* A trace of (round step, sample): steps are mostly 0 (more acks in the
@@ -439,6 +446,67 @@ let fft_case =
       ]
   in
   (signal, freq, sample_rate)
+
+(* A trace of Int_table operations over a per-case key pool. The pool
+   mixes small ints, negatives and large magnitudes with colliding
+   keys. Int_table's home slot is the top bits of the key times an odd
+   multiplier, so the keys [base + j * inverse] (inverse of the
+   multiplier mod 2^63) have products [base * multiplier + j]: for
+   small [j] they share one home slot at every table size and build
+   the long probe chains that removals must close. Pools of up to 160
+   keys, inserted four times as often as removed and reset about once
+   in 280 operations, grow the table from 16 slots through up to four
+   doublings between resets. *)
+type table_op =
+  | T_replace of int * float
+  | T_add_to of int * float
+  | T_remove of int
+  | T_find of int
+  | T_length
+  | T_reset
+
+let show_table_op = function
+  | T_replace (k, v) -> Printf.sprintf "replace %d %h" k v
+  | T_add_to (k, v) -> Printf.sprintf "add_to %d %h" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_length -> "length"
+  | T_reset -> "reset"
+
+let table_trace =
+  let open QCheck.Gen in
+  let multiplier = 0x4F1BBCDCBFA53E0B in
+  (* Newton's iteration doubles the correct low bits: 3, 6, ..., 96. *)
+  let inverse = List.fold_left (fun x _ -> x * (2 - (multiplier * x))) multiplier [ 1; 2; 3; 4; 5 ] in
+  let* base = oneofl [ 0; 1; -1; 1 lsl 40 ] in
+  let colliding = map (fun j -> base + (j * inverse)) (int_range 0 40) in
+  let key =
+    frequency
+      [
+        (4, int_range 0 64);
+        (4, colliding);
+        (1, int_range (-1000) (-1));
+        (1, oneofl [ max_int; min_int + 1; 1 lsl 40 ]);
+        (2, int);
+      ]
+  in
+  let* pool = map Array.of_list (list_size (int_range 1 160) key) in
+  let pool = Array.map (fun k -> if k = min_int then 0 else k) pool in
+  let pick = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+  let value = frequency [ (6, float_range (-1e3) 1e3); (1, return 0.0); (1, return (-0.0)) ] in
+  let op =
+    frequency
+      [
+        (100, map2 (fun k v -> T_replace (k, v)) pick value);
+        (60, map2 (fun k v -> T_add_to (k, v)) pick value);
+        (40, map (fun k -> T_remove k) pick);
+        (60, map (fun k -> T_find k) pick);
+        (20, return T_length);
+        (1, return T_reset);
+      ]
+  in
+  let+ ops = list_size (int_range 0 600) op in
+  (pool, ops)
 
 let qcheck_tests =
   let open QCheck in
@@ -527,6 +595,49 @@ let qcheck_tests =
         same_float
           (U.Fft.magnitude_at plan s ~sample_rate ~freq)
           (Ref_fft.magnitude_at (Ref_fft.mean_removed s) ~sample_rate ~freq));
+    (* Int_table against the Hashtbl paths it replaced: every result
+       and every length agree, bit for bit, after each operation, and
+       every pool key reads the same at the end. *)
+    Test.make ~name:"int table agrees with the Hashtbl model" ~count:1000
+      (make
+         ~print:(fun (pool, ops) ->
+           Printf.sprintf "pool [%s]: %s"
+             (String.concat "; " (Array.to_list (Array.map string_of_int pool)))
+             (String.concat "; " (List.map show_table_op ops)))
+         table_trace)
+      (fun (pool, ops) ->
+        let fast = U.Int_table.create () and slow = Ref_int_table.create () in
+        let agree () = U.Int_table.length fast = Ref_int_table.length slow in
+        let step = function
+          | T_replace (k, v) ->
+              U.Int_table.replace fast k v;
+              Ref_int_table.replace slow k v;
+              agree ()
+          | T_add_to (k, v) ->
+              U.Int_table.add_to fast k v;
+              Ref_int_table.add_to slow k v;
+              agree ()
+          | T_remove k ->
+              U.Int_table.remove fast k;
+              Ref_int_table.remove slow k;
+              agree ()
+          | T_find k ->
+              same_float
+                (U.Int_table.find fast k ~default:Float.nan)
+                (Ref_int_table.find slow k ~default:Float.nan)
+          | T_length -> agree ()
+          | T_reset ->
+              U.Int_table.reset fast;
+              Ref_int_table.reset slow;
+              agree ()
+        in
+        List.for_all step ops
+        && Array.for_all
+             (fun k ->
+               same_float
+                 (U.Int_table.find fast k ~default:Float.nan)
+                 (Ref_int_table.find slow k ~default:Float.nan))
+             pool);
   ]
 
 let suite =
@@ -571,5 +682,6 @@ let suite =
     ("table: arity check", `Quick, test_table_mismatch_rejected);
     ("feq: special values behave like =", `Quick, test_feq_special_values);
     ("feq: tolerance and fne", `Quick, test_feq_tolerance);
+    ("int table: min_int is refused", `Quick, test_int_table_reserved_key);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

@@ -300,6 +300,8 @@ let allocating_calls =
     "Option.map"; "Option.bind"; "Option.some"; "Option.to_list";
     "Result.map"; "Result.bind"; "Result.ok"; "Result.error";
     "Float.to_string"; "Int.to_string"; "Bool.to_string"; "Char.escaped";
+    (* tuple-returning float primitives: a pair plus a boxed float *)
+    "Float.frexp"; "frexp"; "Float.modf"; "modf";
     "Filename.concat"; "Filename.basename"; "Filename.dirname";
   ]
 
