@@ -119,14 +119,17 @@ let validate_backend (e : E.t) = function
         exit 124
       end
 
-(* A timed experiment measures after its warmup. A duration at or below
-   it would fail every job (Scenario.make raises) or, for a1, score no
-   samples at all, so it is refused before any job starts, exit 2. *)
+(* A timed experiment measures after its warmup, for at least its
+   minimum window. A duration inside the warmup would fail every job
+   (Scenario.make raises) or, for a1, score no samples at all; one just
+   past it reports on a window too short to mean anything. Either is
+   refused before any job starts, exit 2. *)
 let check_duration ~cmd ~option (e : E.t) d =
   match e.kind with
-  | E.Timed { warmup_s; _ } when d <= warmup_s ->
-      Printf.eprintf "ccsim %s: %s %g does not exceed %s's %g s warmup\n" cmd option d e.id
-        warmup_s;
+  | E.Timed { warmup_s; min_window_s; _ } when d < warmup_s +. min_window_s ->
+      Printf.eprintf
+        "ccsim %s: %s %g is shorter than %s's %g s warmup plus its %g s minimum measurement window\n"
+        cmd option d e.id warmup_s min_window_s;
       exit 2
   | E.Timed _ | E.Sized _ -> ()
 

@@ -141,14 +141,20 @@ let grow t payload =
 
 let seq_exhausted () = failwith "Event_heap: sequence numbers exhausted"
 
-(* A fresh sequence number's key for [slot]. *)
-let[@ccsim.hot] next_key t slot =
+let[@ccsim.hot] reserve t =
   let seq = t.next_seq in
   if seq >= max_seq then seq_exhausted ();
   t.next_seq <- seq + 1;
-  (seq lsl slot_bits) lor slot
+  seq
 
-let[@ccsim.hot] add t ~time payload =
+(* A fresh sequence number's key for [slot]. *)
+let[@ccsim.hot] [@inline] next_key t slot = (reserve t lsl slot_bits) lor slot
+
+let unreserved () = invalid_arg "Event_heap.add_reserved: sequence number was never reserved"
+
+(* Seat [payload] at [time] under [seq lsl slot_bits lor slot] for a
+   free slot; [seq] is fresh ([add]) or reserved earlier. *)
+let[@ccsim.hot] insert t ~time ~seq payload =
   if t.len = Array.length t.times then grow t payload;
   let s =
     if t.free <> slot_mask then begin
@@ -166,8 +172,14 @@ let[@ccsim.hot] add t ~time payload =
   let pos = t.len in
   t.len <- pos + 1;
   t.buf.(1) <- time;
-  sift_up t pos (next_key t s);
+  sift_up t pos ((seq lsl slot_bits) lor s);
   (t.meta.(s) land gen_mask) lor s
+
+let[@ccsim.hot] add t ~time payload = insert t ~time ~seq:(reserve t) payload
+
+let[@ccsim.hot] add_reserved t ~time ~seq payload =
+  if seq < 0 || seq >= t.next_seq then unreserved ();
+  insert t ~time ~seq payload
 
 (* The slot of [id] while its event is pending, else -1. *)
 let[@ccsim.hot] [@inline] live_slot t id =

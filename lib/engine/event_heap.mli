@@ -4,7 +4,10 @@
     Keys are (time, sequence) pairs; the sequence number breaks ties so
     that events scheduled for the same instant fire in scheduling order —
     a property the TCP model relies on (e.g. an ack arriving "at the same
-    time" as a timer must be processed deterministically).
+    time" as a timer must be processed deterministically). A sequence
+    number can be taken ahead of the event ({!reserve}, {!add_reserved}),
+    which is how [Sim]'s delay lines keep all but their head out of the
+    heap without moving any event's place in that order.
 
     Handles are immediate ints. {!cancel} unlinks the event at once, so
     the heap holds only pending events: a cancelled timer leaves nothing
@@ -27,7 +30,21 @@ val create : unit -> 'a t
 
 val add : 'a t -> time:float -> 'a -> id
 (** Insert an event; [time] may be any float but NaN (caller enforces
-    monotonicity policies). *)
+    monotonicity policies). Equivalent to [add_reserved] under a fresh
+    {!reserve}. *)
+
+val reserve : 'a t -> int
+(** Take the next sequence number without adding an event: the number
+    {!add} would have used at this point. Lets a caller park an event
+    outside the heap (e.g. a delay line's later entries) and add it
+    later with {!add_reserved}, at exactly the position an {!add} at
+    reserve time would have given it among same-instant events. *)
+
+val add_reserved : 'a t -> time:float -> seq:int -> 'a -> id
+(** [add_reserved h ~time ~seq x] inserts an event under a sequence
+    number taken earlier by {!reserve}; each reserved number must be
+    added at most once. Raises [Invalid_argument] for a number {!reserve}
+    never returned. *)
 
 val cancel : 'a t -> id -> unit
 (** Remove a pending event. Cancelling twice or cancelling an

@@ -24,7 +24,12 @@ type t = {
          [("sim", "2"); ("scenario", "fig3/bbr bulk")] *)
   mutable probes : (Obs.Timeline.series * (unit -> float)) list;  (* newest first *)
   mutable driver_pending : int;  (* scheduled observability driver ticks *)
+  mutable parked : int;
+      (* delay-line entries waiting behind their line's head, outside the
+         heap; [pending] adds them to the heap's size *)
 }
+
+let pending t = Event_heap.size t.heap + t.parked
 
 (* Periodic observability drivers must never keep the run alive on their
    own: a tick reschedules itself only while a non-driver event remains
@@ -41,7 +46,7 @@ let install_driver t ~interval ~comp f =
     t.driver_pending <- t.driver_pending - 1;
     t.component <- comp;
     f ();
-    if Event_heap.size t.heap > t.driver_pending then begin
+    if pending t > t.driver_pending then begin
       t.driver_pending <- t.driver_pending + 1;
       note_tick ();
       ignore (Event_heap.add t.heap ~time:(t.clock.(0) +. interval) tick)
@@ -87,6 +92,7 @@ let create () =
       tl_tags;
       probes = [];
       driver_pending = 0;
+      parked = 0;
     }
   in
   (match timeline with
@@ -101,7 +107,12 @@ let create () =
 
 let now t = t.clock.(0)
 let watchdog t = t.watchdog
-let set_component t name = t.component <- name
+(* [component] is read only by the profiler; skipping the store when it
+   is off also skips the write barrier a string field store costs. *)
+let[@ccsim.hot] set_component t name =
+  match t.profile with
+  | None -> ()
+  | Some _ -> t.component <- name
 
 let add_timeline_tags t tags = t.tl_tags <- tags @ t.tl_tags
 
@@ -179,11 +190,11 @@ let[@ccsim.hot] step t =
       t.clock.(0) <- time;
       (match t.heap_hist with
       | None -> ()
-      | Some h -> Obs.Metrics.observe_int h (Event_heap.size t.heap + 1));
+      | Some h -> Obs.Metrics.observe_int h (pending t + 1));
       (match t.profile with
       | None -> f ()
       | Some p ->
-          Ccsim_obs.Profile.note_heap_depth p (Event_heap.size t.heap + 1);
+          Ccsim_obs.Profile.note_heap_depth p (pending t + 1);
           Ccsim_obs.Profile.note_sim_time p time;
           t.component <- "other";
           let t0 = Ccsim_obs.Profile.wall_now () in
@@ -230,7 +241,115 @@ let run ?until t =
   | Some w -> Obs.Watchdog.check_now w ~now:t.clock.(0)
   | None -> ()
 
-let pending t = Event_heap.size t.heap
+(* --- delay lines ----------------------------------------------------------
+
+   A line's entries are pushed in non-decreasing time order, each under
+   the sequence number the heap hands out at push time ([reserve]), so
+   their (time, seq) keys ascend in push order. Only the oldest entry,
+   the head, sits in the heap, under its own key; the rest are parked in
+   a ring and each enters the heap, under its reserved key, when the one
+   before it fires. The heap's minimum is therefore always the minimum
+   over heap and parked entries alike, and every event fires at the
+   (time, seq) a [schedule] at push time would have given it. *)
+
+type 'a line = {
+  owner : t;
+  handler : 'a -> unit;
+  empty : 'a;  (* fills every slot that holds no entry *)
+  mutable head : 'a;  (* the entry whose event is in the heap *)
+  mutable count : int;  (* entries, head included *)
+  mutable times : float array;  (* ring of parked entries; [||] when drained *)
+  mutable seqs : int array;
+  mutable items : 'a array;
+  mutable first : int;  (* ring slot of the oldest parked entry *)
+  tail : float array;  (* [|time of the newest entry|], unboxed *)
+  fire : unit -> unit;  (* the heap payload of every entry, allocated once *)
+}
+
+let[@ccsim.hot] fire_line l =
+  let x = l.head in
+  let left = l.count - 1 in
+  l.count <- left;
+  if left = 0 then begin
+    l.head <- l.empty;
+    (* Drained: an idle line holds no ring. *)
+    if Array.length l.items > 0 then begin
+      l.times <- [||];
+      l.seqs <- [||];
+      l.items <- [||]
+    end
+  end
+  else begin
+    let i = l.first in
+    l.head <- l.items.(i);
+    l.items.(i) <- l.empty;
+    l.first <- (i + 1) land (Array.length l.items - 1);
+    l.owner.parked <- l.owner.parked - 1;
+    ignore (Event_heap.add_reserved l.owner.heap ~time:l.times.(i) ~seq:l.seqs.(i) l.fire)
+  end;
+  l.handler x
+
+let line owner ~empty handler =
+  let rec l =
+    {
+      owner;
+      handler;
+      empty;
+      head = empty;
+      count = 0;
+      times = [||];
+      seqs = [||];
+      items = [||];
+      first = 0;
+      tail = [| neg_infinity |];
+      fire = (fun () -> fire_line l);
+    }
+  in
+  l
+
+(* Double the ring (4 slots at first), unrolling it to start at slot 0.
+   [n] entries are parked. *)
+let grow_ring l n =
+  (let cap = Array.length l.items in
+   let cap' = if cap = 0 then 4 else 2 * cap in
+   let times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
+   let items = Array.make cap' l.empty in
+   for k = 0 to n - 1 do
+     let i = (l.first + k) land (cap - 1) in
+     times.(k) <- l.times.(i);
+     seqs.(k) <- l.seqs.(i);
+     items.(k) <- l.items.(i)
+   done;
+   l.times <- times;
+   l.seqs <- seqs;
+   l.items <- items;
+   l.first <- 0)
+  [@ccsim.alloc_ok "amortized ring doubling: once per capacity step while the line holds entries"]
+
+let precedes_tail () = invalid_arg "Sim.push: time precedes the line's newest entry"
+
+let[@ccsim.hot] push l ~delay x =
+  let t = l.owner in
+  if not (delay >= 0.0) then invalid_delay "Sim.push" delay;
+  let time = t.clock.(0) +. delay in
+  if time < l.tail.(0) then precedes_tail ();
+  note_scheduled t;
+  l.tail.(0) <- time;
+  if l.count = 0 then begin
+    (* The new head goes straight into the heap. *)
+    l.head <- x;
+    ignore (Event_heap.add t.heap ~time l.fire)
+  end
+  else begin
+    let parked = l.count - 1 in
+    if parked = Array.length l.items then grow_ring l parked;
+    let j = (l.first + parked) land (Array.length l.items - 1) in
+    l.times.(j) <- time;
+    l.seqs.(j) <- Event_heap.reserve t.heap;
+    l.items.(j) <- x;
+    t.parked <- t.parked + 1
+  end;
+  l.count <- l.count + 1
 
 let every t ~interval ?start ?(stop_after = infinity) f =
   if not (interval > 0.0) then invalid_arg "Sim.every: interval must be positive";

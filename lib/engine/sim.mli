@@ -22,16 +22,17 @@ val create : unit -> t
 
     With a profile, every executed event is timed and charged to the
     component label its callback declares via {!set_component}; the
-    peak heap depth and furthest simulated clock are tracked; scheduled
+    peak heap depth (pending events, {!pending}) and furthest simulated
+    clock are tracked; scheduled
     and cancelled events are counted per component (attributed to the
     component running when the call happens); and sampled [Gc] deltas
     accumulate allocation totals (flushed when {!run} returns, see
     {!Ccsim_obs.Profile.gc_flush}).
 
-    With a metrics registry, the event-heap
-    depth is observed per executed event into the shared
-    ["engine_heap_depth"] histogram (one instrument per registry, so
-    multiple sims in a job aggregate).
+    With a metrics registry, the event-heap depth ({!pending} events,
+    the executing one included) is observed per executed event into
+    the shared ["engine_heap_depth"] histogram (one instrument per
+    registry, so multiple sims in a job aggregate).
 
     With a timeline, the sim tags its series with a fresh ["sim"] id,
     and a periodic driver (at {!Ccsim_obs.Timeline.interval}) samples
@@ -70,11 +71,12 @@ val add_timeline_probe : t -> ?labels:Ccsim_obs.Timeline.labels -> string -> (un
 
 val set_component : t -> string -> unit
 (** Called (with a literal label) at the top of a component's event
-    callback to attribute the callback's execution time; a plain field
-    store, free when profiling is off. The last label set during an
-    event wins (a delivery that triggers synchronous TCP processing is
-    charged to ["tcp"], not ["link"]). Unattributed events are charged
-    to ["other"]. *)
+    callback to attribute the callback's execution time. When
+    profiling it is a field store; when profiling is off it stores
+    nothing (one [match] on the absent profile). The last label set
+    during an event wins (a delivery that triggers synchronous TCP
+    processing is charged to ["tcp"], not ["link"]). Unattributed events
+    are charged to ["other"]. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule sim ~delay f] runs [f] at [now + delay]. [delay] must be
@@ -111,7 +113,39 @@ val step : t -> bool
 (** Process a single event; [false] when none remain. *)
 
 val pending : t -> int
-(** Number of live scheduled events. *)
+(** Number of pending events: the event heap's entries plus the
+    delay-line entries parked behind their line's head (see {!line}).
+    The profiler's heap depth and the ["engine_heap_depth"] histogram
+    count the same events (pending ones, the executing one included),
+    so neither moves when events go into a line instead of the heap. *)
+
+(** {1 Delay lines}
+
+    A delay line is a FIFO of pending events that all run one handler,
+    like a link's packets in propagation. Only its oldest entry sits in
+    the event heap; the others wait in a ring. So a line holding a
+    thousand packets adds one heap entry, not a thousand, and a push
+    allocates no closure. Each pushed event fires exactly where
+    [ignore (schedule sim ~delay (fun () -> handler x))] at push time
+    would have fired it, same-instant ties included: the push takes the
+    heap's next sequence number then ({!Event_heap.reserve}), and the
+    entry enters the heap under it when the entry before it fires. *)
+
+type 'a line
+
+val line : t -> empty:'a -> ('a -> unit) -> 'a line
+(** [line sim ~empty handler] creates an empty line whose events run
+    [handler]. [empty] is never passed to [handler]: it fills the slots
+    of fired entries so the line keeps no reference to them. A line
+    that drains releases its storage. *)
+
+val push : 'a line -> delay:float -> 'a -> unit
+(** [push l ~delay x] runs [handler x] at [now + delay]. Pushes must
+    come in non-decreasing time order: [delay] must be non-negative
+    and not NaN, and [now + delay] must not precede the time of the
+    line's newest entry (raises [Invalid_argument] otherwise). A pushed
+    event cannot be cancelled. The profiler counts it as a scheduled
+    event, charged like {!schedule}. *)
 
 val periodic_driver : t -> interval:float -> comp:string -> (unit -> unit) -> unit
 (** Install a periodic driver tick, like the built-in timeline and

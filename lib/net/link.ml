@@ -1,3 +1,16 @@
+(* A link serializes one packet at a time and delivers each one
+   propagation delay after its serialization completes.
+
+   The fault-free per-packet path allocates no event closure. The
+   serialization-complete event is one callback per link ([tx_done]),
+   which reads the packet from the [on_wire] field. Every delivery at
+   the base delay is pushed into the link's delay line ([arrivals],
+   [Ccsim_engine.Sim.line]): deliveries leave in time order, so only the
+   oldest packet in propagation sits in the event heap, and each one
+   still fires at the (time, seq) its own [Sim.schedule] would have
+   had. Only the armed-fault path schedules a closure per packet: a
+   reordered or delay-spiked delivery, and a duplicate's ghost. *)
+
 module Obs = Ccsim_obs
 
 (* Observability handles resolved once at creation from the ambient
@@ -97,6 +110,26 @@ let check_probability ~what p =
    event loop. *)
 let min_residual_frac = 0.01
 
+(* [on_wire]'s value while nothing serializes, and the delay line's
+   filler. Built as a literal, not by [Packet.data], so it mints no uid:
+   uids decide span sampling, and a link must not shift them. *)
+let idle : Packet.t =
+  {
+    uid = 0;
+    flow = -1;
+    kind = Packet.Data;
+    size_bytes = 0;
+    seq = 0;
+    payload_bytes = 0;
+    ack = 0;
+    sent_at = 0.0;
+    echo = 0.0;
+    retx = false;
+    rwnd = 0;
+    sacks = [];
+    sampled = false;
+  }
+
 type t = {
   sim : Ccsim_engine.Sim.t;
   name : string;  (* hop label in lifecycle spans *)
@@ -106,6 +139,10 @@ type t = {
   qdisc : Qdisc.t;
   sink : Packet.t -> unit;
   mutable busy : bool;
+  mutable on_wire : Packet.t;  (* the packet serializing, [idle] when none is *)
+  tx_done : unit -> unit;  (* the serialization-complete event, allocated once *)
+  arrive : Packet.t -> unit;  (* end of propagation: the sink, spans noted *)
+  arrivals : Packet.t Ccsim_engine.Sim.line;  (* packets propagating at the base delay *)
   busy_seconds : float array;
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-packet accumulation *)
@@ -124,125 +161,6 @@ type t = {
   wd : wd option;
   mutable imp : impairment option;
 }
-
-let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
-  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
-  if delay_s < 0.0 then invalid_arg "Link.create: negative delay";
-  let qdisc = match qdisc with Some q -> q | None -> Fifo.create () in
-  let scope = Obs.Scope.ambient () in
-  let qdisc =
-    match (scope.Obs.Scope.metrics, scope.Obs.Scope.recorder, scope.Obs.Scope.span) with
-    | None, None, None -> qdisc
-    | metrics, recorder, span ->
-        Qdisc_obs.instrument ?metrics ?recorder ?span ~hop:name
-          ~now:(fun () -> Ccsim_engine.Sim.now sim)
-          qdisc
-  in
-  let flow_busy =
-    match (scope.Obs.Scope.timeline, scope.Obs.Scope.metrics) with
-    | None, None -> None
-    | _ ->
-        (* Flow attribution rides the same scope slots the per-flow
-           timeline probes and metrics export read from. *)
-        Qdisc.enable_flow_drop_accounting qdisc.Qdisc.stats;
-        Some (Ccsim_util.Int_table.create ())
-  in
-  let obs =
-    match scope.Obs.Scope.metrics with
-    | None when Option.is_none scope.Obs.Scope.recorder -> no_obs
-    | m ->
-        let counter name = Option.map (fun m -> Obs.Metrics.counter m name) m in
-        let gauge name = Option.map (fun m -> Obs.Metrics.gauge m name) m in
-        let recorder = scope.Obs.Scope.recorder in
-        {
-          recorder;
-          debug_rec =
-            (match recorder with
-            | Some r when Obs.Recorder.admits r Obs.Recorder.Debug -> Some r
-            | Some _ | None -> None);
-          tx_bytes = counter "link_tx_bytes_total";
-          tx_packets = counter "link_tx_packets_total";
-          busy_seconds_g = gauge "link_busy_seconds_total";
-          rate_g = gauge "link_rate_bps";
-          rate_changes = counter "link_rate_changes_total";
-        }
-  in
-  (match obs.rate_g with Some g -> Obs.Metrics.set g rate_bps | None -> ());
-  let wd =
-    Option.map
-      (fun _ ->
-        {
-          tx_started_pkts = 0;
-          tx_started_bytes = 0;
-          wd_delivered_pkts = 0;
-          wd_delivered_bytes = 0;
-          wd_lost_pkts = 0;
-          wd_lost_bytes = 0;
-        })
-      scope.Obs.Scope.watchdog
-  in
-  let t =
-    {
-      sim;
-      name;
-      rate_bps;
-      cross_bps = 0.0;
-      delay_s;
-      qdisc;
-      sink;
-      busy = false;
-      busy_seconds = Array.make 1 0.0;
-      bytes_delivered = 0;
-      obs;
-      profile = scope.Obs.Scope.profile;
-      span = scope.Obs.Scope.span;
-      flow_busy;
-      wd;
-      imp = None;
-    }
-  in
-  (match (scope.Obs.Scope.watchdog, wd) with
-  | Some w, Some wd ->
-      (* Qdisc conservation: packets enqueued either left through
-         dequeue, still sit in the backlog, or were dropped internally
-         (CoDel/RED-style head drops); tail drops are never counted as
-         enqueued, so the residue is bounded by the drop count. *)
-      Obs.Watchdog.register w
-        ~component:("link/qdisc:" ^ qdisc.Qdisc.name)
-        ~invariant:"packet_conservation"
-        (fun () ->
-          let st = t.qdisc.Qdisc.stats in
-          let backlog = t.qdisc.Qdisc.backlog_packets () in
-          let residue = st.enqueued - st.dequeued - backlog in
-          if residue < 0 || residue > st.dropped then
-            Some
-              (Printf.sprintf
-                 "enqueued=%d, dequeued=%d, backlog=%d, dropped=%d: residue %d outside [0, dropped]"
-                 st.enqueued st.dequeued backlog st.dropped residue)
-          else None);
-      (* Wire conservation: the link serializes one packet at a time, so
-         transmissions started and deliveries completed differ by at
-         most the packet on the wire. *)
-      Obs.Watchdog.register w ~component:"link" ~invariant:"packet_conservation" (fun () ->
-          let in_flight = wd.tx_started_pkts - wd.wd_delivered_pkts - wd.wd_lost_pkts in
-          if in_flight < 0 || in_flight > 1 then
-            Some
-              (Printf.sprintf
-                 "tx_started=%d, delivered=%d, wire_lost=%d: %d packet(s) on a one-packet wire"
-                 wd.tx_started_pkts wd.wd_delivered_pkts wd.wd_lost_pkts in_flight)
-          else None);
-      Obs.Watchdog.register w ~component:"link" ~invariant:"byte_conservation" (fun () ->
-          if wd.wd_delivered_bytes <> t.bytes_delivered then
-            Some
-              (Printf.sprintf "delivered byte counters disagree: %d tracked vs %d reported"
-                 wd.wd_delivered_bytes t.bytes_delivered)
-          else if wd.tx_started_bytes < wd.wd_delivered_bytes + wd.wd_lost_bytes then
-            Some
-              (Printf.sprintf "delivered %d + wire-lost %d bytes but only %d entered the wire"
-                 wd.wd_delivered_bytes wd.wd_lost_bytes wd.tx_started_bytes)
-          else None)
-  | _ -> ());
-  t
 
 let[@ccsim.hot] note_delivery t (pkt : Packet.t) =
   (match t.obs.tx_bytes with Some c -> Obs.Metrics.add c pkt.size_bytes | None -> ());
@@ -286,14 +204,6 @@ let span_note_tx t (pkt : Packet.t) =
   match t.span with
   | Some s when pkt.Packet.sampled ->
       Obs.Span.note_tx s ~hop:t.name ~at:(Ccsim_engine.Sim.now t.sim) ~uid:pkt.Packet.uid
-  | Some _ | None -> ()
-
-let span_note_delivered t (pkt : Packet.t) =
-  match t.span with
-  | Some s when pkt.Packet.sampled ->
-      Obs.Span.note_delivered s ~hop:t.name
-        ~at:(Ccsim_engine.Sim.now t.sim)
-        ~uid:pkt.Packet.uid
   | Some _ | None -> ()
 
 let span_note_wire_drop t (pkt : Packet.t) =
@@ -348,17 +258,25 @@ let[@ccsim.hot] rec transmit_next t =
             wd.tx_started_pkts <- wd.tx_started_pkts + 1;
             wd.tx_started_bytes <- wd.tx_started_bytes + pkt.Packet.size_bytes
         | None -> ());
-        (ignore
-           (Ccsim_engine.Sim.schedule t.sim ~delay:tx_time (fun () ->
-                Ccsim_engine.Sim.set_component t.sim "link";
-                span_note_tx t pkt;
-                (match t.imp with
-                | None -> deliver t pkt ~extra_delay:0.0 ~duplicate:false
-                | Some imp -> deliver_impaired t imp pkt);
-                transmit_next t))
-        [@ccsim.alloc_ok "serialization-complete callback: one closure per packet is the engine's scheduling currency"])
+        t.on_wire <- pkt;
+        ignore (Ccsim_engine.Sim.schedule t.sim ~delay:tx_time t.tx_done)
 
-(* The fault-free delivery site, also the tail of the impaired path. *)
+(* Serialization complete: the packet on the wire is delivered (or
+   meets its wire fault) and the next one starts. *)
+and[@ccsim.hot] complete_tx t =
+  let pkt = t.on_wire in
+  t.on_wire <- idle;
+  Ccsim_engine.Sim.set_component t.sim "link";
+  span_note_tx t pkt;
+  (match t.imp with
+  | None -> deliver t pkt ~extra_delay:0.0 ~duplicate:false
+  | Some imp -> deliver_impaired t imp pkt);
+  transmit_next t
+
+(* The fault-free delivery site, also the tail of the impaired path.
+   Every delivery at the base delay joins the link's delay line, whose
+   times ascend with the clock; a reordered or delay-spiked packet, and
+   a duplicate's ghost, is its own event. *)
 and[@ccsim.hot] deliver t (pkt : Packet.t) ~extra_delay ~duplicate =
   t.bytes_delivered <- t.bytes_delivered + pkt.size_bytes;
   (match t.profile with
@@ -371,14 +289,10 @@ and[@ccsim.hot] deliver t (pkt : Packet.t) ~extra_delay ~duplicate =
   | None -> ());
   note_delivery t pkt;
   let propagation = t.delay_s +. extra_delay in
-  (ignore
-     (Ccsim_engine.Sim.schedule t.sim ~delay:propagation (fun () ->
-          Ccsim_engine.Sim.set_component t.sim "link";
-          (* First arrival closes the span; a duplicate ghost's second
-             call finds the record already closed and is ignored. *)
-          span_note_delivered t pkt;
-          t.sink pkt))
-  [@ccsim.alloc_ok "propagation callback: one closure per delivered packet is the engine's scheduling currency"]);
+  if Float.equal extra_delay 0.0 then Ccsim_engine.Sim.push t.arrivals ~delay:t.delay_s pkt
+  else
+    (ignore (Ccsim_engine.Sim.schedule t.sim ~delay:propagation (fun () -> t.arrive pkt))
+    [@ccsim.alloc_ok "stretched-propagation callback, armed-fault path only"]);
   if duplicate then
     (ignore
        (Ccsim_engine.Sim.schedule t.sim ~delay:propagation (fun () ->
@@ -443,6 +357,140 @@ and[@ccsim.hot] deliver_impaired t imp (pkt : Packet.t) =
     end;
     deliver t pkt ~extra_delay:(imp.spike_delay_s +. reorder_delay) ~duplicate
   end
+
+let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
+  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
+  if delay_s < 0.0 then invalid_arg "Link.create: negative delay";
+  let qdisc = match qdisc with Some q -> q | None -> Fifo.create () in
+  let scope = Obs.Scope.ambient () in
+  let qdisc =
+    match (scope.Obs.Scope.metrics, scope.Obs.Scope.recorder, scope.Obs.Scope.span) with
+    | None, None, None -> qdisc
+    | metrics, recorder, span ->
+        Qdisc_obs.instrument ?metrics ?recorder ?span ~hop:name
+          ~now:(fun () -> Ccsim_engine.Sim.now sim)
+          qdisc
+  in
+  let flow_busy =
+    match (scope.Obs.Scope.timeline, scope.Obs.Scope.metrics) with
+    | None, None -> None
+    | _ ->
+        (* Flow attribution rides the same scope slots the per-flow
+           timeline probes and metrics export read from. *)
+        Qdisc.enable_flow_drop_accounting qdisc.Qdisc.stats;
+        Some (Ccsim_util.Int_table.create ())
+  in
+  let obs =
+    match scope.Obs.Scope.metrics with
+    | None when Option.is_none scope.Obs.Scope.recorder -> no_obs
+    | m ->
+        let counter name = Option.map (fun m -> Obs.Metrics.counter m name) m in
+        let gauge name = Option.map (fun m -> Obs.Metrics.gauge m name) m in
+        let recorder = scope.Obs.Scope.recorder in
+        {
+          recorder;
+          debug_rec =
+            (match recorder with
+            | Some r when Obs.Recorder.admits r Obs.Recorder.Debug -> Some r
+            | Some _ | None -> None);
+          tx_bytes = counter "link_tx_bytes_total";
+          tx_packets = counter "link_tx_packets_total";
+          busy_seconds_g = gauge "link_busy_seconds_total";
+          rate_g = gauge "link_rate_bps";
+          rate_changes = counter "link_rate_changes_total";
+        }
+  in
+  (match obs.rate_g with Some g -> Obs.Metrics.set g rate_bps | None -> ());
+  let wd =
+    Option.map
+      (fun _ ->
+        {
+          tx_started_pkts = 0;
+          tx_started_bytes = 0;
+          wd_delivered_pkts = 0;
+          wd_delivered_bytes = 0;
+          wd_lost_pkts = 0;
+          wd_lost_bytes = 0;
+        })
+      scope.Obs.Scope.watchdog
+  in
+  let span = scope.Obs.Scope.span in
+  (* The first arrival closes the packet's span; a duplicate's ghost,
+     delivered without this call, never reopens it. *)
+  let arrive (pkt : Packet.t) =
+    Ccsim_engine.Sim.set_component sim "link";
+    (match span with
+    | Some s when pkt.Packet.sampled ->
+        Obs.Span.note_delivered s ~hop:name ~at:(Ccsim_engine.Sim.now sim) ~uid:pkt.Packet.uid
+    | Some _ | None -> ());
+    sink pkt
+  in
+  let rec t =
+    {
+      sim;
+      name;
+      rate_bps;
+      cross_bps = 0.0;
+      delay_s;
+      qdisc;
+      sink;
+      busy = false;
+      on_wire = idle;
+      tx_done = (fun () -> complete_tx t);
+      arrive;
+      arrivals = Ccsim_engine.Sim.line sim ~empty:idle arrive;
+      busy_seconds = Array.make 1 0.0;
+      bytes_delivered = 0;
+      obs;
+      profile = scope.Obs.Scope.profile;
+      span;
+      flow_busy;
+      wd;
+      imp = None;
+    }
+  in
+  (match (scope.Obs.Scope.watchdog, wd) with
+  | Some w, Some wd ->
+      (* Qdisc conservation: packets enqueued either left through
+         dequeue, still sit in the backlog, or were dropped internally
+         (CoDel/RED-style head drops); tail drops are never counted as
+         enqueued, so the residue is bounded by the drop count. *)
+      Obs.Watchdog.register w
+        ~component:("link/qdisc:" ^ qdisc.Qdisc.name)
+        ~invariant:"packet_conservation"
+        (fun () ->
+          let st = t.qdisc.Qdisc.stats in
+          let backlog = t.qdisc.Qdisc.backlog_packets () in
+          let residue = st.enqueued - st.dequeued - backlog in
+          if residue < 0 || residue > st.dropped then
+            Some
+              (Printf.sprintf
+                 "enqueued=%d, dequeued=%d, backlog=%d, dropped=%d: residue %d outside [0, dropped]"
+                 st.enqueued st.dequeued backlog st.dropped residue)
+          else None);
+      (* Wire conservation: the link serializes one packet at a time, so
+         transmissions started and deliveries completed differ by at
+         most the packet on the wire. *)
+      Obs.Watchdog.register w ~component:"link" ~invariant:"packet_conservation" (fun () ->
+          let in_flight = wd.tx_started_pkts - wd.wd_delivered_pkts - wd.wd_lost_pkts in
+          if in_flight < 0 || in_flight > 1 then
+            Some
+              (Printf.sprintf
+                 "tx_started=%d, delivered=%d, wire_lost=%d: %d packet(s) on a one-packet wire"
+                 wd.tx_started_pkts wd.wd_delivered_pkts wd.wd_lost_pkts in_flight)
+          else None);
+      Obs.Watchdog.register w ~component:"link" ~invariant:"byte_conservation" (fun () ->
+          if wd.wd_delivered_bytes <> t.bytes_delivered then
+            Some
+              (Printf.sprintf "delivered byte counters disagree: %d tracked vs %d reported"
+                 wd.wd_delivered_bytes t.bytes_delivered)
+          else if wd.tx_started_bytes < wd.wd_delivered_bytes + wd.wd_lost_bytes then
+            Some
+              (Printf.sprintf "delivered %d + wire-lost %d bytes but only %d entered the wire"
+                 wd.wd_delivered_bytes wd.wd_lost_bytes wd.tx_started_bytes)
+          else None)
+  | _ -> ());
+  t
 
 let[@ccsim.hot] send t pkt =
   match t.profile with

@@ -24,6 +24,9 @@ type t = {
       (* segments below it were already judged by DupThresh; later
          verdicts cannot change, since highest_sacked only grows and
          sacked and retransmitted are permanent *)
+  mutable lost_front : int;
+      (* no segment in [head, lost_front) is marked lost: [mark_lost]
+         lowers it, the search for the oldest lost segment raises it *)
   (* The send log: one (segment, retransmission count) entry per
      transmission, in send order, so in ascending send time. *)
   mutable log_seg : int array;
@@ -54,6 +57,7 @@ let create ~mss =
     head = 0;
     tail = 0;
     dup_front = 0;
+    lost_front = 0;
     log_seg = Array.make initial_capacity 0;
     log_retx = Array.make initial_capacity 0;
     log_head = 0;
@@ -134,10 +138,12 @@ let[@ccsim.hot] remove_from_pipe t s =
     t.pipe_bytes <- t.pipe_bytes - t.len.(s)
   end
 
-let[@ccsim.hot] mark_lost t s =
+let[@ccsim.hot] mark_lost t i =
+  let s = i land t.mask in
   if not (has t s (lost_bit lor sacked_bit)) then begin
     set t s lost_bit;
     t.lost_bytes <- t.lost_bytes + t.len.(s);
+    if i < t.lost_front then t.lost_front <- i;
     remove_from_pipe t s
   end
 
@@ -249,7 +255,7 @@ let[@ccsim.hot] rec retire_acked t ~snd_una =
 let[@ccsim.hot] rec dup_thresh t i =
   let s = i land t.mask in
   if i < t.tail && t.seq.(s) + t.len.(s) + (3 * t.mss) <= t.highest_sacked then begin
-    if t.retx.(s) = 0 then mark_lost t s;
+    if t.retx.(s) = 0 then mark_lost t i;
     dup_thresh t (i + 1)
   end
   else t.dup_front <- i
@@ -273,7 +279,7 @@ let[@ccsim.hot] rec rack t ~now ~srtt =
     else begin
       let reorder_window = if srtt > 0.0 then 1.5 *. srtt else 0.1 in
       if t.sent_at.(s) < t.newest_delivered.(0) && now -. t.sent_at.(s) > reorder_window then begin
-        mark_lost t s;
+        mark_lost t i;
         t.log_head <- t.log_head + 1;
         rack t ~now ~srtt
       end
@@ -286,16 +292,25 @@ let[@ccsim.hot] detect_losses t ~now ~srtt =
 
 let[@ccsim.hot] mark_head_lost t =
   if t.head < t.tail then begin
-    let s = t.head land t.mask in
-    if t.retx.(s) = 0 then mark_lost t s
+    if t.retx.(t.head land t.mask) = 0 then mark_lost t t.head
   end
 
 let[@ccsim.hot] mark_all_lost t =
   for i = t.head to t.tail - 1 do
-    mark_lost t (i land t.mask)
+    mark_lost t i
   done
 
+(* The walk starts at [lost_front] and leaves it at what it finds, so
+   each segment is stepped over once between two [mark_lost] calls
+   below it, not once per call. *)
 let[@ccsim.hot] rec first_lost t i =
-  if i >= t.tail then -1 else if has t (i land t.mask) lost_bit then i else first_lost t (i + 1)
+  if i >= t.tail then -1
+  else if has t (i land t.mask) lost_bit then begin
+    t.lost_front <- i;
+    i
+  end
+  else first_lost t (i + 1)
 
-let[@ccsim.hot] next_lost_segment t = if t.lost_bytes = 0 then -1 else first_lost t t.head
+let[@ccsim.hot] next_lost_segment t =
+  if t.lost_bytes = 0 then -1
+  else first_lost t (if t.lost_front > t.head then t.lost_front else t.head)

@@ -231,6 +231,29 @@ let test_nonpositive_jobs () =
   check_rejected "e4 --duration 6 -j 0" ();
   check_rejected "sweep e4 --durations 6 --seeds 1 --jobs=-3" ()
 
+(* A duration just past the warmup used to run: e4 at 5.001 s (a 1 ms
+   window) exited 0 and printed "cubic got 0.00" beside "satisfied A
+   100.0%". Every timed experiment now measures for at least a second;
+   a shorter window exits 2 before any job runs, naming the warmup and
+   the window. The shortest accepted duration still runs. *)
+let test_window_below_minimum () =
+  let err = Filename.temp_file "ccsim_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "timeout 30 %s e4 --duration 5.001 >/dev/null 2>%s" (Filename.quote binary)
+             (Filename.quote err))
+      in
+      Alcotest.(check int) "`ccsim e4 --duration 5.001` exits 2" 2 code;
+      let msg = read_file err in
+      Alcotest.(check bool)
+        (Printf.sprintf "names the option, the warmup and the window: %S" msg)
+        true
+        (contains ~sub:"--duration" msg && contains ~sub:"warmup" msg && contains ~sub:"window" msg));
+  check_code "a 1 s window runs" "e4 --duration 6" 0
+
 let suite =
   [
     Alcotest.test_case "exit 0: success paths" `Quick test_ok;
@@ -261,4 +284,5 @@ let suite =
     Alcotest.test_case "exit 2: non-finite analyze window and thresholds" `Quick
       test_analyze_window_and_thresholds;
     Alcotest.test_case "exit 2: non-positive --jobs" `Quick test_nonpositive_jobs;
+    Alcotest.test_case "exit 2: window below the minimum" `Quick test_window_below_minimum;
   ]

@@ -115,13 +115,21 @@ let test_heap_stale_handle_after_reuse () =
 
 module Ref_heap = Ref_event_heap
 
-type heap_op = Add of float | Cancel of int | Reschedule of int * float | Pop
+type heap_op =
+  | Add of float
+  | Cancel of int
+  | Reschedule of int * float
+  | Pop
+  | Reserve of float
+  | Add_reserved of int
 
 let show_heap_op = function
   | Add t -> Printf.sprintf "add %g" t
   | Cancel k -> Printf.sprintf "cancel #%d" k
   | Reschedule (k, t) -> Printf.sprintf "reschedule #%d %g" k t
   | Pop -> "pop"
+  | Reserve t -> Printf.sprintf "reserve %g" t
+  | Add_reserved k -> Printf.sprintf "add reserved ~%d" k
 
 (* Times come mostly from a handful of values so equal-time ties are
    common, with the infinities mixed in. Handle indices are reduced
@@ -145,15 +153,22 @@ let heap_trace =
         (2, map (fun k -> Cancel k) nat);
         (2, map2 (fun k t -> Reschedule (k, t)) nat time);
         (3, return Pop);
+        (2, map (fun t -> Reserve t) time);
+        (2, map (fun k -> Add_reserved k) nat);
       ]
   in
   list_size (int_range 0 300) op
 
 (* Run [ops] through the indexed heap and the reference side by side
    (the reference re-arms by cancel then add); after every step the
-   popped event, size, next time, and every handle's [cancelled] agree. *)
+   popped event, size, next time, and every handle's [cancelled] agree.
+   A reservation is the reference's add at reserve time; the indexed
+   heap adds it later, by [add_reserved] in any order, and at the
+   latest before the next pop, as a delay line does, so the two agree
+   on every pop while sizes differ by the reservations outstanding. *)
 let heaps_agree ops =
   let fast = Event_heap.create () and slow = Ref_heap.create () in
+  let reserved = ref [] in
   let slow_none =
     let id = Ref_heap.add slow ~time:0.0 (-1) in
     Ref_heap.cancel slow id;
@@ -167,9 +182,30 @@ let heaps_agree ops =
     !payload
   in
   let same_time a b = Float.equal a b in
+  let add_reserved (time, seq, p, s) =
+    let f = Event_heap.add_reserved fast ~time ~seq p in
+    issue (f, s)
+  in
+  let flush () =
+    List.iter add_reserved (List.rev !reserved);
+    reserved := []
+  in
   let step op =
     let popped_agree =
       match op with
+      | Reserve time ->
+          let p = fresh () in
+          let seq = Event_heap.reserve fast in
+          reserved := (time, seq, p, Ref_heap.add slow ~time p) :: !reserved;
+          true
+      | Add_reserved k -> (
+          match !reserved with
+          | [] -> true
+          | l ->
+              let i = k mod List.length l in
+              add_reserved (List.nth l i);
+              reserved := List.filteri (fun j _ -> j <> i) l;
+              true)
       | Add time ->
           let p = fresh () in
           let f = Event_heap.add fast ~time p in
@@ -197,16 +233,19 @@ let heaps_agree ops =
             true
           end
       | Pop -> (
+          flush ();
           match (Event_heap.pop fast, Ref_heap.pop slow) with
           | None, None -> true
           | Some (ta, pa), Some (tb, pb) ->
               same_time ta tb && pa = pb && same_time (Event_heap.last_time fast) ta
           | Some _, None | None, Some _ -> false)
     in
+    let outstanding = List.length !reserved in
     popped_agree
-    && Event_heap.size fast = Ref_heap.size slow
-    && Bool.equal (Event_heap.is_empty fast) (Ref_heap.is_empty slow)
-    && same_time (Event_heap.next_time fast) (Ref_heap.next_time slow)
+    && Event_heap.size fast + outstanding = Ref_heap.size slow
+    && (outstanding > 0
+       || Bool.equal (Event_heap.is_empty fast) (Ref_heap.is_empty slow)
+          && same_time (Event_heap.next_time fast) (Ref_heap.next_time slow))
     && Array.for_all
          (fun (f, s) -> Bool.equal (Event_heap.cancelled fast f) (Ref_heap.cancelled s))
          !handles
@@ -217,7 +256,11 @@ let heaps_agree ops =
     | Some (ta, pa), Some (tb, pb) -> same_time ta tb && pa = pb && drain ()
     | Some _, None | None, Some _ -> false
   in
-  List.for_all step ops && drain ()
+  List.for_all step ops
+  && begin
+       flush ();
+       drain ()
+     end
 
 let qcheck_tests =
   let open QCheck in
@@ -435,6 +478,125 @@ let test_sim_heap_depth_histogram () =
         (Ccsim_obs.Metrics.quantile h 1.0 >= 10.0)
   | None -> Alcotest.fail "engine_heap_depth not registered"
 
+(* --- delay lines ------------------------------------------------------------------ *)
+
+type line_op =
+  | Schedule of float
+  | Cancel_event of int
+  | Reschedule_event of int * float
+  | Push of int * float
+  | Step
+
+let show_line_op = function
+  | Schedule d -> Printf.sprintf "schedule +%g" d
+  | Cancel_event k -> Printf.sprintf "cancel #%d" k
+  | Reschedule_event (k, d) -> Printf.sprintf "reschedule #%d +%g" k d
+  | Push (l, d) -> Printf.sprintf "push line %d +%g" l d
+  | Step -> "step"
+
+(* Delays from a small dyadic set, 0 included, so every sum is exact
+   and equal-time ties between lines, pushes and timers are common. *)
+let line_trace =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.0; 0.25; 0.5; 1.0; 2.0 ] in
+  let op =
+    frequency
+      [
+        (3, map (fun d -> Schedule d) delay);
+        (1, map (fun k -> Cancel_event k) nat);
+        (1, map2 (fun k d -> Reschedule_event (k, d)) nat delay);
+        (5, map2 (fun l d -> Push (l, d)) nat delay);
+        (4, return Step);
+      ]
+  in
+  pair (int_range 1 4) (list_size (int_range 0 300) op)
+
+(* Twin sims, one pushing into 1-4 lines and one scheduling a closure
+   at push time instead; timers go to both. A push that would precede
+   its line's newest entry is stretched to that entry's time, on both
+   sides. After every operation the two have fired the same (time,
+   label) sequence and hold the same number of pending events; at the
+   end both drain identically. *)
+let lines_agree (nlines, ops) =
+  let a = Sim.create () and b = Sim.create () in
+  let log_a = ref [] and log_b = ref [] in
+  let note sim log label () = log := (Sim.now sim, label) :: !log in
+  let lines = Array.init nlines (fun _ -> Sim.line a ~empty:(-1) (fun label -> note a log_a label ())) in
+  let tails = Array.make nlines neg_infinity in
+  let handles = ref [||] in
+  let label = ref 0 in
+  let fresh () =
+    incr label;
+    !label
+  in
+  let apply = function
+    | Schedule delay ->
+        let l = fresh () in
+        let pair = (Sim.schedule a ~delay (note a log_a l), Sim.schedule b ~delay (note b log_b l)) in
+        handles := Array.append !handles [| pair |];
+        true
+    | Cancel_event k ->
+        if Array.length !handles > 0 then begin
+          let ha, hb = !handles.(k mod Array.length !handles) in
+          Sim.cancel a ha;
+          Sim.cancel b hb
+        end;
+        true
+    | Reschedule_event (k, delay) ->
+        if Array.length !handles > 0 then begin
+          let i = k mod Array.length !handles in
+          let ha, hb = !handles.(i) in
+          let l = fresh () in
+          !handles.(i) <-
+            (Sim.reschedule a ha ~delay (note a log_a l), Sim.reschedule b hb ~delay (note b log_b l))
+        end;
+        true
+    | Push (k, delay) ->
+        let i = k mod nlines in
+        let delay = Float.max delay (tails.(i) -. Sim.now a) in
+        let l = fresh () in
+        tails.(i) <- Sim.now a +. delay;
+        Sim.push lines.(i) ~delay l;
+        ignore (Sim.schedule b ~delay (note b log_b l));
+        true
+    | Step ->
+        let stepped_a = Sim.step a in
+        Bool.equal stepped_a (Sim.step b)
+  in
+  let same () =
+    List.equal (fun (t, l) (t', l') -> Float.equal t t' && l = l') !log_a !log_b
+    && Sim.pending a = Sim.pending b
+  in
+  List.for_all (fun op -> apply op && same ()) ops
+  && begin
+       Sim.run a;
+       Sim.run b;
+       same () && Sim.pending a = 0
+     end
+
+let line_qcheck =
+  QCheck.Test.make ~name:"line pushes fire where Sim.schedule would" ~count:500
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "%d lines: %s" n (String.concat "; " (List.map show_line_op ops)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       line_trace)
+    lines_agree
+
+let test_sim_push_rejects () =
+  let sim = Sim.create () in
+  let l = Sim.line sim ~empty:0 ignore in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Sim.push: NaN delay") (fun () ->
+      Sim.push l ~delay:nan 1);
+  Alcotest.check_raises "negative delay" (Invalid_argument "Sim.push: negative delay") (fun () ->
+      Sim.push l ~delay:(-1.0) 1);
+  Sim.push l ~delay:2.0 1;
+  Alcotest.check_raises "before the newest entry"
+    (Invalid_argument "Sim.push: time precedes the line's newest entry") (fun () ->
+      Sim.push l ~delay:1.0 2);
+  Sim.push l ~delay:2.0 3;
+  Alcotest.(check int) "rejected pushes leave nothing pending" 2 (Sim.pending sim)
+
 let suite =
   [
     ("heap: ordering", `Quick, test_heap_ordering);
@@ -466,3 +628,7 @@ let suite =
     ("sim: NaN rejected by run ~until", `Quick, test_sim_nan_run_until);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
+  @ [
+      QCheck_alcotest.to_alcotest ~long:false line_qcheck;
+      ("sim: push rejects NaN, negative and out-of-order times", `Quick, test_sim_push_rejects);
+    ]
