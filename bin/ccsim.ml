@@ -126,10 +126,10 @@ let validate_backend (e : E.t) = function
    refused before any job starts, exit 2. *)
 let check_duration ~cmd ~option (e : E.t) d =
   match e.kind with
-  | E.Timed { warmup_s; min_window_s; _ } when d < warmup_s +. min_window_s ->
+  | E.Timed { warmup_s; _ } when d < warmup_s +. E.min_window_s ->
       Printf.eprintf
         "ccsim %s: %s %g is shorter than %s's %g s warmup plus its %g s minimum measurement window\n"
-        cmd option d e.id warmup_s min_window_s;
+        cmd option d e.id warmup_s E.min_window_s;
       exit 2
   | E.Timed _ | E.Sized _ -> ()
 

@@ -29,7 +29,7 @@ let run ~label ~qdisc ~ingress =
       ~duration:60.0 ~warmup:15.0
       ~short_flows:{ Scenario.arrival_rate = 5.0; mean_size_bytes = 50_000.0; sf_stop = None }
       [
-        Scenario.flow "video" ~cca:Scenario.Cubic ~app:(Scenario.Video { ladder_bps = None });
+        Scenario.flow "video" ~cca:Scenario.Cubic ~app:Scenario.Video;
         Scenario.flow "update" ~cca:Scenario.Cubic ~app:Scenario.Bulk ~start:10.0 ~ingress;
       ]
   in

@@ -4,7 +4,13 @@
 
 type t
 
-val start : Ccsim_engine.Sim.t -> sender:Ccsim_tcp.Sender.t -> ?at:float -> ?stop_at:float -> unit -> t
+val start :
+  Ccsim_engine.Sim.t ->
+  sender:Ccsim_tcp.Sender.t ->
+  ?at:float ->
+  ?stop_at:(float [@ccsim.test_only "tests stop a bulk transfer early with it"]) ->
+  unit ->
+  t
 (** Marks the sender unlimited at time [at] (default: now). If [stop_at]
     is given, the sender is closed at that time (in-flight data still
     drains). *)

@@ -21,8 +21,8 @@ val over_udp :
   Ccsim_engine.Sim.t ->
   source:Ccsim_tcp.Udp.Source.t ->
   rate_bps:float ->
-  ?packet_bytes:int ->
-  ?stop:float ->
+  ?packet_bytes:(int [@ccsim.test_only "tests vary the CBR source with it"]) ->
+  ?stop:(float [@ccsim.test_only "tests vary the CBR source with it"]) ->
   unit ->
   t
 (** Evenly spaced datagrams of [packet_bytes] (default MSS) payload,

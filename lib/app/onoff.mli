@@ -18,5 +18,5 @@ val start :
     ticks until the end of the run. *)
 
 val bytes_offered : t -> int
-val on_fraction : t -> float
+val on_fraction : t -> float [@@ccsim.test_only "tests check the on/off duty cycle"]
 (** Fraction of elapsed time spent in the ON state so far. *)

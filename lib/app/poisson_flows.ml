@@ -8,7 +8,6 @@ type flow_record = {
 }
 
 type t = {
-  sim : Sim.t;
   mutable flows : flow_record list; (* newest first *)
   mutable spawned : int;
 }
@@ -18,7 +17,7 @@ let max_size_bytes = 10_000_000
 
 let start sim topo ~rng ~arrival_rate ?(mean_size_bytes = 30_000.0) ?(stop = infinity) () =
   if arrival_rate <= 0.0 then invalid_arg "Poisson_flows.start: arrival rate must be positive";
-  let t = { sim; flows = []; spawned = 0 } in
+  let t = { flows = []; spawned = 0 } in
   let next_id = ref 1000 in
   (* Choose the Pareto scale so that the (truncated) mean is roughly the
      requested mean: for shape a > 1, mean = scale * a / (a - 1). *)

@@ -31,7 +31,7 @@ val start :
     Flow ids count up from 1000, so keep the topology's other flows
     below that. *)
 
-val flows : t -> flow_record list
+val flows : t -> flow_record list [@@ccsim.test_only "tests check each short flow's record"]
 (** All spawned flows, oldest first. *)
 
 val completed : t -> flow_record list

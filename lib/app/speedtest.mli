@@ -5,7 +5,7 @@
 
 type result = {
   snapshots : Ccsim_tcp.Tcp_info.t array;  (** one per [interval] *)
-  mean_throughput_bps : float;
+  mean_throughput_bps : float [@ccsim.test_only "tests check the speed test's mean"];
 }
 
 type t
@@ -14,8 +14,8 @@ val start :
   Ccsim_engine.Sim.t ->
   sender:Ccsim_tcp.Sender.t ->
   ?duration:float ->
-  ?interval:float ->
-  ?on_finish:(result -> unit) ->
+  ?interval:(float [@ccsim.test_only "tests set the speed test's sampling with it"]) ->
+  ?on_finish:((result -> unit) [@ccsim.test_only "tests collect the result with it"]) ->
   unit ->
   t
 (** Defaults: 10 s transfer (an NDT test's length), 100 ms snapshot

@@ -1,6 +1,7 @@
 module Sim = Ccsim_engine.Sim
 
-let default_ladder_bps =
+(* Ascending: the first rung is the panic rate. *)
+let ladder_bps =
   [| 1.0e6; 2.5e6; 5.0e6; 8.0e6; 16.0e6; 25.0e6 |]
 
 let chunk_duration = 2.0
@@ -16,7 +17,6 @@ type state = Downloading of { target_bytes : int; started : float; rate : float 
 type t = {
   sim : Sim.t;
   sender : Ccsim_tcp.Sender.t;
-  ladder : float array;
   max_buffer_s : float;
   mutable state : state;
   mutable buffer_s : float;  (* seconds of video buffered *)
@@ -31,11 +31,11 @@ type t = {
 type stats = { chunks_downloaded : int; mean_bitrate_bps : float; rebuffer_s : float }
 
 let choose_rate t =
-  if t.buffer_s < low_buffer_s then t.ladder.(0)
+  if t.buffer_s < low_buffer_s then ladder_bps.(0)
   else begin
     let cap = safety *. t.tput_estimate in
-    let best = ref t.ladder.(0) in
-    Array.iter (fun r -> if r <= cap && r > !best then best := r) t.ladder;
+    let best = ref ladder_bps.(0) in
+    Array.iter (fun r -> if r <= cap && r > !best then best := r) ladder_bps;
     !best
   end
 
@@ -72,15 +72,11 @@ let tick t =
       end
   | Waiting -> if t.buffer_s +. chunk_duration <= t.max_buffer_s then request_chunk t
 
-let start sim ~sender ?(ladder_bps = default_ladder_bps) ?(max_buffer_s = 30.0) () =
-  if Array.length ladder_bps = 0 then invalid_arg "Video.start: empty ladder";
-  let ladder = Array.copy ladder_bps in
-  Array.sort Float.compare ladder;
+let start sim ~sender ?(max_buffer_s = 30.0) () =
   let t =
     {
       sim;
       sender;
-      ladder;
       max_buffer_s;
       state = Waiting;
       buffer_s = 0.0;

@@ -22,13 +22,12 @@ type t
 val start :
   Ccsim_engine.Sim.t ->
   sender:Ccsim_tcp.Sender.t ->
-  ?ladder_bps:float array ->
-  ?max_buffer_s:float ->
+  ?max_buffer_s:(float [@ccsim.test_only "tests cap the video buffer with it"]) ->
   unit ->
   t
-(** Defaults: a ladder of 1, 2.5, 5, 8, 16 and 25 Mbit/s (topping out at
-    the cloud-gaming-like rates §2.2 cites, 20–30 Mbit/s) and a 30 s
-    max buffer. Fixed: 2 s chunks, a 5 s panic threshold (below it the
+(** Default: a 30 s max buffer. Fixed: a ladder of 1, 2.5, 5, 8, 16
+    and 25 Mbit/s (topping out at the cloud-gaming-like rates §2.2
+    cites, 20–30 Mbit/s), 2 s chunks, a 5 s panic threshold (below it the
     lowest rung), and a safety factor of 0.8 (the largest rung at most
     0.8 x estimated throughput). The client polls download completion
     at 10 ms granularity and streams until the end of the run. *)

@@ -11,7 +11,7 @@ let create ?(a = 1.0) ?(b = 0.5) () =
     if cca.cwnd < !ssthresh then cca.cwnd <- cca.cwnd +. acked
     else cca.cwnd <- cca.cwnd +. (a *. fmss *. acked /. cca.cwnd)
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     ssthresh := Float.max (cca.cwnd *. b) (2.0 *. fmss);
     cca.cwnd <- !ssthresh
   in

@@ -138,7 +138,7 @@ let create () =
     update_control ()
   in
   (* BBRv1 does not react to individual packet losses. *)
-  let on_loss (_ : Cca.loss_info) = () in
+  let on_loss () = () in
   let on_rto ~now =
     (* Severe signal: restart the model conservatively. *)
     (match !mode with Startup -> () | _ -> note_switch ~now Startup);

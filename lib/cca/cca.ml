@@ -7,17 +7,14 @@ type ack_info = {
   inflight : int;
   delivery_rate : float;
   app_limited : bool;
-  mss : int;
 }
-
-type loss_info = { now : float; inflight : int; mss : int }
 
 type t = {
   name : string;
   mutable cwnd : float;
   mutable pacing_rate : float;
   mutable on_ack : ack_info -> unit;
-  mutable on_loss : loss_info -> unit;
+  mutable on_loss : unit -> unit;
   mutable on_rto : now:float -> unit;
   mutable on_send : now:float -> bytes:int -> unit;
 }

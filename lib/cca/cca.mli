@@ -22,13 +22,6 @@ type ack_info = {
   app_limited : bool;
       (** the sample was taken while the sender had no data to send, so
           rate samples underestimate capacity *)
-  mss : int;
-}
-
-type loss_info = {
-  now : float;
-  inflight : int;  (** bytes outstanding when loss was detected *)
-  mss : int;
 }
 
 type t = {
@@ -36,7 +29,7 @@ type t = {
   mutable cwnd : float;  (** congestion window, bytes *)
   mutable pacing_rate : float;  (** bit/s; [infinity] = unpaced *)
   mutable on_ack : ack_info -> unit;
-  mutable on_loss : loss_info -> unit;
+  mutable on_loss : unit -> unit;
       (** fast-retransmit loss detected; called once per recovery episode *)
   mutable on_rto : now:float -> unit;
   mutable on_send : now:float -> bytes:int -> unit;
@@ -55,9 +48,10 @@ val make : name:string -> ?cwnd:float -> ?pacing_rate:float -> unit -> t
     [initial_window ~mss:1448]; default pacing is unpaced. *)
 
 val fixed_window : cwnd_bytes:int -> t
+[@@ccsim.test_only "control CCA the tests drive senders with"]
 (** Degenerate CCA that never changes its window; useful as an
     experimental control. *)
 
-val fixed_rate : rate_bps:float -> t
+val fixed_rate : rate_bps:float -> t [@@ccsim.test_only "control CCA the tests drive senders with"]
 (** Degenerate CCA with an effectively unlimited window and a fixed
     pacing rate; models naive CBR-over-reliable-transport. *)

@@ -25,7 +25,7 @@ let create ?(delta = 0.5) () =
       end
     end
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     (* Copa reacts to loss only mildly (its window is delay-governed). *)
     cca.cwnd <- Float.max (2.0 *. fmss) (cca.cwnd /. 2.0);
     slow_start := false

@@ -8,7 +8,7 @@
     in DESIGN.md), since the paper invokes Copa only as a mode-switching
     delay-based design. *)
 
-val create : ?delta:float -> unit -> Cca.t
+val create : ?delta:(float [@ccsim.test_only "tests set Copa's delta with it"]) -> unit -> Cca.t
 (** [delta] defaults to 0.5 (steady state of ~2 packets queued).
     The window starts at the RFC 6928
     ten-segment initial window of {!Ccsim_util.Units.mss}-byte segments. *)

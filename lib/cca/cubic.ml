@@ -45,14 +45,13 @@ let create () =
           cca.cwnd <- next *. fmss
     end
   in
-  let on_loss (info : Cca.loss_info) =
+  let on_loss () =
     let w_mss = cca.cwnd /. fmss in
     (* Fast convergence (RFC 8312 §4.6). *)
     w_max := if w_mss < !w_max then w_mss *. (1.0 +. beta) /. 2.0 else w_mss;
     ssthresh := Float.max (cca.cwnd *. beta) (2.0 *. fmss);
     cca.cwnd <- !ssthresh;
-    epoch_start := None;
-    ignore info
+    epoch_start := None
   in
   let on_rto ~now:_ =
     let w_mss = cca.cwnd /. fmss in

@@ -16,7 +16,7 @@ let create ?(target_delay = 0.025) ?initial_cwnd () =
         cca.cwnd <- Float.max (2.0 *. fmss) (cca.cwnd +. delta)
     | Some _ | None -> ()
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     cca.cwnd <- Float.max (2.0 *. fmss) (cca.cwnd /. 2.0)
   in
   let on_rto ~now:_ = cca.cwnd <- 2.0 *. fmss in

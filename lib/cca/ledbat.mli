@@ -11,7 +11,11 @@
     that scavenges capacity without contending, removing even the
     residual access-link contention case. *)
 
-val create : ?target_delay:float -> ?initial_cwnd:float -> unit -> Cca.t
+val create :
+  ?target_delay:(float [@ccsim.test_only "tests set LEDBAT's target delay with it"]) ->
+  ?initial_cwnd:(float [@ccsim.test_only "tests start LEDBAT from a large window with it"]) ->
+  unit ->
+  Cca.t
 (** Defaults: [target_delay] 25 ms; [initial_cwnd] (bytes) the RFC 6928
     ten-segment window. The gain is 1 (at most one MSS per RTT of
     growth). *)

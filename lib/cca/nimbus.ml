@@ -258,7 +258,7 @@ let create sim ?(pulse_amplitude = 0.25) ?(mode_switching = true)
       Float.max (4.0 *. fmss)
         (2.0 *. (!base_rate +. (pulse_amplitude *. pulse_scale)) *. rtt /. 8.0)
   in
-  Sim.every sim ~interval:dt ~start:(Sim.now sim +. dt) (fun () ->
+  Sim.every sim ~interval:dt (fun () ->
       Sim.set_component sim "cca";
       tick ());
   let estimation_interval = 0.5 in
@@ -277,7 +277,7 @@ let create sim ?(pulse_amplitude = 0.25) ?(mode_switching = true)
     virtual_cwnd :=
       !virtual_cwnd +. (fmss *. float_of_int info.newly_acked /. !virtual_cwnd)
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     virtual_cwnd := Float.max (2.0 *. fmss) (!virtual_cwnd /. 2.0);
     match !mode with
     | `Delay -> base_rate := Float.max (8.0 *. fmss) (!base_rate *. 0.9)

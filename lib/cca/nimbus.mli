@@ -35,8 +35,11 @@ type handle = {
       (** (time, elasticity) samples, one per estimation interval once the
           window has filled *)
   cross_rate : Ccsim_util.Timeseries.t;  (** (time, z) samples in bit/s *)
-  mode : unit -> [ `Delay | `Competitive ];
-  capacity_estimate : unit -> float;  (** current mu, bit/s *)
+  mode : unit -> [ `Delay | `Competitive ]
+    [@ccsim.test_only "tests observe Nimbus's mode switching"];
+  capacity_estimate : unit -> float
+    [@ccsim.test_only "tests observe Nimbus's capacity filter"];
+      (** current mu, bit/s *)
 }
 
 val create :

@@ -15,7 +15,7 @@ let create () =
       (* Congestion avoidance: one MSS per window's worth of acks. *)
       cca.cwnd <- cca.cwnd +. (fmss *. acked /. cca.cwnd)
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     ssthresh := Float.max (cca.cwnd /. 2.0) (2.0 *. fmss);
     cca.cwnd <- !ssthresh
   in

@@ -4,8 +4,8 @@
     avoidance adds one MSS per RTT; a fast-retransmit loss halves the
     window; an RTO collapses it to one MSS and re-enters slow start.
     This is the paper's canonical "loss-based, fair-target" CCA (the one
-    TFRC was designed to coexist with, and the victim in BBR unfairness
-    studies [2]). *)
+    TCP-friendly rate control was designed to coexist with, and the
+    victim in BBR unfairness studies [2]). *)
 
 val create : unit -> Cca.t
 (** Segments are {!Ccsim_util.Units.mss} bytes; the window starts at the

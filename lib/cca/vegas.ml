@@ -28,7 +28,7 @@ let create () =
       else if diff > beta then cca.cwnd <- Float.max (2.0 *. fmss) (cca.cwnd -. fmss)
     end
   in
-  let on_loss (_ : Cca.loss_info) =
+  let on_loss () =
     ssthresh := Float.max (cca.cwnd /. 2.0) (2.0 *. fmss);
     cca.cwnd <- !ssthresh;
     slow_start := false

@@ -62,7 +62,7 @@ let rtt_s = 0.1
 
 let probe_spec =
   Scenario.flow "probe"
-    ~cca:(Scenario.Nimbus { mode_switching = false; known_capacity_bps = Some rate_bps })
+    ~cca:(Scenario.Nimbus { capacity_bps = rate_bps })
     ~app:Scenario.Bulk
 
 let cases : (string * bool * Scenario.flow_spec list) list =

@@ -18,8 +18,9 @@
 
 type intensity = None_ | Mild | Moderate | Severe
 
-val intensities : intensity list
+val intensities : intensity list [@@ccsim.test_only "tests check c1's canonical fault plans"]
 val plan_string : duration:float -> intensity -> string option
+[@@ccsim.test_only "tests check c1's canonical fault plans"]
 (** The canonical plan armed at the given intensity ([None] for
     [None_]), with event times scaled to [duration]. *)
 

@@ -19,7 +19,7 @@ let run ?(duration = 60.0) ?(seed = 42) () =
       List.map
         (fun with_bulk ->
           let flows =
-            Scenario.flow "video" ~cca:Scenario.Cubic ~app:(Scenario.Video { ladder_bps = None })
+            Scenario.flow "video" ~cca:Scenario.Cubic ~app:Scenario.Video
             ::
             (if with_bulk then
                [ Scenario.flow "bulk" ~cca:Scenario.Cubic ~app:Scenario.Bulk ~start:10.0 ]

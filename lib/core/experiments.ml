@@ -1,5 +1,5 @@
 type kind =
-  | Timed of { default_s : float; warmup_s : float; min_window_s : float }
+  | Timed of { default_s : float; warmup_s : float }
   | Sized of int
 
 type t = {
@@ -22,11 +22,13 @@ type t = {
    almost no samples. One second is also the shortest window anything
    runs: the cache test's [sweep e4 --durations 6] and the quick a4
    perf row (16 s after a 15 s warmup). *)
+let min_window_s = 1.0
+
 let timed id title default_s ~warmup_s render =
   {
     id;
     title;
-    kind = Timed { default_s; warmup_s; min_window_s = 1.0 };
+    kind = Timed { default_s; warmup_s };
     backends = [ "packet" ];
     supports_faults = true;
     render = (fun ?backend:_ ?duration ?n ~seed () -> render ?duration ?n ~seed ());

@@ -8,13 +8,16 @@
     this table instead of hard-coding the experiment modules. *)
 
 type kind =
-  | Timed of { default_s : float; warmup_s : float; min_window_s : float }
-      (** Default simulated seconds per scenario, the warmup its
-          scenarios skip before measuring, and the shortest measurement
-          window after it that the experiment reports on: a duration
-          must be at least [warmup_s +. min_window_s] (the CLI refuses
-          a shorter one, exit 2). *)
+  | Timed of { default_s : float; warmup_s : float }
+      (** Default simulated seconds per scenario and the warmup its
+          scenarios skip before measuring: a duration must be at least
+          [warmup_s +. min_window_s] (the CLI refuses a shorter one,
+          exit 2). *)
   | Sized of int  (** default synthetic population size (fig2, a2) *)
+
+val min_window_s : float
+(** The shortest measurement window, after its warmup, that any timed
+    experiment reports on: one simulated second. *)
 
 type t = {
   id : string;  (** CLI subcommand name, e.g. ["fig1"] *)

@@ -15,7 +15,7 @@ let rtt_s = 0.1
 
 let probe_spec =
   Scenario.flow "probe"
-    ~cca:(Scenario.Nimbus { mode_switching = false; known_capacity_bps = Some rate_bps })
+    ~cca:(Scenario.Nimbus { capacity_bps = rate_bps })
     ~app:Scenario.Bulk
 
 let cross_cases ~seed :
@@ -26,7 +26,7 @@ let cross_cases ~seed :
     ("bbr bulk", true, [ Scenario.flow "cross" ~cca:Scenario.Bbr ~app:Scenario.Bulk ], None);
     ( "video (ABR)",
       false,
-      [ Scenario.flow "cross" ~cca:Scenario.Cubic ~app:(Scenario.Video { ladder_bps = None }) ],
+      [ Scenario.flow "cross" ~cca:Scenario.Cubic ~app:Scenario.Video ],
       None );
     ( "poisson short flows",
       false,

@@ -8,7 +8,7 @@ type flow_result = {
   offered_bps : float;
       (** application offered load over the same window when known
           (CBR/on-off); equals goodput for bulk *)
-  bytes_acked : int;
+  bytes_acked : int [@ccsim.test_only "tests check per-flow accounting"];
   retransmits : int;
   mean_srtt_s : float;  (** mean of sampled srtt; 0 for UDP *)
   throughput : Ccsim_util.Timeseries.t;  (** per-interval goodput, bit/s *)

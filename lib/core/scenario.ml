@@ -12,17 +12,16 @@ type cca_spec =
   | Bbr
   | Vegas
   | Copa
-  | Tfrc
   | Ledbat
   | Aimd of { a : float; b : float }
-  | Nimbus of { mode_switching : bool; known_capacity_bps : float option }
+  | Nimbus of { capacity_bps : float }
 
 type app_spec =
   | Bulk
   | Cbr_tcp of { rate_bps : float }
   | Cbr_udp of { rate_bps : float }
   | Onoff of { rate_bps : float; mean_on : float; mean_off : float }
-  | Video of { ladder_bps : float array option }
+  | Video
   | Speedtest of { duration : float }
 
 type flow_spec = {
@@ -39,8 +38,6 @@ let flow ?(cca = Reno) ?(app = Bulk) ?(start = 0.0) ?(ingress = Net.Topology.No_
 type qdisc_spec =
   | Fifo of { limit_bytes : int option }
   | Drr of { quantum_bytes : int option; limit_bytes : int option }
-  | Red
-  | Codel
 
 type short_flows_spec = {
   arrival_rate : float;
@@ -50,7 +47,6 @@ type short_flows_spec = {
 
 type rate_variation =
   | Steady
-  | Markov_states of float array
   | Ou_wander of { volatility : float }
 
 type t = {
@@ -85,27 +81,23 @@ let make ?(qdisc = Fifo { limit_bytes = None }) ?short_flows ?(rate_variation = 
     monitor_interval;
   }
 
-let build_qdisc sim = function
+let build_qdisc = function
   | Fifo { limit_bytes } -> Net.Fifo.create ?limit_bytes ()
   | Drr { quantum_bytes; limit_bytes } -> Net.Drr.create ?quantum_bytes ?limit_bytes ()
-  | Red -> Net.Red.create ()
-  | Codel -> Net.Codel.create ~now:(fun () -> Sim.now sim) ()
 
-let build_cca sim t spec =
+let build_cca sim spec =
   match spec with
   | Reno -> (Cca.Reno.create (), None)
   | Cubic -> (Cca.Cubic.create (), None)
   | Bbr -> (Cca.Bbr.create (), None)
   | Vegas -> (Cca.Vegas.create (), None)
   | Copa -> (Cca.Copa.create (), None)
-  | Tfrc -> (Cca.Tfrc.create (), None)
   | Ledbat -> (Cca.Ledbat.create (), None)
   | Aimd { a; b } -> (Cca.Aimd.create ~a ~b (), None)
-  | Nimbus { mode_switching; known_capacity_bps } ->
+  | Nimbus { capacity_bps } ->
       let cca, handle =
-        Cca.Nimbus.create sim ~mode_switching ?known_capacity_bps ()
+        Cca.Nimbus.create sim ~mode_switching:false ~known_capacity_bps:capacity_bps ()
       in
-      ignore t;
       (cca, Some handle)
 
 (* Per-flow runtime state gathered while the simulation runs. *)
@@ -119,7 +111,6 @@ type live = {
   nimbus : Cca.Nimbus.handle option;
   mutable video : App.Video.t option;
   mutable speedtest : App.Speedtest.t option;
-  mutable acked_at_window_start : int;
   mutable received_at_window_start : int;
   mutable offered_at_window_start : int;
   mutable cbr : App.Cbr.t option;
@@ -132,7 +123,7 @@ let run t =
      the scenario name, so multi-scenario jobs (fig3) stay separable. *)
   Sim.add_timeline_tags sim [ ("scenario", t.name) ];
   let rng = U.Rng.create t.seed in
-  let qdisc = build_qdisc sim t.qdisc in
+  let qdisc = build_qdisc t.qdisc in
   let specs = Array.of_list t.flows in
   let ingress_of flow =
     if flow < Array.length specs then specs.(flow).ingress else Net.Topology.No_ingress
@@ -143,9 +134,6 @@ let run t =
   let queue_monitor = Measure.Telemetry.Queue_monitor.create sim ~qdisc () in
   (match t.rate_variation with
   | Steady -> ()
-  | Markov_states states_bps ->
-      ignore
-        (Net.Rate_process.markov sim ~link:topo.bottleneck ~rng:(U.Rng.split rng) ~states_bps ())
   | Ou_wander { volatility } ->
       ignore
         (Net.Rate_process.ornstein_uhlenbeck sim ~link:topo.bottleneck ~rng:(U.Rng.split rng)
@@ -179,7 +167,6 @@ let run t =
             nimbus = None;
             video = None;
             speedtest = None;
-            acked_at_window_start = 0;
             received_at_window_start = 0;
             offered_at_window_start = 0;
             cbr = None;
@@ -190,8 +177,8 @@ let run t =
           (Sim.schedule_at sim ~time:spec.start (fun () ->
                live.cbr <- Some (App.Cbr.over_udp sim ~source ~rate_bps ())));
         live
-    | Bulk | Cbr_tcp _ | Onoff _ | Video _ | Speedtest _ ->
-        let cca, nimbus = build_cca sim t spec.cca in
+    | Bulk | Cbr_tcp _ | Onoff _ | Video | Speedtest _ ->
+        let cca, nimbus = build_cca sim spec.cca in
         let conn = Tcp.Connection.establish topo ~flow:flow_id ~cca () in
         let monitor =
           Measure.Telemetry.Flow_monitor.create sim ~sender:conn.sender ~label:spec.label
@@ -208,7 +195,6 @@ let run t =
             nimbus;
             video = None;
             speedtest = None;
-            acked_at_window_start = 0;
             received_at_window_start = 0;
             offered_at_window_start = 0;
             cbr = None;
@@ -226,8 +212,7 @@ let run t =
                      Some
                        (App.Onoff.start sim ~sender:conn.sender ~rng:(U.Rng.split rng) ~rate_bps
                           ~mean_on ~mean_off ())
-               | Video { ladder_bps } ->
-                   live.video <- Some (App.Video.start sim ~sender:conn.sender ?ladder_bps ())
+               | Video -> live.video <- Some (App.Video.start sim ~sender:conn.sender ())
                | Speedtest { duration } ->
                    live.speedtest <- Some (App.Speedtest.start sim ~sender:conn.sender ~duration ())
                | Cbr_udp _ -> assert false));
@@ -262,9 +247,6 @@ let run t =
       let window_start = Float.max t.warmup live.spec.start in
       ignore
         (Sim.schedule_at sim ~time:window_start (fun () ->
-             (match live.sender with
-             | Some s -> live.acked_at_window_start <- Tcp.Sender.bytes_acked s
-             | None -> ());
              (match live.receiver with
              | Some r -> live.received_at_window_start <- Tcp.Receiver.bytes_received r
              | None -> ());

@@ -15,17 +15,17 @@ type cca_spec =
   | Bbr
   | Vegas
   | Copa
-  | Tfrc
   | Ledbat  (** scavenger background transport (software updates) *)
   | Aimd of { a : float; b : float }
-  | Nimbus of { mode_switching : bool; known_capacity_bps : float option }
+  | Nimbus of { capacity_bps : float }
+      (** the Figure 3 probe: rate mode only, told the link capacity *)
 
 type app_spec =
   | Bulk  (** persistently backlogged from [start] to the end of the run *)
   | Cbr_tcp of { rate_bps : float }
   | Cbr_udp of { rate_bps : float }  (** open loop; [cca] is ignored *)
   | Onoff of { rate_bps : float; mean_on : float; mean_off : float }
-  | Video of { ladder_bps : float array option }
+  | Video  (** adaptive bitrate over {!Ccsim_app.Video}'s fixed ladder *)
   | Speedtest of { duration : float }
 
 type flow_spec = {
@@ -51,8 +51,6 @@ val flow :
 type qdisc_spec =
   | Fifo of { limit_bytes : int option }
   | Drr of { quantum_bytes : int option; limit_bytes : int option }
-  | Red
-  | Codel
 
 type short_flows_spec = {
   arrival_rate : float;  (** flows per second *)
@@ -62,7 +60,6 @@ type short_flows_spec = {
 
 type rate_variation =
   | Steady
-  | Markov_states of float array  (** jump between capacities, ~2 s dwell *)
   | Ou_wander of { volatility : float }
       (** mean-reverting wander around [rate_bps] (cellular-style fading) *)
 

@@ -20,7 +20,7 @@ let run ?(duration = 90.0) ?(seed = 42) () =
   List.map
     (fun (name, update_cca) ->
       let flows =
-        Scenario.flow "video" ~cca:Scenario.Cubic ~app:(Scenario.Video { ladder_bps = None })
+        Scenario.flow "video" ~cca:Scenario.Cubic ~app:Scenario.Video
         ::
         (match update_cca with
         | None -> []

@@ -80,10 +80,12 @@ val next_time : 'a t -> float
     the allocation-free {!peek_time}. *)
 
 val pop : 'a t -> (float * 'a) option
+[@@ccsim.test_only "tests drive the heap against its reference model"]
 (** Remove and return the earliest event, or [None] when the heap is
     empty. *)
 
 val peek_time : 'a t -> float option
+[@@ccsim.test_only "tests drive the heap against its reference model"]
 (** Time of the earliest event without removing it. *)
 
 val size : 'a t -> int

@@ -351,9 +351,9 @@ let[@ccsim.hot] push l ~delay x =
   end;
   l.count <- l.count + 1
 
-let every t ~interval ?start ?(stop_after = infinity) f =
+let every t ~interval ?(stop_after = infinity) f =
   if not (interval > 0.0) then invalid_arg "Sim.every: interval must be positive";
-  let first = match start with None -> t.clock.(0) +. interval | Some s -> s in
+  let first = t.clock.(0) +. interval in
   let rec tick () =
     if t.clock.(0) <= stop_after then begin
       f ();

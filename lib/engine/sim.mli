@@ -156,8 +156,8 @@ val periodic_driver : t -> interval:float -> comp:string -> (unit -> unit) -> un
     stepper) rather than {!every}, which would pin the run at its
     horizon. [interval] must be positive (NaN is rejected). *)
 
-val every : t -> interval:float -> ?start:float -> ?stop_after:float -> (unit -> unit) -> unit
-(** [every sim ~interval f] runs [f] at [start] (default [now + interval])
-    and every [interval] thereafter, until [stop_after] (absolute time,
+val every : t -> interval:float -> ?stop_after:float -> (unit -> unit) -> unit
+(** [every sim ~interval f] runs [f] at [now + interval] and every
+    [interval] thereafter, until [stop_after] (absolute time,
     default never) or the end of the run. [interval] must be positive
     (NaN is rejected). *)

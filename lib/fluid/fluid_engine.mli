@@ -47,7 +47,7 @@ type t
 val create :
   ?dt_s:float ->
   ?warmup_s:float ->
-  ?payload_frac:float ->
+  ?payload_frac:(float [@ccsim.test_only "tests set the fluid payload share with it"]) ->
   seed:int ->
   unit ->
   t
@@ -119,10 +119,12 @@ val link_contended_s : t -> link_id -> float
 val link_served_bytes : t -> link_id -> float
 
 val link_residual_bytes : t -> link_id -> float
+[@@ccsim.test_only "tests observe the fluid engine's per-flow and per-link state"]
 (** [offered - dropped - served - queued] for one link; zero up to float
     noise unless accounting is corrupted. *)
 
 val flow_goodput_bps : t -> flow_id -> float
+[@@ccsim.test_only "tests observe the fluid engine's per-flow and per-link state"]
 (** Mean payload goodput over the post-warmup window so far. *)
 
 val totals : t -> totals
@@ -134,6 +136,7 @@ val register_link_invariant : t -> component:string -> Ccsim_obs.Watchdog.t -> l
     [Fluid_driver] so each hybrid coupling is individually watched. *)
 
 val inject_accounting_skew : t -> link:link_id -> bytes:float -> unit
+[@@ccsim.test_only "tests break conservation on purpose, to show the check fires"]
 (** Test hook: corrupt one link's served-byte counter (and the engine
     total) so conservation checks must trip. Never called outside
     tests. *)

@@ -19,12 +19,12 @@ type t = Reno | Cubic | Bbr
 val index : t -> int
 (** Dense tag (0, 1, 2) for struct-of-arrays storage. *)
 
-val of_index : int -> t
+val of_index : int -> t [@@ccsim.test_only "tests round-trip the fluid model table"]
 (** Inverse of {!index}; raises [Invalid_argument] on other ints. *)
 
-val name : t -> string
+val name : t -> string [@@ccsim.test_only "tests round-trip the fluid model table"]
 
-val of_name : string -> t option
+val of_name : string -> t option [@@ccsim.test_only "tests round-trip the fluid model table"]
 (** Parses ["reno"], ["cubic"], ["bbr"]. *)
 
 val pkt_bytes : int

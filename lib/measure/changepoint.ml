@@ -31,7 +31,7 @@ let default_penalty signal =
     2.0 *. sigma2 *. log (float_of_int n)
   end
 
-let pelt ?penalty signal =
+let pelt_with ?penalty signal =
   let n = Array.length signal in
   if n < 2 then []
   else begin
@@ -63,6 +63,8 @@ let pelt ?penalty signal =
     unwind n []
   end
 
+let pelt signal = pelt_with signal
+
 let segment_means signal changes =
   let n = Array.length signal in
   if n = 0 then []
@@ -88,7 +90,7 @@ let largest_shift signal changes =
 type verdict = { change_points : int list; largest_shift : float; contention_consistent : bool }
 
 let verdict ?penalty ~shift_threshold ~mean signal =
-  let change_points = pelt ?penalty signal in
+  let change_points = pelt_with ?penalty signal in
   let largest_shift = largest_shift signal change_points in
   {
     change_points;

@@ -8,18 +8,19 @@
     model). *)
 
 val segment_cost : prefix:float array -> prefix_sq:float array -> int -> int -> float
+[@@ccsim.test_only "a part of verdict, tested on its own"]
 (** [segment_cost ~prefix ~prefix_sq i j] is the L2 cost of the
     half-open segment [\[i, j)] given prefix sums of the signal and its
     squares ([prefix.(k)] = sum of the first [k] values). *)
 
 val prefix_sums : float array -> float array * float array
+[@@ccsim.test_only "a part of verdict, tested on its own"]
 (** Prefix sums of values and squared values, each of length n+1. *)
 
-val pelt : ?penalty:float -> float array -> int list
+val pelt : float array -> int list [@@ccsim.test_only "a part of verdict, tested on its own"]
 (** Change-point indices (each the start of a new segment, strictly
-    between 0 and n), in increasing order. [penalty] defaults to
-    {!default_penalty}. Empty and singleton signals yield no change
-    points. *)
+    between 0 and n), in increasing order, at the {!default_penalty}.
+    Empty and singleton signals yield no change points. *)
 
 val default_penalty : float array -> float
 (** BIC-style penalty: 2 sigma^2 log n, with sigma^2 estimated robustly
@@ -28,10 +29,12 @@ val default_penalty : float array -> float
     near-constant signals. *)
 
 val segment_means : float array -> int list -> (int * int * float) list
+[@@ccsim.test_only "a part of verdict, tested on its own"]
 (** [(start, stop, mean)] for each segment induced by the change points
     (stop exclusive). *)
 
 val largest_shift : float array -> int list -> float
+[@@ccsim.test_only "a part of verdict, tested on its own"]
 (** Largest absolute difference between adjacent segment means; 0 when
     there are no change points. *)
 

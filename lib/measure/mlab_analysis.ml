@@ -30,15 +30,18 @@ type report = {
   verdicts : verdict list;
 }
 
-let categorize ?(limited_threshold = 0.0) (r : Ndt.record) =
-  if r.app_limited_frac > limited_threshold then App_limited
-  else if r.rwnd_limited_frac > limited_threshold then Rwnd_limited
+(* The paper's rule: a limited-time field greater than zero. *)
+let categorize (r : Ndt.record) =
+  if r.app_limited_frac > 0.0 then App_limited
+  else if r.rwnd_limited_frac > 0.0 then Rwnd_limited
   else if Ndt.access_equal r.access Ndt.Cellular then Cellular
   else Candidate
 
-let analyze_record ?(shift_threshold = 0.2) ?limited_threshold ?penalty_scale (r : Ndt.record)
-    =
-  let category = categorize ?limited_threshold r in
+(* A level shift of at least 20% of the flow's mean throughput. *)
+let shift_threshold = 0.2
+
+let analyze_record_with ?penalty_scale (r : Ndt.record) =
+  let category = categorize r in
   match category with
   | App_limited | Rwnd_limited | Cellular ->
       {
@@ -66,10 +69,10 @@ let analyze_record ?(shift_threshold = 0.2) ?limited_threshold ?penalty_scale (r
         contention_consistent = v.contention_consistent;
       }
 
-let analyze ?shift_threshold ?limited_threshold ?penalty_scale records =
-  let verdicts =
-    List.map (analyze_record ?shift_threshold ?limited_threshold ?penalty_scale) records
-  in
+let analyze_record r = analyze_record_with r
+
+let analyze ?penalty_scale records =
+  let verdicts = List.map (analyze_record_with ?penalty_scale) records in
   let count p = List.length (List.filter p verdicts) in
   let total = List.length verdicts in
   let n_candidates = count (fun v -> category_equal v.category Candidate) in

@@ -25,7 +25,7 @@ type verdict = {
   largest_shift_mbps : float;
   contention_consistent : bool;
       (** at least one change point with a level shift of at least
-          [shift_threshold] x the flow's mean throughput *)
+          0.2 x the flow's mean throughput *)
 }
 
 type report = {
@@ -42,26 +42,17 @@ type report = {
   verdicts : verdict list;
 }
 
-val categorize : ?limited_threshold:float -> Ndt.record -> category
-(** The paper uses "field greater than zero"; the default threshold is
-    exactly that (0.0 of lifetime fraction). *)
+val categorize : Ndt.record -> category
+(** The paper's rule: app- or receiver-window-limited when that field
+    is greater than zero (of the lifetime fraction). *)
 
-val analyze_record :
-  ?shift_threshold:float ->
-  ?limited_threshold:float ->
-  ?penalty_scale:float ->
-  Ndt.record ->
-  verdict
-(** [shift_threshold] defaults to 0.2 (a 20% throughput level shift);
-    [penalty_scale] multiplies the change-point detector's default
+val analyze_record : Ndt.record -> verdict
+(** A candidate is contention-consistent on a level shift of at least
+    20% of its mean throughput. *)
+
+val analyze : ?penalty_scale:float -> Ndt.record list -> report
+(** [penalty_scale] multiplies the change-point detector's default
     penalty (1.0 = PELT's BIC default; used by the A2 ablation). *)
-
-val analyze :
-  ?shift_threshold:float ->
-  ?limited_threshold:float ->
-  ?penalty_scale:float ->
-  Ndt.record list ->
-  report
 
 type accuracy = {
   true_positives : int;

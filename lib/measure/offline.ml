@@ -145,7 +145,7 @@ type changepoint_row = {
 
 (* Fig2's rule ([Changepoint.verdict], as in [Mlab_analysis.analyze_record])
    over the per-interval throughput, against the series' own mean. *)
-let changepoint_of ?(shift_threshold = 0.2) s =
+let changepoint_with ~shift_threshold s =
   let mean = if Array.length s.values = 0 then 0.0 else U.Stats.mean s.values in
   let v = Changepoint.verdict ~shift_threshold ~mean s.values in
   {
@@ -155,6 +155,8 @@ let changepoint_of ?(shift_threshold = 0.2) s =
     mean;
     contention_consistent = v.contention_consistent;
   }
+
+let changepoint_of s = changepoint_with ~shift_threshold:0.2 s
 
 (* --- elasticity classification (fig3's rule, offline) ------------------- *)
 
@@ -167,7 +169,7 @@ type elasticity_row = {
 
 (* Fig3's verdict over the steady-state samples (inclusive [warmup, hi]
    window, matching [Timeseries.between]). *)
-let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) s =
+let elasticity_with ~warmup ~hi ~threshold s =
   let values =
     Array.to_list (Array.mapi (fun i t -> (t, s.values.(i))) s.times)
     |> List.filter (fun (t, _) -> t >= warmup && t <= hi)
@@ -180,6 +182,9 @@ let elasticity_of ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) s =
     p90_elasticity = v.p90;
     classified_elastic = v.elastic;
   }
+
+let elasticity_of ?(warmup = 0.0) ?(hi = infinity) s =
+  elasticity_with ~warmup ~hi ~threshold:0.5 s
 
 (* --- report ------------------------------------------------------------- *)
 
@@ -239,7 +244,7 @@ type group_acc = {
   mutable ga_elasticity : series option;
 }
 
-let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
+let explain_with ~warmup ~hi ~threshold t =
   (* Group attribution series per (job, scenario), then per flow label.
      The scenario's Nimbus elasticity verdict describes the cross
      traffic the probe contends with, so it attaches to every flow row
@@ -314,7 +319,7 @@ let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
            match g.ga_elasticity with
            | None -> None
            | Some s ->
-               let r = elasticity_of ~warmup ~hi ~threshold s in
+               let r = elasticity_with ~warmup ~hi ~threshold s in
                Some (if r.classified_elastic then "elastic" else "inelastic")
          in
          let flows = List.rev g.ga_flows in
@@ -389,8 +394,10 @@ let explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
              })
            flows)
 
-let render_explain ?warmup ?hi ?threshold t =
-  let rows = explain ?warmup ?hi ?threshold t in
+let explain ?(warmup = 0.0) ?(hi = infinity) t = explain_with ~warmup ~hi ~threshold:0.5 t
+
+let render_explain ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) t =
+  let rows = explain_with ~warmup ~hi ~threshold t in
   let buf = Buffer.create 1024 in
   (match rows with
   | [] ->
@@ -439,7 +446,7 @@ let render_explain ?warmup ?hi ?threshold t =
       Buffer.add_string buf (U.Table.render table));
   Buffer.contents buf
 
-let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold t =
+let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?(shift_threshold = 0.2) t =
   let buf = Buffer.create 1024 in
   let points = List.fold_left (fun acc s -> acc + Array.length s.times) 0 t in
   Printf.bprintf buf "offline analysis: %d series, %d points\n" (List.length t) points;
@@ -460,7 +467,7 @@ let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold 
       in
       List.iter
         (fun s ->
-          let r = elasticity_of ~warmup ~hi ~threshold s in
+          let r = elasticity_with ~warmup ~hi ~threshold s in
           U.Table.add_row table
             [
               flow_id s;
@@ -474,7 +481,7 @@ let render ?(warmup = 0.0) ?(hi = infinity) ?(threshold = 0.5) ?shift_threshold 
   (match filter t ~name:ndt_series_name with
   | [] -> ()
   | rows ->
-      let verdicts = List.map (changepoint_of ?shift_threshold) rows in
+      let verdicts = List.map (changepoint_with ~shift_threshold) rows in
       let consistent =
         List.length (List.filter (fun v -> v.contention_consistent) verdicts)
       in

@@ -32,6 +32,7 @@ val json_of_string : string -> json
     {!Parse_error}. *)
 
 val of_string : string -> series list
+[@@ccsim.test_only "tests check the offline reader against online runs"]
 (** Parse NDJSON content (one [{"series", "labels", "t", "v"}] object
     per line; blank lines ignored; points with a null ["v"] skipped).
     Series appear in first-occurrence order, points in line order.
@@ -41,11 +42,14 @@ val load : string -> series list
 (** {!of_string} over a file's contents. *)
 
 val filter : series list -> name:string -> series list
+[@@ccsim.test_only "tests check the offline reader against online runs"]
 
 val ndt_series_name : string
+[@@ccsim.test_only "tests check the offline reader against online runs"]
 (** ["ndt_throughput_mbps"] — recorded by fig2 for candidate flows. *)
 
 val elasticity_series_name : string
+[@@ccsim.test_only "tests check the offline reader against online runs"]
 (** ["nimbus_elasticity"] — recorded by the Nimbus CCA. *)
 
 type changepoint_row = {
@@ -56,9 +60,11 @@ type changepoint_row = {
   contention_consistent : bool;
 }
 
-val changepoint_of : ?shift_threshold:float -> series -> changepoint_row
+val changepoint_of : series -> changepoint_row
+[@@ccsim.test_only "tests check the offline reader against online runs"]
 (** The Fig 2 Candidate rule ({!Changepoint.verdict}) over one series'
-    values, against their mean; [shift_threshold] defaults to 0.2. *)
+    values, against their mean, at {!render}'s default shift threshold
+    (0.2). *)
 
 type elasticity_row = {
   samples : int;
@@ -68,10 +74,13 @@ type elasticity_row = {
 }
 
 val elasticity_of :
-  ?warmup:float -> ?hi:float -> ?threshold:float -> series -> elasticity_row
+  ?warmup:(float [@ccsim.test_only "tests window the offline reader with it"]) ->
+  ?hi:(float [@ccsim.test_only "tests window the offline reader with it"]) ->
+  series ->
+  elasticity_row [@@ccsim.test_only "tests check the offline reader against online runs"]
 (** The Fig 3 rule over one series: p90 of samples with
     [warmup <= t <= hi] (inclusive, matching [Timeseries.between]);
-    elastic when p90 exceeds [threshold] (default 0.5). *)
+    elastic when p90 exceeds {!render}'s default threshold (0.5). *)
 
 type explain_row = {
   ex_job : string option;
@@ -94,7 +103,10 @@ type explain_row = {
 }
 
 val explain :
-  ?warmup:float -> ?hi:float -> ?threshold:float -> series list -> explain_row list
+  ?warmup:(float [@ccsim.test_only "tests window the offline reader with it"]) ->
+  ?hi:(float [@ccsim.test_only "tests window the offline reader with it"]) ->
+  series list ->
+  explain_row list [@@ccsim.test_only "tests check the offline reader against online runs"]
 (** Per-flow contention diagnosis from the attribution series recorded
     by a timeline-enabled run ([flow_limited_s], [flow_bneck_busy_s],
     [flow_bneck_drops], [flow_goodput_bps], [flow_srtt_s],

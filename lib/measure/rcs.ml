@@ -12,10 +12,9 @@ let weighted weight t =
   | Leaf l -> Leaf { l with weight }
   | Node n -> Node { n with weight }
 
-let node ~name ?(weight = 1.0) children =
-  if weight <= 0.0 then invalid_arg "Rcs.node: weight must be positive";
+let node ~name children =
   if (match children with [] -> true | _ :: _ -> false) then invalid_arg "Rcs.node: needs at least one child";
-  Node { name; weight; children }
+  Node { name; weight = 1.0; children }
 
 let weight = function Leaf { weight; _ } | Node { weight; _ } -> weight
 

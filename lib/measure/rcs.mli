@@ -18,14 +18,16 @@ val leaf : name:string -> demand_bps:float -> t
 (** A flow (or aggregate) with an offered load; [Float.infinity] means
     persistently backlogged. Weight 1. *)
 
-val node : name:string -> ?weight:float -> t list -> t
+val node : name:string -> t list -> t
 (** An interior entity whose capacity divides among its children by
-    weight. Must have at least one child. *)
+    weight. Weight 1 ({!weighted} sets another). Must have at least one
+    child. *)
 
 val weighted : float -> t -> t
+[@@ccsim.test_only "tests weight share-tree nodes with it (the 5.3 model has weights)"]
 (** Override a node's or leaf's weight (must be positive). *)
 
-val total_demand : t -> float
+val total_demand : t -> float [@@ccsim.test_only "tests check a share tree's offered load"]
 
 val allocate : capacity_bps:float -> t -> (string * float) list
 (** Allocations for every leaf, in tree order. At each level, the

@@ -26,7 +26,12 @@ end
 module Queue_monitor : sig
   type t
 
-  val create : Ccsim_engine.Sim.t -> qdisc:Ccsim_net.Qdisc.t -> ?interval:float -> unit -> t
+  val create :
+    Ccsim_engine.Sim.t ->
+    qdisc:Ccsim_net.Qdisc.t ->
+    ?interval:(float [@ccsim.test_only "tests set the queue monitor's sampling with it"]) ->
+    unit ->
+    t
   (** Samples backlog every [interval] (default 10 ms). Raises
       [Invalid_argument] if [interval] is not positive. When the sim
       carries a timeline, also registers [queue_backlog_bytes] and

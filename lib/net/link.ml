@@ -453,7 +453,7 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
   | Some w, Some wd ->
       (* Qdisc conservation: packets enqueued either left through
          dequeue, still sit in the backlog, or were dropped internally
-         (CoDel/RED-style head drops); tail drops are never counted as
+         (DRR's longest-queue drop); tail drops are never counted as
          enqueued, so the residue is bounded by the drop count. *)
       Obs.Watchdog.register w
         ~component:("link/qdisc:" ^ qdisc.Qdisc.name)

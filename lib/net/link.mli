@@ -45,6 +45,7 @@ val create :
     lifecycle spans and flow-attribution probes. *)
 
 val send : t -> Packet.t -> unit
+[@@ccsim.test_only "tests offer packets to a bare link; topologies use as_sink"]
 (** Offer a packet (may be dropped by the qdisc). *)
 
 val as_sink : t -> Packet.t -> unit
@@ -60,7 +61,7 @@ val set_cross_rate_bps : t -> float -> unit
     effect at the next serialization. Updated periodically by
     [Ccsim_fluid.Fluid_driver]. *)
 
-val cross_rate_bps : t -> float
+val cross_rate_bps : t -> float [@@ccsim.test_only "tests observe the coupled fluid cross rate"]
 (** Current fluid cross-traffic rate (0 outside hybrid mode). *)
 
 val qdisc : t -> Qdisc.t
@@ -101,7 +102,7 @@ val set_outage : t -> bool -> unit
     an in-flight packet finishes. [set_outage t false] restores the
     link and resumes serialization from the backlog. *)
 
-val is_down : t -> bool
+val is_down : t -> bool [@@ccsim.test_only "tests observe a fault plan's outage state"]
 
 val set_loss_model : t -> loss_model option -> unit
 (** Arm (or clear, with [None]) a wire-loss process. Arming resets the
@@ -130,5 +131,6 @@ val set_spike_delay : t -> float -> unit
 val wire_lost_packets : t -> int
 val wire_corrupted_packets : t -> int
 val wire_duplicated_packets : t -> int
+[@@ccsim.test_only "tests count the fault injector's duplicates"]
 val wire_reordered_packets : t -> int
 (** Cumulative impairment counters (0 when no fault was ever armed). *)

@@ -31,7 +31,7 @@ val data :
   flow:int ->
   seq:int ->
   payload_bytes:int ->
-  ?header_bytes:int ->
+  ?header_bytes:(int [@ccsim.test_only "tests build header-free packets with it"]) ->
   ?retx:bool ->
   sent_at:float ->
   unit ->
@@ -52,7 +52,7 @@ val ack :
 (** Pure ack, 64 bytes on the wire. [for_retx] echoes whether the
     acked segment was a retransmission. *)
 
-val end_seq : t -> int
+val end_seq : t -> int [@@ccsim.test_only "tests check segment boundaries"]
 (** [seq + payload_bytes]. *)
 
 val is_data : t -> bool

@@ -10,5 +10,6 @@ val create :
   Ccsim_engine.Sim.t -> rate_bps:float -> burst_bytes:int -> sink:(Packet.t -> unit) -> unit -> t
 
 val input : t -> Packet.t -> unit
-val dropped : t -> int
+[@@ccsim.test_only "tests feed a bare element; topologies use the ingress"]
+val dropped : t -> int [@@ccsim.test_only "tests count the element's drops"]
 val as_sink : t -> Packet.t -> unit

@@ -1,7 +1,7 @@
 (** Queue-discipline interface.
 
     A qdisc buffers packets between arrival at a link and transmission.
-    Implementations (FIFO, DRR fair queueing, RED, CoDel) are records of
+    Implementations (drop-tail FIFO, DRR fair queueing) are records of
     closures so links can hold any discipline without functor plumbing.
 
     Invariant every implementation must satisfy: [dequeue] returns
@@ -29,10 +29,9 @@ type t = {
   backlog_packets : unit -> int;
   set_cross_backlog : int -> unit;
       (** Bytes of the shared buffer held by a fluid cross-traffic
-          aggregate (hybrid mode). Admission-relevant disciplines (FIFO
-          byte limit, RED average) include it in their occupancy
-          signal; schedulers that only order packets ({!Drr}/{!Codel})
-          ignore it ({!ignore_cross_backlog}). Never affects
+          aggregate (hybrid mode). The FIFO counts it against its byte
+          limit; {!Drr}, which only orders packets, ignores it
+          ({!ignore_cross_backlog}). Never affects
           [backlog_bytes]/[backlog_packets], which count real packets
           only — conservation invariants stay exact. *)
   stats : stats;

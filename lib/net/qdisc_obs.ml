@@ -84,8 +84,8 @@ let instrument ?metrics ?recorder ?span ?(hop = "link") ~now (q : Qdisc.t) : Qdi
         | None -> ()
       in
       let compact_enq_times () =
-        (* Disciplines that drop internally (CoDel head drops, RED) orphan
-           their packets' timestamps. The wrapper cannot enumerate the
+        (* A discipline that drops internally (DRR's longest-queue drop)
+           orphans its packets' timestamps. The wrapper cannot enumerate the
            discipline's live queue, so when orphans dominate it resets the
            map — losing the in-flight sojourn samples once in a while in
            exchange for bounded memory. *)

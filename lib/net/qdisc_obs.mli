@@ -1,6 +1,6 @@
 (** Observability decorator for queue disciplines.
 
-    {!instrument} wraps any {!Qdisc.t} — FIFO, DRR, RED, CoDel — with
+    {!instrument} wraps any {!Qdisc.t} — FIFO or DRR — with
     metrics and flight-recorder hooks, without touching the
     implementations: per-discipline enqueue/dequeue/drop counters
     ([qdisc_enqueued_total] etc., labeled [{qdisc=<name>}]), a backlog
@@ -11,7 +11,7 @@
 
     The wrapper shares the inner discipline's [stats] record and
     backlog closures: external readers of the original record keep
-    working. Internal drops (e.g. CoDel head drops) are detected via
+    working. Internal drops (DRR's longest-queue drop) are detected via
     [stats.dropped] deltas around each operation.
 
     When a {!Ccsim_obs.Span} store is given, the wrapper also drives

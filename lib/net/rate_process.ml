@@ -6,22 +6,6 @@ type t = { series : U.Timeseries.t; sim : Sim.t }
 let record t rate =
   U.Timeseries.add t.series ~time:(Sim.now t.sim) ~value:rate
 
-let markov sim ~link ~rng ~states_bps ?(mean_dwell_s = 2.0) () =
-  if Array.length states_bps = 0 then invalid_arg "Rate_process.markov: no states";
-  Array.iter
-    (fun r -> if r <= 0.0 then invalid_arg "Rate_process.markov: rates must be positive")
-    states_bps;
-  if mean_dwell_s <= 0.0 then invalid_arg "Rate_process.markov: dwell must be positive";
-  let t = { series = U.Timeseries.create (); sim } in
-  let rec jump () =
-    let rate = U.Rng.choose rng states_bps in
-    Link.set_rate link rate;
-    record t rate;
-    ignore (Sim.schedule sim ~delay:(U.Rng.exponential rng ~mean:mean_dwell_s) jump)
-  in
-  jump ();
-  t
-
 let ornstein_uhlenbeck sim ~link ~rng ~mean_bps ?(volatility = 0.15) () =
   if mean_bps <= 0.0 then invalid_arg "Rate_process.ou: mean must be positive";
   let reversion = 0.3 and tick = 0.1 in

@@ -1,25 +1,12 @@
-(** Time-varying link capacity processes.
+(** Time-varying link capacity.
 
     §2.3/§5.1 of the paper argue that variable-rate links (cellular,
     satellite, even future fiber) are where congestion control work
-    should focus once contention stops mattering. These processes drive
-    {!Link.set_rate} on a timer to emulate such links.
-
-    All processes are deterministic given their RNG stream. *)
+    should focus once contention stops mattering. The process here
+    drives {!Link.set_rate} on a timer to emulate such a link (x1), and
+    is deterministic given its RNG stream. *)
 
 type t
-
-val markov :
-  Ccsim_engine.Sim.t ->
-  link:Link.t ->
-  rng:Ccsim_util.Rng.t ->
-  states_bps:float array ->
-  ?mean_dwell_s:float ->
-  unit ->
-  t
-(** Jump between the given capacity states, staying in each for an
-    exponentially distributed dwell time (default mean 2 s) — the
-    classic coarse cellular model. *)
 
 val ornstein_uhlenbeck :
   Ccsim_engine.Sim.t ->
@@ -36,7 +23,8 @@ val ornstein_uhlenbeck :
     link. *)
 
 val rate_series : t -> Ccsim_util.Timeseries.t
+[@@ccsim.test_only "tests check the applied rate trajectory"]
 (** The (time, rate) trajectory applied so far. *)
 
-val mean_rate : t -> float
+val mean_rate : t -> float [@@ccsim.test_only "tests check the applied rate trajectory"]
 (** Time-weighted mean of the applied trajectory (0 when empty). *)

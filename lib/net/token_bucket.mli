@@ -14,7 +14,7 @@ val try_consume : t -> now:float -> bytes:int -> bool
 (** Refill, then consume [bytes] tokens if available; [false] leaves the
     bucket unchanged (beyond the refill). *)
 
-val tokens : t -> now:float -> float
+val tokens : t -> now:float -> float [@@ccsim.test_only "tests observe the bucket's fill"]
 (** Current token level in bytes after refilling. *)
 
 val time_until_available : t -> now:float -> bytes:int -> float

@@ -46,5 +46,6 @@ val dumbbell :
     on first use of [fwd_entry]/[rev_entry]. *)
 
 val base_rtt : t -> flow:int -> float
+[@@ccsim.test_only "tests check the dumbbell's propagation RTT"]
 (** Two-way propagation delay for a flow (excludes serialization and
     queueing). *)

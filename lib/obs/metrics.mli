@@ -35,7 +35,7 @@ val histogram : t -> ?labels:labels -> string -> histogram
 
 val inc : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
+val value : counter -> int [@@ccsim.test_only "tests read instruments with it"]
 
 val set : gauge -> float -> unit
 
@@ -43,7 +43,7 @@ val set_int : gauge -> int -> unit
 (** [set_int g n] is [set g (float_of_int n)] without boxing the float
     at the call site. *)
 
-val gauge_value : gauge -> float
+val gauge_value : gauge -> float [@@ccsim.test_only "tests read instruments with it"]
 
 val observe : histogram -> float -> unit
 
@@ -51,10 +51,10 @@ val observe_int : histogram -> int -> unit
 (** [observe_int h n] is [observe h (float_of_int n)] without boxing
     the float at the call site (heap depths, byte counts). *)
 
-val observations : histogram -> int
-val sum : histogram -> float
+val observations : histogram -> int [@@ccsim.test_only "tests read instruments with it"]
+val sum : histogram -> float [@@ccsim.test_only "tests read instruments with it"]
 
-val bucket_upper_bound : int -> float
+val bucket_upper_bound : int -> float [@@ccsim.test_only "tests read instruments with it"]
 (** Exclusive upper bound of bucket [i] (for export consumers). *)
 
 val quantile : histogram -> float -> float
@@ -64,10 +64,12 @@ val quantile : histogram -> float -> float
     zero bucket contributes rank mass at value 0. Returns 0 for an empty
     histogram. Accurate to within one bucket width (a factor of two). *)
 
-val size : t -> int
+val size : t -> int [@@ccsim.test_only "tests read instruments with it"]
 (** Number of registered instruments. *)
 
-val find_counter : t -> ?labels:labels -> string -> counter option
+val find_counter :
+  t -> ?labels:(labels [@ccsim.test_only "tests look up labelled counters with it"]) -> string ->
+  counter option [@@ccsim.test_only "tests read instruments with it"]
 val find_histogram : t -> string -> histogram option
 (** The unlabelled histogram named [name], if registered. *)
 

@@ -44,6 +44,7 @@ val record : t -> comp:string -> seconds:float -> unit
     stands in for the whole window). *)
 
 val gc_sample_every : int
+[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
 (** Charges between consecutive [Gc] delta samples. *)
 
 val gc_flush : t -> unit
@@ -75,8 +76,9 @@ val note_pkt_delivered : t -> unit
 (** One packet delivered across a link. *)
 
 val note_pkt_dropped : t -> unit
-(** One packet tail-dropped at link entry. Internal qdisc head drops
-    (CoDel/RED) are visible in qdisc stats and metrics, not here. *)
+(** One packet tail-dropped at link entry. A qdisc's internal drops
+    (DRR's longest-queue drop) are visible in qdisc stats and metrics,
+    not here. *)
 
 val events_executed : t -> int
 val events_scheduled : t -> int
@@ -101,13 +103,16 @@ val packets_delivered : t -> int
 val packets_dropped : t -> int
 
 val packets_per_sec : t -> float
+[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
 (** Simulated packets delivered per wall-second of event execution
     ([pkts_delivered / busy_s]); 0 before any event ran. *)
 
 val minor_words : t -> float
+[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
 (** Minor-heap words allocated across the sampled windows. *)
 
 val gc_samples : t -> int
+[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
 
 val minor_words_per_event : t -> float
 (** Minor words per charged event over the sampled windows; 0 before
@@ -118,6 +123,7 @@ val minor_words_per_packet : t -> float
     no window closed. *)
 
 val components : t -> (string * int * float) list
+[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
 (** [(component, events, seconds)], most expensive first. *)
 
 type comp = {

@@ -48,9 +48,10 @@ val events : t -> event list
 val count : t -> int
 (** Total events accepted (including evicted ones). *)
 
-val retained : t -> int
-val evicted : t -> int
+val retained : t -> int [@@ccsim.test_only "tests check the journal's ring and levels"]
+val evicted : t -> int [@@ccsim.test_only "tests check the journal's ring and levels"]
 val by_kind : t -> string -> event list
+[@@ccsim.test_only "tests check the journal's ring and levels"]
 
 val severity_to_string : severity -> string
 

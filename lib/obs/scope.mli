@@ -24,7 +24,7 @@ type t = {
   span : Span.t option;
 }
 
-val none : t
+val none : t [@@ccsim.test_only "tests build and check an instrument-free scope with it"]
 
 val v :
   ?metrics:Metrics.t ->
@@ -35,7 +35,7 @@ val v :
   ?span:Span.t ->
   unit ->
   t
-val is_none : t -> bool
+val is_none : t -> bool [@@ccsim.test_only "tests build and check an instrument-free scope with it"]
 
 val ambient : unit -> t
 (** The current domain's scope ({!none} unless inside {!with_scope}). *)

@@ -30,7 +30,12 @@ type record = {
 
 type t
 
-val create : ?capacity:int -> ?recorder:Recorder.t -> sample:int -> unit -> t
+val create :
+  ?capacity:(int [@ccsim.test_only "tests shrink the buffer to force eviction with it"]) ->
+  ?recorder:Recorder.t ->
+  sample:int ->
+  unit ->
+  t
 (** [create ~sample ()] records one in [sample] packets ([sample >= 1];
     [1] records every packet), retaining up to [capacity] (default
     65,536) completed records. When [recorder] is given and admits
@@ -72,7 +77,7 @@ val serialize_delay : record -> float option
 val propagate_delay : record -> float option
 (** Phase durations; [None] when the phase boundary was never reached. *)
 
-val complete : record -> bool
+val complete : record -> bool [@@ccsim.test_only "tests check span sealing"]
 (** Delivered with all four timestamps present. *)
 
 val outcome_to_string : outcome -> string
@@ -81,6 +86,6 @@ val completed : t -> record list
 (** Completion order, oldest first, within the retained window. *)
 
 val completed_count : t -> int
-val open_count : t -> int
+val open_count : t -> int [@@ccsim.test_only "tests check span sealing"]
 val started : t -> int
 val evicted : t -> int

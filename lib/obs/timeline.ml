@@ -21,12 +21,10 @@ type series = {
       (* shared with the owning timeline: (series, last_time, offending_time) *)
 }
 
-type key = { k_name : string; k_labels : labels }
-
 type t = {
   interval : float;
   capacity : int;
-  table : (key, series) Hashtbl.t;
+  table : (string * labels, series) Hashtbl.t;  (* (name, normalized labels) *)
   mutable order : series list;  (* registration order, newest first *)
   mutable sim_ids : int;
   violation : (string * float * float) option ref;
@@ -56,14 +54,15 @@ let next_sim_id t =
 let normalize_labels labels = List.sort (fun ((a : string), _) (b, _) -> String.compare a b) labels
 
 let series t ?(labels = []) name =
-  let key = { k_name = name; k_labels = normalize_labels labels } in
+  let labels = normalize_labels labels in
+  let key = (name, labels) in
   match Hashtbl.find_opt t.table key with
   | Some s -> s
   | None ->
       let s =
         {
           s_name = name;
-          s_labels = key.k_labels;
+          s_labels = labels;
           capacity = t.capacity;
           times = Array.make 16 0.0;
           values = Array.make 16 0.0;

@@ -28,7 +28,11 @@ type labels = (string * string) list
 val default_interval : float
 (** 0.1 s. *)
 
-val create : ?interval:float -> ?capacity:int -> unit -> t
+val create :
+  ?interval:float ->
+  ?capacity:(int [@ccsim.test_only "tests shrink the buffer to force decimation with it"]) ->
+  unit ->
+  t
 (** [capacity] (default 4096) is the points per series kept before
     decimation. Raises [Invalid_argument] if [interval <= 0] or
     [capacity < 2]. *)
@@ -52,7 +56,7 @@ val points : series -> (float * float) array
 (** Retained points, oldest first (a copy). *)
 
 val length : series -> int
-val stride : series -> int
+val stride : series -> int [@@ccsim.test_only "tests check series decimation"]
 (** Current decimation stride: 1 while under capacity, doubling on each
     compaction. *)
 

@@ -39,7 +39,11 @@ val policy_of_string : string -> policy option
 
 type t
 
-val create : ?interval:float -> ?policy:policy -> unit -> t
+val create :
+  ?interval:(float [@ccsim.test_only "tests set the watchdog's period with it"]) ->
+  ?policy:policy ->
+  unit ->
+  t
 (** Defaults: 0.25 s between check sweeps, policy [Abort]. Raises
     [Invalid_argument] if [interval <= 0]. *)
 
@@ -77,7 +81,7 @@ val degraded : t -> bool
 (** Tripped under the [Quarantine] policy: the run completed but its
     results must be treated as degraded. *)
 
-val checks : t -> int
+val checks : t -> int [@@ccsim.test_only "tests count the watchdog's checks"]
 (** Number of registered checks. *)
 
 val checks_run : t -> int

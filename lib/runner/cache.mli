@@ -15,7 +15,10 @@ type t
 val default_dir : unit -> string
 (** [$CCSIM_CACHE_DIR] if set, else ["_ccsim_cache"]. *)
 
-val create : ?dir:string -> unit -> t
+val create :
+  ?dir:(string [@ccsim.test_only "tests point the cache at a temporary directory with it"]) ->
+  unit ->
+  t
 (** Open (creating if needed) the cache directory, and digest the
     running executable once ([Sys.executable_name]) as the code
     identity every entry of this handle is keyed by. *)
@@ -32,5 +35,5 @@ val find : t -> string -> string option
 val store : t -> digest:string -> string -> unit
 (** Persist a job's output under its digest and this executable's. *)
 
-val clear : t -> unit
+val clear : t -> unit [@@ccsim.test_only "tests empty a temporary cache with it"]
 (** Remove every entry (the directory itself stays). *)

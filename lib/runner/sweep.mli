@@ -17,7 +17,7 @@ val points : axis list -> point list
     With no axes, one empty point. Raises [Invalid_argument] on an
     empty axis (its cross product would silently be empty). *)
 
-val label : point -> string
+val label : point -> string [@@ccsim.test_only "tests check sweep job labels"]
 (** ["exp=fig1 seed=43 duration=10"]-style display label. *)
 
 val get : point -> string -> string option

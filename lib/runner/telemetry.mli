@@ -26,7 +26,7 @@ val host_cores : unit -> int
 (** [Domain.recommended_domain_count ()]: how many worker domains the
     host can actually run in parallel. *)
 
-val oversubscribed : t -> bool
+val oversubscribed : t -> bool [@@ccsim.test_only "tests check the runner's report"]
 (** Whether the run used more worker domains than {!host_cores} — its
     wall-clock speedup is then bounded by the cores, not the workers,
     and comparing against [pool_jobs] would be misleading. Flagged in
@@ -40,7 +40,10 @@ val exit_code : t -> int
 val summary : t -> string
 (** Rendered per-job table plus a totals line. *)
 
-val to_json : ?profiles:(string * string) list -> t -> string
+val to_json :
+  ?profiles:((string * string) list [@ccsim.test_only "tests embed per-job profiles with it"]) ->
+  t ->
+  string [@@ccsim.test_only "tests check the runner's report"]
 (** Machine-readable report: schema ["ccsim-runner/2"], pool size, host
     cores, the {!oversubscribed} flag, total wall-clock, aggregate
     counters, and one record per job. [profiles]

@@ -10,8 +10,8 @@ val establish :
   Ccsim_net.Topology.t ->
   flow:int ->
   cca:Ccsim_cca.Cca.t ->
-  ?rcv_buffer_bytes:int ->
-  ?consume_rate_bps:float ->
+  ?rcv_buffer_bytes:(int [@ccsim.test_only "tests make a window-limited receiver with it"]) ->
+  ?consume_rate_bps:(float [@ccsim.test_only "tests make a window-limited receiver with it"]) ->
   ?on_complete:(Sender.t -> unit) ->
   unit ->
   t
@@ -22,5 +22,5 @@ val teardown : Ccsim_net.Topology.t -> t -> unit
 (** Stop the sender and unregister both handlers (in-flight packets for
     the flow are then counted as unmatched by the dispatches). *)
 
-val goodput_bps : t -> over:float -> float
+val goodput_bps : t -> over:float -> float [@@ccsim.test_only "tests read a connection's goodput"]
 (** Contiguous bytes received divided by [over] seconds. *)

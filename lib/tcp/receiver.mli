@@ -29,9 +29,11 @@ val bytes_received : t -> int
 (** Contiguous bytes received (the current cumulative ack point). *)
 
 val out_of_order : t -> (int * int) list
+[@@ccsim.test_only "tests observe the receiver's reassembly and window"]
 (** Buffered byte ranges [(lo, hi)] above {!bytes_received}, [hi]
     exclusive: ascending, disjoint and non-adjacent. *)
 
 val acks_sent : t -> int
 val advertised_window : t -> int
+[@@ccsim.test_only "tests observe the receiver's reassembly and window"]
 (** Current rwnd in bytes. *)

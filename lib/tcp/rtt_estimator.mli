@@ -3,7 +3,7 @@
 
 type t
 
-val create : ?min_rto:float -> unit -> t
+val create : ?min_rto:(float [@ccsim.test_only "tests set the RTO floor with it"]) -> unit -> t
 (** Defaults: [min_rto] 0.2 s (Linux-like rather than RFC's 1 s, so
     short simulations aren't dominated by the floor). The RTO is capped
     at 60 s. *)
@@ -15,7 +15,7 @@ val observe : t -> float -> unit
 val srtt : t -> float
 (** Smoothed RTT; 0 before the first sample. *)
 
-val rttvar : t -> float
+val rttvar : t -> float [@@ccsim.test_only "tests check the RFC 6298 estimator"]
 val min_rtt : t -> float
 (** Lifetime minimum sample; [infinity] before the first sample. *)
 

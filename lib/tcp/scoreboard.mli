@@ -42,25 +42,30 @@ val delivered_bytes : t -> int
     segment counted once, when first learned. *)
 
 val highest_sacked : t -> int
+[@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 (** The highest SACK block end seen (0 before any). *)
 
 val newest_delivered_sent_at : t -> float
+[@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 (** Transmit time of the most recently sent segment known delivered
     ([neg_infinity] before any). *)
 
 (** {1 Segments} *)
 
-val head : t -> int
+val head : t -> int [@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 (** Number of the oldest segment on the board ([= tail] when empty). *)
 
-val tail : t -> int
+val tail : t -> int [@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 (** Number the next sent segment gets. *)
 
 val seq : t -> int -> int
 val len : t -> int -> int
 val sacked : t -> int -> bool
+[@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 val lost : t -> int -> bool
+[@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 val in_pipe : t -> int -> bool
+[@@ccsim.test_only "tests compare the scoreboard with its reference model"]
 (** Per-segment state. These raise [Invalid_argument] for a segment not
     on the board. *)
 

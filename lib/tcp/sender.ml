@@ -130,7 +130,7 @@ let enter_recovery t =
             ]
           "loss_response"
     | None -> ());
-    t.cca.Cca.on_loss { Cca.now; inflight = inflight t; mss = t.mss }
+    t.cca.Cca.on_loss ()
   end
 
 (* --- timers ---------------------------------------------------------------- *)
@@ -351,7 +351,6 @@ let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
            inflight = inflight t;
            delivery_rate = t.last_delivery_rate.(0);
            app_limited = app_limited_sample;
-           mss = t.mss;
          }
         [@ccsim.alloc_ok "the CCA interface takes one ack_info record per cumulative ack"])
       in
@@ -411,13 +410,7 @@ let info t =
   {
     Tcp_info.at = now;
     bytes_acked = t.snd_una;
-    bytes_sent = t.bytes_sent;
-    bytes_retrans = t.bytes_retrans;
-    segs_retrans = t.segs_retrans;
-    cwnd_bytes = t.cca.Cca.cwnd;
-    srtt = Rtt_estimator.srtt t.rtt;
     min_rtt = Rtt_estimator.min_rtt t.rtt;
-    delivery_rate_bps = t.last_delivery_rate.(0);
     app_limited_s = app;
     rwnd_limited_s = rwnd;
     cwnd_limited_s = cwnd;

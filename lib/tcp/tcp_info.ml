@@ -1,13 +1,7 @@
 type t = {
   at : float;
   bytes_acked : int;
-  bytes_sent : int;
-  bytes_retrans : int;
-  segs_retrans : int;
-  cwnd_bytes : float;
-  srtt : float;
   min_rtt : float;
-  delivery_rate_bps : float;
   app_limited_s : float;
   rwnd_limited_s : float;
   cwnd_limited_s : float;

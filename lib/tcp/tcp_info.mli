@@ -1,21 +1,16 @@
 (** TCPInfo-style telemetry snapshots.
 
-    Mirrors the fields of the Linux [tcp_info]/NDT schema that the
-    paper's §3.1 M-Lab analysis consumes: cumulative byte counts, RTT
-    estimates, and — crucially — the cumulative time the connection spent
-    limited by the application ([AppLimited]), the receiver's window
-    ([RWndLimited]), or the congestion window. *)
+    Carries the fields of the Linux [tcp_info]/NDT schema that the
+    paper's §3.1 M-Lab analysis consumes: acknowledged bytes, the
+    minimum RTT, the connection's age and — crucially — the cumulative
+    time the connection spent limited by the application
+    ([AppLimited]), the receiver's window ([RWndLimited]), or the
+    congestion window. *)
 
 type t = {
   at : float;  (** snapshot time *)
   bytes_acked : int;
-  bytes_sent : int;
-  bytes_retrans : int;
-  segs_retrans : int;
-  cwnd_bytes : float;
-  srtt : float;
   min_rtt : float;
-  delivery_rate_bps : float;  (** most recent delivery-rate sample *)
   app_limited_s : float;  (** cumulative seconds app-limited *)
   rwnd_limited_s : float;
   cwnd_limited_s : float;
@@ -30,7 +25,7 @@ val throughput_bps : prev:t -> cur:t -> float
 (** Goodput between two snapshots, from acked bytes. Raises
     [Invalid_argument] when [cur] does not strictly follow [prev]. *)
 
-val app_limited_fraction : t -> float
+val app_limited_fraction : t -> float [@@ccsim.test_only "tests check the limited-time fractions"]
 (** Fraction of the connection's lifetime spent app-limited. *)
 
-val rwnd_limited_fraction : t -> float
+val rwnd_limited_fraction : t -> float [@@ccsim.test_only "tests check the limited-time fractions"]

@@ -23,7 +23,7 @@ module Sink : sig
   (** Register with the forward dispatch. *)
 
   val bytes_received : t -> int
-  val packets_received : t -> int
+  val packets_received : t -> int [@@ccsim.test_only "tests count received datagrams"]
 
   val arrivals : t -> Ccsim_util.Timeseries.t
   (** (arrival time, packet size) points. *)

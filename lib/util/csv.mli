@@ -10,6 +10,6 @@ val escape_field : string -> string
 val row_to_string : string list -> string
 (** One CSV line, without the trailing newline. *)
 
-val parse_line : string -> string list
+val parse_line : string -> string list [@@ccsim.test_only "tests round-trip CSV rows"]
 (** Parse one line (handles quoted fields; raises [Invalid_argument] on
     an unterminated quote). *)

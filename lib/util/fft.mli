@@ -32,4 +32,4 @@ val magnitude_at : plan -> float array -> sample_rate:float -> freq:float -> flo
     [Invalid_argument] otherwise); it is not modified. Allocates nothing
     but its boxed result. *)
 
-val is_power_of_two : int -> bool
+val is_power_of_two : int -> bool [@@ccsim.test_only "tests check the FFT's size guard"]

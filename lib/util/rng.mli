@@ -16,7 +16,7 @@ val split : t -> t
     [rng]. Use one split stream per stochastic component so that adding a
     component does not perturb the draws seen by others. *)
 
-val bits64 : t -> int64
+val bits64 : t -> int64 [@@ccsim.test_only "tests check the generator's raw stream"]
 (** Next raw 64-bit output. *)
 
 val float : t -> float -> float
@@ -45,7 +45,3 @@ val normal : t -> mean:float -> stddev:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on an
-    empty array. *)

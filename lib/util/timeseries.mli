@@ -21,7 +21,7 @@ val values : t -> float array
 
 val to_list : t -> (float * float) list
 
-val value_at : t -> float -> float
+val value_at : t -> float -> float [@@ccsim.test_only "tests read a series at a time"]
 (** [value_at ts time] is the value of the most recent point at or before
     [time] (zero-order hold). Raises [Invalid_argument] if [time] precedes
     the first point or the series is empty. *)

@@ -18,10 +18,7 @@ let ack ?(now = 1.0) ?(rtt = Some 0.1) ?(srtt = 0.1) ?(min_rtt = 0.1) ?(newly = 
     inflight;
     delivery_rate = rate;
     app_limited;
-    mss;
   }
-
-let loss ?(now = 1.0) ?(inflight = 20 * mss) () = { Cca.now; inflight; mss }
 
 (* Feed one RTT worth of acks for the current window. *)
 let ack_window ?now ?srtt ?min_rtt ?rate cca =
@@ -64,7 +61,7 @@ let test_loss_shrinks_window () =
         ack_window cca
       done;
       let before = cca.Cca.cwnd in
-      cca.Cca.on_loss (loss ());
+      cca.Cca.on_loss ();
       Alcotest.(check bool) (name ^ " backs off on loss") true (cca.Cca.cwnd < before))
     (window_ccas ())
 
@@ -85,7 +82,7 @@ let test_window_floor () =
   List.iter
     (fun (name, cca) ->
       for _ = 1 to 20 do
-        cca.Cca.on_loss (loss ())
+        cca.Cca.on_loss ()
       done;
       Alcotest.(check bool)
         (name ^ " never below 2 MSS")
@@ -101,7 +98,7 @@ let test_reno_halves_on_loss () =
     ack_window cca
   done;
   let before = cca.Cca.cwnd in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   Alcotest.(check (float 1.0)) "multiplicative decrease 0.5" (before /. 2.0) cca.Cca.cwnd
 
 let test_reno_linear_in_avoidance () =
@@ -110,7 +107,7 @@ let test_reno_linear_in_avoidance () =
   for _ = 1 to 6 do
     ack_window cca
   done;
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   let before = cca.Cca.cwnd in
   ack_window cca;
   (* One RTT of acks adds ~1 MSS in congestion avoidance. *)
@@ -125,7 +122,7 @@ let test_aimd_beta () =
     ack_window cca
   done;
   let before = cca.Cca.cwnd in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   Alcotest.(check (float 1.0)) "beta 0.7" (0.7 *. before) cca.Cca.cwnd
 
 let test_aimd_aggressive_alpha_grows_faster () =
@@ -136,7 +133,7 @@ let test_aimd_aggressive_alpha_grows_faster () =
       for _ = 1 to 6 do
         ack_window cca
       done;
-      cca.Cca.on_loss (loss ()))
+      cca.Cca.on_loss ())
     [ gentle; aggressive ];
   let g0 = gentle.Cca.cwnd and a0 = aggressive.Cca.cwnd in
   for _ = 1 to 3 do
@@ -158,7 +155,7 @@ let test_cubic_beta_07 () =
     ack_window cca
   done;
   let before = cca.Cca.cwnd in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   Alcotest.(check (float 1.0)) "beta 0.7" (0.7 *. before) cca.Cca.cwnd
 
 let test_cubic_concave_then_convex () =
@@ -166,7 +163,7 @@ let test_cubic_concave_then_convex () =
   for _ = 1 to 6 do
     ack_window cca
   done;
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   (* Growth rate shrinks while approaching W_max, then grows past it. *)
   let now = ref 1.0 in
   let growth_at_plateau = ref 0.0 and growth_later = ref 0.0 in
@@ -195,7 +192,7 @@ let test_vegas_backs_off_on_delay () =
   for _ = 1 to 4 do
     ack_window cca
   done;
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   let before = cca.Cca.cwnd in
   (* Heavily queued path: srtt far above min_rtt -> decrease. *)
   let now = ref 10.0 in
@@ -207,7 +204,7 @@ let test_vegas_backs_off_on_delay () =
 
 let test_vegas_grows_when_queue_empty () =
   let cca = Ccsim_cca.Vegas.create () in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   let before = cca.Cca.cwnd in
   let now = ref 10.0 in
   for _ = 1 to 40 do
@@ -238,7 +235,7 @@ let test_copa_mild_loss_reaction () =
     cca.Cca.on_ack (ack ~now:!now ~srtt:0.12 ~min_rtt:0.1 ())
   done;
   let before = cca.Cca.cwnd in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   Alcotest.(check bool) "halves at most" true (cca.Cca.cwnd >= 0.5 *. before -. 1e-6)
 
 (* --- BBR ----------------------------------------------------------------------------- *)
@@ -272,7 +269,7 @@ let test_bbr_ignores_isolated_loss () =
     cca.Cca.on_ack (ack ~now:!now ~rate:20e6 ())
   done;
   let before = cca.Cca.cwnd in
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   Alcotest.(check (float 1e-9)) "loss ignored" before cca.Cca.cwnd
 
 let test_bbr_app_limited_samples_do_not_raise_estimate () =
@@ -325,52 +322,12 @@ let test_bbr_per_ack_cost_flat_in_window () =
     true
     (wide <= narrow +. 0.5)
 
-(* --- TFRC ------------------------------------------------------------------------------ *)
-
-let test_tfrc_doubles_before_first_loss () =
-  let cca = Ccsim_cca.Tfrc.create () in
-  let r0 = cca.Cca.pacing_rate in
-  cca.Cca.on_ack (ack ~now:0.2 ());
-  cca.Cca.on_ack (ack ~now:0.4 ());
-  Alcotest.(check bool) "rate grew" true (cca.Cca.pacing_rate > r0)
-
-let test_tfrc_equation_rate_reasonable () =
-  let cca = Ccsim_cca.Tfrc.create () in
-  (* Create a loss history of ~1% loss with RTT 100 ms. *)
-  let now = ref 0.0 in
-  for _ = 1 to 10 do
-    for _ = 1 to 100 do
-      now := !now +. 0.001;
-      cca.Cca.on_ack (ack ~now:!now ())
-    done;
-    cca.Cca.on_loss (loss ~now:!now ())
-  done;
-  (* TCP model at p=0.01, RTT=0.1, s=1448B predicts roughly
-     1448*8/(0.1*sqrt(2*0.01/3)) ~ 1.4 Mbit/s. Accept a wide band. *)
-  Alcotest.(check bool) "equation ballpark" true
-    (cca.Cca.pacing_rate > 0.3e6 && cca.Cca.pacing_rate < 5e6)
-
-let test_tfrc_higher_loss_means_lower_rate () =
-  let run loss_every =
-    let cca = Ccsim_cca.Tfrc.create () in
-    let now = ref 0.0 in
-    for _ = 1 to 12 do
-      for _ = 1 to loss_every do
-        now := !now +. 0.001;
-        cca.Cca.on_ack (ack ~now:!now ())
-      done;
-      cca.Cca.on_loss (loss ~now:!now ())
-    done;
-    cca.Cca.pacing_rate
-  in
-  Alcotest.(check bool) "p=4% slower than p=0.25%" true (run 25 < run 400)
-
 (* --- fixed CCAs -------------------------------------------------------------------------- *)
 
 let test_fixed_window () =
   let cca = Cca.fixed_window ~cwnd_bytes:50_000 in
   cca.Cca.on_ack (ack ());
-  cca.Cca.on_loss (loss ());
+  cca.Cca.on_loss ();
   cca.Cca.on_rto ~now:1.0;
   Alcotest.(check (float 1e-9)) "window never moves" 50_000.0 cca.Cca.cwnd
 
@@ -402,9 +359,6 @@ let suite =
     ("bbr: ignores isolated loss", `Quick, test_bbr_ignores_isolated_loss);
     ("bbr: app-limited filter", `Quick, test_bbr_app_limited_samples_do_not_raise_estimate);
     ("bbr: per-ack cost flat in the window", `Quick, test_bbr_per_ack_cost_flat_in_window);
-    ("tfrc: doubles before first loss", `Quick, test_tfrc_doubles_before_first_loss);
-    ("tfrc: equation ballpark", `Quick, test_tfrc_equation_rate_reasonable);
-    ("tfrc: monotone in loss rate", `Quick, test_tfrc_higher_loss_means_lower_rate);
     ("fixed window control", `Quick, test_fixed_window);
     ("fixed rate control", `Quick, test_fixed_rate);
   ]

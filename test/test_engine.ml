@@ -331,13 +331,6 @@ let test_sim_every () =
   Alcotest.(check (list (float 1e-9))) "periodic ticks" [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
     (List.rev !ticks)
 
-let test_sim_every_with_start () =
-  let sim = Sim.create () in
-  let ticks = ref 0 in
-  Sim.every sim ~interval:2.0 ~start:1.0 ~stop_after:7.0 (fun () -> incr ticks);
-  Sim.run sim;
-  Alcotest.(check int) "ticks at 1,3,5,7" 4 !ticks
-
 let test_sim_determinism () =
   (* Two identical simulations must produce identical event interleavings. *)
   let run () =
@@ -614,7 +607,6 @@ let suite =
     ("sim: negative delay rejected", `Quick, test_sim_negative_delay_rejected);
     ("sim: nested scheduling", `Quick, test_sim_schedule_during_run);
     ("sim: every", `Quick, test_sim_every);
-    ("sim: every with start", `Quick, test_sim_every_with_start);
     ("sim: deterministic", `Quick, test_sim_determinism);
     ("sim: schedule/cancel accounting", `Quick, test_sim_schedule_cancel_accounting);
     ("sim: heap-depth histogram from ambient metrics", `Quick, test_sim_heap_depth_histogram);

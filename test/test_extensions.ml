@@ -19,22 +19,6 @@ let test_csv_roundtrip () =
 
 (* --- Rate_process --------------------------------------------------------------- *)
 
-let test_markov_rate_changes () =
-  let sim = Sim.create () in
-  let link = Net.Link.create sim ~rate_bps:1e6 ~delay_s:0.0 ~sink:(fun _ -> ()) () in
-  let rng = U.Rng.create 5 in
-  let process =
-    Net.Rate_process.markov sim ~link ~rng ~states_bps:[| 1e6; 5e6; 20e6 |] ~mean_dwell_s:0.5 ()
-  in
-  Sim.run ~until:20.0 sim;
-  let series = Net.Rate_process.rate_series process in
-  Alcotest.(check bool) "many transitions" true (U.Timeseries.length series > 10);
-  Array.iter
-    (fun r -> Alcotest.(check bool) "rate from state set" true (List.mem r [ 1e6; 5e6; 20e6 ]))
-    (U.Timeseries.values series);
-  Alcotest.(check bool) "link got a state rate" true
-    (List.mem (Net.Link.rate_bps link) [ 1e6; 5e6; 20e6 ])
-
 let test_ou_mean_reversion () =
   let sim = Sim.create () in
   let link = Net.Link.create sim ~rate_bps:20e6 ~delay_s:0.0 ~sink:(fun _ -> ()) () in
@@ -51,11 +35,11 @@ let test_ou_mean_reversion () =
     (U.Timeseries.values (Net.Rate_process.rate_series process))
 
 let test_variable_link_carries_traffic () =
-  (* A bulk flow over a Markov-varying link still delivers data and the
-     simulator stays consistent. *)
+  (* A bulk flow over a wandering link (x1's volatility) still delivers
+     data and the simulator stays consistent. *)
   let scenario =
     Ccsim_core.Scenario.make ~name:"varlink" ~rate_bps:20e6 ~delay_s:0.02
-      ~rate_variation:(Ccsim_core.Scenario.Markov_states [| 5e6; 20e6; 40e6 |])
+      ~rate_variation:(Ccsim_core.Scenario.Ou_wander { volatility = 0.2 })
       ~duration:20.0 ~warmup:5.0
       [ Ccsim_core.Scenario.flow "bulk" ~cca:Ccsim_core.Scenario.Cubic ~app:Ccsim_core.Scenario.Bulk ]
   in
@@ -201,7 +185,6 @@ let suite =
   [
     ("csv: escaping", `Quick, test_csv_escaping);
     ("csv: roundtrip", `Quick, test_csv_roundtrip);
-    ("rate: markov transitions", `Quick, test_markov_rate_changes);
     ("rate: OU mean reversion", `Quick, test_ou_mean_reversion);
     ("rate: traffic over variable link", `Quick, test_variable_link_carries_traffic);
     ("nimbus: parameter validation", `Quick, test_nimbus_parameter_validation);

@@ -227,7 +227,7 @@ let test_sarif_shape () =
   List.iter
     (fun r ->
       Alcotest.(check bool) ("descriptor for " ^ r) true (has ("{\"id\": \"" ^ r ^ "\"")))
-    [ "R1"; "R2"; "R5"; "R6"; "R7" ];
+    [ "R1"; "R2"; "R5"; "R6"; "R7"; "R8" ];
   (* ...and each finding becomes a result with a physical location. *)
   Alcotest.(check bool) "R2 result" true (has "\"ruleId\": \"R2\"");
   Alcotest.(check bool) "R5 result" true (has "\"ruleId\": \"R5\"");
@@ -249,8 +249,10 @@ let test_repo_tree_typed_clean () =
   let build_root =
     if Sys.file_exists "lint_fixtures_typed" then ".." else "_build/default"
   in
+  (* R8 reads callers in every tree, as the @lint rule does. *)
   let roots =
-    List.map (Filename.concat build_root) [ "lib"; "bin"; "tools" ]
+    List.map (Filename.concat build_root)
+      [ "lib"; "bin"; "tools"; "test"; "ccbench"; "examples" ]
   in
   let findings =
     Lint_typed.scan ~source_roots:[ build_root ] ~cmt_roots:roots
@@ -271,6 +273,33 @@ let test_missing_cmt_reported () =
   | exception L.Scan_error msg ->
       Alcotest.(check bool) "names the source" true
         (contains ~affix:"test/lint_fixtures_typed/bad_r6.ml" msg)
+
+(* R8 over its fixture: r8_api.mli and the original of the variant it
+   re-exports are the checked interfaces, r8_tests.ml the test code. *)
+let test_r8_fixture () =
+  let dir = "test/lint_fixtures_typed/" in
+  let expected =
+    [
+      (5, "value R8_api.test_value is reached only from");
+      (8, "optional argument ?test_opt of R8_api.tune is reached only from");
+      (11, "field R8_api.r.test_field is reached only from");
+      (15, "constructor R8_api.Test_built is reached only from");
+      (22, "value R8_api.stale is reached outside");
+      (23, "value R8_api.blank has a [@ccsim.test_only] that requires a reason");
+      (24, "value R8_api.orphan is reached by nothing");
+    ]
+  in
+  Lint_typed.scan ~source_roots:[ typed_source_root ] ~cmt_roots:[ typed_cmt_root ]
+    ~paths:[ "test/lint_fixtures_typed" ] ~api:[ dir ^ "r8_api.mli"; dir ^ "r8_base.mli" ]
+    ~tests:[ dir ^ "r8_tests.ml" ] ()
+  |> List.filter (fun (f : L.finding) -> String.equal f.rule "R8")
+  |> List.map (fun (f : L.finding) ->
+         ( f.line,
+           String.equal (Filename.basename f.file) "r8_api.mli"
+           && List.exists (fun (l, what) -> l = f.line && contains ~affix:what f.message) expected ))
+  |> Alcotest.(check (list (pair int bool)))
+       "exact findings, none for the re-exported variant"
+       (List.map (fun (l, _) -> (l, true)) expected)
 
 let suite =
   [
@@ -296,4 +325,5 @@ let suite =
     Alcotest.test_case "repo tree: typed stage clean" `Quick test_repo_tree_typed_clean;
     Alcotest.test_case "typed stage: a source without .cmt is reported" `Quick
       test_missing_cmt_reported;
+    Alcotest.test_case "R8 fixture: exact findings" `Quick test_r8_fixture;
   ]

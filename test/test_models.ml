@@ -24,7 +24,6 @@ let ledbat_ack ~now ~rtt ~min_rtt cca =
       inflight = 10 * mss;
       delivery_rate = 1e6;
       app_limited = false;
-      mss;
     }
 
 let test_ledbat_grows_below_target () =

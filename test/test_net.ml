@@ -277,48 +277,6 @@ let test_policer_drops_excess () =
   Alcotest.(check int) "burst passes" 2 !passed;
   Alcotest.(check int) "rest dropped" 8 (Net.Policer.dropped policer)
 
-(* --- Red / Codel ------------------------------------------------------------------------ *)
-
-let test_red_accepts_below_min_th () =
-  let q = Net.Red.create ~min_th_bytes:10_000 ~max_th_bytes:30_000 ~limit_bytes:100_000 () in
-  for i = 0 to 4 do
-    Alcotest.(check bool) "below threshold admitted" true (q.Net.Qdisc.enqueue (data ~seq:i ()))
-  done
-
-let test_red_drops_under_pressure () =
-  let q = Net.Red.create ~min_th_bytes:2_000 ~max_th_bytes:10_000 ~max_p:0.5 ~weight:0.5
-      ~limit_bytes:50_000 ()
-  in
-  for i = 0 to 199 do
-    ignore (q.Net.Qdisc.enqueue (data ~seq:i ()))
-  done;
-  Alcotest.(check bool) "probabilistic drops occurred" true (q.Net.Qdisc.stats.dropped > 0);
-  Alcotest.(check bool) "but not everything" true (q.Net.Qdisc.stats.enqueued > 0)
-
-let test_codel_passes_when_fast () =
-  let now = ref 0.0 in
-  let q = Net.Codel.create ~now:(fun () -> !now) () in
-  ignore (q.Net.Qdisc.enqueue (data ()));
-  now := 0.001;
-  (match q.Net.Qdisc.dequeue () with
-  | Some _ -> ()
-  | None -> Alcotest.fail "packet should pass");
-  Alcotest.(check int) "no drops" 0 q.Net.Qdisc.stats.dropped
-
-let test_codel_drops_standing_queue () =
-  let now = ref 0.0 in
-  let q = Net.Codel.create ~now:(fun () -> !now) ~target:0.005 ~interval:0.1 () in
-  (* Feed a standing queue: every dequeued packet has sojourned 50 ms. *)
-  let dropped_before = q.Net.Qdisc.stats.dropped in
-  for round = 0 to 99 do
-    ignore (q.Net.Qdisc.enqueue (data ~seq:round ()));
-    ignore (q.Net.Qdisc.enqueue (data ~seq:(1000 + round) ()));
-    now := !now +. 0.05;
-    ignore (q.Net.Qdisc.dequeue ())
-  done;
-  Alcotest.(check bool) "codel dropped from standing queue" true
-    (q.Net.Qdisc.stats.dropped > dropped_before)
-
 (* --- Link -------------------------------------------------------------------------- *)
 
 let test_link_serialization_and_delay () =
@@ -381,6 +339,34 @@ let test_dispatch_double_register_rejected () =
   Alcotest.check_raises "duplicate flow"
     (Invalid_argument "Dispatch.register: flow already registered") (fun () ->
       Net.Dispatch.register d ~flow:1 (fun _ -> ()))
+
+let test_dispatch_unregister_unmatched () =
+  let d = Net.Dispatch.create () and got = ref 0 in
+  Net.Dispatch.register d ~flow:4 (fun _ -> incr got);
+  Net.Dispatch.deliver d (data ~flow:4 ());
+  Net.Dispatch.unregister d ~flow:4;
+  Net.Dispatch.deliver d (data ~flow:4 ());
+  Alcotest.(check (pair int int)) "delivered, then unmatched" (1, 1) (!got, Net.Dispatch.unmatched d)
+
+let test_dispatch_reregister () =
+  let d = Net.Dispatch.create () and got = ref 0 in
+  Net.Dispatch.register d ~flow:4 (fun _ -> got := !got + 1);
+  Net.Dispatch.unregister d ~flow:4;
+  Net.Dispatch.register d ~flow:4 (fun _ -> got := !got + 10);
+  Net.Dispatch.deliver d (data ~flow:4 ());
+  Alcotest.(check (pair int int)) "second handler only" (10, 0) (!got, Net.Dispatch.unmatched d)
+
+let test_dispatch_large_id () =
+  let d = Net.Dispatch.create () and got = ref 0 in
+  Net.Dispatch.register d ~flow:1 (fun _ -> got := !got + 1);
+  Net.Dispatch.register d ~flow:5_000 (fun _ -> got := !got + 10);
+  List.iter (fun flow -> Net.Dispatch.deliver d (data ~flow ())) [ 5_000; 1; 4_999; 1_000_000 ];
+  Alcotest.(check (pair int int)) "both handlers; empty slot and id past the table unmatched"
+    (11, 2) (!got, Net.Dispatch.unmatched d)
+
+let test_dispatch_negative_id_rejected () =
+  Alcotest.check_raises "negative flow" (Invalid_argument "Dispatch.register: negative flow id")
+    (fun () -> Net.Dispatch.register (Net.Dispatch.create ()) ~flow:(-1) (fun _ -> ()))
 
 (* --- Topology ---------------------------------------------------------------------------- *)
 
@@ -480,10 +466,6 @@ let suite =
     ("shaper: enforces rate then delivers all", `Quick, test_shaper_limits_rate);
     ("shaper: drops over queue limit", `Quick, test_shaper_drops_over_limit);
     ("policer: drops excess", `Quick, test_policer_drops_excess);
-    ("red: below min threshold", `Quick, test_red_accepts_below_min_th);
-    ("red: drops under pressure", `Quick, test_red_drops_under_pressure);
-    ("codel: fast queue untouched", `Quick, test_codel_passes_when_fast);
-    ("codel: standing queue dropped", `Quick, test_codel_drops_standing_queue);
     ("link: serialization + propagation", `Quick, test_link_serialization_and_delay);
     ("link: utilization accounting", `Quick, test_link_utilization);
     ("link: mid-run rate change", `Quick, test_link_rate_change);
@@ -494,4 +476,11 @@ let suite =
     ("topology: policer ingress", `Quick, test_topology_policer_ingress);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
-  @ [ ("link: per-packet allocation budget", `Quick, test_link_packet_allocation) ]
+  @ [
+      ("link: per-packet allocation budget", `Quick, test_link_packet_allocation);
+      ("dispatch: deliver after unregister is unmatched", `Quick,
+        test_dispatch_unregister_unmatched);
+      ("dispatch: register again after unregister", `Quick, test_dispatch_reregister);
+      ("dispatch: id past the initial capacity", `Quick, test_dispatch_large_id);
+      ("dispatch: negative id refused", `Quick, test_dispatch_negative_id_rejected);
+    ]

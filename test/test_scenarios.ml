@@ -144,7 +144,7 @@ let test_nimbus_handle_exposed () =
     Scenario.make ~name:"nimbus" ~rate_bps:(mbps 48.0) ~delay_s:0.05 ~duration:20.0 ~warmup:5.0
       [
         Scenario.flow "probe"
-          ~cca:(Scenario.Nimbus { mode_switching = false; known_capacity_bps = Some (mbps 48.0) })
+          ~cca:(Scenario.Nimbus { capacity_bps = mbps 48.0 })
           ~app:Scenario.Bulk;
       ]
   in

@@ -167,13 +167,7 @@ let info_at ?(bytes_acked = 0) ?(app_limited_s = 0.0) ?(elapsed_s = 0.0) at =
   {
     Tcp.Tcp_info.at;
     bytes_acked;
-    bytes_sent = bytes_acked;
-    bytes_retrans = 0;
-    segs_retrans = 0;
-    cwnd_bytes = 0.0;
-    srtt = 0.0;
     min_rtt = 0.0;
-    delivery_rate_bps = 0.0;
     app_limited_s;
     rwnd_limited_s = 0.0;
     cwnd_limited_s = 0.0;

@@ -5,9 +5,10 @@
 
    Two stages share one finding stream, one allowlist, and one exit
    code: the parsetree pass (R1-R2) always runs over the sources; the
-   typed pass (R5-R7) runs when at least one --cmt-root is given and
-   covers every compiled unit whose recorded source path falls under a
-   scanned PATH. *)
+   typed pass runs when at least one --cmt-root is given. R5-R7 cover
+   every compiled unit whose recorded source path falls under a scanned
+   PATH; R8 checks the interfaces under lib/ against the uses in every
+   unit under the cmt roots (uses from test/ are the tests'). *)
 
 let usage () =
   prerr_endline
@@ -18,7 +19,9 @@ let usage () =
      nondeterminism) and, when --cmt-root is given, runs the typed\n\
      stage (R5 no-alloc-in-hot, R6 no-polymorphic-compare, R7 unit\n\
      inference) over the .cmt files found there whose source path\n\
-     falls under a PATH. See tools/lint/RULES.md.\n\
+     falls under a PATH, and R8 (test-only API) over the lib/\n\
+     interfaces found there, against the uses under every root.\n\
+     See tools/lint/RULES.md.\n\
      \n\
      \  --json           print findings as a JSON array on stdout\n\
      \  --sarif OUT.json also write findings as SARIF 2.1.0 to OUT.json\n\

@@ -67,6 +67,13 @@ let parse_allow_line ~line_no line =
           raise
             (Malformed_allow
                (Printf.sprintf "line %d: missing justification for %s %s" line_no rule path))
+        else if String.equal rule "R8" then
+          (* One file-wide entry would hide every future export. *)
+          raise
+            (Malformed_allow
+               (Printf.sprintf
+                  "line %d: R8 cannot be allowlisted; mark the declaration [@@ccsim.test_only \"why\"]"
+                  line_no))
         else Some { a_rule = rule; a_path = path; a_justification = justification; a_line = line_no }
     | _ ->
         raise
@@ -528,6 +535,11 @@ let rule_catalogue =
      "Units inferred from name suffixes and propagated through arithmetic disagree \
       across +/-/comparison/min/max. * and / combine dimensions. Two suffixed names \
       of one dimension must also agree in scale (_s vs _ms, _bps vs _mbps).");
+    ("R8", "typed", "test-only API",
+     "A value, record field, optional argument or variant constructor exported by a \
+      lib/ interface that nothing outside test/ uses (a field read, a constructor \
+      built, an optional argument passed). Delete it, or keep it for the tests with \
+      [@ccsim.test_only \"why\"] on its declaration; lint.allow cannot silence R8.");
   ]
 
 let render_sarif findings =

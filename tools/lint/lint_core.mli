@@ -9,7 +9,7 @@ type finding = {
   file : string;  (** normalized, '/'-separated relative path *)
   line : int;  (** 1-based *)
   col : int;  (** 0-based, as in compiler diagnostics *)
-  rule : string;  (** "R1" .. "R7" *)
+  rule : string;  (** "R1" .. "R8" *)
   message : string;
   stage : string;  (** "parse" or "typed" *)
 }
@@ -33,7 +33,8 @@ exception Scan_error of string
 
 val load_allowlist : string -> allow_entry list
 (** Parse a lint.allow file. A missing file is an empty allowlist;
-    blank lines and [#] comments are skipped. *)
+    blank lines and [#] comments are skipped. An R8 entry is malformed:
+    only a declaration's [[@ccsim.test_only "why"]] silences R8. *)
 
 val scan_source : file:string -> ?wall_clock_exempt:bool -> string -> finding list
 (** Scan one compilation unit given as source text. [file] is used for
@@ -82,5 +83,5 @@ val render_json : finding list -> string
     file/line/col/rule/stage/message fields. *)
 
 val render_sarif : finding list -> string
-(** SARIF 2.1.0 log (one run, R1-R7 rule descriptors) for GitHub code
+(** SARIF 2.1.0 log (one run, R1-R8 rule descriptors) for GitHub code
     scanning upload. *)

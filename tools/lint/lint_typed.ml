@@ -65,12 +65,14 @@ let type_to_string ty = Format.asprintf "%a" Printtyp.type_expr ty
 let has_attr name (attrs : attributes) =
   List.exists (fun (a : attribute) -> String.equal a.Parsetree.attr_name.txt name) attrs
 
-(* [@ccsim.alloc_ok "why"]: Some (Some why) when present with a string
-   payload, Some None when present without one (an error in itself). *)
-let alloc_ok_attr (attrs : attributes) =
+(* An escape hatch that must say why ([@ccsim.alloc_ok "why"],
+   [@ccsim.test_only "why"]): Some (Some why) when present with a
+   non-blank string payload, Some None when present without one (an
+   error in itself). *)
+let reason_attr name (attrs : attributes) =
   List.find_map
     (fun (a : attribute) ->
-      if not (String.equal a.Parsetree.attr_name.txt "ccsim.alloc_ok") then None
+      if not (String.equal a.Parsetree.attr_name.txt name) then None
       else
         match a.Parsetree.attr_payload with
         | Parsetree.PStr
@@ -582,7 +584,7 @@ let iterator ctx =
       ctx.hot <- true;
       ctx.spine <- function_spine e []
     end;
-    (match alloc_ok_attr e.exp_attributes with
+    (match reason_attr "ccsim.alloc_ok" e.exp_attributes with
     | Some (Some _why) -> ctx.alloc_ok <- true
     | Some None ->
         emit ctx e.exp_loc "R5"
@@ -611,7 +613,7 @@ let iterator ctx =
       ctx.hot <- true;
       ctx.spine <- function_spine vb.vb_expr []
     end;
-    (match alloc_ok_attr vb.vb_attributes with
+    (match reason_attr "ccsim.alloc_ok" vb.vb_attributes with
     | Some (Some _why) -> ctx.alloc_ok <- true
     | Some None ->
         emit ctx vb.vb_loc "R5"
@@ -659,6 +661,208 @@ let scan_structure ~file str =
     ctx.findings
 
 (* ------------------------------------------------------------------ *)
+(* R8: test-only API
+
+   Declarations come from the checked interfaces' .cmti, uses from every
+   .cmt under the cmt roots. A use names its declaration by the location
+   the typedtree carries (val_loc, lbl_loc, cstr_loc), never by name.
+   Outside its unit a field or constructor carries its .mli location,
+   inside it the .ml one, so both files' type declarations map member
+   locations to one key, Unit.Path.type.member; a re-exported type maps
+   its members to the original's keys. A value's uses inside its own .ml
+   carry the .ml location, so only uses from other units reach it. *)
+
+type r8_decl = {
+  d_file : string;
+  d_loc : Location.t;
+  d_what : string;  (* "value Link.is_down", "field Cca.ack_info.now", ... *)
+  d_reason : string option option;  (* [@ccsim.test_only], as reason_attr *)
+  mutable d_run : bool;  (* reached from outside the test paths *)
+  mutable d_test : bool;
+}
+
+type r8 = {
+  decls : (string, r8_decl) Hashtbl.t;
+  mutable order : r8_decl list;  (* newest first *)
+  members : (string, string) Hashtbl.t;  (* member location -> key *)
+  originals : (string, string) Hashtbl.t;  (* re-exported member key -> original's *)
+}
+
+let loc_key (loc : Location.t) =
+  Printf.sprintf "%s:%d" loc.loc_start.Lexing.pos_fname loc.loc_start.Lexing.pos_cnum
+
+(* dune names library unit Lib.Mod Lib__Mod, and its alias module Lib__:
+   "Lib__Mod" and "Lib__.Mod" both read back as "Lib.Mod". *)
+let unmangle name =
+  let b = Buffer.create (String.length name) and n = String.length name in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 1 < n && name.[!i] = '_' && name.[!i + 1] = '_' then begin
+      if !i + 2 < n && name.[!i + 2] <> '.' then Buffer.add_char b '.';
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char b name.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let r8_declare r8 ~key ~file ~what loc attrs =
+  if not (Hashtbl.mem r8.decls key) then begin
+    let d_reason = reason_attr "ccsim.test_only" attrs in
+    let d = { d_file = file; d_loc = loc; d_what = what; d_reason; d_run = false; d_test = false } in
+    Hashtbl.replace r8.decls key d;
+    r8.order <- d :: r8.order
+  end
+
+(* The fields and constructors of one type declaration; [declare] names
+   the checked .mli they are declarations of, if any. *)
+let r8_type_decl r8 ~owner ~shown ~declare (td : type_declaration) =
+  let tkey = owner ^ "." ^ td.typ_name.txt in
+  let original =
+    match td.typ_manifest with
+    | Some { ctyp_desc = Ttyp_constr (p, _, _); _ } -> Some (unmangle (Path.name p))
+    | _ -> None
+  in
+  (* [sub] is "C." for the fields of constructor C's inline record. *)
+  let member ~what ~sub name (loc : Location.t) attrs =
+    let key = tkey ^ "." ^ sub ^ name in
+    Hashtbl.replace r8.members (loc_key loc) key;
+    match (original, declare) with
+    | Some orig, _ -> Hashtbl.replace r8.originals key (orig ^ "." ^ sub ^ name)
+    | None, Some file -> r8_declare r8 ~key ~file ~what loc attrs
+    | None, None -> ()
+  in
+  let fields ~sub =
+    List.iter (fun (ld : label_declaration) ->
+        member ~sub ld.ld_name.txt ld.ld_loc ld.ld_attributes
+          ~what:(Printf.sprintf "field %s.%s.%s%s" shown td.typ_name.txt sub ld.ld_name.txt))
+  in
+  match td.typ_kind with
+  | Ttype_record lds -> fields ~sub:"" lds
+  | Ttype_variant cds ->
+      List.iter
+        (fun (cd : constructor_declaration) ->
+          let name = cd.cd_name.txt in
+          member ~sub:"" name cd.cd_loc cd.cd_attributes
+            ~what:(Printf.sprintf "constructor %s.%s" shown name);
+          match cd.cd_args with Cstr_record lds -> fields ~sub:(name ^ ".") lds | Cstr_tuple _ -> ())
+        cds
+  | Ttype_abstract | Ttype_open -> ()
+
+let r8_interface r8 ~unit ~declare (sg : signature) =
+  let rec items owner shown (sg : signature) =
+    List.iter
+      (fun si ->
+        match (si.sig_desc, declare) with
+        | Tsig_value vd, Some file ->
+            let loc = vd.val_val.Types.val_loc and name = vd.val_name.txt in
+            let key = loc_key loc in
+            r8_declare r8 ~key ~file loc vd.val_attributes
+              ~what:(Printf.sprintf "value %s.%s" shown name);
+            let rec optionals (cty : core_type) =
+              match cty.ctyp_desc with
+              | Ttyp_arrow (Asttypes.Optional l, arg, rest) ->
+                  r8_declare r8 ~key:(key ^ "?" ^ l) ~file arg.ctyp_loc arg.ctyp_attributes
+                    ~what:(Printf.sprintf "optional argument ?%s of %s.%s" l shown name);
+                  optionals rest
+              | Ttyp_arrow (_, _, rest) | Ttyp_poly (_, rest) -> optionals rest
+              | _ -> ()
+            in
+            optionals vd.val_desc
+        | Tsig_type (_, tds), _ -> List.iter (r8_type_decl r8 ~owner ~shown ~declare) tds
+        | Tsig_module { md_name = { txt = Some m; _ }; md_type = { mty_desc = Tmty_signature sg; _ }; _ }
+          , _ ->
+            items (owner ^ "." ^ m) (shown ^ "." ^ m) sg
+        | _ -> ())
+      sg.sig_items
+  in
+  items unit (List.hd (List.rev (String.split_on_char '.' unit))) sg
+
+(* An implementation's own type declarations, whose locations its
+   own uses of the members carry. *)
+let rec r8_implementation_types r8 ~owner (str : structure) =
+  List.iter
+    (fun si ->
+      match si.str_desc with
+      | Tstr_type (_, tds) -> List.iter (r8_type_decl r8 ~owner ~shown:"" ~declare:None) tds
+      | Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+          match mb_expr.mod_desc with
+          | Tmod_structure str | Tmod_constraint ({ mod_desc = Tmod_structure str; _ }, _, _, _) ->
+              r8_implementation_types r8 ~owner:(owner ^ "." ^ Ident.name id) str
+          | _ -> ())
+      | _ -> ())
+    str.str_items
+
+let r8_uses r8 ~test (str : structure) =
+  let reach key =
+    let key = Option.value (Hashtbl.find_opt r8.originals key) ~default:key in
+    match Hashtbl.find_opt r8.decls key with
+    | Some d -> if test then d.d_test <- true else d.d_run <- true
+    | None -> ()
+  in
+  let reach_member loc = Option.iter reach (Hashtbl.find_opt r8.members (loc_key loc)) in
+  let default = Tast_iterator.default_iterator in
+  let expr self e =
+    (match e.exp_desc with
+    | Texp_ident (_, _, vd) -> reach (loc_key vd.Types.val_loc)
+    | Texp_field (_, _, lbl) -> reach_member lbl.Types.lbl_loc
+    | Texp_construct (_, cd, _) -> reach_member cd.Types.cstr_loc
+    | Texp_record { fields; extended_expression = Some _; _ } ->
+        Array.iter
+          (fun ((lbl : Types.label_description), def) ->
+            match def with Kept _ -> reach_member lbl.lbl_loc | Overridden _ -> ())
+          fields
+    | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+        (* An optional argument counts when the call passes it: the None
+           the compiler supplies for an omitted one has no location. *)
+        List.iter
+          (function
+            | Asttypes.Optional l, Some arg when not (Location.is_none arg.exp_loc) ->
+                reach (loc_key vd.Types.val_loc ^ "?" ^ l)
+            | _ -> ())
+          args
+    | _ -> ());
+    default.expr self e
+  in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun self p ->
+    (match p.pat_desc with
+    | Tpat_record (fields, _) -> List.iter (fun (_, lbl, _) -> reach_member lbl.Types.lbl_loc) fields
+    | _ -> ());
+    default.pat self p
+  in
+  let it = { default with expr; pat } in
+  it.structure it str
+
+let r8_findings r8 ~tests =
+  let where = String.concat ", " tests in
+  let say fmt = Printf.ksprintf Option.some fmt in
+  List.filter_map
+    (fun d ->
+      let problem =
+        match (d.d_reason, d.d_run, d.d_test) with
+        | None, true, _ | Some (Some _), false, true -> None
+        | None, false, true ->
+            say "is reached only from %s: delete it, or keep it for the tests with \
+                 [@ccsim.test_only \"why\"] on its declaration" where
+        | None, false, false -> say "is reached by nothing: delete it"
+        | Some None, _, _ -> say "has a [@ccsim.test_only] that requires a reason: \"why\""
+        | Some (Some _), true, _ ->
+            say "is reached outside %s, so its [@ccsim.test_only] is stale: delete the \
+                 attribute" where
+        | Some (Some _), false, false -> say "is reached by nothing, not even %s: delete it" where
+      in
+      let p = d.d_loc.loc_start in
+      Option.map
+        (fun problem ->
+          let col = p.Lexing.pos_cnum - p.Lexing.pos_bol and message = d.d_what ^ " " ^ problem in
+          { Lint_core.file = d.d_file; line = p.pos_lnum; col; rule = "R8"; message; stage = "typed" })
+        problem)
+    (List.rev r8.order)
+
+(* ------------------------------------------------------------------ *)
 (* cmt discovery and the driver entry point *)
 
 let rec cmt_files_under path =
@@ -666,7 +870,7 @@ let rec cmt_files_under path =
     Sys.readdir path |> Array.to_list
     |> List.sort String.compare
     |> List.concat_map (fun entry -> cmt_files_under (Filename.concat path entry))
-  else if Filename.check_suffix path ".cmt" then [ path ]
+  else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti" then [ path ]
   else []
 
 (* Leading ".." segments are ignored on both sides so a scan rooted
@@ -716,8 +920,45 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
+(* R5-R7 over one implementation, less its comment-form suppressions. *)
+let scan_unit ~source_roots src str =
+  let fs = scan_structure ~file:(Lint_core.normalize src) str in
+  match find_source ~source_roots src with
+  | None -> fs
+  | Some path -> (
+      match read_file path with
+      | source ->
+          let suppressed = Lint_core.suppressions_of_source source in
+          List.filter (fun (f : Lint_core.finding) -> not (Hashtbl.mem suppressed (f.line, f.rule))) fs
+      | exception Sys_error _ -> fs)
+
+let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt_roots ~paths
+    () =
   let cmts = List.concat_map cmt_files_under cmt_roots in
+  let r8 =
+    { decls = Hashtbl.create 1024; order = []; members = Hashtbl.create 4096;
+      originals = Hashtbl.create 16 }
+  in
+  (* Pass 1: R8's declarations and member locations, each source once. *)
+  let declared = Hashtbl.create 256 in
+  List.iter
+    (fun cmt_path ->
+      match Cmt_format.read_cmt cmt_path with
+      | { Cmt_format.cmt_sourcefile = Some src; _ } when Hashtbl.mem declared src -> ()
+      | { Cmt_format.cmt_annots = Interface sg; cmt_sourcefile = Some src; cmt_modname; _ } ->
+          Hashtbl.replace declared src ();
+          let declare =
+            if source_matches ~paths:api src then Some (Lint_core.normalize src) else None
+          in
+          r8_interface r8 ~unit:(unmangle cmt_modname) ~declare sg
+      | { Cmt_format.cmt_annots = Implementation str; cmt_sourcefile = Some src; cmt_modname; _ } ->
+          Hashtbl.replace declared src ();
+          r8_implementation_types r8 ~owner:(unmangle cmt_modname) str
+      | _ -> ()
+      | exception _ -> ())
+    cmts;
+  (* Pass 2: R5-R7 over the implementations under [paths]; R8's uses
+     in every implementation. *)
   let seen = Hashtbl.create 16 in
   let scanned = Hashtbl.create 64 in
   let findings = ref [] in
@@ -729,25 +970,13 @@ let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
           cmt_sourcefile = Some src;
           _;
         }
-        when source_matches ~paths src && not (Hashtbl.mem seen src) ->
+        when not (Hashtbl.mem seen src) ->
           Hashtbl.replace seen src ();
-          Hashtbl.replace scanned (strip_parents src) ();
-          let file = Lint_core.normalize src in
-          let fs = scan_structure ~file str in
-          let fs =
-            match find_source ~source_roots src with
-            | None -> fs
-            | Some path -> (
-                match read_file path with
-                | source ->
-                    let suppressed = Lint_core.suppressions_of_source source in
-                    List.filter
-                      (fun (f : Lint_core.finding) ->
-                        not (Hashtbl.mem suppressed (f.line, f.rule)))
-                      fs
-                | exception Sys_error _ -> fs)
-          in
-          findings := fs @ !findings
+          r8_uses r8 ~test:(source_matches ~paths:tests src) str;
+          if source_matches ~paths src then begin
+            Hashtbl.replace scanned (strip_parents src) ();
+            findings := scan_unit ~source_roots src str @ !findings
+          end
       | _ -> ()
       | exception _ -> ())
     cmts;
@@ -773,4 +1002,4 @@ let scan ?(source_roots = [ "." ]) ~cmt_roots ~paths () =
         (Lint_core.Scan_error
            (Printf.sprintf "no .cmt under the cmt roots for %s (run `dune build @check` first)"
               (String.concat ", " missing))));
-  List.sort_uniq Lint_core.compare_finding !findings
+  List.sort_uniq Lint_core.compare_finding (r8_findings r8 ~tests @ !findings)
