@@ -56,28 +56,42 @@ let event_window = function
 
 let windows t = List.map event_window t
 
-let event_to_string e =
-  match e with
-  | Outage { at_s; dur_s } -> Printf.sprintf "outage at=%g dur=%g" at_s dur_s
-  | Capacity { at_s; factor; dur_s = None } ->
-      Printf.sprintf "capacity at=%g factor=%g" at_s factor
-  | Capacity { at_s; factor; dur_s = Some d } ->
-      Printf.sprintf "capacity at=%g factor=%g dur=%g" at_s factor d
-  | Ramp { at_s; dur_s; factor } -> Printf.sprintf "ramp at=%g dur=%g factor=%g" at_s dur_s factor
-  | Loss { at_s; dur_s; p } -> Printf.sprintf "loss at=%g dur=%g p=%g" at_s dur_s p
+(* The shortest of %.15g, %.16g and %.17g that reads back as [x], so
+   [parse] inverts the rendering: short decimals print as %g prints
+   them below 1e6, and %.17g always reads back. *)
+let render_float x =
+  let rec shortest digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits >= 17 || Float.equal (float_of_string s) x then s else shortest (digits + 1)
+  in
+  shortest 15
+
+let fields_of = function
+  | Outage { at_s; dur_s } -> [ ("at", at_s); ("dur", dur_s) ]
+  | Capacity { at_s; factor; dur_s = None } -> [ ("at", at_s); ("factor", factor) ]
+  | Capacity { at_s; factor; dur_s = Some d } -> [ ("at", at_s); ("factor", factor); ("dur", d) ]
+  | Ramp { at_s; dur_s; factor } -> [ ("at", at_s); ("dur", dur_s); ("factor", factor) ]
+  | Loss { at_s; dur_s; p } | Corrupt { at_s; dur_s; p } | Duplicate { at_s; dur_s; p } ->
+      [ ("at", at_s); ("dur", dur_s); ("p", p) ]
   | Burst_loss { at_s; dur_s; p_enter; p_exit; loss_good; loss_bad } ->
-      Printf.sprintf "burst-loss at=%g dur=%g p-enter=%g p-exit=%g loss-good=%g loss-bad=%g"
-        at_s dur_s p_enter p_exit loss_good loss_bad
-  | Corrupt { at_s; dur_s; p } -> Printf.sprintf "corrupt at=%g dur=%g p=%g" at_s dur_s p
-  | Duplicate { at_s; dur_s; p } -> Printf.sprintf "duplicate at=%g dur=%g p=%g" at_s dur_s p
+      [
+        ("at", at_s);
+        ("dur", dur_s);
+        ("p-enter", p_enter);
+        ("p-exit", p_exit);
+        ("loss-good", loss_good);
+        ("loss-bad", loss_bad);
+      ]
   | Reorder { at_s; dur_s; p; extra_s } ->
-      Printf.sprintf "reorder at=%g dur=%g p=%g delay=%g" at_s dur_s p extra_s
-  | Delay_spike { at_s; dur_s; extra_s } ->
-      Printf.sprintf "delay-spike at=%g dur=%g extra=%g" at_s dur_s extra_s
-  | Qdisc_reset { at_s } -> Printf.sprintf "qdisc-reset at=%g" at_s
+      [ ("at", at_s); ("dur", dur_s); ("p", p); ("delay", extra_s) ]
+  | Delay_spike { at_s; dur_s; extra_s } -> [ ("at", at_s); ("dur", dur_s); ("extra", extra_s) ]
+  | Qdisc_reset { at_s } -> [ ("at", at_s) ]
   | Flap { from_s; until_s; mean_up_s; mean_down_s } ->
-      Printf.sprintf "flap from=%g until=%g mean-up=%g mean-down=%g" from_s until_s mean_up_s
-        mean_down_s
+      [ ("from", from_s); ("until", until_s); ("mean-up", mean_up_s); ("mean-down", mean_down_s) ]
+
+let event_to_string e =
+  String.concat " "
+    (kind_of e :: List.map (fun (k, v) -> k ^ "=" ^ render_float v) (fields_of e))
 
 let to_string t = String.concat "; " (List.map event_to_string t)
 
@@ -112,8 +126,10 @@ let parse_fields clause tokens =
   List.fold_left
     (fun acc token ->
       let* fields = acc in
-      let* kv = parse_kv clause token in
-      Ok (kv :: fields))
+      let* k, v = parse_kv clause token in
+      if List.exists (fun (k', _) -> String.equal k k') fields then
+        Error (Printf.sprintf "%S: repeated key %s=" clause k)
+      else Ok ((k, v) :: fields))
     (Ok []) tokens
 
 let lookup fields k = List.assoc_opt k fields

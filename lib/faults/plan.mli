@@ -68,7 +68,8 @@ val windows : t -> (float * float) list
 
 val parse : string -> (t, string) result
 (** Parse the clause language; the error names the offending clause.
-    Empty plans are an error. *)
+    Empty plans are an error, and so is a key given twice in one
+    clause (the error names it). *)
 
 val parse_exn : string -> t
 (** Raises [Invalid_argument]. *)
@@ -77,7 +78,10 @@ val event_to_string : event -> string
 
 val to_string : t -> string
 (** Canonical rendering: [parse] ∘ [to_string] is the identity, and the
-    string is stable for use in runner job digests. *)
+    string is stable for use in runner job digests. Each number prints
+    as the shortest of [%.15g], [%.16g] and [%.17g] that reads back as
+    the same float, so two plans that differ in any digit render
+    differently. *)
 
 (** {1 Ambient arming} *)
 

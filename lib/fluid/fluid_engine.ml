@@ -11,18 +11,32 @@ module Obs = Ccsim_obs
    and what the corruption-injection test breaks.
 
    Hot-path layout: flat [float array]/[int array] only (unboxed loads,
-   no per-flow records), in flow-id order. At seal a stable counting
-   sort builds a CSR index: link l's flows are [by_link.(l_off.(l))] to
-   [by_link.(l_off.(l + 1) - 1)], in flow-id order. A step is one pass
-   over the flows for on/off toggles, then one link-major pass
-   ([advance]) that finishes each link — arrival sum, loss and service
-   ratio, every flow's derivative, Euler update, clamp and new rate,
-   queue settle, byte accounting, goodput — while its flows are still
-   in cache, allocating nothing (EXPERIMENTS.md, "Throughput"). A flow
-   interacts only through its own link and each link sums its flows in
-   flow-id order, so every float is bit for bit what the old four-pass
-   step (derivative, Euler update, settle, goodput) computed;
-   test/ref_fluid_engine.ml keeps that step as the oracle. *)
+   no per-flow records), in flow-id order. A flow is active exactly
+   when its state is > 0.0: activation sets a positive state, the
+   clamps keep it positive, deactivation stores +0.0. At seal a stable
+   counting sort builds a CSR index: link l's flows are
+   [by_link.(l_off.(l))] to [by_link.(l_off.(l + 1) - 1)], in flow-id
+   order. A step is one pass over the flows for on/off toggles, then
+   one link-major pass ([advance]) that finishes each link — arrival
+   sum, loss and service ratio, every flow's derivative, Euler update,
+   clamp and new rate, queue settle, byte accounting, goodput — while
+   its flows are still in cache, allocating nothing (EXPERIMENTS.md,
+   "Throughput"). A flow interacts only through its own link and each
+   link sums its flows in flow-id order, so every float is bit for bit
+   what the old four-pass step (derivative, Euler update, settle,
+   goodput) computed; test/ref_fluid_engine.ml keeps that step as the
+   oracle.
+
+   The pass skips two kinds of work whose result it already holds,
+   exactly:
+   - an idle link (no active flow, queue exactly 0.0) would add +0.0
+     to every accumulator, fail the contention test and move no flow,
+     so only its arrival and served rate are stored, both 0.0;
+   - a link's pre-step arrival is the sum the previous step ended with
+     (same terms, same order, from 0.0) when no flow of the link
+     toggled since and the queueing delay is bitwise the one those
+     rates used. [l_delay] keeps that delay; a toggle stores
+     [neg_infinity], which no delay equals. *)
 
 type link_id = int
 type flow_id = int
@@ -53,7 +67,9 @@ type t = {
   warmup_s : float;
   payload_frac : float;
   rng : U.Rng.t;
-  mutable now_s : float;
+  clock_s : float array;
+      (* the engine's clock in one unboxed slot: a mutable float field
+         here would box on every step *)
   mutable built : bool;
   (* links (SoA, sized at seal) *)
   mutable nl : int;
@@ -63,6 +79,9 @@ type t = {
   mutable l_pkt_rate : float array;  (* packet cross traffic, bit/s (hybrid) *)
   mutable l_pkt_backlog : float array;  (* packet queue share, bytes (hybrid) *)
   mutable l_arr : float array;  (* last fluid arrival, bit/s *)
+  mutable l_delay : float array;
+      (* queueing delay, s, the rates summed in [l_arr] used;
+         neg_infinity once a flow of the link toggles *)
   mutable l_served : float array;  (* last served rate, bit/s *)
   mutable l_active : int array;  (* active flows *)
   mutable l_contended_s : float array;
@@ -75,12 +94,11 @@ type t = {
   mutable n : int;
   mutable f_model : int array;
   mutable f_link : int array;
-  mutable f_y : float array;  (* ODE state *)
+  mutable f_y : float array;  (* ODE state; > 0.0 exactly when active *)
   mutable f_rtt_base : float array;
   mutable f_cap : float array;  (* demand cap, bit/s; infinity = bulk *)
   mutable f_on : float array;  (* mean on-period, s; infinity = always on *)
   mutable f_off : float array;
-  mutable f_active : bool array;
   mutable f_toggle : float array;  (* next toggle time, s *)
   mutable f_good_b : float array;  (* delivered payload bytes after warmup *)
   mutable xs : float array;  (* scratch: post-step rate, by CSR position *)
@@ -136,7 +154,7 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       warmup_s;
       payload_frac;
       rng = U.Rng.create seed;
-      now_s = 0.0;
+      clock_s = [| 0.0 |];
       built = false;
       nl = 0;
       l_cap = [||];
@@ -145,6 +163,7 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       l_pkt_rate = [||];
       l_pkt_backlog = [||];
       l_arr = [||];
+      l_delay = [||];
       l_served = [||];
       l_active = [||];
       l_contended_s = [||];
@@ -161,7 +180,6 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       f_cap = [||];
       f_on = [||];
       f_off = [||];
-      f_active = [||];
       f_toggle = [||];
       f_good_b = [||];
       xs = [||];
@@ -203,7 +221,7 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
   t
 
 let dt_s t = t.dt_s
-let now_s t = t.now_s
+let now_s t = t.clock_s.(0)
 let flows t = t.n
 
 (* --- flow models ------------------------------------------------------------ *)
@@ -238,6 +256,14 @@ let flows t = t.n
    -opaque, so every float passed to or returned from another module
    is boxed. *)
 
+(* [Float.min] and [Float.max] without their C call: both ask
+   [caml_signbit] whenever their first comparison fails, which is most
+   of the time on the per-flow path. Here only ties and NaNs reach the
+   Stdlib function, so each returns exactly what it would, signed
+   zeros and NaNs included. *)
+let[@inline] float_min (x : float) y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] float_max (x : float) y = if x > y then x else if y > x then y else Float.max x y
+
 let bbr = Fluid_model.index Fluid_model.Bbr
 let cubic = Fluid_model.index Fluid_model.Cubic
 
@@ -251,18 +277,18 @@ let bbr_cwnd_gain = 2.0
 (* Initial state on (re)activation: IW10 for the window models, ten
    packets per base RTT for BBR's pacing rate. *)
 let[@inline] initial_state ~tag ~rtt_s =
-  if tag = bbr then 10.0 *. Fluid_model.pkt_bits /. Float.max 1e-4 rtt_s else 10.0
+  if tag = bbr then 10.0 *. Fluid_model.pkt_bits /. float_max 1e-4 rtt_s else 10.0
 
 (* Instantaneous wire sending rate in bit/s. *)
 let[@inline] rate_bps ~tag ~w ~rtt_s =
-  if tag = bbr then w else w *. Fluid_model.pkt_bits /. Float.max 1e-4 rtt_s
+  if tag = bbr then w else w *. Fluid_model.pkt_bits /. float_max 1e-4 rtt_s
 
 (* dw/dt (window models: packets/s; BBR: bit/s per second). *)
 let[@inline] deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac ~service_ratio =
-  let r = Float.max 1e-3 rtt_s in
+  let r = float_max 1e-3 rtt_s in
   if tag = bbr then begin
     let deliv = w *. service_ratio in
-    let gain = Float.min bbr_probe_gain (bbr_cwnd_gain *. rtt_min_s /. r) in
+    let gain = float_min bbr_probe_gain (bbr_cwnd_gain *. rtt_min_s /. r) in
     ((gain *. deliv) -. w) /. r
   end
   else begin
@@ -310,27 +336,28 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
   t.f_off <- grow t.f_off i 0.0;
   t.f_toggle <- grow t.f_toggle i 0.0;
   t.f_good_b <- grow t.f_good_b i 0.0;
-  t.f_active <- grow t.f_active i false;
   let tag = Fluid_model.index model in
   t.f_model.(i) <- tag;
   t.f_link.(i) <- link;
   t.f_rtt_base.(i) <- rtt_base_s;
   t.f_cap.(i) <- cap_bps;
-  (match on_off_s with
-  | None ->
-      t.f_on.(i) <- infinity;
-      t.f_off.(i) <- infinity;
-      t.f_toggle.(i) <- infinity;
-      t.f_active.(i) <- true
-  | Some (on_s, off_s) ->
-      if not (positive_finite on_s && positive_finite off_s) then
-        invalid_arg "Fluid_engine.add_flow: on_off_s means must be finite and positive";
-      t.f_on.(i) <- on_s;
-      t.f_off.(i) <- off_s;
-      t.f_active.(i) <- start_active;
-      let mean = if start_active then on_s else off_s in
-      t.f_toggle.(i) <- U.Rng.exponential t.rng ~mean);
-  t.f_y.(i) <- (if t.f_active.(i) then initial_state ~tag ~rtt_s:rtt_base_s else 0.0);
+  let active =
+    match on_off_s with
+    | None ->
+        t.f_on.(i) <- infinity;
+        t.f_off.(i) <- infinity;
+        t.f_toggle.(i) <- infinity;
+        true
+    | Some (on_s, off_s) ->
+        if not (positive_finite on_s && positive_finite off_s) then
+          invalid_arg "Fluid_engine.add_flow: on_off_s means must be finite and positive";
+        t.f_on.(i) <- on_s;
+        t.f_off.(i) <- off_s;
+        let mean = if start_active then on_s else off_s in
+        t.f_toggle.(i) <- U.Rng.exponential t.rng ~mean;
+        start_active
+  in
+  t.f_y.(i) <- (if active then initial_state ~tag ~rtt_s:rtt_base_s else 0.0);
   t.f_good_b.(i) <- 0.0;
   t.n <- i + 1;
   i
@@ -350,7 +377,6 @@ let seal t =
     t.f_off <- trim t.f_off n;
     t.f_toggle <- trim t.f_toggle n;
     t.f_good_b <- trim t.f_good_b n;
-    t.f_active <- trim t.f_active n;
     t.xs <- Array.make n 0.0;
     t.l_cap <- trim t.l_cap nl;
     t.l_buf <- trim t.l_buf nl;
@@ -359,6 +385,7 @@ let seal t =
     t.l_pkt_rate <- zeros ();
     t.l_pkt_backlog <- zeros ();
     t.l_arr <- zeros ();
+    t.l_delay <- Array.make nl neg_infinity;
     t.l_served <- zeros ();
     t.l_contended_s <- zeros ();
     t.l_offered_b <- zeros ();
@@ -373,7 +400,7 @@ let seal t =
     for i = 0 to n - 1 do
       let l = t.f_link.(i) in
       t.l_off.(l + 1) <- t.l_off.(l + 1) + 1;
-      if t.f_active.(i) then t.l_active.(l) <- t.l_active.(l) + 1
+      if t.f_y.(i) > 0.0 then t.l_active.(l) <- t.l_active.(l) + 1
     done;
     let start = ref 0 in
     for l = 0 to nl - 1 do
@@ -406,26 +433,28 @@ let[@inline] loss_of ~q ~buf =
     let frac = q /. buf in
     if frac <= loss_theta then 0.0
     else begin
-      let z = Float.min 1.0 ((frac -. loss_theta) /. (1.0 -. loss_theta)) in
+      let z = float_min 1.0 ((frac -. loss_theta) /. (1.0 -. loss_theta)) in
       loss_p_max *. z *. z
     end
   end
 
 let process_toggles t =
+  let now_s = t.clock_s.(0) in
+  let f_toggle = t.f_toggle and f_y = t.f_y and f_link = t.f_link in
+  let l_active = t.l_active and l_delay = t.l_delay in
   for i = 0 to t.n - 1 do
-    if t.f_toggle.(i) <= t.now_s then begin
-      let l = t.f_link.(i) in
-      if t.f_active.(i) then begin
-        t.f_active.(i) <- false;
-        t.f_y.(i) <- 0.0;
-        t.l_active.(l) <- t.l_active.(l) - 1;
-        t.f_toggle.(i) <- t.now_s +. U.Rng.exponential t.rng ~mean:t.f_off.(i)
+    if f_toggle.(i) <= now_s then begin
+      let l = f_link.(i) in
+      l_delay.(l) <- neg_infinity;
+      if f_y.(i) > 0.0 then begin
+        f_y.(i) <- 0.0;
+        l_active.(l) <- l_active.(l) - 1;
+        f_toggle.(i) <- now_s +. U.Rng.exponential t.rng ~mean:t.f_off.(i)
       end
       else begin
-        t.f_active.(i) <- true;
-        t.f_y.(i) <- initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
-        t.l_active.(l) <- t.l_active.(l) + 1;
-        t.f_toggle.(i) <- t.now_s +. U.Rng.exponential t.rng ~mean:t.f_on.(i)
+        f_y.(i) <- initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
+        l_active.(l) <- l_active.(l) + 1;
+        f_toggle.(i) <- now_s +. U.Rng.exponential t.rng ~mean:t.f_on.(i)
       end
     end
   done
@@ -436,121 +465,134 @@ let process_toggles t =
    from the arrival of the pre-step states, and [l_arr] ends holding the
    arrival of the post-step states, which the settle and the goodput
    credit use. Inactive flows hold y = +0.0, so skipping their Euler
-   update is exact. *)
+   update is exact; so are the idle-link skip and the reuse of the
+   pre-step arrival (see the header). *)
 let[@ccsim.hot] advance t =
-  let dt = t.dt_s in
-  let credit = t.now_s +. dt > t.warmup_s in
+  let dt = t.dt_s and payload_frac = t.payload_frac in
+  let credit = t.clock_s.(0) +. dt > t.warmup_s in
+  let l_off = t.l_off and by_link = t.by_link and l_active = t.l_active in
+  let l_cap = t.l_cap and l_buf = t.l_buf and l_q = t.l_q in
+  let l_pkt_rate = t.l_pkt_rate and l_pkt_backlog = t.l_pkt_backlog in
+  let l_arr = t.l_arr and l_delay = t.l_delay and l_served = t.l_served in
+  let f_model = t.f_model and f_y = t.f_y and f_rtt_base = t.f_rtt_base and f_cap = t.f_cap in
+  let xs = t.xs and f_good_b = t.f_good_b and totals_b = t.totals_b in
+  let pkt_bytes = float_of_int Fluid_model.pkt_bytes in
   for l = 0 to t.nl - 1 do
-    let first = t.l_off.(l) and last = t.l_off.(l + 1) - 1 in
-    let cap = t.l_cap.(l) and buf = t.l_buf.(l) and q = t.l_q.(l) in
-    let queue_delay_s = (q +. t.l_pkt_backlog.(l)) *. 8.0 /. cap in
-    t.l_arr.(l) <- 0.0;
-    for k = first to last do
-      let i = t.by_link.(k) in
-      if t.f_active.(i) then begin
-        let rtt_s = t.f_rtt_base.(i) +. queue_delay_s in
-        t.l_arr.(l) <-
-          t.l_arr.(l) +. Float.min (rate_bps ~tag:t.f_model.(i) ~w:t.f_y.(i) ~rtt_s) t.f_cap.(i)
-      end
-    done;
-    let p = loss_of ~q ~buf in
-    let s = Float.max 0.0 (cap -. t.l_pkt_rate.(l)) in
-    let a = t.l_arr.(l) in
-    let service_ratio = if a <= s || a <= 0.0 then 1.0 else s /. a in
-    t.l_arr.(l) <- 0.0;
-    for k = first to last do
-      let i = t.by_link.(k) in
-      if t.f_active.(i) then begin
-        let tag = t.f_model.(i) and rtt_min_s = t.f_rtt_base.(i) and w = t.f_y.(i) in
-        let rtt_s = rtt_min_s +. queue_delay_s in
-        let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
-        let w = w +. (dt *. dw) in
-        let w =
-          if tag = bbr then begin
-            let hi = Float.min (1.3 *. t.f_cap.(i)) (2.0 *. cap) in
-            Float.min (Float.max 1e3 w) hi
+    let q = l_q.(l) in
+    if l_active.(l) = 0 && Float.equal q 0.0 then begin
+      l_arr.(l) <- 0.0;
+      l_served.(l) <- 0.0
+    end
+    else begin
+      let first = l_off.(l) and last = l_off.(l + 1) - 1 in
+      let cap = l_cap.(l) and buf = l_buf.(l) in
+      let queue_delay_s = (q +. l_pkt_backlog.(l)) *. 8.0 /. cap in
+      if not (Float.equal queue_delay_s l_delay.(l)) then begin
+        l_arr.(l) <- 0.0;
+        for k = first to last do
+          let i = by_link.(k) in
+          let w = f_y.(i) in
+          if w > 0.0 then begin
+            let rtt_s = f_rtt_base.(i) +. queue_delay_s in
+            l_arr.(l) <- l_arr.(l) +. float_min (rate_bps ~tag:f_model.(i) ~w ~rtt_s) f_cap.(i)
           end
-          else begin
-            let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
-            let buf_pkts = buf /. float_of_int Fluid_model.pkt_bytes in
-            let hi = Float.max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)) in
-            Float.min (Float.max 0.1 w) hi
-          end
-        in
-        t.f_y.(i) <- w;
-        let x = Float.min (rate_bps ~tag ~w ~rtt_s) t.f_cap.(i) in
-        t.xs.(k) <- x;
-        t.l_arr.(l) <- t.l_arr.(l) +. x
-      end
-    done;
-    (* queue balance + exact byte accounting *)
-    let a = t.l_arr.(l) in
-    let inq = a *. (1.0 -. p) in
-    let avail = inq +. (q *. 8.0 /. dt) in
-    let served = Float.min s avail in
-    let q1 = q +. ((inq -. served) *. dt /. 8.0) in
-    let overflow = Float.max 0.0 (q1 -. buf) in
-    let q1 = q1 -. overflow in
-    t.l_q.(l) <- q1;
-    t.l_served.(l) <- served;
-    let offered_b = a *. dt /. 8.0 in
-    let dropped_b = (p *. a *. dt /. 8.0) +. overflow in
-    let served_b = served *. dt /. 8.0 in
-    t.l_offered_b.(l) <- t.l_offered_b.(l) +. offered_b;
-    t.l_dropped_b.(l) <- t.l_dropped_b.(l) +. dropped_b;
-    t.l_served_b.(l) <- t.l_served_b.(l) +. served_b;
-    t.totals_b.(ti_offered) <- t.totals_b.(ti_offered) +. offered_b;
-    t.totals_b.(ti_dropped) <- t.totals_b.(ti_dropped) +. dropped_b;
-    t.totals_b.(ti_served) <- t.totals_b.(ti_served) +. served_b;
-    t.totals_b.(ti_q) <- t.totals_b.(ti_q) +. (q1 -. q);
-    (* contention: a busy link with at least two active flows where the
-       queue signal (loss or >=5 ms of queueing, read after the settle)
-       is doing the allocating — the paper's prerequisites, in fluid
-       terms. *)
-    if
-      s > 0.0
-      && a >= 0.95 *. s
-      && t.l_active.(l) >= 2
-      && (p > 0.0 || (q1 +. t.l_pkt_backlog.(l)) *. 8.0 /. cap >= 0.005)
-    then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt;
-    (* per-flow delivered payload over the measurement window *)
-    if credit && a > 0.0 then
+        done;
+        l_delay.(l) <- queue_delay_s
+      end;
+      let p = loss_of ~q ~buf in
+      let s = float_max 0.0 (cap -. l_pkt_rate.(l)) in
+      let a = l_arr.(l) in
+      let service_ratio = if a <= s || a <= 0.0 then 1.0 else s /. a in
+      let two_cap = 2.0 *. cap and buf_pkts = buf /. pkt_bytes in
+      l_arr.(l) <- 0.0;
       for k = first to last do
-        let i = t.by_link.(k) in
-        if t.f_active.(i) then
-          t.f_good_b.(i) <-
-            t.f_good_b.(i) +. (t.xs.(k) /. a *. served *. t.payload_frac *. dt /. 8.0)
-      done
+        let i = by_link.(k) in
+        let w = f_y.(i) in
+        if w > 0.0 then begin
+          let tag = f_model.(i) and rtt_min_s = f_rtt_base.(i) in
+          let rtt_s = rtt_min_s +. queue_delay_s in
+          let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
+          let w = w +. (dt *. dw) in
+          let w =
+            if tag = bbr then float_min (float_max 1e3 w) (float_min (1.3 *. f_cap.(i)) two_cap)
+            else begin
+              let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
+              float_min (float_max 0.1 w) (float_max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)))
+            end
+          in
+          f_y.(i) <- w;
+          let x = float_min (rate_bps ~tag ~w ~rtt_s) f_cap.(i) in
+          xs.(k) <- x;
+          l_arr.(l) <- l_arr.(l) +. x
+        end
+      done;
+      (* queue balance + exact byte accounting; x /. 8.0 is written
+         x *. 0.125, the same float *)
+      let a = l_arr.(l) in
+      let inq = a *. (1.0 -. p) in
+      let avail = inq +. (q *. 8.0 /. dt) in
+      let served = float_min s avail in
+      let q1 = q +. ((inq -. served) *. dt *. 0.125) in
+      let overflow = float_max 0.0 (q1 -. buf) in
+      let q1 = q1 -. overflow in
+      l_q.(l) <- q1;
+      l_served.(l) <- served;
+      let offered_b = a *. dt *. 0.125 in
+      let dropped_b = (p *. a *. dt *. 0.125) +. overflow in
+      let served_b = served *. dt *. 0.125 in
+      t.l_offered_b.(l) <- t.l_offered_b.(l) +. offered_b;
+      t.l_dropped_b.(l) <- t.l_dropped_b.(l) +. dropped_b;
+      t.l_served_b.(l) <- t.l_served_b.(l) +. served_b;
+      totals_b.(ti_offered) <- totals_b.(ti_offered) +. offered_b;
+      totals_b.(ti_dropped) <- totals_b.(ti_dropped) +. dropped_b;
+      totals_b.(ti_served) <- totals_b.(ti_served) +. served_b;
+      totals_b.(ti_q) <- totals_b.(ti_q) +. (q1 -. q);
+      (* contention: a busy link with at least two active flows where the
+         queue signal (loss or >=5 ms of queueing, read after the settle)
+         is doing the allocating — the paper's prerequisites, in fluid
+         terms. *)
+      if
+        s > 0.0
+        && a >= 0.95 *. s
+        && l_active.(l) >= 2
+        && (p > 0.0 || (q1 +. l_pkt_backlog.(l)) *. 8.0 /. cap >= 0.005)
+      then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt;
+      (* per-flow delivered payload over the measurement window *)
+      if credit && a > 0.0 then
+        for k = first to last do
+          let i = by_link.(k) in
+          if f_y.(i) > 0.0 then
+            f_good_b.(i) <-
+              f_good_b.(i) +. (xs.(k) /. a *. served *. payload_frac *. dt *. 0.125)
+        done
+    end
   done
 
 let[@ccsim.hot] step t =
   seal t;
   process_toggles t;
   advance t;
-  ((t.now_s <- t.now_s +. t.dt_s)
-  [@ccsim.alloc_ok "one boxed clock store per fluid step, amortized over every flow it advances"])
+  t.clock_s.(0) <- t.clock_s.(0) +. t.dt_s
 
 (* --- standalone run loop --------------------------------------------------- *)
 
 let record_samples t =
   let record series value =
     match series with
-    | Some s -> Obs.Timeline.record s ~time:t.now_s ~value
+    | Some s -> Obs.Timeline.record s ~time:(now_s t) ~value
     | None -> ()
   in
   if Option.is_some t.tl_arrival || Option.is_some t.tl_served || Option.is_some t.tl_queue
      || Option.is_some t.tl_active || Option.is_some t.tl_contended
   then begin
-    let arr = ref 0.0 and served = ref 0.0 and q = ref 0.0 and contended = ref 0 in
+    let arr = ref 0.0 and served = ref 0.0 and q = ref 0.0 in
+    let active = ref 0 and contended = ref 0 in
     for l = 0 to t.nl - 1 do
       arr := !arr +. t.l_arr.(l);
       served := !served +. t.l_served.(l);
       q := !q +. t.l_q.(l);
+      active := !active + t.l_active.(l);
       if t.l_contended_s.(l) > 0.0 then incr contended
-    done;
-    let active = ref 0 in
-    for i = 0 to t.n - 1 do
-      if t.f_active.(i) then incr active
     done;
     record t.tl_arrival !arr;
     record t.tl_served !served;
@@ -561,30 +603,30 @@ let record_samples t =
 
 let run t ~until_s =
   seal t;
-  while t.now_s < until_s -. (0.5 *. t.dt_s) do
+  while now_s t < until_s -. (0.5 *. t.dt_s) do
     (match t.profile with
     | None -> step t
     | Some p ->
         let t0 = Obs.Profile.wall_now () in
         step t;
         Obs.Profile.record p ~comp:"fluid" ~seconds:(Obs.Profile.wall_now () -. t0));
-    if t.now_s >= t.next_sample_s then begin
+    if now_s t >= t.next_sample_s then begin
       record_samples t;
-      t.next_sample_s <- t.now_s +. t.sample_interval_s
+      t.next_sample_s <- now_s t +. t.sample_interval_s
     end;
     match t.watchdog with
-    | Some w when t.now_s >= t.next_check_s ->
-        Obs.Watchdog.check_now w ~now:t.now_s;
-        t.next_check_s <- t.now_s +. Obs.Watchdog.interval w
+    | Some w when now_s t >= t.next_check_s ->
+        Obs.Watchdog.check_now w ~now:(now_s t);
+        t.next_check_s <- now_s t +. Obs.Watchdog.interval w
     | Some _ | None -> ()
   done;
   (match t.profile with
   | Some p ->
-      Obs.Profile.note_sim_time p t.now_s;
+      Obs.Profile.note_sim_time p (now_s t);
       Obs.Profile.gc_flush p
   | None -> ());
   match t.watchdog with
-  | Some w -> Obs.Watchdog.check_now w ~now:t.now_s
+  | Some w -> Obs.Watchdog.check_now w ~now:(now_s t)
   | None -> ()
 
 (* --- outputs --------------------------------------------------------------- *)
@@ -608,7 +650,7 @@ let link_residual_bytes t l =
 
 let flow_goodput_bps t i =
   check_flow t i "Fluid_engine.flow_goodput_bps";
-  let window_s = t.now_s -. t.warmup_s in
+  let window_s = now_s t -. t.warmup_s in
   if window_s <= 0.0 then 0.0 else t.f_good_b.(i) *. 8.0 /. window_s
 
 let totals t =

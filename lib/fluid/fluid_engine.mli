@@ -10,10 +10,16 @@
     update, clamp and rate, queue settle, byte accounting, goodput)
     before moving to the next, allocating nothing; million-flow
     populations run in seconds per simulated second (EXPERIMENTS.md,
-    "Throughput"). Toggles draw from the RNG in flow-id order and each
-    link sums its flows in flow-id order, so every result is bit for
-    bit that of the earlier four-pass step, which the test suite keeps
-    as its oracle.
+    "Throughput"). The kernel does only the work whose result it does
+    not already hold. An idle link (no active flow, a queue of exactly
+    0.0) only has its arrival and served rate set to 0.0, which is all
+    the full pass would change. A link's pre-step arrival is taken from
+    the sum the previous step ended with when no flow of the link
+    toggled since and its queueing delay is bitwise unchanged: the
+    full pass would add the same terms in the same order. Toggles draw
+    from the RNG in flow-id order and each link sums its flows in
+    flow-id order, so every result is bit for bit that of the earlier
+    four-pass step, which the test suite keeps as its oracle.
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation
@@ -134,6 +140,15 @@ val residual_bytes : t -> float
 val register_link_invariant : t -> component:string -> Ccsim_obs.Watchdog.t -> link_id -> unit
 (** Register the per-link byte-conservation check on [w] — used by
     [Fluid_driver] so each hybrid coupling is individually watched. *)
+
+val float_min : float -> float -> float
+[@@ccsim.test_only "tests check the kernel's min against Float.min on every float class"]
+(** [Float.min], bit for bit on every input, without its C call
+    ([caml_signbit]) outside ties and NaNs; the kernel's own min. *)
+
+val float_max : float -> float -> float
+[@@ccsim.test_only "tests check the kernel's max against Float.max on every float class"]
+(** [Float.max], likewise. *)
 
 val inject_accounting_skew : t -> link:link_id -> bytes:float -> unit
 [@@ccsim.test_only "tests break conservation on purpose, to show the check fires"]

@@ -38,7 +38,14 @@ let test_plan_roundtrip () =
       (* parse . to_string is the identity on any parsed plan *)
       (match Plan.parse (Plan.to_string plan) with
       | Ok again -> Alcotest.(check bool) "structural round-trip" true (plan = again)
-      | Error msg -> Alcotest.fail msg)
+      | Error msg -> Alcotest.fail msg);
+      (* Numbers past %g's six significant digits render in full. *)
+      List.iter
+        (fun s ->
+          match Plan.parse s with
+          | Ok p -> Alcotest.(check string) "lossless fixed point" s (Plan.to_string p)
+          | Error msg -> Alcotest.fail msg)
+        [ "loss at=1.0000001 dur=2 p=0.1"; "outage at=1234567 dur=1" ]
 
 let test_plan_defaults () =
   match Plan.parse "burst-loss at=1 dur=2" with
@@ -68,7 +75,11 @@ let test_plan_errors () =
   (* Holding-time means below the 1 ms floor would never finish a run. *)
   expect_error "flap from=0 until=20 mean-up=1e-300 mean-down=1e-300";
   expect_error "flap from=0 until=20 mean-up=1e-9 mean-down=1e-9";
-  expect_error "capacity at=1 factor=0"
+  expect_error "capacity at=1 factor=0";
+  (* A key given twice is an error that names it, not a silent last-wins. *)
+  Alcotest.(check string) "repeated key named"
+    "\"loss at=1 at=2 dur=1 p=0.1\": repeated key at="
+    (match Plan.parse "loss at=1 at=2 dur=1 p=0.1" with Error msg -> msg | Ok _ -> "parsed")
 
 let test_ambient_arming () =
   let plan = Plan.parse_exn "outage at=1 dur=1" in
@@ -428,6 +439,96 @@ let test_c1_plans_parse () =
       | Some s -> ignore (Plan.parse_exn s))
     Ccsim_core.C1_chaos.intensities
 
+(* Valid plans of every event kind. Each field takes a float of any
+   class (Test_obs.float_classes) folded into its range: times >= 0
+   (with -0.0), positive durations and factors, probabilities in
+   [0, 1], flap means >= 1 ms, and flap windows with until > from. *)
+let plan_gen =
+  let open QCheck.Gen in
+  let mag = map (fun x -> if Float.is_finite x then Float.abs x else 1.0) Test_obs.float_classes in
+  let time = frequency [ (9, mag); (1, return (-0.0)) ] in
+  let pos = map (fun x -> if x > 0.0 then x else 1.0) mag in
+  let prob =
+    frequency
+      [ (1, float_bound_inclusive 1.0); (1, map (fun x -> if x <= 1.0 then x else 1.0 /. x) mag) ]
+  in
+  let mean = map (fun x -> if x >= 0.001 then x else 0.001 +. x) mag in
+  let window =
+    map2
+      (fun a b ->
+        if a < b then (a, b)
+        else if b < a then (b, a)
+        else if a < Float.max_float then (a, Float.succ a)
+        else (Float.pred a, a))
+      mag mag
+  in
+  let event =
+    oneof
+      [
+        map2 (fun at_s dur_s -> Plan.Outage { at_s; dur_s }) time pos;
+        map3 (fun at_s factor dur_s -> Plan.Capacity { at_s; factor; dur_s }) time pos (opt pos);
+        map3 (fun at_s dur_s factor -> Plan.Ramp { at_s; dur_s; factor }) time pos pos;
+        map3 (fun at_s dur_s p -> Plan.Loss { at_s; dur_s; p }) time pos prob;
+        (let* at_s = time and* dur_s = pos and* p_enter = prob and* p_exit = prob
+         and* loss_good = prob and* loss_bad = prob in
+         return (Plan.Burst_loss { at_s; dur_s; p_enter; p_exit; loss_good; loss_bad }));
+        map3 (fun at_s dur_s p -> Plan.Corrupt { at_s; dur_s; p }) time pos prob;
+        map3 (fun at_s dur_s p -> Plan.Duplicate { at_s; dur_s; p }) time pos prob;
+        (let* at_s = time and* dur_s = pos and* p = prob and* extra_s = pos in
+         return (Plan.Reorder { at_s; dur_s; p; extra_s }));
+        map3 (fun at_s dur_s extra_s -> Plan.Delay_spike { at_s; dur_s; extra_s }) time pos pos;
+        map (fun at_s -> Plan.Qdisc_reset { at_s }) time;
+        map3
+          (fun (from_s, until_s) mean_up_s mean_down_s ->
+            Plan.Flap { from_s; until_s; mean_up_s; mean_down_s })
+          window mean mean;
+      ]
+  in
+  list_size (int_range 1 5) event
+
+(* Strings over the schema's alphabet: kinds, keys, number characters
+   (hex floats and underscores included, which float_of_string reads),
+   separators, non-finite spellings and stray letters. *)
+let plan_soup =
+  let open QCheck.Gen in
+  let one s = map (String.make 1) (oneofl (List.of_seq (String.to_seq s))) in
+  let token =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ "outage"; "capacity"; "ramp"; "loss"; "burst-loss"; "corrupt"; "duplicate";
+              "reorder"; "delay-spike"; "qdisc-reset"; "flap" ] );
+        ( 4,
+          oneofl
+            [ "at="; "dur="; "factor="; "p="; "p-enter="; "p-exit="; "loss-good="; "loss-bad=";
+              "delay="; "extra="; "from="; "until="; "mean-up="; "mean-down=" ] );
+        (6, one "0123456789.eE+-_xXpP");
+        (3, one " \t;\n=");
+        (1, oneofl [ "nan"; "inf"; "-infinity"; "1e400"; "-0"; "0x1p-3"; "1e-320" ]);
+        (1, one "abcdefghijklmnopqrstuvwxyz");
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 40) token)
+
+(* [q = p] treats -0.0 and 0.0 as equal; comparing the renderings too
+   makes the round trip bitwise. *)
+let reparses p =
+  match Plan.parse (Plan.to_string p) with
+  | Ok q -> q = p && String.equal (Plan.to_string q) (Plan.to_string p)
+  | Error _ -> false
+
+let plan_properties =
+  let open QCheck in
+  [
+    Test.make ~name:"plan: parse inverts to_string on every valid plan" ~count:2000
+      (make ~print:Plan.to_string plan_gen)
+      reparses;
+    Test.make ~name:"plan: any string parses to Ok or Error, never raises" ~count:5000
+      (make ~print:(Printf.sprintf "%S") plan_soup)
+      (fun s -> match Plan.parse s with Ok p -> reparses p | Error _ -> true);
+  ]
+
 let suite =
   [
     Alcotest.test_case "plan: canonical round-trip" `Quick test_plan_roundtrip;
@@ -461,3 +562,4 @@ let suite =
       test_instrumented_chaos_identical;
     Alcotest.test_case "c1: canonical plans parse at every intensity" `Quick test_c1_plans_parse;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) plan_properties

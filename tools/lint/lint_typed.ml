@@ -981,14 +981,21 @@ let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt
       | exception _ -> ())
     cmts;
   (* A source with no .cmt would otherwise pass unchecked: dune's default
-     alias writes none for an executable's main module. *)
+     alias writes none for an executable's main module. Each source is
+     named relative to the root it was found under, as the cmts name
+     theirs, so "_build/default/lib/x.ml" is "lib/x.ml". *)
   let missing =
     List.concat_map
       (fun root ->
+        let prefix = String.length (Filename.concat root "") in
         List.concat_map
           (fun p ->
-            let path = if String.equal root "." then p else Filename.concat root p in
-            if Sys.file_exists path then Lint_core.ml_files_under path else [])
+            let path = Filename.concat root p in
+            if Sys.file_exists path then
+              List.map
+                (fun f -> String.sub f prefix (String.length f - prefix))
+                (Lint_core.ml_files_under path)
+            else [])
           paths)
       source_roots
     |> List.map strip_parents
