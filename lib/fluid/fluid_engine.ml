@@ -13,19 +13,36 @@ module Obs = Ccsim_obs
    Hot-path layout: flat [float array]/[int array] only (unboxed loads,
    no per-flow records), in flow-id order. A flow is active exactly
    when its state is > 0.0: activation sets a positive state, the
-   clamps keep it positive, deactivation stores +0.0. At seal a stable
+   clamps keep it positive, deactivation stores +0.0. At seal a
    counting sort builds a CSR index: link l's flows are
-   [by_link.(l_off.(l))] to [by_link.(l_off.(l + 1) - 1)], in flow-id
-   order. A step is one pass over the flows for on/off toggles, then
-   one link-major pass ([advance]) that finishes each link — arrival
-   sum, loss and service ratio, every flow's derivative, Euler update,
-   clamp and new rate, queue settle, byte accounting, goodput — while
-   its flows are still in cache, allocating nothing (EXPERIMENTS.md,
-   "Throughput"). A flow interacts only through its own link and each
-   link sums its flows in flow-id order, so every float is bit for bit
-   what the old four-pass step (derivative, Euler update, settle,
-   goodput) computed; test/ref_fluid_engine.ml keeps that step as the
-   oracle.
+   [by_link.(l_off.(l))] to [by_link.(l_off.(l + 1) - 1)], and the
+   first [l_active.(l)] of them, the active prefix, are its active
+   flows in ascending flow id; its inactive flows follow in any order.
+   Activation inserts a flow into the prefix at its id rank;
+   deactivation removes it and closes the gap.
+
+   A step is a visit of the flows whose toggle is due, then one
+   link-major pass ([advance]) that finishes each link — arrival sum,
+   loss and service ratio, every active flow's derivative, Euler
+   update, clamp and new rate, queue settle, byte accounting, goodput
+   — while its flows are still in cache, allocating nothing
+   (EXPERIMENTS.md, "Throughput"). The pass walks each link's active
+   prefix only. A flow interacts only through its own link and each
+   link sums exactly its active flows in flow-id order, so every float
+   is bit for bit what the old four-pass step (derivative, Euler
+   update, settle, goodput) computed; test/ref_fluid_engine.ml keeps
+   that step as the oracle.
+
+   On/off toggles wait in a calendar of [cal_span] buckets, one per
+   step modulo the span, each a list threaded through [cal_next]. A
+   flow is filed for a step no later than the first step whose clock
+   reaches its toggle time ([file_toggle] bounds how fast the clock can
+   get there); a toggle beyond the span is filed at the span's end and
+   refiled when visited. A visit re-applies the old scan's test,
+   [f_toggle.(i) <= now], and refiles what is not yet due; the due
+   flows are sorted and toggled in ascending flow id, the order the
+   scan drew from the RNG in. A population with no on/off flow
+   allocates no calendar.
 
    The pass skips two kinds of work whose result it already holds,
    exactly:
@@ -89,7 +106,9 @@ type t = {
   mutable l_served_b : float array;
   mutable l_dropped_b : float array;
   mutable l_off : int array;  (* CSR offsets, nl + 1 entries *)
-  mutable by_link : int array;  (* flow ids grouped by link, flow-id order within *)
+  mutable by_link : int array;
+      (* flow ids grouped by link: the active prefix in flow-id order,
+         then the link's inactive flows *)
   (* flows (SoA) *)
   mutable n : int;
   mutable f_model : int array;
@@ -102,6 +121,14 @@ type t = {
   mutable f_toggle : float array;  (* next toggle time, s *)
   mutable f_good_b : float array;  (* delivered payload bytes after warmup *)
   mutable xs : float array;  (* scratch: post-step rate, by CSR position *)
+  (* The arrays above hold [n] flows and [nl] links; those grown while
+     building keep their spare capacity rather than be copied at seal. *)
+  (* toggle calendar (see the header); [cal_head] and [cal_next] stay
+     [||] when no flow toggles *)
+  mutable steps : int;  (* steps taken *)
+  mutable cal_head : int array;  (* per bucket: the first flow filed, or -1 *)
+  mutable cal_next : int array;  (* per flow: the next flow in its bucket, or -1 *)
+  draw : float array;  (* one unboxed slot for the toggles' uniform draws *)
   (* running totals (kept incrementally so invariant checks are O(1)) *)
   totals_b : float array;
       (* engine-wide byte totals in unboxed slots (offered, served,
@@ -183,6 +210,10 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       f_toggle = [||];
       f_good_b = [||];
       xs = [||];
+      steps = 0;
+      cal_head = [||];
+      cal_next = [||];
+      draw = [| 0.0 |];
       totals_b = Array.make 4 0.0;
       profile = scope.Obs.Scope.profile;
       watchdog = scope.Obs.Scope.watchdog;
@@ -297,6 +328,76 @@ let[@inline] deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac ~service_ratio =
     (alpha -. ((1.0 -. beta) *. loss_frac *. w *. w)) /. r
   end
 
+(* [U.Rng.exponential rng ~mean] for a finite positive [mean]: the
+   uniform comes through [slot.(0)] and the rest is done here, so no
+   float crosses a module boundary boxed. *)
+let[@inline][@ccsim.hot] exponential_draw rng slot ~mean =
+  U.Rng.unit_float_into rng slot 0;
+  let u = 1.0 -. slot.(0) in
+  -.mean *. log u
+
+(* --- toggle calendar ---------------------------------------------------------- *)
+
+let cal_span = 256
+
+(* File flow [i] in the bucket of step [t.steps + off]: [min_off] when
+   its toggle time [f] is already due, else the step after the last one
+   whose clock is sure to be below [f], capped at [cal_span - 1] (a
+   toggle that far ahead is refiled when visited). While the clock is
+   below [f], a step adds [dt_s] and one rounding of at most half an ulp
+   of [f] (none while both are subnormal), less than [f *. 0x1p-52]. So
+   the clock cannot reach [f] within [floor q] more steps, [q] the gap
+   over [dt_s +. f *. 0x1p-52], scaled down by 2^-20 to absorb the
+   rounding of [q] itself. *)
+let[@inline][@ccsim.hot] file_toggle t i ~min_off =
+  let f = t.f_toggle.(i) and now_s = t.clock_s.(0) in
+  let off =
+    if f <= now_s then min_off
+    else begin
+      let q = (f -. now_s) /. (t.dt_s +. (f *. 0x1p-52)) *. (1.0 -. 0x1p-20) in
+      if q < float_of_int (cal_span - 1) then 1 + int_of_float q else cal_span - 1
+    end
+  in
+  let b = (t.steps + off) land (cal_span - 1) in
+  t.cal_next.(i) <- t.cal_head.(b);
+  t.cal_head.(b) <- i
+
+(* The first [len] flows of the list from [head], sorted by id and
+   ended by -1: a merge sort through [next], recursing log2 [len]
+   deep and allocating nothing. *)
+let[@ccsim.hot] rec skip next i k = if k = 0 then i else skip next next.(i) (k - 1)
+
+let[@ccsim.hot] rec merge_after next last a b =
+  if a < 0 then next.(last) <- b
+  else if b < 0 then next.(last) <- a
+  else if a < b then begin
+    next.(last) <- a;
+    merge_after next a next.(a) b
+  end
+  else begin
+    next.(last) <- b;
+    merge_after next b a next.(b)
+  end
+
+let[@ccsim.hot] rec sort_list next head len =
+  if len <= 1 then begin
+    if len = 1 then next.(head) <- -1;
+    head
+  end
+  else begin
+    let half = len / 2 in
+    let b = sort_list next (skip next head half) (len - half) in
+    let a = sort_list next head half in
+    if a < b then begin
+      merge_after next a next.(a) b;
+      a
+    end
+    else begin
+      merge_after next b a next.(b);
+      b
+    end
+  end
+
 (* --- build phase ---------------------------------------------------------- *)
 
 let grow arr n default = if Array.length arr > n then arr else
@@ -362,24 +463,11 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
   t.n <- i + 1;
   i
 
-let trim arr n = if Array.length arr = n then arr else Array.sub arr 0 n
-
 let seal t =
   if not t.built then begin
     t.built <- true;
     let n = t.n and nl = t.nl in
-    t.f_model <- trim t.f_model n;
-    t.f_link <- trim t.f_link n;
-    t.f_y <- trim t.f_y n;
-    t.f_rtt_base <- trim t.f_rtt_base n;
-    t.f_cap <- trim t.f_cap n;
-    t.f_on <- trim t.f_on n;
-    t.f_off <- trim t.f_off n;
-    t.f_toggle <- trim t.f_toggle n;
-    t.f_good_b <- trim t.f_good_b n;
     t.xs <- Array.make n 0.0;
-    t.l_cap <- trim t.l_cap nl;
-    t.l_buf <- trim t.l_buf nl;
     let zeros () = Array.make nl 0.0 in
     t.l_q <- zeros ();
     t.l_pkt_rate <- zeros ();
@@ -392,15 +480,19 @@ let seal t =
     t.l_served_b <- zeros ();
     t.l_dropped_b <- zeros ();
     t.l_active <- Array.make nl 0;
-    (* CSR index by a stable counting sort, with no scratch array:
-       count link l's flows into l_off.(l + 1), turn that slot into
-       link l's start, then place the flows in flow-id order, moving
-       it up to link l's end, which is link l + 1's start. *)
+    (* CSR index by a counting sort, with no scratch array: count link
+       l's flows into l_off.(l + 1) and its active ones into
+       l_active.(l), turn l_off.(l + 1) into link l's start, then place
+       the active flows and after them the inactive ones, each in
+       flow-id order, moving l_off.(l + 1) up to link l's end, which is
+       link l + 1's start. *)
     t.l_off <- Array.make (nl + 1) 0;
+    let toggles = ref false in
     for i = 0 to n - 1 do
       let l = t.f_link.(i) in
       t.l_off.(l + 1) <- t.l_off.(l + 1) + 1;
-      if t.f_y.(i) > 0.0 then t.l_active.(l) <- t.l_active.(l) + 1
+      if t.f_y.(i) > 0.0 then t.l_active.(l) <- t.l_active.(l) + 1;
+      if t.f_toggle.(i) < infinity then toggles := true
     done;
     let start = ref 0 in
     for l = 0 to nl - 1 do
@@ -409,11 +501,24 @@ let seal t =
       start := !start + count
     done;
     t.by_link <- Array.make n 0;
-    for i = 0 to n - 1 do
-      let l = t.f_link.(i) in
-      t.by_link.(t.l_off.(l + 1)) <- i;
-      t.l_off.(l + 1) <- t.l_off.(l + 1) + 1
-    done
+    let place active =
+      for i = 0 to n - 1 do
+        if Bool.equal (t.f_y.(i) > 0.0) active then begin
+          let l = t.f_link.(i) in
+          t.by_link.(t.l_off.(l + 1)) <- i;
+          t.l_off.(l + 1) <- t.l_off.(l + 1) + 1
+        end
+      done
+    in
+    place true;
+    place false;
+    if !toggles then begin
+      t.cal_head <- Array.make cal_span (-1);
+      t.cal_next <- Array.make n (-1);
+      for i = 0 to n - 1 do
+        if t.f_toggle.(i) < infinity then file_toggle t i ~min_off:0
+      done
+    end
   end
 
 (* --- hybrid coupling inputs ----------------------------------------------- *)
@@ -438,35 +543,94 @@ let[@inline] loss_of ~q ~buf =
     end
   end
 
-let process_toggles t =
-  let now_s = t.clock_s.(0) in
-  let f_toggle = t.f_toggle and f_y = t.f_y and f_link = t.f_link in
-  let l_active = t.l_active and l_delay = t.l_delay in
-  for i = 0 to t.n - 1 do
-    if f_toggle.(i) <= now_s then begin
-      let l = f_link.(i) in
-      l_delay.(l) <- neg_infinity;
-      if f_y.(i) > 0.0 then begin
-        f_y.(i) <- 0.0;
-        l_active.(l) <- l_active.(l) - 1;
-        f_toggle.(i) <- now_s +. U.Rng.exponential t.rng ~mean:t.f_off.(i)
-      end
-      else begin
-        f_y.(i) <- initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
-        l_active.(l) <- l_active.(l) + 1;
-        f_toggle.(i) <- now_s +. U.Rng.exponential t.rng ~mean:t.f_on.(i)
-      end
-    end
-  done
+(* The first slot at or after [k] holding [x]. *)
+let[@ccsim.hot] rec find_from (a : int array) x k = if a.(k) = x then k else find_from a x (k + 1)
 
-(* One Euler step of every flow, link by link. The fluid queue is frozen
-   while the link's flows advance (operator splitting), so its queueing
-   delay is computed once; the loss probability and service ratio come
-   from the arrival of the pre-step states, and [l_arr] ends holding the
-   arrival of the post-step states, which the settle and the goodput
-   credit use. Inactive flows hold y = +0.0, so skipping their Euler
-   update is exact; so are the idle-link skip and the reuse of the
-   pre-step arrival (see the header). *)
+(* Slide the prefix entries above [x] in [first, j) up by one and put
+   [x] in the gap. *)
+let[@ccsim.hot] rec insert_at_rank (a : int array) first j x =
+  if j > first && a.(j - 1) > x then begin
+    a.(j) <- a.(j - 1);
+    insert_at_rank a first (j - 1) x
+  end
+  else a.(j) <- x
+
+let[@ccsim.hot] rec shift_down (a : int array) k last =
+  if k < last then begin
+    a.(k) <- a.(k + 1);
+    shift_down a (k + 1) last
+  end
+
+let[@inline][@ccsim.hot] activate t l i =
+  let by_link = t.by_link in
+  let first = t.l_off.(l) and active = t.l_active.(l) in
+  let free = first + active in
+  by_link.(find_from by_link i free) <- by_link.(free);
+  insert_at_rank by_link first free i;
+  t.l_active.(l) <- active + 1
+
+let[@inline][@ccsim.hot] deactivate t l i =
+  let by_link = t.by_link in
+  let first = t.l_off.(l) and active = t.l_active.(l) in
+  let last = first + active - 1 in
+  shift_down by_link (find_from by_link i first) last;
+  by_link.(last) <- i;
+  t.l_active.(l) <- active - 1
+
+(* Toggle the sorted due list from [i] on, in flow-id order (the RNG
+   draw order), and file each flow's next toggle for a later step. *)
+let[@ccsim.hot] rec toggle_due t i =
+  if i >= 0 then begin
+    let next = t.cal_next.(i) and now_s = t.clock_s.(0) in
+    let l = t.f_link.(i) in
+    t.l_delay.(l) <- neg_infinity;
+    if t.f_y.(i) > 0.0 then begin
+      t.f_y.(i) <- 0.0;
+      deactivate t l i;
+      t.f_toggle.(i) <- now_s +. exponential_draw t.rng t.draw ~mean:t.f_off.(i)
+    end
+    else begin
+      t.f_y.(i) <- initial_state ~tag:t.f_model.(i) ~rtt_s:t.f_rtt_base.(i);
+      activate t l i;
+      t.f_toggle.(i) <- now_s +. exponential_draw t.rng t.draw ~mean:t.f_on.(i)
+    end;
+    file_toggle t i ~min_off:1;
+    toggle_due t next
+  end
+
+(* Walk this step's bucket: refile the flows not yet due, collect the
+   due ones, then sort and toggle those. *)
+let[@ccsim.hot] rec visit t i due count =
+  if i < 0 then toggle_due t (sort_list t.cal_next due count)
+  else begin
+    let next = t.cal_next.(i) in
+    if t.f_toggle.(i) <= t.clock_s.(0) then begin
+      t.cal_next.(i) <- due;
+      visit t next i (count + 1)
+    end
+    else begin
+      file_toggle t i ~min_off:1;
+      visit t next due count
+    end
+  end
+
+let[@ccsim.hot] process_toggles t =
+  if Array.length t.cal_head > 0 then begin
+    let b = t.steps land (cal_span - 1) in
+    let first = t.cal_head.(b) in
+    t.cal_head.(b) <- -1;
+    visit t first (-1) 0
+  end
+
+(* One Euler step of every active flow, link by link. The fluid queue
+   is frozen while the link's flows advance (operator splitting), so its
+   queueing delay is computed once; the loss probability and service
+   ratio come from the arrival of the pre-step states, and [l_arr] ends
+   holding the arrival of the post-step states, which the settle and
+   the goodput credit use. Each loop walks the link's active prefix:
+   inactive flows hold y = +0.0 and add nothing, so leaving them out is
+   exact; so are the idle-link skip and the reuse of the pre-step
+   arrival (see the header). *)
 let[@ccsim.hot] advance t =
   let dt = t.dt_s and payload_frac = t.payload_frac in
   let credit = t.clock_s.(0) +. dt > t.warmup_s in
@@ -484,18 +648,16 @@ let[@ccsim.hot] advance t =
       l_served.(l) <- 0.0
     end
     else begin
-      let first = l_off.(l) and last = l_off.(l + 1) - 1 in
+      let first = l_off.(l) in
+      let last = first + l_active.(l) - 1 in
       let cap = l_cap.(l) and buf = l_buf.(l) in
       let queue_delay_s = (q +. l_pkt_backlog.(l)) *. 8.0 /. cap in
       if not (Float.equal queue_delay_s l_delay.(l)) then begin
         l_arr.(l) <- 0.0;
         for k = first to last do
           let i = by_link.(k) in
-          let w = f_y.(i) in
-          if w > 0.0 then begin
-            let rtt_s = f_rtt_base.(i) +. queue_delay_s in
-            l_arr.(l) <- l_arr.(l) +. float_min (rate_bps ~tag:f_model.(i) ~w ~rtt_s) f_cap.(i)
-          end
+          let rtt_s = f_rtt_base.(i) +. queue_delay_s in
+          l_arr.(l) <- l_arr.(l) +. float_min (rate_bps ~tag:f_model.(i) ~w:f_y.(i) ~rtt_s) f_cap.(i)
         done;
         l_delay.(l) <- queue_delay_s
       end;
@@ -508,23 +670,21 @@ let[@ccsim.hot] advance t =
       for k = first to last do
         let i = by_link.(k) in
         let w = f_y.(i) in
-        if w > 0.0 then begin
-          let tag = f_model.(i) and rtt_min_s = f_rtt_base.(i) in
-          let rtt_s = rtt_min_s +. queue_delay_s in
-          let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
-          let w = w +. (dt *. dw) in
-          let w =
-            if tag = bbr then float_min (float_max 1e3 w) (float_min (1.3 *. f_cap.(i)) two_cap)
-            else begin
-              let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
-              float_min (float_max 0.1 w) (float_max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)))
-            end
-          in
-          f_y.(i) <- w;
-          let x = float_min (rate_bps ~tag ~w ~rtt_s) f_cap.(i) in
-          xs.(k) <- x;
-          l_arr.(l) <- l_arr.(l) +. x
-        end
+        let tag = f_model.(i) and rtt_min_s = f_rtt_base.(i) in
+        let rtt_s = rtt_min_s +. queue_delay_s in
+        let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
+        let w = w +. (dt *. dw) in
+        let w =
+          if tag = bbr then float_min (float_max 1e3 w) (float_min (1.3 *. f_cap.(i)) two_cap)
+          else begin
+            let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
+            float_min (float_max 0.1 w) (float_max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)))
+          end
+        in
+        f_y.(i) <- w;
+        let x = float_min (rate_bps ~tag ~w ~rtt_s) f_cap.(i) in
+        xs.(k) <- x;
+        l_arr.(l) <- l_arr.(l) +. x
       done;
       (* queue balance + exact byte accounting; x /. 8.0 is written
          x *. 0.125, the same float *)
@@ -561,9 +721,7 @@ let[@ccsim.hot] advance t =
       if credit && a > 0.0 then
         for k = first to last do
           let i = by_link.(k) in
-          if f_y.(i) > 0.0 then
-            f_good_b.(i) <-
-              f_good_b.(i) +. (xs.(k) /. a *. served *. payload_frac *. dt *. 0.125)
+          f_good_b.(i) <- f_good_b.(i) +. (xs.(k) /. a *. served *. payload_frac *. dt *. 0.125)
         done
     end
   done
@@ -572,7 +730,8 @@ let[@ccsim.hot] step t =
   seal t;
   process_toggles t;
   advance t;
-  t.clock_s.(0) <- t.clock_s.(0) +. t.dt_s
+  t.clock_s.(0) <- t.clock_s.(0) +. t.dt_s;
+  t.steps <- t.steps + 1
 
 (* --- standalone run loop --------------------------------------------------- *)
 

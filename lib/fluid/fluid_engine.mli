@@ -3,23 +3,30 @@
     Holds a population of fluid flows (rate ODEs for the {!Fluid_model}
     CCAs) sharing fluid links, advanced by forward Euler on a fixed
     step. Flow state lives in flat [float array]s (one scalar per flow)
-    in flow-id order; at seal, a stable counting sort builds a CSR
-    index of each link's flow ids. A step is one pass over the flows
-    for on/off toggles, then one link-major kernel that finishes a link
-    (arrival, loss and service ratio, each flow's derivative, Euler
-    update, clamp and rate, queue settle, byte accounting, goodput)
-    before moving to the next, allocating nothing; million-flow
-    populations run in seconds per simulated second (EXPERIMENTS.md,
-    "Throughput"). The kernel does only the work whose result it does
-    not already hold. An idle link (no active flow, a queue of exactly
-    0.0) only has its arrival and served rate set to 0.0, which is all
-    the full pass would change. A link's pre-step arrival is taken from
-    the sum the previous step ended with when no flow of the link
-    toggled since and its queueing delay is bitwise unchanged: the
-    full pass would add the same terms in the same order. Toggles draw
-    from the RNG in flow-id order and each link sums its flows in
-    flow-id order, so every result is bit for bit that of the earlier
-    four-pass step, which the test suite keeps as its oracle.
+    in flow-id order; at seal, a counting sort builds a CSR index of
+    each link's flow ids, whose first part, the active prefix, holds
+    the link's active flows in ascending id and is kept so as flows
+    toggle. A step toggles the on/off flows whose toggle is due, then
+    runs one link-major kernel that finishes a link (arrival, loss and
+    service ratio, each active flow's derivative, Euler update, clamp
+    and rate, queue settle, byte accounting, goodput) before moving to
+    the next, allocating nothing; million-flow populations run in
+    seconds per simulated second (EXPERIMENTS.md, "Throughput").
+
+    Work follows what changes. The kernel walks each link's active
+    prefix only. Toggles wait in a calendar filed by step, each no
+    later than the first step whose clock reaches it, so a step visits
+    only the flows filed for it and re-applies the toggle test there;
+    an always-on population allocates no calendar. An idle link (no
+    active flow, a queue of exactly 0.0) only has its arrival and
+    served rate set to 0.0, which is all the full pass would change. A
+    link's pre-step arrival is taken from the sum the previous step
+    ended with when no flow of the link toggled since and its queueing
+    delay is bitwise unchanged: the full pass would add the same terms
+    in the same order. Due toggles draw from the RNG in flow-id order
+    and each link sums its active flows in flow-id order, so every
+    result is bit for bit that of the earlier four-pass step, which
+    the test suite keeps as its oracle.
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation
@@ -149,6 +156,12 @@ val float_min : float -> float -> float
 val float_max : float -> float -> float
 [@@ccsim.test_only "tests check the kernel's max against Float.max on every float class"]
 (** [Float.max], likewise. *)
+
+val exponential_draw : Ccsim_util.Rng.t -> float array -> mean:float -> float
+[@@ccsim.test_only "tests check the toggle path's draw against Rng.exponential"]
+(** [exponential_draw rng slot ~mean]: the toggle path's
+    [Ccsim_util.Rng.exponential rng ~mean], for a finite positive
+    [mean], with the uniform taken through [slot.(0)]. *)
 
 val inject_accounting_skew : t -> link:link_id -> bytes:float -> unit
 [@@ccsim.test_only "tests break conservation on purpose, to show the check fires"]

@@ -93,9 +93,10 @@ let sacked t i = has t (slot_of t "Scoreboard.sacked" i) sacked_bit
 let lost t i = has t (slot_of t "Scoreboard.lost" i) lost_bit
 let in_pipe t i = has t (slot_of t "Scoreboard.in_pipe" i) pipe_bit
 
-(* Double every ring, re-slotting the live segments and log entries. *)
+(* Double every ring, re-slotting the live segments and log entries; a
+   released board starts again at the initial capacity. *)
 let[@ccsim.hot] grow t =
-  (let cap' = 2 * (t.mask + 1) in
+  (let cap' = Int.max initial_capacity (2 * (t.mask + 1)) in
    let mask' = cap' - 1 in
    let seq = Array.make cap' 0 and len = Array.make cap' 0 in
    let sent_at = Array.make cap' 0.0 and retx = Array.make cap' 0 in
@@ -155,6 +156,23 @@ let[@ccsim.hot] unmark_lost t s =
 
 let[@ccsim.hot] note_delivered_sent_at t s =
   if t.sent_at.(s) > t.newest_delivered.(0) then t.newest_delivered.(0) <- t.sent_at.(s)
+
+(* An empty board holds no segment, and every send-log entry names a
+   retired segment, so it is dead: drop the rings, as the receiver
+   drops its range arrays when drained. Capacity 0 (mask -1) makes the
+   next [send] grow them from empty. *)
+let release t =
+  if t.head <> t.tail then invalid_arg "Scoreboard.release: segments still on the board";
+  t.mask <- -1;
+  t.seq <- [||];
+  t.len <- [||];
+  t.sent_at <- [||];
+  t.retx <- [||];
+  t.flags <- Bytes.empty;
+  t.skip <- [||];
+  t.log_seg <- [||];
+  t.log_retx <- [||];
+  t.log_head <- t.log_tail
 
 (* --- sending ------------------------------------------------------------- *)
 

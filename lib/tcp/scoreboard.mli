@@ -100,3 +100,8 @@ val mark_all_lost : t -> unit
 
 val next_lost_segment : t -> int
 (** The oldest segment marked lost, or [-1] if none. *)
+
+val release : t -> unit
+(** Free the rings of an empty board ({!head} = {!tail}); the next
+    {!send} grows them again from empty. Counters and segment numbers
+    carry on. Raises [Invalid_argument] if segments are on the board. *)

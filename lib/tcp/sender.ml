@@ -262,10 +262,20 @@ and[@ccsim.hot] try_send t =
 
 (* --- ack processing --------------------------------------------------------- *)
 
+(* A completed sender frees its scoreboard rings and its delivery-rate
+   ring: a closed sender takes no more data, so nothing is sent or
+   acked again unless [set_unlimited] reopens it, and then both grow
+   again from empty (the delivery-rate window restarts from the last
+   baseline). *)
 let check_complete t =
   if t.closed && (not t.completed) && t.buffered = 0 && inflight t = 0 then begin
     t.completed <- true;
     cancel_rto t;
+    Scoreboard.release t.board;
+    t.ah_times <- [||];
+    t.ah_delivered <- [||];
+    t.ah_head <- 0;
+    t.ah_len <- 0;
     account_limited t App;
     t.on_complete t
   end

@@ -22,6 +22,12 @@ val bits64 : t -> int64 [@@ccsim.test_only "tests check the generator's raw stre
 val float : t -> float -> float
 (** [float rng bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
+val unit_float_into : t -> float array -> int -> unit
+(** [unit_float_into rng slots i] stores in [slots.(i)] the draw
+    [float rng 1.0] would return, without boxing it: a float returned
+    across a module boundary is boxed when the caller is compiled with
+    [-opaque], as dune's dev profile does. *)
+
 val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 

@@ -580,6 +580,62 @@ let skip_case_gen =
   let* seed = int_bound 1_000_000 in
   return { seed; dt_s = 0.01; warmup_s = 0.5; links; ref_flows; steps; signals }
 
+(* Cases aimed at the active prefix and the toggle calendar (256
+   steps), which the two generators above reach only in part. Means are
+   drawn in steps and scaled by the step size, which is 5 or 10 ms or,
+   in a quarter of the cases, subnormal, where the clock adds exactly
+   and the filing bound has no rounding to lean on. Each link takes one
+   of four regimes:
+   - crowd: 64 on/off flows with means of 1 to 30 steps, so several
+     toggle on most steps and each link's prefix is reordered often;
+   - beyond: one to four flows with means of 150 to 500 steps, past the
+     calendar's span, so a toggle is filed at the span's end, refiled
+     and fires within the run;
+   - far: one to three flows with means of 10^5 to 10^11 steps, refiled
+     at every span and never due;
+   - empty: no flows.
+   In a quarter of the cases every flow starts off, so the population
+   is entirely off at seal, and packet signals land on random steps
+   while flows toggle. *)
+let calendar_case_gen =
+  let open QCheck.Gen in
+  let* dt_s = frequency [ (3, return 0.005); (3, return 0.01); (1, return 3e-310); (1, return 0x1p-1060) ] in
+  let* nl = int_range 1 5 in
+  let* regimes = array_repeat nl (oneofl [ `Crowd; `Beyond; `Far; `Empty ]) in
+  let* links = array_repeat nl (pair (float_range 1e6 1e8) (int_range 3_000 300_000)) in
+  let* all_off = map (fun u -> u < 0.25) (float_bound_exclusive 1.0) in
+  let flow l ~mean_steps =
+    let mean = map (fun k -> k *. dt_s) mean_steps in
+    let* model = oneofl Fl.Fluid_model.[ Reno; Cubic; Bbr ] in
+    let* rtt_base_s = float_range 0.005 0.2 in
+    let* cap_bps = frequency [ (1, return infinity); (2, float_range 1e5 5e7) ] in
+    let* on_s = mean and* off_s = mean in
+    let* start_active = if all_off then return false else bool in
+    return { link = l; model; rtt_base_s; cap_bps; on_off_s = Some (on_s, off_s); start_active }
+  in
+  let flows_of l = function
+    | `Empty -> return []
+    | `Crowd -> list_repeat 64 (flow l ~mean_steps:(float_range 1.0 30.0))
+    | `Beyond -> list_size (int_range 1 4) (flow l ~mean_steps:(float_range 150.0 500.0))
+    | `Far ->
+        list_size (int_range 1 3)
+          (flow l ~mean_steps:(map (fun e -> 10.0 ** e) (float_range 5.0 11.0)))
+  in
+  let* per_link = flatten_l (List.init nl (fun l -> flows_of l regimes.(l))) in
+  let ref_flows = Array.of_list (List.concat per_link) in
+  let* () = shuffle_a ref_flows in
+  let* steps = int_range 300 700 in
+  let signal =
+    let* k = int_bound (steps - 1) and* l = int_bound (nl - 1) in
+    let cap = fst links.(l) in
+    let* rate = float_range 0.0 (1.5 *. cap) in
+    let* backlog = frequency [ (2, return 0); (1, int_range 0 200_000) ] in
+    return (k, l, rate, backlog)
+  in
+  let* signals = list_size (int_range 0 40) signal in
+  let* seed = int_bound 1_000_000 in
+  return { seed; dt_s; warmup_s = 0.5; links; ref_flows; steps; signals }
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Build the case on both engines and step them side by side; after
@@ -647,6 +703,29 @@ let qcheck_tests =
     Test.make ~name:"fluid kernel's skips match the four-pass step bit for bit" ~count:500
       (make ~print:show_ref_case skip_case_gen)
       kernel_matches_reference;
+    Test.make ~name:"fluid kernel's prefix and calendar match the four-pass step bit for bit"
+      ~count:500
+      (make ~print:show_ref_case calendar_case_gen)
+      kernel_matches_reference;
+    (* Twin streams: the toggle path's draw takes its uniform through a
+       float-array slot and finishes the exponential itself; every draw
+       must equal [Rng.exponential]'s, for means of every magnitude. *)
+    Test.make ~name:"fluid: toggle draws equal Rng.exponential bit for bit" ~count:2_000
+      (make
+         ~print:(fun (seed, mean) -> Printf.sprintf "seed %d, mean %h" seed mean)
+         Gen.(
+           pair int
+             (map
+                (fun x ->
+                  let x = Float.abs x in
+                  if Float.is_finite x && x > 0.0 then x else 1.0)
+                Test_obs.float_classes)))
+      (fun (seed, mean) ->
+        let a = U.Rng.create seed and b = U.Rng.create seed and slot = [| 0.0 |] in
+        List.for_all
+          (fun _ ->
+            same_bits (U.Rng.exponential a ~mean) (Fl.Fluid_engine.exponential_draw b slot ~mean))
+          (List.init 32 Fun.id));
     (* Pairs of every float class, and ties (x, x) and (x, -x), which
        are the inputs that reach the Stdlib fallback. *)
     Test.make ~name:"fluid: kernel min/max equal Float.min/Float.max bit for bit" ~count:20_000
@@ -660,16 +739,18 @@ let qcheck_tests =
         && same_bits (Fl.Fluid_engine.float_max x y) (Float.max x y));
   ]
 
-(* The step allocates nothing: always-on populations, so no toggle
-   draws a boxed exponential. The measurement's own [Gc.counters]
-   calls cost a few words, spread over the 50 steps. *)
+(* The step allocates nothing, toggles included: always-on
+   populations, and on/off ones whose means are a tenth of the 10 ms
+   step, so nearly every flow toggles, draws and is refiled on every
+   step. The measurement's own [Gc.counters] calls cost a few words,
+   spread over the 50 steps. *)
 let test_step_allocation () =
   let words () =
     let _, promoted, major = Gc.counters () in
     Gc.minor_words () +. major -. promoted
   in
   List.iter
-    (fun flows ->
+    (fun (flows, on_off_s) ->
       let engine = Fl.Fluid_engine.create ~seed:3 () in
       let link = ref 0 in
       for i = 0 to flows - 1 do
@@ -678,7 +759,7 @@ let test_step_allocation () =
               ~buffer_bytes:200_000;
         ignore
           (Fl.Fluid_engine.add_flow engine ~link:!link ~model:(Fl.Fluid_model.of_index (i mod 3))
-             ~rtt_base_s:(0.02 +. (0.001 *. float_of_int (i mod 50))) ())
+             ~rtt_base_s:(0.02 +. (0.001 *. float_of_int (i mod 50))) ?on_off_s ())
       done;
       Fl.Fluid_engine.step engine;
       let words0 = words () in
@@ -687,9 +768,11 @@ let test_step_allocation () =
       done;
       let per_step = (words () -. words0) /. 50.0 in
       Alcotest.(check bool)
-        (Printf.sprintf "%d flows: under 1 word per step (%.2f)" flows per_step)
+        (Printf.sprintf "%d %s flows: under 1 word per step (%.2f)" flows
+           (if Option.is_some on_off_s then "on/off" else "always-on")
+           per_step)
         true (per_step < 1.0))
-    [ 2_000; 20_000 ]
+    [ (2_000, None); (20_000, None); (2_000, Some (0.001, 0.001)); (20_000, Some (0.001, 0.001)) ]
 
 let suite =
   [

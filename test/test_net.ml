@@ -122,6 +122,20 @@ let test_drr_rejects_nan_weight () =
   Alcotest.check_raises "NaN weight" (Invalid_argument "Drr: flow weight must be positive")
     (fun () -> ignore (q.Net.Qdisc.enqueue (data ())))
 
+(* Per-flow state is indexed by flow id: ids far past the initial
+   capacity grow the table and are served in round-robin order, and a
+   negative id is refused with a message naming it. *)
+let test_drr_flow_ids () =
+  let q = Net.Drr.create () in
+  List.iter (fun flow -> ignore (q.Net.Qdisc.enqueue (data ~flow ()))) [ 40_000; 3; 1000; 17 ];
+  let served =
+    List.init 4 (fun _ ->
+        match q.Net.Qdisc.dequeue () with Some p -> p.Packet.flow | None -> -1)
+  in
+  Alcotest.(check (list int)) "arrival order, one packet each" [ 40_000; 3; 1000; 17 ] served;
+  Alcotest.check_raises "negative id" (Invalid_argument "Drr: negative flow id -2") (fun () ->
+      ignore (q.Net.Qdisc.enqueue (data ~flow:(-2) ())))
+
 (* A longest-queue drop can empty the queue of the flow being served.
    When the arrival that forced it is refused too, the qdisc is empty;
    that flow must still be served when its next packet comes. *)
@@ -483,4 +497,5 @@ let suite =
       ("dispatch: register again after unregister", `Quick, test_dispatch_reregister);
       ("dispatch: id past the initial capacity", `Quick, test_dispatch_large_id);
       ("dispatch: negative id refused", `Quick, test_dispatch_negative_id_rejected);
+      ("drr: large flow ids served, negative refused", `Quick, test_drr_flow_ids);
     ]

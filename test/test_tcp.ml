@@ -83,6 +83,31 @@ let test_transfer_completes () =
   Alcotest.(check int) "sender agrees" 150_000 (Tcp.Sender.bytes_acked conn.sender);
   Alcotest.(check int) "no retransmits on a clean path" 0 (Tcp.Sender.segs_retrans conn.sender)
 
+(* A completed sender frees its scoreboard and delivery-rate rings; one
+   that [set_unlimited] reopens grows them from empty and sends again. *)
+let test_completed_sender_sends_again () =
+  let sim = Sim.create () in
+  let topo = make_topo sim in
+  let completed = ref false in
+  let conn =
+    Tcp.Connection.establish topo ~flow:0 ~cca:(Ccsim_cca.Reno.create ())
+      ~on_complete:(fun _ -> completed := true)
+      ()
+  in
+  Tcp.Sender.write conn.sender 50_000;
+  Tcp.Sender.close conn.sender;
+  Sim.run ~until:5.0 sim;
+  Alcotest.(check bool) "completed" true !completed;
+  Tcp.Sender.set_unlimited conn.sender;
+  Sim.run ~until:10.0 sim;
+  Alcotest.(check bool)
+    (Printf.sprintf "sent again after completion (%d bytes acked)"
+       (Tcp.Sender.bytes_acked conn.sender))
+    true
+    (Tcp.Sender.bytes_acked conn.sender > 1_000_000);
+  Alcotest.(check bool) "the receiver has every acked byte" true
+    (Tcp.Receiver.bytes_received conn.receiver >= Tcp.Sender.bytes_acked conn.sender)
+
 let test_transfer_with_random_loss () =
   let sim = Sim.create () in
   let topo = make_topo ~loss_every:50 sim in
@@ -356,6 +381,7 @@ type board_op =
   | Detect of float  (* smoothed RTT *)
   | Head_lost
   | Rto
+  | Drain  (* ack everything sent, then release the emptied board's rings *)
 
 let show_block = function
   | Aligned (a, k) -> Printf.sprintf "seg%d+%d" a k
@@ -370,6 +396,7 @@ let show_board_op = function
   | Detect srtt -> Printf.sprintf "detect srtt=%g" srtt
   | Head_lost -> "head-lost"
   | Rto -> "rto"
+  | Drain -> "drain"
 
 (* Ticks of zero give equal send times; smoothed RTTs from 0 (the 100 ms
    default window) to 0.4 s make the RACK window shrink and grow. SACK
@@ -401,6 +428,7 @@ let board_trace =
         (4, map (fun srtt -> Detect srtt) (oneofl [ 0.0; 0.005; 0.02; 0.05; 0.1; 0.4 ]));
         (1, return Head_lost);
         (1, return Rto);
+        (1, return Drain);
       ]
   in
   list_size (int_range 0 400) op
@@ -462,6 +490,13 @@ let boards_agree ops =
     | Rto ->
         Board.mark_all_lost fast;
         Ref_board.mark_all_lost slow
+    | Drain ->
+        (* A completed sender: the board empties and frees its rings;
+           later sends must grow them again from empty. *)
+        snd_una := !snd_nxt;
+        Board.retire_acked fast ~snd_una:!snd_nxt;
+        Ref_board.retire_acked slow ~snd_una:!snd_nxt;
+        Board.release fast
   in
   let agree () =
     let head = Board.head fast and tail = Board.tail fast in
@@ -516,7 +551,10 @@ let test_scoreboard_rejects_bad_segments () =
       ignore (Board.len b 1));
   Alcotest.check_raises "not lost"
     (Invalid_argument "Scoreboard.retransmit: segment not marked lost") (fun () ->
-      Board.retransmit b 0 ~now:0.0)
+      Board.retransmit b 0 ~now:0.0);
+  Alcotest.check_raises "release with a segment on the board"
+    (Invalid_argument "Scoreboard.release: segments still on the board") (fun () ->
+      Board.release b)
 
 (* --- Receiver reassembly vs the reference sort-and-merge -------------------------- *)
 
@@ -625,6 +663,7 @@ let suite =
     ("udp: source to sink", `Quick, test_udp_source_sink);
     ("udp: cbr jitter near zero", `Quick, test_udp_jitter_zero_for_cbr_on_idle_link);
     ("scoreboard: ring growth", `Quick, test_scoreboard_grows);
+    ("sender: completed sender sends again", `Quick, test_completed_sender_sends_again);
     ("scoreboard: rejects bad segments", `Quick, test_scoreboard_rejects_bad_segments);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
