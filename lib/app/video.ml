@@ -3,6 +3,7 @@ module Sim = Ccsim_engine.Sim
 (* Ascending: the first rung is the panic rate. *)
 let ladder_bps =
   [| 1.0e6; 2.5e6; 5.0e6; 8.0e6; 16.0e6; 25.0e6 |]
+[@@lint.allow R1 "ladder_bps is a constant bitrate ladder, never mutated after init"]
 
 let chunk_duration = 2.0
 

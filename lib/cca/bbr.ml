@@ -3,6 +3,7 @@ type mode = Startup | Drain | Probe_bw | Probe_rtt
 module Max_filter = Ccsim_util.Windowed_max
 
 let pacing_gain_cycle = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
+[@@lint.allow R1 "pacing_gain_cycle is BBR's constant ProbeBW gain schedule, never mutated"]
 let startup_gain = 2.885
 let probe_rtt_duration = 0.2
 let min_rtt_window = 10.0

@@ -177,8 +177,8 @@ let note_dropped t ~hop ~at ~uid ~flow ~seq ~kind =
    simulation stops become [Incomplete] completed spans, so exporters
    see every started span exactly once. Driven by [Sim.run]. *)
 let seal t ~now =
-  (* lint: allow R2 — collected in hash order, sorted on (uid, hop) below *)
-  let opens = Hashtbl.fold (fun _ r acc -> r :: acc) t.open_tbl [] in
+  let[@lint.allow R2 "collected in hash order, sorted on (uid, hop) below"] opens =
+    Hashtbl.fold (fun _ r acc -> r :: acc) t.open_tbl [] in
   let opens =
     List.sort
       (fun (a : record) b ->

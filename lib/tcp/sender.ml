@@ -264,9 +264,7 @@ and[@ccsim.hot] try_send t =
 
 (* A completed sender frees its scoreboard rings and its delivery-rate
    ring: a closed sender takes no more data, so nothing is sent or
-   acked again unless [set_unlimited] reopens it, and then both grow
-   again from empty (the delivery-rate window restarts from the last
-   baseline). *)
+   acked again. *)
 let check_complete t =
   if t.closed && (not t.completed) && t.buffered = 0 && inflight t = 0 then begin
     t.completed <- true;
@@ -391,6 +389,7 @@ let write t n =
   try_send t
 
 let set_unlimited t =
+  if t.closed then invalid_arg "Sender.set_unlimited: sender is closed";
   t.unlimited <- true;
   try_send t
 

@@ -41,7 +41,8 @@ val write : t -> int -> unit
 (** Append bytes to the send buffer and try to transmit. *)
 
 val set_unlimited : t -> unit
-(** Mark the flow persistently backlogged (bulk transfer). *)
+(** Mark the flow persistently backlogged (bulk transfer). Raises
+    [Invalid_argument] on a closed sender, as {!write} does. *)
 
 val close : t -> unit
 (** No more application data will arrive; [on_complete] fires once

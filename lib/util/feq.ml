@@ -14,4 +14,5 @@ let feq ~eps a b =
   if not (eps >= 0.0) then invalid_arg "Feq.feq: eps must be non-negative";
   (* The exact-equality fast path stays polymorphic [=] on purpose:
      [Float.equal] would make [feq nan nan] true, changing semantics. *)
-  (a = b) [@lint.allow R6] || Float.abs (a -. b) <= eps
+  (a = b) [@lint.allow R6 "Float.equal would make feq nan nan true, changing semantics"]
+  || Float.abs (a -. b) <= eps

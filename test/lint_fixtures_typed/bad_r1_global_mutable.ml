@@ -1,5 +1,5 @@
-(* Fixture: R1 violations — top-level mutable state. Not compiled; only
-   scanned by test_lint.ml through Lint_core. *)
+(* Fixture: R1 violations — top-level mutable state. Compiled with the
+   other lint fixtures; test_lint.ml asserts its exact findings. *)
 
 let hit_count = ref 0
 let cache = Hashtbl.create 16

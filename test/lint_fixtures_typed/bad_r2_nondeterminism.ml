@@ -1,5 +1,5 @@
-(* Fixture: R2 violations — nondeterminism sources. Not compiled; only
-   scanned by test_lint.ml through Lint_core. *)
+(* Fixture: R2 violations — nondeterminism sources. Compiled with the
+   other lint fixtures; test_lint.ml asserts its exact findings. *)
 
 let jitter () = Random.float 0.010
 

@@ -1,6 +1,5 @@
-(* R7 twin: the same cross-unit sum, silent under the comment-form
-   annotation (recovered from the source text, covers lines L/L+1). *)
+(* R7 twin: the same cross-unit sum, silent under
+   [@lint.allow R7 "why"] on the expression. *)
 
 let scaled (dur_s : float) (rate_bps : float) =
-  (* lint: allow R7 -- fixture: deliberate cross-unit sum *)
-  dur_s +. rate_bps
+  (dur_s +. rate_bps) [@lint.allow R7 "fixture: deliberate cross-unit sum"]

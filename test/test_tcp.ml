@@ -83,8 +83,9 @@ let test_transfer_completes () =
   Alcotest.(check int) "sender agrees" 150_000 (Tcp.Sender.bytes_acked conn.sender);
   Alcotest.(check int) "no retransmits on a clean path" 0 (Tcp.Sender.segs_retrans conn.sender)
 
-(* A completed sender frees its scoreboard and delivery-rate rings; one
-   that [set_unlimited] reopens grows them from empty and sends again. *)
+(* A completed sender frees its scoreboard and delivery-rate rings and
+   stays closed: asked to send again with [set_unlimited], it refuses as
+   [write] does, and no byte is acked after completion. *)
 let test_completed_sender_sends_again () =
   let sim = Sim.create () in
   let topo = make_topo sim in
@@ -98,15 +99,13 @@ let test_completed_sender_sends_again () =
   Tcp.Sender.close conn.sender;
   Sim.run ~until:5.0 sim;
   Alcotest.(check bool) "completed" true !completed;
-  Tcp.Sender.set_unlimited conn.sender;
+  Alcotest.check_raises "set_unlimited refuses a closed sender"
+    (Invalid_argument "Sender.set_unlimited: sender is closed") (fun () ->
+      Tcp.Sender.set_unlimited conn.sender);
   Sim.run ~until:10.0 sim;
-  Alcotest.(check bool)
-    (Printf.sprintf "sent again after completion (%d bytes acked)"
-       (Tcp.Sender.bytes_acked conn.sender))
-    true
-    (Tcp.Sender.bytes_acked conn.sender > 1_000_000);
-  Alcotest.(check bool) "the receiver has every acked byte" true
-    (Tcp.Receiver.bytes_received conn.receiver >= Tcp.Sender.bytes_acked conn.sender)
+  Alcotest.(check int) "no byte acked after completion" 50_000 (Tcp.Sender.bytes_acked conn.sender);
+  Alcotest.(check int) "the receiver got exactly the written bytes" 50_000
+    (Tcp.Receiver.bytes_received conn.receiver)
 
 let test_transfer_with_random_loss () =
   let sim = Sim.create () in

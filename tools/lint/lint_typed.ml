@@ -1,11 +1,20 @@
-(* ccsim-lint typed stage: type-accurate rules over the .cmt files dune
-   already produces (compiler-libs Cmt_format + Tast_iterator).
+(* ccsim-lint: the rules, over the .cmt files dune already produces
+   (compiler-libs Cmt_format + Tast_iterator). The typedtree carries
+   every expression's instantiated type, every identifier's resolved
+   path and every record/constructor's runtime representation, so each
+   rule keys on types and paths, never on spelling:
 
-   The parsetree stage (Lint_core) guesses: floats from suffixes,
-   units from names, and cannot see allocation at all. This stage loads
-   the Typedtree, where every expression carries its instantiated type
-   and every record/constructor its runtime representation, and runs:
-
+   R1  top-level mutable state: a module-level binding (one in a plain
+       sub-module included) whose value is a ref, an array, Hashtbl.t,
+       Queue.t, Stack.t, Buffer.t or Bytes.t, or a record literal with
+       a mutable field, is shared by every domain of the runner pool.
+       Atomic.t and Domain.DLS.key are the sanctioned alternatives.
+   R2  nondeterminism sources: Random.*, wall-clock reads (Unix.time,
+       Unix.gettimeofday, Sys.time, ...) and host-GC reads (Gc.stat,
+       Gc.quick_stat, ...) outside lib/runner and lib/obs, and the
+       hash-order Hashtbl.iter/fold. Paths resolve through `open`, and
+       a same-unit alias (`module R = Random`) through a table of the
+       unit's Tmod_ident bindings.
    R5  no-alloc-in-hot: functions annotated [@ccsim.hot] (and everything
        they syntactically contain) may not allocate -- closures, tuples,
        non-constant constructors, records, polymorphic variants, array
@@ -28,11 +37,14 @@
        (x_ms /. 1e3 vs y_s) stay silent; only when both operands of +,
        -, a comparison or min/max are suffixed names does the check
        also compare their scales (x_ms < y_s, a_bps +. b_mbps).
+   R8  test-only API (below).
 
-   Suppression is shared with the parse stage: [@lint.allow R5 R6]
-   attributes (read straight off the typedtree), (* lint: allow ... *)
-   comment lines (recovered from the source file when readable), and
-   lint.allow entries (applied by the driver). *)
+   One escape hatch silences R1, R2, R6 and R7: [@lint.allow Rn "why"]
+   on an expression, or [@@lint.allow Rn "why"] on a let binding,
+   covers the findings of rule Rn inside the node it annotates. It is
+   checked like [@@ccsim.test_only]: a missing or blank reason is a
+   finding, and so is a rule it names that silences nothing there (R5
+   and R8 always: they keep their own attributes). *)
 
 open Typedtree
 
@@ -88,6 +100,50 @@ let reason_attr name (attrs : attributes) =
             Some (Some why)
         | _ -> Some None)
     attrs
+
+exception Scan_error of string
+
+(* One [@lint.allow Rn "why"]: [span] is the annotated node, [at] the
+   attribute itself, where its own findings point. *)
+type allow = {
+  rule : string;
+  reasoned : bool;
+  at : Location.t;
+  span : Location.t;
+  mutable used : bool;
+}
+
+let allow_of_attr ~span (a : attribute) =
+  let malformed () =
+    let p = a.Parsetree.attr_loc.loc_start in
+    raise
+      (Scan_error
+         (Printf.sprintf
+            "%s:%d:%d: malformed [@lint.allow]: write [@lint.allow Rn \"why\"] with Rn one of %s"
+            p.Lexing.pos_fname p.pos_lnum (p.pos_cnum - p.pos_bol)
+            (String.concat ", " Lint_core.rule_ids)))
+  in
+  match a.Parsetree.attr_payload with
+  | Parsetree.PStr
+      [
+        {
+          pstr_desc =
+            Pstr_eval ({ pexp_desc = Pexp_construct ({ txt = Lident rule; _ }, arg); _ }, _);
+          _;
+        };
+      ]
+    when List.mem rule Lint_core.rule_ids ->
+      let reasoned =
+        match arg with
+        | None -> false
+        | Some { pexp_desc = Pexp_constant (Pconst_string (why, _, _)); _ } ->
+            not (String.equal (String.trim why) "")
+        | Some _ -> malformed ()
+      in
+      { rule; reasoned; at = a.attr_loc; span; used = false }
+  | _ -> malformed ()
+
+let is_allow (a : attribute) = String.equal a.Parsetree.attr_name.txt "lint.allow"
 
 (* ------------------------------------------------------------------ *)
 (* R7: scale-free dimensional analysis *)
@@ -179,6 +235,8 @@ let classify_op path =
 
 type ctx = {
   file : string;
+  exempt : bool;  (* lib/runner and lib/obs may read the clock and the GC *)
+  aliases : (string, Path.t) Hashtbl.t;  (* module alias: Ident.unique_name -> path *)
   mutable findings : Lint_core.finding list;
   (* R5 walk state (saved/restored around recursion) *)
   mutable hot : bool;
@@ -188,8 +246,7 @@ type ctx = {
      unique per compilation unit, so one flat table is scope-correct. *)
   units : (string, unit_v) Hashtbl.t;
   mutable emit_r7 : bool;  (* false on the populate pass *)
-  (* [@lint.allow ...] regions: (rule, first_line, last_line) *)
-  mutable regions : (string * int * int) list;
+  mutable allows : allow list;
 }
 
 let emit ctx (loc : Location.t) rule message =
@@ -201,16 +258,143 @@ let emit ctx (loc : Location.t) rule message =
       col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
       rule;
       message;
-      stage = "typed";
     }
     :: ctx.findings
 
-let note_allow_regions ctx (attrs : attributes) (loc : Location.t) =
-  match Lint_core.rules_of_allow_attrs attrs with
-  | [] -> ()
-  | rules ->
-      let first = loc.loc_start.Lexing.pos_lnum and last = loc.loc_end.Lexing.pos_lnum in
-      ctx.regions <- List.map (fun r -> (r, first, last)) rules @ ctx.regions
+let note_allows ctx (attrs : attributes) (span : Location.t) =
+  List.iter (fun a -> if is_allow a then ctx.allows <- allow_of_attr ~span a :: ctx.allows) attrs
+
+(* ------------------------------------------------------------------ *)
+(* R1 *)
+
+(* The types a top-level value may not have. *)
+let mutable_type ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) when Path.same p Predef.path_array -> Some "an array"
+  | Types.Tconstr (p, _, _) when Path.same p Predef.path_bytes -> Some "a Bytes.t"
+  | Types.Tconstr (p, _, _) -> (
+      match stdlib_name p with
+      | Some "ref" -> Some "a ref"
+      | Some (("Hashtbl.t" | "Queue.t" | "Stack.t" | "Buffer.t" | "Bytes.t") as t) ->
+          Some ("a " ^ t)
+      | _ -> None)
+  | _ -> None
+
+(* The mutable field of a record literal a binding evaluates to, looking
+   through let/open/sequence: the literal's labels say it without the
+   type declaration, which the .cmt's environment does not keep. *)
+let rec mutable_record e =
+  match e.exp_desc with
+  | Texp_let (_, _, body) | Texp_open (_, body) | Texp_sequence (_, body) -> mutable_record body
+  | Texp_record { fields; _ } ->
+      Array.to_list fields
+      |> List.find_map (fun ((lbl : Types.label_description), _) ->
+             match lbl.lbl_mut with Asttypes.Mutable -> Some lbl.lbl_name | Immutable -> None)
+  | _ -> None
+
+(* Structure items, descending into plain sub-modules (their bindings
+   are just as global) but not into functors or expressions: locals
+   inside functions are per-call and safe. *)
+let rec check_r1 ctx (str : structure) =
+  List.iter
+    (fun si ->
+      match si.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              let record = mutable_record vb.vb_expr in
+              List.iter
+                (fun (_, { Asttypes.txt = name; loc }, ty) ->
+                  let what =
+                    match (mutable_type ty, record) with
+                    | Some what, _ -> Some what
+                    | None, Some field ->
+                        Some (Printf.sprintf "a record with mutable field %s" field)
+                    | None, None -> None
+                  in
+                  Option.iter
+                    (fun what ->
+                      emit ctx loc "R1"
+                        (Printf.sprintf
+                           "top-level mutable state: %S is %s at module scope and races under the \
+                            runner domain pool; make it Atomic.t, Domain.DLS-keyed or per-instance \
+                            state, or, if nothing ever writes it, say why with [@@lint.allow R1 \
+                            \"why\"]"
+                           name what))
+                    what)
+                (let_bound_idents_full [ vb ]))
+            vbs
+      | Tstr_module { mb_expr = { mod_desc = Tmod_structure sub; _ }; _ } -> check_r1 ctx sub
+      | _ -> ())
+    str.str_items
+
+(* ------------------------------------------------------------------ *)
+(* R2 *)
+
+(* A module alias of this unit, [module R = Random] or its local form,
+   maps R to the path it names. *)
+let note_alias ctx id (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+      Hashtbl.replace ctx.aliases (Ident.unique_name id) p
+  | _ -> ()
+
+let rec unalias ctx = function
+  | Path.Pident id as p -> (
+      match Hashtbl.find_opt ctx.aliases (Ident.unique_name id) with
+      | Some q -> unalias ctx q
+      | None -> p)
+  | Path.Pdot (p, s) -> Path.Pdot (unalias ctx p, s)
+  | p -> p
+
+(* "Random.float", "Unix.gettimeofday", ...: the stdlib's name, or the
+   unix library's. *)
+let r2_name ctx path =
+  let path = unalias ctx path in
+  match stdlib_name path with
+  | Some name -> Some name
+  | None -> (
+      match String.split_on_char '.' (Path.name path) with
+      | ("Unix" | "UnixLabels") :: rest -> Some (String.concat "." ("Unix" :: rest))
+      | _ -> None)
+
+let check_r2 ctx e =
+  match e.exp_desc with
+  | Texp_ident (path, { loc; _ }, _) -> (
+      match r2_name ctx path with
+      | Some name when String.starts_with ~prefix:"Random." name ->
+          emit ctx loc "R2"
+            (Printf.sprintf
+               "nondeterminism: %s uses the global Random; use the seeded per-sim \
+                Ccsim_util.Rng instead"
+               name)
+      | Some
+          (( "Unix.gettimeofday" | "Unix.time" | "Unix.localtime" | "Unix.gmtime" | "Unix.mktime"
+           | "Sys.time" ) as name)
+        when not ctx.exempt ->
+          emit ctx loc "R2"
+            (Printf.sprintf
+               "nondeterminism: wall-clock read %s outside lib/runner telemetry and lib/obs \
+                profiling; route through Ccsim_runner.Telemetry.now_s or Ccsim_obs.Profile.wall_now"
+               name)
+      | Some
+          (("Gc.stat" | "Gc.quick_stat" | "Gc.counters" | "Gc.minor_words" | "Gc.allocated_bytes")
+           as name)
+        when not ctx.exempt ->
+          emit ctx loc "R2"
+            (Printf.sprintf
+               "nondeterminism: host-GC read %s outside lib/runner and lib/obs; route \
+                allocation measurement through Ccsim_obs.Profile.gc_sample"
+               name)
+      | Some (("Hashtbl.iter" | "Hashtbl.fold") as name) ->
+          emit ctx loc "R2"
+            (Printf.sprintf
+               "nondeterminism: %s visits bindings in hash order; iterate a deterministic key \
+                list, or sort the result and say so with [@lint.allow R2 \"why\"]"
+               name)
+      | _ -> ())
+  | Texp_letmodule (Some id, _, _, me, _) -> note_alias ctx id me
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* R6 *)
@@ -576,7 +760,7 @@ let note_param_units ctx (c : value case) =
 let iterator ctx =
   let default = Tast_iterator.default_iterator in
   let expr self e =
-    note_allow_regions ctx e.exp_attributes e.exp_loc;
+    note_allows ctx e.exp_attributes e.exp_loc;
     let saved_hot = ctx.hot and saved_ok = ctx.alloc_ok and saved_spine = ctx.spine in
     (* [@ccsim.hot] on an expression roots a fresh hot region whose own
        function spine is exempt from the closure rule. *)
@@ -591,6 +775,7 @@ let iterator ctx =
           "[@ccsim.alloc_ok] requires a justification string: [@ccsim.alloc_ok \"why\"]";
         ctx.alloc_ok <- true
     | None -> ());
+    check_r2 ctx e;
     check_r5 ctx e;
     check_r6 ctx e;
     check_r7_expr ctx e;
@@ -607,7 +792,7 @@ let iterator ctx =
     ctx.spine <- saved_spine
   in
   let value_binding self vb =
-    note_allow_regions ctx vb.vb_attributes vb.vb_loc;
+    note_allows ctx vb.vb_attributes vb.vb_loc;
     let saved_hot = ctx.hot and saved_ok = ctx.alloc_ok and saved_spine = ctx.spine in
     if (not ctx.hot) && has_attr "ccsim.hot" vb.vb_attributes then begin
       ctx.hot <- true;
@@ -626,19 +811,81 @@ let iterator ctx =
     ctx.alloc_ok <- saved_ok;
     ctx.spine <- saved_spine
   in
-  { default with expr; value_binding }
+  let module_binding self mb =
+    Option.iter (fun id -> note_alias ctx id mb.mb_expr) mb.mb_id;
+    default.module_binding self mb
+  in
+  (* An allow anywhere else (a type, a pattern, a module) annotates no
+     node whose findings it could cover: it silences nothing. *)
+  let attributes self (attrs : attributes) =
+    List.iter
+      (fun (a : attribute) ->
+        if is_allow a && not (List.exists (fun al -> al.at == a.attr_loc) ctx.allows) then
+          ctx.allows <- allow_of_attr ~span:Location.none a :: ctx.allows)
+      attrs;
+    default.attributes self attrs
+  in
+  { default with expr; value_binding; module_binding; attributes }
+
+(* lib/runner and lib/obs may read the host clock and the GC: run
+   telemetry and engine profiling are about the host, not the sim. *)
+let exempt_dirs = [ "lib/runner/"; "lib/obs/" ]
+
+(* Whether [f] lies inside [span]: its start, up to but not at its end. *)
+let covers (span : Location.t) (f : Lint_core.finding) =
+  let at_or_after (p : Lexing.position) =
+    f.line > p.pos_lnum || (f.line = p.pos_lnum && f.col >= p.pos_cnum - p.pos_bol)
+  in
+  at_or_after span.loc_start && not (at_or_after span.loc_end)
+
+let silenceable = [ "R1"; "R2"; "R6"; "R7" ]
+
+(* The findings no allow covers, then each allow's own: a missing
+   reason, or a rule it names that it silences nothing of. *)
+let apply_allows ctx =
+  let kept =
+    List.filter
+      (fun (f : Lint_core.finding) ->
+        List.fold_left
+          (fun kept a ->
+            if String.equal a.rule f.rule && List.mem a.rule silenceable && covers a.span f
+            then begin
+              a.used <- true;
+              false
+            end
+            else kept)
+          true ctx.allows)
+      ctx.findings
+  in
+  ctx.findings <- kept;
+  List.iter
+    (fun a ->
+      let say fmt = Printf.ksprintf (emit ctx a.at a.rule) fmt in
+      if not a.reasoned then
+        say "[@lint.allow %s] requires a reason: [@lint.allow %s \"why\"]" a.rule a.rule
+      else if String.equal a.rule "R5" then
+        say "[@lint.allow R5] silences nothing: R5 takes only [@ccsim.alloc_ok \"why\"]"
+      else if String.equal a.rule "R8" then
+        say
+          "[@lint.allow R8] silences nothing: R8 takes only [@@ccsim.test_only \"why\"] on the \
+           declaration"
+      else if not a.used then
+        say "[@lint.allow %s] is stale: it covers no %s finding; delete it" a.rule a.rule)
+    ctx.allows
 
 let scan_structure ~file str =
   let ctx =
     {
       file;
+      exempt = List.exists (fun dir -> String.starts_with ~prefix:dir file) exempt_dirs;
+      aliases = Hashtbl.create 8;
       findings = [];
       hot = false;
       alloc_ok = false;
       spine = [];
       units = Hashtbl.create 64;
       emit_r7 = false;
-      regions = [];
+      allows = [];
     }
   in
   let it = iterator ctx in
@@ -647,18 +894,12 @@ let scan_structure ~file str =
      flat table carries forward-use information into the second pass. *)
   it.Tast_iterator.structure it str;
   ctx.findings <- [];
-  ctx.regions <- [];
+  ctx.allows <- [];
   ctx.emit_r7 <- true;
   it.Tast_iterator.structure it str;
-  let regions = ctx.regions in
-  List.filter
-    (fun (f : Lint_core.finding) ->
-      not
-        (List.exists
-           (fun (rule, first, last) ->
-             String.equal rule f.rule && f.line >= first && f.line <= last)
-           regions))
-    ctx.findings
+  check_r1 ctx str;
+  apply_allows ctx;
+  ctx.findings
 
 (* ------------------------------------------------------------------ *)
 (* R8: test-only API
@@ -858,83 +1099,44 @@ let r8_findings r8 ~tests =
       Option.map
         (fun problem ->
           let col = p.Lexing.pos_cnum - p.Lexing.pos_bol and message = d.d_what ^ " " ^ problem in
-          { Lint_core.file = d.d_file; line = p.pos_lnum; col; rule = "R8"; message; stage = "typed" })
+          { Lint_core.file = d.d_file; line = p.pos_lnum; col; rule = "R8"; message })
         problem)
     (List.rev r8.order)
 
 (* ------------------------------------------------------------------ *)
 (* cmt discovery and the driver entry point *)
 
-let rec cmt_files_under path =
+let rec files_under ~suffixes path =
   if Sys.file_exists path && Sys.is_directory path then
     Sys.readdir path |> Array.to_list
     |> List.sort String.compare
-    |> List.concat_map (fun entry -> cmt_files_under (Filename.concat path entry))
-  else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti" then [ path ]
+    |> List.concat_map (fun entry -> files_under ~suffixes (Filename.concat path entry))
+  else if List.exists (Filename.check_suffix path) suffixes then [ path ]
   else []
 
-(* Leading ".." segments are ignored on both sides so a scan rooted
-   above the repo (the test suite's view) still matches build-root
-   relative cmt_sourcefile paths like "lib/engine/sim.ml". *)
-let strip_parents p =
-  let rec strip = function ".." :: rest -> strip rest | segs -> segs in
-  String.concat "/" (strip (String.split_on_char '/' (Lint_core.normalize p)))
+let normalize path =
+  String.concat "/"
+    (List.filter
+       (fun c -> not (String.equal c "" || String.equal c "."))
+       (String.split_on_char '/' path))
 
 let source_matches ~paths src =
-  let s = strip_parents src in
+  let s = normalize src in
   List.exists
     (fun p ->
-      let p = strip_parents p in
-      String.equal p s
-      ||
-      let pl = String.length p in
-      String.length s > pl && String.equal (String.sub s 0 pl) p && s.[pl] = '/')
+      let p = normalize p in
+      String.equal p s || String.starts_with ~prefix:(p ^ "/") s)
     paths
 
-(* Comment-form suppressions need the source text. The cmt records the
-   build-root-relative path; peel leading directories until something
-   exists (a test running in _build/default/test sees
-   "lint_fixtures_typed/..." for "test/lint_fixtures_typed/..."), and
-   try each source_root prefix. Unreadable source just means no
-   comment-form suppression -- attributes still apply. *)
-let find_source ~source_roots src =
-  let rec candidates s acc =
-    let acc = s :: acc in
-    match String.index_opt s '/' with
-    | Some i -> candidates (String.sub s (i + 1) (String.length s - i - 1)) acc
-    | None -> List.rev acc
+let scan ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~root ~cmt_roots ~paths () =
+  List.iter
+    (fun p ->
+      if not (Sys.file_exists (Filename.concat root p)) then
+        raise (Scan_error (Printf.sprintf "%s: no such file or directory" (Filename.concat root p))))
+    paths;
+  let cmts =
+    List.concat_map (fun r -> files_under ~suffixes:[ ".cmt"; ".cmti" ] (Filename.concat root r)) cmt_roots
   in
-  let cands = candidates (Lint_core.normalize src) [] in
-  List.find_map
-    (fun root ->
-      List.find_map
-        (fun c ->
-          let path = if String.equal root "." then c else Filename.concat root c in
-          if Sys.file_exists path && not (Sys.is_directory path) then Some path else None)
-        cands)
-    source_roots
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* R5-R7 over one implementation, less its comment-form suppressions. *)
-let scan_unit ~source_roots src str =
-  let fs = scan_structure ~file:(Lint_core.normalize src) str in
-  match find_source ~source_roots src with
-  | None -> fs
-  | Some path -> (
-      match read_file path with
-      | source ->
-          let suppressed = Lint_core.suppressions_of_source source in
-          List.filter (fun (f : Lint_core.finding) -> not (Hashtbl.mem suppressed (f.line, f.rule))) fs
-      | exception Sys_error _ -> fs)
-
-let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt_roots ~paths
-    () =
-  let cmts = List.concat_map cmt_files_under cmt_roots in
   let r8 =
     { decls = Hashtbl.create 1024; order = []; members = Hashtbl.create 4096;
       originals = Hashtbl.create 16 }
@@ -947,9 +1149,7 @@ let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt
       | { Cmt_format.cmt_sourcefile = Some src; _ } when Hashtbl.mem declared src -> ()
       | { Cmt_format.cmt_annots = Interface sg; cmt_sourcefile = Some src; cmt_modname; _ } ->
           Hashtbl.replace declared src ();
-          let declare =
-            if source_matches ~paths:api src then Some (Lint_core.normalize src) else None
-          in
+          let declare = if source_matches ~paths:api src then Some (normalize src) else None in
           r8_interface r8 ~unit:(unmangle cmt_modname) ~declare sg
       | { Cmt_format.cmt_annots = Implementation str; cmt_sourcefile = Some src; cmt_modname; _ } ->
           Hashtbl.replace declared src ();
@@ -957,10 +1157,9 @@ let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt
       | _ -> ()
       | exception _ -> ())
     cmts;
-  (* Pass 2: R5-R7 over the implementations under [paths]; R8's uses
+  (* Pass 2: R1-R7 over the implementations under [paths]; R8's uses
      in every implementation. *)
   let seen = Hashtbl.create 16 in
-  let scanned = Hashtbl.create 64 in
   let findings = ref [] in
   List.iter
     (fun cmt_path ->
@@ -970,43 +1169,38 @@ let scan ?(source_roots = [ "." ]) ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~cmt
           cmt_sourcefile = Some src;
           _;
         }
-        when not (Hashtbl.mem seen src) ->
-          Hashtbl.replace seen src ();
+        when not (Hashtbl.mem seen (normalize src)) ->
+          Hashtbl.replace seen (normalize src) ();
           r8_uses r8 ~test:(source_matches ~paths:tests src) str;
-          if source_matches ~paths src then begin
-            Hashtbl.replace scanned (strip_parents src) ();
-            findings := scan_unit ~source_roots src str @ !findings
-          end
+          if source_matches ~paths src then
+            findings := scan_structure ~file:(normalize src) str @ !findings
       | _ -> ()
       | exception _ -> ())
     cmts;
   (* A source with no .cmt would otherwise pass unchecked: dune's default
-     alias writes none for an executable's main module. Each source is
-     named relative to the root it was found under, as the cmts name
-     theirs, so "_build/default/lib/x.ml" is "lib/x.ml". *)
+     alias writes none for an executable's main module. Sources are
+     named relative to [root], as the cmts name theirs. *)
+  let prefix = String.length (Filename.concat root "") in
   let missing =
-    List.concat_map
-      (fun root ->
-        let prefix = String.length (Filename.concat root "") in
-        List.concat_map
-          (fun p ->
-            let path = Filename.concat root p in
-            if Sys.file_exists path then
-              List.map
-                (fun f -> String.sub f prefix (String.length f - prefix))
-                (Lint_core.ml_files_under path)
-            else [])
-          paths)
-      source_roots
-    |> List.map strip_parents
+    List.concat_map (fun p -> files_under ~suffixes:[ ".ml" ] (Filename.concat root p)) paths
+    |> List.map (fun f -> normalize (String.sub f prefix (String.length f - prefix)))
     |> List.sort_uniq String.compare
-    |> List.filter (fun src -> not (Hashtbl.mem scanned src))
+    |> List.filter (fun src -> not (Hashtbl.mem seen src))
   in
   (match missing with
   | [] -> ()
   | _ :: _ ->
       raise
-        (Lint_core.Scan_error
-           (Printf.sprintf "no .cmt under the cmt roots for %s (run `dune build @check` first)"
-              (String.concat ", " missing))));
+        (Scan_error
+           (Printf.sprintf
+              "no .cmt under %s for %s (run `dune build @check` first; from the repository \
+               root, the build context is _build/default)"
+              root (String.concat ", " missing))));
   List.sort_uniq Lint_core.compare_finding (r8_findings r8 ~tests @ !findings)
+
+(* What the repository lints, relative to its build context: R8 reads
+   the callers in every cmt root, the other rules scan [scanned]. *)
+let cmt_roots = [ "lib"; "bin"; "tools"; "test"; "ccbench"; "examples" ]
+let scanned = [ "lib"; "bin"; "tools" ]
+
+let scan_tree root = scan ~root ~cmt_roots ~paths:scanned ()
