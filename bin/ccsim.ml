@@ -751,6 +751,7 @@ let perf_run_row ~seed row =
 let perf_row_json row (p, wall_s, heap_p99) =
   let fnum v = Printf.sprintf "%.6f" v in
   let delivered = Obs.Profile.packets_delivered p in
+  let idle, reduced, full = Obs.Profile.fluid_link_steps p in
   let pkts_per_wall_s =
     if wall_s > 0.0 then float_of_int delivered /. wall_s else 0.0
   in
@@ -761,7 +762,8 @@ let perf_row_json row (p, wall_s, heap_p99) =
      \"sim_speedup\": %.2f, \"pkts_enqueued\": %d, \"pkts_dequeued\": %d, \
      \"pkts_delivered\": %d, \"pkts_dropped\": %d, \"pkts_per_wall_s\": %.0f, \
      \"minor_words_per_event\": %.1f, \"minor_words_per_packet\": %.1f, \
-     \"heap_depth_p99\": %.1f, \"max_heap_depth\": %d}"
+     \"heap_depth_p99\": %.1f, \"max_heap_depth\": %d, \
+     \"fluid_link_steps\": {\"idle\": %d, \"reduced\": %d, \"full\": %d}}"
     row.row_name row.row_exp
     (match row.row_backend with Some b -> b | None -> "packet")
     (match row.row_duration with Some d -> fnum d | None -> "null")
@@ -772,7 +774,7 @@ let perf_row_json row (p, wall_s, heap_p99) =
     (Obs.Profile.packets_enqueued p) (Obs.Profile.packets_dequeued p) delivered
     (Obs.Profile.packets_dropped p) pkts_per_wall_s
     (Obs.Profile.minor_words_per_event p) (Obs.Profile.minor_words_per_packet p)
-    heap_p99 (Obs.Profile.max_heap_depth p)
+    heap_p99 (Obs.Profile.max_heap_depth p) idle reduced full
 
 let perf_cmd =
   let quick_arg =

@@ -53,7 +53,42 @@ module Obs = Ccsim_obs
      (same terms, same order, from 0.0) when no flow of the link
      toggled since and the queueing delay is bitwise the one those
      rates used. [l_delay] keeps that delay; a toggle stores
-     [neg_infinity], which no delay equals. *)
+     [neg_infinity], which no delay equals.
+
+   A link whose step repeats itself takes a reduced step, which
+   replays the increments its last full step computed. A full step
+   marks the link frozen ([l_frozen]) when all of these hold: its
+   queue was exactly 0.0 before the step and is after it; its packet
+   rate and backlog are 0.0; the arrival the step used equals the one
+   it ended with, bitwise, and is at most the service rate; every
+   active flow's new rate is its cap, bitwise; every BBR window is
+   bitwise unchanged. The next step then has the same inputs: loss
+   0.0, a service ratio of 1.0, each RTT its base RTT and so the same
+   window clamps, and the same arrival. With loss 0.0 a Reno or CUBIC
+   window's increment, dt alpha / R, does not depend on the window; a
+   window that grows keeps a rate at or above its cap, as the rate is
+   monotone in the window; a still BBR window stays still. So every
+   rate stays its cap, the arrival and the settle repeat, and the
+   step's only changes are its increments:
+   - each window becomes [float_min (w +. inc) hi], with [inc] and
+     [hi] the full step's, kept by CSR position in [k_inc] and [k_hi]
+     (for BBR 0.0 and infinity, which leave the window as it is; the
+     lower clamp is left out, as w + inc >= w >= 0.1);
+   - once the warmup is over, each flow's goodput gets the full step's
+     term, which the full step of a freezing link keeps in [xs],
+     credited or not yet;
+   - the link's offered and served bytes, and the engine's, get
+     arrival dt / 8 (the served rate is the arrival). The dropped and
+     queue terms are +0.0 and are left out: an accumulator that starts
+     at +0.0 and only adds terms that are not -0.0 is never -0.0, and
+     x +. 0.0 is x for every other x.
+   The queue, arrival, served rate, [l_delay] and contention time do
+   not change. A toggle on the link ([toggle_due]) or a packet signal
+   ([set_packet_signals]) clears the mark; nothing else reads it, so
+   the hybrid coupling, which signals its link every step, never
+   freezes. Per-flow state is never deferred: every window and goodput
+   is current after every step. [link_steps] counts link-steps by
+   path; the idle ones are the rest of links x steps. *)
 
 type link_id = int
 type flow_id = int
@@ -100,6 +135,7 @@ type t = {
       (* queueing delay, s, the rates summed in [l_arr] used;
          neg_infinity once a flow of the link toggles *)
   mutable l_served : float array;  (* last served rate, bit/s *)
+  mutable l_frozen : bool array;  (* the next step repeats the last full one *)
   mutable l_active : int array;  (* active flows *)
   mutable l_contended_s : float array;
   mutable l_offered_b : float array;  (* cumulative byte accounting *)
@@ -120,12 +156,21 @@ type t = {
   mutable f_off : float array;
   mutable f_toggle : float array;  (* next toggle time, s *)
   mutable f_good_b : float array;  (* delivered payload bytes after warmup *)
-  mutable xs : float array;  (* scratch: post-step rate, by CSR position *)
+  mutable xs : float array;
+      (* by CSR position: the post-step rate, then the step's goodput
+         term, which a frozen link keeps *)
+  mutable k_inc : float array;
+  mutable k_hi : float array;
+      (* by CSR position, kept while the link is frozen: the window's
+         increment and upper clamp from the last full step; 0.0 and
+         infinity for BBR *)
   (* The arrays above hold [n] flows and [nl] links; those grown while
      building keep their spare capacity rather than be copied at seal. *)
   (* toggle calendar (see the header); [cal_head] and [cal_next] stay
      [||] when no flow toggles *)
   mutable steps : int;  (* steps taken *)
+  mutable reduced_steps : int;  (* link-steps by path; the rest took the idle skip *)
+  mutable full_steps : int;
   mutable cal_head : int array;  (* per bucket: the first flow filed, or -1 *)
   mutable cal_next : int array;  (* per flow: the next flow in its bucket, or -1 *)
   draw : float array;  (* one unboxed slot for the toggles' uniform draws *)
@@ -192,6 +237,7 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       l_arr = [||];
       l_delay = [||];
       l_served = [||];
+      l_frozen = [||];
       l_active = [||];
       l_contended_s = [||];
       l_offered_b = [||];
@@ -210,7 +256,11 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       f_toggle = [||];
       f_good_b = [||];
       xs = [||];
+      k_inc = [||];
+      k_hi = [||];
       steps = 0;
+      reduced_steps = 0;
+      full_steps = 0;
       cal_head = [||];
       cal_next = [||];
       draw = [| 0.0 |];
@@ -400,8 +450,12 @@ let[@ccsim.hot] rec sort_list next head len =
 
 (* --- build phase ---------------------------------------------------------- *)
 
-let grow arr n default = if Array.length arr > n then arr else
-  let next = Array.make (Int.max 16 (2 * Int.max n (Array.length arr))) default in
+(* A full column, copied into one twice as long (at least 16). The
+   columns of one kind start empty and grow at the same count, so one
+   length test tells when all of them are full; storing a column back
+   into [t] is a [caml_modify], so it happens only when it grows. *)
+let grow arr default =
+  let next = Array.make (Int.max 16 (2 * Array.length arr)) default in
   Array.blit arr 0 next 0 (Array.length arr);
   next
 
@@ -413,8 +467,10 @@ let add_link t ~capacity_bps ~buffer_bytes =
     invalid_arg "Fluid_engine.add_link: capacity_bps must be finite and positive";
   if buffer_bytes <= 0 then invalid_arg "Fluid_engine.add_link: buffer must be positive";
   let l = t.nl in
-  t.l_cap <- grow t.l_cap l 0.0;
-  t.l_buf <- grow t.l_buf l 0.0;
+  if l = Array.length t.l_cap then begin
+    t.l_cap <- grow t.l_cap 0.0;
+    t.l_buf <- grow t.l_buf 0.0
+  end;
   t.l_cap.(l) <- capacity_bps;
   t.l_buf.(l) <- float_of_int buffer_bytes;
   t.nl <- l + 1;
@@ -428,15 +484,17 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
     invalid_arg "Fluid_engine.add_flow: rtt_base_s must be finite and positive";
   if not (cap_bps > 0.0) then invalid_arg "Fluid_engine.add_flow: cap_bps must be positive";
   let i = t.n in
-  t.f_model <- grow t.f_model i 0;
-  t.f_link <- grow t.f_link i 0;
-  t.f_y <- grow t.f_y i 0.0;
-  t.f_rtt_base <- grow t.f_rtt_base i 0.0;
-  t.f_cap <- grow t.f_cap i 0.0;
-  t.f_on <- grow t.f_on i 0.0;
-  t.f_off <- grow t.f_off i 0.0;
-  t.f_toggle <- grow t.f_toggle i 0.0;
-  t.f_good_b <- grow t.f_good_b i 0.0;
+  if i = Array.length t.f_model then begin
+    t.f_model <- grow t.f_model 0;
+    t.f_link <- grow t.f_link 0;
+    t.f_y <- grow t.f_y 0.0;
+    t.f_rtt_base <- grow t.f_rtt_base 0.0;
+    t.f_cap <- grow t.f_cap 0.0;
+    t.f_on <- grow t.f_on 0.0;
+    t.f_off <- grow t.f_off 0.0;
+    t.f_toggle <- grow t.f_toggle 0.0;
+    t.f_good_b <- grow t.f_good_b 0.0
+  end;
   let tag = Fluid_model.index model in
   t.f_model.(i) <- tag;
   t.f_link.(i) <- link;
@@ -468,6 +526,8 @@ let seal t =
     t.built <- true;
     let n = t.n and nl = t.nl in
     t.xs <- Array.make n 0.0;
+    t.k_inc <- Array.make n 0.0;
+    t.k_hi <- Array.make n 0.0;
     let zeros () = Array.make nl 0.0 in
     t.l_q <- zeros ();
     t.l_pkt_rate <- zeros ();
@@ -475,6 +535,7 @@ let seal t =
     t.l_arr <- zeros ();
     t.l_delay <- Array.make nl neg_infinity;
     t.l_served <- zeros ();
+    t.l_frozen <- Array.make nl false;
     t.l_contended_s <- zeros ();
     t.l_offered_b <- zeros ();
     t.l_served_b <- zeros ();
@@ -527,6 +588,7 @@ let set_packet_signals t ~link ~rate_bps ~backlog_bytes =
   seal t;
   if link < 0 || link >= t.nl then invalid_arg "Fluid_engine.set_packet_signals: unknown link";
   if Float.is_nan rate_bps then invalid_arg "Fluid_engine.set_packet_signals: NaN rate_bps";
+  t.l_frozen.(link) <- false;
   t.l_pkt_rate.(link) <- Float.max 0.0 rate_bps;
   t.l_pkt_backlog.(link) <- float_of_int (Int.max 0 backlog_bytes)
 
@@ -584,6 +646,7 @@ let[@ccsim.hot] rec toggle_due t i =
     let next = t.cal_next.(i) and now_s = t.clock_s.(0) in
     let l = t.f_link.(i) in
     t.l_delay.(l) <- neg_infinity;
+    t.l_frozen.(l) <- false;
     if t.f_y.(i) > 0.0 then begin
       t.f_y.(i) <- 0.0;
       deactivate t l i;
@@ -629,8 +692,8 @@ let[@ccsim.hot] process_toggles t =
    holding the arrival of the post-step states, which the settle and
    the goodput credit use. Each loop walks the link's active prefix:
    inactive flows hold y = +0.0 and add nothing, so leaving them out is
-   exact; so are the idle-link skip and the reuse of the pre-step
-   arrival (see the header). *)
+   exact; so are the idle-link skip, the reuse of the pre-step arrival
+   and the reduced step of a frozen link (see the header). *)
 let[@ccsim.hot] advance t =
   let dt = t.dt_s and payload_frac = t.payload_frac in
   let credit = t.clock_s.(0) +. dt > t.warmup_s in
@@ -638,8 +701,10 @@ let[@ccsim.hot] advance t =
   let l_cap = t.l_cap and l_buf = t.l_buf and l_q = t.l_q in
   let l_pkt_rate = t.l_pkt_rate and l_pkt_backlog = t.l_pkt_backlog in
   let l_arr = t.l_arr and l_delay = t.l_delay and l_served = t.l_served in
+  let l_frozen = t.l_frozen in
   let f_model = t.f_model and f_y = t.f_y and f_rtt_base = t.f_rtt_base and f_cap = t.f_cap in
-  let xs = t.xs and f_good_b = t.f_good_b and totals_b = t.totals_b in
+  let xs = t.xs and k_inc = t.k_inc and k_hi = t.k_hi in
+  let f_good_b = t.f_good_b and totals_b = t.totals_b in
   let pkt_bytes = float_of_int Fluid_model.pkt_bytes in
   for l = 0 to t.nl - 1 do
     let q = l_q.(l) in
@@ -647,7 +712,23 @@ let[@ccsim.hot] advance t =
       l_arr.(l) <- 0.0;
       l_served.(l) <- 0.0
     end
+    else if l_frozen.(l) then begin
+      t.reduced_steps <- t.reduced_steps + 1;
+      let first = l_off.(l) in
+      for k = first to first + l_active.(l) - 1 do
+        let i = by_link.(k) in
+        f_y.(i) <- float_min (f_y.(i) +. k_inc.(k)) k_hi.(k);
+        if credit then f_good_b.(i) <- f_good_b.(i) +. xs.(k)
+      done;
+      (* served is the arrival, so one term serves both *)
+      let offered_b = l_arr.(l) *. dt *. 0.125 in
+      t.l_offered_b.(l) <- t.l_offered_b.(l) +. offered_b;
+      t.l_served_b.(l) <- t.l_served_b.(l) +. offered_b;
+      totals_b.(ti_offered) <- totals_b.(ti_offered) +. offered_b;
+      totals_b.(ti_served) <- totals_b.(ti_served) +. offered_b
+    end
     else begin
+      t.full_steps <- t.full_steps + 1;
       let first = l_off.(l) in
       let last = first + l_active.(l) - 1 in
       let cap = l_cap.(l) and buf = l_buf.(l) in
@@ -663,26 +744,38 @@ let[@ccsim.hot] advance t =
       end;
       let p = loss_of ~q ~buf in
       let s = float_max 0.0 (cap -. l_pkt_rate.(l)) in
-      let a = l_arr.(l) in
-      let service_ratio = if a <= s || a <= 0.0 then 1.0 else s /. a in
+      let a0 = l_arr.(l) in
+      let service_ratio = if a0 <= s || a0 <= 0.0 then 1.0 else s /. a0 in
       let two_cap = 2.0 *. cap and buf_pkts = buf /. pkt_bytes in
       l_arr.(l) <- 0.0;
+      (* the freeze mark doubles as the flows' half of the test: a
+         rate below its cap or a BBR window that moved clears it *)
+      l_frozen.(l) <- true;
       for k = first to last do
         let i = by_link.(k) in
-        let w = f_y.(i) in
+        let w0 = f_y.(i) and cap_i = f_cap.(i) in
         let tag = f_model.(i) and rtt_min_s = f_rtt_base.(i) in
         let rtt_s = rtt_min_s +. queue_delay_s in
-        let dw = deriv ~tag ~w ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
-        let w = w +. (dt *. dw) in
+        let inc = dt *. deriv ~tag ~w:w0 ~rtt_s ~rtt_min_s ~loss_frac:p ~service_ratio in
         let w =
-          if tag = bbr then float_min (float_max 1e3 w) (float_min (1.3 *. f_cap.(i)) two_cap)
+          if tag = bbr then begin
+            let w = float_min (float_max 1e3 (w0 +. inc)) (float_min (1.3 *. cap_i) two_cap) in
+            if not (Float.equal w w0) then l_frozen.(l) <- false;
+            k_inc.(k) <- 0.0;
+            k_hi.(k) <- infinity;
+            w
+          end
           else begin
             let bdp_pkts = cap *. rtt_s /. Fluid_model.pkt_bits in
-            float_min (float_max 0.1 w) (float_max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)))
+            let hi = float_max 64.0 (2.0 *. (bdp_pkts +. buf_pkts)) in
+            k_inc.(k) <- inc;
+            k_hi.(k) <- hi;
+            float_min (float_max 0.1 (w0 +. inc)) hi
           end
         in
         f_y.(i) <- w;
-        let x = float_min (rate_bps ~tag ~w ~rtt_s) f_cap.(i) in
+        let x = float_min (rate_bps ~tag ~w ~rtt_s) cap_i in
+        if not (Float.equal x cap_i) then l_frozen.(l) <- false;
         xs.(k) <- x;
         l_arr.(l) <- l_arr.(l) +. x
       done;
@@ -717,11 +810,24 @@ let[@ccsim.hot] advance t =
         && l_active.(l) >= 2
         && (p > 0.0 || (q1 +. l_pkt_backlog.(l)) *. 8.0 /. cap >= 0.005)
       then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt;
-      (* per-flow delivered payload over the measurement window *)
-      if credit && a > 0.0 then
+      (* the link's half of the freeze rule (see the header) *)
+      let frozen =
+        l_frozen.(l) && Float.equal q 0.0 && Float.equal q1 0.0
+        && Float.equal l_pkt_rate.(l) 0.0 && Float.equal l_pkt_backlog.(l) 0.0
+        && Float.equal a0 a && a0 <= s
+      in
+      l_frozen.(l) <- frozen;
+      (* per-flow delivered payload over the measurement window; a
+         frozen link keeps each flow's term in [xs] for its reduced
+         steps, credited or not yet *)
+      if (credit || frozen) && a > 0.0 then
         for k = first to last do
-          let i = by_link.(k) in
-          f_good_b.(i) <- f_good_b.(i) +. (xs.(k) /. a *. served *. payload_frac *. dt *. 0.125)
+          let g = xs.(k) /. a *. served *. payload_frac *. dt *. 0.125 in
+          xs.(k) <- g;
+          if credit then begin
+            let i = by_link.(k) in
+            f_good_b.(i) <- f_good_b.(i) +. g
+          end
         done
     end
   done
@@ -760,8 +866,12 @@ let record_samples t =
     record t.tl_contended (float_of_int !contended)
   end
 
+let link_steps t =
+  (t.steps * t.nl - t.reduced_steps - t.full_steps, t.reduced_steps, t.full_steps)
+
 let run t ~until_s =
   seal t;
+  let idle0, reduced0, full0 = link_steps t in
   while now_s t < until_s -. (0.5 *. t.dt_s) do
     (match t.profile with
     | None -> step t
@@ -781,6 +891,9 @@ let run t ~until_s =
   done;
   (match t.profile with
   | Some p ->
+      let idle, reduced, full = link_steps t in
+      Obs.Profile.note_fluid_link_steps p ~idle:(idle - idle0) ~reduced:(reduced - reduced0)
+        ~full:(full - full0);
       Obs.Profile.note_sim_time p (now_s t);
       Obs.Profile.gc_flush p
   | None -> ());

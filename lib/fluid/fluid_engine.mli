@@ -23,10 +23,17 @@
     link's pre-step arrival is taken from the sum the previous step
     ended with when no flow of the link toggled since and its queueing
     delay is bitwise unchanged: the full pass would add the same terms
-    in the same order. Due toggles draw from the RNG in flow-id order
-    and each link sums its active flows in flow-id order, so every
-    result is bit for bit that of the earlier four-pass step, which
-    the test suite keeps as its oracle.
+    in the same order. A link whose full step began and ended with a
+    queue of exactly 0.0, had no packet signal, used the arrival it
+    ended with and fit it, and left every flow at its cap and every
+    BBR window still, is frozen: its next step provably has the same
+    inputs, so it only applies the increments the full step computed
+    (each window's, clamped; each goodput's; the byte totals'), in the
+    same order. A toggle on the link or a packet signal thaws it.
+    Due toggles draw from the RNG in flow-id order and each link sums
+    its active flows in flow-id order, so every result is bit for bit
+    that of the earlier four-pass step, which the test suite keeps as
+    its oracle.
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation
@@ -139,6 +146,13 @@ val link_residual_bytes : t -> link_id -> float
 val flow_goodput_bps : t -> flow_id -> float
 [@@ccsim.test_only "tests observe the fluid engine's per-flow and per-link state"]
 (** Mean payload goodput over the post-warmup window so far. *)
+
+val link_steps : t -> int * int * int
+[@@ccsim.test_only "tests count the kernel's paths; ccsim perf reads them through the profile"]
+(** [(idle, reduced, full)]: the link-steps taken so far by the idle
+    skip, by the reduced step of a frozen link and by the full step.
+    They sum to links × steps. {!run} adds the ones it takes to the
+    ambient {!Ccsim_obs.Profile}. *)
 
 val totals : t -> totals
 val residual_bytes : t -> float

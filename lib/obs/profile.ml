@@ -31,6 +31,10 @@ type t = {
   mutable pkts_dequeued : int;
   mutable pkts_delivered : int;
   mutable pkts_dropped : int;
+  (* fluid link-steps by path, fed by lib/fluid *)
+  mutable fluid_idle : int;
+  mutable fluid_reduced : int;
+  mutable fluid_full : int;
   (* sampled allocation accounting: a Gc delta every [gc_sample_every]
      charged events, charged to the component that happened to execute
      the sampling event — per-component words are therefore a sampled
@@ -89,6 +93,9 @@ let create () =
     pkts_dequeued = 0;
     pkts_delivered = 0;
     pkts_dropped = 0;
+    fluid_idle = 0;
+    fluid_reduced = 0;
+    fluid_full = 0;
     gc_last = None;
     gc_countdown = gc_sample_every;
     gc_samples = 0;
@@ -179,6 +186,11 @@ let note_pkt_dequeued t = t.pkts_dequeued <- t.pkts_dequeued + 1
 let note_pkt_delivered t = t.pkts_delivered <- t.pkts_delivered + 1
 let note_pkt_dropped t = t.pkts_dropped <- t.pkts_dropped + 1
 
+let note_fluid_link_steps t ~idle ~reduced ~full =
+  t.fluid_idle <- t.fluid_idle + idle;
+  t.fluid_reduced <- t.fluid_reduced + reduced;
+  t.fluid_full <- t.fluid_full + full
+
 let events_executed t = t.events_executed
 let events_scheduled t = t.events_scheduled
 let events_cancelled t = t.events_cancelled
@@ -189,6 +201,7 @@ let packets_enqueued t = t.pkts_enqueued
 let packets_dequeued t = t.pkts_dequeued
 let packets_delivered t = t.pkts_delivered
 let packets_dropped t = t.pkts_dropped
+let fluid_link_steps t = (t.fluid_idle, t.fluid_reduced, t.fluid_full)
 
 let events_per_sec t =
   if t.busy_s > 0.0 then float_of_int t.events_executed /. t.busy_s else 0.0

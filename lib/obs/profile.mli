@@ -80,6 +80,11 @@ val note_pkt_dropped : t -> unit
     (DRR's longest-queue drop) are visible in qdisc stats and metrics,
     not here. *)
 
+val note_fluid_link_steps : t -> idle:int -> reduced:int -> full:int -> unit
+(** Add a fluid engine's link-steps by path: the idle skip, the
+    reduced step of a frozen link and the full step.
+    [Fluid_engine.run] notes what it stepped. *)
+
 val events_executed : t -> int
 val events_scheduled : t -> int
 val events_cancelled : t -> int
@@ -101,6 +106,9 @@ val packets_enqueued : t -> int
 val packets_dequeued : t -> int
 val packets_delivered : t -> int
 val packets_dropped : t -> int
+
+val fluid_link_steps : t -> int * int * int
+(** [(idle, reduced, full)] fluid link-steps noted so far. *)
 
 val packets_per_sec : t -> float
 [@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]

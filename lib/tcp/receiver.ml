@@ -45,17 +45,19 @@ let create sim ~flow ~ack_path ?(buffer_bytes = 4 * 1024 * 1024) ?(consume_rate_
         (Ccsim_obs.Scope.ambient ()).Ccsim_obs.Scope.metrics;
   }
 
-(* Advance the application-drain model to the current time. *)
+(* Advance the application-drain model to the current time. Only a
+   finite drain rate reads [consumed_updated], so only it reads the
+   clock and stores the time. *)
 let update_consumed t =
-  let now = Sim.now t.sim in
   if Float.is_finite t.consume_rate_bps then begin
+    let now = Sim.now t.sim in
     let drained =
       int_of_float (t.consume_rate_bps *. (now -. t.consumed_updated) /. 8.0)
     in
-    t.consumed <- min t.rcv_nxt (t.consumed + drained)
+    t.consumed <- min t.rcv_nxt (t.consumed + drained);
+    t.consumed_updated <- now
   end
-  else t.consumed <- t.rcv_nxt;
-  t.consumed_updated <- now
+  else t.consumed <- t.rcv_nxt
 
 let advertised_window t =
   update_consumed t;

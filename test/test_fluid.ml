@@ -636,6 +636,125 @@ let calendar_case_gen =
   let* seed = int_bound 1_000_000 in
   return { seed; dt_s; warmup_s = 0.5; links; ref_flows; steps; signals }
 
+(* Cases aimed at the reduced step of a frozen link: after a full
+   step whose queue stayed exactly 0.0, with no packet signal, an
+   arrival that repeated and fit the link, every flow at its cap and
+   every BBR window still, the next step only replays that step's
+   increments. Each link takes one of four regimes:
+   - under: one to four Reno, CUBIC or BBR flows whose caps sum below
+     a 1-5 Mbit/s capacity, some on/off with means of 50 to 500 steps,
+     so the link freezes and toggles land on it; buffers of 2 to 20
+     packets let Reno and CUBIC windows reach their upper clamp while
+     frozen, within the 2,000 steps;
+   - floor: BBR flows capped under 1 kbit/s with base RTTs under
+     0.5 ms, whose windows sink to the 1e3 floor and stay there, beside
+     one capped Reno or CUBIC flow;
+   - edge: always-on flows capped at 10 to 500 kbit/s on a link whose
+     capacity is their capped sum, in flow-id order, exactly or 5%
+     either side; with a subnormal step, 3 or 4 units of the step's
+     resolution (2^-1074 / dt) below it. The queue's growth,
+     (arrival - capacity) dt / 8, then rounds to 0.0 on every step, so
+     the queue clause cannot see the overload and only the arrival
+     clause of the freeze rule keeps the link thawed;
+   - over: two to four on/off flows capped at 0.3 to 0.8 of capacity,
+     whose sum crosses capacity as they toggle, so a queue builds,
+     drains and the link refreezes.
+   The step is 5, 10 or 20 ms or, in a quarter of the cases, 2^-1060 s;
+   the warmup ends at a random step, often inside a frozen stretch.
+   Packet signals land on random steps, frozen links included: zero
+   ones, rates below and above capacity, and backlogs that move the
+   queueing delay and with it the windows' clamp. A window that the
+   reduced step got wrong shows only once it decides a rate again,
+   under such an overload or delay. *)
+let freeze_case_gen =
+  let open QCheck.Gen in
+  let* dt_s = oneofl [ 0.005; 0.01; 0.02; 0x1p-1060 ] in
+  let* nl = int_range 1 6 in
+  let* regimes = array_repeat nl (oneofl [ `Under; `Floor; `Edge; `Over ]) in
+  let* capacities =
+    flatten_a
+      (Array.map (function `Under -> float_range 1e6 5e6 | _ -> float_range 1e6 2e7) regimes)
+  in
+  let* buffers =
+    flatten_a
+      (Array.map (function `Under -> int_range 3_000 30_000 | _ -> int_range 3_000 300_000) regimes)
+  in
+  let flow l ~models ~rtt ~cap ~on_off ~start =
+    let* model = oneofl models in
+    let* rtt_base_s = rtt and* cap_bps = cap and* on_off_s = on_off and* start_active = start in
+    return { link = l; model; rtt_base_s; cap_bps; on_off_s; start_active }
+  in
+  let all = Fl.Fluid_model.[ Reno; Cubic; Bbr ] and windowed = Fl.Fluid_model.[ Reno; Cubic ] in
+  let mean lo hi = map (fun k -> k *. dt_s) (float_range lo hi) in
+  let flows_of l =
+    let cap = capacities.(l) in
+    match regimes.(l) with
+    | `Under ->
+        let* n = int_range 1 4 in
+        list_repeat n
+          (flow l ~models:all ~rtt:(float_range 0.005 0.2)
+             ~cap:(float_range 1e5 (0.9 *. cap /. float_of_int n))
+             ~on_off:(opt ~ratio:0.5 (pair (mean 50.0 500.0) (mean 50.0 500.0)))
+             ~start:(frequencyl [ (3, true); (1, false) ]))
+    | `Floor ->
+        let* bbrs =
+          list_size (int_range 1 3)
+            (flow l ~models:[ Fl.Fluid_model.Bbr ] ~rtt:(float_range 0.0001 0.0005)
+               ~cap:(float_range 100.0 999.0) ~on_off:(return None) ~start:(return true))
+        in
+        let* other =
+          flow l ~models:windowed ~rtt:(float_range 0.005 0.2) ~cap:(float_range 1e5 1e6)
+            ~on_off:(return None) ~start:(return true)
+        in
+        return (other :: bbrs)
+    | `Edge ->
+        list_size (int_range 1 4)
+          (flow l ~models:all ~rtt:(float_range 0.005 0.2) ~cap:(float_range 1e4 5e5)
+             ~on_off:(return None) ~start:(return true))
+    | `Over ->
+        list_size (int_range 2 4)
+          (flow l ~models:all ~rtt:(float_range 0.005 0.2)
+             ~cap:(float_range (0.3 *. cap) (0.8 *. cap))
+             ~on_off:(map Option.some (pair (mean 20.0 200.0) (mean 20.0 200.0)))
+             ~start:bool)
+  in
+  let* per_link = flatten_l (List.init nl flows_of) in
+  let ref_flows = Array.of_list (List.concat per_link) in
+  let* () = shuffle_a ref_flows in
+  (* An edge link's capacity is its flows' capped sum as the kernel
+     adds it: in flow-id order, from 0.0. *)
+  let sum l =
+    Array.fold_left (fun acc f -> if f.link = l then acc +. f.cap_bps else acc) 0.0 ref_flows
+  in
+  let* nudges =
+    array_repeat nl
+      (if dt_s < 0x1p-1022 then
+         map (fun k a -> a -. (float_of_int k *. 0x1p-1074 /. dt_s)) (int_range 3 4)
+       else oneofl [ Fun.id; ( *. ) 1.05; ( *. ) 0.95 ])
+  in
+  let links =
+    Array.init nl (fun l ->
+        match regimes.(l) with
+        | `Edge -> (nudges.(l) (sum l), buffers.(l))
+        | `Under | `Floor | `Over -> (capacities.(l), buffers.(l)))
+  in
+  let* steps = int_range 200 2_000 in
+  let* warmup_steps = int_bound steps in
+  let signal =
+    let* k = int_bound (steps - 1) and* l = int_bound (nl - 1) in
+    let cap = fst links.(l) in
+    let* rate =
+      frequency
+        [ (2, return 0.0); (2, float_range 0.0 cap); (2, float_range cap (2.0 *. cap)) ]
+    in
+    let* backlog = frequency [ (2, return 0); (1, return 1_500); (3, int_range 0 200_000) ] in
+    return (k, l, rate, backlog)
+  in
+  let* signals = list_size (int_range 0 20) signal in
+  let* seed = int_bound 1_000_000 in
+  return
+    { seed; dt_s; warmup_s = float_of_int warmup_steps *. dt_s; links; ref_flows; steps; signals }
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Build the case on both engines and step them side by side; after
@@ -707,6 +826,10 @@ let qcheck_tests =
       ~count:500
       (make ~print:show_ref_case calendar_case_gen)
       kernel_matches_reference;
+    Test.make ~name:"fluid kernel's reduced step matches the four-pass step bit for bit"
+      ~count:500
+      (make ~print:show_ref_case freeze_case_gen)
+      kernel_matches_reference;
     (* Twin streams: the toggle path's draw takes its uniform through a
        float-array slot and finishes the exponential itself; every draw
        must equal [Rng.exponential]'s, for means of every magnitude. *)
@@ -742,15 +865,18 @@ let qcheck_tests =
 (* The step allocates nothing, toggles included: always-on
    populations, and on/off ones whose means are a tenth of the 10 ms
    step, so nearly every flow toggles, draws and is refiled on every
-   step. The measurement's own [Gc.counters] calls cost a few words,
-   spread over the 50 steps. *)
+   step. Always-on flows capped at 1 Mbit/s, two to a 50 Mbit/s link,
+   freeze every link by its second step (the first clamps BBR's
+   window), so at least 49 of each link's 50 measured steps are
+   reduced ones. The measurement's own [Gc.counters] calls cost a few
+   words, spread over the 50 steps. *)
 let test_step_allocation () =
   let words () =
     let _, promoted, major = Gc.counters () in
     Gc.minor_words () +. major -. promoted
   in
   List.iter
-    (fun (flows, on_off_s) ->
+    (fun (flows, on_off_s, cap_bps) ->
       let engine = Fl.Fluid_engine.create ~seed:3 () in
       let link = ref 0 in
       for i = 0 to flows - 1 do
@@ -759,20 +885,38 @@ let test_step_allocation () =
               ~buffer_bytes:200_000;
         ignore
           (Fl.Fluid_engine.add_flow engine ~link:!link ~model:(Fl.Fluid_model.of_index (i mod 3))
-             ~rtt_base_s:(0.02 +. (0.001 *. float_of_int (i mod 50))) ?on_off_s ())
+             ~rtt_base_s:(0.02 +. (0.001 *. float_of_int (i mod 50))) ~cap_bps ?on_off_s ())
       done;
       Fl.Fluid_engine.step engine;
+      let _, reduced0, _ = Fl.Fluid_engine.link_steps engine in
       let words0 = words () in
       for _ = 1 to 50 do
         Fl.Fluid_engine.step engine
       done;
       let per_step = (words () -. words0) /. 50.0 in
+      let _, reduced, _ = Fl.Fluid_engine.link_steps engine in
+      let kind =
+        if Option.is_some on_off_s then "on/off"
+        else if cap_bps < infinity then "capped always-on"
+        else "always-on"
+      in
+      if cap_bps < infinity then
+        Alcotest.(check bool)
+          (Printf.sprintf "%d %s flows: %d reduced link-steps of %d" flows kind
+             (reduced - reduced0) (50 * flows / 2))
+          true
+          (reduced - reduced0 >= 49 * flows / 2);
       Alcotest.(check bool)
-        (Printf.sprintf "%d %s flows: under 1 word per step (%.2f)" flows
-           (if Option.is_some on_off_s then "on/off" else "always-on")
-           per_step)
+        (Printf.sprintf "%d %s flows: under 1 word per step (%.2f)" flows kind per_step)
         true (per_step < 1.0))
-    [ (2_000, None); (20_000, None); (2_000, Some (0.001, 0.001)); (20_000, Some (0.001, 0.001)) ]
+    [
+      (2_000, None, infinity);
+      (20_000, None, infinity);
+      (2_000, Some (0.001, 0.001), infinity);
+      (20_000, Some (0.001, 0.001), infinity);
+      (2_000, None, U.Units.mbps 1.0);
+      (20_000, None, U.Units.mbps 1.0);
+    ]
 
 let suite =
   [

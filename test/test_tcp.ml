@@ -334,6 +334,34 @@ let test_receiver_window_shrinks_with_backlog () =
   Alcotest.(check bool) "window recovers as the app drains" true
     (Tcp.Receiver.advertised_window receiver > 6_000)
 
+(* In-order data through [Receiver.handle_data] at the default
+   (infinite) drain rate allocates the ack and its send time: 24 words
+   per packet in the dev profile. It was 26 while every packet read
+   the clock for the drain model, whose time only a finite rate reads
+   (a boxed float). The bound allows the measurement's own
+   [Gc.counters] calls, spread over the 10,000 packets. *)
+let test_receiver_data_allocation () =
+  let sim = Sim.create () in
+  let receiver = Tcp.Receiver.create sim ~flow:0 ~ack_path:ignore () in
+  let packets = 10_000 in
+  let segs =
+    Array.init packets (fun k ->
+        Net.Packet.data ~flow:0 ~seq:(k * 1000) ~payload_bytes:1000 ~sent_at:0.0 ())
+  in
+  let handle = Tcp.Receiver.handle_data receiver in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let words0 = words () in
+  Array.iter handle segs;
+  let per_packet = (words () -. words0) /. float_of_int packets in
+  Alcotest.(check int) "every segment delivered" (packets * 1000)
+    (Tcp.Receiver.bytes_received receiver);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 25 words per data packet (%.2f)" per_packet)
+    true (per_packet < 25.0)
+
 (* --- UDP ---------------------------------------------------------------------------- *)
 
 let test_udp_source_sink () =
@@ -659,6 +687,7 @@ let suite =
     ("receiver: sack blocks", `Quick, test_receiver_sack_blocks);
     ("receiver: duplicates idempotent", `Quick, test_receiver_duplicate_data_idempotent);
     ("receiver: window tracks backlog", `Quick, test_receiver_window_shrinks_with_backlog);
+    ("receiver: words per in-order data packet", `Quick, test_receiver_data_allocation);
     ("udp: source to sink", `Quick, test_udp_source_sink);
     ("udp: cbr jitter near zero", `Quick, test_udp_jitter_zero_for_cbr_on_idle_link);
     ("scoreboard: ring growth", `Quick, test_scoreboard_grows);
