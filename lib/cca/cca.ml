@@ -32,6 +32,20 @@ let make ~name ?(cwnd = initial_window ~mss:Ccsim_util.Units.mss) ?(pacing_rate 
     on_send = (fun ~now:_ ~bytes:_ -> ());
   }
 
+(* The loss-based window rules (RFC 5681), written once for AIMD (and so
+   Reno), CUBIC and Vegas. *)
+let mss_bytes = float_of_int Ccsim_util.Units.mss
+
+let slow_start t info = t.cwnd <- t.cwnd +. float_of_int info.newly_acked
+
+let cut_on_loss t ssthresh ~beta =
+  ssthresh := Float.max (t.cwnd *. beta) (2.0 *. mss_bytes);
+  t.cwnd <- !ssthresh
+
+let cut_on_rto t ssthresh ~beta =
+  ssthresh := Float.max (t.cwnd *. beta) (2.0 *. mss_bytes);
+  t.cwnd <- mss_bytes
+
 let fixed_window ~cwnd_bytes =
   if cwnd_bytes <= 0 then invalid_arg "Cca.fixed_window: cwnd must be positive";
   make ~name:"fixed-window" ~cwnd:(float_of_int cwnd_bytes) ()

@@ -47,6 +47,23 @@ val make : name:string -> ?cwnd:float -> ?pacing_rate:float -> unit -> t
     replaces (fixed-window pseudo-CCAs keep them). Default cwnd is
     [initial_window ~mss:1448]; default pacing is unpaced. *)
 
+(** {1 Loss-based window rules}
+
+    The RFC 5681 rules AIMD (and so Reno), CUBIC and Vegas share, over
+    {!Ccsim_util.Units.mss}-byte segments. Each CCA keeps its own slow
+    start threshold and passes it in. *)
+
+val slow_start : t -> ack_info -> unit
+(** Slow start: grow [cwnd] by the newly acked bytes. *)
+
+val cut_on_loss : t -> float ref -> beta:float -> unit
+(** A fast-retransmit loss: the threshold becomes
+    max([cwnd] × [beta], 2 MSS), and so does [cwnd]. *)
+
+val cut_on_rto : t -> float ref -> beta:float -> unit
+(** A retransmission timeout: the threshold as {!cut_on_loss} sets it,
+    and [cwnd] falls to 1 MSS, so slow start begins again. *)
+
 val fixed_window : cwnd_bytes:int -> t
 [@@ccsim.test_only "control CCA the tests drive senders with"]
 (** Degenerate CCA that never changes its window; useful as an

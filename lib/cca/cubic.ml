@@ -22,9 +22,9 @@ let create () =
     w_est := w_mss
   in
   let on_ack (info : Cca.ack_info) =
-    let acked = float_of_int info.newly_acked in
-    if cca.cwnd < !ssthresh then cca.cwnd <- cca.cwnd +. acked
+    if cca.cwnd < !ssthresh then Cca.slow_start cca info
     else begin
+      let acked = float_of_int info.newly_acked in
       (match !epoch_start with None -> enter_epoch info.now | Some _ -> ());
       match !epoch_start with
       | None -> assert false
@@ -49,15 +49,13 @@ let create () =
     let w_mss = cca.cwnd /. fmss in
     (* Fast convergence (RFC 8312 §4.6). *)
     w_max := if w_mss < !w_max then w_mss *. (1.0 +. beta) /. 2.0 else w_mss;
-    ssthresh := Float.max (cca.cwnd *. beta) (2.0 *. fmss);
-    cca.cwnd <- !ssthresh;
+    Cca.cut_on_loss cca ssthresh ~beta;
     epoch_start := None
   in
   let on_rto ~now:_ =
     let w_mss = cca.cwnd /. fmss in
     w_max := w_mss;
-    ssthresh := Float.max (cca.cwnd *. beta) (2.0 *. fmss);
-    cca.cwnd <- fmss;
+    Cca.cut_on_rto cca ssthresh ~beta;
     epoch_start := None
   in
   cca.Cca.on_ack <- on_ack;

@@ -259,11 +259,11 @@ let create sim ?(pulse_amplitude = 0.25) ?(mode_switching = true)
         (2.0 *. (!base_rate +. (pulse_amplitude *. pulse_scale)) *. rtt /. 8.0)
   in
   Sim.every sim ~interval:dt (fun () ->
-      Sim.set_component sim "cca";
+      Sim.set_component sim Ccsim_obs.Profile.Cca;
       tick ());
   let estimation_interval = 0.5 in
   Sim.every sim ~interval:estimation_interval (fun () ->
-      Sim.set_component sim "cca";
+      Sim.set_component sim Ccsim_obs.Profile.Cca;
       compute_elasticity (Sim.now sim));
   let on_ack (info : Cca.ack_info) =
     if info.srtt > 0.0 then srtt := info.srtt;

@@ -8,5 +8,6 @@
     victim in BBR unfairness studies [2]). *)
 
 val create : unit -> Cca.t
-(** Segments are {!Ccsim_util.Units.mss} bytes; the window starts at the
-    RFC 6928 ten-segment initial window. *)
+(** {!Aimd} at a = 1, b = ½, named ["reno"]. Segments are
+    {!Ccsim_util.Units.mss} bytes; the window starts at the RFC 6928
+    ten-segment initial window. *)

@@ -10,7 +10,6 @@ let create () =
   let slow_start = ref true in
   let next_adjust = ref 0.0 in
   let on_ack (info : Cca.ack_info) =
-    let acked = float_of_int info.newly_acked in
     if !slow_start && cca.cwnd >= !ssthresh then slow_start := false;
     if !slow_start && info.srtt > 0.0 && info.min_rtt > 0.0 then begin
       (* Vegas leaves slow start once it detects queue build-up (the
@@ -19,7 +18,7 @@ let create () =
       let diff = cwnd_pkts *. (1.0 -. (info.min_rtt /. info.srtt)) in
       if diff > beta then slow_start := false
     end;
-    if !slow_start then cca.cwnd <- cca.cwnd +. acked
+    if !slow_start then Cca.slow_start cca info
     else if info.now >= !next_adjust && info.srtt > 0.0 && info.min_rtt > 0.0 then begin
       next_adjust := info.now +. info.srtt;
       let cwnd_pkts = cca.cwnd /. fmss in
@@ -29,13 +28,11 @@ let create () =
     end
   in
   let on_loss () =
-    ssthresh := Float.max (cca.cwnd /. 2.0) (2.0 *. fmss);
-    cca.cwnd <- !ssthresh;
+    Cca.cut_on_loss cca ssthresh ~beta:0.5;
     slow_start := false
   in
   let on_rto ~now:_ =
-    ssthresh := Float.max (cca.cwnd /. 2.0) (2.0 *. fmss);
-    cca.cwnd <- fmss;
+    Cca.cut_on_rto cca ssthresh ~beta:0.5;
     slow_start := true
   in
   cca.Cca.on_ack <- on_ack;

@@ -23,7 +23,7 @@ let run ?(n = 3000) ?(seed = 42) () =
       let candidate_changes =
         List.filter_map
           (fun (v : M.Mlab_analysis.verdict) ->
-            if M.Mlab_analysis.category_equal v.category M.Mlab_analysis.Candidate then
+            if v.category = M.Mlab_analysis.Candidate then
               Some (float_of_int (List.length v.change_points))
             else None)
           report.verdicts

@@ -17,7 +17,7 @@ let run ?(n = 9984) ?(seed = 42) () =
   | Some tl ->
       List.iter
         (fun (r : M.Ndt.record) ->
-          if M.Mlab_analysis.category_equal (M.Mlab_analysis.categorize r) M.Mlab_analysis.Candidate then begin
+          if M.Mlab_analysis.categorize r = M.Mlab_analysis.Candidate then begin
             let s =
               Ccsim_obs.Timeline.series tl
                 ~labels:[ ("flow", string_of_int r.id) ]

@@ -8,9 +8,10 @@ type t = {
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-event store *)
   profile : Obs.Profile.t option;
-  mutable component : string;
-      (* label the in-flight event callback charges its execution to;
-         reset to "other" before each event when profiling *)
+  mutable component : Obs.Profile.component;
+      (* the component the in-flight event callback charges its
+         execution to; reset to [Other] before each event when
+         profiling *)
   heap_hist : Obs.Metrics.histogram option;
       (* event-heap depth observed per executed event when a metrics
          registry is ambient; aggregates across sims by instrument name *)
@@ -85,7 +86,7 @@ let create () =
       clock = Array.make 1 0.0;
       profile = scope.Obs.Scope.profile;
       heap_hist;
-      component = "other";
+      component = Obs.Profile.Other;
       timeline;
       watchdog;
       span = scope.Obs.Scope.span;
@@ -96,23 +97,21 @@ let create () =
     }
   in
   (match timeline with
-  | Some tl -> install_driver t ~interval:(Obs.Timeline.interval tl) ~comp:"timeline" (sample_probes t)
+  | Some tl ->
+      install_driver t ~interval:(Obs.Timeline.interval tl) ~comp:Obs.Profile.Timeline
+        (sample_probes t)
   | None -> ());
   (match watchdog with
   | Some w ->
-      install_driver t ~interval:(Obs.Watchdog.interval w) ~comp:"watchdog" (fun () ->
+      install_driver t ~interval:(Obs.Watchdog.interval w) ~comp:Obs.Profile.Watchdog (fun () ->
           Obs.Watchdog.check_now w ~now:t.clock.(0))
   | None -> ());
   t
 
 let now t = t.clock.(0)
 let watchdog t = t.watchdog
-(* [component] is read only by the profiler; skipping the store when it
-   is off also skips the write barrier a string field store costs. *)
-let[@ccsim.hot] set_component t name =
-  match t.profile with
-  | None -> ()
-  | Some _ -> t.component <- name
+(* An immediate store: no write barrier, and no test of the profile. *)
+let[@ccsim.hot] set_component t c = t.component <- c
 
 let add_timeline_tags t tags = t.tl_tags <- tags @ t.tl_tags
 
@@ -127,12 +126,12 @@ let add_timeline_probe t ?labels name probe =
   | Some s -> t.probes <- (s, probe) :: t.probes
 
 (* Scheduled/cancelled events are attributed to the component whose
-   callback is running when the call happens ("other" during setup) —
-   a field store plus one memoized lookup, only when profiling. *)
+   callback is running when the call happens ([Other] during setup) —
+   one array increment, only when profiling. *)
 let note_scheduled t =
   match t.profile with
   | None -> ()
-  | Some p -> Ccsim_obs.Profile.note_scheduled p ~comp:t.component
+  | Some p -> Obs.Profile.note_scheduled p ~comp:t.component
 
 (* Entry-point guards are written [not (x >= bound)] so one comparison
    rejects NaN too: an event at NaN would set the clock to NaN, after
@@ -158,7 +157,7 @@ let note_cancelled t id =
   | None -> ()
   | Some p ->
       if not (Event_heap.cancelled t.heap id) then
-        Ccsim_obs.Profile.note_cancelled p ~comp:t.component
+        Obs.Profile.note_cancelled p ~comp:t.component
 
 let[@ccsim.hot] cancel t id =
   note_cancelled t id;
@@ -194,13 +193,11 @@ let[@ccsim.hot] step t =
       (match t.profile with
       | None -> f ()
       | Some p ->
-          Ccsim_obs.Profile.note_heap_depth p (pending t + 1);
-          Ccsim_obs.Profile.note_sim_time p time;
-          t.component <- "other";
-          let t0 = Ccsim_obs.Profile.wall_now () in
+          Obs.Profile.note_heap_depth p (pending t + 1);
+          t.component <- Obs.Profile.Other;
+          Obs.Profile.begin_event p;
           f ();
-          Ccsim_obs.Profile.record p ~comp:t.component
-            ~seconds:(Ccsim_obs.Profile.wall_now () -. t0));
+          Obs.Profile.end_event p t.component);
       true
 
 (* The inner event loop: peek through the alloc-free [next_time]
@@ -219,16 +216,15 @@ let[@ccsim.hot] rec run_loop t ~horizon =
 let run ?until t =
   let horizon = match until with None -> infinity | Some u -> u in
   if Float.is_nan horizon then invalid_arg "Sim.run: NaN horizon";
+  Option.iter Obs.Profile.start_run t.profile;
   run_loop t ~horizon;
   (match until with
   | Some u when t.clock.(0) < u -> t.clock.(0) <- u
   | Some _ | None -> ());
   (match t.profile with
   | Some p ->
-      Ccsim_obs.Profile.note_sim_time p t.clock.(0);
-      (* Close the allocation-sampling window so the Gc totals cover
-         the whole run, not just the last full window. *)
-      Ccsim_obs.Profile.gc_flush p
+      Obs.Profile.note_sim_time p t.clock.(0);
+      Obs.Profile.end_run p
   | None -> ());
   (* Packets still queued or on the wire when the run ends become
      incomplete spans rather than leaking open records. *)

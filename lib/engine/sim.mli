@@ -20,14 +20,13 @@ val create : unit -> t
     {!Ccsim_obs.Scope}'s, read once here; wrap the call in
     {!Ccsim_obs.Scope.with_scope} to attach them.
 
-    With a profile, every executed event is timed and charged to the
-    component label its callback declares via {!set_component}; the
-    peak heap depth (pending events, {!pending}) and furthest simulated
-    clock are tracked; scheduled
-    and cancelled events are counted per component (attributed to the
-    component running when the call happens); and sampled [Gc] deltas
-    accumulate allocation totals (flushed when {!run} returns, see
-    {!Ccsim_obs.Profile.gc_flush}).
+    With a profile, every executed event's wall time and minor words
+    are charged, exactly, to the component its callback declares via
+    {!set_component}; the peak heap depth (pending events, {!pending})
+    is tracked; scheduled and cancelled events are counted per
+    component (attributed to the component running when the call
+    happens); and {!run} notes the clock it reached and the run's
+    promoted and major words when it returns.
 
     With a metrics registry, the event-heap depth ({!pending} events,
     the executing one included) is observed per executed event into
@@ -69,14 +68,13 @@ val add_timeline_probe : t -> ?labels:Ccsim_obs.Timeline.labels -> string -> (un
 (** Register a gauge-style probe sampled by the timeline driver every
     {!Ccsim_obs.Timeline.interval} seconds. No-op without a timeline. *)
 
-val set_component : t -> string -> unit
-(** Called (with a literal label) at the top of a component's event
-    callback to attribute the callback's execution time. When
-    profiling it is a field store; when profiling is off it stores
-    nothing (one [match] on the absent profile). The last label set
-    during an event wins (a delivery that triggers synchronous TCP
-    processing is charged to ["tcp"], not ["link"]). Unattributed events
-    are charged to ["other"]. *)
+val set_component : t -> Ccsim_obs.Profile.component -> unit
+(** Called at the top of a component's event callback to attribute the
+    callback's execution time and allocation. It is one store of an
+    immediate, with or without a profile. The last component set during
+    an event wins (a delivery that triggers synchronous TCP processing
+    is charged to [Tcp], not [Link]). Unattributed events are charged to
+    [Other]. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule sim ~delay f] runs [f] at [now + delay]. [delay] must be
@@ -147,7 +145,8 @@ val push : 'a line -> delay:float -> 'a -> unit
     event cannot be cancelled. The profiler counts it as a scheduled
     event, charged like {!schedule}. *)
 
-val periodic_driver : t -> interval:float -> comp:string -> (unit -> unit) -> unit
+val periodic_driver :
+  t -> interval:float -> comp:Ccsim_obs.Profile.component -> (unit -> unit) -> unit
 (** Install a periodic driver tick, like the built-in timeline and
     watchdog drivers: [f] runs every [interval] seconds charged to
     component [comp], but only reschedules itself while non-driver

@@ -73,7 +73,7 @@ let arm_event (t : t) ~idx event =
   let at time f =
     ignore
       (Sim.schedule_at t.sim ~time (fun () ->
-           Sim.set_component t.sim "faults";
+           Sim.set_component t.sim Ccsim_obs.Profile.Faults;
            f ()))
   in
   let fire_clear ~at_s ~dur_s ~(on_fire : unit -> unit) ~(on_clear : unit -> unit) extra =

@@ -60,7 +60,7 @@ let attach sim engine ~couplings =
      drivers: it ticks every engine step while packet events remain, so
      a drained run is not kept alive by fluid time alone (catch_up
      covers the remainder). *)
-  Sim.periodic_driver sim ~interval:(Fluid_engine.dt_s engine) ~comp:"fluid" (fun () ->
+  Sim.periodic_driver sim ~interval:(Fluid_engine.dt_s engine) ~comp:Obs.Profile.Fluid (fun () ->
       step_couplings t);
   (match Sim.watchdog sim with
   | Some w ->

@@ -44,16 +44,10 @@ module Obs = Ccsim_obs
    scan drew from the RNG in. A population with no on/off flow
    allocates no calendar.
 
-   The pass skips two kinds of work whose result it already holds,
-   exactly:
-   - an idle link (no active flow, queue exactly 0.0) would add +0.0
-     to every accumulator, fail the contention test and move no flow,
-     so only its arrival and served rate are stored, both 0.0;
-   - a link's pre-step arrival is the sum the previous step ended with
-     (same terms, same order, from 0.0) when no flow of the link
-     toggled since and the queueing delay is bitwise the one those
-     rates used. [l_delay] keeps that delay; a toggle stores
-     [neg_infinity], which no delay equals.
+   The pass skips an idle link (no active flow, queue exactly 0.0),
+   which would add +0.0 to every accumulator, fail the contention test
+   and move no flow, so only its arrival and served rate are stored,
+   both 0.0. A full step sums its pre-step arrival afresh.
 
    A link whose step repeats itself takes a reduced step, which
    replays the increments its last full step computed. A full step
@@ -82,8 +76,7 @@ module Obs = Ccsim_obs
      queue terms are +0.0 and are left out: an accumulator that starts
      at +0.0 and only adds terms that are not -0.0 is never -0.0, and
      x +. 0.0 is x for every other x.
-   The queue, arrival, served rate, [l_delay] and contention time do
-   not change. A toggle on the link ([toggle_due]) or a packet signal
+   The queue, arrival, served rate and contention time do not change. A toggle on the link ([toggle_due]) or a packet signal
    ([set_packet_signals]) clears the mark; nothing else reads it, so
    the hybrid coupling, which signals its link every step, never
    freezes. Per-flow state is never deferred: every window and goodput
@@ -131,9 +124,6 @@ type t = {
   mutable l_pkt_rate : float array;  (* packet cross traffic, bit/s (hybrid) *)
   mutable l_pkt_backlog : float array;  (* packet queue share, bytes (hybrid) *)
   mutable l_arr : float array;  (* last fluid arrival, bit/s *)
-  mutable l_delay : float array;
-      (* queueing delay, s, the rates summed in [l_arr] used;
-         neg_infinity once a flow of the link toggles *)
   mutable l_served : float array;  (* last served rate, bit/s *)
   mutable l_frozen : bool array;  (* the next step repeats the last full one *)
   mutable l_active : int array;  (* active flows *)
@@ -235,7 +225,6 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       l_pkt_rate = [||];
       l_pkt_backlog = [||];
       l_arr = [||];
-      l_delay = [||];
       l_served = [||];
       l_frozen = [||];
       l_active = [||];
@@ -533,7 +522,6 @@ let seal t =
     t.l_pkt_rate <- zeros ();
     t.l_pkt_backlog <- zeros ();
     t.l_arr <- zeros ();
-    t.l_delay <- Array.make nl neg_infinity;
     t.l_served <- zeros ();
     t.l_frozen <- Array.make nl false;
     t.l_contended_s <- zeros ();
@@ -645,7 +633,6 @@ let[@ccsim.hot] rec toggle_due t i =
   if i >= 0 then begin
     let next = t.cal_next.(i) and now_s = t.clock_s.(0) in
     let l = t.f_link.(i) in
-    t.l_delay.(l) <- neg_infinity;
     t.l_frozen.(l) <- false;
     if t.f_y.(i) > 0.0 then begin
       t.f_y.(i) <- 0.0;
@@ -692,15 +679,15 @@ let[@ccsim.hot] process_toggles t =
    holding the arrival of the post-step states, which the settle and
    the goodput credit use. Each loop walks the link's active prefix:
    inactive flows hold y = +0.0 and add nothing, so leaving them out is
-   exact; so are the idle-link skip, the reuse of the pre-step arrival
-   and the reduced step of a frozen link (see the header). *)
+   exact; so are the idle-link skip and the reduced step of a frozen
+   link (see the header). *)
 let[@ccsim.hot] advance t =
   let dt = t.dt_s and payload_frac = t.payload_frac in
   let credit = t.clock_s.(0) +. dt > t.warmup_s in
   let l_off = t.l_off and by_link = t.by_link and l_active = t.l_active in
   let l_cap = t.l_cap and l_buf = t.l_buf and l_q = t.l_q in
   let l_pkt_rate = t.l_pkt_rate and l_pkt_backlog = t.l_pkt_backlog in
-  let l_arr = t.l_arr and l_delay = t.l_delay and l_served = t.l_served in
+  let l_arr = t.l_arr and l_served = t.l_served in
   let l_frozen = t.l_frozen in
   let f_model = t.f_model and f_y = t.f_y and f_rtt_base = t.f_rtt_base and f_cap = t.f_cap in
   let xs = t.xs and k_inc = t.k_inc and k_hi = t.k_hi in
@@ -733,15 +720,12 @@ let[@ccsim.hot] advance t =
       let last = first + l_active.(l) - 1 in
       let cap = l_cap.(l) and buf = l_buf.(l) in
       let queue_delay_s = (q +. l_pkt_backlog.(l)) *. 8.0 /. cap in
-      if not (Float.equal queue_delay_s l_delay.(l)) then begin
-        l_arr.(l) <- 0.0;
-        for k = first to last do
-          let i = by_link.(k) in
-          let rtt_s = f_rtt_base.(i) +. queue_delay_s in
-          l_arr.(l) <- l_arr.(l) +. float_min (rate_bps ~tag:f_model.(i) ~w:f_y.(i) ~rtt_s) f_cap.(i)
-        done;
-        l_delay.(l) <- queue_delay_s
-      end;
+      l_arr.(l) <- 0.0;
+      for k = first to last do
+        let i = by_link.(k) in
+        let rtt_s = f_rtt_base.(i) +. queue_delay_s in
+        l_arr.(l) <- l_arr.(l) +. float_min (rate_bps ~tag:f_model.(i) ~w:f_y.(i) ~rtt_s) f_cap.(i)
+      done;
       let p = loss_of ~q ~buf in
       let s = float_max 0.0 (cap -. l_pkt_rate.(l)) in
       let a0 = l_arr.(l) in
@@ -871,14 +855,15 @@ let link_steps t =
 
 let run t ~until_s =
   seal t;
+  Option.iter Obs.Profile.start_run t.profile;
   let idle0, reduced0, full0 = link_steps t in
   while now_s t < until_s -. (0.5 *. t.dt_s) do
     (match t.profile with
     | None -> step t
     | Some p ->
-        let t0 = Obs.Profile.wall_now () in
+        Obs.Profile.begin_event p;
         step t;
-        Obs.Profile.record p ~comp:"fluid" ~seconds:(Obs.Profile.wall_now () -. t0));
+        Obs.Profile.end_event p Obs.Profile.Fluid);
     if now_s t >= t.next_sample_s then begin
       record_samples t;
       t.next_sample_s <- now_s t +. t.sample_interval_s
@@ -895,7 +880,7 @@ let run t ~until_s =
       Obs.Profile.note_fluid_link_steps p ~idle:(idle - idle0) ~reduced:(reduced - reduced0)
         ~full:(full - full0);
       Obs.Profile.note_sim_time p (now_s t);
-      Obs.Profile.gc_flush p
+      Obs.Profile.end_run p
   | None -> ());
   match t.watchdog with
   | Some w -> Obs.Watchdog.check_now w ~now:(now_s t)

@@ -20,10 +20,7 @@
     an always-on population allocates no calendar. An idle link (no
     active flow, a queue of exactly 0.0) only has its arrival and
     served rate set to 0.0, which is all the full pass would change. A
-    link's pre-step arrival is taken from the sum the previous step
-    ended with when no flow of the link toggled since and its queueing
-    delay is bitwise unchanged: the full pass would add the same terms
-    in the same order. A link whose full step began and ended with a
+    link whose full step began and ended with a
     queue of exactly 0.0, had no packet signal, used the arrival it
     ended with and fit it, and left every flow at its cap and every
     BBR window still, is frozen: its next step provably has the same

@@ -2,12 +2,6 @@ module U = Ccsim_util
 
 type category = App_limited | Rwnd_limited | Cellular | Candidate
 
-let category_equal a b =
-  match (a, b) with
-  | App_limited, App_limited | Rwnd_limited, Rwnd_limited -> true
-  | Cellular, Cellular | Candidate, Candidate -> true
-  | _ -> false
-
 type verdict = {
   record : Ndt.record;
   category : category;
@@ -34,7 +28,7 @@ type report = {
 let categorize (r : Ndt.record) =
   if r.app_limited_frac > 0.0 then App_limited
   else if r.rwnd_limited_frac > 0.0 then Rwnd_limited
-  else if Ndt.access_equal r.access Ndt.Cellular then Cellular
+  else if r.access = Ndt.Cellular then Cellular
   else Candidate
 
 (* A level shift of at least 20% of the flow's mean throughput. *)
@@ -75,9 +69,9 @@ let analyze ?penalty_scale records =
   let verdicts = List.map (analyze_record_with ?penalty_scale) records in
   let count p = List.length (List.filter p verdicts) in
   let total = List.length verdicts in
-  let n_candidates = count (fun v -> category_equal v.category Candidate) in
+  let n_candidates = count (fun v -> v.category = Candidate) in
   let n_consistent = count (fun v -> v.contention_consistent) in
-  let candidates = List.filter (fun v -> category_equal v.category Candidate) verdicts in
+  let candidates = List.filter (fun v -> v.category = Candidate) verdicts in
   let cdf_of f =
     match candidates with
     | [] -> None
@@ -85,9 +79,9 @@ let analyze ?penalty_scale records =
   in
   {
     total;
-    n_app_limited = count (fun v -> category_equal v.category App_limited);
-    n_rwnd_limited = count (fun v -> category_equal v.category Rwnd_limited);
-    n_cellular = count (fun v -> category_equal v.category Cellular);
+    n_app_limited = count (fun v -> v.category = App_limited);
+    n_rwnd_limited = count (fun v -> v.category = Rwnd_limited);
+    n_cellular = count (fun v -> v.category = Cellular);
     n_candidates;
     n_contention_consistent = n_consistent;
     candidate_fraction = (if total = 0 then 0.0 else float_of_int n_candidates /. float_of_int total);

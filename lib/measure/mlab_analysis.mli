@@ -16,8 +16,6 @@
 
 type category = App_limited | Rwnd_limited | Cellular | Candidate
 
-val category_equal : category -> category -> bool
-
 type verdict = {
   record : Ndt.record;
   category : category;

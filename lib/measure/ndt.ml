@@ -2,9 +2,6 @@ module U = Ccsim_util
 
 type access = Fixed | Cellular
 
-let access_equal a b =
-  match (a, b) with Fixed, Fixed | Cellular, Cellular -> true | _ -> false
-
 type ground_truth =
   | Gt_app_limited
   | Gt_rwnd_limited

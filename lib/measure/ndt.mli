@@ -13,8 +13,6 @@
 
 type access = Fixed | Cellular
 
-val access_equal : access -> access -> bool
-
 type ground_truth =
   | Gt_app_limited
   | Gt_rwnd_limited

@@ -69,7 +69,7 @@ module Flow_monitor = struct
       }
     in
     Sim.every sim ~interval (fun () ->
-        Sim.set_component sim "telemetry";
+        Sim.set_component sim Ccsim_obs.Profile.Telemetry;
         let now = Sim.now sim in
         let acked = Ccsim_tcp.Sender.bytes_acked sender in
         U.Timeseries.add t.srtt ~time:now ~value:(Ccsim_tcp.Sender.srtt sender);
@@ -98,7 +98,7 @@ module Queue_monitor = struct
         float_of_int qdisc.Ccsim_net.Qdisc.stats.dropped);
     let t = { backlog = U.Timeseries.create () } in
     Sim.every sim ~interval (fun () ->
-        Sim.set_component sim "telemetry";
+        Sim.set_component sim Ccsim_obs.Profile.Telemetry;
         U.Timeseries.add t.backlog ~time:(Sim.now sim)
           ~value:(float_of_int (qdisc.Ccsim_net.Qdisc.backlog_bytes ())));
     t

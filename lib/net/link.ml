@@ -266,7 +266,7 @@ let[@ccsim.hot] rec transmit_next t =
 and[@ccsim.hot] complete_tx t =
   let pkt = t.on_wire in
   t.on_wire <- idle;
-  Ccsim_engine.Sim.set_component t.sim "link";
+  Ccsim_engine.Sim.set_component t.sim Obs.Profile.Link;
   span_note_tx t pkt;
   (match t.imp with
   | None -> deliver t pkt ~extra_delay:0.0 ~duplicate:false
@@ -296,7 +296,7 @@ and[@ccsim.hot] deliver t (pkt : Packet.t) ~extra_delay ~duplicate =
   if duplicate then
     (ignore
        (Ccsim_engine.Sim.schedule t.sim ~delay:propagation (fun () ->
-            Ccsim_engine.Sim.set_component t.sim "link";
+            Ccsim_engine.Sim.set_component t.sim Obs.Profile.Link;
             t.sink pkt))
     [@ccsim.alloc_ok "duplicate-ghost callback, armed-fault path only"])
 
@@ -418,7 +418,7 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
   (* The first arrival closes the packet's span; a duplicate's ghost,
      delivered without this call, never reopens it. *)
   let arrive (pkt : Packet.t) =
-    Ccsim_engine.Sim.set_component sim "link";
+    Ccsim_engine.Sim.set_component sim Obs.Profile.Link;
     (match span with
     | Some s when pkt.Packet.sampled ->
         Obs.Span.note_delivered s ~hop:name ~at:(Ccsim_engine.Sim.now sim) ~uid:pkt.Packet.uid

@@ -1,9 +1,36 @@
+type component = Other | Link | Tcp | Cca | Fluid | Telemetry | Timeline | Watchdog | Faults
+
+let all = [ Other; Link; Tcp; Cca; Fluid; Telemetry; Timeline; Watchdog; Faults ]
+let n_components = List.length all
+
+let index = function
+  | Other -> 0
+  | Link -> 1
+  | Tcp -> 2
+  | Cca -> 3
+  | Fluid -> 4
+  | Telemetry -> 5
+  | Timeline -> 6
+  | Watchdog -> 7
+  | Faults -> 8
+
+let component_name = function
+  | Other -> "other"
+  | Link -> "link"
+  | Tcp -> "tcp"
+  | Cca -> "cca"
+  | Fluid -> "fluid"
+  | Telemetry -> "telemetry"
+  | Timeline -> "timeline"
+  | Watchdog -> "watchdog"
+  | Faults -> "faults"
+
 type comp = {
-  mutable events : int;
-  mutable seconds : float;
-  mutable scheduled : int;
-  mutable cancelled : int;
-  mutable minor_words : float;  (* sampled attribution, see gc notes below *)
+  events : int;
+  seconds : float;
+  scheduled : int;
+  cancelled : int;
+  minor_words : float;
 }
 
 type gc_sample = {
@@ -13,19 +40,18 @@ type gc_sample = {
   gc_compactions : int;
 }
 
+(* Per-component counts, seconds and minor words sit in arrays indexed
+   by [index], so charging an event stores into flat slots: no lookup,
+   and no float boxed in a mixed record. *)
 type t = {
-  comps : (string, comp) Hashtbl.t;
-  mutable comp_names : string list;  (* registration order, newest first *)
-  mutable last_comp_name : string;
-  mutable last_comp : comp option;
-      (* one-entry memo: consecutive charges usually hit the same
-         component, so the per-event Hashtbl lookup is skipped *)
-  mutable events_executed : int;
-  mutable events_scheduled : int;
-  mutable events_cancelled : int;
-  mutable busy_s : float;
+  events : int array;
+  scheduled : int array;
+  cancelled : int array;
+  seconds : float array;
+  words : float array;
+  mark : float array;  (* the wall clock and the minor words when the event began *)
   mutable max_heap_depth : int;
-  mutable sim_s : float;  (* furthest simulated clock seen *)
+  mutable sim_s : float;  (* furthest simulated clock noted *)
   (* simulated-packet hot-path counters, fed by lib/net *)
   mutable pkts_enqueued : int;
   mutable pkts_dequeued : int;
@@ -35,16 +61,8 @@ type t = {
   mutable fluid_idle : int;
   mutable fluid_reduced : int;
   mutable fluid_full : int;
-  (* sampled allocation accounting: a Gc delta every [gc_sample_every]
-     charged events, charged to the component that happened to execute
-     the sampling event — per-component words are therefore a sampled
-     attribution, while the totals cover every event between the first
-     charge and the last flush *)
-  mutable gc_last : gc_sample option;
-  mutable gc_countdown : int;
-  mutable gc_samples : int;
-  mutable gc_events_covered : int;
-  mutable gc_minor_words : float;
+  (* what the minor words cannot show, summed over the runs *)
+  mutable run_gc : gc_sample;  (* taken when the current run started *)
   mutable gc_promoted_words : float;
   mutable gc_major_words : float;
   mutable gc_compactions : int;
@@ -53,7 +71,7 @@ type t = {
 (* The sanctioned wall-clock read for profiling. ccsim-lint (R2)
    forbids Unix.gettimeofday outside lib/runner and lib/obs so no
    simulated quantity can depend on the host clock; callers that time
-   real work (the engine's event loop) go through this choke point. *)
+   real work go through this choke point. *)
 let wall_now = Unix.gettimeofday
 
 (* The sanctioned host-GC read, the allocation-profiling analogue of
@@ -72,21 +90,14 @@ let gc_sample () =
     gc_compactions = s.Gc.compactions;
   }
 
-(* One Gc delta per this many charged events: cheap enough to leave on
-   (one O(1) read per window) while covering every allocation between
-   the first charge and the final flush. *)
-let gc_sample_every = 64
-
 let create () =
   {
-    comps = Hashtbl.create 16;
-    comp_names = [];
-    last_comp_name = "";
-    last_comp = None;
-    events_executed = 0;
-    events_scheduled = 0;
-    events_cancelled = 0;
-    busy_s = 0.0;
+    events = Array.make n_components 0;
+    scheduled = Array.make n_components 0;
+    cancelled = Array.make n_components 0;
+    seconds = Array.make n_components 0.0;
+    words = Array.make n_components 0.0;
+    mark = Array.make 2 0.0;
     max_heap_depth = 0;
     sim_s = 0.0;
     pkts_enqueued = 0;
@@ -96,87 +107,44 @@ let create () =
     fluid_idle = 0;
     fluid_reduced = 0;
     fluid_full = 0;
-    gc_last = None;
-    gc_countdown = gc_sample_every;
-    gc_samples = 0;
-    gc_events_covered = 0;
-    gc_minor_words = 0.0;
+    run_gc = gc_sample ();
     gc_promoted_words = 0.0;
     gc_major_words = 0.0;
     gc_compactions = 0;
   }
 
-let comp_of t comp =
-  match t.last_comp with
-  | Some c when String.equal t.last_comp_name comp -> c
-  | Some _ | None ->
-      let c =
-        match Hashtbl.find_opt t.comps comp with
-        | Some c -> c
-        | None ->
-            let c =
-              { events = 0; seconds = 0.0; scheduled = 0; cancelled = 0; minor_words = 0.0 }
-            in
-            Hashtbl.add t.comps comp c;
-            t.comp_names <- comp :: t.comp_names;
-            c
-      in
-      t.last_comp_name <- comp;
-      t.last_comp <- Some c;
-      c
+(* Both reads are unboxed externals made in this unit and stored
+   straight into float-array slots, so they allocate nothing. The words
+   are read last on the way in and first on the way out: the span
+   between the two reads holds the event's own work only. *)
+let[@ccsim.hot] begin_event t =
+  t.mark.(0) <- Unix.gettimeofday ();
+  t.mark.(1) <- Gc.minor_words ()
 
-let gc_accumulate t (now : gc_sample) (last : gc_sample) =
-  t.gc_minor_words <- t.gc_minor_words +. (now.gc_minor_words -. last.gc_minor_words);
-  t.gc_promoted_words <-
-    t.gc_promoted_words +. (now.gc_promoted_words -. last.gc_promoted_words);
+let[@ccsim.hot] end_event t comp =
+  let words = Gc.minor_words () -. t.mark.(1) in
+  let seconds = Unix.gettimeofday () -. t.mark.(0) in
+  let i = index comp in
+  t.events.(i) <- t.events.(i) + 1;
+  t.words.(i) <- t.words.(i) +. words;
+  t.seconds.(i) <- t.seconds.(i) +. seconds
+
+let start_run t = t.run_gc <- gc_sample ()
+
+let end_run t =
+  let now = gc_sample () and last = t.run_gc in
+  t.gc_promoted_words <- t.gc_promoted_words +. (now.gc_promoted_words -. last.gc_promoted_words);
   t.gc_major_words <- t.gc_major_words +. (now.gc_major_words -. last.gc_major_words);
-  t.gc_compactions <- t.gc_compactions + (now.gc_compactions - last.gc_compactions)
-
-let record t ~comp ~seconds =
-  t.events_executed <- t.events_executed + 1;
-  t.busy_s <- t.busy_s +. seconds;
-  let c = comp_of t comp in
-  c.events <- c.events + 1;
-  c.seconds <- c.seconds +. seconds;
-  (* allocation sampling rides the charge stream *)
-  match t.gc_last with
-  | None -> t.gc_last <- Some (gc_sample ())
-  | Some last ->
-      t.gc_countdown <- t.gc_countdown - 1;
-      if t.gc_countdown <= 0 then begin
-        let now = gc_sample () in
-        gc_accumulate t now last;
-        c.minor_words <- c.minor_words +. (now.gc_minor_words -. last.gc_minor_words);
-        t.gc_last <- Some now;
-        t.gc_samples <- t.gc_samples + 1;
-        t.gc_events_covered <- t.gc_events_covered + gc_sample_every;
-        t.gc_countdown <- gc_sample_every
-      end
-
-let gc_flush t =
-  match t.gc_last with
-  | None -> ()
-  | Some _ when t.gc_countdown = gc_sample_every ->
-      (* nothing charged since the last sample: no window to close, and
-         skipping keeps repeated flushes from inflating the count *)
-      ()
-  | Some last ->
-      let now = gc_sample () in
-      gc_accumulate t now last;
-      t.gc_last <- Some now;
-      t.gc_samples <- t.gc_samples + 1;
-      t.gc_events_covered <- t.gc_events_covered + (gc_sample_every - t.gc_countdown);
-      t.gc_countdown <- gc_sample_every
+  t.gc_compactions <- t.gc_compactions + (now.gc_compactions - last.gc_compactions);
+  t.run_gc <- now
 
 let note_scheduled t ~comp =
-  t.events_scheduled <- t.events_scheduled + 1;
-  let c = comp_of t comp in
-  c.scheduled <- c.scheduled + 1
+  let i = index comp in
+  t.scheduled.(i) <- t.scheduled.(i) + 1
 
 let note_cancelled t ~comp =
-  t.events_cancelled <- t.events_cancelled + 1;
-  let c = comp_of t comp in
-  c.cancelled <- c.cancelled + 1
+  let i = index comp in
+  t.cancelled.(i) <- t.cancelled.(i) + 1
 
 let note_heap_depth t depth = if depth > t.max_heap_depth then t.max_heap_depth <- depth
 let note_sim_time t clock = if clock > t.sim_s then t.sim_s <- clock
@@ -191,9 +159,12 @@ let note_fluid_link_steps t ~idle ~reduced ~full =
   t.fluid_reduced <- t.fluid_reduced + reduced;
   t.fluid_full <- t.fluid_full + full
 
-let events_executed t = t.events_executed
-let events_scheduled t = t.events_scheduled
-let events_cancelled t = t.events_cancelled
+let sum_int = Array.fold_left ( + ) 0
+let sum_float = Array.fold_left ( +. ) 0.0
+
+let events_executed t = sum_int t.events
+let events_scheduled t = sum_int t.scheduled
+let events_cancelled t = sum_int t.cancelled
 let max_heap_depth t = t.max_heap_depth
 let sim_s t = t.sim_s
 
@@ -203,52 +174,36 @@ let packets_delivered t = t.pkts_delivered
 let packets_dropped t = t.pkts_dropped
 let fluid_link_steps t = (t.fluid_idle, t.fluid_reduced, t.fluid_full)
 
-let events_per_sec t =
-  if t.busy_s > 0.0 then float_of_int t.events_executed /. t.busy_s else 0.0
+let busy_s t = sum_float t.seconds
+let per num den = if den > 0.0 then num /. den else 0.0
+let events_per_sec t = per (float_of_int (events_executed t)) (busy_s t)
+let sim_speedup t = per t.sim_s (busy_s t)
+let packets_per_sec t = per (float_of_int t.pkts_delivered) (busy_s t)
+let minor_words t = sum_float t.words
+let minor_words_per_event t = per (minor_words t) (float_of_int (events_executed t))
+let minor_words_per_packet t = per (minor_words t) (float_of_int t.pkts_delivered)
 
-let sim_speedup t = if t.busy_s > 0.0 then t.sim_s /. t.busy_s else 0.0
-
-let packets_per_sec t =
-  if t.busy_s > 0.0 then float_of_int t.pkts_delivered /. t.busy_s else 0.0
-
-let minor_words t = t.gc_minor_words
-let gc_samples t = t.gc_samples
-
-let minor_words_per_event t =
-  if t.gc_events_covered > 0 then t.gc_minor_words /. float_of_int t.gc_events_covered
-  else 0.0
-
-let minor_words_per_packet t =
-  if t.pkts_delivered > 0 && t.gc_events_covered > 0 then
-    t.gc_minor_words /. float_of_int t.pkts_delivered
-  else 0.0
-
-let components t =
-  (* Walk the registration-order name list, not the table, so row order
-     never depends on hash state (ccsim-lint R2); the sort below then
-     makes it independent of registration order too. *)
-  let rows =
-    List.fold_left
-      (fun acc name ->
-        let c = Hashtbl.find t.comps name in
-        (name, c.events, c.seconds) :: acc)
-      [] t.comp_names
-  in
-  List.sort
-    (fun (na, _, sa) (nb, _, sb) ->
-      match Float.compare sb sa with 0 -> String.compare na nb | c -> c)
-    rows
-
+(* The components that ran, scheduled or cancelled anything, most
+   expensive first; ties in seconds break by name, so the order never
+   depends on the variant's. *)
 let component_stats t =
-  let rows =
-    List.fold_left
-      (fun acc name -> (name, Hashtbl.find t.comps name) :: acc)
-      [] t.comp_names
-  in
-  List.sort
-    (fun (na, (ca : comp)) (nb, cb) ->
-      match Float.compare cb.seconds ca.seconds with 0 -> String.compare na nb | c -> c)
-    rows
+  List.filter_map
+    (fun c ->
+      let i = index c in
+      let row : comp =
+        {
+          events = t.events.(i);
+          seconds = t.seconds.(i);
+          scheduled = t.scheduled.(i);
+          cancelled = t.cancelled.(i);
+          minor_words = t.words.(i);
+        }
+      in
+      if row.events = 0 && row.scheduled = 0 && row.cancelled = 0 then None
+      else Some (component_name c, row))
+    all
+  |> List.sort (fun (na, (ca : comp)) (nb, (cb : comp)) ->
+         match Float.compare cb.seconds ca.seconds with 0 -> String.compare na nb | c -> c)
 
 let to_json t =
   let buf = Buffer.create 512 in
@@ -257,12 +212,12 @@ let to_json t =
      \"busy_s\": %.6f, \"events_per_sec\": %.1f, \"sim_s\": %.6f, \"sim_speedup\": %.1f, \
      \"max_heap_depth\": %d, \"pkts_enqueued\": %d, \"pkts_dequeued\": %d, \
      \"pkts_delivered\": %d, \"pkts_dropped\": %d, \"pkts_per_sec\": %.1f, \
-     \"gc\": {\"samples\": %d, \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-     \"major_words\": %.0f, \"compactions\": %d, \"minor_words_per_event\": %.2f, \
-     \"minor_words_per_packet\": %.2f}, \"components\": ["
-    t.events_executed t.events_scheduled t.events_cancelled t.busy_s (events_per_sec t)
-    t.sim_s (sim_speedup t) t.max_heap_depth t.pkts_enqueued t.pkts_dequeued
-    t.pkts_delivered t.pkts_dropped (packets_per_sec t) t.gc_samples t.gc_minor_words
+     \"gc\": {\"minor_words\": %.0f, \"promoted_words\": %.0f, \"major_words\": %.0f, \
+     \"compactions\": %d, \"minor_words_per_event\": %.2f, \"minor_words_per_packet\": %.2f}, \
+     \"components\": ["
+    (events_executed t) (events_scheduled t) (events_cancelled t) (busy_s t)
+    (events_per_sec t) t.sim_s (sim_speedup t) t.max_heap_depth t.pkts_enqueued
+    t.pkts_dequeued t.pkts_delivered t.pkts_dropped (packets_per_sec t) (minor_words t)
     t.gc_promoted_words t.gc_major_words t.gc_compactions (minor_words_per_event t)
     (minor_words_per_packet t);
   List.iteri
@@ -278,16 +233,16 @@ let to_json t =
 
 let summary t =
   let top =
-    match components t with
+    match component_stats t with
     | [] -> "no components"
     | rows ->
         String.concat ", "
           (List.filteri (fun i _ -> i < 4) rows
-          |> List.map (fun (name, events, seconds) ->
-                 Printf.sprintf "%s %.3fs/%d" name seconds events))
+          |> List.map (fun (name, (c : comp)) ->
+                 Printf.sprintf "%s %.3fs/%d" name c.seconds c.events))
   in
   Printf.sprintf
     "%d events in %.3fs busy (%.0f ev/s), %.2f sim-s (%.0fx real time), heap depth <= %d, \
      %d pkts delivered (%.0f pkts/s), %.1f minor words/event; %s"
-    t.events_executed t.busy_s (events_per_sec t) t.sim_s (sim_speedup t) t.max_heap_depth
-    t.pkts_delivered (packets_per_sec t) (minor_words_per_event t) top
+    (events_executed t) (busy_s t) (events_per_sec t) t.sim_s (sim_speedup t)
+    t.max_heap_depth t.pkts_delivered (packets_per_sec t) (minor_words_per_event t) top

@@ -1,19 +1,22 @@
-(** Engine profile: event-execution time, simulated-packet throughput,
-    and sampled allocation attributed to components.
+(** Engine profile: event-execution time and allocation per component,
+    and simulated-packet throughput.
 
     Filled in by {!Ccsim_engine.Sim} when a profile is attached to a
-    simulation: each executed event's wall-clock cost is charged to the
-    component label the event's callback declared (via
-    [Sim.set_component]), or ["other"]. Also tracks scheduled/cancelled
-    event counts, the peak event-heap depth, simulated packets moved by
-    the network layer (fed by [Ccsim_net.Link]), and sampled [Gc]
-    deltas so allocation per event and per packet is a first-class
-    number. The engine-throughput metrics here (events/s, packets per
-    wall-second, minor words per packet) are the probes ROADMAP item 1's
-    hot-path work optimizes against; [ccsim perf] snapshots them into
-    BENCH_engine.json. *)
+    simulation: around each executed event the profiler reads the wall
+    clock and the minor-heap word count, and charges the event's
+    seconds and words, exactly, to the component its callback declared
+    (via [Sim.set_component]), or {!Other}. Also tracks scheduled and
+    cancelled events per component, the peak event-heap depth,
+    simulated packets moved by the network layer (fed by
+    [Ccsim_net.Link]), and each run's promoted and major words. [ccsim
+    perf] snapshots these numbers into BENCH_engine.json. *)
 
 type t
+
+(** The components that charge work: the code sets that call
+    [Sim.set_component], the engines' drivers, and {!Other} for
+    everything else. *)
+type component = Other | Link | Tcp | Cca | Fluid | Telemetry | Timeline | Watchdog | Faults
 
 type gc_sample = {
   gc_minor_words : float;
@@ -37,26 +40,29 @@ val gc_sample : unit -> gc_sample
 
 val create : unit -> t
 
-val record : t -> comp:string -> seconds:float -> unit
-(** Charge one executed event to [comp]. Every {!gc_sample_every}-th
-    charge also takes a [Gc] delta, accumulated into the totals and
-    attributed to [comp] (sampled attribution: the charging component
-    stands in for the whole window). *)
+val begin_event : t -> unit
+(** Start one event: read the wall clock, then the minor-heap word
+    count. Allocates nothing. *)
 
-val gc_sample_every : int
-[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
-(** Charges between consecutive [Gc] delta samples. *)
+val end_event : t -> component -> unit
+(** End the event {!begin_event} started: read the word count, then
+    the clock, and charge the differences to the component. What the
+    event allocated between the two reads is charged exactly, and the
+    profiler's own work falls outside them. Allocates nothing. *)
 
-val gc_flush : t -> unit
-(** Close the current sampling window so the totals cover every event
-    up to now. Called by [Sim.run] and [Fluid_engine.run] when they
-    return; idempotent (an empty window is not sampled). *)
+val start_run : t -> unit
+(** A run ([Sim.run], [Fluid_engine.run]) begins: take the [Gc] sample
+    its promoted and major words count from. *)
 
-val note_scheduled : t -> comp:string -> unit
+val end_run : t -> unit
+(** A run ends: add its promoted words, major words and compactions to
+    the totals. *)
+
+val note_scheduled : t -> comp:component -> unit
 (** Count one scheduled event, attributed to the component whose
-    callback (or setup code, ["other"]) scheduled it. *)
+    callback (or setup code, {!Other}) scheduled it. *)
 
-val note_cancelled : t -> comp:string -> unit
+val note_cancelled : t -> comp:component -> unit
 (** Count one cancelled event, attributed to the cancelling component.
     Only live cancellations count; cancelling twice counts once. *)
 
@@ -117,35 +123,29 @@ val packets_per_sec : t -> float
 
 val minor_words : t -> float
 [@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
-(** Minor-heap words allocated across the sampled windows. *)
-
-val gc_samples : t -> int
-[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
+(** Minor-heap words the executed events allocated. *)
 
 val minor_words_per_event : t -> float
-(** Minor words per charged event over the sampled windows; 0 before
-    the first window closes. *)
+(** Minor words per executed event: the events' own allocation, not
+    the event loop's or the profiler's; 0 before any event ran. *)
 
 val minor_words_per_packet : t -> float
-(** Minor words per delivered packet; 0 when no packet was delivered or
-    no window closed. *)
-
-val components : t -> (string * int * float) list
-[@@ccsim.test_only "tests read the profiler's ledger; reports read to_json"]
-(** [(component, events, seconds)], most expensive first. *)
+(** The events' minor words per delivered packet; 0 when no packet was
+    delivered. *)
 
 type comp = {
-  mutable events : int;
-  mutable seconds : float;
-  mutable scheduled : int;
-  mutable cancelled : int;
-  mutable minor_words : float;
+  events : int;
+  seconds : float;
+  scheduled : int;
+  cancelled : int;
+  minor_words : float;
 }
 
 val component_stats : t -> (string * comp) list
-(** Full per-component rows, most expensive first. [minor_words] is a
-    sampled attribution (see {!record}); the rows' sum can undercount
-    the profile totals by up to one sampling window. *)
+(** One row per component that executed, scheduled or cancelled an
+    event, named as in the reports (["other"], ["link"], ...), most
+    expensive first. The rows' events, seconds and words sum to the
+    totals. *)
 
 val to_json : t -> string
 (** A JSON object (no trailing newline) — embedded per job in

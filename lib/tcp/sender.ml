@@ -5,12 +5,6 @@ module Obs = Ccsim_obs
 
 type limited = Not_started | App | Rwnd | Cwnd | Pacing | Busy
 
-let limited_equal a b =
-  match (a, b) with
-  | Not_started, Not_started | App, App | Rwnd, Rwnd -> true
-  | Cwnd, Cwnd | Pacing, Pacing | Busy, Busy -> true
-  | _ -> false
-
 let limited_index = function
   | Not_started -> 0
   | App -> 1
@@ -96,7 +90,7 @@ let min_rtt t = Rtt_estimator.min_rtt t.rtt
 
 let[@ccsim.hot] account_limited t state =
   let now = Sim.now t.sim in
-  if not (limited_equal state t.limited_state) then begin
+  if state <> t.limited_state then begin
     (match (state, t.m_cwnd_limited) with
     | Cwnd, Some c -> Obs.Metrics.inc c
     | _ -> ());
@@ -204,7 +198,7 @@ and schedule_pace t ~now =
       (Sim.schedule t.sim
          ~delay:(t.pace_next.(0) -. now)
          ((fun () ->
-            Sim.set_component t.sim "tcp";
+            Sim.set_component t.sim Obs.Profile.Tcp;
             t.pace_pending <- false;
             try_send t)
          [@ccsim.alloc_ok "one pacing-timer closure per pacing stall, not per segment"]))
@@ -305,7 +299,7 @@ let[@ccsim.hot] ah_push t ~now =
 let[@ccsim.hot] handle_ack t (pkt : Packet.t) =
   if t.stopped then ()
   else begin
-    Sim.set_component t.sim "tcp";
+    Sim.set_component t.sim Obs.Profile.Tcp;
     let now = Sim.now t.sim in
     t.rwnd <- pkt.rwnd;
     Scoreboard.process_sacks t.board pkt.sacks;
@@ -496,7 +490,7 @@ let create sim ~flow ~cca ~path ?(on_complete = fun _ -> ()) () =
   in
   t.rto_fire <-
     (fun () ->
-      Sim.set_component t.sim "tcp";
+      Sim.set_component t.sim Obs.Profile.Tcp;
       on_rto t);
   (match scope.Obs.Scope.watchdog with
   | Some w ->

@@ -15,3 +15,15 @@ let biggest (a : string) (b : string) = max a b
 let is_idle rate_bps = rate_bps = 0.0
 
 let changed ~prev_s ~next_s = prev_s <> next_s
+
+(* A variant of constant constructors only is immediate: [=] on it
+   compiles to an integer comparison and is silent. A variant with an
+   argument is not. *)
+
+type dir = Up | Down
+
+let same_dir (a : dir) (b : dir) = a = b
+
+type shape = Dot | Box of int
+
+let same_shape (a : shape) (b : shape) = a = b

@@ -449,7 +449,7 @@ let test_sim_nan_every () =
 
 let test_sim_nan_periodic_driver () =
   rejects_nan "periodic_driver" "Sim.periodic_driver: interval must be positive" (fun sim ->
-      Sim.periodic_driver sim ~interval:nan ~comp:"test" noop)
+      Sim.periodic_driver sim ~interval:nan ~comp:Ccsim_obs.Profile.Other noop)
 
 let test_sim_nan_run_until () =
   rejects_nan "run" "Sim.run: NaN horizon" (fun sim -> Sim.run ~until:nan sim)

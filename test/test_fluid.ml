@@ -511,8 +511,9 @@ let ref_case_gen =
   in
   return { seed; dt_s; warmup_s; links; ref_flows; steps; signals }
 
-(* Cases aimed at the kernel's two skips, which [ref_case_gen] reaches
-   only by chance. Each link takes one of four regimes:
+(* Cases aimed at the kernel's idle skip and at links whose queueing
+   delay repeats from step to step, which [ref_case_gen] reaches only
+   by chance. Each link takes one of four regimes:
    - draining: a 1-10 Mbit/s link whose one to four uncapped flows
      start on, build a queue at once and switch off after short
      on-periods, so it spends steps with no active flow and a queue
@@ -523,8 +524,8 @@ let ref_case_gen =
    - pinned: a 1-10 Mbit/s link with a buffer of two to twenty packets
      whose uncapped flows overflow it, so the queue sits exactly at
      the buffer and the delay repeats while flows toggle; the arrival
-     is above capacity there, where a stale pre-step sum would move
-     the service ratio;
+     is above capacity there, so the pre-step sum sets the service
+     ratio;
    - empty: no flows, so the idle skip runs on every step.
    Packet signals hit every regime with a backlog that repeats (the
    delay stays bitwise the same) or changes while the queue is 0.0,

@@ -119,10 +119,13 @@ let test_r5_typed =
     ~expected:[ ("R5", 8, 12); ("R5", 10, 32); ("R5", 12, 25); ("R5", 14, 33) ]
 
 (* Lines 15 and 17 are float = / <> that only the types reveal: the
-   operands carry no annotation. *)
+   operands carry no annotation. Line 25 compares an enum, which the
+   typechecker marked immediate, and is silent; line 29 compares a
+   variant with an argument. *)
 let test_r6_typed =
   check_fixture ~name:"bad_r6.ml"
-    ~expected:[ ("R6", 6, 43); ("R6", 8, 41); ("R6", 10, 40); ("R6", 15, 32); ("R6", 17, 37) ]
+    ~expected:
+      [ ("R6", 6, 43); ("R6", 8, 41); ("R6", 10, 40); ("R6", 15, 32); ("R6", 17, 37); ("R6", 29, 43) ]
 
 (* Lines 5 and 7 mix dimensions directly, line 10 through a let binding;
    lines 13 and 15 mix scales of one dimension (_s vs _ms, _bps vs

@@ -238,19 +238,25 @@ let test_scope_ambient_restored () =
 
 (* --- engine profiler ------------------------------------------------------ *)
 
+(* One event charged to [comp] through the profiler's own reads. *)
+let charge p comp =
+  Profile.begin_event p;
+  Profile.end_event p comp
+
 let test_profiler_attribution () =
   let p = Profile.create () in
   let sim = Scope.(with_scope (v ~profile:p ()) Sim.create) in
-  ignore (Sim.schedule sim ~delay:1.0 (fun () -> Sim.set_component sim "link"));
-  ignore (Sim.schedule sim ~delay:2.0 (fun () -> Sim.set_component sim "tcp"));
+  ignore (Sim.schedule sim ~delay:1.0 (fun () -> Sim.set_component sim Profile.Link));
+  ignore (Sim.schedule sim ~delay:2.0 (fun () -> Sim.set_component sim Profile.Tcp));
   ignore (Sim.schedule sim ~delay:3.0 (fun () -> ()));
   Sim.run sim;
   Alcotest.(check int) "events" 3 (Profile.events_executed p);
   Alcotest.(check bool) "heap depth" true (Profile.max_heap_depth p >= 3);
-  let comps = List.map (fun (c, _, _) -> c) (Profile.components p) in
+  let rows = Profile.component_stats p in
   List.iter
-    (fun c -> Alcotest.(check bool) ("component " ^ c) true (List.mem c comps))
+    (fun c -> Alcotest.(check int) ("one event charged to " ^ c) 1 (List.assoc c rows).Profile.events)
     [ "link"; "tcp"; "other" ];
+  Alcotest.(check int) "no row for a component that did nothing" 3 (List.length rows);
   let json = Profile.to_json p in
   Alcotest.(check bool) "json events" true
     (contains ~sub:"\"events_executed\": 3" json)
@@ -264,11 +270,12 @@ let test_profiler_zero_division_guards () =
   check_float0 "packets_per_sec" 0.0 (Profile.packets_per_sec p);
   check_float0 "minor_words_per_event" 0.0 (Profile.minor_words_per_event p);
   check_float0 "minor_words_per_packet" 0.0 (Profile.minor_words_per_packet p);
-  (* Events with zero recorded seconds still divide safely. *)
-  Profile.record p ~comp:"x" ~seconds:0.0;
+  (* An event the clock may not see advance still divides safely. *)
+  charge p Profile.Other;
   Profile.note_sim_time p 5.0;
-  check_float0 "events_per_sec, zero busy" 0.0 (Profile.events_per_sec p);
-  check_float0 "sim_speedup, zero busy" 0.0 (Profile.sim_speedup p)
+  List.iter
+    (fun (name, x) -> Alcotest.(check bool) (name ^ " finite") true (Float.is_finite x))
+    [ ("events_per_sec", Profile.events_per_sec p); ("sim_speedup", Profile.sim_speedup p) ]
 
 let test_profiler_heap_depth_monotone () =
   let p = Profile.create () in
@@ -280,10 +287,10 @@ let test_profiler_heap_depth_monotone () =
 
 let test_profiler_scheduled_cancelled () =
   let p = Profile.create () in
-  Profile.note_scheduled p ~comp:"tcp";
-  Profile.note_scheduled p ~comp:"tcp";
-  Profile.note_scheduled p ~comp:"link";
-  Profile.note_cancelled p ~comp:"tcp";
+  Profile.note_scheduled p ~comp:Profile.Tcp;
+  Profile.note_scheduled p ~comp:Profile.Tcp;
+  Profile.note_scheduled p ~comp:Profile.Link;
+  Profile.note_cancelled p ~comp:Profile.Tcp;
   Alcotest.(check int) "scheduled" 3 (Profile.events_scheduled p);
   Alcotest.(check int) "cancelled" 1 (Profile.events_cancelled p);
   let tcp = List.assoc "tcp" (Profile.component_stats p) in
@@ -301,41 +308,62 @@ let test_profiler_packet_counters () =
   Alcotest.(check int) "dequeued" 1 (Profile.packets_dequeued p);
   Alcotest.(check int) "delivered" 1 (Profile.packets_delivered p);
   Alcotest.(check int) "dropped" 1 (Profile.packets_dropped p);
-  Profile.record p ~comp:"link" ~seconds:0.5;
-  check_float0 "packets_per_sec" 2.0 (Profile.packets_per_sec p)
+  charge p Profile.Link;
+  let busy = (List.assoc "link" (Profile.component_stats p)).Profile.seconds in
+  check_float0 "packets_per_sec" (if busy > 0.0 then 1.0 /. busy else 0.0)
+    (Profile.packets_per_sec p)
 
-(* The sampling countdown takes a Gc delta every [gc_sample_every]
-   charges; gc_flush closes the tail window so the totals cover every
-   event. Allocation numbers are host-dependent, so only structure is
-   asserted (window accounting, non-negative totals). *)
-let test_profiler_gc_sampling () =
+(* Each event's minor words go to its own component, exactly: an event
+   that allocates a 100-element array is charged its 101 words (the
+   fields and the header), and one that allocates nothing is charged
+   0, whichever events run around them. *)
+let test_profiler_exact_words () =
   let p = Profile.create () in
-  let n = (3 * Profile.gc_sample_every) + 5 in
-  for _ = 1 to n do
-    (* Allocate a little so the windows have something to see. *)
-    ignore (Sys.opaque_identity (Array.make 64 0.0));
-    Profile.record p ~comp:"alloc" ~seconds:0.0
+  let sim = Scope.(with_scope (v ~profile:p ()) Sim.create) in
+  let alloc () =
+    Sim.set_component sim Profile.Tcp;
+    ignore (Sys.opaque_identity (Array.make 100 0))
+  and quiet () = Sim.set_component sim Profile.Link in
+  for i = 1 to 100 do
+    ignore (Sim.schedule sim ~delay:(float_of_int i) (if i mod 10 = 0 then alloc else quiet))
   done;
-  Alcotest.(check int) "windows sampled" 3 (Profile.gc_samples p);
-  Profile.gc_flush p;
-  Alcotest.(check int) "flush closes the tail" 4 (Profile.gc_samples p);
-  Profile.gc_flush p;
-  Alcotest.(check int) "flush idempotent" 4 (Profile.gc_samples p);
-  Alcotest.(check bool) "minor words seen" true (Profile.minor_words p > 0.0);
-  Alcotest.(check bool) "per-event rate positive" true
-    (Profile.minor_words_per_event p > 0.0);
-  let alloc = List.assoc "alloc" (Profile.component_stats p) in
-  Alcotest.(check bool) "attributed to the charging component" true
-    (alloc.Profile.minor_words > 0.0)
+  Sim.run sim;
+  let words comp = (List.assoc comp (Profile.component_stats p)).Profile.minor_words in
+  check_float0 "ten allocating events" 1010.0 (words "tcp");
+  check_float0 "ninety quiet events" 0.0 (words "link");
+  check_float0 "total" 1010.0 (Profile.minor_words p);
+  check_float0 "per event" 10.1 (Profile.minor_words_per_event p)
+
+(* What the profiler itself allocates per event: the words a profiled
+   run of non-allocating events takes beyond the same run bare. *)
+let test_profiler_own_cost () =
+  let n = 20_000 in
+  let run_words profile =
+    let sim = Scope.(with_scope (v ?profile ()) Sim.create) in
+    let noop () = () in
+    for i = 1 to n do
+      ignore (Sim.schedule sim ~delay:(float_of_int i) noop)
+    done;
+    let words0 = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. words0
+  in
+  let bare = run_words None in
+  let profile = Profile.create () in
+  let profiled = run_words (Some profile) in
+  Alcotest.(check int) "every event profiled" n (Profile.events_executed profile);
+  let per_event = (profiled -. bare) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 word per event (%.3f)" per_event)
+    true (per_event < 1.0)
 
 (* Field order in the profile JSON is pinned: BENCH_engine.json and the
    runner-report consumers key on it (mirror of the histogram NDJSON
    shape test). *)
 let test_profile_json_shape () =
   let p = Profile.create () in
-  Profile.record p ~comp:"tcp" ~seconds:0.001;
+  charge p Profile.Tcp;
   Profile.note_pkt_delivered p;
-  Profile.gc_flush p;
   let json = Profile.to_json p in
   let order =
     [
@@ -353,7 +381,6 @@ let test_profile_json_shape () =
       "\"pkts_dropped\":";
       "\"pkts_per_sec\":";
       "\"gc\": {";
-      "\"samples\":";
       "\"minor_words\":";
       "\"promoted_words\":";
       "\"major_words\":";
@@ -434,7 +461,7 @@ let test_instrumented_scenario () =
   (* Profiler: events executed, attributed beyond "other". *)
   Alcotest.(check bool) "events executed" true (Profile.events_executed p > 0);
   Alcotest.(check bool) "heap depth seen" true (Profile.max_heap_depth p > 0);
-  let comps = List.map (fun (c, _, _) -> c) (Profile.components p) in
+  let comps = List.map fst (Profile.component_stats p) in
   Alcotest.(check bool) "tcp attributed" true (List.mem "tcp" comps);
   Alcotest.(check bool) "link attributed" true (List.mem "link" comps);
   (* Packet hot-path counters: a congested run delivers and drops. *)
@@ -446,8 +473,7 @@ let test_instrumented_scenario () =
   (* Scheduled events at least cover the executed ones. *)
   Alcotest.(check bool) "scheduled >= executed" true
     (Profile.events_scheduled p >= Profile.events_executed p);
-  (* Allocation sampling closed its windows during Sim.run. *)
-  Alcotest.(check bool) "gc windows sampled" true (Profile.gc_samples p > 0);
+  (* The events' own allocation is charged. *)
   Alcotest.(check bool) "minor words/event" true (Profile.minor_words_per_event p > 0.0);
   (* Heap-depth histogram: shared instrument in the ambient registry. *)
   (match Metrics.find_histogram m "engine_heap_depth" with
@@ -537,7 +563,7 @@ let test_report_embeds_profile () =
   let results = Ccsim_runner.Pool.run ~jobs:1 [ job ] in
   let tele = Ccsim_runner.Telemetry.make ~pool_jobs:1 ~total_wall_s:0.1 results in
   let p = Profile.create () in
-  Profile.record p ~comp:"link" ~seconds:0.001;
+  charge p Profile.Link;
   let json =
     Ccsim_runner.Telemetry.to_json ~profiles:[ ("j1", Profile.to_json p) ] tele
   in
@@ -745,7 +771,8 @@ let suite =
     Alcotest.test_case "profiler: scheduled/cancelled per component" `Quick
       test_profiler_scheduled_cancelled;
     Alcotest.test_case "profiler: packet counters" `Quick test_profiler_packet_counters;
-    Alcotest.test_case "profiler: gc sampling windows" `Quick test_profiler_gc_sampling;
+    Alcotest.test_case "profiler: exact minor words per event" `Quick test_profiler_exact_words;
+    Alcotest.test_case "profiler: own cost under 1 word per event" `Quick test_profiler_own_cost;
     Alcotest.test_case "profiler: json field order pinned" `Quick test_profile_json_shape;
     Alcotest.test_case "profiler: picked up from ambient scope" `Quick
       test_profiler_from_ambient_scope;

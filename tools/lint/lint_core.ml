@@ -83,8 +83,9 @@ let rule_catalogue =
       closures, tuples, records, variants, strings, partial applications, allocating \
       stdlib calls. Escape hatch: [@ccsim.alloc_ok \"why\"].");
     ("R6", "polymorphic comparison at a non-immediate type",
-     "Stdlib.(=)/(<>)/compare/min/max/Hashtbl.hash instantiated at a type other than \
-      int/bool/char/unit walks memory generically: slow in the DES inner loop and wrong \
+     "Stdlib.(=)/(<>)/compare/min/max/Hashtbl.hash instantiated at a type that is not \
+      immediate (int/bool/char/unit, or declared immediate, as an enum is) walks memory \
+      generically: slow in the DES inner loop and wrong \
       on floats (nan) and cyclic values. Use the monomorphic comparison of the type \
       (for floats, Float.equal or Ccsim_util.Feq.feq ~eps).");
     ("R7", "unit mismatch (dimensional analysis)",

@@ -23,10 +23,12 @@
        hatch is [@ccsim.alloc_ok "why"] on any expression or binding;
        the justification string is mandatory.
    R6  no-polymorphic-compare: any instantiation of Stdlib.(=) / (<>) /
-       compare / min / max / Hashtbl.hash at a type that is not a known
-       immediate (int/bool/char/unit) walks memory generically -- slow
-       in the DES inner loop, wrong on nan, and allocation-prone via
-       closure-passing. Float = / <> is the common case.
+       compare / min / max / Hashtbl.hash at a type that is not
+       immediate (int/bool/char/unit, or a type whose declarations the
+       typechecker marked immediate, as an enum's are) walks memory
+       generically -- slow in the DES inner loop, wrong on nan, and
+       allocation-prone via closure-passing. Float = / <> is the common
+       case.
    R7  unit inference: dimensional analysis over {time, data,
        packets}. Dimensions seed from name suffixes (_s/_ms/_us -> T,
        _hz -> 1/T, _bps/_kbps/_mbps/_gbps -> D/T, _bytes -> D, _pkts ->
@@ -70,6 +72,23 @@ let stdlib_name path =
   | _ -> None
 
 let type_to_string ty = Format.asprintf "%a" Printtyp.type_expr ty
+
+(* dune names library unit Lib.Mod Lib__Mod, and its alias module Lib__:
+   "Lib__Mod" and "Lib__.Mod" both read back as "Lib.Mod". *)
+let unmangle name =
+  let b = Buffer.create (String.length name) and n = String.length name in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 1 < n && name.[!i] = '_' && name.[!i + 1] = '_' then begin
+      if !i + 2 < n && name.[!i + 2] <> '.' then Buffer.add_char b '.';
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char b name.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Attributes *)
@@ -247,6 +266,10 @@ type ctx = {
   units : (string, unit_v) Hashtbl.t;
   mutable emit_r7 : bool;  (* false on the populate pass *)
   mutable allows : allow list;
+  (* R6: this unit's name, unmangled, and the type declarations the
+     typechecker marked immediate, by Unit.Path.type *)
+  unit_name : string;
+  immediate : (string, bool) Hashtbl.t;
 }
 
 let emit ctx (loc : Location.t) rule message =
@@ -401,12 +424,25 @@ let check_r2 ctx e =
 
 let r6_targets = [ "="; "<>"; "compare"; "min"; "max"; "Hashtbl.hash"; "Hashtbl.seeded_hash" ]
 
-let rec type_is_immediate ty =
+(* A type path's declaration key: a path from another unit names it,
+   one rooted in this unit gets the unit's name in front. *)
+let declared_immediate ctx p =
+  let p = unalias ctx p in
+  let rec root = function Path.Pident id -> Some id | Path.Pdot (q, _) -> root q | _ -> None in
+  match root p with
+  | None -> false
+  | Some id ->
+      let name = unmangle (Path.name p) in
+      let key = if Ident.persistent id then name else ctx.unit_name ^ "." ^ name in
+      Option.value (Hashtbl.find_opt ctx.immediate key) ~default:false
+
+let rec type_is_immediate ctx ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) ->
       Path.same p Predef.path_int || Path.same p Predef.path_bool
       || Path.same p Predef.path_char || Path.same p Predef.path_unit
-  | Types.Tlink ty | Types.Tsubst (ty, _) -> type_is_immediate ty
+      || declared_immediate ctx p
+  | Types.Tlink ty | Types.Tsubst (ty, _) -> type_is_immediate ctx ty
   | _ -> false
 
 (* Argument types of the (instantiated) arrow type at this use site. *)
@@ -421,11 +457,11 @@ let check_r6 ctx e =
       match stdlib_name path with
       | Some name when List.mem name r6_targets -> (
           let args = arrow_args e.exp_type [] in
-          match List.find_opt (fun ty -> not (type_is_immediate ty)) args with
+          match List.find_opt (fun ty -> not (type_is_immediate ctx ty)) args with
           | Some bad ->
               emit ctx loc "R6"
                 (Printf.sprintf
-                   "polymorphic %s instantiated at %s (not an immediate int/bool/char/unit): \
+                   "polymorphic %s instantiated at %s (not an immediate type): \
                     generic compare walks memory, is wrong on nan, and is slow on the hot \
                     path; use the type's monomorphic comparison (String.equal, Float.compare, \
                     a match, ...); for floats, Float.equal or Ccsim_util.Feq.feq ~eps, which \
@@ -873,9 +909,11 @@ let apply_allows ctx =
         say "[@lint.allow %s] is stale: it covers no %s finding; delete it" a.rule a.rule)
     ctx.allows
 
-let scan_structure ~file str =
+let scan_unit ~file ~unit_name ~immediate str =
   let ctx =
     {
+      unit_name;
+      immediate;
       file;
       exempt = List.exists (fun dir -> String.starts_with ~prefix:dir file) exempt_dirs;
       aliases = Hashtbl.create 8;
@@ -900,6 +938,8 @@ let scan_structure ~file str =
   check_r1 ctx str;
   apply_allows ctx;
   ctx.findings
+
+let scan_structure ~file str = scan_unit ~file ~unit_name:"" ~immediate:(Hashtbl.create 1) str
 
 (* ------------------------------------------------------------------ *)
 (* R8: test-only API
@@ -927,27 +967,13 @@ type r8 = {
   mutable order : r8_decl list;  (* newest first *)
   members : (string, string) Hashtbl.t;  (* member location -> key *)
   originals : (string, string) Hashtbl.t;  (* re-exported member key -> original's *)
+  immediate : (string, bool) Hashtbl.t;
+      (* R6's: type key -> whether every declaration of it (.mli and
+         .ml) is immediate *)
 }
 
 let loc_key (loc : Location.t) =
   Printf.sprintf "%s:%d" loc.loc_start.Lexing.pos_fname loc.loc_start.Lexing.pos_cnum
-
-(* dune names library unit Lib.Mod Lib__Mod, and its alias module Lib__:
-   "Lib__Mod" and "Lib__.Mod" both read back as "Lib.Mod". *)
-let unmangle name =
-  let b = Buffer.create (String.length name) and n = String.length name in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && name.[!i] = '_' && name.[!i + 1] = '_' then begin
-      if !i + 2 < n && name.[!i + 2] <> '.' then Buffer.add_char b '.';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char b name.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
 
 let r8_declare r8 ~key ~file ~what loc attrs =
   if not (Hashtbl.mem r8.decls key) then begin
@@ -961,6 +987,11 @@ let r8_declare r8 ~key ~file ~what loc attrs =
    the checked .mli they are declarations of, if any. *)
 let r8_type_decl r8 ~owner ~shown ~declare (td : type_declaration) =
   let tkey = owner ^ "." ^ td.typ_name.txt in
+  let immediate =
+    (match td.typ_type.Types.type_immediate with Type_immediacy.Always -> true | _ -> false)
+    && Option.value (Hashtbl.find_opt r8.immediate tkey) ~default:true
+  in
+  Hashtbl.replace r8.immediate tkey immediate;
   let original =
     match td.typ_manifest with
     | Some { ctyp_desc = Ttyp_constr (p, _, _); _ } -> Some (unmangle (Path.name p))
@@ -1139,7 +1170,7 @@ let scan ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~root ~cmt_roots ~paths () =
   in
   let r8 =
     { decls = Hashtbl.create 1024; order = []; members = Hashtbl.create 4096;
-      originals = Hashtbl.create 16 }
+      originals = Hashtbl.create 16; immediate = Hashtbl.create 1024 }
   in
   (* Pass 1: R8's declarations and member locations, each source once. *)
   let declared = Hashtbl.create 256 in
@@ -1167,13 +1198,17 @@ let scan ?(api = [ "lib" ]) ?(tests = [ "test" ]) ~root ~cmt_roots ~paths () =
       | {
           Cmt_format.cmt_annots = Cmt_format.Implementation str;
           cmt_sourcefile = Some src;
+          cmt_modname;
           _;
         }
         when not (Hashtbl.mem seen (normalize src)) ->
           Hashtbl.replace seen (normalize src) ();
           r8_uses r8 ~test:(source_matches ~paths:tests src) str;
           if source_matches ~paths src then
-            findings := scan_structure ~file:(normalize src) str @ !findings
+            findings :=
+              scan_unit ~file:(normalize src) ~unit_name:(unmangle cmt_modname)
+                ~immediate:r8.immediate str
+              @ !findings
       | _ -> ()
       | exception _ -> ())
     cmts;
