@@ -698,8 +698,8 @@ let sweep_cmd =
    (a4), the pure-fluid ODE stepper, the hybrid coupling, and Nimbus
    probes with their spectral estimation epochs (fig3). Each row
    runs in-process under a fresh profile + metrics scope and lands in
-   BENCH_engine.json; CI gates the quick variant's shape and trends the
-   full variant against the checked-in baseline. *)
+   BENCH_engine.json. There is one matrix: CI runs it, gates its shape
+   and exact counts, and trends it against the checked-in baseline. *)
 type perf_row = {
   row_name : string;
   row_exp : string;
@@ -708,22 +708,20 @@ type perf_row = {
   row_n : int option;
 }
 
-let perf_matrix ~quick =
-  let t q f = Some (if quick then q else f) in
-  let n q f = Some (if quick then q else f) in
+let perf_matrix =
   [
     (* Durations must clear each scenario's warmup (e4: 5s, a4: 15s,
        fig3: 10s). *)
     { row_name = "packet-dumbbell"; row_exp = "e4"; row_backend = None;
-      row_duration = t 8.0 15.0; row_n = None };
+      row_duration = Some 15.0; row_n = None };
     { row_name = "packet-sweep-slice"; row_exp = "a4"; row_backend = None;
-      row_duration = t 16.0 24.0; row_n = None };
+      row_duration = Some 24.0; row_n = None };
     { row_name = "fluid-population"; row_exp = "p1"; row_backend = Some "fluid";
-      row_duration = None; row_n = n 2000 10_000 };
+      row_duration = None; row_n = Some 10_000 };
     { row_name = "hybrid-population"; row_exp = "p1"; row_backend = Some "hybrid";
-      row_duration = None; row_n = n 150 300 };
+      row_duration = None; row_n = Some 300 };
     { row_name = "nimbus-probe"; row_exp = "fig3"; row_backend = None;
-      row_duration = t 12.0 20.0; row_n = None };
+      row_duration = Some 20.0; row_n = None };
   ]
 
 let perf_run_row ~seed row =
@@ -777,15 +775,8 @@ let perf_row_json row (p, wall_s, heap_p99) =
     heap_p99 (Obs.Profile.max_heap_depth p) idle reduced full
 
 let perf_cmd =
-  let quick_arg =
-    let doc =
-      "Short variant for CI smoke runs: same matrix, smaller durations and populations. \
-       Numbers are noisier; the baseline comparison uses the full variant."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
   let out_arg =
-    let doc = "Write the engine benchmark report (schema ccsim-engine/2) to $(docv)." in
+    let doc = "Write the engine benchmark report (schema ccsim-engine/3) to $(docv)." in
     Arg.(value & opt out_file "BENCH_engine.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let iters_arg =
@@ -796,8 +787,7 @@ let perf_cmd =
     in
     Arg.(value & opt positive_int 1 & info [ "iters" ] ~docv:"N" ~doc)
   in
-  let run quick out seed iters =
-    let rows = perf_matrix ~quick in
+  let run out seed iters =
     let results =
       List.map
         (fun row ->
@@ -817,15 +807,14 @@ let perf_cmd =
             (Obs.Profile.sim_speedup p)
             (if iters > 1 then Printf.sprintf "  (median of %d)" iters else "");
           (row, res))
-        rows
+        perf_matrix
     in
     let buf = Buffer.create 4096 in
     Printf.bprintf buf
-      "{\n  \"schema\": \"ccsim-engine/2\",\n  \"mode\": \"%s\",\n  \"seed\": %d,\n  \
+      "{\n  \"schema\": \"ccsim-engine/3\",\n  \"seed\": %d,\n  \
        \"iters\": %d,\n  \
        \"host\": {\"date\": \"%s\", \"ocaml\": \"%s\", \"word_size\": %d, \"cores\": %d},\n  \
        \"rows\": [\n"
-      (if quick then "quick" else "full")
       seed iters (R.Telemetry.date_utc ()) Sys.ocaml_version Sys.word_size
       (R.Telemetry.host_cores ());
     List.iteri
@@ -835,7 +824,7 @@ let perf_cmd =
       results;
     Buffer.add_string buf "  ]\n}\n";
     write_file out (Buffer.contents buf);
-    Printf.printf "wrote %s (%s mode)\n" out (if quick then "quick" else "full");
+    Printf.printf "wrote %s\n" out;
     exit 0
   in
   Cmd.v
@@ -845,7 +834,7 @@ let perf_cmd =
           fluid, hybrid) run under the profiler, reporting events/s, simulated packets per \
           wall-second, allocation per event/packet and heap-depth quantiles to \
           BENCH_engine.json")
-    Term.(const run $ quick_arg $ out_arg $ seed_arg $ iters_arg)
+    Term.(const run $ out_arg $ seed_arg $ iters_arg)
 
 (* `analyze` and `explain` read a --series recording over the same
    window and threshold. An unreadable or malformed file is a usage

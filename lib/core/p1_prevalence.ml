@@ -9,6 +9,9 @@
    and exponential on/off activity, drawn from a content-provider-like
    CCA mix. We integrate the whole population and report the fraction
    of users whose access link ever spent meaningful time contended.
+   The population runs on a Sim of its own, stepped by Fluid_driver
+   with no couplings, and its aggregate series are that sim's timeline
+   probes.
 
    The hybrid backend additionally runs one "observed household":
    packet-level foreground transfers (CUBIC and Reno bulk) through a
@@ -220,12 +223,28 @@ let run_household ~seed =
     coupled_contended_s = Fl.Fluid_engine.link_contended_s engine fl;
   }
 
+(* The population's aggregate series, one engine read each. *)
+let add_population_probes sim engine =
+  let labels = [ ("engine", "fluid") ] in
+  let probe name value =
+    Sim.add_timeline_probe sim ~labels name (fun () -> value (Fl.Fluid_engine.aggregate engine))
+  in
+  probe "fluid_arrival_bps" (fun a -> a.Fl.Fluid_engine.arrival_bps);
+  probe "fluid_served_bps" (fun a -> a.Fl.Fluid_engine.served_bps);
+  probe "fluid_queue_bytes" (fun a -> a.Fl.Fluid_engine.queue_bytes);
+  probe "fluid_active_flows" (fun a -> float_of_int a.Fl.Fluid_engine.active_flows);
+  probe "fluid_contended_links" (fun a -> float_of_int a.Fl.Fluid_engine.contended_links)
+
 let run ?(n = 2000) ?(seed = 42) ?(backend = Fluid) () =
   if n < 1 then invalid_arg "P1_prevalence.run: population must be positive";
+  let sim = Sim.create () in
   let engine = Fl.Fluid_engine.create ~dt_s ~warmup_s ~seed () in
   let rng = U.Rng.create (seed lxor 0x9E37) in
   let users = build_population engine rng ~n in
-  Fl.Fluid_engine.run engine ~until_s:duration_s;
+  let driver = Fl.Fluid_driver.attach sim engine ~couplings:[] in
+  add_population_probes sim engine;
+  Sim.run ~until:duration_s sim;
+  Fl.Fluid_driver.catch_up driver ~until_s:duration_s;
   let hybrid = match backend with Fluid -> None | Hybrid -> Some (run_household ~seed) in
   summarize backend ~n ~seed engine users hybrid
 

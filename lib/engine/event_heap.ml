@@ -45,9 +45,9 @@ type 'a t = {
   mutable fresh : int;  (* slots [fresh ..] have never been handed out *)
   mutable free : int;  (* head of the free-slot list, [slot_mask] when empty *)
   mutable next_seq : int;
-  buf : float array;
-      (* [|time of the last pop; time of the entry being sifted|]: unboxed
-         slots, so neither the pop protocol nor the sifts box a float *)
+  sifted : float array;
+      (* [|time of the entry being sifted|]: an unboxed slot, so the
+         sifts box no float *)
 }
 
 let create () =
@@ -60,13 +60,14 @@ let create () =
     fresh = 0;
     free = slot_mask;
     next_seq = 0;
-    buf = [| nan; 0.0 |];
+    sifted = [| 0.0 |];
   }
 
-(* Whether heap entry [i] precedes the entry being sifted ([buf.(1)],
-   [key]). Callers never store NaN, so [<=] after [<] means equal. *)
+(* Whether heap entry [i] precedes the entry being sifted
+   ([sifted.(0)], [key]). Callers never store NaN, so [<=] after [<]
+   means equal. *)
 let[@ccsim.hot] [@inline] entry_before t i key =
-  let ti = t.times.(i) and tm = t.buf.(1) in
+  let ti = t.times.(i) and tm = t.sifted.(0) in
   ti < tm || (ti <= tm && t.keys.(i) < key)
 
 let[@ccsim.hot] [@inline] earlier t i j =
@@ -81,14 +82,14 @@ let[@ccsim.hot] [@inline] set_pos t pos key =
 
 (* Seat the entry being sifted at [pos]. *)
 let[@ccsim.hot] [@inline] place t pos key =
-  t.times.(pos) <- t.buf.(1);
+  t.times.(pos) <- t.sifted.(0);
   set_pos t pos key
 
 let[@ccsim.hot] [@inline] move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   set_pos t dst t.keys.(src)
 
-(* Hole sifts: the entry being placed lives in [buf.(1)] and [key]
+(* Hole sifts: the entry being placed lives in [sifted.(0)] and [key]
    while parents (up) or the earliest child (down) shift into the hole. *)
 let[@ccsim.hot] rec sift_up t pos key =
   if pos = 0 then place t 0 key
@@ -116,7 +117,7 @@ let[@ccsim.hot] rec sift_down t pos key =
     else place t pos key
   end
 
-(* Re-seat the entry ([buf.(1)], [key]) at [pos], whose previous
+(* Re-seat the entry ([sifted.(0)], [key]) at [pos], whose previous
    occupant left: up if it precedes the parent, else down. *)
 let[@ccsim.hot] resift t pos key =
   if pos > 0 && not (entry_before t ((pos - 1) lsr 2) key) then sift_up t pos key
@@ -152,9 +153,9 @@ let[@ccsim.hot] [@inline] next_key t slot = (reserve t lsl slot_bits) lor slot
 
 let unreserved () = invalid_arg "Event_heap.add_reserved: sequence number was never reserved"
 
-(* Seat [payload] at [time] under [seq lsl slot_bits lor slot] for a
-   free slot; [seq] is fresh ([add]) or reserved earlier. *)
-let[@ccsim.hot] insert t ~time ~seq payload =
+(* Seat [payload] at [sifted.(0)] under [seq lsl slot_bits lor slot]
+   for a free slot; [seq] is fresh ([add]) or reserved earlier. *)
+let[@ccsim.hot] insert t ~seq payload =
   if t.len = Array.length t.times then grow t payload;
   let s =
     if t.free <> slot_mask then begin
@@ -171,15 +172,19 @@ let[@ccsim.hot] insert t ~time ~seq payload =
   t.payloads.(s) <- payload;
   let pos = t.len in
   t.len <- pos + 1;
-  t.buf.(1) <- time;
   sift_up t pos ((seq lsl slot_bits) lor s);
   (t.meta.(s) land gen_mask) lor s
 
-let[@ccsim.hot] add t ~time payload = insert t ~time ~seq:(reserve t) payload
+(* Event times arrive through float-array slots and are summed here,
+   so no entry point takes or returns a boxed float. *)
+let[@ccsim.hot] add t clock ~delay payload =
+  t.sifted.(0) <- clock.(0) +. delay;
+  insert t ~seq:(reserve t) payload
 
-let[@ccsim.hot] add_reserved t ~time ~seq payload =
+let[@ccsim.hot] add_reserved t times i ~seq payload =
   if seq < 0 || seq >= t.next_seq then unreserved ();
-  insert t ~time ~seq payload
+  t.sifted.(0) <- times.(i);
+  insert t ~seq payload
 
 (* The slot of [id] while its event is pending, else -1. *)
 let[@ccsim.hot] [@inline] live_slot t id =
@@ -198,7 +203,7 @@ let[@ccsim.hot] remove_at t pos =
   let last = t.len - 1 in
   t.len <- last;
   if pos < last then begin
-    t.buf.(1) <- t.times.(last);
+    t.sifted.(0) <- t.times.(last);
     resift t pos t.keys.(last)
   end
 
@@ -210,38 +215,37 @@ let[@ccsim.hot] cancel t id =
     remove_at t pos
   end
 
-let[@ccsim.hot] reschedule t id ~time payload =
+let[@ccsim.hot] reschedule t id clock ~delay payload =
   let s = live_slot t id in
-  if s < 0 then add t ~time payload
+  if s < 0 then add t clock ~delay payload
   else begin
     if t.payloads.(s) != payload then t.payloads.(s) <- payload;
-    t.buf.(1) <- time;
+    t.sifted.(0) <- clock.(0) +. delay;
     resift t (t.meta.(s) land slot_mask) (next_key t s);
     id
   end
 
 exception Empty
 
-let[@ccsim.hot] pop_exn t =
+let[@ccsim.hot] pop_exn t clock =
   if t.len = 0 then raise Empty
   else begin
     let s = t.keys.(0) land slot_mask in
-    t.buf.(0) <- t.times.(0);
+    clock.(0) <- t.times.(0);
     release t s;
     remove_at t 0;
     t.payloads.(s)
   end
 
-let[@inline] last_time t = t.buf.(0)
-let[@ccsim.hot] next_time t = if t.len = 0 then infinity else t.times.(0)
+let[@ccsim.hot] due t ~until = t.len > 0 && t.times.(0) <= until
 
-(* Option-returning wrappers for callers off the hot path. *)
+(* Option-returning wrappers for tests. *)
 
 let pop t =
-  match pop_exn t with
-  | payload -> Some (last_time t, payload)
+  let clock = [| nan |] in
+  match pop_exn t clock with
+  | payload -> Some (clock.(0), payload)
   | exception Empty -> None
 
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 let size t = t.len
-let is_empty t = t.len = 0

@@ -12,7 +12,14 @@
     Handles are immediate ints. {!cancel} unlinks the event at once, so
     the heap holds only pending events: a cancelled timer leaves nothing
     behind until its deadline. Event times must not be NaN (the caller
-    checks; [Sim] rejects NaN at every entry point). *)
+    checks; [Sim] rejects NaN at every entry point).
+
+    Times come in and go out through float-array slots: an event is
+    added at [clock.(0) +. delay] or at [times.(i)], and {!pop_exn}
+    stores the popped time into the caller's clock slot. Under
+    separate compilation ([-opaque]) a float passed to or returned from
+    another module is boxed, so this keeps the engine loop's pop, its
+    horizon test and a callback's reschedule free of allocation. *)
 
 type 'a t
 
@@ -28,10 +35,10 @@ val none : id
 
 val create : unit -> 'a t
 
-val add : 'a t -> time:float -> 'a -> id
-(** Insert an event; [time] may be any float but NaN (caller enforces
-    monotonicity policies). Equivalent to [add_reserved] under a fresh
-    {!reserve}. *)
+val add : 'a t -> float array -> delay:float -> 'a -> id
+(** [add h clock ~delay x] inserts [x] at [clock.(0) +. delay], which
+    may be any float but NaN (the caller enforces monotonicity
+    policies). Equivalent to [add_reserved] under a fresh {!reserve}. *)
 
 val reserve : 'a t -> int
 (** Take the next sequence number without adding an event: the number
@@ -40,19 +47,20 @@ val reserve : 'a t -> int
     later with {!add_reserved}, at exactly the position an {!add} at
     reserve time would have given it among same-instant events. *)
 
-val add_reserved : 'a t -> time:float -> seq:int -> 'a -> id
-(** [add_reserved h ~time ~seq x] inserts an event under a sequence
-    number taken earlier by {!reserve}; each reserved number must be
-    added at most once. Raises [Invalid_argument] for a number {!reserve}
-    never returned. *)
+val add_reserved : 'a t -> float array -> int -> seq:int -> 'a -> id
+(** [add_reserved h times i ~seq x] inserts [x] at [times.(i)] under a
+    sequence number taken earlier by {!reserve}; each reserved number
+    must be added at most once. Raises [Invalid_argument] for a number
+    {!reserve} never returned. *)
 
 val cancel : 'a t -> id -> unit
 (** Remove a pending event. Cancelling twice or cancelling an
     already-fired event is a no-op. *)
 
-val reschedule : 'a t -> id -> time:float -> 'a -> id
-(** [reschedule h id ~time x] is [cancel h id; add h ~time x]: the event
-    runs [x] at [time] and takes the next sequence number, so it sits
+val reschedule : 'a t -> id -> float array -> delay:float -> 'a -> id
+(** [reschedule h id clock ~delay x] is [cancel h id; add h clock ~delay
+    x]: the event runs [x] at [clock.(0) +. delay] and takes the next
+    sequence number, so it sits
     exactly where that pair of calls would put it. When [id] is pending
     the event is moved in place and [id] is returned; otherwise a fresh
     event is added and its handle returned. Use the returned handle from
@@ -65,19 +73,13 @@ val cancelled : 'a t -> id -> bool
 
 exception Empty
 
-val pop_exn : 'a t -> 'a
-(** Remove and return the earliest event's payload, raising {!Empty}
-    when none is left. Allocation-free: the event's time is read back
-    through {!last_time}. This is the engine loop's path; {!pop} wraps
-    it for option-style callers. *)
+val pop_exn : 'a t -> float array -> 'a
+(** [pop_exn h clock] removes the earliest event, stores its time in
+    [clock.(0)] and returns its payload, raising {!Empty} (and leaving
+    [clock] alone) when none is left. *)
 
-val last_time : 'a t -> float
-(** Time of the event most recently removed by {!pop_exn} (or {!pop});
-    [nan] before the first removal. *)
-
-val next_time : 'a t -> float
-(** Time of the earliest event, or [infinity] when the heap is empty —
-    the allocation-free {!peek_time}. *)
+val due : 'a t -> until:float -> bool
+(** Whether an event is pending at or before [until]. *)
 
 val pop : 'a t -> (float * 'a) option
 [@@ccsim.test_only "tests drive the heap against its reference model"]
@@ -90,5 +92,3 @@ val peek_time : 'a t -> float option
 
 val size : 'a t -> int
 (** Number of pending events. *)
-
-val is_empty : 'a t -> bool

@@ -5,8 +5,9 @@ type event_id = Event_heap.id
 type t = {
   heap : (unit -> unit) Event_heap.t;
   clock : float array;
-      (* one unboxed slot: a mutable float field in this mixed record
-         would box on every per-event store *)
+      (* [|now; the time [schedule_at] adds an event at|]: unboxed
+         slots, which the heap reads event times from and pops the next
+         time into, so no float is boxed per event *)
   profile : Obs.Profile.t option;
   mutable component : Obs.Profile.component;
       (* the component the in-flight event callback charges its
@@ -50,17 +51,12 @@ let install_driver t ~interval ~comp f =
     if pending t > t.driver_pending then begin
       t.driver_pending <- t.driver_pending + 1;
       note_tick ();
-      ignore (Event_heap.add t.heap ~time:(t.clock.(0) +. interval) tick)
+      ignore (Event_heap.add t.heap t.clock ~delay:interval tick)
     end
   in
   t.driver_pending <- t.driver_pending + 1;
   note_tick ();
-  ignore (Event_heap.add t.heap ~time:(t.clock.(0) +. interval) tick)
-
-(* [not (interval > 0.0)] so that NaN fails the check too. *)
-let periodic_driver t ~interval ~comp f =
-  if not (interval > 0.0) then invalid_arg "Sim.periodic_driver: interval must be positive";
-  install_driver t ~interval ~comp f
+  ignore (Event_heap.add t.heap t.clock ~delay:interval tick)
 
 let sample_probes t () =
   List.iter
@@ -83,7 +79,7 @@ let create () =
   let t =
     {
       heap = Event_heap.create ();
-      clock = Array.make 1 0.0;
+      clock = Array.make 2 0.0;
       profile = scope.Obs.Scope.profile;
       heap_hist;
       component = Obs.Profile.Other;
@@ -145,12 +141,13 @@ let invalid_time fn time =
 let[@ccsim.hot] schedule_at t ~time f =
   if not (time >= t.clock.(0)) then invalid_time "Sim.schedule_at" time;
   note_scheduled t;
-  Event_heap.add t.heap ~time f
+  t.clock.(1) <- time;
+  Event_heap.add_reserved t.heap t.clock 1 ~seq:(Event_heap.reserve t.heap) f
 
 let[@ccsim.hot] schedule t ~delay f =
   if not (delay >= 0.0) then invalid_delay "Sim.schedule" delay;
   note_scheduled t;
-  Event_heap.add t.heap ~time:(t.clock.(0) +. delay) f
+  Event_heap.add t.heap t.clock ~delay f
 
 let note_cancelled t id =
   match t.profile with
@@ -169,24 +166,25 @@ let[@ccsim.hot] reschedule t id ~delay f =
   if not (delay >= 0.0) then invalid_delay "Sim.reschedule" delay;
   note_cancelled t id;
   note_scheduled t;
-  Event_heap.reschedule t.heap id ~time:(t.clock.(0) +. delay) f
+  Event_heap.reschedule t.heap id t.clock ~delay f
 
 let no_event = Event_heap.none
 let is_pending t id = not (Event_heap.cancelled t.heap id)
 
+(* The pop stores the event's time straight into the clock slot; the
+   clock it replaces stays in an unboxed local for the monotonicity
+   check. *)
 let[@ccsim.hot] step t =
-  match Event_heap.pop_exn t.heap with
+  let before = t.clock.(0) in
+  match Event_heap.pop_exn t.heap t.clock with
   | exception Event_heap.Empty -> false
   | f ->
-      let time = Event_heap.last_time t.heap in
       (match t.watchdog with
-      | Some w when time < t.clock.(0) ->
-          (Obs.Watchdog.violate w ~now:t.clock.(0) ~component:"engine"
-             ~invariant:"time_monotonicity"
-             (Printf.sprintf "event at t=%.9f precedes the clock at t=%.9f" time t.clock.(0))
+      | Some w when t.clock.(0) < before ->
+          (Obs.Watchdog.violate w ~now:before ~component:"engine" ~invariant:"time_monotonicity"
+             (Printf.sprintf "event at t=%.9f precedes the clock at t=%.9f" t.clock.(0) before)
           [@ccsim.alloc_ok "cold branch: runs only on a time-monotonicity violation"])
       | Some _ | None -> ());
-      t.clock.(0) <- time;
       (match t.heap_hist with
       | None -> ()
       | Some h -> Obs.Metrics.observe_int h (pending t + 1));
@@ -200,15 +198,11 @@ let[@ccsim.hot] step t =
           Obs.Profile.end_event p t.component);
       true
 
-(* The inner event loop: peek through the alloc-free [next_time]
-   (infinity sentinel), step, recurse. Top-level recursion rather than
-   a [while]/[ref] so the hot region allocates nothing. *)
+(* The inner event loop: step while an event is due by the horizon.
+   Top-level recursion rather than a [while]/[ref], and a test that
+   returns an immediate, so the loop allocates nothing. *)
 let[@ccsim.hot] rec run_loop t ~horizon =
-  let time = Event_heap.next_time t.heap in
-  (* [next_time] = infinity means an empty heap — unless an event is
-     genuinely scheduled at infinity, which [is_empty] distinguishes. *)
-  if time > horizon || Event_heap.is_empty t.heap then ()
-  else begin
+  if Event_heap.due t.heap ~until:horizon then begin
     ignore (step t);
     run_loop t ~horizon
   end
@@ -281,7 +275,7 @@ let[@ccsim.hot] fire_line l =
     l.items.(i) <- l.empty;
     l.first <- (i + 1) land (Array.length l.items - 1);
     l.owner.parked <- l.owner.parked - 1;
-    ignore (Event_heap.add_reserved l.owner.heap ~time:l.times.(i) ~seq:l.seqs.(i) l.fire)
+    ignore (Event_heap.add_reserved l.owner.heap l.times i ~seq:l.seqs.(i) l.fire)
   end;
   l.handler x
 
@@ -334,7 +328,7 @@ let[@ccsim.hot] push l ~delay x =
   if l.count = 0 then begin
     (* The new head goes straight into the heap. *)
     l.head <- x;
-    ignore (Event_heap.add t.heap ~time l.fire)
+    ignore (Event_heap.add t.heap t.clock ~delay l.fire)
   end
   else begin
     let parked = l.count - 1 in

@@ -43,10 +43,12 @@ val create : unit -> t
     final sweep before returning — raising
     {!Ccsim_obs.Watchdog.Violation} on the first broken invariant.
 
-    Observability drivers reschedule themselves only while non-driver
-    events remain, so they never keep an otherwise-drained run alive.
-    Without instruments, the event loop is unchanged — no timing, no
-    allocation. *)
+    The timeline and watchdog drivers are private to the sim: they
+    reschedule themselves only while other events remain, so they never
+    keep an otherwise-drained run alive. Without instruments, the event
+    loop is unchanged — no timing, no allocation; with or without them,
+    the loop itself (the horizon test, the pop, the clock store)
+    allocates nothing. *)
 
 val now : t -> float
 (** Current virtual time in seconds (0 at creation). *)
@@ -145,18 +147,13 @@ val push : 'a line -> delay:float -> 'a -> unit
     event cannot be cancelled. The profiler counts it as a scheduled
     event, charged like {!schedule}. *)
 
-val periodic_driver :
-  t -> interval:float -> comp:Ccsim_obs.Profile.component -> (unit -> unit) -> unit
-(** Install a periodic driver tick, like the built-in timeline and
-    watchdog drivers: [f] runs every [interval] seconds charged to
-    component [comp], but only reschedules itself while non-driver
-    events remain, so drivers never keep an otherwise-drained run
-    alive. Use for engines coupled to the sim clock (e.g. the fluid
-    stepper) rather than {!every}, which would pin the run at its
-    horizon. [interval] must be positive (NaN is rejected). *)
-
 val every : t -> interval:float -> ?stop_after:float -> (unit -> unit) -> unit
 (** [every sim ~interval f] runs [f] at [now + interval] and every
     [interval] thereafter, until [stop_after] (absolute time,
-    default never) or the end of the run. [interval] must be positive
-    (NaN is rejected). *)
+    default never) or the end of the run. Each tick is an ordinary
+    event: it keeps the run alive, so a source without [stop_after]
+    needs [run ~until], and [f] declares its component with
+    {!set_component} like any callback. A tick reschedules itself
+    without allocating. [interval] must be positive (NaN is
+    rejected). The fluid engine's stepper ([Fluid_driver]) is such a
+    source. *)

@@ -17,51 +17,67 @@ type coupling = {
 type t = {
   sim : Sim.t;
   engine : Fluid_engine.t;
+  dt_s : float;
   couplings : coupling list;
+  profile : Obs.Profile.t option;
+  mutable noted : int * int * int;  (* the link-step census noted on [profile] so far *)
 }
 
-let step_couplings t =
-  let dt = Fluid_engine.dt_s t.engine in
-  (* 1. packet -> fluid: current packet cross traffic per coupled link *)
-  List.iter
-    (fun c ->
+(* packet -> fluid: current packet cross traffic per coupled link.
+   Recursion over the list rather than [List.iter], so a step builds no
+   closure. *)
+let rec signal_fluid t = function
+  | [] -> ()
+  | c :: rest ->
       let bytes = Link.bytes_delivered c.link in
-      let inst = float_of_int (bytes - c.last_bytes) *. 8.0 /. dt in
+      let inst = float_of_int (bytes - c.last_bytes) *. 8.0 /. t.dt_s in
       c.last_bytes <- bytes;
-      c.ewma_bps <-
-        ((1.0 -. rate_ewma_alpha) *. c.ewma_bps) +. (rate_ewma_alpha *. inst);
-      Fluid_engine.set_packet_signals t.engine ~link:c.fluid_link
-        ~rate_bps:c.ewma_bps
-        ~backlog_bytes:((Link.qdisc c.link).Ccsim_net.Qdisc.backlog_bytes ()))
-    t.couplings;
-  (* 2. advance the fluid population one step *)
-  Fluid_engine.step t.engine;
-  (* 3. fluid -> packet: served aggregate becomes the cross-traffic rate
-     and buffer share the packet side must live with *)
-  List.iter
-    (fun c ->
-      Link.set_cross_rate_bps c.link
-        (Fluid_engine.link_served_bps t.engine c.fluid_link);
+      c.ewma_bps <- ((1.0 -. rate_ewma_alpha) *. c.ewma_bps) +. (rate_ewma_alpha *. inst);
+      Fluid_engine.set_packet_signals t.engine ~link:c.fluid_link ~rate_bps:c.ewma_bps
+        ~backlog_bytes:((Link.qdisc c.link).Ccsim_net.Qdisc.backlog_bytes ());
+      signal_fluid t rest
+
+(* fluid -> packet: the served aggregate becomes the cross-traffic rate
+   and buffer share the packet side must live with. *)
+let rec signal_packets t = function
+  | [] -> ()
+  | c :: rest ->
+      Link.set_cross_rate_bps c.link (Fluid_engine.link_served_bps t.engine c.fluid_link);
       (Link.qdisc c.link).Ccsim_net.Qdisc.set_cross_backlog
-        (int_of_float (Fluid_engine.link_queue_bytes t.engine c.fluid_link)))
-    t.couplings
+        (int_of_float (Fluid_engine.link_queue_bytes t.engine c.fluid_link));
+      signal_packets t rest
+
+let step t =
+  signal_fluid t t.couplings;
+  Fluid_engine.step t.engine;
+  signal_packets t t.couplings
 
 let attach sim engine ~couplings =
   if Fluid_engine.now_s engine > 0.0 then
     invalid_arg "Fluid_driver.attach: fluid engine already stepped";
+  (* Seal now, so no step event pays for building the index. *)
+  Fluid_engine.seal engine;
   let couplings =
     List.map
       (fun (fluid_link, link) ->
         { fluid_link; link; last_bytes = Link.bytes_delivered link; ewma_bps = 0.0 })
       couplings
   in
-  let t = { sim; engine; couplings } in
-  (* The fluid stepper is a periodic driver like the timeline/watchdog
-     drivers: it ticks every engine step while packet events remain, so
-     a drained run is not kept alive by fluid time alone (catch_up
-     covers the remainder). *)
-  Sim.periodic_driver sim ~interval:(Fluid_engine.dt_s engine) ~comp:Obs.Profile.Fluid (fun () ->
-      step_couplings t);
+  let t =
+    {
+      sim;
+      engine;
+      dt_s = Fluid_engine.dt_s engine;
+      couplings;
+      profile = (Obs.Scope.ambient ()).Obs.Scope.profile;
+      noted = (0, 0, 0);
+    }
+  in
+  (* The stepper is an ordinary periodic event, charged to [Fluid]: it
+     keeps the run alive to its horizon, like any traffic source. *)
+  Sim.every sim ~interval:t.dt_s (fun () ->
+      Sim.set_component sim Obs.Profile.Fluid;
+      step t);
   (match Sim.watchdog sim with
   | Some w ->
       List.iter
@@ -83,10 +99,17 @@ let attach sim engine ~couplings =
   t
 
 let catch_up t ~until_s =
-  let dt = Fluid_engine.dt_s t.engine in
-  while Fluid_engine.now_s t.engine < until_s -. (0.5 *. dt) do
-    step_couplings t
+  while Fluid_engine.now_s t.engine < until_s -. (0.5 *. t.dt_s) do
+    step t
   done;
+  (match t.profile with
+  | Some p ->
+      let idle, reduced, full = Fluid_engine.link_steps t.engine in
+      let idle0, reduced0, full0 = t.noted in
+      Obs.Profile.note_fluid_link_steps p ~idle:(idle - idle0) ~reduced:(reduced - reduced0)
+        ~full:(full - full0);
+      t.noted <- (idle, reduced, full)
+  | None -> ());
   match Sim.watchdog t.sim with
   | Some w -> Obs.Watchdog.check_now w ~now:(Fluid_engine.now_s t.engine)
   | None -> ()

@@ -1,7 +1,8 @@
-(** Hybrid coupling: the fluid population stepped on the DES clock.
+(** A fluid population stepped on the DES clock.
 
-    [attach] installs a periodic driver on the sim (via
-    {!Ccsim_engine.Sim.periodic_driver}) that, every fluid step:
+    [attach] seals the engine and makes its stepper an ordinary
+    {!Ccsim_engine.Sim.every} source at the engine's [dt_s], charged to
+    the profiler's [Fluid] component. Every fluid step it:
 
     + feeds each coupled packet {!Ccsim_net.Link}'s delivered rate
       (EWMA-smoothed) and queue backlog into the fluid engine's link
@@ -12,12 +13,17 @@
       fluid queue as a shared-buffer share
       ([Qdisc.set_cross_backlog]).
 
+    With no couplings only the middle step runs: that is how a
+    fluid-only population runs, on a sim of its own. The step builds
+    no closure and boxes no float, so a population's step events
+    allocate only what the engine's step does (nothing).
+
     Per-coupling byte-conservation invariants are registered on the
     sim's watchdog, and per-coupling timeline probes
     ([fluid_cross_bps], [fluid_cross_queue_bytes], [packet_cross_bps])
-    on its timeline. Like all drivers, the stepper only stays alive
-    while packet events remain; call {!catch_up} after [Sim.run] if
-    fluid time must reach the horizon regardless. *)
+    on its timeline; a coupling-free attach registers neither. Like any
+    periodic source the stepper keeps the run alive, so every caller
+    runs the sim with [Sim.run ~until] and then calls {!catch_up}. *)
 
 type t
 
@@ -26,11 +32,13 @@ val attach :
   Fluid_engine.t ->
   couplings:(Fluid_engine.link_id * Ccsim_net.Link.t) list ->
   t
-(** Couple fluid links to packet links and start the stepper. The
-    fluid engine must not have been stepped yet (raises
+(** Couple fluid links to packet links, seal the engine and start the
+    stepper. The fluid engine must not have been stepped yet (raises
     [Invalid_argument]). Fluid links not listed evolve packet-free. *)
 
 val catch_up : t -> until_s:float -> unit
-(** Step the coupled system until fluid time reaches [until_s] (packet
-    signals frozen at their last values — the DES is drained), then
-    sweep the sim's watchdog once. *)
+(** Finish the run at [until_s]: take any step the sim's run left out
+    (the stepper's clock adds [dt_s] each tick, so its last tick may
+    round just past the horizon; packet signals stay at their last
+    values), note the engine's link-step census on the ambient
+    profile, if any, and sweep the sim's watchdog once. *)

@@ -107,6 +107,14 @@ type totals = {
   queued_bytes : float;
 }
 
+type aggregate = {
+  arrival_bps : float;
+  served_bps : float;
+  queue_bytes : float;
+  active_flows : int;
+  contended_links : int;
+}
+
 type t = {
   dt_s : float;
   warmup_s : float;
@@ -169,20 +177,6 @@ type t = {
       (* engine-wide byte totals in unboxed slots (offered, served,
          dropped, queued — see the ti_ indices): mutable float fields here would
          box on every per-link, per-step accumulation *)
-  (* observability *)
-  profile : Obs.Profile.t option;
-      (* standalone [run] charges each ODE step to component "fluid";
-         when the engine is instead driven from a Sim (hybrid coupling),
-         the Sim's own profiler does the charging and this stays unused *)
-  watchdog : Obs.Watchdog.t option;
-  tl_arrival : Obs.Timeline.series option;
-  tl_served : Obs.Timeline.series option;
-  tl_queue : Obs.Timeline.series option;
-  tl_active : Obs.Timeline.series option;
-  tl_contended : Obs.Timeline.series option;
-  sample_interval_s : float;
-  mutable next_sample_s : float;
-  mutable next_check_s : float;
 }
 
 let default_dt_s = 0.01
@@ -199,17 +193,6 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
     invalid_arg "Fluid_engine.create: warmup_s must be finite and non-negative";
   if not (payload_frac > 0.0 && payload_frac <= 1.0) then
     invalid_arg "Fluid_engine.create: payload_frac must be in (0, 1]";
-  let scope = Obs.Scope.ambient () in
-  let series name =
-    Option.map
-      (fun tl -> Obs.Timeline.series tl ~labels:[ ("engine", "fluid") ] name)
-      scope.Obs.Scope.timeline
-  in
-  let sample_interval_s =
-    match scope.Obs.Scope.timeline with
-    | Some tl -> Float.max dt_s (Obs.Timeline.interval tl)
-    | None -> Float.max dt_s 0.1
-  in
   let t =
     {
       dt_s;
@@ -254,19 +237,9 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       cal_next = [||];
       draw = [| 0.0 |];
       totals_b = Array.make 4 0.0;
-      profile = scope.Obs.Scope.profile;
-      watchdog = scope.Obs.Scope.watchdog;
-      tl_arrival = series "fluid_arrival_bps";
-      tl_served = series "fluid_served_bps";
-      tl_queue = series "fluid_queue_bytes";
-      tl_active = series "fluid_active_flows";
-      tl_contended = series "fluid_contended_links";
-      sample_interval_s;
-      next_sample_s = 0.0;
-      next_check_s = 0.0;
     }
   in
-  (match t.watchdog with
+  (match (Obs.Scope.ambient ()).Obs.Scope.watchdog with
   | Some w ->
       (* Engine-wide byte conservation: what the flows offered must be
          exactly the losses plus the served bytes plus what still sits
@@ -823,68 +796,8 @@ let[@ccsim.hot] step t =
   t.clock_s.(0) <- t.clock_s.(0) +. t.dt_s;
   t.steps <- t.steps + 1
 
-(* --- standalone run loop --------------------------------------------------- *)
-
-let record_samples t =
-  let record series value =
-    match series with
-    | Some s -> Obs.Timeline.record s ~time:(now_s t) ~value
-    | None -> ()
-  in
-  if Option.is_some t.tl_arrival || Option.is_some t.tl_served || Option.is_some t.tl_queue
-     || Option.is_some t.tl_active || Option.is_some t.tl_contended
-  then begin
-    let arr = ref 0.0 and served = ref 0.0 and q = ref 0.0 in
-    let active = ref 0 and contended = ref 0 in
-    for l = 0 to t.nl - 1 do
-      arr := !arr +. t.l_arr.(l);
-      served := !served +. t.l_served.(l);
-      q := !q +. t.l_q.(l);
-      active := !active + t.l_active.(l);
-      if t.l_contended_s.(l) > 0.0 then incr contended
-    done;
-    record t.tl_arrival !arr;
-    record t.tl_served !served;
-    record t.tl_queue !q;
-    record t.tl_active (float_of_int !active);
-    record t.tl_contended (float_of_int !contended)
-  end
-
 let link_steps t =
   (t.steps * t.nl - t.reduced_steps - t.full_steps, t.reduced_steps, t.full_steps)
-
-let run t ~until_s =
-  seal t;
-  Option.iter Obs.Profile.start_run t.profile;
-  let idle0, reduced0, full0 = link_steps t in
-  while now_s t < until_s -. (0.5 *. t.dt_s) do
-    (match t.profile with
-    | None -> step t
-    | Some p ->
-        Obs.Profile.begin_event p;
-        step t;
-        Obs.Profile.end_event p Obs.Profile.Fluid);
-    if now_s t >= t.next_sample_s then begin
-      record_samples t;
-      t.next_sample_s <- now_s t +. t.sample_interval_s
-    end;
-    match t.watchdog with
-    | Some w when now_s t >= t.next_check_s ->
-        Obs.Watchdog.check_now w ~now:(now_s t);
-        t.next_check_s <- now_s t +. Obs.Watchdog.interval w
-    | Some _ | None -> ()
-  done;
-  (match t.profile with
-  | Some p ->
-      let idle, reduced, full = link_steps t in
-      Obs.Profile.note_fluid_link_steps p ~idle:(idle - idle0) ~reduced:(reduced - reduced0)
-        ~full:(full - full0);
-      Obs.Profile.note_sim_time p (now_s t);
-      Obs.Profile.end_run p
-  | None -> ());
-  match t.watchdog with
-  | Some w -> Obs.Watchdog.check_now w ~now:(now_s t)
-  | None -> ()
 
 (* --- outputs --------------------------------------------------------------- *)
 
@@ -916,6 +829,26 @@ let totals t =
     served_bytes = t.totals_b.(ti_served);
     dropped_bytes = t.totals_b.(ti_dropped);
     queued_bytes = t.totals_b.(ti_q);
+  }
+
+(* One pass over the links, summing in link order; the per-link
+   arrays are empty until the seal, so an unsealed engine reads zeros. *)
+let aggregate t =
+  let arrival = ref 0.0 and served = ref 0.0 and queue = ref 0.0 in
+  let active = ref 0 and contended = ref 0 in
+  for l = 0 to Array.length t.l_arr - 1 do
+    arrival := !arrival +. t.l_arr.(l);
+    served := !served +. t.l_served.(l);
+    queue := !queue +. t.l_q.(l);
+    active := !active + t.l_active.(l);
+    if t.l_contended_s.(l) > 0.0 then incr contended
+  done;
+  {
+    arrival_bps = !arrival;
+    served_bps = !served;
+    queue_bytes = !queue;
+    active_flows = !active;
+    contended_links = !contended;
   }
 
 let residual_bytes t =

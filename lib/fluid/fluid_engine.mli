@@ -36,13 +36,19 @@
     balance (operator splitting), which makes byte conservation
     [offered = dropped + served + Δqueue] exact by construction; the
     engine registers that identity with the ambient
-    {!Ccsim_obs.Watchdog} at creation. Aggregate series are recorded
-    into the ambient {!Ccsim_obs.Timeline} by the standalone {!run}
-    loop.
+    {!Ccsim_obs.Watchdog} at creation.
 
-    Build-then-seal: add links and flows, then step. The first {!step}
-    (or {!run}, or {!set_packet_signals}) seals the population;
-    [add_*] afterwards raise [Invalid_argument].
+    The engine is a kernel: it builds, steps, reads and registers its
+    invariant, and has no run loop. A population runs on a
+    [Ccsim_engine.Sim] through [Fluid_driver], which steps it as a
+    periodic event, so profiling, timeline sampling and watchdog sweeps
+    happen in [Sim.run] as for packet runs. A caller that wants
+    aggregate series registers {!aggregate} reads as the sim's timeline
+    probes (P1 does).
+
+    Build-then-seal: add links and flows, then step. {!seal}, the first
+    {!step} or {!set_packet_signals} seals the population; [add_*]
+    afterwards raise [Invalid_argument].
 
     Hybrid operation: {!set_packet_signals} feeds a link's packet-level
     cross traffic (delivered rate, queue backlog) into the fluid loss
@@ -59,6 +65,14 @@ type totals = {
   queued_bytes : float;
 }
 
+type aggregate = {
+  arrival_bps : float;  (** the flows' summed sending rate at the last step *)
+  served_bps : float;  (** the links' summed served rate at the last step *)
+  queue_bytes : float;
+  active_flows : int;  (** flows currently on *)
+  contended_links : int;  (** links contended at some step so far *)
+}
+
 type t
 
 val create :
@@ -68,8 +82,8 @@ val create :
   seed:int ->
   unit ->
   t
-(** Instruments (timeline, watchdog) are taken from the ambient
-    {!Ccsim_obs.Scope} at creation, mirroring [Sim.create]. [dt_s]
+(** The byte-conservation check is registered with the ambient
+    {!Ccsim_obs.Scope}'s watchdog, if any, at creation. [dt_s]
     defaults to 10 ms. [warmup_s]
     excludes the start of the run from goodput accounting.
     [payload_frac] converts wire bytes to payload bytes (default
@@ -98,17 +112,16 @@ val add_flow :
     activation. Raises [Invalid_argument] unless [rtt_base_s] and both
     on/off means are finite and positive and [cap_bps] is positive. *)
 
+val seal : t -> unit
+(** Seal the population: build the per-link index and the toggle
+    calendar. Idempotent; the first {!step} seals too, so a driver
+    seals up front only to keep that allocation out of its first step
+    event. *)
+
 val step : t -> unit
 (** Advance one [dt_s]: process on/off toggles, integrate the flow
     ODEs, settle queues and byte accounting. Seals the population on
-    first call. *)
-
-val run : t -> until_s:float -> unit
-(** Step until [until_s], sampling aggregate timeline series and
-    sweeping the ambient watchdog at its interval (plus a final sweep).
-    Use {!step} instead when an outer clock drives the engine (hybrid
-    mode) — [run]'s sampling and sweeping are then the DES drivers'
-    job. *)
+    first call. Allocates nothing. *)
 
 val dt_s : t -> float
 val now_s : t -> float
@@ -145,15 +158,18 @@ val flow_goodput_bps : t -> flow_id -> float
 (** Mean payload goodput over the post-warmup window so far. *)
 
 val link_steps : t -> int * int * int
-[@@ccsim.test_only "tests count the kernel's paths; ccsim perf reads them through the profile"]
 (** [(idle, reduced, full)]: the link-steps taken so far by the idle
     skip, by the reduced step of a frozen link and by the full step.
-    They sum to links × steps. {!run} adds the ones it takes to the
-    ambient {!Ccsim_obs.Profile}. *)
+    They sum to links × steps. [Fluid_driver.catch_up] notes them on
+    the ambient {!Ccsim_obs.Profile}. *)
 
 val totals : t -> totals
 val residual_bytes : t -> float
 (** Engine-wide [offered - dropped - served - queued]. *)
+
+val aggregate : t -> aggregate
+(** The population's state summed over its links, in link order, in
+    one pass that boxes no per-link float. *)
 
 val register_link_invariant : t -> component:string -> Ccsim_obs.Watchdog.t -> link_id -> unit
 (** Register the per-link byte-conservation check on [w] — used by

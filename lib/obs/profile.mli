@@ -51,8 +51,8 @@ val end_event : t -> component -> unit
     profiler's own work falls outside them. Allocates nothing. *)
 
 val start_run : t -> unit
-(** A run ([Sim.run], [Fluid_engine.run]) begins: take the [Gc] sample
-    its promoted and major words count from. *)
+(** A run ([Sim.run], for packet, hybrid and fluid runs alike) begins:
+    take the [Gc] sample its promoted and major words count from. *)
 
 val end_run : t -> unit
 (** A run ends: add its promoted words, major words and compactions to
@@ -89,7 +89,8 @@ val note_pkt_dropped : t -> unit
 val note_fluid_link_steps : t -> idle:int -> reduced:int -> full:int -> unit
 (** Add a fluid engine's link-steps by path: the idle skip, the
     reduced step of a frozen link and the full step.
-    [Fluid_engine.run] notes what it stepped. *)
+    [Fluid_driver.catch_up] notes what its engine stepped since the
+    last note, hybrid households included. *)
 
 val events_executed : t -> int
 val events_scheduled : t -> int

@@ -41,6 +41,9 @@ type t = {
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-segment store *)
   mutable pace_pending : bool;
+  mutable pace_fire : unit -> unit;
+      (* the pacing-timer callback, built once per sender like
+         [rto_fire]: a pacing stall schedules it, not a fresh closure *)
   (* statistics *)
   started_at : float;
   mutable bytes_sent : int;
@@ -194,14 +197,7 @@ and on_rto t =
 and schedule_pace t ~now =
   if not t.pace_pending then begin
     t.pace_pending <- true;
-    ignore
-      (Sim.schedule t.sim
-         ~delay:(t.pace_next.(0) -. now)
-         ((fun () ->
-            Sim.set_component t.sim Obs.Profile.Tcp;
-            t.pace_pending <- false;
-            try_send t)
-         [@ccsim.alloc_ok "one pacing-timer closure per pacing stall, not per segment"]))
+    ignore (Sim.schedule t.sim ~delay:(t.pace_next.(0) -. now) t.pace_fire)
   end
 
 (* Recursion rather than a [while]/[ref] loop: the per-ack send burst
@@ -464,6 +460,7 @@ let create sim ~flow ~cca ~path ?(on_complete = fun _ -> ()) () =
     rto_fire = ignore;
     pace_next = Array.make 1 0.0;
     pace_pending = false;
+    pace_fire = ignore;
     started_at = Sim.now sim;
     bytes_sent = 0;
     bytes_retrans = 0;
@@ -492,6 +489,11 @@ let create sim ~flow ~cca ~path ?(on_complete = fun _ -> ()) () =
     (fun () ->
       Sim.set_component t.sim Obs.Profile.Tcp;
       on_rto t);
+  t.pace_fire <-
+    (fun () ->
+      Sim.set_component t.sim Obs.Profile.Tcp;
+      t.pace_pending <- false;
+      try_send t);
   (match scope.Obs.Scope.watchdog with
   | Some w ->
       let component = Printf.sprintf "tcp/flow%d" flow in

@@ -37,6 +37,16 @@ let test_model_names () =
 
 (* ---- engine basics ---- *)
 
+(* Run a population as P1 does: stepped on a Sim of its own by
+   Fluid_driver, with no couplings, to [until_s]. The sim takes the
+   ambient scope's instruments, so its watchdog sweeps the engine's
+   conservation check. *)
+let run_engine engine ~until_s =
+  let sim = Sim.create () in
+  let driver = Fl.Fluid_driver.attach sim engine ~couplings:[] in
+  Sim.run ~until:until_s sim;
+  Fl.Fluid_driver.catch_up driver ~until_s
+
 let simple_engine ?(models = [ Fl.Fluid_model.Reno ]) ?dt_s ~capacity_mbps ~seed () =
   let engine = Fl.Fluid_engine.create ?dt_s ~warmup_s:2.0 ~seed () in
   let capacity_bps = U.Units.mbps capacity_mbps in
@@ -51,7 +61,7 @@ let simple_engine ?(models = [ Fl.Fluid_model.Reno ]) ?dt_s ~capacity_mbps ~seed
 
 let test_single_flow_fills_link () =
   let engine, link, _ = simple_engine ~capacity_mbps:10.0 ~seed:1 () in
-  Fl.Fluid_engine.run engine ~until_s:20.0;
+  run_engine engine ~until_s:20.0;
   let cap = Fl.Fluid_engine.link_capacity_bps engine link in
   let served = Fl.Fluid_engine.link_served_bytes engine link *. 8.0 /. 20.0 in
   Alcotest.(check bool)
@@ -77,7 +87,7 @@ let test_conservation_exact () =
          ~cap_bps:(U.Units.mbps 30.0)
          ~on_off_s:(3.0, 5.0) ())
   done;
-  Fl.Fluid_engine.run engine ~until_s:10.0;
+  run_engine engine ~until_s:10.0;
   let totals = Fl.Fluid_engine.totals engine in
   Alcotest.(check bool) "population moved bytes" true (totals.Fl.Fluid_engine.offered_bytes > 0.0);
   let tol = Float.max 1024.0 (1e-6 *. totals.Fl.Fluid_engine.offered_bytes) in
@@ -99,7 +109,7 @@ let test_determinism_same_seed () =
         ~models:[ Fl.Fluid_model.Cubic; Fl.Fluid_model.Bbr; Fl.Fluid_model.Reno ]
         ~capacity_mbps:40.0 ~seed:11 ()
     in
-    Fl.Fluid_engine.run engine ~until_s:8.0;
+    run_engine engine ~until_s:8.0;
     ( Fl.Fluid_engine.link_served_bytes engine link,
       List.map (Fl.Fluid_engine.flow_goodput_bps engine) flows )
   in
@@ -184,7 +194,7 @@ let test_non_finite_rejected () =
   raises "NaN packet rate" "Fluid_engine.set_packet_signals: NaN rate_bps" (fun () ->
       Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:nan ~backlog_bytes:0);
   Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:(-1e6) ~backlog_bytes:0;
-  Fl.Fluid_engine.run engine ~until_s:1.0;
+  run_engine engine ~until_s:1.0;
   Alcotest.(check bool) "a negative packet rate clamps to 0: the bulk flow fills the link" true
     (Fl.Fluid_engine.link_served_bps engine link >= 0.9e7)
 
@@ -220,7 +230,7 @@ let test_cross_validation_4flow () =
         Fl.Fluid_engine.add_flow engine ~link ~model:Fl.Fluid_model.Reno
           ~rtt_base_s:xval_rtt ())
   in
-  Fl.Fluid_engine.run engine ~until_s:xval_duration;
+  run_engine engine ~until_s:xval_duration;
   let payload_frac = float_of_int U.Units.mss /. float_of_int (U.Units.mss + U.Units.header_bytes) in
   let fair = xval_rate /. 4.0 *. payload_frac in
   let tol = 0.15 *. fair in
@@ -262,8 +272,8 @@ let test_watchdog_trips_on_skew () =
   let scope = Obs.Scope.v ~watchdog:w () in
   Obs.Scope.with_scope scope @@ fun () ->
   let engine, link, _ = simple_engine ~capacity_mbps:10.0 ~seed:4 () in
-  Fl.Fluid_engine.run engine ~until_s:1.0;
-  (* Clean run: the final sweep inside [run] already passed. *)
+  run_engine engine ~until_s:1.0;
+  (* Clean run: the final sweeps of [Sim.run] and [catch_up] already passed. *)
   Alcotest.(check bool) "no violation on clean run" true (Obs.Watchdog.violation w = None);
   Fl.Fluid_engine.inject_accounting_skew engine ~link ~bytes:1e6;
   let tripped =
@@ -285,7 +295,7 @@ let test_watchdog_trips_on_nan () =
   let scope = Obs.Scope.v ~watchdog:w () in
   Obs.Scope.with_scope scope @@ fun () ->
   let engine, link, _ = simple_engine ~capacity_mbps:10.0 ~seed:4 () in
-  Fl.Fluid_engine.run engine ~until_s:1.0;
+  run_engine engine ~until_s:1.0;
   let per_link = Obs.Watchdog.create () in
   Fl.Fluid_engine.register_link_invariant engine ~component:"fluid/link" per_link link;
   Fl.Fluid_engine.inject_accounting_skew engine ~link ~bytes:nan;
@@ -814,9 +824,51 @@ let kernel_matches_reference c =
   in
   go 0
 
+(* A population stepped on a Sim by Fluid_driver, with no couplings,
+   takes exactly the steps a direct loop takes: [Sim.run] to N dt and
+   [catch_up] leave it where N calls of [step] leave an identical copy,
+   bit for bit, census included. The cases' packet signals stand for a
+   coupling, so neither copy applies them. *)
+let driven_matches_direct c =
+  let module E = Fl.Fluid_engine in
+  let build () =
+    let e = E.create ~dt_s:c.dt_s ~warmup_s:c.warmup_s ~seed:c.seed () in
+    Array.iter
+      (fun (capacity_bps, buffer_bytes) -> ignore (E.add_link e ~capacity_bps ~buffer_bytes))
+      c.links;
+    Array.iter
+      (fun { link; model; rtt_base_s; cap_bps; on_off_s; start_active } ->
+        ignore (E.add_flow e ~link ~model ~rtt_base_s ~cap_bps ?on_off_s ~start_active ()))
+      c.ref_flows;
+    e
+  in
+  let direct = build () and driven = build () in
+  for _ = 1 to c.steps do
+    E.step direct
+  done;
+  run_engine driven ~until_s:(float_of_int c.steps *. c.dt_s);
+  let td = E.totals direct and tv = E.totals driven in
+  same_bits td.E.offered_bytes tv.E.offered_bytes
+  && same_bits td.E.served_bytes tv.E.served_bytes
+  && same_bits td.E.dropped_bytes tv.E.dropped_bytes
+  && same_bits td.E.queued_bytes tv.E.queued_bytes
+  && E.link_steps direct = E.link_steps driven
+  && List.for_all
+       (fun l ->
+         same_bits (E.link_served_bytes direct l) (E.link_served_bytes driven l)
+         && same_bits (E.link_contended_s direct l) (E.link_contended_s driven l))
+       (List.init (Array.length c.links) Fun.id)
+  && List.for_all
+       (fun i -> same_bits (E.flow_goodput_bps direct i) (E.flow_goodput_bps driven i))
+       (List.init (Array.length c.ref_flows) Fun.id)
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"fluid: a population driven on a Sim matches direct steps bit for bit"
+      ~count:200
+      (make ~print:show_ref_case (Gen.oneof [ calendar_case_gen; freeze_case_gen ]))
+      driven_matches_direct;
     Test.make ~name:"fluid kernel matches the four-pass step bit for bit" ~count:500
       (make ~print:show_ref_case ref_case_gen)
       kernel_matches_reference;

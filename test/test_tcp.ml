@@ -251,6 +251,30 @@ let test_pacing_respected () =
   let gaps = Array.init (Array.length times - 1) (fun i -> times.(i + 1) -. times.(i)) in
   Alcotest.(check bool) "paced gaps ~10ms" true (U.Stats.median gaps > 0.008)
 
+(* A pacing stall schedules the sender's one pacing callback, built at
+   creation as the RTO's is, not a closure of its own. A fixed-rate
+   sender whose packets vanish takes one stall per segment, with no ack
+   and no RTO inside the measured window (the first RTO is due at 1 s).
+   Each stall, its segment and the event loop allocate 28.0 words,
+   process-wide, in the dev profile. A closure per stall made it 33.0
+   (39.0 while the loop and the event's time also boxed floats), so
+   the bound fails on the closure alone. *)
+let test_pacing_stall_allocation () =
+  let sim = Sim.create () in
+  let cca = Ccsim_cca.Cca.fixed_rate ~rate_bps:1.2e8 in
+  let sender = Tcp.Sender.create sim ~flow:0 ~cca ~path:ignore () in
+  Tcp.Sender.set_unlimited sender;
+  Sim.run ~until:0.1 sim;
+  let segments () = Tcp.Sender.bytes_sent sender / U.Units.mss in
+  let segs0 = segments () in
+  let w0 = Gc.minor_words () in
+  Sim.run ~until:0.9 sim;
+  let per_stall = (Gc.minor_words () -. w0) /. float_of_int (segments () - segs0) in
+  Alcotest.(check int) "no RTO in the window" 0 (Tcp.Sender.bytes_retrans sender);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 30 words per pacing stall (%.2f)" per_stall)
+    true (per_stall < 30.0)
+
 let test_teardown_unregisters () =
   let sim = Sim.create () in
   let topo = make_topo sim in
@@ -681,6 +705,7 @@ let suite =
     ("tcp_info: app-limited fraction at zero elapsed", `Quick,
      test_tcp_info_app_limited_fraction_zero_elapsed);
     ("tcp: pacing respected", `Quick, test_pacing_respected);
+    ("tcp: a pacing stall allocates no closure", `Quick, test_pacing_stall_allocation);
     ("tcp: teardown unregisters", `Quick, test_teardown_unregisters);
     ("tcp: write validation", `Quick, test_write_validation);
     ("receiver: out-of-order reassembly", `Quick, test_receiver_out_of_order_reassembly);
