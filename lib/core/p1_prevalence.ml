@@ -223,13 +223,16 @@ let run_household ~seed =
     coupled_contended_s = Fl.Fluid_engine.link_contended_s engine fl;
   }
 
-(* The population's aggregate series, one engine read each. *)
+(* The population's aggregate series. The timeline samples probes in
+   registration order, so the first one reads the engine's aggregate
+   (one pass over the links) and the other four reuse it. *)
 let add_population_probes sim engine =
   let labels = [ ("engine", "fluid") ] in
-  let probe name value =
-    Sim.add_timeline_probe sim ~labels name (fun () -> value (Fl.Fluid_engine.aggregate engine))
-  in
-  probe "fluid_arrival_bps" (fun a -> a.Fl.Fluid_engine.arrival_bps);
+  let last = ref (Fl.Fluid_engine.aggregate engine) in
+  let probe name value = Sim.add_timeline_probe sim ~labels name (fun () -> value !last) in
+  Sim.add_timeline_probe sim ~labels "fluid_arrival_bps" (fun () ->
+      last := Fl.Fluid_engine.aggregate engine;
+      !last.Fl.Fluid_engine.arrival_bps);
   probe "fluid_served_bps" (fun a -> a.Fl.Fluid_engine.served_bps);
   probe "fluid_queue_bytes" (fun a -> a.Fl.Fluid_engine.queue_bytes);
   probe "fluid_active_flows" (fun a -> float_of_int a.Fl.Fluid_engine.active_flows);

@@ -17,8 +17,15 @@
    slot (pop or cancel) bumps its generation, so every handle to the
    event it held goes stale at once and a later event in the reused
    slot cannot be cancelled through it. [cancel] unlinks the entry
-   immediately, so the heap holds only live events and [size] is its
-   length. *)
+   immediately, so the heap holds only live events.
+
+   [pop_exn] leaves the root empty (the hole) rather than moving the
+   last entry into it. An event's callback usually schedules one: the
+   first insert after a pop takes the root and sifts down once, where
+   filling the hole first would sift the last entry down and then the
+   new one up. Anything else that reads or reorders the heap ([due],
+   [pop_exn], a live [cancel] or [reschedule], [peek_time]) first fills
+   the hole as a removal always did. [size] excludes it. *)
 
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
@@ -41,7 +48,8 @@ type 'a t = {
   mutable keys : int array;  (* by heap position: seq lsl slot_bits lor slot *)
   mutable payloads : 'a array;  (* by slot; stays [||] until the first add *)
   mutable meta : int array;  (* by slot: generation lor (position or next free) *)
-  mutable len : int;
+  mutable len : int;  (* heap positions in use, the hole included *)
+  mutable hole : bool;  (* position 0 is vacant: the last pop left it *)
   mutable fresh : int;  (* slots [fresh ..] have never been handed out *)
   mutable free : int;  (* head of the free-slot list, [slot_mask] when empty *)
   mutable next_seq : int;
@@ -57,6 +65,7 @@ let create () =
     payloads = [||];
     meta = [||];
     len = 0;
+    hole = false;
     fresh = 0;
     free = slot_mask;
     next_seq = 0;
@@ -154,9 +163,12 @@ let[@ccsim.hot] [@inline] next_key t slot = (reserve t lsl slot_bits) lor slot
 let unreserved () = invalid_arg "Event_heap.add_reserved: sequence number was never reserved"
 
 (* Seat [payload] at [sifted.(0)] under [seq lsl slot_bits lor slot]
-   for a free slot; [seq] is fresh ([add]) or reserved earlier. *)
+   for a free slot; [seq] is fresh ([add]) or reserved earlier. Into the
+   hole when there is one: the pop that left it freed a slot, and its
+   position is still counted in [len]. *)
 let[@ccsim.hot] insert t ~seq payload =
-  if t.len = Array.length t.times then grow t payload;
+  let hole = t.hole in
+  if (not hole) && t.len = Array.length t.times then grow t payload;
   let s =
     if t.free <> slot_mask then begin
       let s = t.free in
@@ -170,9 +182,16 @@ let[@ccsim.hot] insert t ~seq payload =
     end
   in
   t.payloads.(s) <- payload;
-  let pos = t.len in
-  t.len <- pos + 1;
-  sift_up t pos ((seq lsl slot_bits) lor s);
+  let key = (seq lsl slot_bits) lor s in
+  if hole then begin
+    t.hole <- false;
+    sift_down t 0 key
+  end
+  else begin
+    let pos = t.len in
+    t.len <- pos + 1;
+    sift_up t pos key
+  end;
   (t.meta.(s) land gen_mask) lor s
 
 (* Event times arrive through float-array slots and are summed here,
@@ -207,18 +226,28 @@ let[@ccsim.hot] remove_at t pos =
     resift t pos t.keys.(last)
   end
 
+(* Close a pending hole the way a removal at the root does. *)
+let[@ccsim.hot] fill_hole t =
+  if t.hole then begin
+    t.hole <- false;
+    remove_at t 0
+  end
+
 let[@ccsim.hot] cancel t id =
   let s = live_slot t id in
   if s >= 0 then begin
+    fill_hole t;
     let pos = t.meta.(s) land slot_mask in
     release t s;
     remove_at t pos
   end
 
+(* A stale handle's reschedule is an add, and takes the hole like one. *)
 let[@ccsim.hot] reschedule t id clock ~delay payload =
   let s = live_slot t id in
   if s < 0 then add t clock ~delay payload
   else begin
+    fill_hole t;
     if t.payloads.(s) != payload then t.payloads.(s) <- payload;
     t.sifted.(0) <- clock.(0) +. delay;
     resift t (t.meta.(s) land slot_mask) (next_key t s);
@@ -228,16 +257,19 @@ let[@ccsim.hot] reschedule t id clock ~delay payload =
 exception Empty
 
 let[@ccsim.hot] pop_exn t clock =
+  fill_hole t;
   if t.len = 0 then raise Empty
   else begin
     let s = t.keys.(0) land slot_mask in
     clock.(0) <- t.times.(0);
     release t s;
-    remove_at t 0;
+    t.hole <- true;
     t.payloads.(s)
   end
 
-let[@ccsim.hot] due t ~until = t.len > 0 && t.times.(0) <= until
+let[@ccsim.hot] due t ~until =
+  fill_hole t;
+  t.len > 0 && t.times.(0) <= until
 
 (* Option-returning wrappers for tests. *)
 
@@ -247,5 +279,8 @@ let pop t =
   | payload -> Some (clock.(0), payload)
   | exception Empty -> None
 
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
-let size t = t.len
+let peek_time t =
+  fill_hole t;
+  if t.len = 0 then None else Some t.times.(0)
+
+let size t = if t.hole then t.len - 1 else t.len

@@ -149,6 +149,15 @@ let[@ccsim.hot] schedule t ~delay f =
   note_scheduled t;
   Event_heap.add t.heap t.clock ~delay f
 
+(* [schedule] with the delay read from a caller's slot, summed into the
+   clock's second slot as [Event_heap.add] sums it: the same time and
+   the same fresh sequence number, and no float crosses a call. *)
+let[@ccsim.hot] schedule_in t delay f =
+  if not (delay.(0) >= 0.0) then invalid_delay "Sim.schedule_in" delay.(0);
+  note_scheduled t;
+  t.clock.(1) <- t.clock.(0) +. delay.(0);
+  Event_heap.add_reserved t.heap t.clock 1 ~seq:(Event_heap.reserve t.heap) f
+
 let note_cancelled t id =
   match t.profile with
   | None -> ()
@@ -235,47 +244,38 @@ let run ?until t =
 
    A line's entries are pushed in non-decreasing time order, each under
    the sequence number the heap hands out at push time ([reserve]), so
-   their (time, seq) keys ascend in push order. Only the oldest entry,
-   the head, sits in the heap, under its own key; the rest are parked in
-   a ring and each enters the heap, under its reserved key, when the one
-   before it fires. The heap's minimum is therefore always the minimum
-   over heap and parked entries alike, and every event fires at the
-   (time, seq) a [schedule] at push time would have given it. *)
+   their (time, seq) keys ascend in push order. They sit in a ring,
+   oldest first. Only the oldest, the head, has its event in the heap,
+   under its own key; each later entry enters the heap, under its
+   reserved key, when the one before it fires. The heap's minimum is
+   therefore always the minimum over heap and parked entries alike, and
+   every event fires at the (time, seq) a [schedule] at push time would
+   have given it. An entry costs one ring store when pushed and one
+   clear when it fires. *)
 
 type 'a line = {
   owner : t;
   handler : 'a -> unit;
   empty : 'a;  (* fills every slot that holds no entry *)
-  mutable head : 'a;  (* the entry whose event is in the heap *)
   mutable count : int;  (* entries, head included *)
-  mutable times : float array;  (* ring of parked entries; [||] when drained *)
-  mutable seqs : int array;
+  mutable times : float array;  (* the ring, by slot; [||] until the first push *)
+  mutable seqs : int array;  (* reserved sequence numbers; unused in the head's slot *)
   mutable items : 'a array;
-  mutable first : int;  (* ring slot of the oldest parked entry *)
+  mutable first : int;  (* ring slot of the head *)
   tail : float array;  (* [|time of the newest entry|], unboxed *)
   fire : unit -> unit;  (* the heap payload of every entry, allocated once *)
 }
 
 let[@ccsim.hot] fire_line l =
-  let x = l.head in
-  let left = l.count - 1 in
-  l.count <- left;
-  if left = 0 then begin
-    l.head <- l.empty;
-    (* Drained: an idle line holds no ring. *)
-    if Array.length l.items > 0 then begin
-      l.times <- [||];
-      l.seqs <- [||];
-      l.items <- [||]
-    end
-  end
-  else begin
-    let i = l.first in
-    l.head <- l.items.(i);
-    l.items.(i) <- l.empty;
-    l.first <- (i + 1) land (Array.length l.items - 1);
+  let i = l.first in
+  let x = l.items.(i) in
+  l.items.(i) <- l.empty;
+  let next = (i + 1) land (Array.length l.items - 1) in
+  l.first <- next;
+  l.count <- l.count - 1;
+  if l.count > 0 then begin
     l.owner.parked <- l.owner.parked - 1;
-    ignore (Event_heap.add_reserved l.owner.heap l.times i ~seq:l.seqs.(i) l.fire)
+    ignore (Event_heap.add_reserved l.owner.heap l.times next ~seq:l.seqs.(next) l.fire)
   end;
   l.handler x
 
@@ -285,7 +285,6 @@ let line owner ~empty handler =
       owner;
       handler;
       empty;
-      head = empty;
       count = 0;
       times = [||];
       seqs = [||];
@@ -298,13 +297,13 @@ let line owner ~empty handler =
   l
 
 (* Double the ring (4 slots at first), unrolling it to start at slot 0.
-   [n] entries are parked. *)
-let grow_ring l n =
+   Every slot holds an entry. *)
+let grow_ring l =
   (let cap = Array.length l.items in
    let cap' = if cap = 0 then 4 else 2 * cap in
    let times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
    let items = Array.make cap' l.empty in
-   for k = 0 to n - 1 do
+   for k = 0 to cap - 1 do
      let i = (l.first + k) land (cap - 1) in
      times.(k) <- l.times.(i);
      seqs.(k) <- l.seqs.(i);
@@ -314,7 +313,7 @@ let grow_ring l n =
    l.seqs <- seqs;
    l.items <- items;
    l.first <- 0)
-  [@ccsim.alloc_ok "amortized ring doubling: once per capacity step while the line holds entries"]
+  [@ccsim.alloc_ok "amortized ring doubling: once per capacity step, not per entry"]
 
 let precedes_tail () = invalid_arg "Sim.push: time precedes the line's newest entry"
 
@@ -325,18 +324,15 @@ let[@ccsim.hot] push l ~delay x =
   if time < l.tail.(0) then precedes_tail ();
   note_scheduled t;
   l.tail.(0) <- time;
-  if l.count = 0 then begin
+  if l.count = Array.length l.items then grow_ring l;
+  let j = (l.first + l.count) land (Array.length l.items - 1) in
+  l.items.(j) <- x;
+  if l.count = 0 then
     (* The new head goes straight into the heap. *)
-    l.head <- x;
     ignore (Event_heap.add t.heap t.clock ~delay l.fire)
-  end
   else begin
-    let parked = l.count - 1 in
-    if parked = Array.length l.items then grow_ring l parked;
-    let j = (l.first + parked) land (Array.length l.items - 1) in
     l.times.(j) <- time;
     l.seqs.(j) <- Event_heap.reserve t.heap;
-    l.items.(j) <- x;
     t.parked <- t.parked + 1
   end;
   l.count <- l.count + 1

@@ -82,6 +82,13 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule sim ~delay f] runs [f] at [now + delay]. [delay] must be
     non-negative and not NaN (raises [Invalid_argument] otherwise). *)
 
+val schedule_in : t -> float array -> (unit -> unit) -> event_id
+(** [schedule_in sim delay f] is [schedule sim ~delay:delay.(0) f]: the
+    same time and sequence number, checked the same way, with the delay
+    read from a caller's float-array slot. Under separate compilation a
+    float passed to another module is boxed; a link schedules each
+    serialization this way, so a transmission boxes none. *)
+
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Absolute-time variant; [time] must not precede [now] nor be NaN. *)
 
@@ -122,10 +129,10 @@ val pending : t -> int
 (** {1 Delay lines}
 
     A delay line is a FIFO of pending events that all run one handler,
-    like a link's packets in propagation. Only its oldest entry sits in
-    the event heap; the others wait in a ring. So a line holding a
-    thousand packets adds one heap entry, not a thousand, and a push
-    allocates no closure. Each pushed event fires exactly where
+    like a link's packets in propagation. Its entries wait in a ring,
+    and only the oldest one's event sits in the event heap. So a line
+    holding a thousand packets adds one heap entry, not a thousand, and
+    a push allocates no closure. Each pushed event fires exactly where
     [ignore (schedule sim ~delay (fun () -> handler x))] at push time
     would have fired it, same-instant ties included: the push takes the
     heap's next sequence number then ({!Event_heap.reserve}), and the
@@ -136,8 +143,9 @@ type 'a line
 val line : t -> empty:'a -> ('a -> unit) -> 'a line
 (** [line sim ~empty handler] creates an empty line whose events run
     [handler]. [empty] is never passed to [handler]: it fills the slots
-    of fired entries so the line keeps no reference to them. A line
-    that drains releases its storage. *)
+    of fired entries so the line keeps no reference to them. The ring
+    is allocated by the first push and doubles when full; a line that
+    drains keeps it for the next push. *)
 
 val push : 'a line -> delay:float -> 'a -> unit
 (** [push l ~delay x] runs [handler x] at [now + delay]. Pushes must

@@ -1,7 +1,9 @@
 type flow_state = {
   id : int;
-  queue : Packet.t Queue.t;
-  mutable deficit : float;
+  queue : Packet.t Ring.t;
+  deficit : float array;
+      (* one unboxed slot: a mutable float field in this mixed record
+         would box on every dequeue *)
   mutable queued_bytes : int;
   mutable active : bool;
   weight : float;
@@ -9,19 +11,28 @@ type flow_state = {
 
 let default_quantum = Ccsim_util.Units.mss + Ccsim_util.Units.header_bytes
 
+let fresh_flow_state id weight =
+  {
+    id;
+    queue = Ring.create ~filler:Packet.none;
+    deficit = [| 0.0 |];
+    queued_bytes = 0;
+    active = false;
+    weight;
+  }
+
 let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit_bytes)
     ?(weight_of_flow = fun _ -> 1.0) () =
   if quantum_bytes <= 0 then invalid_arg "Drr.create: quantum must be positive";
   if limit_bytes <= 0 then invalid_arg "Drr.create: limit must be positive";
   (* Per-flow state sits in an array indexed by flow id, as Dispatch's
      handlers do, so an enqueue finds it with one bounds check and one
-     load, with no hashing. Empty slots hold [absent], recognised by
-     physical equality. *)
-  let absent =
-    { id = -1; queue = Queue.create (); deficit = 0.0; queued_bytes = 0; active = false; weight = 1.0 }
-  in
+     load, with no hashing. [absent] fills the empty slots of that
+     array and of the round, and stands for "no flow" in [current]; it
+     is recognised by physical equality and never written. *)
+  let absent = fresh_flow_state (-1) 1.0 in
   let flows = ref (Array.make 16 absent) in
-  let active : flow_state Queue.t = Queue.create () in
+  let active = Ring.create ~filler:absent in
   let total_bytes = ref 0 in
   let total_packets = ref 0 in
   let stats = Qdisc.make_stats () in
@@ -41,9 +52,7 @@ let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit
       Array.blit !flows 0 grown 0 n;
       flows := grown
     end;
-    let fs =
-      { id = flow; queue = Queue.create (); deficit = 0.0; queued_bytes = 0; active = false; weight }
-    in
+    let fs = fresh_flow_state flow weight in
     !flows.(flow) <- fs;
     fs
   in
@@ -51,43 +60,34 @@ let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit
     let a = !flows in
     if flow >= 0 && flow < Array.length a && a.(flow) != absent then a.(flow) else add_flow flow
   in
-  (* [current] is the flow being served (see [dequeue] below). Every
-     backlogged flow is either [current] or waiting in [active]. *)
-  let current = ref None in
+  (* [current] is the flow being served (see [dequeue] below), [absent]
+     between turns. Every backlogged flow is either [current] or
+     waiting in [active]. *)
+  let current = ref absent in
   (* Longest-queue-drop: evict one packet from the fullest flow queue,
      the lowest flow id among equals, so the choice never depends on
-     round or hash order. *)
+     round order. *)
   let pick best fs =
-    match best with
-    | None -> if fs.queued_bytes > 0 then Some fs else None
-    | Some b ->
-        if fs.queued_bytes > b.queued_bytes || (fs.queued_bytes = b.queued_bytes && fs.id < b.id)
-        then Some fs
-        else best
+    if fs.queued_bytes = 0 then best
+    else if
+      best == absent
+      || fs.queued_bytes > best.queued_bytes
+      || (fs.queued_bytes = best.queued_bytes && fs.id < best.id)
+    then fs
+    else best
   in
   let drop_from_longest () =
-    let served = match !current with Some fs -> pick None fs | None -> None in
-    match Queue.fold pick served active with
-    | None -> ()
-    | Some fs -> (
-        (* Drop from the tail: rebuild the queue minus its last packet. *)
-        let n = Queue.length fs.queue in
-        if n > 0 then begin
-          let keep = Queue.create () in
-          for i = 1 to n do
-            let pkt = Queue.pop fs.queue in
-            if i < n then Queue.push pkt keep
-            else begin
-              fs.queued_bytes <- fs.queued_bytes - pkt.Packet.size_bytes;
-              total_bytes := !total_bytes - pkt.Packet.size_bytes;
-              decr total_packets;
-              Qdisc.drop stats pkt
-            end
-          done;
-          Queue.transfer keep fs.queue
-        end)
+    let fs = Ring.fold pick (pick absent !current) active in
+    if fs != absent then begin
+      (* Drop from the tail. *)
+      let pkt = Ring.pop_newest fs.queue in
+      fs.queued_bytes <- fs.queued_bytes - pkt.Packet.size_bytes;
+      total_bytes := !total_bytes - pkt.Packet.size_bytes;
+      decr total_packets;
+      Qdisc.drop stats pkt
+    end
   in
-  let enqueue (pkt : Packet.t) =
+  let[@ccsim.hot] enqueue (pkt : Packet.t) =
     let fs = flow_state pkt.flow in
     if !total_bytes + pkt.size_bytes > limit_bytes then drop_from_longest ();
     if !total_bytes + pkt.size_bytes > limit_bytes then begin
@@ -96,80 +96,73 @@ let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit
       false
     end
     else begin
-      Queue.push pkt fs.queue;
+      Ring.push fs.queue pkt;
       fs.queued_bytes <- fs.queued_bytes + pkt.size_bytes;
       total_bytes := !total_bytes + pkt.size_bytes;
       incr total_packets;
       stats.enqueued <- stats.enqueued + 1;
       if not fs.active then begin
         fs.active <- true;
-        fs.deficit <- 0.0;
-        Queue.push fs active
+        fs.deficit.(0) <- 0.0;
+        Ring.push active fs
       end;
       true
     end
+  in
+  let retire fs =
+    fs.active <- false;
+    fs.deficit.(0) <- 0.0;
+    current := absent
   in
   (* Classic DRR: when a flow reaches the head of the round it earns one
      quantum (scaled by its weight) and is served for as long as its
      deficit covers the head packet — across successive dequeue calls —
      before the round moves on. *)
-  let serve fs =
-    match Queue.pop fs.queue with
-    | pkt ->
-        fs.deficit <- fs.deficit -. float_of_int pkt.Packet.size_bytes;
-        fs.queued_bytes <- fs.queued_bytes - pkt.size_bytes;
-        total_bytes := !total_bytes - pkt.size_bytes;
-        decr total_packets;
-        stats.dequeued <- stats.dequeued + 1;
-        if Queue.is_empty fs.queue then begin
-          fs.active <- false;
-          fs.deficit <- 0.0;
-          current := None
-        end;
-        pkt
+  let[@ccsim.hot] serve fs =
+    let pkt = Ring.pop fs.queue in
+    fs.deficit.(0) <- fs.deficit.(0) -. float_of_int pkt.Packet.size_bytes;
+    fs.queued_bytes <- fs.queued_bytes - pkt.size_bytes;
+    total_bytes := !total_bytes - pkt.size_bytes;
+    decr total_packets;
+    stats.dequeued <- stats.dequeued + 1;
+    if Ring.is_empty fs.queue then retire fs;
+    pkt
   in
-  let rec dequeue () =
+  let[@ccsim.hot] rec dequeue () =
+    let fs = !current in
     if !total_packets = 0 then begin
       (* A drop can empty the served flow's queue; retire it from the
          round here too, or a later arrival would find it marked active
          yet in no round. *)
-      (match !current with
-      | Some fs ->
-          fs.active <- false;
-          fs.deficit <- 0.0
-      | None -> ());
-      current := None;
-      None
+      if fs != absent then retire fs;
+      Packet.none
+    end
+    else if fs != absent then begin
+      let head = Ring.peek fs.queue in
+      if head == Packet.none then begin
+        retire fs;
+        dequeue ()
+      end
+      else if float_of_int head.Packet.size_bytes <= fs.deficit.(0) then serve fs
+      else begin
+        (* Deficit exhausted: back of the round, keep the residue. *)
+        Ring.push active fs;
+        current := absent;
+        dequeue ()
+      end
     end
     else begin
-      match !current with
-      | Some fs -> (
-          match Queue.peek_opt fs.queue with
-          | Some pkt when float_of_int pkt.Packet.size_bytes <= fs.deficit ->
-              Some (serve fs)
-          | Some _ ->
-              (* Deficit exhausted: back of the round, keep the residue. *)
-              Queue.push fs active;
-              current := None;
-              dequeue ()
-          | None ->
-              fs.active <- false;
-              fs.deficit <- 0.0;
-              current := None;
-              dequeue ())
-      | None -> (
-          match Queue.take_opt active with
-          | None -> None
-          | Some fs ->
-              if Queue.is_empty fs.queue then begin
-                fs.active <- false;
-                dequeue ()
-              end
-              else begin
-                fs.deficit <- fs.deficit +. (float_of_int quantum_bytes *. fs.weight);
-                current := Some fs;
-                dequeue ()
-              end)
+      let fs = Ring.pop active in
+      if fs == absent then Packet.none
+      else if Ring.is_empty fs.queue then begin
+        fs.active <- false;
+        dequeue ()
+      end
+      else begin
+        fs.deficit.(0) <- fs.deficit.(0) +. (float_of_int quantum_bytes *. fs.weight);
+        current := fs;
+        dequeue ()
+      end
     end
   in
   {

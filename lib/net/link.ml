@@ -1,9 +1,10 @@
 (* A link serializes one packet at a time and delivers each one
    propagation delay after its serialization completes.
 
-   The fault-free per-packet path allocates no event closure. The
+   The fault-free per-packet path allocates nothing. The
    serialization-complete event is one callback per link ([tx_done]),
-   which reads the packet from the [on_wire] field. Every delivery at
+   which reads the packet from the [on_wire] field and is scheduled
+   from the [tx_time] slot, so no float is boxed. Every delivery at
    the base delay is pushed into the link's delay line ([arrivals],
    [Ccsim_engine.Sim.line]): deliveries leave in time order, so only the
    oldest packet in propagation sits in the event heap, and each one
@@ -110,26 +111,6 @@ let check_probability ~what p =
    event loop. *)
 let min_residual_frac = 0.01
 
-(* [on_wire]'s value while nothing serializes, and the delay line's
-   filler. Built as a literal, not by [Packet.data], so it mints no uid:
-   uids decide span sampling, and a link must not shift them. *)
-let idle : Packet.t =
-  {
-    uid = 0;
-    flow = -1;
-    kind = Packet.Data;
-    size_bytes = 0;
-    seq = 0;
-    payload_bytes = 0;
-    ack = 0;
-    sent_at = 0.0;
-    echo = 0.0;
-    retx = false;
-    rwnd = 0;
-    sacks = [];
-    sampled = false;
-  }
-
 type t = {
   sim : Ccsim_engine.Sim.t;
   name : string;  (* hop label in lifecycle spans *)
@@ -139,13 +120,17 @@ type t = {
   qdisc : Qdisc.t;
   sink : Packet.t -> unit;
   mutable busy : bool;
-  mutable on_wire : Packet.t;  (* the packet serializing, [idle] when none is *)
+  mutable on_wire : Packet.t;  (* the packet serializing, [Packet.none] when none is *)
   tx_done : unit -> unit;  (* the serialization-complete event, allocated once *)
   arrive : Packet.t -> unit;  (* end of propagation: the sink, spans noted *)
   arrivals : Packet.t Ccsim_engine.Sim.line;  (* packets propagating at the base delay *)
   busy_seconds : float array;
       (* one unboxed slot: a mutable float field in this mixed record
          would box on every per-packet accumulation *)
+  tx_time : float array;
+      (* [|serialization time of the packet on the wire|]: the heap
+         reads the delay from this slot, so no float is boxed per
+         transmission *)
   mutable bytes_delivered : int;
   obs : obs;
   profile : Obs.Profile.t option;
@@ -235,37 +220,38 @@ let[@ccsim.hot] rec transmit_next t =
   let down = match t.imp with Some imp -> imp.down | None -> false in
   if down then t.busy <- false
   else
-    match t.qdisc.Qdisc.dequeue () with
-    | None -> t.busy <- false
-    | Some pkt ->
-        t.busy <- true;
-        (match t.profile with
-        | Some p -> Obs.Profile.note_pkt_dequeued p
-        | None -> ());
-        let effective_bps =
-          Float.max (min_residual_frac *. t.rate_bps) (t.rate_bps -. t.cross_bps)
-        in
-        let tx_time =
-          Ccsim_util.Units.seconds_to_transmit ~size_bytes:pkt.Packet.size_bytes
-            ~rate_bps:effective_bps
-        in
-        t.busy_seconds.(0) <- t.busy_seconds.(0) +. tx_time;
-        (match t.flow_busy with
-        | Some tbl -> Ccsim_util.Int_table.add_to tbl pkt.Packet.flow tx_time
-        | None -> ());
-        (match t.wd with
-        | Some wd ->
-            wd.tx_started_pkts <- wd.tx_started_pkts + 1;
-            wd.tx_started_bytes <- wd.tx_started_bytes + pkt.Packet.size_bytes
-        | None -> ());
-        t.on_wire <- pkt;
-        ignore (Ccsim_engine.Sim.schedule t.sim ~delay:tx_time t.tx_done)
+    let pkt = t.qdisc.Qdisc.dequeue () in
+    if pkt == Packet.none then t.busy <- false
+    else begin
+      t.busy <- true;
+      (match t.profile with
+      | Some p -> Obs.Profile.note_pkt_dequeued p
+      | None -> ());
+      let effective_bps =
+        Float.max (min_residual_frac *. t.rate_bps) (t.rate_bps -. t.cross_bps)
+      in
+      (* Serialization time, computed straight into the slot so it is
+         never boxed. *)
+      if effective_bps <= 0.0 then invalid_arg "Link: rate must be positive";
+      t.tx_time.(0) <- 8.0 *. float_of_int pkt.Packet.size_bytes /. effective_bps;
+      t.busy_seconds.(0) <- t.busy_seconds.(0) +. t.tx_time.(0);
+      (match t.flow_busy with
+      | Some tbl -> Ccsim_util.Int_table.add_to tbl pkt.Packet.flow t.tx_time.(0)
+      | None -> ());
+      (match t.wd with
+      | Some wd ->
+          wd.tx_started_pkts <- wd.tx_started_pkts + 1;
+          wd.tx_started_bytes <- wd.tx_started_bytes + pkt.Packet.size_bytes
+      | None -> ());
+      t.on_wire <- pkt;
+      ignore (Ccsim_engine.Sim.schedule_in t.sim t.tx_time t.tx_done)
+    end
 
 (* Serialization complete: the packet on the wire is delivered (or
    meets its wire fault) and the next one starts. *)
 and[@ccsim.hot] complete_tx t =
   let pkt = t.on_wire in
-  t.on_wire <- idle;
+  t.on_wire <- Packet.none;
   Ccsim_engine.Sim.set_component t.sim Obs.Profile.Link;
   span_note_tx t pkt;
   (match t.imp with
@@ -435,11 +421,12 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
       qdisc;
       sink;
       busy = false;
-      on_wire = idle;
+      on_wire = Packet.none;
       tx_done = (fun () -> complete_tx t);
       arrive;
-      arrivals = Ccsim_engine.Sim.line sim ~empty:idle arrive;
+      arrivals = Ccsim_engine.Sim.line sim ~empty:Packet.none arrive;
       busy_seconds = Array.make 1 0.0;
+      tx_time = Array.make 1 0.0;
       bytes_delivered = 0;
       obs;
       profile = scope.Obs.Scope.profile;

@@ -16,6 +16,25 @@ type t = {
   sampled : bool;
 }
 
+(* A literal, not built by [data], so it mints no uid: uids decide span
+   sampling, and a qdisc or link must not shift them. *)
+let none =
+  {
+    uid = 0;
+    flow = -1;
+    kind = Data;
+    size_bytes = 0;
+    seq = 0;
+    payload_bytes = 0;
+    ack = 0;
+    sent_at = 0.0;
+    echo = 0.0;
+    retx = false;
+    rwnd = 0;
+    sacks = [];
+    sampled = false;
+  }
+
 (* Atomic so scenarios running on sibling domains (Ccsim_runner pools)
    still get unique uids. uids never influence simulation behaviour —
    they exist for tracing only. *)
@@ -32,8 +51,8 @@ let sampled_uid uid =
   | None -> false
   | Some s -> Ccsim_obs.Span.hit s ~uid
 
-let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_bytes) ?(retx = false)
-    ~sent_at () =
+let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_bytes) ~retx ~sent_at
+    () =
   if payload_bytes <= 0 then invalid_arg "Packet.data: payload must be positive";
   let uid = fresh_uid () in
   {
@@ -52,8 +71,7 @@ let data ~flow ~seq ~payload_bytes ?(header_bytes = Ccsim_util.Units.header_byte
     sampled = sampled_uid uid;
   }
 
-let ack ~flow ~ack ?(echo = 0.0) ?(for_retx = false) ?(rwnd = max_int)
-    ?(sacks = []) ~sent_at () =
+let ack ~flow ~ack ~echo ~for_retx ~rwnd ~sacks ~sent_at =
   let uid = fresh_uid () in
   {
     uid;

@@ -27,27 +27,33 @@ type t = {
           are off). Tracing only — never influences behaviour. *)
 }
 
+val none : t
+(** The "no packet" value: what an empty qdisc's dequeue returns, what a
+    link holds while nothing serializes, and the filler of packet rings.
+    Test for it with [==]. It is a literal, so it takes no uid. *)
+
 val data :
   flow:int ->
   seq:int ->
   payload_bytes:int ->
   ?header_bytes:(int [@ccsim.test_only "tests build header-free packets with it"]) ->
-  ?retx:bool ->
+  retx:bool ->
   sent_at:float ->
   unit ->
   t
 (** Fresh data segment; wire size is payload + header (default
-    {!Ccsim_util.Units.header_bytes}). *)
+    {!Ccsim_util.Units.header_bytes}). The payload must be positive.
+    Every other argument is required: an optional argument a caller
+    passes costs a [Some] per packet. *)
 
 val ack :
   flow:int ->
   ack:int ->
-  ?echo:float ->
-  ?for_retx:bool ->
-  ?rwnd:int ->
-  ?sacks:(int * int) list ->
+  echo:float ->
+  for_retx:bool ->
+  rwnd:int ->
+  sacks:(int * int) list ->
   sent_at:float ->
-  unit ->
   t
 (** Pure ack, 64 bytes on the wire. [for_retx] echoes whether the
     acked segment was a retransmission. *)

@@ -12,7 +12,7 @@ type stats = {
 type t = {
   name : string;
   enqueue : Packet.t -> bool;
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;
   backlog_bytes : unit -> int;
   backlog_packets : unit -> int;
   set_cross_backlog : int -> unit;
@@ -57,12 +57,13 @@ let flow_drops stats ~flow =
    senders (they were in flight, never acked). *)
 let flush t =
   let rec drain n =
-    match t.dequeue () with
-    | None -> n
-    | Some pkt ->
-        t.stats.dequeued <- t.stats.dequeued - 1;
-        drop t.stats pkt;
-        drain (n + 1)
+    let pkt = t.dequeue () in
+    if pkt == Packet.none then n
+    else begin
+      t.stats.dequeued <- t.stats.dequeued - 1;
+      drop t.stats pkt;
+      drain (n + 1)
+    end
   in
   drain 0
 

@@ -4,11 +4,17 @@
     Implementations (drop-tail FIFO, DRR fair queueing) are records of
     closures so links can hold any discipline without functor plumbing.
 
-    Invariant every implementation must satisfy: [dequeue] returns
-    [Some _] exactly when [backlog_packets () > 0]. Rate-limiting
-    elements (token-bucket shapers, policers) intentionally violate this
-    and therefore live outside the qdisc interface, as standalone path
-    elements ({!Shaper}, {!Policer}). *)
+    Invariant every implementation must satisfy: [dequeue] returns a
+    packet exactly when [backlog_packets () > 0], and {!Packet.none}
+    otherwise. Rate-limiting elements (token-bucket shapers, policers)
+    intentionally violate this and therefore live outside the qdisc
+    interface, as standalone path elements ({!Shaper}, {!Policer}).
+
+    A packet's hop through a qdisc allocates nothing. The disciplines
+    here hold their backlog in {!Ring}s, which overwrite each dequeued
+    slot, so a packet that left is never kept alive (and so never
+    promoted by the collector) through its queue; and an empty qdisc
+    answers with the one {!Packet.none} rather than an option. *)
 
 type stats = {
   mutable enqueued : int;
@@ -24,7 +30,7 @@ type stats = {
 type t = {
   name : string;
   enqueue : Packet.t -> bool;  (** false = packet dropped *)
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;  (** {!Packet.none} when empty; test with [==] *)
   backlog_bytes : unit -> int;
   backlog_packets : unit -> int;
   set_cross_backlog : int -> unit;

@@ -110,25 +110,24 @@ let instrument ?metrics ?recorder ?span ?(hop = "link") ~now (q : Qdisc.t) : Qdi
       in
       let[@ccsim.hot] dequeue () =
         let dropped_before = q.stats.dropped in
-        let result = q.dequeue () in
-        (match result with
-        | Some pkt -> (
-            Option.iter Obs.Metrics.inc m_deq;
-            span_dequeue span ~hop ~now pkt;
-            match m_sojourn with
-            | Some h ->
-                (* Enqueue times are simulated clock readings, never NaN. *)
-                let t0 = Ccsim_util.Int_table.find enq_times pkt.Packet.uid ~default:Float.nan in
-                if not (Float.is_nan t0) then begin
-                  Ccsim_util.Int_table.remove enq_times pkt.Packet.uid;
-                  Obs.Metrics.observe h (now () -. t0)
-                end
-            | None -> ())
-        | None -> ());
+        let pkt = q.dequeue () in
+        if pkt != Packet.none then begin
+          Option.iter Obs.Metrics.inc m_deq;
+          span_dequeue span ~hop ~now pkt;
+          match m_sojourn with
+          | Some h ->
+              (* Enqueue times are simulated clock readings, never NaN. *)
+              let t0 = Ccsim_util.Int_table.find enq_times pkt.Packet.uid ~default:Float.nan in
+              if not (Float.is_nan t0) then begin
+                Ccsim_util.Int_table.remove enq_times pkt.Packet.uid;
+                Obs.Metrics.observe h (now () -. t0)
+              end
+          | None -> ()
+        end;
         let internal = q.stats.dropped - dropped_before in
         if internal > 0 then internal_drops internal;
         compact_enq_times ();
         update_backlog ();
-        result
+        pkt
       in
       { q with enqueue; dequeue }

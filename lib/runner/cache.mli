@@ -8,7 +8,8 @@
     defaults to [_ccsim_cache/] in the working directory; set
     [CCSIM_CACHE_DIR] to relocate it. Stores are atomic (temp file +
     rename), so concurrent pool workers and even concurrent ccsim
-    processes can share a cache safely. *)
+    processes can share a cache safely. Each entry carries a digest of
+    its content, and an entry that does not match it is never served. *)
 
 type t
 
@@ -30,10 +31,20 @@ val mkdir_p : string -> unit
 
 val find : t -> string -> string option
 (** Cached output for a job digest stored by this executable, if
-    present. *)
+    present. An entry whose content does not match its stored digest
+    (truncated, or changed on disk) is a miss and is deleted, so the
+    job runs again. *)
 
 val store : t -> digest:string -> string -> unit
-(** Persist a job's output under its digest and this executable's. *)
+(** Persist a job's output under its digest and this executable's.
+    A store that fails to write (a full disk, a file-size limit)
+    removes its temporary file, stores nothing and raises nothing: the
+    job's output stands, uncached. *)
+
+val tmp_path : t -> digest:string -> string
+[@@ccsim.test_only "tests plant a file where a store writes"]
+(** The temporary file {!store} writes before renaming it into place,
+    from this process and domain. *)
 
 val clear : t -> unit [@@ccsim.test_only "tests empty a temporary cache with it"]
 (** Remove every entry (the directory itself stays). *)

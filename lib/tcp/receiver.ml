@@ -152,7 +152,7 @@ let send_ack t ~echo ~for_retx =
   (match t.m_acks with Some c -> Ccsim_obs.Metrics.inc c | None -> ());
   t.ack_path
     (Packet.ack ~flow:t.flow ~ack:t.rcv_nxt ~echo ~for_retx ~rwnd ~sacks
-       ~sent_at:(Sim.now t.sim) ())
+       ~sent_at:(Sim.now t.sim))
 
 let handle_data t (pkt : Packet.t) =
   if Packet.is_data pkt then begin

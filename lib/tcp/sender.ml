@@ -91,9 +91,11 @@ let min_rtt t = Rtt_estimator.min_rtt t.rtt
 
 (* --- limited-state accounting ------------------------------------------- *)
 
+(* The clock is read only on a change of state: [Sim.now]'s result is
+   boxed, and most calls change nothing. *)
 let[@ccsim.hot] account_limited t state =
-  let now = Sim.now t.sim in
   if state <> t.limited_state then begin
+    let now = Sim.now t.sim in
     (match (state, t.m_cwnd_limited) with
     | Cwnd, Some c -> Obs.Metrics.inc c
     | _ -> ());
@@ -152,8 +154,7 @@ let[@ccsim.hot] transmit t ~now ~seq ~len ~is_retx =
   t.pace_next.(0) <- Float.max now t.pace_next.(0) +. pacing_delay t len;
   t.cca.Cca.on_send ~now ~bytes:len;
   (t.path (Packet.data ~flow:t.flow ~seq ~payload_bytes:len ~retx:is_retx ~sent_at:now ())
-  [@ccsim.alloc_ok
-    "packet construction: one record (plus optional-argument wrappers) per transmitted packet"])
+  [@ccsim.alloc_ok "packet construction: one record per transmitted packet"])
 
 (* Re-arming moves the pending RTO event to its new deadline under a
    fresh sequence number, the (time, seq) position a cancel then schedule

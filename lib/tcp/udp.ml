@@ -18,7 +18,8 @@ module Source = struct
       let len = min Ccsim_util.Units.mss !remaining in
       remaining := !remaining - len;
       let pkt =
-        Packet.data ~flow:t.flow ~seq:t.next_seq ~payload_bytes:len ~sent_at:(Sim.now t.sim) ()
+        Packet.data ~flow:t.flow ~seq:t.next_seq ~payload_bytes:len ~retx:false
+          ~sent_at:(Sim.now t.sim) ()
       in
       t.next_seq <- t.next_seq + len;
       t.path pkt

@@ -8,10 +8,6 @@ let ms x = x /. 1e3
 let us x = x /. 1e6
 let to_ms t = t *. 1e3
 
-let seconds_to_transmit ~size_bytes ~rate_bps =
-  if rate_bps <= 0.0 then invalid_arg "Units.seconds_to_transmit: rate must be positive";
-  bits_of_bytes size_bytes /. rate_bps
-
 let bdp_bytes ~rate_bps ~rtt_s = bytes_of_bits (rate_bps *. rtt_s)
 
 let bdp_packets ~rate_bps ~rtt_s ~mss =

@@ -33,10 +33,6 @@ val us : float -> float [@@ccsim.test_only "unit conversion the tests state thei
 val to_ms : float -> float [@@ccsim.test_only "unit conversion the tests state their setups in"]
 (** [to_ms t] converts seconds to milliseconds. *)
 
-val seconds_to_transmit : size_bytes:int -> rate_bps:float -> float
-(** Serialization delay of a packet of [size_bytes] on a link of
-    [rate_bps]. Raises [Invalid_argument] if the rate is not positive. *)
-
 val bdp_bytes : rate_bps:float -> rtt_s:float -> int
 (** Bandwidth-delay product in bytes. *)
 

@@ -113,14 +113,14 @@ let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit
   let rec dequeue () =
     if !total_packets = 0 then begin
       current := None;
-      None
+      Packet.none
     end
     else begin
       match !current with
       | Some fs -> (
           match Queue.peek_opt fs.queue with
           | Some pkt when float_of_int pkt.Packet.size_bytes <= fs.deficit ->
-              Some (serve fs)
+              serve fs
           | Some _ ->
               (* Deficit exhausted: back of the round, keep the residue. *)
               Queue.push fs active;
@@ -133,7 +133,7 @@ let create ?(quantum_bytes = default_quantum) ?(limit_bytes = Fifo.default_limit
               dequeue ())
       | None -> (
           match Queue.take_opt active with
-          | None -> None
+          | None -> Packet.none
           | Some fs ->
               if Queue.is_empty fs.queue then begin
                 fs.active <- false;

@@ -123,8 +123,12 @@ type heap_op =
   | Add of float * float
   | Cancel of int
   | Reschedule of int * float * float
+  | Cancel_popped
+  | Reschedule_popped of float * float
   | Pop
   | Due of float
+  | Peek
+  | Size
   | Reserve of float
   | Add_reserved of int
 
@@ -132,8 +136,12 @@ let show_heap_op = function
   | Add (c, d) -> Printf.sprintf "add %g+%g" c d
   | Cancel k -> Printf.sprintf "cancel #%d" k
   | Reschedule (k, c, d) -> Printf.sprintf "reschedule #%d %g+%g" k c d
+  | Cancel_popped -> "cancel popped"
+  | Reschedule_popped (c, d) -> Printf.sprintf "reschedule popped %g+%g" c d
   | Pop -> "pop"
   | Due u -> Printf.sprintf "due by %g" u
+  | Peek -> "peek"
+  | Size -> "size"
   | Reserve t -> Printf.sprintf "reserve %g" t
   | Add_reserved k -> Printf.sprintf "add reserved ~%d" k
 
@@ -143,7 +151,10 @@ let show_heap_op = function
    be NaN (-inf + inf) gets a zero delay. Handle indices are reduced
    modulo the handles issued so far, so cancels and reschedules often
    name events that already fired or were cancelled, whose storage a
-   later add has usually reused. *)
+   later add has usually reused. A pop is often followed by what an
+   event's callback does before the next pop (adds, reservations,
+   cancels and reschedules, of the handle just popped too, and size
+   reads), so those meet the root the pop left empty. *)
 let heap_trace =
   let open QCheck.Gen in
   let time =
@@ -160,29 +171,42 @@ let heap_trace =
       time
       (oneofl [ 0.0; 0.0; 0.25; 1.0; infinity ])
   in
-  let op =
+  let callback_op =
     frequency
       [
         (4, map (fun (c, d) -> Add (c, d)) clock_delay);
         (2, map (fun k -> Cancel k) nat);
         (2, map2 (fun k (c, d) -> Reschedule (k, c, d)) nat clock_delay);
-        (3, return Pop);
-        (1, map (fun u -> Due u) time);
-        (2, map (fun t -> Reserve t) time);
-        (2, map (fun k -> Add_reserved k) nat);
+        (1, return Cancel_popped);
+        (2, map (fun (c, d) -> Reschedule_popped (c, d)) clock_delay);
+        (1, return Size);
+        (1, map (fun t -> Reserve t) time);
+        (1, map (fun k -> Add_reserved k) nat);
       ]
   in
-  list_size (int_range 0 300) op
+  let chunk =
+    frequency
+      [
+        (4, map (fun op -> [ op ]) callback_op);
+        (4, map (fun ops -> Pop :: ops) (list_size (int_range 0 4) callback_op));
+        (1, map (fun u -> [ Due u ]) time);
+        (1, return [ Peek ]);
+        (1, map (fun t -> [ Reserve t ]) time);
+      ]
+  in
+  map List.concat (list_size (int_range 0 120) chunk)
 
 (* Run [ops] through the indexed heap, by the entry points [Sim] uses,
    and the reference side by side (the reference re-arms by cancel then
-   add); after every step the popped event and the time [pop_exn]
-   stored in the clock slot, size, next time, [due], and every handle's
-   [cancelled] agree. A reservation is the reference's add at reserve
-   time; the indexed heap adds it later, by [add_reserved] from a slot
-   in any order, and at the latest before the next pop or [due], as a
-   delay line does, so the two agree on every pop while sizes differ by
-   the reservations outstanding. *)
+   add). After every step the popped event and the time [pop_exn]
+   stored in the clock slot, the size and every handle's [cancelled]
+   agree; none of these reads closes the root a pop left empty, so the
+   size is compared with that hole pending. [Peek] and [Due] compare
+   the next time and [due]. A reservation is the reference's add at
+   reserve time; the indexed heap adds it later, by [add_reserved] from
+   a slot in any order, and at the latest before the next pop, peek or
+   [due], as a delay line does, so the two agree on every pop while
+   sizes differ by the reservations outstanding. *)
 let heaps_agree ops =
   let fast = Event_heap.create () and slow = Ref_heap.create () in
   let clock = [| nan |] in
@@ -193,7 +217,13 @@ let heaps_agree ops =
     id
   in
   let handles = ref [| (Event_heap.none, slow_none) |] in
-  let issue pair = handles := Array.append !handles [| pair |] in
+  (* Handle index by payload, so a pop names the handle it fired. *)
+  let index_of = Hashtbl.create 64 in
+  let last_popped = ref 0 in
+  let issue p pair =
+    handles := Array.append !handles [| pair |];
+    Hashtbl.replace index_of p (Array.length !handles - 1)
+  in
   let payload = ref 0 in
   let fresh () =
     incr payload;
@@ -202,7 +232,7 @@ let heaps_agree ops =
   let same_time a b = Float.equal a b in
   let add_reserved (time, seq, p, s) =
     let f = Event_heap.add_reserved fast [| nan; time |] 1 ~seq p in
-    issue (f, s)
+    issue p (f, s)
   in
   let pop_fast () =
     match Event_heap.pop_exn fast clock with
@@ -212,6 +242,29 @@ let heaps_agree ops =
   let flush () =
     List.iter add_reserved (List.rev !reserved);
     reserved := []
+  in
+  let cancel i =
+    let f, s = !handles.(i) in
+    Event_heap.cancel fast f;
+    Ref_heap.cancel slow s;
+    true
+  in
+  let reschedule i c delay =
+    let f, s = !handles.(i) in
+    let was_pending = not (Ref_heap.cancelled s) in
+    let p = fresh () in
+    let f' = Event_heap.reschedule fast f [| c |] ~delay p in
+    Ref_heap.cancel slow s;
+    let s' = Ref_heap.add slow ~time:(c +. delay) p in
+    if was_pending then begin
+      !handles.(i) <- (f', s');
+      Hashtbl.replace index_of p i;
+      f' == f
+    end
+    else begin
+      issue p (f', s');
+      true
+    end
   in
   let step op =
     let popped_agree =
@@ -232,52 +285,38 @@ let heaps_agree ops =
       | Add (c, delay) ->
           let p = fresh () in
           let f = Event_heap.add fast [| c |] ~delay p in
-          issue (f, Ref_heap.add slow ~time:(c +. delay) p);
+          issue p (f, Ref_heap.add slow ~time:(c +. delay) p);
           true
-      | Cancel k ->
-          let f, s = !handles.(k mod Array.length !handles) in
-          Event_heap.cancel fast f;
-          Ref_heap.cancel slow s;
-          true
-      | Reschedule (k, c, delay) ->
-          let i = k mod Array.length !handles in
-          let f, s = !handles.(i) in
-          let was_pending = not (Ref_heap.cancelled s) in
-          let p = fresh () in
-          let f' = Event_heap.reschedule fast f [| c |] ~delay p in
-          Ref_heap.cancel slow s;
-          let s' = Ref_heap.add slow ~time:(c +. delay) p in
-          if was_pending then begin
-            !handles.(i) <- (f', s');
-            f' == f
-          end
-          else begin
-            issue (f', s');
-            true
-          end
+      | Cancel k -> cancel (k mod Array.length !handles)
+      | Reschedule (k, c, delay) -> reschedule (k mod Array.length !handles) c delay
+      | Cancel_popped -> cancel !last_popped
+      | Reschedule_popped (c, delay) -> reschedule !last_popped c delay
+      | Size -> true
       | Pop -> (
           flush ();
           let before = clock.(0) in
           match (pop_fast (), Ref_heap.pop slow) with
           | None, None -> same_time clock.(0) before
-          | Some (ta, pa), Some (tb, pb) -> same_time ta tb && pa = pb
+          | Some (ta, pa), Some (tb, pb) ->
+              last_popped := Option.value (Hashtbl.find_opt index_of pa) ~default:0;
+              same_time ta tb && pa = pb
           | Some _, None | None, Some _ -> false)
       | Due until ->
           flush ();
           Bool.equal (Event_heap.due fast ~until)
             ((not (Ref_heap.is_empty slow)) && Ref_heap.next_time slow <= until)
-    in
-    let outstanding = List.length !reserved in
-    popped_agree
-    && Event_heap.size fast + outstanding = Ref_heap.size slow
-    && (outstanding > 0
-       || (match (Event_heap.peek_time fast, Ref_heap.peek_time slow) with
+      | Peek -> (
+          flush ();
+          (match (Event_heap.peek_time fast, Ref_heap.peek_time slow) with
           | None, None -> true
           | Some ta, Some tb -> same_time ta tb
           | Some _, None | None, Some _ -> false)
           && Bool.equal
                (Event_heap.due fast ~until:(Ref_heap.next_time slow))
                (not (Ref_heap.is_empty slow)))
+    in
+    popped_agree
+    && Event_heap.size fast + List.length !reserved = Ref_heap.size slow
     && Array.for_all
          (fun (f, s) -> Bool.equal (Event_heap.cancelled fast f) (Ref_heap.cancelled s))
          !handles

@@ -99,7 +99,7 @@ let test_ambient_arming () =
 (* --- link impairment primitives --------------------------------------- *)
 
 let data ?(flow = 1) ?(size = 1000) ?(seq = 0) () =
-  Packet.data ~flow ~seq ~payload_bytes:size ~header_bytes:0 ~sent_at:0.0 ()
+  Packet.data ~flow ~seq ~payload_bytes:size ~header_bytes:0 ~retx:false ~sent_at:0.0 ()
 
 (* 1000 B/s link: one 1000 B packet per second of serialization. *)
 let mk_link ?(rate_bps = 8_000.0) ?(delay_s = 0.001) sim ~sink =

@@ -407,7 +407,7 @@ let test_link_cross_rate_validation () =
 
 let test_fifo_cross_backlog () =
   let q = Net.Fifo.create ~limit_bytes:10_000 () in
-  let data seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1448 ~sent_at:0.0 () in
+  let data seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1448 ~retx:false ~sent_at:0.0 () in
   q.Net.Qdisc.set_cross_backlog 9_000;
   Alcotest.(check bool) "cross backlog counts against the limit" false
     (q.Net.Qdisc.enqueue (data 0));

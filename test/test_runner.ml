@@ -68,6 +68,49 @@ let test_cache_hit_skips_execution () =
   Alcotest.(check int) "thunk ran once" 1 !executions;
   Alcotest.(check string) "identical rows from cache" first.(0).output second.(0).output
 
+(* A store whose write fails leaves nothing behind: here its temporary
+   file is a symlink to /dev/full, so the flush at close fails. The
+   job's rows are never served from a partial entry. *)
+let test_cache_failed_store_leaves_no_entry () =
+  with_tmp_cache @@ fun cache ->
+  let digest = "badd15c0" in
+  let tmp = R.Cache.tmp_path cache ~digest in
+  Unix.symlink "/dev/full" tmp;
+  R.Cache.store cache ~digest "rows that never reach the disk\n";
+  Alcotest.(check (option string)) "no entry" None (R.Cache.find cache digest);
+  Alcotest.(check bool) "temporary file removed" false
+    (match Unix.lstat tmp with _ -> true | exception Unix.Unix_error _ -> false)
+
+(* An entry with one byte changed on disk fails its digest: the job
+   runs again, and its fresh entry is served after that. *)
+let test_cache_corrupt_entry_recomputed () =
+  with_tmp_cache @@ fun cache ->
+  let executions = ref 0 in
+  let mk () =
+    R.Job.make ~name:"counted" ~digest:"c0ffee00" (fun () ->
+        incr executions;
+        "expensive rows\n")
+  in
+  let first = R.Pool.run ~jobs:1 ~cache [ mk () ] in
+  let dir = Filename.dirname (R.Cache.tmp_path cache ~digest:"c0ffee00") in
+  let entry =
+    match List.filter (fun f -> Filename.check_suffix f ".out") (Array.to_list (Sys.readdir dir)) with
+    | [ f ] -> Filename.concat dir f
+    | l -> Alcotest.failf "expected one entry, found %d" (List.length l)
+  in
+  let bytes = In_channel.with_open_bin entry In_channel.input_all |> Bytes.of_string in
+  let i = Bytes.length bytes - 2 in
+  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 1));
+  Out_channel.with_open_bin entry (fun oc -> Out_channel.output_bytes oc bytes);
+  let second = R.Pool.run ~jobs:1 ~cache [ mk () ] in
+  let third = R.Pool.run ~jobs:1 ~cache [ mk () ] in
+  Alcotest.(check bool) "first run misses" false first.(0).cache_hit;
+  Alcotest.(check bool) "the changed entry misses" false second.(0).cache_hit;
+  Alcotest.(check int) "so the job ran again" 2 !executions;
+  Alcotest.(check string) "with the same rows" first.(0).output second.(0).output;
+  Alcotest.(check bool) "and its new entry hits" true third.(0).cache_hit;
+  Alcotest.(check string) "with those rows" first.(0).output third.(0).output
+
 let test_failures_not_cached () =
   with_tmp_cache @@ fun cache ->
   let attempts = ref 0 in
@@ -213,6 +256,8 @@ let suite =
     ("cache: second run hits without re-executing", `Quick, test_cache_hit_skips_execution);
     ("cache: failures are not cached", `Quick, test_failures_not_cached);
     ("cache: keyed by the executable's code identity", `Quick, test_cache_keyed_by_code_identity);
+    ("cache: a failed store leaves no entry", `Quick, test_cache_failed_store_leaves_no_entry);
+    ("cache: a changed entry is recomputed", `Quick, test_cache_corrupt_entry_recomputed);
     ("job: digest is canonical and parameter-sensitive", `Quick, test_digest_stability);
     ("sweep: cross product order and labels", `Quick, test_sweep_points);
     ("telemetry: exit codes 0/1", `Quick, test_telemetry_exit_codes);

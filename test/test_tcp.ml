@@ -255,10 +255,12 @@ let test_pacing_respected () =
    creation as the RTO's is, not a closure of its own. A fixed-rate
    sender whose packets vanish takes one stall per segment, with no ack
    and no RTO inside the measured window (the first RTO is due at 1 s).
-   Each stall, its segment and the event loop allocate 28.0 words,
-   process-wide, in the dev profile. A closure per stall made it 33.0
-   (39.0 while the loop and the event's time also boxed floats), so
-   the bound fails on the closure alone. *)
+   Each stall, its segment and the event loop allocate 26.0 words,
+   process-wide, in the dev profile (28.0 while the segment's
+   retransmission flag went in as an optional argument). A closure per
+   stall adds 5 words (33.0 against 28.0; 39.0 while the loop and the
+   event's time also boxed floats), so the bound fails on the closure
+   alone. *)
 let test_pacing_stall_allocation () =
   let sim = Sim.create () in
   let cca = Ccsim_cca.Cca.fixed_rate ~rate_bps:1.2e8 in
@@ -306,7 +308,7 @@ let test_receiver_out_of_order_reassembly () =
   let receiver =
     Tcp.Receiver.create sim ~flow:0 ~ack_path:(fun pkt -> acks := pkt.Net.Packet.ack :: !acks) ()
   in
-  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~sent_at:0.0 () in
+  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~retx:false ~sent_at:0.0 () in
   Tcp.Receiver.handle_data receiver (seg 0);
   Tcp.Receiver.handle_data receiver (seg 2000);
   (* hole at 1000 *)
@@ -322,7 +324,7 @@ let test_receiver_sack_blocks () =
       ~ack_path:(fun pkt -> sacks := pkt.Net.Packet.sacks :: !sacks)
       ()
   in
-  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~sent_at:0.0 () in
+  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~retx:false ~sent_at:0.0 () in
   Tcp.Receiver.handle_data receiver (seg 2000);
   (match !sacks with
   | [ [ (2000, 3000) ] ] -> ()
@@ -335,7 +337,7 @@ let test_receiver_sack_blocks () =
 let test_receiver_duplicate_data_idempotent () =
   let sim = Sim.create () in
   let receiver = Tcp.Receiver.create sim ~flow:0 ~ack_path:(fun _ -> ()) () in
-  let seg = Net.Packet.data ~flow:0 ~seq:0 ~payload_bytes:1000 ~sent_at:0.0 () in
+  let seg = Net.Packet.data ~flow:0 ~seq:0 ~payload_bytes:1000 ~retx:false ~sent_at:0.0 () in
   Tcp.Receiver.handle_data receiver seg;
   Tcp.Receiver.handle_data receiver seg;
   Alcotest.(check int) "no double count" 1000 (Tcp.Receiver.bytes_received receiver)
@@ -346,7 +348,7 @@ let test_receiver_window_shrinks_with_backlog () =
     Tcp.Receiver.create sim ~flow:0 ~ack_path:(fun _ -> ()) ~buffer_bytes:10_000
       ~consume_rate_bps:8_000.0 ()
   in
-  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~sent_at:0.0 () in
+  let seg seq = Net.Packet.data ~flow:0 ~seq ~payload_bytes:1000 ~retx:false ~sent_at:0.0 () in
   for i = 0 to 7 do
     Tcp.Receiver.handle_data receiver (seg (i * 1000))
   done;
@@ -359,18 +361,20 @@ let test_receiver_window_shrinks_with_backlog () =
     (Tcp.Receiver.advertised_window receiver > 6_000)
 
 (* In-order data through [Receiver.handle_data] at the default
-   (infinite) drain rate allocates the ack and its send time: 24 words
-   per packet in the dev profile. It was 26 while every packet read
-   the clock for the drain model, whose time only a finite rate reads
-   (a boxed float). The bound allows the measurement's own
-   [Gc.counters] calls, spread over the 10,000 packets. *)
+   (infinite) drain rate allocates the ack and its send time: 16 words
+   per packet in the dev profile. It was 24 while the ack's echo,
+   retransmission flag, window and SACK list went in as optional
+   arguments (a [Some] each), and 26 while every packet also read the
+   clock for the drain model, whose time only a finite rate reads (a
+   boxed float). The bound allows the measurement's own [Gc.counters]
+   calls, spread over the 10,000 packets. *)
 let test_receiver_data_allocation () =
   let sim = Sim.create () in
   let receiver = Tcp.Receiver.create sim ~flow:0 ~ack_path:ignore () in
   let packets = 10_000 in
   let segs =
     Array.init packets (fun k ->
-        Net.Packet.data ~flow:0 ~seq:(k * 1000) ~payload_bytes:1000 ~sent_at:0.0 ())
+        Net.Packet.data ~flow:0 ~seq:(k * 1000) ~payload_bytes:1000 ~retx:false ~sent_at:0.0 ())
   in
   let handle = Tcp.Receiver.handle_data receiver in
   let words () =
@@ -383,8 +387,8 @@ let test_receiver_data_allocation () =
   Alcotest.(check int) "every segment delivered" (packets * 1000)
     (Tcp.Receiver.bytes_received receiver);
   Alcotest.(check bool)
-    (Printf.sprintf "under 25 words per data packet (%.2f)" per_packet)
-    true (per_packet < 25.0)
+    (Printf.sprintf "under 17 words per data packet (%.2f)" per_packet)
+    true (per_packet < 17.0)
 
 (* --- UDP ---------------------------------------------------------------------------- *)
 
@@ -659,7 +663,7 @@ let reassembly_agrees arrivals =
     (fun (offset, len) ->
       let seq = max 0 (fst !state + offset) in
       Tcp.Receiver.handle_data receiver
-        (Net.Packet.data ~flow:0 ~seq ~payload_bytes:len ~sent_at:0.0 ());
+        (Net.Packet.data ~flow:0 ~seq ~payload_bytes:len ~retx:false ~sent_at:0.0 ());
       state := ref_integrate !state ~seq ~len;
       let rcv_nxt, ooo = !state in
       Tcp.Receiver.bytes_received receiver = rcv_nxt

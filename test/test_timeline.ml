@@ -374,7 +374,7 @@ let test_e2e_fault_injection () =
           ignore
             (Sim.schedule sim ~delay:(0.1 *. float_of_int i) (fun () ->
                  Net.Link.send link
-                   (Net.Packet.data ~flow:1 ~seq:i ~payload_bytes:1000
+                   (Net.Packet.data ~flow:1 ~seq:i ~payload_bytes:1000 ~retx:false
                       ~sent_at:(Sim.now sim) ())))
         done;
         ignore

@@ -18,14 +18,6 @@ let test_units_conversions () =
   check_float "us" 5e-6 (U.Units.us 5.0);
   check_float "to_ms" 5.0 (U.Units.to_ms 0.005)
 
-let test_units_transmit_time () =
-  (* 1500 bytes at 12 Mbit/s = 1 ms. *)
-  check_float "serialization" 0.001
-    (U.Units.seconds_to_transmit ~size_bytes:1500 ~rate_bps:12e6);
-  Alcotest.check_raises "zero rate rejected"
-    (Invalid_argument "Units.seconds_to_transmit: rate must be positive") (fun () ->
-      ignore (U.Units.seconds_to_transmit ~size_bytes:1500 ~rate_bps:0.0))
-
 let test_units_bdp () =
   Alcotest.(check int) "bdp bytes" 125_000 (U.Units.bdp_bytes ~rate_bps:10e6 ~rtt_s:0.1);
   check_close "sub-packet bdp" 1e-6 0.5
@@ -643,7 +635,6 @@ let qcheck_tests =
 let suite =
   [
     ("units: conversions", `Quick, test_units_conversions);
-    ("units: serialization time", `Quick, test_units_transmit_time);
     ("units: bdp", `Quick, test_units_bdp);
     ("rng: determinism", `Quick, test_rng_determinism);
     ("rng: split independence", `Quick, test_rng_split_independence);
