@@ -7,11 +7,16 @@ module Link = Ccsim_net.Link
    rate shifts from the fluid flows. *)
 let rate_ewma_alpha = 0.3
 
+(* The coupling's floats live in float-array slots: a mutable float
+   field here, or a float passed to or returned from another module
+   (dune's dev profile compiles with -opaque), would box on every
+   step. *)
 type coupling = {
   fluid_link : Fluid_engine.link_id;
   link : Link.t;
   mutable last_bytes : int;  (* Link.bytes_delivered at the previous tick *)
-  mutable ewma_bps : float;
+  ewma_bps : float array;  (* [|the packet delivered-rate EWMA, bit/s|] *)
+  cross : float array;  (* [|fluid served rate, bit/s; fluid queue, bytes|] *)
 }
 
 type t = {
@@ -32,8 +37,8 @@ let rec signal_fluid t = function
       let bytes = Link.bytes_delivered c.link in
       let inst = float_of_int (bytes - c.last_bytes) *. 8.0 /. t.dt_s in
       c.last_bytes <- bytes;
-      c.ewma_bps <- ((1.0 -. rate_ewma_alpha) *. c.ewma_bps) +. (rate_ewma_alpha *. inst);
-      Fluid_engine.set_packet_signals t.engine ~link:c.fluid_link ~rate_bps:c.ewma_bps
+      c.ewma_bps.(0) <- ((1.0 -. rate_ewma_alpha) *. c.ewma_bps.(0)) +. (rate_ewma_alpha *. inst);
+      Fluid_engine.set_packet_signals t.engine ~link:c.fluid_link c.ewma_bps
         ~backlog_bytes:((Link.qdisc c.link).Ccsim_net.Qdisc.backlog_bytes ());
       signal_fluid t rest
 
@@ -42,9 +47,9 @@ let rec signal_fluid t = function
 let rec signal_packets t = function
   | [] -> ()
   | c :: rest ->
-      Link.set_cross_rate_bps c.link (Fluid_engine.link_served_bps t.engine c.fluid_link);
-      (Link.qdisc c.link).Ccsim_net.Qdisc.set_cross_backlog
-        (int_of_float (Fluid_engine.link_queue_bytes t.engine c.fluid_link));
+      Fluid_engine.link_cross_into t.engine c.fluid_link c.cross;
+      Link.set_cross_rate_bps c.link c.cross;
+      (Link.qdisc c.link).Ccsim_net.Qdisc.set_cross_backlog (int_of_float c.cross.(1));
       signal_packets t rest
 
 let step t =
@@ -60,7 +65,13 @@ let attach sim engine ~couplings =
   let couplings =
     List.map
       (fun (fluid_link, link) ->
-        { fluid_link; link; last_bytes = Link.bytes_delivered link; ewma_bps = 0.0 })
+        {
+          fluid_link;
+          link;
+          last_bytes = Link.bytes_delivered link;
+          ewma_bps = [| 0.0 |];
+          cross = [| 0.0; 0.0 |];
+        })
       couplings
   in
   let t =
@@ -94,7 +105,7 @@ let attach sim engine ~couplings =
           Fluid_engine.link_served_bps engine l);
       Sim.add_timeline_probe sim ~labels "fluid_cross_queue_bytes" (fun () ->
           Fluid_engine.link_queue_bytes engine l);
-      Sim.add_timeline_probe sim ~labels "packet_cross_bps" (fun () -> c.ewma_bps))
+      Sim.add_timeline_probe sim ~labels "packet_cross_bps" (fun () -> c.ewma_bps.(0)))
     t.couplings;
   t
 

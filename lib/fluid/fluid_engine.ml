@@ -44,44 +44,77 @@ module Obs = Ccsim_obs
    scan drew from the RNG in. A population with no on/off flow
    allocates no calendar.
 
-   The pass skips an idle link (no active flow, queue exactly 0.0),
-   which would add +0.0 to every accumulator, fail the contention test
-   and move no flow, so only its arrival and served rate are stored,
-   both 0.0. A full step sums its pre-step arrival afresh.
+   Each link carries one state byte ([l_state]) that the pass reads
+   first, so a step costs what changes, not what exists:
+   - idle: no active flow and a queue of exactly 0.0. Its step would
+     add +0.0 to every accumulator, fail the contention test and move
+     no flow; only its arrival and served rate read 0.0, and they
+     already do. A step costs it the byte.
+   - idling: idle since this step. The step stores its arrival and
+     served rate as 0.0 and makes it idle. A toggle that empties a link
+     whose queue is 0.0 (the rates are read between steps, by
+     [aggregate], so they turn 0.0 in the first idle step, not at the
+     end of the step that drained the queue), and a full step that
+     leaves no active flow and a queue of 0.0, both set it.
+   - frozen: its step repeats the last full one (below).
+   - full: the full step, which also sets the byte for the next step.
+   A full step sums its pre-step arrival afresh.
 
-   A link whose step repeats itself takes a reduced step, which
-   replays the increments its last full step computed. A full step
-   marks the link frozen ([l_frozen]) when all of these hold: its
-   queue was exactly 0.0 before the step and is after it; its packet
-   rate and backlog are 0.0; the arrival the step used equals the one
-   it ended with, bitwise, and is at most the service rate; every
-   active flow's new rate is its cap, bitwise; every BBR window is
-   bitwise unchanged. The next step then has the same inputs: loss
-   0.0, a service ratio of 1.0, each RTT its base RTT and so the same
-   window clamps, and the same arrival. With loss 0.0 a Reno or CUBIC
-   window's increment, dt alpha / R, does not depend on the window; a
-   window that grows keeps a rate at or above its cap, as the rate is
-   monotone in the window; a still BBR window stays still. So every
-   rate stays its cap, the arrival and the settle repeat, and the
-   step's only changes are its increments:
+   A link whose step repeats itself is frozen. A full step freezes the
+   link when all of these hold: its queue was exactly 0.0 before the
+   step and is after it; its packet rate and backlog are 0.0; the
+   arrival the step used equals the one it ended with, bitwise, and
+   is at most the service rate; every active flow's new rate is its
+   cap, bitwise; every BBR window is bitwise unchanged. The next step
+   then has the same inputs: loss 0.0, a service ratio of 1.0, each
+   RTT its base RTT and so the same window clamps, and the same
+   arrival. With loss 0.0 a Reno or CUBIC window's increment,
+   dt alpha / R, does not depend on the window; a window that grows
+   keeps a rate at or above its cap, as the rate is monotone in the
+   window; a still BBR window stays still. So every rate stays its
+   cap, the arrival and the settle repeat, and the step's only changes
+   are its increments:
    - each window becomes [float_min (w +. inc) hi], with [inc] and
      [hi] the full step's, kept by CSR position in [k_inc] and [k_hi]
      (for BBR 0.0 and infinity, which leave the window as it is; the
      lower clamp is left out, as w + inc >= w >= 0.1);
    - once the warmup is over, each flow's goodput gets the full step's
-     term, which the full step of a freezing link keeps in [xs],
+     term, which the full step of a freezing link keeps in [k_good],
      credited or not yet;
    - the link's offered and served bytes, and the engine's, get
      arrival dt / 8 (the served rate is the arrival). The dropped and
      queue terms are +0.0 and are left out: an accumulator that starts
      at +0.0 and only adds terms that are not -0.0 is never -0.0, and
      x +. 0.0 is x for every other x.
-   The queue, arrival, served rate and contention time do not change. A toggle on the link ([toggle_due]) or a packet signal
-   ([set_packet_signals]) clears the mark; nothing else reads it, so
-   the hybrid coupling, which signals its link every step, never
-   freezes. Per-flow state is never deferred: every window and goodput
-   is current after every step. [link_steps] counts link-steps by
-   path; the idle ones are the rest of links x steps. *)
+   The queue, arrival, served rate and contention time do not change.
+
+   The deferral rule. A frozen link's step adds arrival dt / 8 to the
+   engine's offered and served totals, which sum across links and so
+   take every link's additions on every step, in link order; that is
+   all it does. Its windows, goodputs and its own offered and served
+   bytes wait: [l_frozen_at] holds the first step they have not seen,
+   and [replay] applies the steps since, one addition after another,
+   each accumulator in its own order. It runs before anything moves
+   or reads them: when a toggle on the link ([toggle_due]) or a packet
+   signal ([set_packet_signals]) thaws it, before the active prefix
+   and the CSR-indexed [k_inc], [k_hi] and [k_good] move; and when
+   [link_served_bytes], [link_residual_bytes], [flow_goodput_bps],
+   [inject_accounting_skew] or the per-link watchdog check reads the
+   link, which then stays frozen from the current step. A step credits
+   goodput when its clock plus dt passes the warmup; the clock only
+   grows, so the credited steps are a suffix of all steps and
+   [credit_from], the first of them, tells which deferred steps
+   credit. Each window, goodput and byte counter then sees exactly the
+   sequence of additions the step-by-step path made, and nothing else
+   reads it in between, so every result is bit for bit the same. A
+   window's replay stops where a step leaves it unchanged: the step is
+   one fixed function of the window while the link is frozen, so every
+   further step leaves it unchanged too. The hybrid coupling signals
+   its link every step, so a coupled link never freezes. [link_steps]
+   counts link-steps by path: a step adds the links frozen when it
+   starts ([frozen_links], kept as links freeze and thaw) to the
+   reduced ones, and the idle and idling ones are the rest of links x
+   steps. *)
 
 type link_id = int
 type flow_id = int
@@ -96,6 +129,12 @@ let ti_offered = 0
 let ti_served = 1
 let ti_dropped = 2
 let ti_q = 3
+
+(* [l_state] bytes: the path a link's next step takes (see the header) *)
+let st_idle = '\000'
+let st_idling = '\001'
+let st_frozen = '\002'
+let st_full = '\003'
 
 let loss_theta = 0.80
 let loss_p_max = 0.25
@@ -133,7 +172,10 @@ type t = {
   mutable l_pkt_backlog : float array;  (* packet queue share, bytes (hybrid) *)
   mutable l_arr : float array;  (* last fluid arrival, bit/s *)
   mutable l_served : float array;  (* last served rate, bit/s *)
-  mutable l_frozen : bool array;  (* the next step repeats the last full one *)
+  mutable l_state : Bytes.t;  (* the next step's path: see the header and [st_idle] *)
+  mutable l_frozen_at : int array;
+      (* a frozen link's first step that its flows and byte counters
+         have not seen *)
   mutable l_active : int array;  (* active flows *)
   mutable l_contended_s : float array;
   mutable l_offered_b : float array;  (* cumulative byte accounting *)
@@ -153,10 +195,12 @@ type t = {
   mutable f_on : float array;  (* mean on-period, s; infinity = always on *)
   mutable f_off : float array;
   mutable f_toggle : float array;  (* next toggle time, s *)
-  mutable f_good_b : float array;  (* delivered payload bytes after warmup *)
-  mutable xs : float array;
-      (* by CSR position: the post-step rate, then the step's goodput
-         term, which a frozen link keeps *)
+  mutable k_good : float array;
+      (* by CSR position k, two slots: at 2k the post-step rate, then
+         the step's goodput term, which a frozen link keeps; at 2k + 1
+         the flow's delivered payload bytes after warmup, which move
+         with the flow in the prefix. A step credits the goodput on the
+         line that holds its term. *)
   mutable k_inc : float array;
   mutable k_hi : float array;
       (* by CSR position, kept while the link is frozen: the window's
@@ -167,11 +211,14 @@ type t = {
   (* toggle calendar (see the header); [cal_head] and [cal_next] stay
      [||] when no flow toggles *)
   mutable steps : int;  (* steps taken *)
+  mutable credit_from : int;  (* the first step that credited goodput, or max_int *)
   mutable reduced_steps : int;  (* link-steps by path; the rest took the idle skip *)
+  mutable frozen_links : int;  (* links whose state byte is frozen *)
   mutable full_steps : int;
   mutable cal_head : int array;  (* per bucket: the first flow filed, or -1 *)
   mutable cal_next : int array;  (* per flow: the next flow in its bucket, or -1 *)
   draw : float array;  (* one unboxed slot for the toggles' uniform draws *)
+  held : float array;  (* one unboxed slot: the goodput of a flow whose CSR position moves *)
   (* running totals (kept incrementally so invariant checks are O(1)) *)
   totals_b : float array;
       (* engine-wide byte totals in unboxed slots (offered, served,
@@ -209,7 +256,8 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       l_pkt_backlog = [||];
       l_arr = [||];
       l_served = [||];
-      l_frozen = [||];
+      l_state = Bytes.empty;
+      l_frozen_at = [||];
       l_active = [||];
       l_contended_s = [||];
       l_offered_b = [||];
@@ -226,16 +274,18 @@ let create ?(dt_s = default_dt_s) ?(warmup_s = 0.0)
       f_on = [||];
       f_off = [||];
       f_toggle = [||];
-      f_good_b = [||];
-      xs = [||];
+      k_good = [||];
       k_inc = [||];
       k_hi = [||];
       steps = 0;
+      credit_from = max_int;
       reduced_steps = 0;
+      frozen_links = 0;
       full_steps = 0;
       cal_head = [||];
       cal_next = [||];
       draw = [| 0.0 |];
+      held = [| 0.0 |];
       totals_b = Array.make 4 0.0;
     }
   in
@@ -454,8 +504,7 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
     t.f_cap <- grow t.f_cap 0.0;
     t.f_on <- grow t.f_on 0.0;
     t.f_off <- grow t.f_off 0.0;
-    t.f_toggle <- grow t.f_toggle 0.0;
-    t.f_good_b <- grow t.f_good_b 0.0
+    t.f_toggle <- grow t.f_toggle 0.0
   end;
   let tag = Fluid_model.index model in
   t.f_model.(i) <- tag;
@@ -479,7 +528,6 @@ let add_flow t ~link ~model ~rtt_base_s ?(cap_bps = infinity) ?on_off_s
         start_active
   in
   t.f_y.(i) <- (if active then initial_state ~tag ~rtt_s:rtt_base_s else 0.0);
-  t.f_good_b.(i) <- 0.0;
   t.n <- i + 1;
   i
 
@@ -487,7 +535,7 @@ let seal t =
   if not t.built then begin
     t.built <- true;
     let n = t.n and nl = t.nl in
-    t.xs <- Array.make n 0.0;
+    t.k_good <- Array.make (2 * n) 0.0;
     t.k_inc <- Array.make n 0.0;
     t.k_hi <- Array.make n 0.0;
     let zeros () = Array.make nl 0.0 in
@@ -496,7 +544,7 @@ let seal t =
     t.l_pkt_backlog <- zeros ();
     t.l_arr <- zeros ();
     t.l_served <- zeros ();
-    t.l_frozen <- Array.make nl false;
+    t.l_frozen_at <- Array.make nl 0;
     t.l_contended_s <- zeros ();
     t.l_offered_b <- zeros ();
     t.l_served_b <- zeros ();
@@ -534,6 +582,8 @@ let seal t =
     in
     place true;
     place false;
+    (* the rates of a link idle at seal already read 0.0 *)
+    t.l_state <- Bytes.init nl (fun l -> if t.l_active.(l) = 0 then st_idle else st_full);
     if !toggles then begin
       t.cal_head <- Array.make cal_span (-1);
       t.cal_next <- Array.make n (-1);
@@ -543,14 +593,80 @@ let seal t =
     end
   end
 
+(* --- deferred steps ---------------------------------------------------------- *)
+
+(* [a.(i)] plus [x], [n] times over, one addition after another; four
+   additions to an expression keep the sum in a register between
+   stores. *)
+let[@inline][@ccsim.hot] add_times (a : float array) i x n =
+  for _ = 1 to n / 4 do
+    a.(i) <- a.(i) +. x +. x +. x +. x
+  done;
+  for _ = 1 to n mod 4 do
+    a.(i) <- a.(i) +. x
+  done
+
+(* [n] steps of [w <- float_min (w +. inc) hi] on the window [y.(i)],
+   with [inc] and [hi] at CSR position [k], four to a pass; a pass
+   whose last step leaves the window as it was ends the replay, as
+   every further step would too (see the header). Frozen windows are
+   at least 0.1 and never NaN, so [Float.equal] is bitwise equality. *)
+let[@ccsim.hot] rec replay_window (y : float array) i (k_inc : float array) k_hi k n =
+  if n >= 4 then begin
+    let inc = k_inc.(k) and hi = k_hi.(k) in
+    let w = float_min (y.(i) +. inc) hi in
+    let w = float_min (w +. inc) hi in
+    let w3 = float_min (w +. inc) hi in
+    let w = float_min (w3 +. inc) hi in
+    y.(i) <- w;
+    if not (Float.equal w w3) then replay_window y i k_inc k_hi k (n - 4)
+  end
+  else
+    for _ = 1 to n do
+      y.(i) <- float_min (y.(i) +. k_inc.(k)) k_hi.(k)
+    done
+
+(* Apply frozen link [l]'s steps from [l_frozen_at] up to now to its
+   flows' windows and goodputs and to its offered and served bytes. *)
+let[@ccsim.hot] replay t l =
+  let from = t.l_frozen_at.(l) and upto = t.steps in
+  if upto > from then begin
+    t.l_frozen_at.(l) <- upto;
+    let n = upto - from and credited = upto - Int.max from t.credit_from in
+    let first = t.l_off.(l) in
+    for k = first to first + t.l_active.(l) - 1 do
+      let i = t.by_link.(k) in
+      replay_window t.f_y i t.k_inc t.k_hi k n;
+      add_times t.k_good ((2 * k) + 1) t.k_good.(2 * k) credited
+    done;
+    (* served is the arrival, so one term serves both *)
+    let offered_b = t.l_arr.(l) *. t.dt_s *. 0.125 in
+    add_times t.l_offered_b l offered_b n;
+    add_times t.l_served_b l offered_b n
+  end
+
+let[@inline][@ccsim.hot] frozen t l = Char.equal (Bytes.get t.l_state l) st_frozen
+
+(* Replay a frozen link before it changes; the caller sets its byte. *)
+let[@inline][@ccsim.hot] thaw t l =
+  replay t l;
+  t.frozen_links <- t.frozen_links - 1
+
+(* Bring a link's deferred state up to now before it is read; a link
+   has no state byte before the seal, and nothing to replay. *)
+let sync t l = if t.built && frozen t l then replay t l
+
 (* --- hybrid coupling inputs ----------------------------------------------- *)
 
-let set_packet_signals t ~link ~rate_bps ~backlog_bytes =
+let set_packet_signals t ~link rate ~backlog_bytes =
   seal t;
   if link < 0 || link >= t.nl then invalid_arg "Fluid_engine.set_packet_signals: unknown link";
-  if Float.is_nan rate_bps then invalid_arg "Fluid_engine.set_packet_signals: NaN rate_bps";
-  t.l_frozen.(link) <- false;
-  t.l_pkt_rate.(link) <- Float.max 0.0 rate_bps;
+  if Float.is_nan rate.(0) then invalid_arg "Fluid_engine.set_packet_signals: NaN rate_bps";
+  if frozen t link then begin
+    thaw t link;
+    Bytes.set t.l_state link st_full
+  end;
+  t.l_pkt_rate.(link) <- Float.max 0.0 rate.(0);
   t.l_pkt_backlog.(link) <- float_of_int (Int.max 0 backlog_bytes)
 
 (* --- stepping ------------------------------------------------------------- *)
@@ -569,35 +685,46 @@ let[@inline] loss_of ~q ~buf =
 (* The first slot at or after [k] holding [x]. *)
 let[@ccsim.hot] rec find_from (a : int array) x k = if a.(k) = x then k else find_from a x (k + 1)
 
-(* Slide the prefix entries above [x] in [first, j) up by one and put
-   [x] in the gap. *)
-let[@ccsim.hot] rec insert_at_rank (a : int array) first j x =
-  if j > first && a.(j - 1) > x then begin
-    a.(j) <- a.(j - 1);
-    insert_at_rank a first (j - 1) x
-  end
-  else a.(j) <- x
+(* Move CSR entry [src], its flow id and goodput, to [dst]. *)
+let[@inline][@ccsim.hot] move_entry t src dst =
+  t.by_link.(dst) <- t.by_link.(src);
+  t.k_good.((2 * dst) + 1) <- t.k_good.((2 * src) + 1)
 
-let[@ccsim.hot] rec shift_down (a : int array) k last =
+(* Slide the prefix entries above [x] in [first, j) up by one and put
+   [x] in the gap, with the goodput in [held]. *)
+let[@ccsim.hot] rec insert_at_rank t first j x =
+  if j > first && t.by_link.(j - 1) > x then begin
+    move_entry t (j - 1) j;
+    insert_at_rank t first (j - 1) x
+  end
+  else begin
+    t.by_link.(j) <- x;
+    t.k_good.((2 * j) + 1) <- t.held.(0)
+  end
+
+let[@ccsim.hot] rec shift_down t k last =
   if k < last then begin
-    a.(k) <- a.(k + 1);
-    shift_down a (k + 1) last
+    move_entry t (k + 1) k;
+    shift_down t (k + 1) last
   end
 
 let[@inline][@ccsim.hot] activate t l i =
-  let by_link = t.by_link in
   let first = t.l_off.(l) and active = t.l_active.(l) in
   let free = first + active in
-  by_link.(find_from by_link i free) <- by_link.(free);
-  insert_at_rank by_link first free i;
+  let k = find_from t.by_link i free in
+  t.held.(0) <- t.k_good.((2 * k) + 1);
+  move_entry t free k;
+  insert_at_rank t first free i;
   t.l_active.(l) <- active + 1
 
 let[@inline][@ccsim.hot] deactivate t l i =
-  let by_link = t.by_link in
   let first = t.l_off.(l) and active = t.l_active.(l) in
   let last = first + active - 1 in
-  shift_down by_link (find_from by_link i first) last;
-  by_link.(last) <- i;
+  let k = find_from t.by_link i first in
+  t.held.(0) <- t.k_good.((2 * k) + 1);
+  shift_down t k last;
+  t.by_link.(last) <- i;
+  t.k_good.((2 * last) + 1) <- t.held.(0);
   t.l_active.(l) <- active - 1
 
 (* Toggle the sorted due list from [i] on, in flow-id order (the RNG
@@ -606,7 +733,7 @@ let[@ccsim.hot] rec toggle_due t i =
   if i >= 0 then begin
     let next = t.cal_next.(i) and now_s = t.clock_s.(0) in
     let l = t.f_link.(i) in
-    t.l_frozen.(l) <- false;
+    if frozen t l then thaw t l;
     if t.f_y.(i) > 0.0 then begin
       t.f_y.(i) <- 0.0;
       deactivate t l i;
@@ -617,6 +744,8 @@ let[@ccsim.hot] rec toggle_due t i =
       activate t l i;
       t.f_toggle.(i) <- now_s +. exponential_draw t.rng t.draw ~mean:t.f_on.(i)
     end;
+    Bytes.set t.l_state l
+      (if t.l_active.(l) = 0 && Float.equal t.l_q.(l) 0.0 then st_idling else st_full);
     file_toggle t i ~min_off:1;
     toggle_due t next
   end
@@ -652,43 +781,41 @@ let[@ccsim.hot] process_toggles t =
    holding the arrival of the post-step states, which the settle and
    the goodput credit use. Each loop walks the link's active prefix:
    inactive flows hold y = +0.0 and add nothing, so leaving them out is
-   exact; so are the idle-link skip and the reduced step of a frozen
-   link (see the header). *)
+   exact; so are the idle skip and a frozen link's step, which defers
+   all but the engine totals (see the header). *)
 let[@ccsim.hot] advance t =
   let dt = t.dt_s and payload_frac = t.payload_frac in
   let credit = t.clock_s.(0) +. dt > t.warmup_s in
+  if credit && t.credit_from > t.steps then t.credit_from <- t.steps;
+  (* the links frozen now take this step's reduced path; a link that
+     freezes during the pass takes it from the next step *)
+  t.reduced_steps <- t.reduced_steps + t.frozen_links;
   let l_off = t.l_off and by_link = t.by_link and l_active = t.l_active in
   let l_cap = t.l_cap and l_buf = t.l_buf and l_q = t.l_q in
   let l_pkt_rate = t.l_pkt_rate and l_pkt_backlog = t.l_pkt_backlog in
   let l_arr = t.l_arr and l_served = t.l_served in
-  let l_frozen = t.l_frozen in
+  let l_state = t.l_state in
   let f_model = t.f_model and f_y = t.f_y and f_rtt_base = t.f_rtt_base and f_cap = t.f_cap in
-  let xs = t.xs and k_inc = t.k_inc and k_hi = t.k_hi in
-  let f_good_b = t.f_good_b and totals_b = t.totals_b in
+  let k_good = t.k_good and k_inc = t.k_inc and k_hi = t.k_hi in
+  let totals_b = t.totals_b in
   let pkt_bytes = float_of_int Fluid_model.pkt_bytes in
   for l = 0 to t.nl - 1 do
-    let q = l_q.(l) in
-    if l_active.(l) = 0 && Float.equal q 0.0 then begin
-      l_arr.(l) <- 0.0;
-      l_served.(l) <- 0.0
-    end
-    else if l_frozen.(l) then begin
-      t.reduced_steps <- t.reduced_steps + 1;
-      let first = l_off.(l) in
-      for k = first to first + l_active.(l) - 1 do
-        let i = by_link.(k) in
-        f_y.(i) <- float_min (f_y.(i) +. k_inc.(k)) k_hi.(k);
-        if credit then f_good_b.(i) <- f_good_b.(i) +. xs.(k)
-      done;
+    let state = Bytes.get l_state l in
+    if Char.equal state st_idle then ()
+    else if Char.equal state st_frozen then begin
       (* served is the arrival, so one term serves both *)
       let offered_b = l_arr.(l) *. dt *. 0.125 in
-      t.l_offered_b.(l) <- t.l_offered_b.(l) +. offered_b;
-      t.l_served_b.(l) <- t.l_served_b.(l) +. offered_b;
       totals_b.(ti_offered) <- totals_b.(ti_offered) +. offered_b;
       totals_b.(ti_served) <- totals_b.(ti_served) +. offered_b
     end
+    else if Char.equal state st_idling then begin
+      l_arr.(l) <- 0.0;
+      l_served.(l) <- 0.0;
+      Bytes.set l_state l st_idle
+    end
     else begin
       t.full_steps <- t.full_steps + 1;
+      let q = l_q.(l) in
       let first = l_off.(l) in
       let last = first + l_active.(l) - 1 in
       let cap = l_cap.(l) and buf = l_buf.(l) in
@@ -705,9 +832,9 @@ let[@ccsim.hot] advance t =
       let service_ratio = if a0 <= s || a0 <= 0.0 then 1.0 else s /. a0 in
       let two_cap = 2.0 *. cap and buf_pkts = buf /. pkt_bytes in
       l_arr.(l) <- 0.0;
-      (* the freeze mark doubles as the flows' half of the test: a
+      (* the frozen byte doubles as the flows' half of the test: a
          rate below its cap or a BBR window that moved clears it *)
-      l_frozen.(l) <- true;
+      Bytes.set l_state l st_frozen;
       for k = first to last do
         let i = by_link.(k) in
         let w0 = f_y.(i) and cap_i = f_cap.(i) in
@@ -717,7 +844,7 @@ let[@ccsim.hot] advance t =
         let w =
           if tag = bbr then begin
             let w = float_min (float_max 1e3 (w0 +. inc)) (float_min (1.3 *. cap_i) two_cap) in
-            if not (Float.equal w w0) then l_frozen.(l) <- false;
+            if not (Float.equal w w0) then Bytes.set l_state l st_full;
             k_inc.(k) <- 0.0;
             k_hi.(k) <- infinity;
             w
@@ -732,8 +859,8 @@ let[@ccsim.hot] advance t =
         in
         f_y.(i) <- w;
         let x = float_min (rate_bps ~tag ~w ~rtt_s) cap_i in
-        if not (Float.equal x cap_i) then l_frozen.(l) <- false;
-        xs.(k) <- x;
+        if not (Float.equal x cap_i) then Bytes.set l_state l st_full;
+        k_good.(2 * k) <- x;
         l_arr.(l) <- l_arr.(l) +. x
       done;
       (* queue balance + exact byte accounting; x /. 8.0 is written
@@ -769,22 +896,27 @@ let[@ccsim.hot] advance t =
       then t.l_contended_s.(l) <- t.l_contended_s.(l) +. dt;
       (* the link's half of the freeze rule (see the header) *)
       let frozen =
-        l_frozen.(l) && Float.equal q 0.0 && Float.equal q1 0.0
+        Char.equal (Bytes.get l_state l) st_frozen
+        && Float.equal q 0.0 && Float.equal q1 0.0
         && Float.equal l_pkt_rate.(l) 0.0 && Float.equal l_pkt_backlog.(l) 0.0
         && Float.equal a0 a && a0 <= s
       in
-      l_frozen.(l) <- frozen;
+      (* a frozen link's next step is its first deferred one *)
+      if frozen then begin
+        t.l_frozen_at.(l) <- t.steps + 1;
+        t.frozen_links <- t.frozen_links + 1
+      end
+      else
+        Bytes.set l_state l
+          (if l_active.(l) = 0 && Float.equal q1 0.0 then st_idling else st_full);
       (* per-flow delivered payload over the measurement window; a
-         frozen link keeps each flow's term in [xs] for its reduced
+         frozen link keeps each flow's term in [k_good] for its deferred
          steps, credited or not yet *)
       if (credit || frozen) && a > 0.0 then
         for k = first to last do
-          let g = xs.(k) /. a *. served *. payload_frac *. dt *. 0.125 in
-          xs.(k) <- g;
-          if credit then begin
-            let i = by_link.(k) in
-            f_good_b.(i) <- f_good_b.(i) +. g
-          end
+          let g = k_good.(2 * k) /. a *. served *. payload_frac *. dt *. 0.125 in
+          k_good.(2 * k) <- g;
+          if credit then k_good.((2 * k) + 1) <- k_good.((2 * k) + 1) +. g
         done
     end
   done
@@ -808,20 +940,32 @@ let link_capacity_bps t l = check_link t l "Fluid_engine.link_capacity_bps"; t.l
 let link_served_bps t l = check_link t l "Fluid_engine.link_served_bps"; t.l_served.(l)
 let link_queue_bytes t l = check_link t l "Fluid_engine.link_queue_bytes"; t.l_q.(l)
 
+let link_cross_into t l out =
+  check_link t l "Fluid_engine.link_cross_into";
+  out.(0) <- t.l_served.(l);
+  out.(1) <- t.l_q.(l)
+
 let link_contended_s t l =
   check_link t l "Fluid_engine.link_contended_s";
   t.l_contended_s.(l)
 
-let link_served_bytes t l = check_link t l "Fluid_engine.link_served_bytes"; t.l_served_b.(l)
+let link_served_bytes t l =
+  check_link t l "Fluid_engine.link_served_bytes";
+  sync t l;
+  t.l_served_b.(l)
 
 let link_residual_bytes t l =
   check_link t l "Fluid_engine.link_residual_bytes";
+  sync t l;
   t.l_offered_b.(l) -. t.l_dropped_b.(l) -. t.l_served_b.(l) -. t.l_q.(l)
 
 let flow_goodput_bps t i =
   check_flow t i "Fluid_engine.flow_goodput_bps";
+  sync t t.f_link.(i);
   let window_s = now_s t -. t.warmup_s in
-  if window_s <= 0.0 then 0.0 else t.f_good_b.(i) *. 8.0 /. window_s
+  (* a stepped population is sealed, so the flow has a CSR position *)
+  if window_s <= 0.0 then 0.0
+  else t.k_good.((2 * find_from t.by_link i t.l_off.(t.f_link.(i))) + 1) *. 8.0 /. window_s
 
 let totals t =
   {
@@ -870,5 +1014,6 @@ let register_link_invariant t ~component w l =
 
 let inject_accounting_skew t ~link ~bytes =
   check_link t link "Fluid_engine.inject_accounting_skew";
+  sync t link;
   t.l_served_b.(link) <- t.l_served_b.(link) +. bytes;
   t.totals_b.(ti_served) <- t.totals_b.(ti_served) +. bytes

@@ -17,20 +17,26 @@
     prefix only. Toggles wait in a calendar filed by step, each no
     later than the first step whose clock reaches it, so a step visits
     only the flows filed for it and re-applies the toggle test there;
-    an always-on population allocates no calendar. An idle link (no
-    active flow, a queue of exactly 0.0) only has its arrival and
-    served rate set to 0.0, which is all the full pass would change. A
-    link whose full step began and ended with a
+    an always-on population allocates no calendar. Each link carries a
+    state byte that the step reads first. An idle link (no active flow,
+    a queue of exactly 0.0) costs that byte: its arrival and served
+    rate read 0.0 from its first idle step on, which is all the full
+    pass would change. A link whose full step began and ended with a
     queue of exactly 0.0, had no packet signal, used the arrival it
     ended with and fit it, and left every flow at its cap and every
-    BBR window still, is frozen: its next step provably has the same
-    inputs, so it only applies the increments the full step computed
-    (each window's, clamped; each goodput's; the byte totals'), in the
-    same order. A toggle on the link or a packet signal thaws it.
-    Due toggles draw from the RNG in flow-id order and each link sums
-    its active flows in flow-id order, so every result is bit for bit
-    that of the earlier four-pass step, which the test suite keeps as
-    its oracle.
+    BBR window still, is frozen: its next steps provably have the same
+    inputs and only repeat the increments the full step computed. Such
+    a step adds the link's bytes to the engine's offered and served
+    totals, in link order, and defers the rest: the link records the
+    step it froze at, and the missed steps are replayed (each window's
+    increment, clamped; each goodput's; the link's own offered and
+    served bytes), the same additions in the same order, when a toggle
+    on the link or a packet signal thaws it, or when
+    {!link_served_bytes}, {!link_residual_bytes}, {!flow_goodput_bps}
+    or the per-link watchdog check reads it. Due toggles draw from the
+    RNG in flow-id order and each link sums its active flows in
+    flow-id order, so every result is bit for bit that of the earlier
+    four-pass step, which the test suite keeps as its oracle.
 
     Queues are advanced explicitly from each step's arrival/service
     balance (operator splitting), which makes byte conservation
@@ -120,18 +126,23 @@ val seal : t -> unit
 
 val step : t -> unit
 (** Advance one [dt_s]: process on/off toggles, integrate the flow
-    ODEs, settle queues and byte accounting. Seals the population on
-    first call. Allocates nothing. *)
+    ODEs, settle queues and byte accounting (a frozen link's flows and
+    counters wait for their replay; see above). Seals the population
+    on first call. Allocates nothing, replays included. *)
 
 val dt_s : t -> float
 val now_s : t -> float
 val flows : t -> int
 
-val set_packet_signals : t -> link:link_id -> rate_bps:float -> backlog_bytes:int -> unit
-(** Current packet-level cross traffic on a fluid link: delivered rate
-    (subtracted from the capacity the fluid share can use) and queue
-    backlog (added to the fluid queueing delay). A negative rate or
-    backlog counts as 0; a NaN rate raises [Invalid_argument]. *)
+val set_packet_signals : t -> link:link_id -> float array -> backlog_bytes:int -> unit
+(** [set_packet_signals t ~link rate ~backlog_bytes]: current
+    packet-level cross traffic on a fluid link: delivered rate
+    [rate.(0)] in bit/s (subtracted from the capacity the fluid share
+    can use) and queue backlog (added to the fluid queueing delay). A
+    negative rate or backlog counts as 0; a NaN rate raises
+    [Invalid_argument]. The rate comes through a float-array slot, as
+    [Sim.schedule_in]'s delay does, so [Fluid_driver]'s coupled step
+    boxes no float. A signal thaws a frozen link. *)
 
 val link_capacity_bps : t -> link_id -> float
 
@@ -140,6 +151,11 @@ val link_served_bps : t -> link_id -> float
     rate the packet engine should see in hybrid mode. *)
 
 val link_queue_bytes : t -> link_id -> float
+
+val link_cross_into : t -> link_id -> float array -> unit
+(** [link_cross_into t l out] stores {!link_served_bps} in [out.(0)]
+    and {!link_queue_bytes} in [out.(1)]: the fluid cross traffic the
+    packet side applies, read without boxing a float. *)
 
 val link_contended_s : t -> link_id -> float
 (** Cumulative time the link was contended: busy (arrival ≥ 95% of

@@ -4,10 +4,11 @@
    The fault-free per-packet path allocates nothing. The
    serialization-complete event is one callback per link ([tx_done]),
    which reads the packet from the [on_wire] field and is scheduled
-   from the [tx_time] slot, so no float is boxed. Every delivery at
-   the base delay is pushed into the link's delay line ([arrivals],
-   [Ccsim_engine.Sim.line]): deliveries leave in time order, so only the
-   oldest packet in propagation sits in the event heap, and each one
+   from the serialization-time slot of [slots], so no float is boxed.
+   Every delivery at the base delay is pushed into the link's delay
+   line ([arrivals], [Ccsim_engine.Sim.line]): deliveries leave in time
+   order, so only the oldest packet in propagation sits in the event
+   heap, and each one
    still fires at the (time, seq) its own [Sim.schedule] would have
    had. Only the armed-fault path schedules a closure per packet: a
    reordered or delay-spiked delivery, and a duplicate's ghost. *)
@@ -111,11 +112,17 @@ let check_probability ~what p =
    event loop. *)
 let min_residual_frac = 0.01
 
+(* Slots of a link's [slots]: unboxed floats that a mutable float field
+   in its mixed record would box on every write. [Sim.schedule_in]
+   reads the delay from slot 0. *)
+let s_tx = 0  (* serialization time of the packet on the wire *)
+let s_busy = 1  (* cumulative busy seconds *)
+let s_cross = 2  (* fluid cross-traffic rate, bit/s, set by the coupled fluid step *)
+
 type t = {
   sim : Ccsim_engine.Sim.t;
   name : string;  (* hop label in lifecycle spans *)
   mutable rate_bps : float;
-  mutable cross_bps : float;
   delay_s : float;
   qdisc : Qdisc.t;
   sink : Packet.t -> unit;
@@ -124,13 +131,7 @@ type t = {
   tx_done : unit -> unit;  (* the serialization-complete event, allocated once *)
   arrive : Packet.t -> unit;  (* end of propagation: the sink, spans noted *)
   arrivals : Packet.t Ccsim_engine.Sim.line;  (* packets propagating at the base delay *)
-  busy_seconds : float array;
-      (* one unboxed slot: a mutable float field in this mixed record
-         would box on every per-packet accumulation *)
-  tx_time : float array;
-      (* [|serialization time of the packet on the wire|]: the heap
-         reads the delay from this slot, so no float is boxed per
-         transmission *)
+  slots : float array;  (* the [s_] slots *)
   mutable bytes_delivered : int;
   obs : obs;
   profile : Obs.Profile.t option;
@@ -150,7 +151,7 @@ type t = {
 let[@ccsim.hot] note_delivery t (pkt : Packet.t) =
   (match t.obs.tx_bytes with Some c -> Obs.Metrics.add c pkt.size_bytes | None -> ());
   (match t.obs.tx_packets with Some c -> Obs.Metrics.inc c | None -> ());
-  (match t.obs.busy_seconds_g with Some g -> Obs.Metrics.set g t.busy_seconds.(0) | None -> ());
+  (match t.obs.busy_seconds_g with Some g -> Obs.Metrics.set g t.slots.(s_busy) | None -> ());
   match t.obs.debug_rec with
   | Some r ->
       (Obs.Recorder.record r
@@ -228,15 +229,15 @@ let[@ccsim.hot] rec transmit_next t =
       | Some p -> Obs.Profile.note_pkt_dequeued p
       | None -> ());
       let effective_bps =
-        Float.max (min_residual_frac *. t.rate_bps) (t.rate_bps -. t.cross_bps)
+        Float.max (min_residual_frac *. t.rate_bps) (t.rate_bps -. t.slots.(s_cross))
       in
       (* Serialization time, computed straight into the slot so it is
          never boxed. *)
       if effective_bps <= 0.0 then invalid_arg "Link: rate must be positive";
-      t.tx_time.(0) <- 8.0 *. float_of_int pkt.Packet.size_bytes /. effective_bps;
-      t.busy_seconds.(0) <- t.busy_seconds.(0) +. t.tx_time.(0);
+      t.slots.(s_tx) <- 8.0 *. float_of_int pkt.Packet.size_bytes /. effective_bps;
+      t.slots.(s_busy) <- t.slots.(s_busy) +. t.slots.(s_tx);
       (match t.flow_busy with
-      | Some tbl -> Ccsim_util.Int_table.add_to tbl pkt.Packet.flow t.tx_time.(0)
+      | Some tbl -> Ccsim_util.Int_table.add_to tbl pkt.Packet.flow t.slots.(s_tx)
       | None -> ());
       (match t.wd with
       | Some wd ->
@@ -244,7 +245,7 @@ let[@ccsim.hot] rec transmit_next t =
           wd.tx_started_bytes <- wd.tx_started_bytes + pkt.Packet.size_bytes
       | None -> ());
       t.on_wire <- pkt;
-      ignore (Ccsim_engine.Sim.schedule_in t.sim t.tx_time t.tx_done)
+      ignore (Ccsim_engine.Sim.schedule_in t.sim t.slots t.tx_done)
     end
 
 (* Serialization complete: the packet on the wire is delivered (or
@@ -344,9 +345,11 @@ and[@ccsim.hot] deliver_impaired t imp (pkt : Packet.t) =
     deliver t pkt ~extra_delay:(imp.spike_delay_s +. reorder_delay) ~duplicate
   end
 
+(* The guards are written [not (x > 0.0)] and [not (x >= 0.0)], so
+   NaN is refused here, where it enters, as [Sim]'s are. *)
 let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
-  if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
-  if delay_s < 0.0 then invalid_arg "Link.create: negative delay";
+  if not (rate_bps > 0.0) then invalid_arg "Link.create: rate must be positive";
+  if not (delay_s >= 0.0) then invalid_arg "Link.create: negative delay";
   let qdisc = match qdisc with Some q -> q | None -> Fifo.create () in
   let scope = Obs.Scope.ambient () in
   let qdisc =
@@ -416,7 +419,6 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
       sim;
       name;
       rate_bps;
-      cross_bps = 0.0;
       delay_s;
       qdisc;
       sink;
@@ -425,8 +427,7 @@ let create sim ?(name = "link") ~rate_bps ~delay_s ?qdisc ~sink () =
       tx_done = (fun () -> complete_tx t);
       arrive;
       arrivals = Ccsim_engine.Sim.line sim ~empty:Packet.none arrive;
-      busy_seconds = Array.make 1 0.0;
-      tx_time = Array.make 1 0.0;
+      slots = Array.make 3 0.0;
       bytes_delivered = 0;
       obs;
       profile = scope.Obs.Scope.profile;
@@ -583,16 +584,16 @@ let flow_busy_seconds t ~flow =
 let flow_drops t ~flow = Qdisc.flow_drops t.qdisc.Qdisc.stats ~flow
 
 let set_rate t rate =
-  if rate <= 0.0 then invalid_arg "Link.set_rate: rate must be positive";
+  if not (rate > 0.0) then invalid_arg "Link.set_rate: rate must be positive";
   t.rate_bps <- rate;
   (match t.obs.rate_changes with Some c -> Obs.Metrics.inc c | None -> ());
   match t.obs.rate_g with Some g -> Obs.Metrics.set g rate | None -> ()
 
 let set_cross_rate_bps t rate =
-  if rate < 0.0 then invalid_arg "Link.set_cross_rate_bps: negative rate";
-  t.cross_bps <- rate
+  if not (rate.(0) >= 0.0) then invalid_arg "Link.set_cross_rate_bps: negative rate";
+  t.slots.(s_cross) <- rate.(0)
 
-let cross_rate_bps t = t.cross_bps
+let cross_rate_bps t = t.slots.(s_cross)
 let qdisc t = t.qdisc
-let utilization t ~now = if now <= 0.0 then 0.0 else t.busy_seconds.(0) /. now
+let utilization t ~now = if now <= 0.0 then 0.0 else t.slots.(s_busy) /. now
 let bytes_delivered t = t.bytes_delivered

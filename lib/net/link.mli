@@ -41,7 +41,8 @@ val create :
   unit ->
   t
 (** Default qdisc: {!Fifo.create}[ ()]. Rate must be positive, delay
-    non-negative. [name] (default ["link"]) is the hop label carried by
+    non-negative, neither NaN; otherwise raises [Invalid_argument]
+    naming [Link.create]. [name] (default ["link"]) is the hop label carried by
     lifecycle spans and flow-attribution probes. *)
 
 val send : t -> Packet.t -> unit
@@ -52,14 +53,17 @@ val as_sink : t -> Packet.t -> unit
 
 val rate_bps : t -> float
 val set_rate : t -> float -> unit
-(** Must be positive. Takes effect at the next serialization. *)
+(** Must be positive, not NaN (raises [Invalid_argument]). Takes
+    effect at the next serialization. *)
 
-val set_cross_rate_bps : t -> float -> unit
-(** Fluid cross-traffic rate sharing the wire (hybrid mode): packets
+val set_cross_rate_bps : t -> float array -> unit
+(** [set_cross_rate_bps t cross] sets the fluid cross-traffic rate
+    sharing the wire (hybrid mode) to [cross.(0)] bit/s: packets
     serialize at [rate - cross], floored at 1% of [rate] so the packet
-    share degrades instead of stalling. Must be non-negative; takes
-    effect at the next serialization. Updated periodically by
-    [Ccsim_fluid.Fluid_driver]. *)
+    share degrades instead of stalling. Must be non-negative (NaN is
+    refused); takes effect at the next serialization. Updated every
+    step by [Ccsim_fluid.Fluid_driver]; the rate comes through the
+    float-array slot, so that step boxes no float. *)
 
 val cross_rate_bps : t -> float [@@ccsim.test_only "tests observe the coupled fluid cross rate"]
 (** Current fluid cross-traffic rate (0 outside hybrid mode). *)

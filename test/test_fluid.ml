@@ -192,8 +192,8 @@ let test_non_finite_rejected () =
   Alcotest.(check int) "rejected flows were not added" 0 (Fl.Fluid_engine.flows engine);
   ignore (add ~cap_bps:infinity ());
   raises "NaN packet rate" "Fluid_engine.set_packet_signals: NaN rate_bps" (fun () ->
-      Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:nan ~backlog_bytes:0);
-  Fl.Fluid_engine.set_packet_signals engine ~link ~rate_bps:(-1e6) ~backlog_bytes:0;
+      Fl.Fluid_engine.set_packet_signals engine ~link [| nan |] ~backlog_bytes:0);
+  Fl.Fluid_engine.set_packet_signals engine ~link [| -1e6 |] ~backlog_bytes:0;
   run_engine engine ~until_s:1.0;
   Alcotest.(check bool) "a negative packet rate clamps to 0: the bulk flow fills the link" true
     (Fl.Fluid_engine.link_served_bps engine link >= 0.9e7)
@@ -399,11 +399,11 @@ let test_link_cross_rate_validation () =
   let sim = Sim.create () in
   let link = Net.Link.create sim ~rate_bps:1e6 ~delay_s:0.01 ~sink:(fun _ -> ()) () in
   Alcotest.(check (float 0.0)) "cross rate starts at zero" 0.0 (Net.Link.cross_rate_bps link);
-  Net.Link.set_cross_rate_bps link 5e5;
+  Net.Link.set_cross_rate_bps link [| 5e5 |];
   Alcotest.(check (float 0.0)) "cross rate stored" 5e5 (Net.Link.cross_rate_bps link);
   Alcotest.check_raises "negative cross rate rejected"
     (Invalid_argument "Link.set_cross_rate_bps: negative rate") (fun () ->
-      Net.Link.set_cross_rate_bps link (-1.0))
+      Net.Link.set_cross_rate_bps link [| -1.0 |])
 
 let test_fifo_cross_backlog () =
   let q = Net.Fifo.create ~limit_bytes:10_000 () in
@@ -768,10 +768,8 @@ let freeze_case_gen =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Build the case on both engines and step them side by side; after
-   every step the totals, every link accessor and every flow's goodput
-   agree bit for bit. *)
-let kernel_matches_reference c =
+(* The case built on the kernel and on the four-pass reference. *)
+let build_both c =
   let module E = Fl.Fluid_engine in
   let module R = Ref_fluid_engine in
   let dt_s = c.dt_s and warmup_s = c.warmup_s and seed = c.seed in
@@ -787,6 +785,25 @@ let kernel_matches_reference c =
       ignore (E.add_flow fast ~link ~model ~rtt_base_s ~cap_bps ?on_off_s ~start_active ());
       ignore (R.add_flow slow ~link ~model ~rtt_base_s ~cap_bps ?on_off_s ~start_active ()))
     c.ref_flows;
+  (fast, slow)
+
+(* The case's packet signals due before step [k], on both engines. *)
+let signal_both c fast slow k =
+  List.iter
+    (fun (at, link, rate_bps, backlog_bytes) ->
+      if at = k then begin
+        Fl.Fluid_engine.set_packet_signals fast ~link [| rate_bps |] ~backlog_bytes;
+        Ref_fluid_engine.set_packet_signals slow ~link ~rate_bps ~backlog_bytes
+      end)
+    c.signals
+
+(* Build the case on both engines and step them side by side; after
+   every step the totals, every link accessor and every flow's goodput
+   agree bit for bit. *)
+let kernel_matches_reference c =
+  let module E = Fl.Fluid_engine in
+  let module R = Ref_fluid_engine in
+  let fast, slow = build_both c in
   let agree () =
     let tf = E.totals fast and ts = R.totals slow in
     same_bits tf.E.offered_bytes ts.E.offered_bytes
@@ -810,19 +827,82 @@ let kernel_matches_reference c =
   let rec go k =
     k = c.steps
     || begin
-         List.iter
-           (fun (at, link, rate_bps, backlog_bytes) ->
-             if at = k then begin
-               E.set_packet_signals fast ~link ~rate_bps ~backlog_bytes;
-               R.set_packet_signals slow ~link ~rate_bps ~backlog_bytes
-             end)
-           c.signals;
+         signal_both c fast slow k;
          E.step fast;
          R.step slow;
          agree () && go (k + 1)
        end
   in
   go 0
+
+(* A frozen link defers its flows' windows and goodputs and its own
+   offered and served bytes, and replays them when it thaws or is
+   read. So read only at some steps, [reads.(k)] after step k, and
+   between reads let frozen links run deferred for as long as they
+   stay frozen: at each read every link's served bytes, residual and
+   served rate, every flow's goodput and the engine totals agree bit
+   for bit with the four-pass step, and so does every output at the
+   end. *)
+let deferred_matches_reference (c, reads) =
+  let module E = Fl.Fluid_engine in
+  let module R = Ref_fluid_engine in
+  let fast, slow = build_both c in
+  let links = List.init (Array.length c.links) Fun.id in
+  let flows = List.init (Array.length c.ref_flows) Fun.id in
+  let totals_agree () =
+    let tf = E.totals fast and ts = R.totals slow in
+    same_bits tf.E.offered_bytes ts.E.offered_bytes
+    && same_bits tf.E.served_bytes ts.E.served_bytes
+    && same_bits tf.E.dropped_bytes ts.E.dropped_bytes
+    && same_bits tf.E.queued_bytes ts.E.queued_bytes
+  in
+  let read_agree () =
+    totals_agree ()
+    && List.for_all
+         (fun l ->
+           same_bits (E.link_served_bytes fast l) (R.link_served_bytes slow l)
+           && same_bits (E.link_residual_bytes fast l) (R.link_residual_bytes slow l)
+           && same_bits (E.link_served_bps fast l) (R.link_served_bps slow l))
+         links
+    && List.for_all
+         (fun i -> same_bits (E.flow_goodput_bps fast i) (R.flow_goodput_bps slow i))
+         flows
+  in
+  let final_agree () =
+    same_bits (E.residual_bytes fast) (R.residual_bytes slow)
+    && List.for_all
+         (fun l ->
+           same_bits (E.link_queue_bytes fast l) (R.link_queue_bytes slow l)
+           && same_bits (E.link_contended_s fast l) (R.link_contended_s slow l))
+         links
+    && read_agree ()
+  in
+  let rec go k =
+    k = c.steps
+    || begin
+         signal_both c fast slow k;
+         E.step fast;
+         R.step slow;
+         ((not reads.(k)) || read_agree ()) && go (k + 1)
+       end
+  in
+  go 0 && final_agree ()
+
+(* A frozen-link or calendar case, and after which steps to read:
+   each step with one probability per case, from about every other
+   step down to a few reads in a run, so deferred stretches run from
+   one step to the whole run. *)
+let deferred_case_gen =
+  let open QCheck.Gen in
+  let* c = oneof [ freeze_case_gen; calendar_case_gen ] in
+  let* p = oneofl [ 0.002; 0.02; 0.1; 0.5 ] in
+  let* reads = array_repeat c.steps (map (fun u -> u < p) (float_bound_exclusive 1.0)) in
+  return (c, reads)
+
+let show_deferred_case (c, reads) =
+  let at = List.filter (fun k -> reads.(k)) (List.init (Array.length reads) Fun.id) in
+  Printf.sprintf "%s\nreads after steps: %s" (show_ref_case c)
+    (String.concat " " (List.map string_of_int at))
 
 (* A population stepped on a Sim by Fluid_driver, with no couplings,
    takes exactly the steps a direct loop takes: [Sim.run] to N dt and
@@ -883,6 +963,13 @@ let qcheck_tests =
       ~count:500
       (make ~print:show_ref_case freeze_case_gen)
       kernel_matches_reference;
+    Test.make
+      ~name:
+        "fluid: a frozen link's deferred steps match the four-pass step bit for bit, read at any \
+         step"
+      ~count:500
+      (make ~print:show_deferred_case deferred_case_gen)
+      deferred_matches_reference;
     (* Twin streams: the toggle path's draw takes its uniform through a
        float-array slot and finishes the exponential itself; every draw
        must equal [Rng.exponential]'s, for means of every magnitude. *)
@@ -922,7 +1009,9 @@ let qcheck_tests =
    freeze every link by its second step (the first clamps BBR's
    window), so at least 49 of each link's 50 measured steps are
    reduced ones. The measurement's own [Gc.counters] calls cost a few
-   words, spread over the 50 steps. *)
+   words, spread over the 50 steps. Those links are still frozen after
+   the last step, with 50 steps deferred: a zero skew on each (a no-op
+   on its bytes) replays them, which allocates nothing either. *)
 let test_step_allocation () =
   let words () =
     let _, promoted, major = Gc.counters () in
@@ -953,12 +1042,22 @@ let test_step_allocation () =
         else if cap_bps < infinity then "capped always-on"
         else "always-on"
       in
-      if cap_bps < infinity then
+      if cap_bps < infinity then begin
         Alcotest.(check bool)
           (Printf.sprintf "%d %s flows: %d reduced link-steps of %d" flows kind
              (reduced - reduced0) (50 * flows / 2))
           true
           (reduced - reduced0 >= 49 * flows / 2);
+        let words1 = words () in
+        for link = 0 to (flows / 2) - 1 do
+          Fl.Fluid_engine.inject_accounting_skew engine ~link ~bytes:0.0
+        done;
+        let per_replay = (words () -. words1) /. float_of_int (flows / 2) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d %s flows: under 1 word per link replay (%.2f)" flows kind
+             per_replay)
+          true (per_replay < 1.0)
+      end;
       Alcotest.(check bool)
         (Printf.sprintf "%d %s flows: under 1 word per step (%.2f)" flows kind per_step)
         true (per_step < 1.0))
@@ -970,6 +1069,38 @@ let test_step_allocation () =
       (2_000, None, U.Units.mbps 1.0);
       (20_000, None, U.Units.mbps 1.0);
     ]
+
+(* A coupled step hands the packet delivered rate to the fluid link,
+   and the fluid served rate and queue back to the packet link, through
+   float-array slots, so like an uncoupled step it allocates nothing. A
+   float kept in a mutable field of a mixed record, or passed across a
+   module boundary under dune's dev profile (-opaque), boxes on every
+   step: 2 words each. The link carries no packets, so the run's only
+   events are the 200 measured steps. *)
+let test_coupled_step_allocation () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let sim = Sim.create () in
+  let rate_bps = U.Units.mbps 20.0 in
+  let link = Net.Link.create sim ~rate_bps ~delay_s:0.01 ~sink:ignore () in
+  let engine = Fl.Fluid_engine.create ~seed:8 () in
+  let fl = Fl.Fluid_engine.add_link engine ~capacity_bps:rate_bps ~buffer_bytes:100_000 in
+  for i = 0 to 3 do
+    ignore
+      (Fl.Fluid_engine.add_flow engine ~link:fl ~model:(Fl.Fluid_model.of_index (i mod 3))
+         ~rtt_base_s:0.04 ())
+  done;
+  ignore (Fl.Fluid_driver.attach sim engine ~couplings:[ (fl, link) ]);
+  Sim.run ~until:1.0 sim;
+  let words0 = words () in
+  Sim.run ~until:3.0 sim;
+  let per_step = (words () -. words0) /. 200.0 in
+  Alcotest.(check bool) "the fluid share is on the wire" true (Net.Link.cross_rate_bps link > 0.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 word per coupled step (%.2f)" per_step)
+    true (per_step < 1.0)
 
 let suite =
   [
@@ -996,5 +1127,7 @@ let suite =
       test_watchdog_trips_on_nan;
     Alcotest.test_case "fluid: step allocation flat in the population" `Quick
       test_step_allocation;
+    Alcotest.test_case "fluid: a coupled step allocates nothing" `Quick
+      test_coupled_step_allocation;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests

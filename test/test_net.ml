@@ -394,6 +394,31 @@ let test_link_rate_change () =
   Alcotest.(check (list (pair (float 1e-9) int)))
     "second packet at doubled rate" [ (1.0, 1); (1.5, 2) ] (List.rev !arrivals)
 
+(* A NaN passes a [x <= 0.0] or [x < 0.0] guard; let in, it surfaced
+   only at the first transmission or delivery, as a NaN delay the
+   engine refused. Each entry point now refuses it, naming Link. *)
+let test_link_create_refuses_nan () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN rate" (Invalid_argument "Link.create: rate must be positive")
+    (fun () -> ignore (Net.Link.create sim ~rate_bps:Float.nan ~delay_s:0.01 ~sink:ignore ()));
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Link.create: negative delay") (fun () ->
+      ignore (Net.Link.create sim ~rate_bps:1e6 ~delay_s:Float.nan ~sink:ignore ()))
+
+let test_link_set_rate_refuses_nan () =
+  let sim = Sim.create () in
+  let link = Net.Link.create sim ~rate_bps:1e6 ~delay_s:0.01 ~sink:ignore () in
+  Alcotest.check_raises "NaN rate" (Invalid_argument "Link.set_rate: rate must be positive")
+    (fun () -> Net.Link.set_rate link Float.nan);
+  Alcotest.(check (float 0.0)) "the rate is unchanged" 1e6 (Net.Link.rate_bps link)
+
+let test_link_cross_rate_refuses_nan () =
+  let sim = Sim.create () in
+  let link = Net.Link.create sim ~rate_bps:1e6 ~delay_s:0.01 ~sink:ignore () in
+  Alcotest.check_raises "NaN cross rate"
+    (Invalid_argument "Link.set_cross_rate_bps: negative rate") (fun () ->
+      Net.Link.set_cross_rate_bps link [| Float.nan |]);
+  Alcotest.(check (float 0.0)) "the cross rate is unchanged" 0.0 (Net.Link.cross_rate_bps link)
+
 (* --- Dispatch ------------------------------------------------------------------------ *)
 
 let test_dispatch_routes_by_flow () =
@@ -626,6 +651,9 @@ let suite =
     ("link: serialization + propagation", `Quick, test_link_serialization_and_delay);
     ("link: utilization accounting", `Quick, test_link_utilization);
     ("link: mid-run rate change", `Quick, test_link_rate_change);
+    ("link: create refuses a NaN rate or delay", `Quick, test_link_create_refuses_nan);
+    ("link: set_rate refuses NaN", `Quick, test_link_set_rate_refuses_nan);
+    ("link: set_cross_rate_bps refuses NaN", `Quick, test_link_cross_rate_refuses_nan);
     ("dispatch: routes by flow", `Quick, test_dispatch_routes_by_flow);
     ("dispatch: duplicate rejected", `Quick, test_dispatch_double_register_rejected);
     ("topology: end-to-end delivery", `Quick, test_topology_end_to_end_delivery);

@@ -390,6 +390,53 @@ let test_receiver_data_allocation () =
     (Printf.sprintf "under 17 words per data packet (%.2f)" per_packet)
     true (per_packet < 17.0)
 
+(* The sender's ack path has an allocation budget, like the
+   receiver's data path above. A fixed 16-segment window (a CCA with
+   no-op handlers, so only the sender's own work counts) is fed
+   cumulative, in-order acks without SACK blocks, one per millisecond,
+   each acknowledging one segment and echoing a send time one
+   millisecond back, so each releases one new segment. Per ack the
+   path allocates the interface's [Cca.ack_info] record (9 words) and
+   its four boxed floats ([now], [srtt], [min_rtt], [delivery_rate]: 8
+   words), the RTT sample's [Some] and its boxed float (4 words), the
+   boxed sample handed to [Rtt_estimator.observe] (2 words), the new
+   data segment ([Packet.data]: 14 words) and the other floats the path
+   passes between modules boxed, such as the clock [Sim.now] returns.
+   That reads 47 words per ack; the budget is 48. The 2,000 acks
+   before the measured 10,000 let the scoreboard and the
+   delivery-rate ring reach their size; the acks themselves are built
+   before the run. *)
+let test_sender_ack_allocation () =
+  let sim = Sim.create () in
+  let mss = U.Units.mss and window = 16 and warm = 2_000 and measured = 10_000 in
+  let cca = Ccsim_cca.Cca.make ~name:"fixed" ~cwnd:(float_of_int (window * mss)) () in
+  let sender = Tcp.Sender.create sim ~flow:0 ~cca ~path:ignore () in
+  Tcp.Sender.set_unlimited sender;
+  let acks =
+    Array.init (warm + measured) (fun k ->
+        Net.Packet.ack ~flow:0 ~ack:((k + 1) * mss) ~echo:(0.001 *. float_of_int k) ~for_retx:false
+          ~rwnd:max_int ~sacks:[] ~sent_at:0.0)
+  in
+  let next = ref 0 in
+  Sim.every sim ~interval:0.001 (fun () ->
+      if !next < Array.length acks then begin
+        Tcp.Sender.handle_ack sender acks.(!next);
+        incr next
+      end);
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Sim.run ~until:(0.001 *. (float_of_int warm +. 0.5)) sim;
+  let acked0 = Tcp.Sender.bytes_acked sender and words0 = words () in
+  Sim.run ~until:(0.001 *. (float_of_int (warm + measured) +. 0.5)) sim;
+  let per_ack = (words () -. words0) /. float_of_int measured in
+  Alcotest.(check int) "every measured ack advanced by one segment" (measured * mss)
+    (Tcp.Sender.bytes_acked sender - acked0);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 48 words per cumulative ack (%.2f)" per_ack)
+    true (per_ack < 48.0)
+
 (* --- UDP ---------------------------------------------------------------------------- *)
 
 let test_udp_source_sink () =
@@ -717,6 +764,7 @@ let suite =
     ("receiver: duplicates idempotent", `Quick, test_receiver_duplicate_data_idempotent);
     ("receiver: window tracks backlog", `Quick, test_receiver_window_shrinks_with_backlog);
     ("receiver: words per in-order data packet", `Quick, test_receiver_data_allocation);
+    ("sender: words per cumulative ack", `Quick, test_sender_ack_allocation);
     ("udp: source to sink", `Quick, test_udp_source_sink);
     ("udp: cbr jitter near zero", `Quick, test_udp_jitter_zero_for_cbr_on_idle_link);
     ("scoreboard: ring growth", `Quick, test_scoreboard_grows);
